@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation error, 3 resource cap exceeded.
+Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
+4 exact probabilities failed to sum to 1 (an unresolved degeneracy).
 """
 
 from __future__ import annotations
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
     except exact_mod.ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except exact_mod.ConservationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

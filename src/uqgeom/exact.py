@@ -6,6 +6,8 @@ one per point), validating each as a true minimal basis, and counting the
 probability mass of the supports it represents: basis members contribute
 their own weight, every other point contributes the summed weight of its
 candidates that lie strictly inside the basis's non-violation shape.
+Potential bases are validated and counted in array chunks of bounded size,
+through one loop that every exact entry point shares.
 
 All probability arithmetic is exact.  Per point, weights are scaled to a
 common integer denominator, so a basis probability is an integer numerator
@@ -31,6 +33,7 @@ import numpy as np
 
 from .geometry import bbox_diameter, coordinate_scale
 from .measures import (
+    _STRICT_REL,
     Basis,
     BasisMember,
     MeasureId,
@@ -57,9 +60,6 @@ __all__ = [
     "deterministic_sip",
     "distributions_match",
 ]
-
-_MATCH_REL = 1e-13
-_STRICT_REL = 1e-14
 
 _HARDNESS_MESSAGE = (
     "diameter is not LP-type (locality fails); computing its exact "
@@ -115,26 +115,42 @@ class ExactDistribution:
 # Preparation
 
 
+def _integer_weights(uset: IndecisivePointSet) -> tuple[list[list[int]], list[int]]:
+    """Per point, its weights scaled to their common denominator: returns
+    the integer weights of every point and the denominators."""
+    ints = []
+    denoms = []
+    for p in uset.points:
+        denom = math.lcm(*(w.denominator for w in p.weights))
+        ints.append([int(w * denom) for w in p.weights])
+        denoms.append(denom)
+    return ints, denoms
+
+
 class _Prepared:
+    """Jittered input of the exact engine, flattened over all candidates.
+
+    Candidates are numbered globally in point order: ``offsets[i]`` is the
+    global index of point i's first candidate, ``point_of[g]`` the point of
+    candidate g and ``basis_members[g]`` its basis member.  ``fx``/``fy``
+    hold the frame coordinates the validity and strict-interior tests work
+    in, ``w`` the integer weights over each point's common denominator.
+    """
+
     __slots__ = (
-        "uset",
         "measure",
         "n",
         "ks",
-        "xs",
-        "ys",
+        "offsets",
+        "point_of",
+        "basis_members",
         "fx",
         "fy",
-        "fxl",
-        "fyl",
-        "wints",
-        "wnp",
-        "denoms",
+        "w",
         "total_denom",
         "scale",
         "vscale",
         "geom_eps",
-        "match_eps",
         "strict_eps",
         "group_tol",
         "beta",
@@ -144,50 +160,44 @@ class _Prepared:
         if uset.dimension != 2:
             raise ValidationError("the deterministic engine supports d=2 only")
         uset = canonical_jitter(uset)
-        self.uset = uset
         self.measure = measure
         self.n = uset.n
         self.ks = [p.k for p in uset.points]
-        self.xs = [p.locations[:, 0].copy() for p in uset.points]
-        self.ys = [p.locations[:, 1].copy() for p in uset.points]
         all_locs = uset.all_locations()
         self.scale = coordinate_scale(all_locs)
         self.vscale = value_scale(measure, self.scale)
         self.geom_eps = _STRICT_REL * self.scale
-        self.match_eps = _MATCH_REL * self.vscale
         self.strict_eps = _STRICT_REL * self.vscale
         diam = bbox_diameter(all_locs)
         self.group_tol = 1e-9 * value_scale(measure, diam)
         self.beta = min(combinatorial_dimension(measure, 2), self.n)
-        # Frame coordinates for the strict-interior masks.
+        self.offsets = np.cumsum([0] + self.ks[:-1])
+        self.point_of = np.repeat(np.arange(self.n), self.ks)
+        self.basis_members = [
+            BasisMember(i, j, tuple(loc))
+            for i, p in enumerate(uset.points)
+            for j, loc in enumerate(p.locations.tolist())
+        ]
+        x = all_locs[:, 0]
+        y = all_locs[:, 1]
+        # Frame coordinates: projections for dwid, the 45-degree frame in
+        # which the L1 ball is a square for seb1, plain x/y otherwise.
         if measure.kind == "dwid":
             u = np.asarray(measure.direction)
-            self.fx = [x * u[0] + y * u[1] for x, y in zip(self.xs, self.ys)]
-            self.fy = [np.zeros(k) for k in self.ks]
+            self.fx = x * u[0] + y * u[1]
+            self.fy = np.zeros(len(x))
         elif measure.kind == "seb1":
-            self.fx = [x + y for x, y in zip(self.xs, self.ys)]
-            self.fy = [y - x for x, y in zip(self.xs, self.ys)]
+            self.fx = x + y
+            self.fy = y - x
         else:
-            self.fx = self.xs
-            self.fy = self.ys
-        # Plain-float copies for the per-combo inner loops (numpy scalar
-        # indexing is too slow at (nk)^beta scale).
-        self.fxl = [[float(v) for v in arr] for arr in self.fx]
-        self.fyl = [[float(v) for v in arr] for arr in self.fy]
-        # Integer weights over a per-point common denominator.
-        self.wints = []
-        self.wnp = []
-        self.denoms = []
-        for p in uset.points:
-            denom = 1
-            for w in p.weights:
-                denom = denom * w.denominator // math.gcd(denom, w.denominator)
-            ints = [int(w * denom) for w in p.weights]
-            self.wints.append(ints)
-            dtype = np.int64 if denom < 2**62 else object
-            self.wnp.append(np.array(ints, dtype=dtype))
-            self.denoms.append(denom)
-        self.total_denom = math.prod(self.denoms)
+            self.fx = x
+            self.fy = y
+        ints, denoms = _integer_weights(uset)
+        # A point's masses sum to at most its denominator, so int64 holds
+        # them unless a denominator is huge.
+        dtype = np.int64 if max(denoms) < 2**62 else object
+        self.w = np.array([v for row in ints for v in row], dtype=dtype)
+        self.total_denom = math.prod(denoms)
 
     def combo_count(self) -> int:
         total = 0
@@ -197,155 +207,204 @@ class _Prepared:
         return total
 
 
-def _validate_and_value(prep: _Prepared, xs: tuple, ys: tuple) -> float | None:
-    """Value of a potential basis, or None when it is not minimal.
+# --------------------------------------------------------------------------
+# Chunked enumeration, validation and counting
+#
+# Potential bases travel as (rows, s) arrays of global candidate indices,
+# one basis size at a time.  A chunk's strict-interior mask has rows x N
+# cells (N candidates); about _CHUNK_CELLS of them keep its temporaries well
+# under a megabyte, and a floor on the rows keeps per-chunk overhead small
+# when N is large.
+_CHUNK_CELLS = 32_768
+_MIN_CHUNK_ROWS = 64
 
-    ``xs``/``ys`` hold the members' frame coordinates (projection/rotated
-    where applicable) as plain floats.  Minimality only needs the drop-one
-    subsets by monotonicity.
+
+def _index_chunks(prep: _Prepared):
+    """All potential bases as arrays of global candidate indices: basis
+    sizes ascending, then point combos and candidate products in
+    lexicographic order, cut into chunks of a fixed number of rows."""
+    rows = max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // len(prep.w))
+    ks = np.array(prep.ks)
+    for s in range(1, prep.beta + 1):
+        combos = np.array(list(itertools.combinations(range(prep.n), s)))
+        starts = np.concatenate([[0], np.cumsum(ks[combos].prod(axis=1))])
+        total = int(starts[-1])
+        for first in range(0, total, rows):
+            pos = np.arange(first, min(first + rows, total))
+            combo = np.searchsorted(starts, pos, side="right") - 1
+            pts = combos[combo]
+            # Mixed-radix digits of the position within its combo's product.
+            local = pos - starts[combo]
+            idx = np.empty_like(pts)
+            for t in range(s - 1, -1, -1):
+                k = ks[pts[:, t]]
+                idx[:, t] = prep.offsets[pts[:, t]] + local % k
+                local //= k
+            yield idx
+
+
+def _validate(prep: _Prepared, idx: np.ndarray):
+    """Minimal rows of a chunk of potential bases, with their values and
+    counting shapes: returns (idx, values, shapes) restricted to the rows
+    that are true bases.  Minimality only needs the drop-one subsets by
+    monotonicity.
+
+    Shapes, one row per basis: (cx, cy, r) for seb2, (lo, hi) for dwid and
+    (x0, x1, y0, y1) otherwise, in frame coordinates.
     """
     kind = prep.measure.kind
-    s = len(xs)
     eps = prep.strict_eps
-    if s == 1:
-        return 0.0
-    if kind == "dwid":
-        span = abs(xs[1] - xs[0])
-        return span if span > eps else None
+    s = idx.shape[1]
+    xs = prep.fx[idx]
+    ys = prep.fy[idx]
     if kind == "seb2":
-        if s == 2:
-            r = _seb2_ball_tuple(((xs[0], ys[0]), (xs[1], ys[1])))[2]
-            return r if r > eps else None
+        return _validate_seb2(prep, idx, xs, ys)
+    if s == 1:
+        keep = np.ones(len(idx), dtype=bool)
+        values = np.zeros(len(idx))
+    elif kind == "dwid":
+        values = np.abs(xs[:, 1] - xs[:, 0])
+        keep = values > eps
+    elif kind in ("aabb_perimeter", "aabb_area"):
+        perim = kind == "aabb_perimeter"
+
+        def rect_value(x, y):
+            ex = x.max(axis=1) - x.min(axis=1)
+            ey = y.max(axis=1) - y.min(axis=1)
+            return 2.0 * (ex + ey) if perim else ex * ey
+
+        values = rect_value(xs, ys)
+        keep = np.ones(len(idx), dtype=bool)
+        for drop in range(s):
+            cols = [t for t in range(s) if t != drop]
+            keep &= rect_value(xs[:, cols], ys[:, cols]) < values - eps
+    else:
+        # sebinf / seb1.  The plain radius violates the locality axiom
+        # (optimal centers are not unique), so the basis must pin the
+        # lexicographically minimal optimum (r, cx, cy): minimality compares
+        # the full triple, with cx = max_x - r and cy = max_y - r.
+        geps = prep.geom_eps
+
+        def lex_opt(x, y):
+            mx = x.max(axis=1)
+            my = y.max(axis=1)
+            r = np.maximum(mx - x.min(axis=1), my - y.min(axis=1)) / 2.0
+            return r, mx - r, my - r
+
+        values, cx, cy = lex_opt(xs, ys)
+        keep = np.ones(len(idx), dtype=bool)
+        # Subsets give lexicographically smaller-or-equal optima; reject the
+        # combo unless every drop strictly changes some component.
+        for drop in range(s):
+            cols = [t for t in range(s) if t != drop]
+            r2, cx2, cy2 = lex_opt(xs[:, cols], ys[:, cols])
+            keep &= ~(
+                (np.abs(r2 - values) <= eps)
+                & (np.abs(cx2 - cx) <= geps)
+                & (np.abs(cy2 - cy) <= geps)
+            )
+    idx, xs, ys, values = idx[keep], xs[keep], ys[keep], values[keep]
+    if kind == "dwid":
+        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1)])
+    elif kind in ("aabb_perimeter", "aabb_area"):
+        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)])
+    else:
+        # sebinf / seb1: the canonical (lex-minimal) optimal square in frame
+        # coordinates, anchored at the max corner.  A support has this basis
+        # iff all its other candidates lie inside this square, which pins
+        # radius and both center components at once.
+        w2 = 2.0 * values
+        mx = xs.max(axis=1)
+        my = ys.max(axis=1)
+        shapes = np.column_stack([mx - w2, mx, my - w2, my])
+    return idx, values, shapes
+
+
+def _validate_seb2(prep: _Prepared, idx, xs, ys):
+    s = idx.shape[1]
+    if s == 1:
+        return idx, np.zeros(len(idx)), np.column_stack([xs[:, 0], ys[:, 0], np.zeros(len(idx))])
+    if s == 3:
         # A triple is minimal iff the triangle is strictly acute: vertex V is
         # outside the opposite pair's diametral disk iff (A-V).(B-V) > 0.
         # Radius differences degrade quadratically near right triangles, so
         # minimality must use this linear-scale predicate instead.
         eps_dot = prep.geom_eps * prep.scale
-        ax, ay, bx, by, cx, cy = xs[0], ys[0], xs[1], ys[1], xs[2], ys[2]
-        if (
-            (bx - ax) * (cx - ax) + (by - ay) * (cy - ay) <= eps_dot
-            or (ax - bx) * (cx - bx) + (ay - by) * (cy - by) <= eps_dot
-            or (ax - cx) * (bx - cx) + (ay - cy) * (by - cy) <= eps_dot
-        ):
-            return None
-        sol = _seb2_ball_tuple(tuple(zip(xs, ys)))
-        return sol[2]
-    if kind in ("aabb_perimeter", "aabb_area"):
-        perim = kind == "aabb_perimeter"
-
-        def rect_value(x, y):
-            ex = max(x) - min(x)
-            ey = max(y) - min(y)
-            return 2.0 * (ex + ey) if perim else ex * ey
-
-        value = rect_value(xs, ys)
-        for drop in range(s):
-            keep = tuple(t for t in range(s) if t != drop)
-            if rect_value([xs[t] for t in keep], [ys[t] for t in keep]) >= value - eps:
-                return None
-        return value
-
-    # sebinf / seb1 (frame coordinates).  The plain radius violates the
-    # locality axiom (optimal centers are not unique), so the basis must pin
-    # the lexicographically minimal optimum (r, cx, cy): minimality compares
-    # the full triple, with cx = max_x - r and cy = max_y - r.
-    geps = prep.geom_eps
-
-    def lex_opt(x, y):
-        r = max(max(x) - min(x), max(y) - min(y)) / 2.0
-        return r, max(x) - r, max(y) - r
-
-    r, cx, cy = lex_opt(xs, ys)
-    for drop in range(s):
-        keep = tuple(t for t in range(s) if t != drop)
-        r2, cx2, cy2 = lex_opt([xs[t] for t in keep], [ys[t] for t in keep])
-        # Subsets give lexicographically smaller-or-equal optima; reject the
-        # combo unless every drop strictly changes some component.
-        if abs(r2 - r) <= eps and abs(cx2 - cx) <= geps and abs(cy2 - cy) <= geps:
-            return None
-    return r
+        ax, bx, cx = xs.T
+        ay, by, cy = ys.T
+        keep = (
+            ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > eps_dot)
+            & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > eps_dot)
+            & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > eps_dot)
+        )
+        idx, xs, ys = idx[keep], xs[keep], ys[keep]
+    # Balls come from the scalar solver, whose squares (libm pow) can differ
+    # from numpy's in the last bit; values must match the oracle's bitwise.
+    shapes = np.array(
+        [_seb2_ball_tuple(tuple(zip(x, y)))[:3] for x, y in zip(xs.tolist(), ys.tolist())],
+        dtype=np.float64,
+    ).reshape(-1, 3)
+    if s == 2:
+        keep = shapes[:, 2] > prep.strict_eps
+        idx, shapes = idx[keep], shapes[keep]
+    return idx, shapes[:, 2], shapes
 
 
-def _shape_of(prep: _Prepared, xs: tuple, ys: tuple, value: float) -> tuple:
-    kind = prep.measure.kind
-    if kind == "seb2":
-        if len(xs) == 1:
-            return (xs[0], ys[0], 0.0)
-        sol = _seb2_ball_tuple(tuple(zip(xs, ys)))
-        return (sol[0], sol[1], sol[2])
-    if kind == "dwid":
-        return (min(xs), max(xs))
-    if kind in ("aabb_perimeter", "aabb_area"):
-        return (min(xs), max(xs), min(ys), max(ys))
-    # sebinf / seb1: the canonical (lex-minimal) optimal square in frame
-    # coordinates, anchored at the max corner.  A support has this basis iff
-    # all its other candidates lie inside this square, which pins radius and
-    # both center components at once.
-    w2 = 2.0 * value
-    mx = max(xs)
-    my = max(ys)
-    return (mx - w2, mx, my - w2, my)
-
-
-def _mask_strict_inside(prep: _Prepared, shape: tuple, i: int) -> np.ndarray:
-    kind = prep.measure.kind
+def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
+    """(rows, N) mask: candidate strictly inside the row's counting shape."""
     eps = prep.geom_eps
-    xs = prep.fx[i]
-    ys = prep.fy[i]
+    fx = prep.fx
+    fy = prep.fy
+    cols = [c[:, None] for c in shapes.T]
+    kind = prep.measure.kind
     if kind == "seb2":
-        cx, cy, r = shape
+        cx, cy, r = cols
         lim = r - eps
-        if lim <= 0.0:
-            return np.zeros(len(xs), dtype=bool)
-        return (xs - cx) ** 2 + (ys - cy) ** 2 < lim * lim
+        # A disk whose shrunk radius is not positive holds nothing strictly.
+        return ((fx - cx) ** 2 + (fy - cy) ** 2 < lim * lim) & (lim > 0.0)
     if kind == "dwid":
-        lo, hi = shape
-        return (xs > lo + eps) & (xs < hi - eps)
-    x0, x1, y0, y1 = shape
-    return (xs > x0 + eps) & (xs < x1 - eps) & (ys > y0 + eps) & (ys < y1 - eps)
+        lo, hi = cols
+        return (fx > lo + eps) & (fx < hi - eps)
+    x0, x1, y0, y1 = cols
+    return (fx > x0 + eps) & (fx < x1 - eps) & (fy > y0 + eps) & (fy < y1 - eps)
 
 
-def _iter_valid_bases(prep: _Prepared):
-    """Yield (combo, member_xs, member_ys, value) over all validated
-    potential bases, in lexicographic (point indices, candidate indices)
-    order.  Coordinates are frame coordinates as plain float tuples."""
-    n = prep.n
-    for s in range(1, prep.beta + 1):
-        for pts_combo in itertools.combinations(range(n), s):
-            coord_x = [prep.fxl[i] for i in pts_combo]
-            coord_y = [prep.fyl[i] for i in pts_combo]
-            ranges = [range(prep.ks[i]) for i in pts_combo]
-            for cand in itertools.product(*ranges):
-                xs = tuple(coord_x[t][j] for t, j in enumerate(cand))
-                ys = tuple(coord_y[t][j] for t, j in enumerate(cand))
-                value = _validate_and_value(prep, xs, ys)
-                if value is None:
-                    continue
-                yield tuple(zip(pts_combo, cand)), xs, ys, value
+def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
+    """Integer probability numerators (over prep.total_denom) of validated
+    bases: members contribute their own weight, every other point the summed
+    weight of its candidates strictly inside the basis's shape.  Returns the
+    mask of the rows with nonzero probability and their numerators."""
+    inside = _strict_inside(prep, shapes)
+    masses = np.add.reduceat(np.where(inside, prep.w, 0), prep.offsets, axis=1)
+    masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
+    nonzero = (masses > 0).all(axis=1)
+    return nonzero, [math.prod(row) for row in masses[nonzero].tolist()]
 
 
-def _numerator(prep: _Prepared, combo, shape) -> int:
-    """Integer probability numerator (over prep.total_denom) of the basis."""
-    members = dict(combo)
-    num = 1
-    for i in range(prep.n):
-        j = members.get(i)
-        if j is not None:
-            num *= prep.wints[i][j]
-            continue
-        mask = _mask_strict_inside(prep, shape, i)
-        s = int(prep.wnp[i][mask].sum()) if mask.any() else 0
-        if s == 0:
-            return 0
-        num *= s
-    return num
+def _counted_bases(prep: _Prepared):
+    """Yield (global candidate indices, value, shape, numerator) of every
+    basis with nonzero probability, in the order of :func:`_index_chunks`.
+
+    Raises ConservationError once exhausted unless the numerators sum to
+    exactly prep.total_denom.
+    """
+    total = 0
+    for idx in _index_chunks(prep):
+        idx, values, shapes = _validate(prep, idx)
+        nonzero, nums = _numerators(prep, idx, shapes)
+        rows = zip(idx[nonzero].tolist(), values[nonzero].tolist(), shapes[nonzero].tolist(), nums)
+        for row, value, shape, num in rows:
+            total += num
+            yield row, value, shape, num
+    if total != prep.total_denom:
+        raise ConservationError(
+            f"basis probabilities sum to {Fraction(total, prep.total_denom)} != 1; "
+            "the instance is degenerate beyond what canonical jitter resolves"
+        )
 
 
-def _basis_object(prep: _Prepared, combo, value: float) -> Basis:
-    members = tuple(
-        BasisMember(i, j, (float(prep.xs[i][j]), float(prep.ys[i][j]))) for i, j in combo
-    )
-    return Basis(prep.measure, members, value)
+def _basis_object(prep: _Prepared, row, value: float) -> Basis:
+    return Basis(prep.measure, tuple(prep.basis_members[g] for g in row), value)
 
 
 def _require_lp_type(measure: MeasureId):
@@ -361,8 +420,10 @@ def enumerate_potential_bases(uset: IndecisivePointSet, measure: MeasureId):
     basis whose non-members all violate contributes zero probability)."""
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
-    for combo, xs, ys, value in _iter_valid_bases(prep):
-        yield _basis_object(prep, combo, value)
+    for idx in _index_chunks(prep):
+        idx, values, _ = _validate(prep, idx)
+        for row, value in zip(idx.tolist(), values.tolist()):
+            yield _basis_object(prep, row, value)
 
 
 def basis_support_probability(uset: IndecisivePointSet, measure: MeasureId, basis: Basis) -> Fraction:
@@ -374,14 +435,16 @@ def basis_support_probability(uset: IndecisivePointSet, measure: MeasureId, basi
         if m.candidate is None:
             raise ValidationError("basis members need (point, candidate) provenance")
         combo.append((m.point, m.candidate))
-    combo = tuple(sorted(combo))
-    xs = tuple(prep.fxl[i][j] for i, j in combo)
-    ys = tuple(prep.fyl[i][j] for i, j in combo)
-    value = _validate_and_value(prep, xs, ys)
-    if value is None:
+    combo.sort()
+    points = {i for i, _ in combo}
+    in_range = all(0 <= i < prep.n and 0 <= j < prep.ks[i] for i, j in combo)
+    if not in_range or len(points) != len(combo) or len(combo) > prep.beta:
         raise ValidationError("not a valid (minimal) basis for this measure")
-    shape = _shape_of(prep, xs, ys, value)
-    return Fraction(_numerator(prep, combo, shape), prep.total_denom)
+    idx, _, shapes = _validate(prep, np.array([[prep.offsets[i] + j for i, j in combo]]))
+    if not len(idx):
+        raise ValidationError("not a valid (minimal) basis for this measure")
+    nonzero, nums = _numerators(prep, idx, shapes)
+    return Fraction(nums[0] if nonzero[0] else 0, prep.total_denom)
 
 
 def _collapse(values_to_num: dict, total_denom: int, group_tol: float) -> Quantization1D:
@@ -421,27 +484,12 @@ def exact_distribution(
         keep_records = prep.combo_count() <= 200_000
     agg: dict[float, int] = {}
     records: list[BasisRecord] = []
-    total = 0
-    for combo, xs, ys, value in _iter_valid_bases(prep):
-        shape = _shape_of(prep, xs, ys, value)
-        num = _numerator(prep, combo, shape)
-        if num == 0:
-            continue
-        total += num
+    for row, value, _, num in _counted_bases(prep):
         agg[value] = agg.get(value, 0) + num
         if keep_records:
             records.append(
-                BasisRecord(
-                    _basis_object(prep, combo, value),
-                    Fraction(num, prep.total_denom),
-                    value,
-                )
+                BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.total_denom), value)
             )
-    if total != prep.total_denom:
-        raise ConservationError(
-            f"basis probabilities sum to {Fraction(total, prep.total_denom)} != 1; "
-            "the instance is degenerate beyond what canonical jitter resolves"
-        )
     collapsed = _collapse(agg, prep.total_denom, prep.group_tol)
     return ExactDistribution(tuple(records), collapsed, measure)
 
@@ -470,14 +518,7 @@ def brute_force_distribution(
     n = jset.n
     kind = measure.kind
     pts_arrays = [p.locations for p in jset.points]
-    denoms = []
-    wints = []
-    for p in jset.points:
-        denom = 1
-        for w in p.weights:
-            denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        denoms.append(denom)
-        wints.append([int(w * denom) for w in p.weights])
+    wints, denoms = _integer_weights(jset)
     total_denom = math.prod(denoms)
     diam = bbox_diameter(jset.all_locations())
     group_tol = 1e-9 * value_scale(measure, diam)
@@ -532,29 +573,25 @@ def brute_force_distribution(
 
 def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     """Exact shape-inclusion-probability field: one summarizing shape per
-    basis, weighted by the basis probability.  Queries are answered by a
-    linear scan over the weighted shapes."""
+    basis with nonzero probability, weighted by that probability, in the
+    exact engine's basis order.  The bases come from the same chunked
+    enumeration and counting as :func:`exact_distribution`, so the weights
+    are exactly its nonzero record probabilities and sum to exactly 1
+    (ConservationError otherwise).  Queries are answered by a linear scan
+    over the weighted shapes."""
     if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
         raise ValidationError("deterministic SIP needs a disk or rectangle summarizing shape")
     prep = _Prepared(uset, measure)
     shapes = []
-    total = 0
-    for combo, xs, ys, value in _iter_valid_bases(prep):
-        shape = _shape_of(prep, xs, ys, value)
-        num = _numerator(prep, combo, shape)
-        if num == 0:
-            continue
-        total += num
+    for _, _, shape, num in _counted_bases(prep):
         weight = Fraction(num, prep.total_denom)
         # For these measures the frame coordinates are plain x/y, so the
         # counting shape doubles as the summarizing shape.
         if measure.kind == "seb2":
-            shapes.append((DiskShape(shape[0], shape[1], shape[2]), weight))
+            shapes.append((DiskShape(*shape), weight))
         else:
             x0, x1, y0, y1 = shape
             shapes.append((RectShape(x0, y0, x1, y1), weight))
-    if total != prep.total_denom:
-        raise ConservationError("SIP shape weights failed to sum to 1")
     return SipField.from_shapes(shapes)
 
 

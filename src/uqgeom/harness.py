@@ -245,7 +245,6 @@ def read_deviation_csv(path) -> np.ndarray:
         v = float(parts[vi])
         w = float(parts[wi])
         values.append((v, w))
-    total = sum(w for _, w in values)
     # Reconstruct an (approximately) uniform sample list from the weights.
     m = round(1.0 / min(w for _, w in values if w > 0))
     out = []

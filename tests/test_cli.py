@@ -141,3 +141,16 @@ def test_experiment_and_fit_round_trip(tmp_path):
     rc = main(["fit", "--tables"] + [str(t) for t in tables] + ["--out", str(tmp_path / "fit.csv")])
     assert rc == 0
     assert (tmp_path / "fit.csv").exists()
+
+
+def test_conservation_error_exit_code(indecisive_file, tmp_path, monkeypatch, capsys):
+    import uqgeom.exact as exact_mod
+
+    def leaking(*args, **kwargs):
+        raise exact_mod.ConservationError("basis probabilities sum to 35/36 != 1")
+
+    monkeypatch.setattr(exact_mod, "exact_distribution", leaking)
+    rc = main(["exact", "--input", str(indecisive_file), "--measure", "aabb-area",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: basis probabilities")

@@ -10,6 +10,7 @@ from uqgeom import (
     MeasureId,
     NotLPTypeError,
     ResourceCapError,
+    ValidationError,
     basis_support_probability,
     brute_force_distribution,
     canonical_jitter,
@@ -272,3 +273,91 @@ def test_keep_records_auto_disable():
     dist = exact_distribution(uset, MeasureId("seb2"), keep_records=False)
     assert dist.records == ()
     assert len(dist.collapsed) >= 1
+
+
+def _record_key(rec):
+    members = tuple((m.point, m.candidate, m.location) for m in rec.basis.members)
+    return members, rec.value.hex(), rec.probability
+
+
+@pytest.mark.parametrize("rows", [1, 11])
+def test_chunk_boundaries_leave_records_unchanged(monkeypatch, rows):
+    import uqgeom.exact as exact_mod
+
+    uset = random_indecisive(np.random.default_rng(21), 4, 3)
+    default = {m: exact_distribution(uset, m, keep_records=True) for m in MEASURES}
+    chunk_rows = []
+    real_chunks = exact_mod._index_chunks
+
+    def recording_chunks(prep):
+        for idx in real_chunks(prep):
+            chunk_rows.append(idx.shape)
+            yield idx
+
+    monkeypatch.setattr(exact_mod, "_CHUNK_CELLS", 0)
+    monkeypatch.setattr(exact_mod, "_MIN_CHUNK_ROWS", rows)
+    monkeypatch.setattr(exact_mod, "_index_chunks", recording_chunks)
+    for m in MEASURES:
+        chunk_rows.clear()
+        small = exact_distribution(uset, m, keep_records=True)
+        # Every basis size spans several chunks, and some chunk has one row.
+        sizes = {s for _, s in chunk_rows}
+        assert all(sum(1 for _, s2 in chunk_rows if s2 == s) > 1 for s in sizes)
+        assert min(r for r, _ in chunk_rows) == 1
+        assert [_record_key(r) for r in small.records] == [
+            _record_key(r) for r in default[m].records
+        ], m.kind
+        assert [v.hex() for v in small.collapsed.values.tolist()] == [
+            v.hex() for v in default[m].collapsed.values.tolist()
+        ]
+        assert small.collapsed.weights == default[m].collapsed.weights
+
+
+def test_basis_support_probability_equals_record_probability(rng):
+    uset = random_indecisive(rng, 4, 2)
+    for m in MEASURES:
+        dist = exact_distribution(uset, m)
+        assert dist.records
+        for rec in dist.records:
+            assert basis_support_probability(uset, m, rec.basis) == rec.probability, m.kind
+
+
+def test_basis_support_probability_rejects_malformed_bases():
+    from uqgeom.measures import Basis, BasisMember
+
+    uset = figure_count_instance()
+    m = MeasureId("seb2")
+
+    def basis(*pairs):
+        return Basis(m, tuple(BasisMember(i, j, (0.0, 0.0)) for i, j in pairs), 1.0)
+
+    # Out-of-range candidate, repeated point, more members than beta = 3.
+    for bad in (basis((0, 0), (1, 4)), basis((0, 0), (0, 1)), basis((0, 0), (1, 1), (2, 2), (3, 3))):
+        with pytest.raises(ValidationError):
+            basis_support_probability(uset, m, bad)
+
+
+def test_deterministic_sip_weights_are_nonzero_records_in_order(rng):
+    uset = random_indecisive(rng, 4, 3)
+    for m in (MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("aabb_area")):
+        field = deterministic_sip(uset, m)
+        records = exact_distribution(uset, m, keep_records=True).records
+        weights = [w for _, w in field.shapes]
+        assert sum(weights, Fraction(0)) == 1
+        assert weights == [r.probability for r in records]
+        if m.kind == "seb2":
+            assert [s.r for s, _ in field.shapes] == [r.value for r in records]
+
+
+def test_huge_weight_denominators_match_oracle():
+    # A denominator beyond int64 range takes the exact-integer mass path.
+    tiny = Fraction(1, 3 * 2**62)
+    uset = random_indecisive(np.random.default_rng(5), 3, 3)
+    points = list(uset.points)
+    points[0] = IndecisivePoint(points[0].locations, (tiny, Fraction(1, 3), Fraction(2, 3) - tiny))
+    uset = IndecisivePointSet(tuple(points), 2)
+    for m in MEASURES:
+        ex = exact_distribution(uset, m)
+        bf = brute_force_distribution(uset, m)
+        assert ex.total_probability == 1
+        assert distributions_match(ex, bf, group_tolerance(uset, m)), m.kind
