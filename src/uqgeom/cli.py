@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, budget=True, out_required=True):
         p.add_argument("--input", required=True, help="point-set JSON file")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        p.add_argument("--threads", type=int, default=1)
         if budget:
             p.add_argument("--eps", type=float, required=True)
             p.add_argument("--delta", type=float, required=True)

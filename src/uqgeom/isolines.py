@@ -3,7 +3,10 @@
 A gamma-isoline bounds the region where the field value is strictly
 greater than gamma.  Contours are traced on the piecewise-linear
 interpolation between raster cell centers; saddle cells are disambiguated
-by the cell-center average.
+by the cell-center average.  For each level the 4-bit corner case of every
+cell is computed as one array; only cells the contour crosses (case not 0
+or 15) are visited, in row-major order, and their segments are chained
+into polylines.
 """
 
 from __future__ import annotations
@@ -17,76 +20,53 @@ __all__ = ["extract_isolines", "isolines_svg", "DEFAULT_LEVELS"]
 DEFAULT_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+# Contour segments of a cell as pairs of crossed edges (bottom, right, top,
+# left), by case index: bit 0 is the lower-left corner above the level, the
+# other bits follow counter-clockwise.  Saddles (5, 10) are split by the
+# cell-center average; indices 16 and 17 are saddles 5 and 10 whose average
+# is above the level.
+_B, _R, _T, _L = range(4)
+_EDGE_PAIRS = (
+    (), ((_L, _B),), ((_B, _R),), ((_L, _R),),
+    ((_R, _T),), ((_L, _B), (_R, _T)), ((_B, _T),), ((_L, _T),),
+    ((_T, _L),), ((_B, _T),), ((_B, _R), (_T, _L)), ((_T, _R),),
+    ((_R, _L),), ((_B, _R),), ((_L, _B),), (),
+    ((_L, _T), (_B, _R)), ((_T, _R), (_L, _B)),
+)
+
+
 def _segments_for_level(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, level: float):
-    """Yield ((x1, y1), (x2, y2)) contour segments of {value > level}."""
-    h, w = values.shape
-    above = values > level
-    segs = []
+    """((x1, y1), (x2, y2)) contour segments of {value > level}: cells in
+    row-major order, each cell's segments in ``_EDGE_PAIRS`` order."""
+    above = (values > level).astype(np.uint8)
+    case = above[:-1, :-1] | above[:-1, 1:] << 1 | above[1:, 1:] << 2 | above[1:, :-1] << 3
+    ii, jj = np.nonzero((case != 0) & (case != 15))
+    case = case[ii, jj]
+    v00, v01 = values[ii, jj], values[ii, jj + 1]
+    v11, v10 = values[ii + 1, jj + 1], values[ii + 1, jj]
+    x0, x1, y0, y1 = xs[jj], xs[jj + 1], ys[ii], ys[ii + 1]
+    center_above = 0.25 * (v00 + v01 + v11 + v10) > level
+    case = np.where(((case == 5) | (case == 10)) & center_above, case // 5 + 15, case)
 
     def interp(vx0, vy0, v0, vx1, vy1, v1):
         t = (level - v0) / (v1 - v0)
-        return (vx0 + t * (vx1 - vx0), vy0 + t * (vy1 - vy0))
+        return list(zip((vx0 + t * (vx1 - vx0)).tolist(), (vy0 + t * (vy1 - vy0)).tolist()))
 
-    for i in range(h - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        for j in range(w - 1):
-            m = (
-                int(above[i, j])
-                | int(above[i, j + 1]) << 1
-                | int(above[i + 1, j + 1]) << 2
-                | int(above[i + 1, j]) << 3
-            )
-            if m == 0 or m == 15:
-                continue
-            x0, x1 = xs[j], xs[j + 1]
-            v00, v01 = values[i, j], values[i, j + 1]
-            v11, v10 = values[i + 1, j + 1], values[i + 1, j]
-            # Edges oriented bottom->top / left->right so adjacent cells
-            # compute bitwise-identical crossing points.
-            eb = lambda: interp(x0, y0, v00, x1, y0, v01)
-            er = lambda: interp(x1, y0, v01, x1, y1, v11)
-            et = lambda: interp(x0, y1, v10, x1, y1, v11)
-            el = lambda: interp(x0, y0, v00, x0, y1, v10)
-            if m == 1:
-                segs.append((el(), eb()))
-            elif m == 2:
-                segs.append((eb(), er()))
-            elif m == 3:
-                segs.append((el(), er()))
-            elif m == 4:
-                segs.append((er(), et()))
-            elif m == 5:
-                center = 0.25 * (v00 + v01 + v11 + v10)
-                if center > level:
-                    segs.append((el(), et()))
-                    segs.append((eb(), er()))
-                else:
-                    segs.append((el(), eb()))
-                    segs.append((er(), et()))
-            elif m == 6:
-                segs.append((eb(), et()))
-            elif m == 7:
-                segs.append((el(), et()))
-            elif m == 8:
-                segs.append((et(), el()))
-            elif m == 9:
-                segs.append((eb(), et()))
-            elif m == 10:
-                center = 0.25 * (v00 + v01 + v11 + v10)
-                if center > level:
-                    segs.append((et(), er()))
-                    segs.append((el(), eb()))
-                else:
-                    segs.append((eb(), er()))
-                    segs.append((et(), el()))
-            elif m == 11:
-                segs.append((et(), er()))
-            elif m == 12:
-                segs.append((er(), el()))
-            elif m == 13:
-                segs.append((eb(), er()))
-            elif m == 14:
-                segs.append((el(), eb()))
+    # Edges oriented bottom->top / left->right so adjacent cells compute
+    # bitwise-identical crossing points.  Every edge is interpolated for
+    # every cell; an edge the contour does not cross may divide by zero,
+    # and its point is never used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edges = (
+            interp(x0, y0, v00, x1, y0, v01),
+            interp(x1, y0, v01, x1, y1, v11),
+            interp(x0, y1, v10, x1, y1, v11),
+            interp(x0, y0, v00, x0, y1, v10),
+        )
+    segs = []
+    for k, c in enumerate(case.tolist()):
+        for a, b in _EDGE_PAIRS[c]:
+            segs.append((edges[a][k], edges[b][k]))
     return segs
 
 

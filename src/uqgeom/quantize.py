@@ -235,10 +235,14 @@ def quantization_to_csv(q: Quantization1D) -> str:
     lines = []
     if q.kind == "exact":
         lines.append("value,weight,cumulative,weight_exact")
-        cum = q._cum_exact
-        for v, w, c in zip(q.values, q.weights, cum):
+        # Running numerator over one common denominator: int / int is
+        # correctly rounded, so each cell equals float() of the exact sum.
+        denom = math.lcm(*(w.denominator for w in q.weights))
+        num = 0
+        for v, w in zip(q.values, q.weights):
+            num += w.numerator * (denom // w.denominator)
             lines.append(
-                f"{v:.17g},{float(w):.17g},{float(c):.17g},{w.numerator}/{w.denominator}"
+                f"{v:.17g},{float(w):.17g},{num / denom:.17g},{w.numerator}/{w.denominator}"
             )
     else:
         lines.append("value,weight,cumulative")

@@ -10,6 +10,8 @@ written to and read from 16-bit binary PGM with a JSON bounds sidecar.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -131,6 +133,8 @@ class SipField:
 
     def query_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
+        if pts.size == 0:
+            return np.zeros(0)
         if self.shapes is not None:
             out = np.zeros(len(pts))
             x = pts[:, 0]
@@ -138,25 +142,74 @@ class SipField:
             for shape, w in self.shapes:
                 out[shape.contains(x, y)] += float(w)
             return np.minimum(out, 1.0)
-        return np.array([self.query(p) for p in pts])
+        rast = self.raster
+        x0, y0, x1, y1 = rast.bounds
+        h, w = rast.values.shape
+        fx = np.clip((pts[:, 0] - x0) / (x1 - x0) * w, 0, w - 1)
+        fy = np.clip((pts[:, 1] - y0) / (y1 - y0) * h, 0, h - 1)
+        if np.isnan(fx).any() or np.isnan(fy).any():
+            raise ValueError("cannot look up a NaN point in a raster")
+        return rast.values[fy.astype(np.intp), fx.astype(np.intp)]
 
 
 def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
-    """Evaluate a shape-backed field at every cell center of a (w, h) grid."""
+    """Evaluate a shape-backed field at every cell center of a (w, h) grid.
+
+    Each shape touches only its window of cells, found by bisection on the
+    sorted cell centers.  A rectangle's window is exactly the set of centers
+    inside the closed box, so its weight is added there with no test.  A
+    disk's window is its bounding box, widened cell by cell while the
+    one-axis test ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a
+    contained center just outside the rounded box); ``contains`` is then
+    evaluated in the window.  Every cell receives the same ``float(weight)``
+    additions, in shape order, as a test of every shape at every cell would
+    give, so the values are bit-for-bit the same.
+    """
     if field.shapes is None:
         raise ValueError("rasterize_sip needs a shape-backed field")
     w, h = int(grid[0]), int(grid[1])
     if w <= 0 or h <= 0:
         raise ValueError("grid dimensions must be positive")
     x0, y0, x1, y1 = (float(v) for v in bounds)
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise ValueError("bounds must be finite")
     xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
     ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
+    xl, yl = xs.tolist(), ys.tolist()
     values = np.zeros((h, w))
-    gx, gy = np.meshgrid(xs, ys)
     for shape, weight in field.shapes:
-        values[shape.contains(gx, gy)] += float(weight)
+        if isinstance(shape, RectShape):
+            if not (shape.x0 <= shape.x1 and shape.y0 <= shape.y1):
+                continue  # empty, or NaN: contains nothing
+            j0, j1 = bisect_left(xl, shape.x0), bisect_right(xl, shape.x1)
+            i0, i1 = bisect_left(yl, shape.y0), bisect_right(yl, shape.y1)
+            values[i0:i1, j0:j1] += float(weight)
+            continue
+        j0, j1 = _disk_window(xl, shape.cx, shape.r)
+        i0, i1 = _disk_window(yl, shape.cy, shape.r)
+        win = values[i0:i1, j0:j1]
+        np.add(win, float(weight), out=win, where=shape.contains(xs[j0:j1], ys[i0:i1, None]))
     values = np.minimum(values, 1.0)
     return SipField.from_raster(Raster(values, (x0, y0, x1, y1)))
+
+
+def _disk_window(centers: list, c: float, r: float) -> tuple[int, int]:
+    """Index range [lo, hi) of the sorted ``centers`` that can satisfy
+    ``(x - c) ** 2 + dy2 <= r * r`` for some ``dy2 >= 0``.
+
+    A center passes only if ``(x - c) ** 2 <= r * r`` in floating point,
+    and that test is monotone on each side of ``c``, so the passing centers
+    left of the rounded ``c - |r|`` run up to it without a gap (likewise
+    right of ``c + |r|``).
+    """
+    rr = r * r
+    ext = abs(r)
+    lo, hi = bisect_left(centers, c - ext), bisect_right(centers, c + ext)
+    while lo > 0 and (centers[lo - 1] - c) * (centers[lo - 1] - c) <= rr:
+        lo -= 1
+    while hi < len(centers) and (centers[hi] - c) * (centers[hi] - c) <= rr:
+        hi += 1
+    return lo, hi
 
 
 def write_pgm(raster: Raster, path) -> None:

@@ -154,3 +154,14 @@ def test_conservation_error_exit_code(indecisive_file, tmp_path, monkeypatch, ca
                "--out", str(tmp_path / "x.csv")])
     assert rc == 4
     assert capsys.readouterr().err.startswith("error: basis probabilities")
+
+
+def test_threads_flag_only_on_experiment():
+    from uqgeom.cli import build_parser
+
+    parser = build_parser()
+    args = parser.parse_args(["experiment", "--out", "d", "--threads", "2"])
+    assert args.threads == 2
+    with pytest.raises(SystemExit):
+        parser.parse_args(["quantize", "--input", "x.json", "--measure", "seb2", "--eps", "0.1",
+                           "--delta", "0.05", "--out", "q.csv", "--threads", "2"])

@@ -136,3 +136,16 @@ def test_quantization_validation():
         Quantization1D(np.array([2.0, 1.0]), (0.5, 0.5), "sampled")  # not sorted
     with pytest.raises(ValueError):
         Quantization1D(np.array([1.0]), (Fraction(1, 2),), "exact")  # sum != 1
+
+
+def test_csv_cumulative_is_rounded_running_fraction():
+    rng = np.random.default_rng(2)
+    dens = [3, 7, 9, 11, 13, 2**61 - 1, 10**20 + 39]
+    parts = [Fraction(int(rng.integers(1, 50)), int(rng.choice(dens))) for _ in range(60)]
+    total = sum(parts)
+    weights = tuple(p / total for p in parts)
+    q = Quantization1D(np.arange(60, dtype=np.float64), weights, "exact")
+    running = Fraction(0)
+    for w, line in zip(weights, quantization_to_csv(q).splitlines()[1:]):
+        running += w
+        assert line.split(",")[2] == f"{float(running):.17g}"

@@ -1,12 +1,14 @@
+import hashlib
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from uqgeom import rasterize_sip, read_pgm, write_pgm
-from uqgeom.isolines import DEFAULT_LEVELS, extract_isolines, isolines_svg
+from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.sip import DiskShape, Raster, RectShape, SipField
 
 
@@ -112,3 +114,145 @@ def test_isolines_default_levels_and_svg():
     assert set(contours) == set(DEFAULT_LEVELS)
     svg = isolines_svg(contours, raster.bounds)
     assert svg.startswith("<svg") and svg.count("<g ") == len(DEFAULT_LEVELS)
+
+
+def _rasterize_full_grid(shapes, grid, bounds):
+    """Reference rasterizer: every shape tested at every cell center."""
+    w, h = grid
+    x0, y0, x1, y1 = (float(v) for v in bounds)
+    xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
+    ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
+    values = np.zeros((h, w))
+    gx, gy = np.meshgrid(xs, ys)
+    for shape, weight in shapes:
+        values[shape.contains(gx, gy)] += float(weight)
+    return np.minimum(values, 1.0)
+
+
+def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
+    got = rasterize_sip(SipField.from_shapes(shapes), grid, bounds).raster.values
+    want = _rasterize_full_grid(shapes, grid, bounds)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rasterize_random_shapes_bitwise_equal_full_grid():
+    rng = np.random.default_rng(11)
+    bounds = (-1.0, -0.5, 2.0, 1.5)
+    shapes = []
+    for _ in range(300):
+        # Centers reach past the bounds, so shapes lie partly or wholly outside.
+        cx, cy = rng.uniform(-2.5, 3.5), rng.uniform(-2.0, 3.0)
+        weight = rng.random() / 40
+        if rng.random() < 0.5:
+            shapes.append((DiskShape(cx, cy, rng.uniform(0.0, 1.5)), weight))
+        else:
+            dx, dy = rng.uniform(0.0, 1.5, 2)
+            shapes.append((RectShape(cx, cy, cx + dx, cy + dy), weight))
+    # Rational weights, as the exact engine produces them.
+    shapes.append((DiskShape(0.5, 0.5, 0.7), Fraction(1, 3)))
+    shapes.append((RectShape(-3.0, -3.0, 5.0, 5.0), Fraction(2, 7)))
+    _assert_rasterizes_like_full_grid(shapes, (37, 29), bounds)
+
+
+def test_rasterize_edges_on_cell_centers_bitwise_equal_full_grid():
+    grid, bounds = (16, 12), (0.0, 0.0, 1.0, 0.75)
+    w, h = grid
+    xs = (np.arange(w) + 0.5) * 1.0 / w
+    ys = (np.arange(h) + 0.5) * 0.75 / h
+    xs, ys = xs.tolist(), ys.tolist()
+    shapes = [
+        # Rectangle edges exactly on cell centers.
+        (RectShape(xs[2], ys[1], xs[9], ys[7]), 0.25),
+        # Zero-width and zero-area rectangles, on and off the centers.
+        (RectShape(xs[4], ys[0], xs[4], ys[11]), 0.125),
+        (RectShape(xs[5], ys[5], xs[5], ys[5]), 0.125),
+        (RectShape(0.3, 0.1, 0.3, 0.6), 0.125),
+        # Reversed and NaN rectangles contain nothing.
+        (RectShape(0.6, 0.1, 0.2, 0.6), 0.5),
+        (RectShape(float("nan"), 0.1, 0.6, 0.6), 0.5),
+        # r = 0 disks, on a cell center and off it.
+        (DiskShape(xs[3], ys[6], 0.0), 0.25),
+        (DiskShape(0.51, 0.33, 0.0), 0.25),
+        # Disk edges exactly on cell centers, along both axes.
+        (DiskShape(xs[8], ys[6], xs[13] - xs[8]), 0.0625),
+        (DiskShape(xs[8], ys[6], ys[10] - ys[6]), 0.0625),
+    ]
+    _assert_rasterizes_like_full_grid(shapes, grid, bounds)
+
+
+def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
+    # Grids one and three ulps per cell at x ~ 2**31; far-centered disks whose
+    # edge crosses the grid.  Rounding puts contained centers outside the
+    # rounded bounding box, beyond a one-cell margin on the one-ulp grid.
+    rng = np.random.default_rng(7)
+    big = 1.999 * 2.0**30
+    ulp = math.ulp(big)
+    shapes = []
+    for _ in range(200):
+        cx = rng.uniform(-3 * big, 3 * big)
+        r = max(abs(big - cx) + rng.normal() * 4 * ulp, 0.0)
+        shapes.append((DiskShape(cx, rng.normal() * 0.1, r), 1 / 256))
+    for cells_per_ulp in (1, 3):
+        half = 8 * cells_per_ulp * ulp
+        _assert_rasterizes_like_full_grid(shapes, (16, 3), (big - half, -1.0, big + half, 1.0))
+    # Cells far narrower than the disk's ulp: every center at or left of 0
+    # rounds into the unit disk at (1, 0), although 1 - 1 = 0 is mid-grid.
+    shapes = [(DiskShape(1.0, 0.0, 1.0), 0.5), (DiskShape(-1.0, 0.0, 1.0), 0.25)]
+    _assert_rasterizes_like_full_grid(shapes, (32, 3), (-1e-20, -1e-20, 1e-20, 1e-20))
+
+
+def test_rasterize_empty_shape_list():
+    _assert_rasterizes_like_full_grid([], (7, 5), (0.0, 0.0, 1.0, 1.0))
+
+
+def test_rasterize_rejects_non_finite_bounds():
+    field = SipField.from_shapes([(RectShape(0.0, 0.0, 1.0, 1.0), 1.0)])
+    with pytest.raises(ValueError):
+        rasterize_sip(field, (4, 4), (-math.inf, 0.0, 1.0, 1.0))
+
+
+def test_raster_query_many_equals_query():
+    rng = np.random.default_rng(5)
+    field = SipField.from_raster(Raster(rng.random((9, 13)), (-1.0, 2.0, 3.0, 5.0)))
+    pts = np.column_stack([rng.uniform(-2.0, 4.0, 200), rng.uniform(1.0, 6.0, 200)])
+    # Points on the bounds and on interior cell boundaries.
+    pts = np.vstack([pts, [[-1.0, 2.0], [3.0, 5.0], [-1.0, 5.0], [1.0, 3.0], [math.inf, -math.inf]]])
+    got = field.query_many(pts)
+    assert got.tobytes() == np.array([field.query(p) for p in pts]).tobytes()
+    assert field.query_many([]).shape == (0,)
+
+
+def test_isolines_golden():
+    """Segments, saddle rules and chaining pinned by the sha256 of the SVG,
+    of the full-precision polylines and of the segment list, on a raster
+    whose cells hit every case, the saddles (5 and 10) with the cell-center
+    average both above and below the level."""
+    h, w = 9, 12
+    k = np.arange(h * w, dtype=np.float64).reshape(h, w)
+    raster = Raster((k * k * 0.6180339887498949) % 1.0, (-1.0, 0.5, 2.0, 3.0))
+    v = raster.values
+    hits = set()
+    for level in DEFAULT_LEVELS:
+        a = (v > level).astype(int)
+        case = a[:-1, :-1] | a[:-1, 1:] << 1 | a[1:, 1:] << 2 | a[1:, :-1] << 3
+        center_above = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, 1:] + v[1:, :-1]) > level
+        hits |= set(zip(case.ravel().tolist(), (center_above & ((case == 5) | (case == 10))).ravel().tolist()))
+    assert hits == {(c, False) for c in range(16)} | {(5, True), (10, True)}
+
+    contours = extract_isolines(raster, DEFAULT_LEVELS)
+    svg = isolines_svg(contours, raster.bounds)
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "1cdadfd16d4b5403b31bbc71791b9e0804ba2a479e02245d229759759a1104d1"
+    )
+    digest = hashlib.sha256()
+    for level in sorted(contours):
+        for poly in contours[level]:
+            digest.update(np.ascontiguousarray(poly, dtype="<f8").tobytes() + b"|")
+    assert digest.hexdigest() == "ce10bef68104384d6238eee66057dd68827add6215b28f04b84d3ed621fdfb7f"
+    # The segment list itself: per-cell segment order and endpoint order.
+    xs, ys = raster.cell_centers()
+    digest = hashlib.sha256()
+    for level in DEFAULT_LEVELS:
+        segs = _segments_for_level(raster.values, xs, ys, level)
+        digest.update(np.array(segs, dtype="<f8").tobytes() + b"|")
+    assert digest.hexdigest() == "285ac763f7ec865da442279f1ca8955c3311c537c716320584e7959e0119b53c"
