@@ -146,7 +146,6 @@ def _cmd_experiment(args) -> int:
         eta=args.eta,
         tau=args.tau,
         seed=args.seed,
-        threads=args.threads,
     )
     result = harness.run_deviation_experiment(config)
     written = result.write_csv(args.out)
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=20_000)
     p.add_argument("--tau", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 

@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import ball_of_few, coordinate_scale, disk_rect_area, welzl_ball
+from .geometry import coordinate_scale, disk_rect_area, welzl_ball
 from .measures import MeasureId, evaluate, tolerance
 from .model import (
     ContinuousUncertainSet,
@@ -240,7 +240,8 @@ def wedge_decompose_seb2(anchor, w: float) -> list[Wedge]:
         if not any(np.linalg.norm(p - q) <= 1e-12 * scale for q in uniq):
             uniq.append(p)
     pts = np.asarray(uniq)
-    r_anchor = ball_of_few(pts).radius if len(pts) <= 3 else welzl_ball(pts).radius
+    ball = welzl_ball(pts)
+    r_anchor = ball.radius
     if w < r_anchor - 1e-12 * scale:
         raise ValidationError(
             f"range is empty: w={w} is below the anchor's enclosing radius {r_anchor}"
@@ -253,7 +254,6 @@ def wedge_decompose_seb2(anchor, w: float) -> list[Wedge]:
         if len(pts) == 1:
             center, radius = pts[0], 2.0 * w
         else:
-            ball = ball_of_few(pts) if len(pts) <= 3 else welzl_ball(pts)
             center, radius = ball.center, w
         _split_arc_to_wedges(apex, center, radius, 0.0, 2.0 * math.pi, wedges)
         return wedges
@@ -279,7 +279,6 @@ def wedge_decompose_seb2(anchor, w: float) -> list[Wedge]:
             arcs.append((i, interval[0], interval[1]))
     if not arcs:
         # Center region degenerated to a point; emit the single disk.
-        ball = ball_of_few(pts) if len(pts) <= 3 else welzl_ball(pts)
         _split_arc_to_wedges(apex, ball.center, w, 0.0, 2.0 * math.pi, wedges)
         return wedges
 

@@ -17,7 +17,6 @@ __all__ = [
     "bbox_diameter",
     "coordinate_scale",
     "Ball",
-    "ball_of_few",
     "welzl_ball",
     "lens_area",
     "disk_rect_area",
@@ -67,117 +66,6 @@ class Ball:
         self.center = center
         self.radius = radius
         self.support = support
-
-    def contains(self, p: np.ndarray, slack: float = 0.0) -> bool:
-        return float(np.dot(p - self.center, p - self.center)) <= (self.radius + slack) ** 2
-
-
-def circumcircle_2d(a, b, c):
-    """Center and radius of the circle through three points, or None if
-    (numerically) collinear."""
-    bx, by = b[0] - a[0], b[1] - a[1]
-    cx, cy = c[0] - a[0], c[1] - a[1]
-    d = 2.0 * (bx * cy - by * cx)
-    norm = max(abs(bx), abs(by), abs(cx), abs(cy), 1e-300)
-    if abs(d) <= 1e-14 * norm * norm:
-        return None
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (cy * b2 - by * c2) / d
-    uy = (bx * c2 - cx * b2) / d
-    center = np.array([a[0] + ux, a[1] + uy])
-    r = math.hypot(ux, uy)
-    return center, r
-
-
-def _circle_through_3_in_3d(a, b, c):
-    u = b - a
-    v = c - a
-    uu, vv, uv = u @ u, v @ v, u @ v
-    det = uu * vv - uv * uv
-    if det <= 1e-28 * max(uu, vv, 1e-300) ** 2:
-        return None
-    # Circumcenter in the affine plane of {a, b, c}.
-    alpha = 0.5 * vv * (uu - uv) / det
-    beta = 0.5 * uu * (vv - uv) / det
-    center = a + alpha * u + beta * v
-    r = float(np.linalg.norm(center - a))
-    return center, r
-
-
-def _circumsphere_3d(pts4):
-    a = pts4[0]
-    m = 2.0 * (pts4[1:] - a)
-    rhs = np.einsum("ij,ij->i", pts4[1:], pts4[1:]) - a @ a
-    try:
-        center = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    scale = max(float(np.abs(m).max()), 1e-300)
-    if abs(np.linalg.det(m)) <= 1e-12 * scale**3:
-        return None
-    r = float(np.linalg.norm(center - a))
-    return center, r
-
-
-def ball_of_few(pts: np.ndarray) -> Ball:
-    """Exact smallest enclosing ball of at most d+1 points.
-
-    Tries all defining subsets (singletons, diametral pairs, circumcircles,
-    and in 3D circumspheres) and keeps the smallest candidate that encloses
-    every input point.
-    """
-    pts = np.asarray(pts, dtype=np.float64)
-    m, d = pts.shape
-    if m == 0:
-        raise ValueError("need at least one point")
-    if m == 1:
-        return Ball(pts[0].copy(), 0.0, (0,))
-    scale = coordinate_scale(pts)
-    slack = 1e-12 * scale
-    best: Ball | None = None
-    # Diametral pairs.
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = 0.5 * (pts[i] + pts[j])
-            r = 0.5 * float(np.linalg.norm(pts[i] - pts[j]))
-            if best is not None and r >= best.radius:
-                continue
-            if all(float(np.dot(p - c, p - c)) <= (r + slack) ** 2 for p in pts):
-                best = Ball(c, r, (i, j))
-    if best is None and m >= 3:
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    sol = (
-                        circumcircle_2d(pts[i], pts[j], pts[k])
-                        if d == 2
-                        else _circle_through_3_in_3d(pts[i], pts[j], pts[k])
-                    )
-                    if sol is None:
-                        continue
-                    c, r = sol
-                    if best is not None and r >= best.radius:
-                        continue
-                    if all(float(np.dot(p - c, p - c)) <= (r + slack) ** 2 for p in pts):
-                        best = Ball(np.asarray(c), r, (i, j, k))
-    if best is None and d == 3 and m == 4:
-        sol = _circumsphere_3d(pts)
-        if sol is not None:
-            best = Ball(sol[0], sol[1], (0, 1, 2, 3))
-    if best is None:
-        # Numerically degenerate input (e.g. near-coincident points or a
-        # collinear triple forced onto the boundary); fall back to the
-        # diametral ball of the farthest pair.
-        dmax, pair = -1.0, (0, 1)
-        for i in range(m):
-            for j in range(i + 1, m):
-                dist = float(np.linalg.norm(pts[i] - pts[j]))
-                if dist > dmax:
-                    dmax, pair = dist, (i, j)
-        c = 0.5 * (pts[pair[0]] + pts[pair[1]])
-        best = Ball(c, 0.5 * dmax, pair)
-    return best
 
 
 _PERMUTATION_CACHE: dict[int, list[int]] = {}

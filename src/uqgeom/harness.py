@@ -10,15 +10,19 @@ model 1 - delta = 1 - exp(-m eps^2 / C + nu) to recover the constant C
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .measures import MeasureId, evaluate
-from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet, sample_support
+from .measures import MeasureId
+from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet
+from .montecarlo import sampled_values
 from .quantize import Quantization1D, max_deviation, quantization_to_csv
+
+# Unused here; perfbench/layers.py patches both names on this module by getattr.
+from .measures import evaluate  # noqa: F401
+from .model import sample_support  # noqa: F401
 
 __all__ = [
     "CylinderConfig",
@@ -50,7 +54,6 @@ class ExperimentConfig:
     eta: int = 20_000
     tau: int = 200
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "measures", tuple(self.measures))
@@ -120,20 +123,6 @@ def cylinder_axis_direction(angle_degrees: float = 75.0) -> tuple[float, float, 
     return (math.sin(a), 0.0, math.cos(a))
 
 
-def _values_for_supports(uset, measures, seed, spawn_tag: int, count: int) -> np.ndarray:
-    """(count, len(measures)) array of measure values over sampled supports;
-    one rng stream per support so evaluation order is irrelevant."""
-    out = np.empty((count, len(measures)))
-    for s in range(count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(spawn_tag, s))
-        )
-        support = sample_support(uset, rng)
-        for c, measure in enumerate(measures):
-            out[s, c] = evaluate(measure, support.locations)
-    return out
-
-
 def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
     """For each m: tau sampled quantizations, each compared (sup norm)
     against one eta-sample reference per measure; returns the deviation
@@ -145,7 +134,7 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
         uset = gen
     measures = config.measures
 
-    ref_values = _values_for_supports(uset, measures, config.seed, 0, config.eta)
+    ref_values = sampled_values(uset, measures, config.seed, config.eta, (0,))
     references = {
         str(m): Quantization1D.from_samples(ref_values[:, c]) for c, m in enumerate(measures)
     }
@@ -153,24 +142,14 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
     deviations: dict[tuple[str, int], Quantization1D] = {}
     tables: dict[str, dict[int, np.ndarray]] = {str(m): {} for m in measures}
 
-    def one_trial(m_index: int, m: int, trial: int) -> np.ndarray:
-        tag = 1 + m_index * config.tau + trial
-        values = _values_for_supports(uset, measures, config.seed, tag, m)
-        devs = np.empty(len(measures))
-        for c, measure in enumerate(measures):
-            r = Quantization1D.from_samples(values[:, c])
-            devs[c] = max_deviation(r, references[str(measure)])
-        return devs
-
     for m_index, m in enumerate(config.m_values):
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(
-                    pool.map(lambda t: one_trial(m_index, m, t), range(config.tau))
-                )
-        else:
-            results = [one_trial(m_index, m, t) for t in range(config.tau)]
-        all_devs = np.vstack(results)
+        all_devs = np.empty((config.tau, len(measures)))
+        for trial in range(config.tau):
+            tag = (1 + m_index * config.tau + trial,)
+            values = sampled_values(uset, measures, config.seed, m, tag)
+            for c, measure in enumerate(measures):
+                r = Quantization1D.from_samples(values[:, c])
+                all_devs[trial, c] = max_deviation(r, references[str(measure)])
         for c, measure in enumerate(measures):
             devs = all_devs[:, c]
             deviations[(str(measure), m)] = Quantization1D.from_samples(devs)

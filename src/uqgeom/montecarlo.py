@@ -28,6 +28,7 @@ from .sip import DiskShape, RectShape, SipField
 __all__ = [
     "SampleBudget",
     "trial_rng",
+    "sampled_values",
     "build_quantization",
     "build_kvariate_quantization",
     "alpha_kernel",
@@ -40,9 +41,29 @@ __all__ = [
 ]
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial of one master seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def trial_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent, reproducible stream for one master seed and one spawn
+    key: ``trial_rng(seed, t)`` is trial t's stream, and a longer key such
+    as ``(tag, t)`` names trial t of a separately tagged family of draws."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def sampled_values(
+    uset: IndecisivePointSet | ContinuousUncertainSet,
+    measures: list[MeasureId] | tuple[MeasureId, ...],
+    seed: int,
+    count: int,
+    tag: tuple[int, ...] = (),
+) -> np.ndarray:
+    """(count, len(measures)) array of measure values over ``count`` sampled
+    supports; support t is drawn from ``trial_rng(seed, *tag, t)``, so the
+    values do not depend on the order in which trials are evaluated."""
+    values = np.empty((count, len(measures)))
+    for t in range(count):
+        locations = sample_support(uset, trial_rng(seed, *tag, t)).locations
+        for c, measure in enumerate(measures):
+            values[t, c] = evaluate(measure, locations)
+    return values
 
 
 @dataclass(frozen=True)
@@ -94,12 +115,7 @@ def build_quantization(
     With ``simplify_output`` the result is reduced to ceil(2/eps) evenly
     spaced quantiles (still an eps-quantization when the raw build was
     (eps/2)-accurate)."""
-    m = budget.m
-    values = np.empty(m)
-    for t in range(m):
-        support = sample_support(uset, trial_rng(seed, t))
-        values[t] = evaluate(measure, support.locations)
-    q = Quantization1D.from_samples(values)
+    q = Quantization1D.from_samples(sampled_values(uset, [measure], seed, budget.m)[:, 0])
     if simplify_output:
         q = simplify(q, budget.epsilon)
     return q
@@ -114,15 +130,8 @@ def build_kvariate_quantization(
     """k-variate sampled quantization; the effective budget uses nu = k."""
     if not measures:
         raise ValueError("need at least one measure")
-    k = len(measures)
-    effective = replace(budget, nu=float(max(k, 1)))
-    m = effective.m
-    values = np.empty((m, k))
-    for t in range(m):
-        support = sample_support(uset, trial_rng(seed, t))
-        for c, measure in enumerate(measures):
-            values[t, c] = evaluate(measure, support.locations)
-    return QuantizationKD(values, np.full(m, 1.0 / m))
+    m = replace(budget, nu=float(len(measures))).m
+    return QuantizationKD(sampled_values(uset, measures, seed, m), np.full(m, 1.0 / m))
 
 
 # --------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class Raster:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ValueError("raster values must be 2-d")
+        if not np.isfinite(vals).all():
+            raise ValueError("raster values must be finite")
         if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
             raise ValueError("raster values must lie in [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -156,12 +158,55 @@ def test_conservation_error_exit_code(indecisive_file, tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.startswith("error: basis probabilities")
 
 
-def test_threads_flag_only_on_experiment():
+def test_no_subcommand_accepts_threads(capsys):
     from uqgeom.cli import build_parser
 
     parser = build_parser()
-    args = parser.parse_args(["experiment", "--out", "d", "--threads", "2"])
-    assert args.threads == 2
-    with pytest.raises(SystemExit):
-        parser.parse_args(["quantize", "--input", "x.json", "--measure", "seb2", "--eps", "0.1",
-                           "--delta", "0.05", "--out", "q.csv", "--threads", "2"])
+    for argv in (
+        ["experiment", "--out", "d"],
+        ["quantize", "--input", "x.json", "--measure", "seb2", "--eps", "0.1",
+         "--delta", "0.05", "--out", "q.csv"],
+    ):
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        assert not any("--threads" in a.option_strings for a in sub._actions), name
+
+
+def _digest(paths) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def test_randomized_outputs_golden(indecisive_file, continuous_file, tmp_path):
+    """Seeded randomized outputs pinned by sha256: a moved spawn key or a
+    reordered draw changes the bytes."""
+    q = tmp_path / "q.csv"
+    assert main(["quantize", "--input", str(indecisive_file), "--measure", "seb2",
+                 "--eps", "0.2", "--delta", "0.1", "--m", "40", "--seed", "11",
+                 "--out", str(q)]) == 0
+    kv = tmp_path / "kv.csv"
+    assert main(["kvariate", "--input", str(continuous_file),
+                 "--measures", "diameter;aabb-perimeter", "--eps", "0.2", "--delta", "0.1",
+                 "--m", "40", "--seed", "12", "--out", str(kv)]) == 0
+    outdir = tmp_path / "exp"
+    assert main(["experiment", "--n", "6", "--sigma", "0.5", "--measures", "diameter;seb2",
+                 "--m-values", "8,16", "--eta", "64", "--tau", "4", "--seed", "13",
+                 "--out", str(outdir)]) == 0
+    experiment = sorted(outdir.iterdir())
+    assert [p.name for p in experiment] == [
+        "deviation_diameter_m16.csv", "deviation_diameter_m8.csv",
+        "deviation_seb2_m16.csv", "deviation_seb2_m8.csv", "fits.csv",
+    ]
+    assert {"quantize": _digest([q]), "kvariate": _digest([kv]),
+            "experiment": _digest(experiment)} == {
+        "quantize": "58be489f3937cbc0b9f4ffb9f6f61bab70c3315381503cad43a924c50cf70554",
+        "kvariate": "525e74b5c78bb818c0828e4d61bf14d7bfdf9acade85449cb1919aa8a7838d5a",
+        "experiment": "18e3cd4361a6d8534d89e568d5e1c4d7cced8180025a74b5cf93648bea674e1c",
+    }

@@ -102,21 +102,6 @@ def test_experiment_small_cylinder_and_csv(tmp_path):
     assert np.allclose(np.sort(back), np.sort(orig), atol=1e-12)
 
 
-def test_experiment_threads_match_serial():
-    config = dict(
-        generator=CylinderConfig(n=5, sigma=0.5),
-        measures=(MeasureId("diameter"),),
-        m_values=(8, 16),
-        eta=200,
-        tau=6,
-        seed=9,
-    )
-    serial = run_deviation_experiment(ExperimentConfig(**config, threads=1))
-    threaded = run_deviation_experiment(ExperimentConfig(**config, threads=4))
-    for key in serial.deviations:
-        assert np.array_equal(serial.deviations[key].values, threaded.deviations[key].values)
-
-
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="eta"):
         ExperimentConfig(

@@ -71,6 +71,12 @@ def test_pgm_round_trip():
         assert back.bounds == raster.bounds
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raster_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Raster(np.array([[bad, 0.5]]), (0, 0, 1, 1))
+
+
 def test_sipfield_needs_exactly_one_backing():
     with pytest.raises(ValueError):
         SipField(shapes=None, raster=None)
