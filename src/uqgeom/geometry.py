@@ -8,6 +8,7 @@ bit-reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -86,82 +87,81 @@ def _dist2(p, q, d):
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
 
 
+def _midpoint(a, b, d):
+    if d == 2:
+        return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
+
+
+def _subsets(m: int, size: int) -> tuple:
+    """(members, others) for every ``size``-subset of range(m), in
+    lexicographic order."""
+    return tuple(
+        (s, tuple(t for t in range(m) if t not in s))
+        for s in itertools.combinations(range(m), size)
+    )
+
+
+# Pair and triple search plans for the 3- and 4-point boundaries.
+_PAIRS = {m: _subsets(m, 2) for m in (3, 4)}
+_TRIPLES = {m: _subsets(m, 3) for m in (3, 4)}
+
+
 def _trivial_ball(coords, boundary, d):
     """Smallest ball of <= d+1 boundary points as (center..., radius,
     support): pure-float subset search (pairs, then circumcircles, then the
-    circumsphere)."""
+    circumsphere).  Pairs and triples are tried in lexicographic order and
+    the first strictly smallest enclosing one wins."""
     m = len(boundary)
     if m == 0:
         return None
     if m == 1:
         p = coords[boundary[0]]
         return (*p, 0.0, (boundary[0],))
+    if m == 2:
+        a = coords[boundary[0]]
+        c = _midpoint(a, coords[boundary[1]], d)
+        return (*c, math.sqrt(_dist2(a, c, d)), (boundary[0], boundary[1]))
+    pts = [coords[b] for b in boundary]
     best = None
-    for ii in range(m):
-        pi = coords[boundary[ii]]
-        for jj in range(ii + 1, m):
-            pj = coords[boundary[jj]]
-            if d == 2:
-                c = (0.5 * (pi[0] + pj[0]), 0.5 * (pi[1] + pj[1]))
-            else:
-                c = (
-                    0.5 * (pi[0] + pj[0]),
-                    0.5 * (pi[1] + pj[1]),
-                    0.5 * (pi[2] + pj[2]),
-                )
-            r2 = _dist2(pi, c, d)
+    for (i, j), others in _PAIRS[m]:
+        a = pts[i]
+        c = _midpoint(a, pts[j], d)
+        r2 = _dist2(a, c, d)
+        if best is not None and r2 >= best[0]:
+            continue
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        for k in others:
+            if _dist2(pts[k], c, d) > lim:
+                break
+        else:
+            best = (r2, c, (boundary[i], boundary[j]))
+    if best is None:
+        for (i, j, k), others in _TRIPLES[m]:
+            sol = _circum3(pts[i], pts[j], pts[k], d)
+            if sol is None:
+                continue
+            c, r2 = sol
             if best is not None and r2 >= best[0]:
                 continue
-            lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-            ok = True
-            for kk in range(m):
-                if kk == ii or kk == jj:
-                    continue
-                if _dist2(coords[boundary[kk]], c, d) > lim:
-                    ok = False
+            lim = r2 * (1 + 1e-10)
+            for t in others:
+                if _dist2(pts[t], c, d) > lim:
                     break
-            if ok:
-                best = (r2, c, (boundary[ii], boundary[jj]))
-    if best is None and m >= 3:
-        for ii in range(m):
-            for jj in range(ii + 1, m):
-                for kk in range(jj + 1, m):
-                    sol = _circum3(
-                        coords[boundary[ii]], coords[boundary[jj]], coords[boundary[kk]], d
-                    )
-                    if sol is None:
-                        continue
-                    c, r2 = sol
-                    if best is not None and r2 >= best[0]:
-                        continue
-                    lim = r2 * (1 + 1e-10)
-                    ok = True
-                    for ll in range(m):
-                        if ll == ii or ll == jj or ll == kk:
-                            continue
-                        if _dist2(coords[boundary[ll]], c, d) > lim:
-                            ok = False
-                            break
-                    if ok:
-                        best = (r2, c, (boundary[ii], boundary[jj], boundary[kk]))
+            else:
+                best = (r2, c, (boundary[i], boundary[j], boundary[k]))
     if best is None and d == 3 and m == 4:
-        sol = _circumsphere_coords(
-            coords[boundary[0]], coords[boundary[1]], coords[boundary[2]], coords[boundary[3]]
-        )
+        sol = _circumsphere_coords(*pts)
         if sol is not None:
             best = (sol[1], sol[0], tuple(boundary))
     if best is None:
         # Degenerate boundary set; use the farthest pair's diametral ball.
-        dmax, pair = -1.0, (boundary[0], boundary[-1])
-        for ii in range(m):
-            for jj in range(ii + 1, m):
-                dist = _dist2(coords[boundary[ii]], coords[boundary[jj]], d)
-                if dist > dmax:
-                    dmax, pair = dist, (boundary[ii], boundary[jj])
-        a = coords[pair[0]]
-        b = coords[pair[1]]
-        c = tuple(0.5 * (a[t] + b[t]) for t in range(d))
-        best = (0.25 * dmax, c, pair)
+        dmax, (i, j) = -1.0, (0, m - 1)
+        for pair, _ in _PAIRS[m]:
+            dist = _dist2(pts[pair[0]], pts[pair[1]], d)
+            if dist > dmax:
+                dmax, (i, j) = dist, pair
+        best = (0.25 * dmax, _midpoint(pts[i], pts[j], d), (boundary[i], boundary[j]))
     r2, c, support = best
     return (*c, math.sqrt(r2), support)
 
@@ -237,12 +237,12 @@ def _circumsphere_coords(a, b, c, d4):
 
 
 def welzl_ball(pts: np.ndarray) -> Ball:
-    """Minimum enclosing ball via Welzl's move-to-front recursion (d = 2, 3).
+    """Minimum enclosing ball via Welzl's move-to-front algorithm (d = 2, 3).
 
     The processing order is a fixed pseudo-random permutation, giving the
     expected-linear behaviour of the randomized algorithm with deterministic,
     bit-reproducible output.  ``support`` holds indices (into ``pts``) of the
-    boundary set the recursion ended with; it is a valid defining set but
+    boundary set the algorithm ended with; it is a valid defining set but
     tie-breaking among equally valid sets is left to the caller.
     """
     pts = np.asarray(pts, dtype=np.float64)
@@ -251,7 +251,7 @@ def welzl_ball(pts: np.ndarray) -> Ball:
         raise ValueError("need at least one point")
     if n == 1:
         return Ball(pts[0].copy(), 0.0, (0,))
-    coords = [tuple(row) for row in pts]
+    coords = pts.tolist()
     scale = coordinate_scale(pts)
     slack = _WELZL_REL * scale
     dup2 = (1e-10 * scale) ** 2
@@ -259,28 +259,43 @@ def welzl_ball(pts: np.ndarray) -> Ball:
     order = list(_fixed_permutation(n))
 
     def solve(count: int, boundary: list[int]):
-        # Ball of {order[0..count-1]} with `boundary` forced on the boundary.
-        if count == 0 or len(boundary) == max_boundary:
-            return _trivial_ball(coords, boundary, d)
-        ball = solve(count - 1, boundary)
-        p = order[count - 1]
-        if ball is not None:
-            r = ball[d]
-            lim = (r + slack) * (r + slack)
-            if _dist2(coords[p], ball, d) <= lim:
+        # Ball of {order[0..count-1]} with `boundary` forced on the boundary:
+        # one pass over the prefix, starting from the ball of the boundary
+        # alone.  A point outside the current ball is forced onto the
+        # boundary of the ball of the points before it, then moved to the
+        # front so that later passes test it early.  With no boundary the
+        # first point always starts the ball and stays in place.
+        if boundary:
+            ball = _trivial_ball(coords, boundary, d)
+            if len(boundary) == max_boundary:
                 return ball
-        # A near-duplicate of a boundary point is already (within duplicate
-        # tolerance) on the ball boundary; forcing both onto the boundary
-        # would make the d+1 base case drop genuine constraints.
-        q = coords[p]
-        if any(_dist2(coords[b], q, d) <= dup2 for b in boundary):
-            return ball
-        boundary.append(p)
-        ball = solve(count - 1, boundary)
-        boundary.pop()
-        # Move-to-front: points that forced a rebuild are tested early later.
-        order.remove(p)
-        order.insert(0, p)
+            start = 0
+        else:
+            ball = _trivial_ball(coords, order[:1], d)
+            start = 1
+        r = ball[d] + slack
+        lim = r * r
+        for i in range(start, count):
+            p = order[i]
+            q = coords[p]
+            if d == 2:
+                if (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 <= lim:
+                    continue
+            elif (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 + (q[2] - ball[2]) ** 2 <= lim:
+                continue
+            # A near-duplicate of a boundary point is already (within
+            # duplicate tolerance) on the ball boundary; forcing both onto
+            # the boundary would make the d+1 base case drop genuine
+            # constraints.
+            for b in boundary:
+                if _dist2(coords[b], q, d) <= dup2:
+                    break
+            else:
+                ball = solve(i, boundary + [p])
+                r = ball[d] + slack
+                lim = r * r
+                del order[i]
+                order.insert(0, p)
         return ball
 
     result = solve(n, [])

@@ -15,6 +15,8 @@ counter-based stream derivation used by the randomized engines.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -127,6 +129,19 @@ class IndecisivePointSet:
     def all_locations(self) -> np.ndarray:
         return np.concatenate([p.locations for p in self.points], axis=0)
 
+    @functools.cached_property
+    def _sampling_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Tables for drawing a whole support at once: the cumulative
+        weights padded with inf (n, k_max), the candidate locations
+        (n, k_max, d), each point's k - 1, and the row indices."""
+        cum = np.full((self.n, self.k_max), np.inf)
+        locations = np.zeros((self.n, self.k_max, self.dimension))
+        for i, p in enumerate(self.points):
+            cum[i, : p.k] = p._cum
+            locations[i, : p.k] = p.locations
+        last = np.array([p.k - 1 for p in self.points])
+        return cum, locations, last, np.arange(self.n)
+
 
 # --------------------------------------------------------------------------
 # Continuous model
@@ -223,6 +238,25 @@ class ContinuousUncertainSet:
     def n(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def _sampling_plan(self) -> tuple[tuple, ...]:
+        """Runs of consecutive points in stream order: ``(start, stop,
+        means, chols)`` for a run of Gaussian points, which is drawn with
+        one ``standard_normal`` call, and ``(i, i + 1, None, None)`` for a
+        point drawn by its own ``sample`` method."""
+        runs = []
+        start = 0
+        for gaussian, group in itertools.groupby(self.points, key=lambda p: isinstance(p, GaussianPoint)):
+            group = list(group)
+            if gaussian:
+                means = np.array([p.mean for p in group])
+                chols = np.array([p._chol for p in group])
+                runs.append((start, start + len(group), means, chols))
+            else:
+                runs.extend((i, i + 1, None, None) for i in range(start, start + len(group)))
+            start += len(group)
+        return tuple(runs)
+
 
 # --------------------------------------------------------------------------
 # Supports
@@ -255,19 +289,23 @@ class Support:
 def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.random.Generator) -> Support:
     """Draw one support, each location independently from its point's
     distribution.  Indecisive draws use inverse-CDF over the cumulative
-    weights so the rational weights are respected."""
+    weights so the rational weights are respected.
+
+    The stream is consumed exactly as by one draw per point in point order:
+    an indecisive support takes ``rng.random(n)``, and a run of consecutive
+    Gaussian points takes one ``standard_normal((run, d))``, transformed by
+    a stacked ``matmul`` that gives the same bits as ``chol @ z`` per point."""
     if isinstance(uset, IndecisivePointSet):
-        locs = np.empty((uset.n, uset.dimension))
-        prov = []
-        for i, p in enumerate(uset.points):
-            u = rng.random()
-            j = min(int(np.searchsorted(p._cum, u, side="right")), p.k - 1)
-            prov.append(j)
-            locs[i] = p.locations[j]
-        return Support(locs, tuple(prov))
+        cum, locations, last, rows = uset._sampling_plan
+        j = np.minimum((cum <= rng.random(uset.n)[:, None]).sum(axis=1), last)
+        return Support(locations[rows, j], tuple(j.tolist()))
     locs = np.empty((uset.n, uset.dimension))
-    for i, p in enumerate(uset.points):
-        locs[i] = p.sample(rng)
+    for start, stop, means, chols in uset._sampling_plan:
+        if means is None:
+            locs[start] = uset.points[start].sample(rng)
+        else:
+            z = rng.standard_normal((stop - start, uset.dimension))
+            locs[start:stop] = means + np.matmul(chols, z[..., None])[..., 0]
     return Support(locs, None)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import as_points, welzl_ball
 from .measures import MeasureId, evaluate
-from .model import ContinuousUncertainSet, IndecisivePointSet, sample_support
+from .model import ContinuousUncertainSet, IndecisivePointSet, ValidationError, sample_support
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
 from .sip import DiskShape, RectShape, SipField
 
@@ -48,6 +48,19 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _sampled_supports(
+    uset: IndecisivePointSet | ContinuousUncertainSet,
+    seed: int,
+    count: int,
+    tag: tuple[int, ...] = (),
+):
+    """Locations of ``count`` sampled supports; support t is drawn from
+    ``trial_rng(seed, *tag, t)``, so it does not depend on the order in
+    which trials are consumed."""
+    for t in range(count):
+        yield sample_support(uset, trial_rng(seed, *tag, t)).locations
+
+
 def sampled_values(
     uset: IndecisivePointSet | ContinuousUncertainSet,
     measures: list[MeasureId] | tuple[MeasureId, ...],
@@ -56,11 +69,9 @@ def sampled_values(
     tag: tuple[int, ...] = (),
 ) -> np.ndarray:
     """(count, len(measures)) array of measure values over ``count`` sampled
-    supports; support t is drawn from ``trial_rng(seed, *tag, t)``, so the
-    values do not depend on the order in which trials are evaluated."""
+    supports; support t is drawn from ``trial_rng(seed, *tag, t)``."""
     values = np.empty((count, len(measures)))
-    for t in range(count):
-        locations = sample_support(uset, trial_rng(seed, *tag, t)).locations
+    for t, locations in enumerate(_sampled_supports(uset, seed, count, tag)):
         for c, measure in enumerate(measures):
             values[t, c] = evaluate(measure, locations)
     return values
@@ -251,11 +262,8 @@ def build_eda_kernel(
     seed: int,
 ) -> EdaKernel:
     """m sampled supports, each reduced to an (alpha/2)-kernel."""
-    kernels = []
-    for t in range(budget.m):
-        support = sample_support(uset, trial_rng(seed, t))
-        kernels.append(alpha_kernel(support.locations, alpha / 2.0))
-    return EdaKernel(tuple(kernels), alpha, budget)
+    kernels = tuple(alpha_kernel(pts, alpha / 2.0) for pts in _sampled_supports(uset, seed, budget.m))
+    return EdaKernel(kernels, alpha, budget)
 
 
 def query_eda_kernel(kernel: EdaKernel, direction) -> EpsAlphaQuantization:
@@ -264,8 +272,12 @@ def query_eda_kernel(kernel: EdaKernel, direction) -> EpsAlphaQuantization:
     norm = float(np.linalg.norm(u))
     if not norm > 0:
         raise ValueError("direction must be nonzero")
+    d = kernel.kernels[0].shape[1]
+    if len(u) != d:
+        raise ValidationError(f"direction has dimension {len(u)}, the kernel has dimension {d}")
     u = u / norm
-    widths = np.array([float((k @ u).max() - (k @ u).min()) for k in kernel.kernels])
+    projections = [k @ u for k in kernel.kernels]
+    widths = np.array([float(p.max() - p.min()) for p in projections])
     return EpsAlphaQuantization(widths, kernel.alpha, kernel.budget.epsilon)
 
 
@@ -288,12 +300,12 @@ def build_random_sip(
     rectangles."""
     if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
         raise ValueError("randomized SIP needs a disk or rectangle summarizing shape")
+    if uset.dimension != 2:
+        raise ValidationError("randomized SIP supports d=2 only")
     m = budget.m
     weight = 1.0 / m
     shapes = []
-    for t in range(m):
-        support = sample_support(uset, trial_rng(seed, t))
-        pts = support.locations
+    for pts in _sampled_supports(uset, seed, m):
         if measure.kind == "seb2":
             ball = welzl_ball(pts)
             shapes.append((DiskShape(float(ball.center[0]), float(ball.center[1]), float(ball.radius)), weight))

@@ -109,6 +109,29 @@ def test_sip_random_seeded_identical(indecisive_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sip_random_rejects_3d_input(tmp_path, capsys):
+    path = tmp_path / "cyl.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "model": "continuous",
+        "points": [{"kind": "point_mass", "at": [0, 0, z]} for z in range(5)],
+    }))
+    out = tmp_path / "f.pgm"
+    rc = main(["sip-random", "--input", str(path), "--measure", "seb2",
+               "--eps", "0.2", "--delta", "0.1", "--m", "4",
+               "--grid", "8,8", "--bounds=-1,-1,1,1", "--out", str(out)])
+    assert rc == 2
+    assert "d=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_direction_of_other_dimension_exit_code(indecisive_file, tmp_path, capsys):
+    rc = main(["kernel", "--input", str(indecisive_file), "--alpha", "0.2",
+               "--eps", "0.2", "--delta", "0.1", "--m", "5", "--direction", "1,0,0",
+               "--seed", "2", "--out", str(tmp_path / "w.csv")])
+    assert rc == 2
+    assert "dimension 3" in capsys.readouterr().err
+
+
 def test_kvariate_and_kernel(indecisive_file, tmp_path):
     rc = main(["kvariate", "--input", str(indecisive_file),
                "--measures", "dwid:1,0;dwid:0,1", "--eps", "0.2", "--delta", "0.1",

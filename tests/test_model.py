@@ -217,3 +217,88 @@ def test_uniform_disk_sampling_inside():
     assert r.max() <= 0.5
     # area-uniform: mean squared radius = r^2/2
     assert abs((r**2).mean() - 0.125) < 0.01
+
+
+def _ref_sample_support(uset, rng):
+    """The per-point sampler that the one-draw sampling plans replaced: one
+    stream call per point, in point order."""
+    locs, prov = [], []
+    if isinstance(uset, IndecisivePointSet):
+        for p in uset.points:
+            j = min(int(np.searchsorted(p._cum, rng.random(), side="right")), p.k - 1)
+            prov.append(j)
+            locs.append(p.locations[j])
+        return np.array(locs), tuple(prov)
+    for p in uset.points:
+        if isinstance(p, GaussianPoint):
+            locs.append(p.mean + p._chol @ rng.standard_normal(p.dimension))
+        else:
+            locs.append(p.sample(rng))
+    return np.array(locs), None
+
+
+def _assert_samples_like_reference(uset, seed, trials=40):
+    for t in range(trials):
+        sup = sample_support(uset, trial_rng(seed, t))
+        want_locs, want_prov = _ref_sample_support(uset, trial_rng(seed, t))
+        assert sup.locations.tobytes() == want_locs.tobytes()
+        assert sup.provenance == want_prov
+
+
+def _anisotropic_cov(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return q @ np.diag(10.0 ** rng.uniform(-4, 2, size=d)) @ q.T
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_indecisive_sampling_matches_per_point_reference(d):
+    rng = np.random.default_rng(30 + d)
+    for n in (1, 2, 7, 50):
+        points = []
+        for _ in range(n):
+            k = int(rng.integers(1, 7))  # unequal k, k = 1 included
+            raw = [int(x) for x in rng.integers(1, 1000, size=k)]
+            weights = tuple(Fraction(x, sum(raw)) for x in raw)
+            points.append(IndecisivePoint(rng.normal(size=(k, d)), weights))
+        _assert_samples_like_reference(IndecisivePointSet(tuple(points), d), seed=n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gaussian_sampling_matches_per_point_reference(d):
+    rng = np.random.default_rng(20 + d)
+    for n in (1, 3, 20, 60):
+        points = tuple(
+            GaussianPoint(100.0 * rng.normal(size=d), _anisotropic_cov(rng, d)) for _ in range(n)
+        )
+        _assert_samples_like_reference(ContinuousUncertainSet(points, d), seed=n)
+
+
+def test_mixed_continuous_sampling_matches_per_point_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        points = []
+        for _ in range(30):
+            kind = rng.choice(["gaussian", "gaussian", "disk", "mass"])
+            if kind == "gaussian":
+                points.append(GaussianPoint(rng.normal(size=2), _anisotropic_cov(rng, 2)))
+            elif kind == "disk":
+                points.append(UniformDiskPoint(rng.normal(size=2), float(rng.uniform(0.1, 2.0))))
+            else:
+                points.append(PointMassPoint(rng.normal(size=2)))
+        _assert_samples_like_reference(ContinuousUncertainSet(tuple(points), 2), seed=3)
+
+
+def test_indecisive_draw_on_a_cumulative_weight_matches_reference():
+    # Each point's first cumulative weight is exactly the uniform it draws,
+    # so the tie rule (a draw equal to a cumulative weight takes the next
+    # candidate) decides every point, and any one-ulp change to the table
+    # or the comparison shows.
+    n, seed = 12, 77
+    draws = trial_rng(seed, 0).random(n).tolist()
+    points = tuple(
+        IndecisivePoint([[0.0, float(i)], [1.0, float(i)]], (Fraction(u), 1 - Fraction(u)))
+        for i, u in enumerate(draws)
+    )
+    uset = IndecisivePointSet(points, 2)
+    _assert_samples_like_reference(uset, seed, trials=1)
+    assert sample_support(uset, trial_rng(seed, 0)).provenance == (1,) * n

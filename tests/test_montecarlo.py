@@ -9,6 +9,7 @@ from uqgeom import (
     MeasureId,
     PointMassPoint,
     SampleBudget,
+    ValidationError,
     alpha_kernel,
     build_eda_kernel,
     build_kvariate_quantization,
@@ -168,6 +169,14 @@ def test_eda_kernel_point_mass_identical():
     assert np.all(widths == widths[0])
 
 
+def test_eda_kernel_rejects_direction_of_other_dimension(rng):
+    ek = build_eda_kernel(_gaussian_set(rng), 0.2, SampleBudget(0.2, 0.2, explicit_m=5), seed=0)
+    with pytest.raises(ValidationError, match="dimension 3.*dimension 2"):
+        query_eda_kernel(ek, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="nonzero"):
+        query_eda_kernel(ek, (0.0, 0.0))
+
+
 def test_eda_kernel_direction_symmetry(rng):
     ek = build_eda_kernel(_gaussian_set(rng), 0.1, SampleBudget(0.1, 0.1, explicit_m=60), seed=2)
     a = query_eda_kernel(ek, (0.3, 0.7))
@@ -246,6 +255,15 @@ def test_random_sip_rect_backing(rng):
     assert len(field.shapes) == 64
     with pytest.raises(ValueError):
         build_random_sip(uset, MeasureId("dwid", (1, 0)), SampleBudget(0.2, 0.2), seed=0)
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter", "aabb_area"])
+def test_random_sip_rejects_3d_input(measure):
+    cset = ContinuousUncertainSet(
+        tuple(PointMassPoint((float(i), 0.0, float(i * i))) for i in range(5)), 3
+    )
+    with pytest.raises(ValidationError, match="d=2"):
+        build_random_sip(cset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=4), seed=0)
 
 
 def test_dkw_style_bound_small(rng):
