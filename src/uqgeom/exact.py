@@ -24,6 +24,7 @@ by breakpoint.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .measures import (
     MeasureId,
     NotLPTypeError,
     _seb2_ball_of_members,
-    _seb2_ball_tuple,
+    _seb2_balls,
     _seb2_basis_indices,
     combinatorial_dimension,
     value_scale,
@@ -94,15 +95,31 @@ class BasisRecord:
     value: float
 
 
-@dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    records: tuple[BasisRecord, ...]
-    collapsed: Quantization1D
-    measure: MeasureId
+    """An exact output distribution: the collapsed breakpoints and their
+    rational weights, plus the weighted atoms they were collapsed from.
+
+    ``records`` is either the tuple of atoms or a function that builds it;
+    the function is called on the first read of :attr:`records` only, and
+    its tuple is kept for later reads.
+    """
+
+    def __init__(self, records, collapsed: Quantization1D, measure: MeasureId):
+        self._records = records
+        self.collapsed = collapsed
+        self.measure = measure
+
+    @functools.cached_property
+    def records(self) -> tuple[BasisRecord, ...]:
+        records = self._records
+        if callable(records):
+            records = records()
+        self._records = None
+        return records
 
     @property
     def total_probability(self) -> Fraction:
-        return sum((r.probability for r in self.records), Fraction(0))
+        return sum(self.collapsed.weights, Fraction(0))
 
     def cdf(self, r: float) -> Fraction:
         idx = int(np.searchsorted(self.collapsed.values, r, side="right"))
@@ -338,12 +355,9 @@ def _validate_seb2(prep: _Prepared, idx, xs, ys):
             & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > eps_dot)
         )
         idx, xs, ys = idx[keep], xs[keep], ys[keep]
-    # Balls come from the scalar solver, whose squares (libm pow) can differ
-    # from numpy's in the last bit; values must match the oracle's bitwise.
-    shapes = np.array(
-        [_seb2_ball_tuple(tuple(zip(x, y)))[:3] for x, y in zip(xs.tolist(), ys.tolist())],
-        dtype=np.float64,
-    ).reshape(-1, 3)
+    # Balls are the canonical ones of _seb2_ball_tuple, computed for the
+    # whole chunk at once; values must match the oracle's bitwise.
+    shapes = _seb2_balls(xs, ys)
     if s == 2:
         keep = shapes[:, 2] > prep.strict_eps
         idx, shapes = idx[keep], shapes[keep]
@@ -475,23 +489,33 @@ def exact_distribution(
     basis counting; O((nk)^(beta+1)) time).
 
     Raises ConservationError if the counted mass does not sum to exactly 1,
-    which would indicate an unresolved degeneracy.  ``keep_records`` defaults
-    to True for small enumerations and False beyond 200k potential bases.
+    which would indicate an unresolved degeneracy.
+
+    ``keep_records`` keeps one (candidate indices, value, numerator) row per
+    nonzero basis, from which ``records`` builds its :class:`BasisRecord`
+    tuple on first read; without it ``records`` is ``()``.  It defaults to
+    True for small enumerations and False beyond 200k potential bases.
     """
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
     if keep_records is None:
         keep_records = prep.combo_count() <= 200_000
     agg: dict[float, int] = {}
-    records: list[BasisRecord] = []
+    kept = []
     for row, value, _, num in _counted_bases(prep):
         agg[value] = agg.get(value, 0) + num
         if keep_records:
-            records.append(
-                BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.total_denom), value)
-            )
+            kept.append((row, value, num))
     collapsed = _collapse(agg, prep.total_denom, prep.group_tol)
-    return ExactDistribution(tuple(records), collapsed, measure)
+    records = functools.partial(_basis_records, prep, kept) if keep_records else ()
+    return ExactDistribution(records, collapsed, measure)
+
+
+def _basis_records(prep: _Prepared, kept) -> tuple[BasisRecord, ...]:
+    return tuple(
+        BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.total_denom), value)
+        for row, value, num in kept
+    )
 
 
 def brute_force_distribution(

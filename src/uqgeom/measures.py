@@ -186,6 +186,51 @@ def _seb2_ball_tuple(coords) -> tuple:
     return _trivial_ball(pts, list(range(m)), d)
 
 
+def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """:func:`_seb2_ball_tuple` over many rows of 2 or 3 planar points.
+
+    ``xs`` and ``ys`` are (rows, m) coordinates; returns (rows, 3) of
+    (cx, cy, radius), bit for bit what the scalar function gives per row.
+    Rows are sorted as ``sorted`` sorts coordinate tuples.  Pair radii
+    square with CPython's float ``**`` (libm ``pow``), which numpy's
+    multiply and power do not match on every value.  Strictly acute triples
+    with a well-conditioned circumcircle take only + - * / and comparisons,
+    which numpy rounds as CPython does; the other triples go to the scalar
+    function, which stays the one definition."""
+    order = np.lexsort((ys, xs))
+    xs = np.take_along_axis(xs, order, axis=1)
+    ys = np.take_along_axis(ys, order, axis=1)
+    out = np.empty((len(xs), 3))
+    if xs.shape[1] == 2:
+        out[:, 0] = 0.5 * (xs[:, 0] + xs[:, 1])
+        out[:, 1] = 0.5 * (ys[:, 0] + ys[:, 1])
+        dx = (xs[:, 0] - out[:, 0]).tolist()
+        dy = (ys[:, 0] - out[:, 1]).tolist()
+        out[:, 2] = np.sqrt([a**2 + b**2 for a, b in zip(dx, dy)])
+        return out
+    ax, bx, cx = xs.T
+    ay, by, cy = ys.T
+    acute = (
+        ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > 0.0)
+        & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0.0)
+        & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > 0.0)
+    )
+    # _circum3's circumcircle relative to the first point, where it has one.
+    ubx, uby, ucx, ucy = bx - ax, by - ay, cx - ax, cy - ay
+    det = 2.0 * (ubx * ucy - uby * ucx)
+    norm = np.maximum(np.abs(np.stack([ubx, uby, ucx, ucy])).max(axis=0), 1e-300)
+    circ = acute & (np.abs(det) > 1e-14 * norm * norm)
+    ubx, uby, ucx, ucy, det = ubx[circ], uby[circ], ucx[circ], ucy[circ], det[circ]
+    b2 = ubx * ubx + uby * uby
+    c2 = ucx * ucx + ucy * ucy
+    ux = (ucy * b2 - uby * c2) / det
+    uy = (ubx * c2 - ucx * b2) / det
+    out[circ] = np.column_stack([ax[circ] + ux, ay[circ] + uy, np.sqrt(ux * ux + uy * uy)])
+    for i in np.flatnonzero(~circ).tolist():
+        out[i] = _seb2_ball_tuple(tuple(zip(xs[i].tolist(), ys[i].tolist())))[:3]
+    return out
+
+
 def _seb2_ball_of_members(locs: np.ndarray) -> Ball:
     """Canonical enclosing ball of a (candidate) basis (array interface)."""
     locs = np.asarray(locs, dtype=np.float64)

@@ -285,6 +285,17 @@ class Support:
     def n(self) -> int:
         return len(self.locations)
 
+    @classmethod
+    def _fresh(cls, locations: np.ndarray, provenance: tuple[int, ...] | None) -> "Support":
+        """A support around a new (n, d) float64 array of finite locations
+        that nothing else references, and provenance already of ints:
+        skips the public constructor's validation and copy."""
+        locations.setflags(write=False)
+        support = object.__new__(cls)
+        object.__setattr__(support, "locations", locations)
+        object.__setattr__(support, "provenance", provenance)
+        return support
+
 
 def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.random.Generator) -> Support:
     """Draw one support, each location independently from its point's
@@ -298,7 +309,7 @@ def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.ra
     if isinstance(uset, IndecisivePointSet):
         cum, locations, last, rows = uset._sampling_plan
         j = np.minimum((cum <= rng.random(uset.n)[:, None]).sum(axis=1), last)
-        return Support(locations[rows, j], tuple(j.tolist()))
+        return Support._fresh(locations[rows, j], tuple(j.tolist()))
     locs = np.empty((uset.n, uset.dimension))
     for start, stop, means, chols in uset._sampling_plan:
         if means is None:
@@ -306,7 +317,11 @@ def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.ra
         else:
             z = rng.standard_normal((stop - start, uset.dimension))
             locs[start:stop] = means + np.matmul(chols, z[..., None])[..., 0]
-    return Support(locs, None)
+    # A point mass at infinity, or a disk near the float limit, draws
+    # non-finite coordinates.
+    if not np.isfinite(locs).all():
+        raise ValueError("coordinates must be finite")
+    return Support._fresh(locs, None)
 
 
 def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:

@@ -361,3 +361,64 @@ def test_huge_weight_denominators_match_oracle():
         bf = brute_force_distribution(uset, m)
         assert ex.total_probability == 1
         assert distributions_match(ex, bf, group_tolerance(uset, m)), m.kind
+
+
+def _eager_records(uset, m):
+    """Reference: every nonzero basis's record, built while counting, as the
+    engine did before records were built on first read."""
+    import uqgeom.exact as exact_mod
+
+    prep = exact_mod._Prepared(uset, m)
+    return tuple(
+        exact_mod.BasisRecord(
+            exact_mod._basis_object(prep, row, value), Fraction(num, prep.total_denom), value
+        )
+        for row, value, _, num in exact_mod._counted_bases(prep)
+    )
+
+
+def _lattice_indecisive(rng, n, k):
+    points = []
+    for _ in range(n):
+        locs = rng.integers(-3, 4, size=(k, 2)).astype(float)
+        cuts = [int(c) for c in rng.integers(1, 6, size=k)]
+        points.append(IndecisivePoint(locs, tuple(Fraction(c, sum(cuts)) for c in cuts)))
+    return IndecisivePointSet(tuple(points), 2)
+
+
+@pytest.mark.parametrize("kind", ["generic", "lattice"])
+def test_lazy_records_equal_eager_records(kind):
+    rng = np.random.default_rng(31)
+    make = random_indecisive if kind == "generic" else _lattice_indecisive
+    for n, k in ((1, 3), (3, 2), (4, 3)):
+        uset = make(rng, n, k)
+        for m in MEASURES:
+            want = _eager_records(uset, m)
+            for keep in (True, None):
+                dist = exact_distribution(uset, m, keep_records=keep)
+                got = dist.records
+                assert [_record_key(r) for r in got] == [_record_key(r) for r in want], m.kind
+                assert all(r.basis.measure == m for r in got)
+                assert [r.basis.value.hex() for r in got] == [r.basis.value.hex() for r in want]
+                assert dist.records is got
+            assert exact_distribution(uset, m, keep_records=False).records == ()
+
+
+def test_total_probability_without_records():
+    uset = IndecisivePointSet(
+        (
+            IndecisivePoint([(0.0, 0.0), (1.0, 2.0)], (Fraction(1, 3), Fraction(2, 3))),
+            IndecisivePoint([(2.0, 1.0), (-1.0, 0.5)], (Fraction(1, 2), Fraction(1, 2))),
+        ),
+        2,
+    )
+    for m in MEASURES:
+        for keep in (True, False, None):
+            dist = exact_distribution(uset, m, keep_records=keep)
+            assert dist.total_probability == 1
+            # Summing the collapsed weights leaves the records unbuilt.
+            assert "records" not in vars(dist)
+            assert sum((r.probability for r in dist.records), Fraction(0)) == (0 if keep is False else 1)
+        bf = brute_force_distribution(uset, m)
+        assert bf.total_probability == 1
+        assert sum((r.probability for r in bf.records), Fraction(0)) == 1

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgeom import (
     MeasureId,
@@ -13,6 +16,7 @@ from uqgeom import (
     full_violation_test,
     tolerance,
 )
+from uqgeom.measures import _seb2_ball_tuple, _seb2_balls
 
 
 def test_measure_id_parsing():
@@ -179,3 +183,162 @@ def test_monotonicity_property_all_measures(rng):
         sub = pts[rng.choice(7, size=size, replace=False)]
         for m in measures:
             assert evaluate(m, sub) <= evaluate(m, pts) + tolerance(pts, m)
+
+
+# --------------------------------------------------------------------------
+# Array seb2 balls against the scalar solver
+
+
+def _seb2_balls_per_row(xs, ys):
+    """Reference: the scalar solver row by row, as the exact engine did
+    before its balls were computed in arrays."""
+    return np.array(
+        [_seb2_ball_tuple(tuple(zip(x, y)))[:3] for x, y in zip(xs.tolist(), ys.tolist())],
+        dtype=np.float64,
+    ).reshape(-1, 3)
+
+
+def _assert_balls_bitwise_equal(xs, ys):
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    got = _seb2_balls(xs, ys)
+    want = _seb2_balls_per_row(xs, ys)
+    assert got.shape == want.shape
+    differ = np.flatnonzero((got.view(np.int64) != want.view(np.int64)).any(axis=1))
+    assert not len(differ), (xs[differ[:3]], ys[differ[:3]], got[differ[:3]], want[differ[:3]])
+
+
+def _engine_acute(xs, ys):
+    """The exact engine's triple filter: every dot product above
+    1e-14 * scale**2, with the scale of the row's own coordinates."""
+    ax, bx, cx = xs.T
+    ay, by, cy = ys.T
+    pts = np.stack([xs, ys], axis=2)
+    scale = np.maximum(
+        np.maximum(np.hypot(*(pts.max(axis=1) - pts.min(axis=1)).T), np.abs(pts).max(axis=(1, 2))), 1.0
+    )
+    eps_dot = 1e-14 * scale * scale
+    return (
+        ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > eps_dot)
+        & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > eps_dot)
+        & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > eps_dot)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_seb2_balls_random_generic(m):
+    rng = np.random.default_rng(40 + m)
+    xs, ys = rng.normal(size=(2, 4000, m))
+    _assert_balls_bitwise_equal(xs, ys)
+    # Spread over many magnitudes, and offsets of 1e8 and extents of 1e-9.
+    mags = 10.0 ** rng.integers(-6, 7, size=(2, 4000, 1))
+    _assert_balls_bitwise_equal(*(rng.uniform(-1, 1, size=(2, 4000, m)) * mags))
+    _assert_balls_bitwise_equal(*(rng.normal(size=(2, 2000, m)) + 1e8))
+    _assert_balls_bitwise_equal(*(rng.normal(size=(2, 2000, m)) * 1e-9 + 3.0))
+    _assert_balls_bitwise_equal(*(rng.normal(size=(2, 2000, m)) * 1e-9 - 1e8))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_seb2_balls_integer_lattice(m):
+    # Every pair and triple of a 5x5 grid: coincident, collinear and
+    # cocircular points and right triangles, in every input order.
+    grid = [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3)]
+    rows = np.array(list(itertools.product(grid, repeat=m)))
+    _assert_balls_bitwise_equal(rows[:, :, 0], rows[:, :, 1])
+    # The same with jitter far below the grid step, as after canonical_jitter.
+    rng = np.random.default_rng(7)
+    noisy = rows + rng.normal(size=rows.shape) * 1e-11
+    _assert_balls_bitwise_equal(noisy[:, :, 0], noisy[:, :, 1])
+
+
+def test_seb2_balls_listed_triples():
+    # Right, cocircular, coincident and collinear triples, and signed zeros
+    # (equal under sorting, different in their bits).
+    tri = np.array(
+        [
+            [(0.0, -0.0), (-0.0, 0.0), (1.0, 1.0)],
+            [(-0.0, 2.0), (0.0, -2.0), (2.0, 0.0)],
+            [(0.0, 2.0), (-0.0, -2.0), (-2.0, -0.0)],
+            [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)],
+            [(0.0, 4.0), (3.0, 0.0), (0.0, 0.0)],
+            [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)],
+            [(2.0, -3.0), (0.0, -1.0), (3.0, -2.0)],
+            [(0.0, -2.0), (3.0, -2.0), (2.0, -3.0)],
+            [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)],
+            [(5.0, 5.0), (5.0, 5.0), (5.0, 5.0)],
+            [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+        ]
+    )
+    _assert_balls_bitwise_equal(tri[:, :, 0], tri[:, :, 1])
+
+
+def test_seb2_balls_triples_at_the_engine_acute_threshold():
+    # Thales triples: A and B nearly antipodal on a circle through C, so
+    # the angle at C is within a hair of 90 degrees, around the engine's
+    # 1e-14 * scale**2 dot threshold.
+    rng = np.random.default_rng(11)
+    rows = 20_000
+    center = rng.uniform(-5, 5, size=(rows, 2))
+    r = rng.uniform(0.1, 3, size=(rows, 1))
+    theta, phi = rng.uniform(0, 2 * np.pi, size=(2, rows, 1))
+    a = center + r * np.hstack([np.cos(theta), np.sin(theta)])
+    b = center - r * np.hstack([np.cos(theta), np.sin(theta)])
+    b += 10.0 ** rng.uniform(-16, -11, size=(rows, 1)) * rng.normal(size=(rows, 2))
+    c = center + r * np.hstack([np.cos(phi), np.sin(phi)])
+    pts = np.stack([a, b, c], axis=1)
+    xs, ys = pts[:, :, 0], pts[:, :, 1]
+    passing = _engine_acute(xs, ys)
+    assert 100 < passing.sum() < rows - 100
+    _assert_balls_bitwise_equal(xs[passing], ys[passing])
+    _assert_balls_bitwise_equal(xs[~passing], ys[~passing])
+
+
+def test_seb2_balls_near_degenerate_det():
+    # Thin acute triangles whose circumcircle determinant straddles the
+    # solver's 1e-14 * norm**2 cut: base w, apex 1 above the base's middle.
+    rng = np.random.default_rng(12)
+    rows = 4000
+    w = 10.0 ** rng.uniform(-16, -12, size=rows)
+    off = rng.uniform(-1, 1, size=(rows, 2)) * 10.0 ** rng.integers(0, 3, size=(rows, 1))
+    xs = np.column_stack([np.zeros(rows), w, w / 2]) + off[:, :1]
+    ys = np.column_stack([np.zeros(rows), np.zeros(rows), np.ones(rows)]) + off[:, 1:]
+    ux, uy = xs[:, 1:] - xs[:, :1], ys[:, 1:] - ys[:, :1]
+    det = np.abs(2.0 * (ux[:, 0] * uy[:, 1] - uy[:, 0] * ux[:, 1]))
+    norm = np.abs(np.hstack([ux, uy])).max(axis=1)
+    cut = det <= 1e-14 * norm * norm
+    assert 100 < cut.sum() < rows - 100
+    _assert_balls_bitwise_equal(xs, ys)
+
+
+def test_seb2_balls_pairs_where_pow_and_product_round_apart():
+    # CPython's float ** calls libm pow, which rounds some squares other
+    # than x * x does; the pair radii must follow pow.
+    rng = np.random.default_rng(13)
+    xs, ys = rng.normal(size=(2, 50_000, 2))
+    split = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        (x0, y0), (x1, y1) = sorted(zip(x, y))
+        dx, dy = x0 - 0.5 * (x0 + x1), y0 - 0.5 * (y0 + y1)
+        split.append(math.sqrt(dx**2 + dy**2) != math.sqrt(dx * dx + dy * dy))
+    split = np.array(split)
+    assert split.sum() >= 5
+    _assert_balls_bitwise_equal(xs[split], ys[split])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=3
+    ),
+    st.sampled_from([0.0, 1e-11, 1e-3]),
+    st.sampled_from([1.0, 1e-9, 1e8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_seb2_balls_lattice_property(points, noise, scale, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.array(points, dtype=np.float64) * scale
+    pts += rng.normal(size=pts.shape) * noise * scale
+    if scale == 1e8:
+        pts += 1e8
+    for m in (2, 3):
+        _assert_balls_bitwise_equal(pts[None, :m, 0], pts[None, :m, 1])

@@ -302,3 +302,31 @@ def test_indecisive_draw_on_a_cumulative_weight_matches_reference():
     uset = IndecisivePointSet(points, 2)
     _assert_samples_like_reference(uset, seed, trials=1)
     assert sample_support(uset, trial_rng(seed, 0)).provenance == (1,) * n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sampled_supports_own_read_only_arrays(d):
+    rng = np.random.default_rng(50 + d)
+    uset = random_indecisive(rng, 5, 3) if d == 2 else IndecisivePointSet(
+        tuple(IndecisivePoint(rng.normal(size=(3, 3)), (Fraction(1, 3),) * 3) for _ in range(5)), 3
+    )
+    cset = ContinuousUncertainSet(tuple(GaussianPoint(rng.normal(size=d), np.eye(d)) for _ in range(4)), d)
+    for s in (uset, cset):
+        a = sample_support(s, trial_rng(1, 0))
+        b = sample_support(s, trial_rng(1, 1))
+        for sup in (a, b):
+            assert sup.locations.dtype == np.float64 and sup.locations.shape == (s.n, d)
+            assert not sup.locations.flags.writeable
+            with pytest.raises(ValueError):
+                sup.locations[0, 0] = 1.0
+        assert not np.shares_memory(a.locations, b.locations)
+    assert all(type(j) is int for j in sample_support(uset, trial_rng(1, 2)).provenance)
+
+
+def test_non_finite_continuous_draw_raises():
+    far = UniformDiskPoint((1.7e308, 0.0), 1.7e308)
+    for p in (PointMassPoint((np.inf, 0.0)), PointMassPoint((np.nan, 1.0)), far):
+        cset = ContinuousUncertainSet((PointMassPoint((0.0, 0.0)), p), 2)
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            for t in range(64):
+                sample_support(cset, trial_rng(5, t))
