@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,27 +96,19 @@ class BasisRecord:
     value: float
 
 
+@dataclass(frozen=True, eq=False)
 class ExactDistribution:
     """An exact output distribution: the collapsed breakpoints and their
-    rational weights, plus the weighted atoms they were collapsed from.
+    rational weights, plus the weighted atoms they were collapsed from,
+    which ``_build_records`` builds on the first read of :attr:`records`."""
 
-    ``records`` is either the tuple of atoms or a function that builds it;
-    the function is called on the first read of :attr:`records` only, and
-    its tuple is kept for later reads.
-    """
-
-    def __init__(self, records, collapsed: Quantization1D, measure: MeasureId):
-        self._records = records
-        self.collapsed = collapsed
-        self.measure = measure
+    _build_records: Callable[[], tuple[BasisRecord, ...]]
+    collapsed: Quantization1D
+    measure: MeasureId
 
     @functools.cached_property
     def records(self) -> tuple[BasisRecord, ...]:
-        records = self._records
-        if callable(records):
-            records = records()
-        self._records = None
-        return records
+        return self._build_records()
 
     @property
     def total_probability(self) -> Fraction:
@@ -507,8 +500,7 @@ def exact_distribution(
         if keep_records:
             kept.append((row, value, num))
     collapsed = _collapse(agg, prep.total_denom, prep.group_tol)
-    records = functools.partial(_basis_records, prep, kept) if keep_records else ()
-    return ExactDistribution(records, collapsed, measure)
+    return ExactDistribution(functools.partial(_basis_records, prep, kept), collapsed, measure)
 
 
 def _basis_records(prep: _Prepared, kept) -> tuple[BasisRecord, ...]:
@@ -592,7 +584,7 @@ def brute_force_distribution(
     records = tuple(
         BasisRecord(None, Fraction(num, total_denom), v) for v, num in sorted(agg.items())
     )
-    return ExactDistribution(records, collapsed, measure)
+    return ExactDistribution(lambda: records, collapsed, measure)
 
 
 def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:

@@ -317,11 +317,7 @@ def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.ra
         else:
             z = rng.standard_normal((stop - start, uset.dimension))
             locs[start:stop] = means + np.matmul(chols, z[..., None])[..., 0]
-    # A point mass at infinity, or a disk near the float limit, draws
-    # non-finite coordinates.
-    if not np.isfinite(locs).all():
-        raise ValueError("coordinates must be finite")
-    return Support._fresh(locs, None)
+    return Support._fresh(as_points(locs), None)
 
 
 def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:
