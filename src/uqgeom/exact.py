@@ -19,7 +19,12 @@ Inputs are canonically jittered (see :func:`uqgeom.model.canonical_jitter`)
 unless already marked, which realizes the general-position assumption the
 counting argument needs.  The brute-force oracle enumerates all supports on
 the same jittered coordinates, so the two engines are comparable breakpoint
-by breakpoint.
+by breakpoint.  It evaluates supports as arrays too: chunks of candidate
+indices in ``itertools.product`` order, valued by the formulas
+:func:`uqgeom.measures.evaluate` uses.  For seb2 it relies on the LP-type
+structure alone: the smallest enclosing disk of a support is the largest
+canonical ball of its candidate pairs and strictly acute triples, so the
+oracle never asks a miniball solver which points define the disk.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ from .measures import (
     BasisMember,
     MeasureId,
     NotLPTypeError,
-    _seb2_ball_of_members,
+    _frame,
+    _frame_values,
     _seb2_balls,
-    _seb2_basis_indices,
+    _strictly_acute,
     combinatorial_dimension,
     value_scale,
 )
@@ -132,7 +138,7 @@ def _integer_weights(uset: IndecisivePointSet) -> tuple[list[list[int]], list[in
     denoms = []
     for p in uset.points:
         denom = math.lcm(*(w.denominator for w in p.weights))
-        ints.append([int(w * denom) for w in p.weights])
+        ints.append([w.numerator * (denom // w.denominator) for w in p.weights])
         denoms.append(denom)
     return ints, denoms
 
@@ -229,6 +235,36 @@ _CHUNK_CELLS = 32_768
 _MIN_CHUNK_ROWS = 64
 
 
+def _combos(ks: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, s) point combos of size s in lexicographic order, and the
+    (C + 1,) first position of each combo's candidate product (last one:
+    the total)."""
+    combos = np.array(list(itertools.combinations(range(len(ks)), s)))
+    return combos, np.concatenate([[0], np.cumsum(ks[combos].prod(axis=1))])
+
+
+def _candidate_rows(ks: np.ndarray, offsets: np.ndarray, s: int, rows: int):
+    """Every choice of one candidate from each of s distinct points, as
+    (rows, s) arrays of global candidate indices: point combos in
+    lexicographic order, then candidates in ``itertools.product`` order,
+    cut into chunks of at most ``rows`` rows.  With s = n these are all
+    supports."""
+    combos, starts = _combos(ks, s)
+    total = int(starts[-1])
+    for first in range(0, total, rows):
+        pos = np.arange(first, min(first + rows, total))
+        combo = np.searchsorted(starts, pos, side="right") - 1
+        pts = combos[combo]
+        # Mixed-radix digits of the position within its combo's product.
+        local = pos - starts[combo]
+        idx = np.empty_like(pts)
+        for t in range(s - 1, -1, -1):
+            k = ks[pts[:, t]]
+            idx[:, t] = offsets[pts[:, t]] + local % k
+            local //= k
+        yield idx
+
+
 def _index_chunks(prep: _Prepared):
     """All potential bases as arrays of global candidate indices: basis
     sizes ascending, then point combos and candidate products in
@@ -236,21 +272,7 @@ def _index_chunks(prep: _Prepared):
     rows = max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // len(prep.w))
     ks = np.array(prep.ks)
     for s in range(1, prep.beta + 1):
-        combos = np.array(list(itertools.combinations(range(prep.n), s)))
-        starts = np.concatenate([[0], np.cumsum(ks[combos].prod(axis=1))])
-        total = int(starts[-1])
-        for first in range(0, total, rows):
-            pos = np.arange(first, min(first + rows, total))
-            combo = np.searchsorted(starts, pos, side="right") - 1
-            pts = combos[combo]
-            # Mixed-radix digits of the position within its combo's product.
-            local = pos - starts[combo]
-            idx = np.empty_like(pts)
-            for t in range(s - 1, -1, -1):
-                k = ks[pts[:, t]]
-                idx[:, t] = prep.offsets[pts[:, t]] + local % k
-                local //= k
-            yield idx
+        yield from _candidate_rows(ks, prep.offsets, s, rows)
 
 
 def _validate(prep: _Prepared, idx: np.ndarray):
@@ -335,18 +357,10 @@ def _validate_seb2(prep: _Prepared, idx, xs, ys):
     if s == 1:
         return idx, np.zeros(len(idx)), np.column_stack([xs[:, 0], ys[:, 0], np.zeros(len(idx))])
     if s == 3:
-        # A triple is minimal iff the triangle is strictly acute: vertex V is
-        # outside the opposite pair's diametral disk iff (A-V).(B-V) > 0.
-        # Radius differences degrade quadratically near right triangles, so
+        # A triple is minimal iff the triangle is strictly acute.  Radius
+        # differences degrade quadratically near right triangles, so
         # minimality must use this linear-scale predicate instead.
-        eps_dot = prep.geom_eps * prep.scale
-        ax, bx, cx = xs.T
-        ay, by, cy = ys.T
-        keep = (
-            ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > eps_dot)
-            & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > eps_dot)
-            & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > eps_dot)
-        )
+        keep = _strictly_acute(xs, ys, prep.geom_eps * prep.scale)
         idx, xs, ys = idx[keep], xs[keep], ys[keep]
     # Balls are the canonical ones of _seb2_ball_tuple, computed for the
     # whole chunk at once; values must match the oracle's bitwise.
@@ -521,6 +535,19 @@ def brute_force_distribution(
     Works for every measure including diameter.  Uses the same jittered
     coordinates and value conventions as the deterministic engine so the two
     outputs are directly comparable.
+
+    Supports are enumerated as arrays of global candidate indices, in
+    ``itertools.product`` order and in chunks of bounded size, so memory
+    stays flat up to the cap.  A support's probability numerator is the
+    product of its candidates' integer weights.  Values come from the
+    formulas :func:`uqgeom.measures.evaluate` uses, applied to the gathered
+    per-candidate frame coordinates.  A seb2 value is the largest canonical
+    ball radius over the support's candidate pairs and strictly acute
+    triples: the smallest enclosing disk is the ball of a basis of at most
+    three points and, by monotonicity, no subset's ball is larger (the
+    LP-type structure of Matoušek, Sharir and Welzl, and Welzl 1991).  An
+    obtuse or right triple's ball is one of its pairs' balls.  ``records``
+    holds one atom per distinct value, sorted by value, with ``basis=None``.
     """
     count = uset.support_count()
     if count > cap:
@@ -532,59 +559,87 @@ def brute_force_distribution(
         raise ValidationError("the brute-force oracle supports d=2 only")
     jset = canonical_jitter(uset)
     n = jset.n
-    kind = measure.kind
-    pts_arrays = [p.locations for p in jset.points]
+    ks = np.array([p.k for p in jset.points])
+    offsets = np.cumsum(ks) - ks
     wints, denoms = _integer_weights(jset)
     total_denom = math.prod(denoms)
-    diam = bbox_diameter(jset.all_locations())
-    group_tol = 1e-9 * value_scale(measure, diam)
-    if kind == "dwid":
-        u = np.asarray(measure.direction)
-        projs = [arr @ u for arr in pts_arrays]
+    # A numerator is at most total_denom, so int64 holds it unless that is huge.
+    w = np.array([v for row in wints for v in row], dtype=np.int64 if total_denom < 2**62 else object)
+    locs = jset.all_locations()
+    group_tol = 1e-9 * value_scale(measure, bbox_diameter(locs))
+    if measure.kind == "seb2":
+        width, values_of = _seb2_support_values(locs, ks, offsets)
+    else:
+        # Frames per point's candidate matrix: a dwid projection is a matmul
+        # whose rounding can depend on the matrix, so chunking cannot change it.
+        frames = np.concatenate([_frame(measure, p.locations) for p in jset.points])
+        width = n * n * 2 if measure.kind == "diameter" else n * 2
+
+        def values_of(idx):
+            return _frame_values(measure.kind, frames[idx])
 
     agg: dict[float, int] = {}
     total = 0
-    buf = np.empty((n, 2))
-    for choice in itertools.product(*[range(p.k) for p in jset.points]):
-        num = 1
-        for i, j in enumerate(choice):
-            num *= wints[i][j]
-            buf[i] = pts_arrays[i][j]
-        if kind == "dwid":
-            t = [projs[i][j] for i, j in enumerate(choice)]
-            value = max(t) - min(t)
-        elif kind == "seb2":
-            idx = _seb2_basis_indices(buf)
-            value = _seb2_ball_of_members(buf[list(idx)]).radius
-        elif kind == "diameter":
-            if n == 1:
-                value = 0.0
-            else:
-                diff = buf[:, None, :] - buf[None, :, :]
-                value = float(np.sqrt((diff * diff).sum(axis=2)).max())
-        else:
-            ex = buf[:, 0].max() - buf[:, 0].min()
-            ey = buf[:, 1].max() - buf[:, 1].min()
-            if kind == "aabb_perimeter":
-                value = 2.0 * (ex + ey)
-            elif kind == "aabb_area":
-                value = ex * ey
-            elif kind == "sebinf":
-                value = max(ex, ey) / 2.0
-            else:  # seb1
-                s = buf[:, 0] + buf[:, 1]
-                t = buf[:, 1] - buf[:, 0]
-                value = max(s.max() - s.min(), t.max() - t.min()) / 2.0
-        value = float(value)
-        agg[value] = agg.get(value, 0) + num
-        total += num
+    for idx in _candidate_rows(ks, offsets, n, max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // width)):
+        values = values_of(idx)
+        order = np.argsort(values)
+        values = values[order]
+        first = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+        nums = np.add.reduceat(w[idx].prod(axis=1)[order], first)
+        for value, num in zip(values[first].tolist(), nums.tolist()):
+            agg[value] = agg.get(value, 0) + num
+            total += num
     if total != total_denom:
         raise ConservationError("support probabilities failed to sum to 1 (internal error)")
     collapsed = _collapse(agg, total_denom, group_tol)
-    records = tuple(
-        BasisRecord(None, Fraction(num, total_denom), v) for v, num in sorted(agg.items())
-    )
-    return ExactDistribution(lambda: records, collapsed, measure)
+    return ExactDistribution(functools.partial(_value_records, agg, total_denom), collapsed, measure)
+
+
+def _value_records(agg: dict, total_denom: int) -> tuple[BasisRecord, ...]:
+    return tuple(BasisRecord(None, Fraction(num, total_denom), v) for v, num in sorted(agg.items()))
+
+
+def _seb2_support_values(locs: np.ndarray, ks: np.ndarray, offsets: np.ndarray):
+    """The brute-force oracle's seb2 values: returns the cells a support
+    takes in a chunk and a function from a chunk of supports to their
+    values.
+
+    The canonical ball radius of every candidate pair and strictly acute
+    candidate triple (one candidate from each of 2 or 3 distinct points) is
+    computed once, in :func:`_candidate_rows` order; other triples get 0.
+    A support's value is the largest radius over its pairs and triples,
+    found at the mixed-radix position of its candidates in those tables."""
+    n = len(ks)
+    tables = []
+    for s in range(2, min(n, 3) + 1):
+        radii = []
+        for idx in _candidate_rows(ks, offsets, s, max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // s)):
+            xs = locs[idx, 0]
+            ys = locs[idx, 1]
+            if s == 2:
+                radii.append(_seb2_balls(xs, ys)[:, 2])
+                continue
+            r = np.zeros(len(idx))
+            acute = _strictly_acute(xs, ys)
+            r[acute] = _seb2_balls(xs[acute], ys[acute])[:, 2]
+            radii.append(r)
+        combos, starts = _combos(ks, s)
+        strides = np.ones_like(combos)
+        # Candidate digits of a combo vary in itertools.product order.
+        strides[:, :-1] = np.cumprod(ks[combos][:, :0:-1], axis=1)[:, ::-1]
+        tables.append((combos, starts[:-1], strides, np.concatenate(radii)))
+
+    def values_of(idx):
+        digits = idx - offsets
+        out = np.zeros(len(idx))
+        for combos, starts, strides, radii in tables:
+            pos = digits[:, combos[:, -1]] + starts
+            for t in range(combos.shape[1] - 1):
+                pos += digits[:, combos[:, t]] * strides[:, t]
+            out = np.maximum(out, radii[pos].max(axis=1))
+        return out
+
+    return max(1, sum(combos.size for combos, *_ in tables)), values_of
 
 
 def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:

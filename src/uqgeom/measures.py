@@ -136,13 +136,64 @@ def tolerance(pts: np.ndarray, measure: MeasureId | None = None) -> float:
 # Evaluation
 
 
-def _extent(values: np.ndarray) -> float:
-    return float(values.max() - values.min())
-
-
 def _rot_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 45-degree frame in which the L1 ball is an axis-aligned square.
-    return pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]
+    return pts[..., 0] + pts[..., 1], pts[..., 1] - pts[..., 0]
+
+
+def _frame(measure: MeasureId, pts: np.ndarray) -> np.ndarray:
+    """Per-point coordinates that :func:`_frame_values` reads: the
+    projections (..., n) onto the direction for dwid, the (..., n, 2)
+    45-degree frame for seb1, the (..., n, d) points themselves otherwise.
+
+    The seb1 frame is elementwise.  The dwid projection is a matmul, whose
+    BLAS kernel may round a row differently with its position in the
+    matrix, so callers that must agree bitwise project the same matrices."""
+    kind = measure.kind
+    if kind == "dwid":
+        return pts @ np.asarray(measure.direction)
+    if kind == "seb1":
+        rot = np.empty_like(pts)
+        rot[..., 0], rot[..., 1] = _rot_coords(pts)
+        return rot
+    return pts
+
+
+def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
+    """Value of each point set in a stack of frame coordinates, reduced
+    over the last two axes (the last one for dwid); every measure but
+    seb2."""
+    if kind == "dwid":
+        return f.max(axis=-1) - f.min(axis=-1)
+    if kind == "diameter":
+        diff = f[..., :, None, :] - f[..., None, :, :]
+        sq = diff * diff
+        # Two squares added by hand: the bits of sum(), without the cost of
+        # a reduction over a length-2 axis.
+        sq = sq[..., 0] + sq[..., 1] if sq.shape[-1] == 2 else sq.sum(axis=-1)
+        # sqrt rounds monotonically, so it commutes with the max.
+        return np.sqrt(sq.reshape(sq.shape[:-2] + (-1,)).max(axis=-1))
+    ext = f.max(axis=-2) - f.min(axis=-2)
+    if kind in ("sebinf", "seb1"):
+        return ext.max(axis=-1) / 2.0
+    if kind == "aabb_perimeter":
+        return 2.0 * (ext[..., 0] + ext[..., 1])
+    if kind == "aabb_area":
+        return ext[..., 0] * ext[..., 1]
+    raise AssertionError(kind)
+
+
+def _strictly_acute(xs: np.ndarray, ys: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Rows of three planar points whose triangle is strictly acute: vertex
+    V lies outside the opposite pair's diametral disk iff (A-V).(B-V) > 0.
+    The three dot products are the same floats in any vertex order."""
+    ax, bx, cx = xs.T
+    ay, by, cy = ys.T
+    return (
+        ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > eps)
+        & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > eps)
+        & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > eps)
+    )
 
 
 def _seb2_ball_tuple(coords) -> tuple:
@@ -210,11 +261,7 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return out
     ax, bx, cx = xs.T
     ay, by, cy = ys.T
-    acute = (
-        ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > 0.0)
-        & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0.0)
-        & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > 0.0)
-    )
+    acute = _strictly_acute(xs, ys)
     # _circum3's circumcircle relative to the first point, where it has one.
     ubx, uby, ucx, ucy = bx - ax, by - ay, cx - ax, cy - ay
     det = 2.0 * (ubx * ucy - uby * ucx)
@@ -244,16 +291,8 @@ def evaluate(measure: MeasureId, pts) -> float:
     pts = as_points(pts)
     d = pts.shape[1]
     kind = measure.kind
-    if kind == "dwid":
-        u = np.asarray(measure.direction)
-        if len(u) != d:
-            raise ValueError(f"dwid direction has dimension {len(u)}, points have {d}")
-        return _extent(pts @ u)
-    if kind == "diameter":
-        if len(pts) == 1:
-            return 0.0
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    if kind == "dwid" and len(measure.direction) != d:
+        raise ValueError(f"dwid direction has dimension {len(measure.direction)}, points have {d}")
     if kind == "seb2":
         ball = welzl_ball(pts)
         if d == 2 and 1 <= len(ball.support) <= 3:
@@ -261,18 +300,9 @@ def evaluate(measure: MeasureId, pts) -> float:
             # is bitwise identical to the deterministic engine's basis value.
             return _seb2_ball_tuple([tuple(pts[i]) for i in ball.support])[2]
         return ball.radius
-    if d != 2:
+    if d != 2 and kind not in ("dwid", "diameter"):
         raise ValueError(f"{kind} is implemented for d=2 only")
-    if kind == "sebinf":
-        return max(_extent(pts[:, 0]), _extent(pts[:, 1])) / 2.0
-    if kind == "seb1":
-        s, t = _rot_coords(pts)
-        return max(_extent(s), _extent(t)) / 2.0
-    if kind == "aabb_perimeter":
-        return 2.0 * (_extent(pts[:, 0]) + _extent(pts[:, 1]))
-    if kind == "aabb_area":
-        return _extent(pts[:, 0]) * _extent(pts[:, 1])
-    raise AssertionError(kind)
+    return float(_frame_values(kind, _frame(measure, pts)))
 
 
 # --------------------------------------------------------------------------

@@ -85,6 +85,17 @@ class IndecisivePoint:
         cum[-1] = 1.0
         object.__setattr__(self, "_cum", _freeze(cum))
 
+    @classmethod
+    def _fresh(cls, locations: np.ndarray, like: "IndecisivePoint") -> "IndecisivePoint":
+        """A point at new (k, d) read-only float64 finite locations that
+        nothing else writes, with the already validated weights of ``like``:
+        skips the public constructor's validation and copies."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "locations", locations)
+        object.__setattr__(point, "weights", like.weights)
+        object.__setattr__(point, "_cum", like._cum)
+        return point
+
     @property
     def k(self) -> int:
         return len(self.weights)
@@ -352,29 +363,25 @@ def canonical_jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
     """
     if uset.jitter_applied:
         return uset
-    scale = coordinate_scale(uset.all_locations())
-    step = _JITTER_UNIT * scale
+    locs = uset.all_locations()
+    step = _JITTER_UNIT * coordinate_scale(locs)
     if uset.dimension == 2:
         direction = np.array(_JITTER_DIR)
     else:
         direction = np.array([_JITTER_DIR[0], _JITTER_DIR[1], math.sin(1.0)])
         direction /= np.linalg.norm(direction)
-    new_points = []
-    counter = 1
-    for p in uset.points:
-        locs = p.locations.copy()
-        for j in range(p.k):
-            locs[j] = locs[j] + (counter * step) * direction
-            counter += 1
-        new_points.append(IndecisivePoint(locs, p.weights))
-    jittered = IndecisivePointSet(tuple(new_points), uset.dimension, jitter_applied=True)
-    flat = jittered.all_locations()
+    # Candidate number c (from 1, in point order) moves by c * step.
+    flat = locs + (np.arange(1, len(locs) + 1)[:, None] * step) * direction
+    if not np.isfinite(flat).all():
+        raise ValidationError("jittered coordinates overflow; rescale the input")
     # Distinct multiples guarantee pairwise-distinct candidates unless the
     # raw input was adversarially aligned with the jitter direction.
-    uniq = {tuple(row) for row in flat}
-    if len(uniq) != len(flat):
+    if len(set(map(tuple, flat.tolist()))) != len(flat):
         raise ValidationError("jitter failed to separate coincident candidates")
-    return jittered
+    flat.setflags(write=False)
+    bounds = np.cumsum([p.k for p in uset.points])[:-1]
+    new_points = tuple(IndecisivePoint._fresh(a, p) for a, p in zip(np.split(flat, bounds), uset.points))
+    return IndecisivePointSet(new_points, uset.dimension, jitter_applied=True)
 
 
 # --------------------------------------------------------------------------

@@ -45,12 +45,15 @@ class Quantization1D:
         if self.kind not in ("exact", "sampled"):
             raise ValueError("kind must be 'exact' or 'sampled'")
         if self.kind == "exact":
-            w = tuple(Fraction(x) for x in self.weights)
+            w = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.weights)
             if len(w) != len(vals):
                 raise ValueError("one weight per value required")
-            if any(x <= 0 for x in w):
+            # Denominators are positive, so the sign is the numerator's.
+            if any(x.numerator <= 0 for x in w):
                 raise ValueError("weights must be positive")
-            if sum(w) != 1:
+            # The sum in integers over the common denominator.
+            denom = math.lcm(*(x.denominator for x in w))
+            if sum(x.numerator * (denom // x.denominator) for x in w) != denom:
                 raise ValueError("exact weights must sum to exactly 1")
             object.__setattr__(self, "weights", w)
         else:

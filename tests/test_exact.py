@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgeom import (
     IndecisivePoint,
@@ -19,6 +21,7 @@ from uqgeom import (
     enumerate_potential_bases,
     exact_distribution,
 )
+from uqgeom.geometry import coordinate_scale
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 
 from conftest import enumerate_supports, group_tolerance, random_indecisive
@@ -377,13 +380,17 @@ def _eager_records(uset, m):
     )
 
 
-def _lattice_indecisive(rng, n, k):
+def _unequal_k_indecisive(rng, ks, lattice):
     points = []
-    for _ in range(n):
-        locs = rng.integers(-3, 4, size=(k, 2)).astype(float)
+    for k in ks:
+        locs = rng.integers(-3, 4, size=(k, 2)).astype(float) if lattice else rng.uniform(-1, 1, (k, 2))
         cuts = [int(c) for c in rng.integers(1, 6, size=k)]
         points.append(IndecisivePoint(locs, tuple(Fraction(c, sum(cuts)) for c in cuts)))
     return IndecisivePointSet(tuple(points), 2)
+
+
+def _lattice_indecisive(rng, n, k):
+    return _unequal_k_indecisive(rng, (k,) * n, lattice=True)
 
 
 @pytest.mark.parametrize("kind", ["generic", "lattice"])
@@ -422,3 +429,246 @@ def test_total_probability_without_records():
         bf = brute_force_distribution(uset, m)
         assert bf.total_probability == 1
         assert sum((r.probability for r in bf.records), Fraction(0)) == 1
+
+
+# --------------------------------------------------------------------------
+# Brute-force oracle: array enumeration against the per-support loop
+
+
+def _loop_oracle(uset, m):
+    """Reference: the oracle's former loop, one support at a time in
+    itertools.product order, for every measure but seb2.  Returns the
+    value -> numerator map, the common denominator and the group tolerance."""
+    import itertools
+
+    from uqgeom.geometry import bbox_diameter
+    from uqgeom.measures import value_scale
+
+    jset = canonical_jitter(uset)
+    n = jset.n
+    kind = m.kind
+    pts_arrays = [p.locations for p in jset.points]
+    denoms = [math.lcm(*(w.denominator for w in p.weights)) for p in jset.points]
+    wints = [[int(w * d) for w in p.weights] for p, d in zip(jset.points, denoms)]
+    total_denom = math.prod(denoms)
+    group_tol = 1e-9 * value_scale(m, bbox_diameter(jset.all_locations()))
+    if kind == "dwid":
+        u = np.asarray(m.direction)
+        projs = [arr @ u for arr in pts_arrays]
+    agg = {}
+    buf = np.empty((n, 2))
+    for choice in itertools.product(*[range(p.k) for p in jset.points]):
+        num = 1
+        for i, j in enumerate(choice):
+            num *= wints[i][j]
+            buf[i] = pts_arrays[i][j]
+        if kind == "dwid":
+            t = [projs[i][j] for i, j in enumerate(choice)]
+            value = max(t) - min(t)
+        elif kind == "diameter":
+            if n == 1:
+                value = 0.0
+            else:
+                diff = buf[:, None, :] - buf[None, :, :]
+                value = float(np.sqrt((diff * diff).sum(axis=2)).max())
+        else:
+            ex = buf[:, 0].max() - buf[:, 0].min()
+            ey = buf[:, 1].max() - buf[:, 1].min()
+            if kind == "aabb_perimeter":
+                value = 2.0 * (ex + ey)
+            elif kind == "aabb_area":
+                value = ex * ey
+            elif kind == "sebinf":
+                value = max(ex, ey) / 2.0
+            else:  # seb1
+                s = buf[:, 0] + buf[:, 1]
+                t = buf[:, 1] - buf[:, 0]
+                value = max(s.max() - s.min(), t.max() - t.min()) / 2.0
+        value = float(value)
+        agg[value] = agg.get(value, 0) + num
+    return agg, total_denom, group_tol
+
+
+LOOP_MEASURES = [m for m in MEASURES if m.kind != "seb2"] + [MeasureId("diameter")]
+
+
+def _assert_matches_loop(uset, m):
+    import uqgeom.exact as exact_mod
+
+    agg, total_denom, group_tol = _loop_oracle(uset, m)
+    want = exact_mod._collapse(agg, total_denom, group_tol)
+    got = brute_force_distribution(uset, m)
+    assert [v.hex() for v in got.collapsed.values.tolist()] == [v.hex() for v in want.values.tolist()], m.kind
+    assert got.collapsed.weights == want.weights, m.kind
+    assert [(r.basis, r.value.hex(), r.probability) for r in got.records] == [
+        (None, v.hex(), Fraction(num, total_denom)) for v, num in sorted(agg.items())
+    ], m.kind
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["generic", "lattice"])
+def test_oracle_bits_match_support_loop(lattice):
+    rng = np.random.default_rng(41)
+    # n = 1, k = 1 everywhere, equal and unequal k.
+    for ks in ((1,), (4,), (1, 1, 1), (3, 3), (2, 3, 3), (1, 3, 2, 1), (3, 1, 2, 2, 3)):
+        uset = _unequal_k_indecisive(rng, ks, lattice)
+        for m in LOOP_MEASURES:
+            _assert_matches_loop(uset, m)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_oracle_chunk_boundaries_keep_bits(monkeypatch, rows):
+    import uqgeom.exact as exact_mod
+
+    chunk_rows = []
+    real_rows = exact_mod._candidate_rows
+
+    def recording_rows(ks, offsets, s, r):
+        for idx in real_rows(ks, offsets, s, r):
+            chunk_rows.append(idx.shape)
+            yield idx
+
+    rng = np.random.default_rng(43)
+    usets = [_unequal_k_indecisive(rng, (3, 2, 3, 2), lattice) for lattice in (False, True)]
+    seb2 = MeasureId("seb2")
+    default_seb2 = [brute_force_distribution(uset, seb2) for uset in usets]
+    monkeypatch.setattr(exact_mod, "_CHUNK_CELLS", 0)
+    monkeypatch.setattr(exact_mod, "_MIN_CHUNK_ROWS", rows)
+    monkeypatch.setattr(exact_mod, "_candidate_rows", recording_rows)
+    for uset, want in zip(usets, default_seb2):
+        for m in LOOP_MEASURES:
+            chunk_rows.clear()
+            _assert_matches_loop(uset, m)
+            # The 36 supports span several chunks, the last one partial.
+            assert len(chunk_rows) == -(-36 // rows) and chunk_rows[-1][0] == 36 - rows * (len(chunk_rows) - 1)
+        # seb2's pair and triple tables are cut into chunks as well.
+        chunk_rows.clear()
+        got = brute_force_distribution(uset, seb2)
+        assert {s for _, s in chunk_rows} == {2, 3, 4} and len(chunk_rows) > 3
+        assert [r.value.hex() for r in got.records] == [r.value.hex() for r in want.records]
+        assert [r.probability for r in got.records] == [r.probability for r in want.records]
+
+
+def test_oracle_huge_denominator_object_path_keeps_bits():
+    tiny = Fraction(1, 3 * 2**62)
+    uset = random_indecisive(np.random.default_rng(5), 3, 3)
+    points = list(uset.points)
+    points[1] = IndecisivePoint(points[1].locations, (tiny, Fraction(1, 3), Fraction(2, 3) - tiny))
+    uset = IndecisivePointSet(tuple(points), 2)
+    for m in LOOP_MEASURES:
+        _assert_matches_loop(uset, m)
+
+
+def test_oracle_checks_cap_and_dimension_before_allocating(monkeypatch):
+    import uqgeom.exact as exact_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated before the checks")
+
+    monkeypatch.setattr(exact_mod, "canonical_jitter", fail)
+    monkeypatch.setattr(exact_mod, "_candidate_rows", fail)
+    # 2**64 supports: any allocation proportional to them would not fit.
+    u = (Fraction(1, 2), Fraction(1, 2))
+    huge = IndecisivePointSet(tuple(IndecisivePoint([(i, 0.0), (i, 1.0)], u) for i in range(64)), 2)
+    for m in (MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("diameter")):
+        with pytest.raises(ResourceCapError, match="rerun with a cap of at least 18446744073709551616"):
+            brute_force_distribution(huge, m)
+    flat3 = IndecisivePointSet((IndecisivePoint([(0.0, 0.0, 1.0)], (Fraction(1),)),), 3)
+    with pytest.raises(ValidationError, match="d=2"):
+        brute_force_distribution(flat3, MeasureId("diameter"))
+
+
+# --------------------------------------------------------------------------
+# seb2 oracle against an exact referee
+
+
+def _seb2_referee_sq(pts) -> Fraction:
+    """Exact squared radius of the smallest enclosing disk of integer
+    points: the largest over pairs (half the distance) and strictly acute
+    triples (the circumcircle); any other triple's disk is a pair's."""
+    from itertools import combinations
+
+    pts = [tuple(Fraction(int(c)) for c in p) for p in pts]
+    best = Fraction(0)
+
+    def sq(a, b):
+        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+    for a, b in combinations(pts, 2):
+        best = max(best, sq(a, b) / 4)
+    for a, b, c in combinations(pts, 3):
+        dots = [
+            (q[0] - v[0]) * (r[0] - v[0]) + (q[1] - v[1]) * (r[1] - v[1])
+            for v, q, r in ((a, b, c), (b, a, c), (c, a, b))
+        ]
+        if all(d > 0 for d in dots):
+            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            best = max(best, sq(a, b) * sq(b, c) * sq(c, a) / (4 * cross * cross))
+    return best
+
+
+def _referee_distribution(uset):
+    """seb2 distribution over the unjittered supports by the referee."""
+    from uqgeom import ExactDistribution, Quantization1D
+
+    mass = {}
+    for locs, prob in enumerate_supports(uset):
+        r2 = _seb2_referee_sq(locs)
+        mass[r2] = mass.get(r2, 0) + prob
+    items = sorted(mass.items())
+    values = np.array([math.sqrt(r2) for r2, _ in items])
+    collapsed = Quantization1D(values, tuple(p for _, p in items), "exact")
+    return ExactDistribution(lambda: (), collapsed, MeasureId("seb2"))
+
+
+def _lattice_set(coords, weights):
+    points = [
+        IndecisivePoint(np.array(locs, dtype=float), tuple(Fraction(c, sum(cuts)) for c in cuts))
+        for locs, cuts in zip(coords, weights)
+    ]
+    return IndecisivePointSet(tuple(points), 2)
+
+
+def test_seb2_cocircular_support_engine_oracle_referee_agree():
+    # Four cocircular lattice points; the disk has radius sqrt(10)/2 and
+    # (3, -2) lies on it, not outside a radius-sqrt(2) pair disk.
+    pts = [(2, -3), (0, -1), (3, -2), (0, -2)]
+    uset = _lattice_set([[p] for p in pts], [[1]] * 4)
+    m = MeasureId("seb2")
+    ex = exact_distribution(uset, m)
+    bf = brute_force_distribution(uset, m)
+    assert _seb2_referee_sq(pts) == Fraction(10, 4)
+    assert abs(bf.collapsed.values[0] - math.sqrt(10) / 2) < 1e-9
+    tol = group_tolerance(uset, m)
+    assert distributions_match(ex, bf, tol)
+    assert distributions_match(bf, _referee_distribution(uset), tol)
+
+
+# Candidate pools: a lattice, a line, the 12 lattice points of the circle
+# x^2 + y^2 = 25 plus its centre, and three points that candidates repeat.
+_POOLS = {
+    "lattice": [(x, y) for x in range(-3, 4) for y in range(-3, 4)],
+    "collinear": [(t, 2 * t - 1) for t in range(-3, 4)],
+    "cocircular": [(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (-3, 4), (3, -4), (-3, -4),
+                   (4, 3), (-4, 3), (4, -3), (-4, -3), (0, 0)],
+    "coincident": [(1, 1), (-2, 0), (1, -2)],
+}
+
+
+@st.composite
+def _degenerate_sets(draw):
+    pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+    n = draw(st.integers(1, 5))
+    ks = [draw(st.integers(1, 3)) for _ in range(n)]
+    coords = [[draw(st.sampled_from(pool)) for _ in range(k)] for k in ks]
+    weights = [[draw(st.integers(1, 5)) for _ in range(k)] for k in ks]
+    return _lattice_set(coords, weights)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_degenerate_sets())
+def test_seb2_oracle_matches_exact_referee(uset):
+    bf = brute_force_distribution(uset, MeasureId("seb2"))
+    ref = _referee_distribution(uset)
+    assert bf.total_probability == 1
+    # The coordinate scale, not the diameter: all candidates may coincide.
+    assert distributions_match(bf, ref, 1e-9 * coordinate_scale(uset.all_locations()))

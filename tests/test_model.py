@@ -202,6 +202,58 @@ def test_jitter_separates_coincident_candidates():
     assert canonical_jitter(jit) is jit
 
 
+
+def _loop_jitter_locations(uset):
+    """Reference: the jitter's former loop, one candidate at a time."""
+    from uqgeom.geometry import coordinate_scale
+    from uqgeom.model import _JITTER_DIR, _JITTER_UNIT
+
+    step = _JITTER_UNIT * coordinate_scale(uset.all_locations())
+    if uset.dimension == 2:
+        direction = np.array(_JITTER_DIR)
+    else:
+        direction = np.array([_JITTER_DIR[0], _JITTER_DIR[1], math.sin(1.0)])
+        direction /= np.linalg.norm(direction)
+    out = []
+    counter = 1
+    for p in uset.points:
+        locs = p.locations.copy()
+        for j in range(p.k):
+            locs[j] = locs[j] + (counter * step) * direction
+            counter += 1
+        out.append(locs)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["lattice", "generic", "3d"])
+def test_jitter_matches_candidate_loop(kind):
+    rng = np.random.default_rng(61)
+    d = 3 if kind == "3d" else 2
+    for ks in ((1,), (1, 1, 1), (3, 3, 3), (2, 1, 4), (5, 2)):
+        points = []
+        for k in ks:
+            if kind == "lattice":
+                locs = rng.integers(-3, 4, size=(k, d)).astype(float)
+            else:
+                locs = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 4)
+            cuts = [int(c) for c in rng.integers(1, 6, size=k)]
+            points.append(IndecisivePoint(locs, tuple(Fraction(c, sum(cuts)) for c in cuts)))
+        uset = IndecisivePointSet(tuple(points), d)
+        jit = canonical_jitter(uset)
+        assert jit.jitter_applied and jit.dimension == d
+        for got, want, p in zip(jit.points, _loop_jitter_locations(uset), uset.points):
+            assert got.locations.tobytes() == want.tobytes()
+            assert got.locations.shape == want.shape and not got.locations.flags.writeable
+            assert got.weights == p.weights and np.array_equal(got._cum, p._cum)
+        assert canonical_jitter(jit) is jit
+
+
+def test_jitter_rejects_overflowing_coordinates():
+    u = (Fraction(1, 2), Fraction(1, 2))
+    uset = IndecisivePointSet((IndecisivePoint([[1e308, 0.0], [-1e308, 1.0]], u),), 2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        canonical_jitter(uset)
+
 def test_gaussian_sampling_moments():
     cov = np.array([[0.5, 0.2], [0.2, 0.8]])
     g = GaussianPoint((1.0, -2.0), cov)

@@ -138,6 +138,34 @@ def test_quantization_validation():
         Quantization1D(np.array([1.0]), (Fraction(1, 2),), "exact")  # sum != 1
 
 
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((Fraction(1, 3), Fraction(2, 3), Fraction(0)), "one weight per value"),
+        ((Fraction(1, 2),), "one weight per value"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "positive"),
+        ((Fraction(0), Fraction(1)), "positive"),
+        ((Fraction(1, 3), Fraction(1, 3)), "sum to exactly 1"),
+        ((Fraction(1, 2**70), Fraction(2**70, 2**70 + 1)), "sum to exactly 1"),
+        ((0.5, 0.5000001), "sum to exactly 1"),
+    ],
+)
+def test_exact_weight_validation(weights, message):
+    with pytest.raises(ValueError, match=message):
+        Quantization1D(np.array([1.0, 2.0]), weights, "exact")
+
+
+def test_exact_weights_accept_mixed_types_and_keep_fractions():
+    fr = Fraction(1, 6)
+    q = Quantization1D(np.array([1.0, 2.0, 3.0]), (fr, 0.5, Fraction(1, 3)), "exact")
+    assert q.weights == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+    assert q.weights[0] is fr
+    assert all(type(w) is Fraction for w in q.weights)
+    huge = Fraction(1, 3 * 2**80)
+    q = Quantization1D(np.array([1.0, 2.0]), (huge, 1 - huge), "exact")
+    assert sum(q.weights) == 1
+
 def test_csv_cumulative_is_rounded_running_fraction():
     rng = np.random.default_rng(2)
     dens = [3, 7, 9, 11, 13, 2**61 - 1, 10**20 + 39]
