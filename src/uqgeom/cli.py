@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
+Exit codes: 0 success, 2 validation error (including an input, table or
+output file that cannot be read or written), 3 resource cap exceeded,
 4 exact probabilities failed to sum to 1 (an unresolved degeneracy).
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -35,8 +37,10 @@ def _budget(args) -> montecarlo.SampleBudget:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    w, h = text.split(",")
-    return int(w), int(h)
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValidationError("grid must be W,H")
+    return int(parts[0]), int(parts[1])
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
@@ -159,9 +163,10 @@ def _cmd_experiment(args) -> int:
 def _cmd_fit(args) -> int:
     tables: dict[int, np.ndarray] = {}
     for path in args.tables:
-        name = Path(path).stem  # deviation_<measure>_m<m>
-        m = int(name.rsplit("_m", 1)[1])
-        tables[m] = harness.read_deviation_csv(path)
+        match = re.search(r"_m(\d+)$", Path(path).stem)  # deviation_<measure>_m<m>
+        if match is None:
+            raise ValidationError(f"{path}: a deviation table's name must end in _m<m>")
+        tables[int(match.group(1))] = harness.read_deviation_csv(path)
     fit = harness.fit_sample_constant(tables, nu=args.nu)
     if fit.degenerate:
         print(f"degenerate fit: {fit.note}")
@@ -268,7 +273,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, NotLPTypeError, ValueError) as exc:
+    except (ValidationError, NotLPTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except exact_mod.ResourceCapError as exc:

@@ -168,11 +168,14 @@ def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
     if kind == "diameter":
         diff = f[..., :, None, :] - f[..., None, :, :]
         sq = diff * diff
-        # Two squares added by hand: the bits of sum(), without the cost of
-        # a reduction over a length-2 axis.
-        sq = sq[..., 0] + sq[..., 1] if sq.shape[-1] == 2 else sq.sum(axis=-1)
+        # Squares added by hand, left to right: the bits of sum(), which
+        # adds fewer than eight terms in order, without the cost of a
+        # reduction over a length-2 or 3 axis.
+        total = sq[..., 0]
+        for i in range(1, sq.shape[-1]):
+            total = total + sq[..., i]
         # sqrt rounds monotonically, so it commutes with the max.
-        return np.sqrt(sq.reshape(sq.shape[:-2] + (-1,)).max(axis=-1))
+        return np.sqrt(total.max(axis=(-2, -1)))
     ext = f.max(axis=-2) - f.min(axis=-2)
     if kind in ("sebinf", "seb1"):
         return ext.max(axis=-1) / 2.0
@@ -286,23 +289,45 @@ def _seb2_ball_of_members(locs: np.ndarray) -> Ball:
     return Ball(np.array(sol[:d]), sol[d], sol[d + 1])
 
 
-def evaluate(measure: MeasureId, pts) -> float:
-    """Exact measure value of a fixed point set."""
-    pts = as_points(pts)
-    d = pts.shape[1]
+def _seb2_value(pts: np.ndarray) -> float:
+    ball = welzl_ball(pts)
+    if pts.shape[1] == 2 and 1 <= len(ball.support) <= 3:
+        # Recompute from the defining set in canonical order so the value
+        # is bitwise identical to the deterministic engine's basis value.
+        return _seb2_ball_tuple([tuple(pts[i]) for i in ball.support])[2]
+    return ball.radius
+
+
+def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
+    """Exact measure value of a fixed point set (n, d), as a float, or of
+    each set in a stack (..., n, d), as an array of shape (...).  A set's
+    value has the same bits either way.
+
+    seb2 solves one miniball per set.  dwid projects each set with its own
+    ``pts @ u``, since a matmul over the whole stack may round a row
+    differently."""
+    arr = np.asarray(pts, dtype=np.float64)
+    if arr.ndim <= 2:
+        arr = as_points(arr)
+    elif arr.shape[-1] not in (2, 3):
+        raise ValueError(f"expected a (..., m, d) stack with d in {{2, 3}}, got shape {arr.shape}")
+    elif not np.all(np.isfinite(arr)):
+        raise ValueError("coordinates must be finite")
+    d = arr.shape[-1]
     kind = measure.kind
     if kind == "dwid" and len(measure.direction) != d:
         raise ValueError(f"dwid direction has dimension {len(measure.direction)}, points have {d}")
-    if kind == "seb2":
-        ball = welzl_ball(pts)
-        if d == 2 and 1 <= len(ball.support) <= 3:
-            # Recompute from the defining set in canonical order so the value
-            # is bitwise identical to the deterministic engine's basis value.
-            return _seb2_ball_tuple([tuple(pts[i]) for i in ball.support])[2]
-        return ball.radius
-    if d != 2 and kind not in ("dwid", "diameter"):
+    if kind not in ("seb2", "dwid", "diameter") and d != 2:
         raise ValueError(f"{kind} is implemented for d=2 only")
-    return float(_frame_values(kind, _frame(measure, pts)))
+    sets = arr.reshape((-1,) + arr.shape[-2:])
+    if kind == "seb2":
+        values = np.array([_seb2_value(p) for p in sets], dtype=np.float64)
+    elif kind == "dwid":
+        frame = np.array([_frame(measure, p) for p in sets]).reshape(sets.shape[:-1])
+        values = _frame_values(kind, frame)
+    else:
+        values = _frame_values(kind, _frame(measure, sets))
+    return float(values[0]) if arr.ndim == 2 else values.reshape(arr.shape[:-2])
 
 
 # --------------------------------------------------------------------------

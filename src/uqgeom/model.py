@@ -10,7 +10,9 @@ Two input models are supported:
 All types are immutable after construction and safe to share across
 threads.  Sampling takes an explicit numpy ``Generator`` so callers control
 reproducibility; see :func:`uqgeom.montecarlo.trial_rng` for the
-counter-based stream derivation used by the randomized engines.
+counter-based stream derivation used by the randomized engines, which
+derive the seeds of a chunk of trials at once but hand
+:func:`sample_support` the same stream per trial.
 """
 
 from __future__ import annotations

@@ -9,11 +9,17 @@ samples the result is an eps-accurate answer with probability at least
 
 Per-trial random streams are derived from the master seed by a counter-based
 split, so trials can be evaluated in any order (or concurrently) with
-bit-identical results.
+bit-identical results.  Trial t's stream is ``trial_rng(seed, *tag, t)``;
+the engines derive the seeds of a whole chunk of trials at once, with
+numpy's ``SeedSequence`` hash written as array operations, and draw from
+the same streams bit for bit.  Measures are evaluated once per chunk of
+supports, on a stack of point sets.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -48,6 +54,119 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
+# default pool of four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Trials whose seeds are hashed together.
+_STREAM_CHUNK = 1024
+# Supports evaluated together: about _CHUNK_CELLS cells (64 KB of float64)
+# in the largest per-support temporary.  Larger chunks ran no faster and
+# raised the peak RSS.
+_CHUNK_CELLS = 8192
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative integer as little-endian 32-bit words, at least one:
+    how ``SeedSequence`` turns an integer into entropy."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32 column of init * mult**i mod 2**32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    # The running hash constant steps by its multiplier between the xor
+    # and the product; ``before`` and ``after`` are its two values.
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of many sequences at
+    once: column j of ``entropy``, (words, rows) uint32 with at least four
+    words, is the assembled entropy of sequence j.  Returns (rows, 4)
+    uint64.  Every step is numpy's own, in its order; a step that numpy
+    applies to each pool word in turn with a fresh hash constant is one
+    array operation over the pool words here."""
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], a[0:4], a[1:5])
+    j = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j : j + 3], a[j + 1 : j + 4]))
+        j += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, a[j : j + 4], a[j + 1 : j + 5]))
+        j += 4
+    b = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], b[:8], b[1:])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _stream_states(seed: int, tag: tuple[int, ...], start: int, stop: int):
+    """Yield, in chunks of at most ``_STREAM_CHUNK`` trials, the (rows, 4)
+    states ``SeedSequence(entropy=seed, spawn_key=(*tag, t))
+    .generate_state(4, np.uint64)`` of trials t = start, ..., stop - 1."""
+    # One real SeedSequence, so that invalid seeds and tags raise as
+    # trial_rng's would.
+    np.random.SeedSequence(entropy=seed, spawn_key=tag)
+    # With a spawn key the seed words are padded to the pool size.
+    prefix = _words(seed)
+    prefix += [0] * (4 - len(prefix))
+    for key in tag:
+        prefix += _words(key)
+    while start < stop:
+        # A chunk holds counters of one word count.
+        width = len(_words(start))
+        end = min(stop, start + _STREAM_CHUNK, 1 << (32 * width))
+        t = np.arange(start, end, dtype=np.uint64)
+        entropy = np.empty((len(prefix) + width, end - start), dtype=np.uint32)
+        entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+        for i in range(width):
+            entropy[len(prefix) + i] = (t >> np.uint64(32 * i)) & np.uint64(_MASK32)
+        yield _seed_states(entropy)
+        start = end
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """An ``ISeedSequence`` that hands one precomputed state to a bit
+    generator.  It has no ``spawn``, so a generator built on it must not be
+    offered to code that spawns child streams.  Defined on first use:
+    importing ``numpy.random`` along with uqgeom raised the peak RSS of
+    benchmark runs by 0.2-0.65 MB, even of runs that never sample."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        __slots__ = ("_state",)
+
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._state
+
+    return SeedState
+
+
 def _sampled_supports(
     uset: IndecisivePointSet | ContinuousUncertainSet,
     seed: int,
@@ -55,10 +174,22 @@ def _sampled_supports(
     tag: tuple[int, ...] = (),
 ):
     """Locations of ``count`` sampled supports; support t is drawn from
-    ``trial_rng(seed, *tag, t)``, so it does not depend on the order in
-    which trials are consumed."""
-    for t in range(count):
-        yield sample_support(uset, trial_rng(seed, *tag, t)).locations
+    the stream of ``trial_rng(seed, *tag, t)``, so it does not depend on
+    the order in which trials are consumed."""
+    seed_state = _seed_state_type()
+    for states in _stream_states(seed, tag, 0, count):
+        for state in states:
+            rng = np.random.Generator(np.random.PCG64(seed_state(state)))
+            yield sample_support(uset, rng).locations
+
+
+def _chunk_rows(uset: IndecisivePointSet | ContinuousUncertainSet, measures) -> int:
+    """Supports per evaluation chunk.  The largest per-support temporary
+    is diameter's n x n x d difference tensor, or else the n x d points."""
+    cells = uset.n * uset.dimension
+    if any(m.kind == "diameter" for m in measures):
+        cells *= uset.n
+    return max(1, _CHUNK_CELLS // cells)
 
 
 def sampled_values(
@@ -69,11 +200,15 @@ def sampled_values(
     tag: tuple[int, ...] = (),
 ) -> np.ndarray:
     """(count, len(measures)) array of measure values over ``count`` sampled
-    supports; support t is drawn from ``trial_rng(seed, *tag, t)``."""
+    supports; support t is drawn from ``trial_rng(seed, *tag, t)``.  Each
+    measure is evaluated once per chunk of supports."""
     values = np.empty((count, len(measures)))
-    for t, locations in enumerate(_sampled_supports(uset, seed, count, tag)):
+    rows = _chunk_rows(uset, measures)
+    supports = _sampled_supports(uset, seed, count, tag)
+    for start in range(0, count, rows):
+        stack = np.stack(list(itertools.islice(supports, rows)))
         for c, measure in enumerate(measures):
-            values[t, c] = evaluate(measure, locations)
+            values[start : start + len(stack), c] = evaluate(measure, stack)
     return values
 
 

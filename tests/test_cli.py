@@ -168,6 +168,41 @@ def test_experiment_and_fit_round_trip(tmp_path):
     assert (tmp_path / "fit.csv").exists()
 
 
+def test_fit_table_name_without_m_exit_code(tmp_path, capsys):
+    table = tmp_path / "foo.csv"
+    table.write_text("value,weight\n0.1,0.5\n0.2,0.5\n")
+    rc = main(["fit", "--tables", str(table)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "foo.csv" in err and "_m<m>" in err
+
+
+@pytest.mark.parametrize("case", ["missing input", "input is a directory", "missing table",
+                                  "unwritable out"])
+def test_unreadable_or_unwritable_file_exit_code(case, indecisive_file, tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    if case == "missing table":
+        argv = ["fit", "--tables", str(tmp_path / "deviation_seb2_m8.csv")]
+    else:
+        src = {"missing input": tmp_path / "none.json", "input is a directory": tmp_path,
+               "unwritable out": indecisive_file}[case]
+        if case == "unwritable out":
+            out = tmp_path / "no-such-dir" / "q.csv"
+        argv = ["quantize", "--input", str(src), "--measure", "seb2", "--eps", "0.2",
+                "--delta", "0.1", "--m", "5", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["10", "10,10,10", ""])
+def test_malformed_grid_exit_code(grid, indecisive_file, tmp_path, capsys):
+    rc = main(["sip-exact", "--input", str(indecisive_file), "--measure", "seb2",
+               "--grid", grid, "--bounds=-1,-1,3,3", "--out", str(tmp_path / "f.pgm")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: grid must be W,H\n"
+
+
 def test_conservation_error_exit_code(indecisive_file, tmp_path, monkeypatch, capsys):
     import uqgeom.exact as exact_mod
 

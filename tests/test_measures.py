@@ -68,6 +68,58 @@ def test_evaluate_seb1_sebinf():
     assert abs(evaluate(MeasureId("seb1"), [[0, 0], [1, 1]]) - 1.0) < 1e-12
 
 
+_PLANAR = [MeasureId(k) for k in ("seb2", "seb1", "sebinf", "aabb_perimeter", "aabb_area",
+                                  "diameter")] + [MeasureId("dwid", (0.6, 0.8))]
+_SPATIAL = [MeasureId("seb2"), MeasureId("diameter"),
+            MeasureId("dwid", (0.96592582628906831, 0.0, 0.25881904510252074))]
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.asarray(values, dtype=np.float64).reshape(-1)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 20])
+def test_stacked_evaluate_equals_per_set(d, n):
+    rng = np.random.default_rng(50 + 10 * d + n)
+    stacks = [
+        rng.normal(size=(37, n, d)) * 10.0 ** rng.integers(-3, 4, size=(37, 1, 1)),
+        rng.integers(-2, 3, size=(37, n, d)).astype(np.float64),  # ties and repeats
+        rng.normal(size=(37, n, d)) * 1e-9 + 1e6,
+    ]
+    for stack in stacks:
+        for measure in _PLANAR if d == 2 else _SPATIAL:
+            got = evaluate(measure, stack)
+            assert isinstance(got, np.ndarray) and got.shape == (37,)
+            want = [evaluate(measure, pts) for pts in stack]
+            assert all(type(v) is float for v in want)
+            assert _bits(got) == _bits(want), measure.kind
+            # Any leading shape, and a stack of one.
+            assert _bits(evaluate(measure, stack[:36].reshape(4, 9, n, d))) == _bits(want[:36])
+            assert _bits(evaluate(measure, stack[:1])) == _bits(want[:1])
+            assert evaluate(measure, stack[:0]).shape == (0,)
+
+
+def test_stacked_evaluate_dimension_errors():
+    stack3 = np.random.default_rng(60).normal(size=(5, 4, 3))
+    for kind in ("seb1", "sebinf", "aabb_perimeter", "aabb_area"):
+        with pytest.raises(ValueError, match="d=2 only"):
+            evaluate(MeasureId(kind), stack3[0])
+        with pytest.raises(ValueError, match="d=2 only"):
+            evaluate(MeasureId(kind), stack3)
+    for measure, pts in ((MeasureId("dwid", (1, 0)), stack3), (MeasureId("dwid", (1, 0, 0)), stack3[..., :2])):
+        with pytest.raises(ValueError, match="dwid direction has dimension"):
+            evaluate(measure, pts[0])
+        with pytest.raises(ValueError, match="dwid direction has dimension"):
+            evaluate(measure, pts)
+    with pytest.raises(ValueError, match="d in"):
+        evaluate(MeasureId("seb2"), np.zeros((5, 4, 4)))
+    bad = stack3.copy()
+    bad[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(MeasureId("diameter"), bad)
+
+
 def test_seb2_in_3d():
     pts = np.array([[0, 0, 0], [2, 0, 0], [1, 1, 0], [1, 0, 0.5]])
     assert abs(evaluate(MeasureId("seb2"), pts) - 1.0) < 1e-12

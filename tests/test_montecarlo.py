@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from uqgeom import (
     query_eda_kernel,
     verify_alpha_kernel,
 )
-from uqgeom.montecarlo import directional_width, verification_net
+import uqgeom.montecarlo as mc
+from uqgeom.geometry import welzl_ball
+from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
+from uqgeom.measures import evaluate
+from uqgeom.model import sample_support
+from uqgeom.montecarlo import directional_width, sampled_values, trial_rng, verification_net
+from uqgeom.sip import DiskShape, RectShape
 
 from conftest import kvariate_oracle, random_indecisive
 
@@ -283,3 +290,118 @@ def test_dkw_style_bound_small(rng):
             good += 1
     slack = 3.0 * math.sqrt(delta * (1 - delta) / trials)
     assert good / trials >= 1 - delta - slack
+
+
+# ---------------------------------------------------------------------------
+# bulk per-trial streams and chunked evaluation
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
+TAGS = ((), (0,), (7, 3), (2**32 + 1,))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tag", TAGS)
+def test_stream_states_equal_seed_sequence(monkeypatch, seed, tag):
+    monkeypatch.setattr(mc, "_STREAM_CHUNK", 7)
+    # Chunk boundaries, counters above 2**16, and the step from one to two
+    # 32-bit counter words.
+    for start, stop in ((0, 23), (2**16 - 5, 2**16 + 9), (2**32 - 4, 2**32 + 3)):
+        chunks = list(mc._stream_states(seed, tag, start, stop))
+        assert all(len(c) <= 7 for c in chunks)
+        got = np.concatenate(chunks)
+        want = np.array([
+            np.random.SeedSequence(entropy=seed, spawn_key=(*tag, t)).generate_state(4, np.uint64)
+            for t in range(start, stop)
+        ])
+        assert got.dtype == np.uint64 and np.array_equal(got, want), (start, stop)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tag", TAGS)
+def test_sampled_support_streams_equal_trial_rng(monkeypatch, seed, tag):
+    """Each trial's generator starts in trial_rng's state and draws what it
+    draws."""
+    monkeypatch.setattr(mc, "_STREAM_CHUNK", 7)
+    seen = []
+
+    def recording_sample_support(uset, rng):
+        t = len(seen)
+        ref = trial_rng(seed, *tag, t)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+        seen.append(t)
+        return SimpleNamespace(locations=np.zeros((2, 2)))
+
+    monkeypatch.setattr(mc, "sample_support", recording_sample_support)
+    assert len(list(mc._sampled_supports(None, seed, 16, tag))) == 16
+    assert seen == list(range(16))
+
+
+def test_negative_seed_raises_as_trial_rng(rng):
+    uset = random_indecisive(rng, 3, 2)
+    with pytest.raises(ValueError) as want:
+        trial_rng(-1, 0)
+    for call in (
+        lambda: sampled_values(uset, [MeasureId("seb2")], -1, 5),
+        lambda: build_random_sip(uset, MeasureId("seb2"), SampleBudget(0.2, 0.2, explicit_m=5), -1),
+        lambda: sampled_values(uset, [MeasureId("seb2")], 3, 5, (-2,)),
+    ):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+def _per_trial_values(uset, measures, seed, count, tag=()):
+    """The randomized engine as one trial at a time: the reference."""
+    out = np.empty((count, len(measures)))
+    for t in range(count):
+        locations = sample_support(uset, trial_rng(seed, *tag, t)).locations
+        for c, measure in enumerate(measures):
+            out[t, c] = evaluate(measure, locations)
+    return out
+
+
+def _sampled_sets():
+    planar = [MeasureId(k) for k in ("seb2", "seb1", "sebinf", "aabb_perimeter", "aabb_area",
+                                     "diameter")] + [MeasureId("dwid", (0.6, 0.8))]
+    spatial = [MeasureId("seb2"), MeasureId("diameter"), MeasureId("dwid", (0.9, 0.0, 0.3))]
+    return (
+        (random_indecisive(np.random.default_rng(31), 9, 3, span=5.0), planar),
+        (_gaussian_set(np.random.default_rng(32), n=7), planar),
+        (cylinder_uncertain_set(CylinderConfig(n=8, sigma=0.5), 33), spatial),
+    )
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_sampled_values_equal_per_trial_loop(monkeypatch, rows):
+    if rows is not None:
+        monkeypatch.setattr(mc, "_chunk_rows", lambda uset, measures: rows)
+        monkeypatch.setattr(mc, "_STREAM_CHUNK", 5)
+    for uset, measures in _sampled_sets():
+        for seed, tag, count in ((7, (), 30), (2**64 + 5, (4, 2), 23), (0, (2**32 + 1,), 1)):
+            got = sampled_values(uset, measures, seed, count, tag)
+            want = _per_trial_values(uset, measures, seed, count, tag)
+            assert got.tobytes() == want.tobytes(), (uset.dimension, seed, tag)
+            for c, measure in enumerate(measures):
+                one = sampled_values(uset, [measure], seed, count, tag)[:, 0]
+                assert one.tobytes() == want[:, c].tobytes(), measure.kind
+    assert sampled_values(uset, measures, 1, 0).shape == (0, len(measures))
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter"])
+def test_random_sip_equals_per_trial_loop(monkeypatch, measure):
+    monkeypatch.setattr(mc, "_STREAM_CHUNK", 6)
+    uset = random_indecisive(np.random.default_rng(34), 6, 3)
+    field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=20), seed=8)
+    want = []
+    for t in range(20):
+        pts = sample_support(uset, trial_rng(8, t)).locations
+        if measure == "seb2":
+            ball = welzl_ball(pts)
+            shape = DiskShape(float(ball.center[0]), float(ball.center[1]), float(ball.radius))
+        else:
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            shape = RectShape(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+        want.append((shape, 1.0 / 20))
+    assert field.shapes == tuple(want)
