@@ -8,6 +8,7 @@ output file that cannot be read or written), 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -268,10 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, NotLPTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,8 +53,8 @@ from .measures import (
     value_scale,
 )
 from .model import IndecisivePointSet, ValidationError, canonical_jitter
-from .quantize import Quantization1D
-from .sip import DiskShape, RectShape, SipField
+from .quantize import Quantization1D, eval_cdf
+from .sip import DISK, RECT, SipField
 
 __all__ = [
     "BasisRecord",
@@ -118,17 +118,22 @@ class ExactDistribution:
 
     @property
     def total_probability(self) -> Fraction:
-        return sum(self.collapsed.weights, Fraction(0))
+        return Fraction(sum(self.collapsed.numerators.tolist()), self.collapsed.denominator)
 
     def cdf(self, r: float) -> Fraction:
-        idx = int(np.searchsorted(self.collapsed.values, r, side="right"))
-        if idx == 0:
-            return Fraction(0)
-        return sum(self.collapsed.weights[:idx], Fraction(0))
+        return eval_cdf(self.collapsed, r)
 
 
 # --------------------------------------------------------------------------
 # Preparation
+
+
+def _require_indecisive(uset) -> None:
+    if not isinstance(uset, IndecisivePointSet):
+        raise ValidationError(
+            "the exact engines need an indecisive point set; discretize a continuous "
+            "set first (`uqgeom discretize`, or discretize_for_measure)"
+        )
 
 
 def _integer_weights(uset: IndecisivePointSet) -> tuple[list[list[int]], list[int]]:
@@ -173,6 +178,7 @@ class _Prepared:
     )
 
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
+        _require_indecisive(uset)
         if uset.dimension != 2:
             raise ValidationError("the deterministic engine supports d=2 only")
         uset = canonical_jitter(uset)
@@ -394,17 +400,23 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
     """Integer probability numerators (over prep.total_denom) of validated
     bases: members contribute their own weight, every other point the summed
     weight of its candidates strictly inside the basis's shape.  Returns the
-    mask of the rows with nonzero probability and their numerators."""
+    mask of the rows with nonzero probability and their numerators, int64
+    while prep.total_denom fits (a point's mass is at most its denominator,
+    so a numerator is at most prep.total_denom), Python ints otherwise."""
     inside = _strict_inside(prep, shapes)
     masses = np.add.reduceat(np.where(inside, prep.w, 0), prep.offsets, axis=1)
     masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
     nonzero = (masses > 0).all(axis=1)
-    return nonzero, [math.prod(row) for row in masses[nonzero].tolist()]
+    masses = masses[nonzero]
+    if prep.total_denom >= 2**63:
+        masses = masses.astype(object)
+    return nonzero, masses.prod(axis=1)
 
 
 def _counted_bases(prep: _Prepared):
-    """Yield (global candidate indices, value, shape, numerator) of every
-    basis with nonzero probability, in the order of :func:`_index_chunks`.
+    """Yield, chunk by chunk in the order of :func:`_index_chunks`, the
+    bases with nonzero probability as arrays: (global candidate indices,
+    values, shapes, numerators over prep.total_denom).
 
     Raises ConservationError once exhausted unless the numerators sum to
     exactly prep.total_denom.
@@ -413,10 +425,8 @@ def _counted_bases(prep: _Prepared):
     for idx in _index_chunks(prep):
         idx, values, shapes = _validate(prep, idx)
         nonzero, nums = _numerators(prep, idx, shapes)
-        rows = zip(idx[nonzero].tolist(), values[nonzero].tolist(), shapes[nonzero].tolist(), nums)
-        for row, value, shape, num in rows:
-            total += num
-            yield row, value, shape, num
+        total += sum(nums.tolist())
+        yield idx[nonzero], values[nonzero], shapes[nonzero], nums
     if total != prep.total_denom:
         raise ConservationError(
             f"basis probabilities sum to {Fraction(total, prep.total_denom)} != 1; "
@@ -465,25 +475,26 @@ def basis_support_probability(uset: IndecisivePointSet, measure: MeasureId, basi
     if not len(idx):
         raise ValidationError("not a valid (minimal) basis for this measure")
     nonzero, nums = _numerators(prep, idx, shapes)
-    return Fraction(nums[0] if nonzero[0] else 0, prep.total_denom)
+    return Fraction(int(nums[0]) if nonzero[0] else 0, prep.total_denom)
 
 
-def _collapse(values_to_num: dict, total_denom: int, group_tol: float) -> Quantization1D:
-    """Group sorted breakpoints whose consecutive gaps are within the
-    tolerance (single linkage); each group keeps its smallest value."""
-    items = sorted(values_to_num.items())
-    grouped_vals: list[float] = []
-    grouped_nums: list[int] = []
-    prev = None
-    for v, num in items:
-        if prev is not None and v - prev <= group_tol:
-            grouped_nums[-1] += num
-        else:
-            grouped_vals.append(v)
-            grouped_nums.append(num)
-        prev = v
-    weights = tuple(Fraction(num, total_denom) for num in grouped_nums)
-    return Quantization1D(np.array(grouped_vals), weights, "exact")
+def _merge_equal(values: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in ascending order and their summed numerators.
+    Equal values (0.0 and -0.0 among them) merge into the first of them in
+    input order, as keys of a dict would."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    first = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    return values[first], np.add.reduceat(nums[order], first)
+
+
+def _collapse(values: np.ndarray, nums: np.ndarray, total_denom: int, group_tol: float) -> Quantization1D:
+    """Merge equal breakpoints, then group the sorted ones whose consecutive
+    gaps are within the tolerance (single linkage); each group keeps its
+    smallest value and its numerators' sum over total_denom."""
+    values, nums = _merge_equal(values, nums)
+    first = np.flatnonzero(np.concatenate([[True], ~(np.diff(values) <= group_tol)]))
+    return Quantization1D.from_numerators(values[first], np.add.reduceat(nums, first), total_denom)
 
 
 def exact_distribution(
@@ -498,29 +509,32 @@ def exact_distribution(
     Raises ConservationError if the counted mass does not sum to exactly 1,
     which would indicate an unresolved degeneracy.
 
-    ``keep_records`` keeps one (candidate indices, value, numerator) row per
-    nonzero basis, from which ``records`` builds its :class:`BasisRecord`
-    tuple on first read; without it ``records`` is ``()``.  It defaults to
-    True for small enumerations and False beyond 200k potential bases.
+    The collapse works on the engine's arrays: ``collapsed`` holds integer
+    numerators over the product of the point denominators, and builds its
+    Fraction weights on first read.  ``keep_records`` keeps each chunk's
+    (candidate indices, values, numerators) arrays, from which ``records``
+    builds its :class:`BasisRecord` tuple on first read; without it
+    ``records`` is ``()``.  It defaults to True for small enumerations and
+    False beyond 200k potential bases.
     """
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
     if keep_records is None:
         keep_records = prep.combo_count() <= 200_000
-    agg: dict[float, int] = {}
-    kept = []
-    for row, value, _, num in _counted_bases(prep):
-        agg[value] = agg.get(value, 0) + num
-        if keep_records:
-            kept.append((row, value, num))
-    collapsed = _collapse(agg, prep.total_denom, prep.group_tol)
+    chunks = [(idx, values, nums) for idx, values, _, nums in _counted_bases(prep)]
+    collapsed = _collapse(
+        np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks]),
+        prep.total_denom, prep.group_tol,
+    )
+    kept = chunks if keep_records else []
     return ExactDistribution(functools.partial(_basis_records, prep, kept), collapsed, measure)
 
 
-def _basis_records(prep: _Prepared, kept) -> tuple[BasisRecord, ...]:
+def _basis_records(prep: _Prepared, chunks) -> tuple[BasisRecord, ...]:
     return tuple(
         BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.total_denom), value)
-        for row, value, num in kept
+        for idx, values, nums in chunks
+        for row, value, num in zip(idx.tolist(), values.tolist(), nums.tolist())
     )
 
 
@@ -549,6 +563,7 @@ def brute_force_distribution(
     obtuse or right triple's ball is one of its pairs' balls.  ``records``
     holds one atom per distinct value, sorted by value, with ``basis=None``.
     """
+    _require_indecisive(uset)
     count = uset.support_count()
     if count > cap:
         raise ResourceCapError(
@@ -578,25 +593,19 @@ def brute_force_distribution(
         def values_of(idx):
             return _frame_values(measure.kind, frames[idx])
 
-    agg: dict[float, int] = {}
-    total = 0
-    for idx in _candidate_rows(ks, offsets, n, max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // width)):
-        values = values_of(idx)
-        order = np.argsort(values)
-        values = values[order]
-        first = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
-        nums = np.add.reduceat(w[idx].prod(axis=1)[order], first)
-        for value, num in zip(values[first].tolist(), nums.tolist()):
-            agg[value] = agg.get(value, 0) + num
-            total += num
-    if total != total_denom:
+    chunks = [
+        _merge_equal(values_of(idx), w[idx].prod(axis=1))
+        for idx in _candidate_rows(ks, offsets, n, max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // width))
+    ]
+    values, nums = _merge_equal(np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]))
+    if sum(nums.tolist()) != total_denom:
         raise ConservationError("support probabilities failed to sum to 1 (internal error)")
-    collapsed = _collapse(agg, total_denom, group_tol)
-    return ExactDistribution(functools.partial(_value_records, agg, total_denom), collapsed, measure)
+    collapsed = _collapse(values, nums, total_denom, group_tol)
+    return ExactDistribution(functools.partial(_value_records, values, nums, total_denom), collapsed, measure)
 
 
-def _value_records(agg: dict, total_denom: int) -> tuple[BasisRecord, ...]:
-    return tuple(BasisRecord(None, Fraction(num, total_denom), v) for v, num in sorted(agg.items()))
+def _value_records(values: np.ndarray, nums: np.ndarray, total_denom: int) -> tuple[BasisRecord, ...]:
+    return tuple(BasisRecord(None, Fraction(num, total_denom), v) for v, num in zip(values.tolist(), nums.tolist()))
 
 
 def _seb2_support_values(locs: np.ndarray, ks: np.ndarray, offsets: np.ndarray):
@@ -648,22 +657,28 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     exact engine's basis order.  The bases come from the same chunked
     enumeration and counting as :func:`exact_distribution`, so the weights
     are exactly its nonzero record probabilities and sum to exactly 1
-    (ConservationError otherwise).  Queries are answered by a linear scan
-    over the weighted shapes."""
+    (ConservationError otherwise).
+
+    The field is filled from the engine's chunks in its array form: disks
+    (cx, cy, r) for seb2, rectangles (x0, y0, x1, y1) otherwise, the integer
+    numerators over the product of the point denominators, and float
+    weights ``num / denominator`` (Python's int division is correctly
+    rounded, so each is float() of its Fraction).  Its ``shapes``, with
+    Fraction weights, are built on first read."""
     if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
         raise ValidationError("deterministic SIP needs a disk or rectangle summarizing shape")
     prep = _Prepared(uset, measure)
-    shapes = []
-    for _, _, shape, num in _counted_bases(prep):
-        weight = Fraction(num, prep.total_denom)
-        # For these measures the frame coordinates are plain x/y, so the
-        # counting shape doubles as the summarizing shape.
-        if measure.kind == "seb2":
-            shapes.append((DiskShape(*shape), weight))
-        else:
-            x0, x1, y0, y1 = shape
-            shapes.append((RectShape(x0, y0, x1, y1), weight))
-    return SipField.from_shapes(shapes)
+    chunks = [(shapes, nums) for _, _, shapes, nums in _counted_bases(prep)]
+    shapes = np.concatenate([c[0] for c in chunks])
+    nums = np.concatenate([c[1] for c in chunks])
+    # For these measures the frame coordinates are plain x/y, so the
+    # counting shape doubles as the summarizing shape.
+    if measure.kind == "seb2":
+        kind, params = DISK, np.column_stack([shapes, np.zeros(len(shapes))])
+    else:
+        kind, params = RECT, shapes[:, [0, 2, 1, 3]]
+    weights = np.array([num / prep.total_denom for num in nums.tolist()])
+    return SipField.from_arrays(np.full(len(nums), kind, dtype=np.int8), params, weights, nums, prep.total_denom)
 
 
 def distributions_match(

@@ -29,7 +29,7 @@ from .geometry import as_points, welzl_ball
 from .measures import MeasureId, evaluate
 from .model import ContinuousUncertainSet, IndecisivePointSet, ValidationError, sample_support
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
-from .sip import DiskShape, RectShape, SipField
+from .sip import DISK, RECT, SipField
 
 __all__ = [
     "SampleBudget",
@@ -284,21 +284,27 @@ def build_kvariate_quantization(
 # alpha-kernels
 
 
+@functools.lru_cache(maxsize=64)
 def _direction_net(count: int, dim: int) -> np.ndarray:
+    """``count`` unit directions spread over a half circle (d = 2) or a
+    hemisphere; built once per (count, dim) and returned read-only."""
     if dim == 2:
         theta = np.pi * np.arange(count) / count
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    # Fibonacci hemisphere; widths are symmetric under u -> -u.
-    i = np.arange(count) + 0.5
-    z = i / count
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    s = np.sqrt(1.0 - z * z)
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+        net = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        # Fibonacci hemisphere; widths are symmetric under u -> -u.
+        i = np.arange(count) + 0.5
+        z = i / count
+        phi = i * math.pi * (3.0 - math.sqrt(5.0))
+        s = np.sqrt(1.0 - z * z)
+        net = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    net.setflags(write=False)
+    return net
 
 
 def verification_net(dim: int) -> np.ndarray:
     """Direction net used for hard kernel-guarantee checks (720 directions
-    in the plane)."""
+    in the plane); read-only and shared between calls."""
     return _direction_net(720 if dim == 2 else 2000, dim)
 
 
@@ -432,28 +438,27 @@ def build_random_sip(
     shapes) never actually fires for these families.
 
     For disk shapes a dual VC parameter nu = 3 is appropriate; nu = 4 for
-    rectangles."""
+    rectangles.
+
+    The field is filled in its array form, with float weights 1/m and no
+    exact numerators: one Welzl ball per support, or one min/max per chunk
+    of stacked supports for rectangles."""
     if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
         raise ValueError("randomized SIP needs a disk or rectangle summarizing shape")
     if uset.dimension != 2:
         raise ValidationError("randomized SIP supports d=2 only")
     m = budget.m
-    weight = 1.0 / m
-    shapes = []
-    for pts in _sampled_supports(uset, seed, m):
-        if measure.kind == "seb2":
+    supports = _sampled_supports(uset, seed, m)
+    params = np.zeros((m, 4))
+    if measure.kind == "seb2":
+        kind = DISK
+        for t, pts in enumerate(supports):
             ball = welzl_ball(pts)
-            shapes.append((DiskShape(float(ball.center[0]), float(ball.center[1]), float(ball.radius)), weight))
-        else:
-            shapes.append(
-                (
-                    RectShape(
-                        float(pts[:, 0].min()),
-                        float(pts[:, 1].min()),
-                        float(pts[:, 0].max()),
-                        float(pts[:, 1].max()),
-                    ),
-                    weight,
-                )
-            )
-    return SipField.from_shapes(shapes)
+            params[t, :3] = (ball.center[0], ball.center[1], ball.radius)
+    else:
+        kind = RECT
+        rows = _chunk_rows(uset, [measure])
+        for start in range(0, m, rows):
+            stack = np.stack(list(itertools.islice(supports, rows)))
+            params[start : start + len(stack)] = np.hstack([stack.min(axis=1), stack.max(axis=1)])
+    return SipField.from_arrays(np.full(m, kind, dtype=np.int8), params, np.full(m, 1.0 / m))

@@ -9,6 +9,8 @@ weights.  The k-variate form supports dominance queries.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,43 +29,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Quantization1D:
-    values: np.ndarray
-    weights: tuple  # Fractions when kind == "exact", floats otherwise
-    kind: str  # "exact" | "sampled"
+    """Sorted weighted breakpoints of a step CDF.
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or len(vals) == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("values must be nondecreasing")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if self.kind not in ("exact", "sampled"):
-            raise ValueError("kind must be 'exact' or 'sampled'")
-        if self.kind == "exact":
-            w = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.weights)
-            if len(w) != len(vals):
-                raise ValueError("one weight per value required")
-            # Denominators are positive, so the sign is the numerator's.
-            if any(x.numerator <= 0 for x in w):
-                raise ValueError("weights must be positive")
-            # The sum in integers over the common denominator.
+    ``values`` is a read-only nondecreasing float array.  A sampled
+    quantization has a read-only float array of ``weights``.  An exact one
+    holds positive integer ``numerators`` over one ``denominator``, summing
+    to it exactly (int64 while the denominator fits, Python ints
+    otherwise); its ``weights`` are the Fractions they make, kept as passed
+    to the constructor or, from :meth:`from_numerators`, built on first
+    read.
+    """
+
+    values: np.ndarray
+    kind: str  # "exact" | "sampled"
+    numerators: np.ndarray | None
+    denominator: int | None
+
+    def __init__(self, values, weights, kind: str):
+        self._set_values(values, kind)
+        if kind == "exact":
+            w = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in weights)
             denom = math.lcm(*(x.denominator for x in w))
-            if sum(x.numerator * (denom // x.denominator) for x in w) != denom:
-                raise ValueError("exact weights must sum to exactly 1")
-            object.__setattr__(self, "weights", w)
+            self._set_numerators([x.numerator * (denom // x.denominator) for x in w], denom)
         else:
             w = np.asarray(
-                [float(x) for x in self.weights]
-                if not isinstance(self.weights, np.ndarray)
-                else self.weights,
+                [float(x) for x in weights] if not isinstance(weights, np.ndarray) else weights,
                 dtype=np.float64,
             )
-            if w.shape != (len(vals),):
+            if w.shape != (len(self.values),):
                 raise ValueError("one weight per value required")
             if np.any(w <= 0):
                 raise ValueError("weights must be positive")
@@ -71,35 +66,68 @@ class Quantization1D:
                 raise ValueError("sampled weights must sum to 1 within 1e-12")
             w = w.copy()
             w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "numerators", None)
+            object.__setattr__(self, "denominator", None)
+        self.__dict__["weights"] = w
+
+    @classmethod
+    def from_numerators(cls, values, numerators, denominator: int) -> "Quantization1D":
+        """Exact quantization with weights ``numerators / denominator``."""
+        q = cls.__new__(cls)
+        q._set_values(values, "exact")
+        q._set_numerators(numerators, denominator)
+        return q
+
+    def _set_values(self, values, kind: str) -> None:
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1 or len(vals) == 0:
+            raise ValueError("values must be a non-empty 1-d array")
+        if np.any(np.diff(vals) < 0):
+            raise ValueError("values must be nondecreasing")
+        vals = vals.copy()
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        if kind not in ("exact", "sampled"):
+            raise ValueError("kind must be 'exact' or 'sampled'")
+        object.__setattr__(self, "kind", kind)
+
+    def _set_numerators(self, numerators, denominator: int) -> None:
+        ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
+        if len(ints) != len(self.values):
+            raise ValueError("one weight per value required")
+        if any(n <= 0 for n in ints):
+            raise ValueError("weights must be positive")
+        if sum(ints) != denominator:
+            raise ValueError("exact weights must sum to exactly 1")
+        # Each numerator lies in (0, denominator].
+        nums = np.array(ints, dtype=np.int64 if denominator < 2**63 else object)
+        nums.setflags(write=False)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", denominator)
+
+    @functools.cached_property
+    def weights(self) -> tuple:
+        """Exact weights as Fractions, built from the numerators (reached
+        only from :meth:`from_numerators`; the constructor sets them)."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators.tolist())
 
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
+    @functools.cached_property
     def _cum_float(self) -> np.ndarray:
-        cached = self.__dict__.get("_cum_cache")
-        if cached is None:
-            if self.kind == "exact":
-                cached = np.cumsum(np.array([float(w) for w in self.weights]))
-            else:
-                cached = np.cumsum(self.weights)
-            cached[-1] = 1.0
-            self.__dict__["_cum_cache"] = cached
-        return cached
+        if self.kind == "exact":
+            # Python int / int is correctly rounded: float() of each weight.
+            cum = np.cumsum([n / self.denominator for n in self.numerators.tolist()])
+        else:
+            cum = np.cumsum(self.weights)
+        cum[-1] = 1.0
+        return cum
 
-    @property
+    @functools.cached_property
     def _cum_exact(self) -> tuple:
-        cached = self.__dict__.get("_cum_exact_cache")
-        if cached is None:
-            total = Fraction(0)
-            out = []
-            for w in self.weights:
-                total += Fraction(w)
-                out.append(total)
-            cached = tuple(out)
-            self.__dict__["_cum_exact_cache"] = cached
-        return cached
+        """Running exact weights (exact kind only)."""
+        return tuple(Fraction(c, self.denominator) for c in itertools.accumulate(self.numerators.tolist()))
 
     @staticmethod
     def from_samples(values) -> "Quantization1D":
@@ -238,15 +266,14 @@ def quantization_to_csv(q: Quantization1D) -> str:
     lines = []
     if q.kind == "exact":
         lines.append("value,weight,cumulative,weight_exact")
-        # Running numerator over one common denominator: int / int is
-        # correctly rounded, so each cell equals float() of the exact sum.
-        denom = math.lcm(*(w.denominator for w in q.weights))
-        num = 0
-        for v, w in zip(q.values, q.weights):
-            num += w.numerator * (denom // w.denominator)
-            lines.append(
-                f"{v:.17g},{float(w):.17g},{num / denom:.17g},{w.numerator}/{w.denominator}"
-            )
+        # Python int / int is correctly rounded, so each float cell equals
+        # float() of its exact weight or running sum.
+        denom = q.denominator
+        cum = 0
+        for v, num in zip(q.values.tolist(), q.numerators.tolist()):
+            cum += num
+            g = math.gcd(num, denom)
+            lines.append(f"{v:.17g},{num / denom:.17g},{cum / denom:.17g},{num // g}/{denom // g}")
     else:
         lines.append("value,weight,cumulative")
         cum = q._cum_float

@@ -9,9 +9,9 @@ written to and read from 16-bit binary PGM with a JSON bounds sidecar.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "DISK",
+    "RECT",
     "DiskShape",
     "RectShape",
     "Raster",
@@ -86,33 +88,112 @@ class Raster:
         return xs, ys
 
 
-@dataclass(frozen=True, eq=False)
+DISK = 0
+RECT = 1
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SipField:
-    """Either shape-backed (exact weighted query) or raster-backed."""
+    """A SIP field, backed either by weighted shapes or by a raster.
 
-    shapes: tuple | None = None  # tuple of (DiskShape | RectShape, weight)
-    raster: Raster | None = None
+    A shape-backed field keeps its m shapes in one array form: ``kinds``
+    (m,) int8, :data:`DISK` or :data:`RECT`; ``params`` (m, 4) float,
+    (cx, cy, r, 0) for a disk and (x0, y0, x1, y1) for a rectangle; float
+    ``weights``; and exact integer ``numerators`` over one ``denominator``
+    when its maker supplied them (the exact engine; :meth:`from_shapes`,
+    from the given weights).  ``shapes``, the (DiskShape | RectShape,
+    weight) pairs with Fraction weights where numerators exist, is built
+    from the arrays on first read; ``SipField(shapes=...)`` and
+    :meth:`from_shapes` keep the tuple they were given.  A raster-backed
+    field has ``raster`` and no shapes.
+    """
 
-    def __post_init__(self):
-        if (self.shapes is None) == (self.raster is None):
+    kinds: np.ndarray | None
+    params: np.ndarray | None
+    weights: np.ndarray | None
+    numerators: np.ndarray | None
+    denominator: int | None
+    raster: Raster | None
+
+    def __init__(self, shapes=None, raster=None):
+        if (shapes is None) == (raster is None):
             raise ValueError("provide exactly one backing (shapes or raster)")
+        if raster is not None:
+            for name in ("kinds", "params", "weights", "numerators", "denominator"):
+                object.__setattr__(self, name, None)
+            object.__setattr__(self, "raster", raster)
+            return
+        shapes = tuple(shapes)
+        rows = [
+            (RECT, (s.x0, s.y0, s.x1, s.y1)) if isinstance(s, RectShape) else (DISK, (s.cx, s.cy, s.r, 0.0))
+            for s, _ in shapes
+        ]
+        exact = [Fraction(w) for _, w in shapes]
+        denom = math.lcm(*(w.denominator for w in exact))
+        self._set_shapes(
+            [k for k, _ in rows],
+            np.array([p for _, p in rows], dtype=np.float64).reshape(-1, 4),
+            [float(w) for _, w in shapes],
+            np.array([w.numerator * (denom // w.denominator) for w in exact], dtype=object),
+            denom,
+        )
+        self.__dict__["shapes"] = shapes
+
+    @classmethod
+    def from_arrays(cls, kinds, params, weights, numerators=None, denominator=None) -> "SipField":
+        """Shape-backed field from its array form (see the class)."""
+        field = cls.__new__(cls)
+        field._set_shapes(kinds, params, weights, numerators, denominator)
+        return field
+
+    def _set_shapes(self, kinds, params, weights, numerators, denominator) -> None:
+        kinds = np.array(kinds, dtype=np.int8)
+        params = np.array(params, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        m = len(kinds)
+        if params.shape != (m, 4) or weights.shape != (m,):
+            raise ValueError("need one kind, one (4,) parameter row and one weight per shape")
+        if numerators is not None:
+            numerators = np.array(numerators)
+            if numerators.shape != (m,):
+                raise ValueError("need one numerator per shape")
+        for name, value in (("kinds", kinds), ("params", params), ("weights", weights), ("numerators", numerators)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "raster", None)
 
     @staticmethod
     def from_shapes(shapes) -> "SipField":
-        return SipField(shapes=tuple(shapes), raster=None)
+        return SipField(shapes=shapes)
 
     @staticmethod
     def from_raster(raster: Raster) -> "SipField":
-        return SipField(shapes=None, raster=raster)
+        return SipField(raster=raster)
+
+    @functools.cached_property
+    def shapes(self) -> tuple | None:
+        """The (DiskShape | RectShape, weight) pairs, None for a raster."""
+        if self.kinds is None:
+            return None
+        if self.numerators is None:
+            weights = self.weights.tolist()
+        else:
+            weights = [Fraction(n, self.denominator) for n in self.numerators.tolist()]
+        return tuple(
+            (RectShape(*p) if k == RECT else DiskShape(*p[:3]), w)
+            for k, p, w in zip(self.kinds.tolist(), self.params.tolist(), weights)
+        )
 
     def query(self, point) -> float:
         """Containment probability at one point (float)."""
         x, y = float(point[0]), float(point[1])
-        if self.shapes is not None:
+        if self.kinds is not None:
             total = 0.0
-            for shape, w in self.shapes:
+            for (shape, _), w in zip(self.shapes, self.weights.tolist()):
                 if shape.contains(x, y):
-                    total += float(w)
+                    total += w
             return min(1.0, total)
         rast = self.raster
         x0, y0, x1, y1 = rast.bounds
@@ -122,27 +203,24 @@ class SipField:
         return float(rast.values[i, j])
 
     def query_exact(self, point) -> Fraction:
-        """Exact rational containment probability; requires rational shape
-        weights (deterministic engine output)."""
-        if self.shapes is None:
-            raise ValueError("exact queries need a shape-backed field")
+        """Exact rational containment probability; needs a field with exact
+        weights (the deterministic engine's, or :meth:`from_shapes`)."""
+        if self.numerators is None:
+            raise ValueError("exact queries need a shape-backed field with exact weights")
         x, y = float(point[0]), float(point[1])
-        total = Fraction(0)
-        for shape, w in self.shapes:
-            if shape.contains(x, y):
-                total += Fraction(w)
-        return total
+        hits = (n for (shape, _), n in zip(self.shapes, self.numerators.tolist()) if shape.contains(x, y))
+        return Fraction(sum(hits), self.denominator)
 
     def query_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             return np.zeros(0)
-        if self.shapes is not None:
+        if self.kinds is not None:
             out = np.zeros(len(pts))
             x = pts[:, 0]
             y = pts[:, 1]
-            for shape, w in self.shapes:
-                out[shape.contains(x, y)] += float(w)
+            for (shape, _), w in zip(self.shapes, self.weights.tolist()):
+                out[shape.contains(x, y)] += w
             return np.minimum(out, 1.0)
         rast = self.raster
         x0, y0, x1, y1 = rast.bounds
@@ -157,17 +235,21 @@ class SipField:
 def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
     """Evaluate a shape-backed field at every cell center of a (w, h) grid.
 
-    Each shape touches only its window of cells, found by bisection on the
-    sorted cell centers.  A rectangle's window is exactly the set of centers
-    inside the closed box, so its weight is added there with no test.  A
-    disk's window is its bounding box, widened cell by cell while the
+    Works on the field's array form; ``shapes`` is not built.  Every
+    shape's window of cells is found at once with ``np.searchsorted`` on
+    the sorted cell centers.  A rectangle's window is exactly the set of
+    centers inside the closed box, so its weight is added there with no
+    test (an empty or NaN box gets an empty window).  A disk's window is its
+    bounding box, widened cell by cell, for all disks together, while the
     one-axis test ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a
-    contained center just outside the rounded box); ``contains`` is then
-    evaluated in the window.  Every cell receives the same ``float(weight)``
-    additions, in shape order, as a test of every shape at every cell would
-    give, so the values are bit-for-bit the same.
+    contained center just outside the rounded box); the disk test
+    ``(x - cx) ** 2 + (y - cy) ** 2 <= r * r`` then masks the add in the
+    window.  The adds run in shape order, a slice add per rectangle and a
+    masked add per disk, so every cell receives the same float weights in
+    the same order, starting from 0.0, as a test of every shape at every
+    cell would give: the values are bit-for-bit the same.
     """
-    if field.shapes is None:
+    if field.kinds is None:
         raise ValueError("rasterize_sip needs a shape-backed field")
     w, h = int(grid[0]), int(grid[1])
     if w <= 0 or h <= 0:
@@ -177,40 +259,61 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
         raise ValueError("bounds must be finite")
     xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
     ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
-    xl, yl = xs.tolist(), ys.tolist()
+    p = field.params
+    rect = field.kinds == RECT
+    # Every shape's window as a rectangle's, then the disks' own; a reversed
+    # or NaN box contains nothing, so its window is emptied.
+    j0 = np.searchsorted(xs, p[:, 0], "left")
+    j1 = np.searchsorted(xs, p[:, 2], "right")
+    i0 = np.searchsorted(ys, p[:, 1], "left")
+    i1 = np.searchsorted(ys, p[:, 3], "right")
+    i1[rect & ~((p[:, 0] <= p[:, 2]) & (p[:, 1] <= p[:, 3]))] = 0
+    disk = ~rect
+    j0[disk], j1[disk] = _disk_windows(xs, p[disk, 0], p[disk, 2])
+    i0[disk], i1[disk] = _disk_windows(ys, p[disk, 1], p[disk, 2])
     values = np.zeros((h, w))
-    for shape, weight in field.shapes:
-        if isinstance(shape, RectShape):
-            if not (shape.x0 <= shape.x1 and shape.y0 <= shape.y1):
-                continue  # empty, or NaN: contains nothing
-            j0, j1 = bisect_left(xl, shape.x0), bisect_right(xl, shape.x1)
-            i0, i1 = bisect_left(yl, shape.y0), bisect_right(yl, shape.y1)
-            values[i0:i1, j0:j1] += float(weight)
+    rows = zip(
+        rect.tolist(), i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist(), field.weights.tolist(), p.tolist()
+    )
+    for is_rect, r0, r1, c0, c1, weight, (cx, cy, r, _) in rows:
+        if r0 >= r1 or c0 >= c1:
             continue
-        j0, j1 = _disk_window(xl, shape.cx, shape.r)
-        i0, i1 = _disk_window(yl, shape.cy, shape.r)
-        win = values[i0:i1, j0:j1]
-        np.add(win, float(weight), out=win, where=shape.contains(xs[j0:j1], ys[i0:i1, None]))
+        win = values[r0:r1, c0:c1]
+        if is_rect:
+            win += weight
+        else:
+            np.add(win, weight, out=win, where=(xs[c0:c1] - cx) ** 2 + (ys[r0:r1, None] - cy) ** 2 <= r * r)
     values = np.minimum(values, 1.0)
     return SipField.from_raster(Raster(values, (x0, y0, x1, y1)))
 
 
-def _disk_window(centers: list, c: float, r: float) -> tuple[int, int]:
-    """Index range [lo, hi) of the sorted ``centers`` that can satisfy
-    ``(x - c) ** 2 + dy2 <= r * r`` for some ``dy2 >= 0``.
+def _disk_windows(centers: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per disk, the index range [lo, hi) of the sorted ``centers`` that can
+    satisfy ``(x - c) ** 2 + dy2 <= r * r`` for some ``dy2 >= 0``.
 
     A center passes only if ``(x - c) ** 2 <= r * r`` in floating point,
     and that test is monotone on each side of ``c``, so the passing centers
     left of the rounded ``c - |r|`` run up to it without a gap (likewise
-    right of ``c + |r|``).
+    right of ``c + |r|``).  Each pass widens every window that still has a
+    passing center just outside it by one cell.
     """
     rr = r * r
-    ext = abs(r)
-    lo, hi = bisect_left(centers, c - ext), bisect_right(centers, c + ext)
-    while lo > 0 and (centers[lo - 1] - c) * (centers[lo - 1] - c) <= rr:
-        lo -= 1
-    while hi < len(centers) and (centers[hi] - c) * (centers[hi] - c) <= rr:
-        hi += 1
+    ext = np.abs(r)
+    lo = np.searchsorted(centers, c - ext, "left")
+    hi = np.searchsorted(centers, c + ext, "right")
+    last = len(centers) - 1
+    while True:
+        d = centers[np.maximum(lo - 1, 0)] - c
+        grow = (lo > 0) & (d * d <= rr)
+        if not grow.any():
+            break
+        lo -= grow
+    while True:
+        d = centers[np.minimum(hi, last)] - c
+        grow = (hi <= last) & (d * d <= rr)
+        if not grow.any():
+            break
+        hi += grow
     return lo, hi
 
 

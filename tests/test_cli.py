@@ -7,6 +7,7 @@ import pytest
 
 from uqgeom import load_point_set
 from uqgeom.cli import main
+from uqgeom.montecarlo import SampleBudget
 from uqgeom.sip import read_pgm
 
 
@@ -96,6 +97,54 @@ def test_sip_exact_raster_and_isolines(indecisive_file, tmp_path):
     assert raster.values.shape == (24, 24)
     assert raster.bounds == (-1.0, -1.0, 3.0, 3.0)
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--measure", "seb2"],
+        ["oracle", "--measure", "aabb-perimeter"],
+        ["sip-exact", "--measure", "seb2", "--grid", "8,8", "--bounds=-2,-2,2,2"],
+    ],
+    ids=["exact", "oracle", "sip-exact"],
+)
+def test_exact_commands_refuse_continuous_input(argv, tmp_path, capsys):
+    path = tmp_path / "cont.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "model": "continuous",
+        "points": [
+            {"kind": "gaussian", "mean": [-0.8, 0.0], "cov": [[0.16, 0.0], [0.0, 0.16]]},
+            {"kind": "uniform_disk", "center": [0.8, 0.0], "radius": 0.5},
+        ],
+    }))
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(path), "--out", str(out)]) == 2
+    assert "uqgeom discretize" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_parses_each_call_on_its_own(indecisive_file, tmp_path):
+    """The parser is built once per process; no call's options leak into
+    the next, whatever the subcommand."""
+    sip = ["sip-exact", "--input", str(indecisive_file), "--measure", "seb2",
+           "--grid", "12,12", "--bounds=-1,-1,3,3"]
+    quantize = ["quantize", "--input", str(indecisive_file), "--measure", "seb2",
+                "--eps", "0.2", "--delta", "0.1", "--seed", "4"]
+    svg = tmp_path / "a.svg"
+    assert main([*sip, "--out", str(tmp_path / "a.pgm"), "--isolines", str(svg), "--levels", "0.5"]) == 0
+    assert svg.read_text().count("<g ") == 1
+    assert main([*quantize, "--m", "7", "--out", str(tmp_path / "q7.csv")]) == 0
+    assert main([*sip, "--out", str(tmp_path / "b.pgm")]) == 0
+    assert main([*quantize, "--out", str(tmp_path / "q.csv")]) == 0
+    assert main(["exact", "--input", str(indecisive_file), "--measure", "aabb-perimeter",
+                 "--out", str(tmp_path / "e.csv")]) == 0
+    svg2 = tmp_path / "c.svg"
+    assert main([*sip, "--out", str(tmp_path / "c.pgm"), "--isolines", str(svg2)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == ["a.svg", "c.svg"]
+    assert svg2.read_text().count("<g ") == 5  # default levels, not the earlier --levels
+    assert len((tmp_path / "q7.csv").read_text().splitlines()) == 8
+    assert len((tmp_path / "q.csv").read_text().splitlines()) == 1 + SampleBudget(0.2, 0.1).m
+    assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
 def test_sip_random_seeded_identical(indecisive_file, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqgeom import (
+    ConservationError,
     IndecisivePoint,
     IndecisivePointSet,
     MeasureId,
@@ -23,6 +24,7 @@ from uqgeom import (
 )
 from uqgeom.geometry import coordinate_scale
 from uqgeom.montecarlo import SampleBudget, build_random_sip
+from uqgeom.quantize import quantization_to_csv
 
 from conftest import enumerate_supports, group_tolerance, random_indecisive
 
@@ -376,7 +378,8 @@ def _eager_records(uset, m):
         exact_mod.BasisRecord(
             exact_mod._basis_object(prep, row, value), Fraction(num, prep.total_denom), value
         )
-        for row, value, _, num in exact_mod._counted_bases(prep)
+        for idx, values, _, nums in exact_mod._counted_bases(prep)
+        for row, value, num in zip(idx.tolist(), values.tolist(), nums.tolist())
     )
 
 
@@ -429,6 +432,123 @@ def test_total_probability_without_records():
         bf = brute_force_distribution(uset, m)
         assert bf.total_probability == 1
         assert sum((r.probability for r in bf.records), Fraction(0)) == 1
+
+
+# --------------------------------------------------------------------------
+# Collapse and CSV from integer numerators against the dict and Fraction
+# references they replaced
+
+
+def _dict_collapse(agg: dict, total_denom: int, group_tol: float):
+    """Reference: the former collapse of a value -> numerator dict (equal
+    values, 0.0 and -0.0 among them, already merged under the first key),
+    with Fraction weights."""
+    from uqgeom import Quantization1D
+
+    vals, nums = [], []
+    prev = None
+    for v, num in sorted(agg.items()):
+        if prev is not None and v - prev <= group_tol:
+            nums[-1] += num
+        else:
+            vals.append(v)
+            nums.append(num)
+        prev = v
+    return Quantization1D(np.array(vals), tuple(Fraction(num, total_denom) for num in nums), "exact")
+
+
+def _fraction_csv(q) -> str:
+    """Reference: the former exact CSV writer, one row per Fraction weight."""
+    lines = ["value,weight,cumulative,weight_exact"]
+    denom = math.lcm(*(w.denominator for w in q.weights))
+    num = 0
+    for v, w in zip(q.values, q.weights):
+        num += w.numerator * (denom // w.denominator)
+        lines.append(f"{v:.17g},{float(w):.17g},{num / denom:.17g},{w.numerator}/{w.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_quantization(got, want):
+    assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values.tolist()]
+    assert got.weights == want.weights
+    assert all(type(w) is Fraction for w in got.weights)
+
+
+def test_collapse_signed_zeros_and_tolerance_steps_match_dict():
+    import uqgeom.exact as exact_mod
+
+    cases = [
+        ([0.0, -0.0, 1.0], 0.0),
+        ([-0.0, 0.0, 1.0], 0.0),
+        ([1.0, -0.0, 0.0, -0.0], 0.5),
+        # Consecutive gaps of exactly the tolerance chain into one group.
+        ([0.0, 0.25, 0.5, 1.0, 1.25, 2.0, 2.25 + 2**-50], 0.25),
+        ([2.0, 0.5, 0.25, 0.0, 0.5, 1.25, 1.0], 0.25),
+    ]
+    rng = np.random.default_rng(12)
+    pool = [0.0, -0.0, 0.125, 0.25, 0.375, 0.75, 1.0, 1.0 + 2**-52]
+    cases += [(rng.choice(pool, size=int(rng.integers(1, 12))).tolist(), 0.125) for _ in range(200)]
+    for values, tol in cases:
+        nums = [int(x) for x in rng.integers(1, 10**6, size=len(values))]
+        agg = {}
+        for v, num in zip(values, nums):
+            agg[v] = agg.get(v, 0) + num
+        total = sum(nums)
+        got = exact_mod._collapse(np.array(values), np.array(nums), total, tol)
+        _assert_same_quantization(got, _dict_collapse(agg, total, tol))
+        assert quantization_to_csv(got) == _fraction_csv(_dict_collapse(agg, total, tol))
+
+
+def _cocircular_set():
+    # Every candidate lies on the circle of radius sqrt(5) about the origin.
+    ring = [(1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2)]
+    return _lattice_set([ring[0:3], ring[3:5], ring[5:8]], [[1, 2, 3], [1, 1], [2, 3, 4]])
+
+
+def _huge_denominator_set():
+    tiny = Fraction(1, 3 * 2**62)
+    uset = random_indecisive(np.random.default_rng(5), 3, 3)
+    points = list(uset.points)
+    points[0] = IndecisivePoint(points[0].locations, (tiny, Fraction(1, 3), Fraction(2, 3) - tiny))
+    return IndecisivePointSet(tuple(points), 2)
+
+
+@pytest.mark.parametrize("kind", ["generic", "lattice", "cocircular", "huge-denominator"])
+def test_exact_csv_from_numerators_matches_fraction_writer(kind):
+    import uqgeom.exact as exact_mod
+
+    make = {
+        "generic": lambda: random_indecisive(np.random.default_rng(19), 4, 3),
+        "lattice": lambda: _lattice_indecisive(np.random.default_rng(19), 4, 3),
+        "cocircular": _cocircular_set,
+        "huge-denominator": _huge_denominator_set,
+    }[kind]
+    uset = make()
+    refused = []
+    for m in MEASURES:
+        prep = exact_mod._Prepared(uset, m)
+        try:
+            dist = exact_distribution(uset, m, keep_records=True)
+        except ConservationError:
+            # The engine still refuses some degenerate lattice sets; the
+            # oracle's CSV below is checked on them all the same.
+            refused.append(m.kind)
+        else:
+            # The dict the engine used to fill, in basis order, from the records.
+            agg = {}
+            for r in dist.records:
+                agg[r.value] = agg.get(r.value, 0) + r.probability.numerator * (
+                    prep.total_denom // r.probability.denominator
+                )
+            want = _dict_collapse(agg, prep.total_denom, prep.group_tol)
+            _assert_same_quantization(dist.collapsed, want)
+            assert quantization_to_csv(dist.collapsed) == _fraction_csv(want), m.kind
+        bf = brute_force_distribution(uset, m)
+        agg = {r.value: r.probability.numerator * (prep.total_denom // r.probability.denominator) for r in bf.records}
+        assert quantization_to_csv(bf.collapsed) == _fraction_csv(
+            _dict_collapse(agg, prep.total_denom, prep.group_tol)
+        ), m.kind
+    assert refused == ([] if kind != "lattice" else ["aabb_area"])
 
 
 # --------------------------------------------------------------------------
@@ -496,10 +616,11 @@ def _assert_matches_loop(uset, m):
     import uqgeom.exact as exact_mod
 
     agg, total_denom, group_tol = _loop_oracle(uset, m)
-    want = exact_mod._collapse(agg, total_denom, group_tol)
+    want = _dict_collapse(agg, total_denom, group_tol)
     got = brute_force_distribution(uset, m)
     assert [v.hex() for v in got.collapsed.values.tolist()] == [v.hex() for v in want.values.tolist()], m.kind
     assert got.collapsed.weights == want.weights, m.kind
+    assert quantization_to_csv(got.collapsed) == _fraction_csv(want), m.kind
     assert [(r.basis, r.value.hex(), r.probability) for r in got.records] == [
         (None, v.hex(), Fraction(num, total_denom)) for v, num in sorted(agg.items())
     ], m.kind

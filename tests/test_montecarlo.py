@@ -389,9 +389,23 @@ def test_sampled_values_equal_per_trial_loop(monkeypatch, rows):
     assert sampled_values(uset, measures, 1, 0).shape == (0, len(measures))
 
 
-@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter"])
+def test_direction_nets_built_once_and_read_only():
+    assert verification_net(2) is verification_net(2)
+    assert not verification_net(3).flags.writeable
+    pts = np.random.default_rng(6).normal(size=(40, 2))
+    mc._direction_net.cache_clear()
+    cold = mc.alpha_kernel(pts, 0.05)
+    assert mc._direction_net.cache_info().misses >= 2  # the check net and the kernel nets
+    warm = mc.alpha_kernel(pts, 0.05)
+    assert mc._direction_net.cache_info().hits >= 2
+    assert cold.tobytes() == warm.tobytes()
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter", "aabb_area"])
 def test_random_sip_equals_per_trial_loop(monkeypatch, measure):
     monkeypatch.setattr(mc, "_STREAM_CHUNK", 6)
+    # Rectangles come from stacked supports: 3 per chunk here (n = 6, d = 2).
+    monkeypatch.setattr(mc, "_CHUNK_CELLS", 36)
     uset = random_indecisive(np.random.default_rng(34), 6, 3)
     field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=20), seed=8)
     want = []

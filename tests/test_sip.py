@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uqgeom import rasterize_sip, read_pgm, write_pgm
+from uqgeom import MeasureId, deterministic_sip, rasterize_sip, read_pgm, write_pgm
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
+from uqgeom.montecarlo import SampleBudget, build_random_sip
 from uqgeom.sip import DiskShape, Raster, RectShape, SipField
+
+from conftest import random_indecisive
 
 
 def _grid_points(raster):
@@ -209,6 +212,71 @@ def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
 
 def test_rasterize_empty_shape_list():
     _assert_rasterizes_like_full_grid([], (7, 5), (0.0, 0.0, 1.0, 1.0))
+
+
+def _eager_exact_shapes(uset, measure):
+    """Reference: deterministic_sip's former per-basis construction, one
+    shape object and one Fraction per counted basis."""
+    import uqgeom.exact as exact_mod
+
+    prep = exact_mod._Prepared(uset, measure)
+    shapes = []
+    for _, _, chunk, nums in exact_mod._counted_bases(prep):
+        for shape, num in zip(chunk.tolist(), nums.tolist()):
+            weight = Fraction(num, prep.total_denom)
+            if measure.kind == "seb2":
+                shapes.append((DiskShape(*shape), weight))
+            else:
+                x0, x1, y0, y1 = shape
+                shapes.append((RectShape(x0, y0, x1, y1), weight))
+    return tuple(shapes)
+
+
+# Bounds that cut through the shapes of sets in [-1, 1]^2, on an uneven grid.
+_CUT_GRID, _CUT_BOUNDS = (41, 37), (-1.3, -0.9, 1.1, 1.4)
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter", "aabb_area"])
+def test_exact_sip_array_form_matches_per_basis_shapes(measure):
+    rng = np.random.default_rng(23)
+    uset = random_indecisive(rng, 4, 3)
+    m = MeasureId(measure)
+    field = deterministic_sip(uset, m)
+    raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).raster.values
+    # Rasterizing reads the arrays only; the shapes are built on first read.
+    assert "shapes" not in vars(field)
+    assert field.shapes == _eager_exact_shapes(uset, m)
+    assert all(type(w) is Fraction for _, w in field.shapes)
+    assert raster.tobytes() == _rasterize_full_grid(field.shapes, _CUT_GRID, _CUT_BOUNDS).tobytes()
+    probes = rng.uniform(-1.5, 1.5, size=(40, 2)).tolist()
+    probes += [[s.cx, s.cy] if m.kind == "seb2" else [s.x0, s.y1] for s, _ in field.shapes[:20]]
+    for x, y in probes:
+        want = sum((w for s, w in field.shapes if s.contains(x, y)), Fraction(0))
+        assert field.query_exact((x, y)) == want
+        assert field.query((x, y)) == min(1.0, float(sum(float(w) for s, w in field.shapes if s.contains(x, y))))
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter"])
+def test_random_sip_array_form_rasterizes_like_full_grid(measure):
+    uset = random_indecisive(np.random.default_rng(29), 5, 3)
+    field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=300), seed=3)
+    raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).raster.values
+    assert "shapes" not in vars(field)
+    assert raster.tobytes() == _rasterize_full_grid(field.shapes, _CUT_GRID, _CUT_BOUNDS).tobytes()
+    assert all(w == 1 / 300 for _, w in field.shapes)
+    # Monte Carlo weights are floats, not exact probabilities.
+    with pytest.raises(ValueError, match="exact"):
+        field.query_exact((0.0, 0.0))
+
+
+def test_from_shapes_keeps_shapes_and_exact_weights():
+    shapes = [(DiskShape(0.0, 0.0, 1.0), Fraction(1, 3)), (RectShape(0.5, -1.0, 2.0, 1.0), 0.25)]
+    field = SipField.from_shapes(shapes)
+    assert field.shapes == tuple(shapes) and field.shapes[0][1] is shapes[0][1]
+    assert field.weights.tolist() == [1 / 3, 0.25]
+    assert field.query_exact((0.75, 0.0)) == Fraction(1, 3) + Fraction(1, 4)
+    assert field.query_exact((3.0, 0.0)) == 0
+    assert SipField.from_raster(Raster(np.zeros((2, 2)), (0, 0, 1, 1))).shapes is None
 
 
 def test_rasterize_rejects_non_finite_bounds():
