@@ -45,6 +45,7 @@ from .measures import (
     BasisMember,
     MeasureId,
     NotLPTypeError,
+    _check_coordinate_range,
     _frame,
     _frame_values,
     _seb2_balls,
@@ -154,8 +155,12 @@ class _Prepared:
     Candidates are numbered globally in point order: ``offsets[i]`` is the
     global index of point i's first candidate, ``point_of[g]`` the point of
     candidate g and ``basis_members[g]`` its basis member.  ``fx``/``fy``
-    hold the frame coordinates the validity and strict-interior tests work
-    in, ``w`` the integer weights over each point's common denominator.
+    hold the frame coordinates the validity test works in, ``w`` the
+    integer weights over each point's common denominator.  ``grid_x``,
+    ``grid_y`` and ``grid_w`` lay the same candidates out as (n, k_max)
+    arrays for the strict-interior test and the per-point sums: a point
+    with fewer candidates is padded with NaN coordinates, which are never
+    strictly inside a shape, and zero weight.
     """
 
     __slots__ = (
@@ -168,6 +173,9 @@ class _Prepared:
         "fx",
         "fy",
         "w",
+        "grid_x",
+        "grid_y",
+        "grid_w",
         "total_denom",
         "scale",
         "vscale",
@@ -181,6 +189,7 @@ class _Prepared:
         _require_indecisive(uset)
         if uset.dimension != 2:
             raise ValidationError("the deterministic engine supports d=2 only")
+        _check_coordinate_range(measure, uset.all_locations())
         uset = canonical_jitter(uset)
         self.measure = measure
         self.n = uset.n
@@ -220,6 +229,15 @@ class _Prepared:
         dtype = np.int64 if max(denoms) < 2**62 else object
         self.w = np.array([v for row in ints for v in row], dtype=dtype)
         self.total_denom = math.prod(denoms)
+        # The (point, candidate) grid cell of each global candidate.
+        cell = (self.point_of, np.arange(len(self.w)) - self.offsets[self.point_of])
+        shape = (self.n, max(self.ks))
+        self.grid_x = np.full(shape, np.nan)
+        self.grid_y = np.full(shape, np.nan)
+        self.grid_w = np.zeros(shape, dtype=dtype)
+        self.grid_x[cell] = self.fx
+        self.grid_y[cell] = self.fy
+        self.grid_w[cell] = self.w
 
     def combo_count(self) -> int:
         total = 0
@@ -233,10 +251,11 @@ class _Prepared:
 # Chunked enumeration, validation and counting
 #
 # Potential bases travel as (rows, s) arrays of global candidate indices,
-# one basis size at a time.  A chunk's strict-interior mask has rows x N
-# cells (N candidates); about _CHUNK_CELLS of them keep its temporaries well
-# under a megabyte, and a floor on the rows keeps per-chunk overhead small
-# when N is large.
+# one basis size at a time.  A chunk's strict-interior mask has rows x n x
+# k_max cells (candidates padded per point to the largest k); about
+# _CHUNK_CELLS of them keep its temporaries well under a megabyte, and a
+# floor on the rows keeps per-chunk overhead small when there are many
+# candidates.
 _CHUNK_CELLS = 32_768
 _MIN_CHUNK_ROWS = 64
 
@@ -275,87 +294,97 @@ def _index_chunks(prep: _Prepared):
     """All potential bases as arrays of global candidate indices: basis
     sizes ascending, then point combos and candidate products in
     lexicographic order, cut into chunks of a fixed number of rows."""
-    rows = max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // len(prep.w))
+    rows = max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // prep.grid_w.size)
     ks = np.array(prep.ks)
     for s in range(1, prep.beta + 1):
         yield from _candidate_rows(ks, prep.offsets, s, rows)
+
+
+def _extrema(cols, op):
+    """Fold ``op`` (np.maximum or np.minimum) over the arrays of ``cols``
+    left to right, as ``max``/``min`` over an axis does, and over all of
+    them but one: returns the full extremum and the list, per t, of the
+    extremum without cols[t], joined from a prefix and a suffix fold.
+    max and min are exact, so any fold order gives the same values."""
+    cols = list(cols)
+    pre = list(itertools.accumulate(cols, op))
+    if len(cols) == 1:
+        return pre[0], []
+    suf = list(itertools.accumulate(cols[:0:-1], lambda acc, c: op(c, acc)))[::-1]
+    drops = [suf[0]] + [op(pre[t - 1], suf[t]) for t in range(1, len(cols) - 1)] + [pre[-2]]
+    return pre[-1], drops
 
 
 def _validate(prep: _Prepared, idx: np.ndarray):
     """Minimal rows of a chunk of potential bases, with their values and
     counting shapes: returns (idx, values, shapes) restricted to the rows
     that are true bases.  Minimality only needs the drop-one subsets by
-    monotonicity.
+    monotonicity; their extrema come from one prefix and one suffix fold
+    per coordinate (:func:`_extrema`).
 
     Shapes, one row per basis: (cx, cy, r) for seb2, (lo, hi) for dwid and
     (x0, x1, y0, y1) otherwise, in frame coordinates.
     """
     kind = prep.measure.kind
-    eps = prep.strict_eps
-    s = idx.shape[1]
-    xs = prep.fx[idx]
-    ys = prep.fy[idx]
     if kind == "seb2":
-        return _validate_seb2(prep, idx, xs, ys)
-    if s == 1:
-        keep = np.ones(len(idx), dtype=bool)
-        values = np.zeros(len(idx))
-    elif kind == "dwid":
-        values = np.abs(xs[:, 1] - xs[:, 0])
-        keep = values > eps
-    elif kind in ("aabb_perimeter", "aabb_area"):
-        perim = kind == "aabb_perimeter"
-
-        def rect_value(x, y):
-            ex = x.max(axis=1) - x.min(axis=1)
-            ey = y.max(axis=1) - y.min(axis=1)
-            return 2.0 * (ex + ey) if perim else ex * ey
-
-        values = rect_value(xs, ys)
-        keep = np.ones(len(idx), dtype=bool)
-        for drop in range(s):
-            cols = [t for t in range(s) if t != drop]
-            keep &= rect_value(xs[:, cols], ys[:, cols]) < values - eps
-    else:
-        # sebinf / seb1.  The plain radius violates the locality axiom
-        # (optimal centers are not unique), so the basis must pin the
-        # lexicographically minimal optimum (r, cx, cy): minimality compares
-        # the full triple, with cx = max_x - r and cy = max_y - r.
-        geps = prep.geom_eps
-
-        def lex_opt(x, y):
-            mx = x.max(axis=1)
-            my = y.max(axis=1)
-            r = np.maximum(mx - x.min(axis=1), my - y.min(axis=1)) / 2.0
-            return r, mx - r, my - r
-
-        values, cx, cy = lex_opt(xs, ys)
-        keep = np.ones(len(idx), dtype=bool)
-        # Subsets give lexicographically smaller-or-equal optima; reject the
-        # combo unless every drop strictly changes some component.
-        for drop in range(s):
-            cols = [t for t in range(s) if t != drop]
-            r2, cx2, cy2 = lex_opt(xs[:, cols], ys[:, cols])
-            keep &= ~(
-                (np.abs(r2 - values) <= eps)
-                & (np.abs(cx2 - cx) <= geps)
-                & (np.abs(cy2 - cy) <= geps)
-            )
-    idx, xs, ys, values = idx[keep], xs[keep], ys[keep], values[keep]
+        return _validate_seb2(prep, idx, prep.fx[idx], prep.fy[idx])
+    eps = prep.strict_eps
+    keep = np.ones(len(idx), dtype=bool)
+    # One coordinate array per basis slot (a column of idx).
+    xs = prep.fx[idx.T]
+    x_hi, x_hi_drops = _extrema(xs, np.maximum)
+    x_lo, x_lo_drops = _extrema(xs, np.minimum)
     if kind == "dwid":
-        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1)])
-    elif kind in ("aabb_perimeter", "aabb_area"):
-        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)])
+        # At most two slots, and a single point has width 0.
+        values = x_hi - x_lo
+        if idx.shape[1] == 2:
+            keep = values > eps
+        shapes = [x_lo, x_hi]
     else:
-        # sebinf / seb1: the canonical (lex-minimal) optimal square in frame
-        # coordinates, anchored at the max corner.  A support has this basis
-        # iff all its other candidates lie inside this square, which pins
-        # radius and both center components at once.
-        w2 = 2.0 * values
-        mx = xs.max(axis=1)
-        my = ys.max(axis=1)
-        shapes = np.column_stack([mx - w2, mx, my - w2, my])
-    return idx, values, shapes
+        ys = prep.fy[idx.T]
+        y_hi, y_hi_drops = _extrema(ys, np.maximum)
+        y_lo, y_lo_drops = _extrema(ys, np.minimum)
+        drops = zip(x_hi_drops, x_lo_drops, y_hi_drops, y_lo_drops)
+        if kind in ("aabb_perimeter", "aabb_area"):
+            perim = kind == "aabb_perimeter"
+
+            def rect_value(x_hi, x_lo, y_hi, y_lo):
+                ex = x_hi - x_lo
+                ey = y_hi - y_lo
+                return 2.0 * (ex + ey) if perim else ex * ey
+
+            values = rect_value(x_hi, x_lo, y_hi, y_lo)
+            for drop in drops:
+                keep &= rect_value(*drop) < values - eps
+            shapes = [x_lo, x_hi, y_lo, y_hi]
+        else:
+            # sebinf / seb1.  The plain radius violates the locality axiom
+            # (optimal centers are not unique), so the basis must pin the
+            # lexicographically minimal optimum (r, cx, cy): minimality
+            # compares the full triple, with cx = max_x - r and cy = max_y - r.
+            geps = prep.geom_eps
+
+            def lex_opt(x_hi, x_lo, y_hi, y_lo):
+                r = np.maximum(x_hi - x_lo, y_hi - y_lo) / 2.0
+                return r, x_hi - r, y_hi - r
+
+            values, cx, cy = lex_opt(x_hi, x_lo, y_hi, y_lo)
+            # Subsets give lexicographically smaller-or-equal optima; reject
+            # the combo unless every drop strictly changes some component.
+            for drop in drops:
+                r2, cx2, cy2 = lex_opt(*drop)
+                keep &= ~(
+                    (np.abs(r2 - values) <= eps)
+                    & (np.abs(cx2 - cx) <= geps)
+                    & (np.abs(cy2 - cy) <= geps)
+                )
+            # The canonical (lex-minimal) optimal square in frame
+            # coordinates, anchored at the max corner.  A support has this
+            # basis iff all its other candidates lie inside this square,
+            # which pins radius and both center components at once.
+            w2 = 2.0 * values
+            shapes = [x_hi - w2, x_hi, y_hi - w2, y_hi]
+    return idx[keep], values[keep], np.column_stack(shapes)[keep]
 
 
 def _validate_seb2(prep: _Prepared, idx, xs, ys):
@@ -378,11 +407,12 @@ def _validate_seb2(prep: _Prepared, idx, xs, ys):
 
 
 def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
-    """(rows, N) mask: candidate strictly inside the row's counting shape."""
+    """(rows, n, k_max) mask over the padded candidate grid: candidate
+    strictly inside the row's counting shape (never a NaN pad)."""
     eps = prep.geom_eps
-    fx = prep.fx
-    fy = prep.fy
-    cols = [c[:, None] for c in shapes.T]
+    fx = prep.grid_x
+    fy = prep.grid_y
+    cols = [c[:, None, None] for c in shapes.T]
     kind = prep.measure.kind
     if kind == "seb2":
         cx, cy, r = cols
@@ -402,10 +432,19 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
     weight of its candidates strictly inside the basis's shape.  Returns the
     mask of the rows with nonzero probability and their numerators, int64
     while prep.total_denom fits (a point's mass is at most its denominator,
-    so a numerator is at most prep.total_denom), Python ints otherwise."""
-    inside = _strict_inside(prep, shapes)
-    masses = np.add.reduceat(np.where(inside, prep.w, 0), prep.offsets, axis=1)
-    masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
+    so a numerator is at most prep.total_denom), Python ints otherwise.
+
+    When the bases hold every point, the masses are the members' weights
+    and no interior test is made."""
+    if idx.shape[1] == prep.n:
+        masses = prep.w[idx]
+    else:
+        # Masked weights, summed per point by adding the k_max columns.
+        terms = _strict_inside(prep, shapes) * prep.grid_w
+        masses = terms[..., 0]
+        for j in range(1, terms.shape[2]):
+            masses = masses + terms[..., j]
+        masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
     nonzero = (masses > 0).all(axis=1)
     masses = masses[nonzero]
     if prep.total_denom >= 2**63:
@@ -572,6 +611,7 @@ def brute_force_distribution(
         )
     if uset.dimension != 2:
         raise ValidationError("the brute-force oracle supports d=2 only")
+    _check_coordinate_range(measure, uset.all_locations())
     jset = canonical_jitter(uset)
     n = jset.n
     ks = np.array([p.k for p in jset.points])

@@ -34,6 +34,7 @@ from .geometry import (
     coordinate_scale,
     welzl_ball,
 )
+from .model import ValidationError
 
 __all__ = [
     "MeasureId",
@@ -54,6 +55,13 @@ _STRICT_REL = 1e-14  # strictness margin for minimality / interior tests
 
 _KINDS = ("seb2", "seb1", "sebinf", "aabb_perimeter", "aabb_area", "dwid", "diameter")
 _AREA_VALUED = {"aabb_area"}
+
+# The seb2 solvers form up to fourth powers of coordinate differences (the
+# 3-D circumcircle's uu * vv, the circumsphere's Cramer terms), each a sum of
+# a few products of differences of at most twice the largest coordinate
+# magnitude; the diameter forms squares of them.  Below this magnitude every
+# such term is finite.
+_MAX_COORDINATE = float(np.finfo(np.float64).max) ** 0.25 / 16
 
 
 class NotLPTypeError(ValueError):
@@ -134,6 +142,15 @@ def tolerance(pts: np.ndarray, measure: MeasureId | None = None) -> float:
 
 # --------------------------------------------------------------------------
 # Evaluation
+
+
+def _check_coordinate_range(measure: MeasureId, pts: np.ndarray) -> None:
+    """Refuse seb2 and diameter input with a coordinate too large for the
+    solvers' powers to stay finite."""
+    if measure.kind in ("seb2", "diameter") and np.abs(pts).max(initial=0.0) > _MAX_COORDINATE:
+        raise ValidationError(
+            f"{measure.kind} needs coordinates of magnitude at most {_MAX_COORDINATE:.3g}"
+        )
 
 
 def _rot_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,11 +263,12 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ``xs`` and ``ys`` are (rows, m) coordinates; returns (rows, 3) of
     (cx, cy, radius), bit for bit what the scalar function gives per row.
     Rows are sorted as ``sorted`` sorts coordinate tuples.  Pair radii
-    square with CPython's float ``**`` (libm ``pow``), which numpy's
-    multiply and power do not match on every value.  Strictly acute triples
-    with a well-conditioned circumcircle take only + - * / and comparisons,
-    which numpy rounds as CPython does; the other triples go to the scalar
-    function, which stays the one definition."""
+    square with ``np.float_power``, which calls libm ``pow`` as CPython's
+    float ``**`` does; numpy's multiply and power do not match it on every
+    value.  Strictly acute triples with a well-conditioned circumcircle
+    take only + - * / and comparisons, which numpy rounds as CPython does;
+    the other triples go to the scalar function, which stays the one
+    definition."""
     order = np.lexsort((ys, xs))
     xs = np.take_along_axis(xs, order, axis=1)
     ys = np.take_along_axis(ys, order, axis=1)
@@ -258,9 +276,9 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if xs.shape[1] == 2:
         out[:, 0] = 0.5 * (xs[:, 0] + xs[:, 1])
         out[:, 1] = 0.5 * (ys[:, 0] + ys[:, 1])
-        dx = (xs[:, 0] - out[:, 0]).tolist()
-        dy = (ys[:, 0] - out[:, 1]).tolist()
-        out[:, 2] = np.sqrt([a**2 + b**2 for a, b in zip(dx, dy)])
+        dx = xs[:, 0] - out[:, 0]
+        dy = ys[:, 0] - out[:, 1]
+        out[:, 2] = np.sqrt(np.float_power(dx, 2.0) + np.float_power(dy, 2.0))
         return out
     ax, bx, cx = xs.T
     ay, by, cy = ys.T
@@ -319,6 +337,7 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
         raise ValueError(f"dwid direction has dimension {len(measure.direction)}, points have {d}")
     if kind not in ("seb2", "dwid", "diameter") and d != 2:
         raise ValueError(f"{kind} is implemented for d=2 only")
+    _check_coordinate_range(measure, arr)
     sets = arr.reshape((-1,) + arr.shape[-2:])
     if kind == "seb2":
         values = np.array([_seb2_value(p) for p in sets], dtype=np.float64)

@@ -330,7 +330,9 @@ def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.ra
         else:
             z = rng.standard_normal((stop - start, uset.dimension))
             locs[start:stop] = means + np.matmul(chols, z[..., None])[..., 0]
-    return Support._fresh(as_points(locs), None)
+    if not np.isfinite(locs).all():
+        raise ValueError("coordinates must be finite")
+    return Support._fresh(locs, None)
 
 
 def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:

@@ -252,6 +252,35 @@ def test_malformed_grid_exit_code(grid, indecisive_file, tmp_path, capsys):
     assert capsys.readouterr().err == "error: grid must be W,H\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantize", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1"],
+        ["quantize", "--measure", "diameter", "--eps", "0.2", "--delta", "0.1"],
+        ["exact", "--measure", "seb2"],
+        ["oracle", "--measure", "seb2"],
+    ],
+)
+def test_huge_coordinates_exit_code(argv, tmp_path, capsys):
+    # A candidate at 1e200 overflows the seb2 solvers' squares and the
+    # diameter's; each command refuses the set instead of writing inf or
+    # raising OverflowError.
+    doc = {
+        "dimension": 2,
+        "model": "indecisive",
+        "points": [
+            {"locations": [[0, 0], [1e200, 0]], "weights": ["1/2", "1/2"]},
+            {"locations": [[2, 0], [2, 1]], "weights": ["1/3", "2/3"]},
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert main([argv[0], "--input", str(path), "--out", str(out), *argv[1:]]) == 2
+    assert "magnitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conservation_error_exit_code(indecisive_file, tmp_path, monkeypatch, capsys):
     import uqgeom.exact as exact_mod
 

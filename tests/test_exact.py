@@ -793,3 +793,162 @@ def test_seb2_oracle_matches_exact_referee(uset):
     assert bf.total_probability == 1
     # The coordinate scale, not the diameter: all candidates may coincide.
     assert distributions_match(bf, ref, 1e-9 * coordinate_scale(uset.all_locations()))
+
+
+# --------------------------------------------------------------------------
+# Validation and counting against the former per-drop and reduceat code
+
+
+def _former_validate(prep, idx):
+    """Reference: the validation that rebuilt every drop-one rectangle or
+    square from copied column subsets."""
+    import uqgeom.exact as exact_mod
+
+    kind = prep.measure.kind
+    eps = prep.strict_eps
+    s = idx.shape[1]
+    xs = prep.fx[idx]
+    ys = prep.fy[idx]
+    if kind == "seb2":
+        return exact_mod._validate_seb2(prep, idx, xs, ys)
+    if s == 1:
+        keep = np.ones(len(idx), dtype=bool)
+        values = np.zeros(len(idx))
+    elif kind == "dwid":
+        values = np.abs(xs[:, 1] - xs[:, 0])
+        keep = values > eps
+    elif kind in ("aabb_perimeter", "aabb_area"):
+        perim = kind == "aabb_perimeter"
+
+        def rect_value(x, y):
+            ex = x.max(axis=1) - x.min(axis=1)
+            ey = y.max(axis=1) - y.min(axis=1)
+            return 2.0 * (ex + ey) if perim else ex * ey
+
+        values = rect_value(xs, ys)
+        keep = np.ones(len(idx), dtype=bool)
+        for drop in range(s):
+            cols = [t for t in range(s) if t != drop]
+            keep &= rect_value(xs[:, cols], ys[:, cols]) < values - eps
+    else:
+        geps = prep.geom_eps
+
+        def lex_opt(x, y):
+            mx = x.max(axis=1)
+            my = y.max(axis=1)
+            r = np.maximum(mx - x.min(axis=1), my - y.min(axis=1)) / 2.0
+            return r, mx - r, my - r
+
+        values, cx, cy = lex_opt(xs, ys)
+        keep = np.ones(len(idx), dtype=bool)
+        for drop in range(s):
+            cols = [t for t in range(s) if t != drop]
+            r2, cx2, cy2 = lex_opt(xs[:, cols], ys[:, cols])
+            keep &= ~(
+                (np.abs(r2 - values) <= eps)
+                & (np.abs(cx2 - cx) <= geps)
+                & (np.abs(cy2 - cy) <= geps)
+            )
+    idx, xs, ys, values = idx[keep], xs[keep], ys[keep], values[keep]
+    if kind == "dwid":
+        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1)])
+    elif kind in ("aabb_perimeter", "aabb_area"):
+        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)])
+    else:
+        w2 = 2.0 * values
+        mx = xs.max(axis=1)
+        my = ys.max(axis=1)
+        shapes = np.column_stack([mx - w2, mx, my - w2, my])
+    return idx, values, shapes
+
+
+def _former_numerators(prep, idx, shapes):
+    """Reference: a rows x N strict-interior mask over the flat candidates
+    for every chunk, reduced per point with where + reduceat."""
+    eps = prep.geom_eps
+    fx = prep.fx
+    fy = prep.fy
+    cols = [c[:, None] for c in shapes.T]
+    kind = prep.measure.kind
+    if kind == "seb2":
+        cx, cy, r = cols
+        lim = r - eps
+        inside = ((fx - cx) ** 2 + (fy - cy) ** 2 < lim * lim) & (lim > 0.0)
+    elif kind == "dwid":
+        lo, hi = cols
+        inside = (fx > lo + eps) & (fx < hi - eps)
+    else:
+        x0, x1, y0, y1 = cols
+        inside = (fx > x0 + eps) & (fx < x1 - eps) & (fy > y0 + eps) & (fy < y1 - eps)
+    masses = np.add.reduceat(np.where(inside, prep.w, 0), prep.offsets, axis=1)
+    masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
+    nonzero = (masses > 0).all(axis=1)
+    masses = masses[nonzero]
+    if prep.total_denom >= 2**63:
+        masses = masses.astype(object)
+    return nonzero, masses.prod(axis=1)
+
+
+_COUNTING_SETS = {
+    "generic": lambda: random_indecisive(np.random.default_rng(41), 5, 3),
+    "lattice": lambda: _lattice_indecisive(np.random.default_rng(41), 5, 3),
+    "unequal-k": lambda: _unequal_k_indecisive(np.random.default_rng(42), (4, 1, 6, 2), lattice=False),
+    "unequal-k-lattice": lambda: _unequal_k_indecisive(np.random.default_rng(42), (3, 5, 1, 2, 4), lattice=True),
+    "k=1": lambda: random_indecisive(np.random.default_rng(43), 6, 1),
+    # n <= beta: the last basis size holds every point.
+    "n=2": lambda: random_indecisive(np.random.default_rng(44), 2, 4),
+    "n=3-lattice": lambda: _lattice_indecisive(np.random.default_rng(44), 3, 3),
+    "n=4-unequal-k": lambda: _unequal_k_indecisive(np.random.default_rng(45), (2, 3, 1, 3), lattice=False),
+    "huge-denominator": _huge_denominator_set,
+}
+
+
+def _assert_chunks_match_former(prep, idx):
+    import uqgeom.exact as exact_mod
+
+    got = exact_mod._validate(prep, idx)
+    want = _former_validate(prep, idx)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    idx, _, shapes = got
+    got_nonzero, got_nums = exact_mod._numerators(prep, idx, shapes)
+    want_nonzero, want_nums = _former_numerators(prep, idx, shapes)
+    assert got_nonzero.tolist() == want_nonzero.tolist()
+    assert got_nums.dtype == want_nums.dtype and got_nums.tolist() == want_nums.tolist()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("kind", sorted(_COUNTING_SETS))
+def test_validation_and_counting_match_former_code(monkeypatch, kind, rows):
+    import uqgeom.exact as exact_mod
+
+    if rows is not None:
+        monkeypatch.setattr(exact_mod, "_CHUNK_CELLS", 0)
+        monkeypatch.setattr(exact_mod, "_MIN_CHUNK_ROWS", rows)
+    uset = _COUNTING_SETS[kind]()
+    full = 0
+    for m in MEASURES:
+        prep = exact_mod._Prepared(uset, m)
+        assert np.isnan(prep.grid_x).sum() == prep.grid_w.size - len(prep.w)
+        for idx in exact_mod._index_chunks(prep):
+            assert rows is None or len(idx) <= rows
+            _assert_chunks_match_former(prep, idx)
+            full += idx.shape[1] == prep.n
+    # Chunks of bases that hold every point, for every measure, exactly
+    # when the set is no larger than the basis sizes.
+    assert (full > 0) == (uset.n <= 4)
+    if kind == "huge-denominator":
+        assert exact_mod._Prepared(uset, MEASURES[0]).w.dtype == object
+
+
+def test_counting_matches_former_code_on_81_and_100_candidates():
+    # The discretized pipeline's shape: two points, unequal k, so nearly all
+    # bases hold both points and the grid pads 19 cells.
+    import uqgeom.exact as exact_mod
+
+    uset = _unequal_k_indecisive(np.random.default_rng(46), (81, 100), lattice=False)
+    for m in MEASURES:
+        prep = exact_mod._Prepared(uset, m)
+        assert prep.grid_w.shape == (2, 100)
+        for idx in exact_mod._index_chunks(prep):
+            _assert_chunks_match_former(prep, idx)

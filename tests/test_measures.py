@@ -7,6 +7,7 @@ import pytest
 from uqgeom import (
     MeasureId,
     NotLPTypeError,
+    ValidationError,
     check_lp_axioms,
     combinatorial_dimension,
     evaluate,
@@ -14,7 +15,7 @@ from uqgeom import (
     full_violation_test,
     tolerance,
 )
-from uqgeom.measures import _seb2_ball_tuple, _seb2_balls
+from uqgeom.measures import _MAX_COORDINATE, _seb2_ball_tuple, _seb2_balls
 
 
 def test_measure_id_parsing():
@@ -373,6 +374,41 @@ def test_seb2_balls_pairs_where_pow_and_product_round_apart():
     split = np.array(split)
     assert split.sum() >= 5
     _assert_balls_bitwise_equal(xs[split], ys[split])
+
+
+def test_float_power_squares_as_cpython_pow():
+    # _seb2_balls squares pair radii with np.float_power because it calls
+    # libm pow per value, as CPython's float ** does.  A numpy that
+    # vectorizes float_power (or special-cases the exponent 2) may round
+    # some squares as x * x does, and must fail here rather than move
+    # seb2 bits.  Magnitudes run from subnormal to 1e154, both signs.
+    rng = np.random.default_rng(20_261)
+    size = 200_000
+    x = np.concatenate(
+        [
+            rng.uniform(0.5, 1.0, size) * 10.0 ** rng.integers(-323, 155, size),
+            rng.normal(size=size),
+            rng.uniform(-3.0, 3.0, size),
+        ]
+    )
+    x[::2] *= -1.0
+    want = np.array([v**2 for v in x.tolist()])
+    assert np.isfinite(want).all()
+    assert np.float_power(x, 2.0).tobytes() == want.tobytes()
+    # The sample tells pow from the product.
+    assert (x * x != want).sum() >= 100
+
+
+@pytest.mark.parametrize("kind", ["seb2", "diameter"])
+def test_evaluate_refuses_coordinates_too_large_for_the_solvers(kind):
+    fine = np.array([[0.0, 0.0], [_MAX_COORDINATE, -_MAX_COORDINATE]])
+    assert np.isfinite(evaluate(MeasureId(kind), fine))
+    assert np.isfinite(evaluate(MeasureId(kind), np.column_stack([fine, fine[:, :1]])))
+    for pts in ([[0.0, 0.0], [1e200, 0.0]], [[0.0, -2 * _MAX_COORDINATE]], [[[0.0, 0.0]], [[0.0, 1e300]]]):
+        with pytest.raises(ValidationError, match="magnitude"):
+            evaluate(MeasureId(kind), pts)
+    # Other measures are not bounded this way.
+    assert evaluate(MeasureId("aabb_perimeter"), [[0.0, 0.0], [1e200, 0.0]]) == 2e200
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-11, 1e-3])
