@@ -45,7 +45,7 @@ from .measures import (
     BasisMember,
     MeasureId,
     NotLPTypeError,
-    _check_coordinate_range,
+    _check_input,
     _frame,
     _frame_values,
     _seb2_balls,
@@ -189,7 +189,7 @@ class _Prepared:
         _require_indecisive(uset)
         if uset.dimension != 2:
             raise ValidationError("the deterministic engine supports d=2 only")
-        _check_coordinate_range(measure, uset.all_locations())
+        _check_input(measure, uset.all_locations())
         uset = canonical_jitter(uset)
         self.measure = measure
         self.n = uset.n
@@ -611,7 +611,7 @@ def brute_force_distribution(
         )
     if uset.dimension != 2:
         raise ValidationError("the brute-force oracle supports d=2 only")
-    _check_coordinate_range(measure, uset.all_locations())
+    _check_input(measure, uset.all_locations())
     jset = canonical_jitter(uset)
     n = jset.n
     ks = np.array([p.k for p in jset.points])

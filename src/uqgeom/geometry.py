@@ -17,6 +17,7 @@ __all__ = [
     "as_points",
     "bbox_diameter",
     "coordinate_scale",
+    "coordinate_scales",
     "Ball",
     "welzl_ball",
     "lens_area",
@@ -56,6 +57,18 @@ def coordinate_scale(pts: np.ndarray) -> float:
         return 1.0
     diag = bbox_diameter(pts)
     return max(diag, float(np.abs(pts).max()), 1.0)
+
+
+def coordinate_scales(stack: np.ndarray) -> list[float]:
+    """:func:`coordinate_scale` of each set in a (rows, m, d) stack with
+    m >= 1, bit for bit, from one pass over the stack: the extents and
+    magnitudes are exact maxima and minima, and each diagonal is the same
+    ``math.hypot``."""
+    hi = stack.max(axis=1)
+    lo = stack.min(axis=1)
+    diag = [math.hypot(*span) for span in (hi - lo).tolist()]
+    magnitude = np.maximum(np.abs(hi), np.abs(lo)).max(axis=1)
+    return np.maximum(np.maximum(diag, magnitude), 1.0).tolist()
 
 
 class Ball:
@@ -236,7 +249,7 @@ def _circumsphere_coords(a, b, c, d4):
     return cen, r2v
 
 
-def welzl_ball(pts: np.ndarray) -> Ball:
+def welzl_ball(pts: np.ndarray, scale: float | None = None) -> Ball:
     """Minimum enclosing ball via Welzl's move-to-front algorithm (d = 2, 3).
 
     The processing order is a fixed pseudo-random permutation, giving the
@@ -244,6 +257,9 @@ def welzl_ball(pts: np.ndarray) -> Ball:
     bit-reproducible output.  ``support`` holds indices (into ``pts``) of the
     boundary set the algorithm ended with; it is a valid defining set but
     tie-breaking among equally valid sets is left to the caller.
+
+    ``scale`` is ``coordinate_scale(pts)``, for callers that have it (see
+    :func:`coordinate_scales`); it sets the containment slack.
     """
     pts = np.asarray(pts, dtype=np.float64)
     n, d = pts.shape
@@ -252,7 +268,8 @@ def welzl_ball(pts: np.ndarray) -> Ball:
     if n == 1:
         return Ball(pts[0].copy(), 0.0, (0,))
     coords = pts.tolist()
-    scale = coordinate_scale(pts)
+    if scale is None:
+        scale = coordinate_scale(pts)
     slack = _WELZL_REL * scale
     dup2 = (1e-10 * scale) ** 2
     max_boundary = d + 1

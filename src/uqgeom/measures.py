@@ -32,6 +32,7 @@ from .geometry import (
     as_points,
     bbox_diameter,
     coordinate_scale,
+    coordinate_scales,
     welzl_ball,
 )
 from .model import ValidationError
@@ -62,6 +63,10 @@ _AREA_VALUED = {"aabb_area"}
 # magnitude; the diameter forms squares of them.  Below this magnitude every
 # such term is finite.
 _MAX_COORDINATE = float(np.finfo(np.float64).max) ** 0.25 / 16
+# The area multiplies two extents of at most twice the largest coordinate
+# magnitude, and its tolerances square the bounding-box diagonal, at most
+# 2 sqrt(2) times it.  Below this magnitude both stay finite.
+_MAX_AREA_COORDINATE = float(np.finfo(np.float64).max) ** 0.5 / 4
 
 
 class NotLPTypeError(ValueError):
@@ -144,13 +149,17 @@ def tolerance(pts: np.ndarray, measure: MeasureId | None = None) -> float:
 # Evaluation
 
 
-def _check_coordinate_range(measure: MeasureId, pts: np.ndarray) -> None:
-    """Refuse seb2 and diameter input with a coordinate too large for the
-    solvers' powers to stay finite."""
-    if measure.kind in ("seb2", "diameter") and np.abs(pts).max(initial=0.0) > _MAX_COORDINATE:
-        raise ValidationError(
-            f"{measure.kind} needs coordinates of magnitude at most {_MAX_COORDINATE:.3g}"
-        )
+def _check_input(measure: MeasureId, pts: np.ndarray) -> None:
+    """Refuse points (..., n, d) that the measure cannot take: a dwid
+    direction of another dimension, and seb2, diameter and aabb-area input
+    with a coordinate too large for the solvers' powers or the area's
+    product to stay finite."""
+    d = pts.shape[-1]
+    if measure.kind == "dwid" and len(measure.direction) != d:
+        raise ValidationError(f"dwid direction has dimension {len(measure.direction)}, points have {d}")
+    bound = _MAX_AREA_COORDINATE if measure.kind in _AREA_VALUED else _MAX_COORDINATE
+    if measure.kind in ("seb2", "diameter", *_AREA_VALUED) and np.abs(pts).max(initial=0.0) > bound:
+        raise ValidationError(f"{measure.kind} needs coordinates of magnitude at most {bound:.3g}")
 
 
 def _rot_coords(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +316,8 @@ def _seb2_ball_of_members(locs: np.ndarray) -> Ball:
     return Ball(np.array(sol[:d]), sol[d], sol[d + 1])
 
 
-def _seb2_value(pts: np.ndarray) -> float:
-    ball = welzl_ball(pts)
+def _seb2_value(pts: np.ndarray, scale: float) -> float:
+    ball = welzl_ball(pts, scale)
     if pts.shape[1] == 2 and 1 <= len(ball.support) <= 3:
         # Recompute from the defining set in canonical order so the value
         # is bitwise identical to the deterministic engine's basis value.
@@ -321,7 +330,8 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
     each set in a stack (..., n, d), as an array of shape (...).  A set's
     value has the same bits either way.
 
-    seb2 solves one miniball per set.  dwid projects each set with its own
+    seb2 solves one miniball per set, with the coordinate scales of the
+    whole stack taken at once.  dwid projects each set with its own
     ``pts @ u``, since a matmul over the whole stack may round a row
     differently."""
     arr = np.asarray(pts, dtype=np.float64)
@@ -333,14 +343,13 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
         raise ValueError("coordinates must be finite")
     d = arr.shape[-1]
     kind = measure.kind
-    if kind == "dwid" and len(measure.direction) != d:
-        raise ValueError(f"dwid direction has dimension {len(measure.direction)}, points have {d}")
+    _check_input(measure, arr)
     if kind not in ("seb2", "dwid", "diameter") and d != 2:
         raise ValueError(f"{kind} is implemented for d=2 only")
-    _check_coordinate_range(measure, arr)
     sets = arr.reshape((-1,) + arr.shape[-2:])
     if kind == "seb2":
-        values = np.array([_seb2_value(p) for p in sets], dtype=np.float64)
+        scales = coordinate_scales(sets)
+        values = np.array([_seb2_value(p, s) for p, s in zip(sets, scales)], dtype=np.float64)
     elif kind == "dwid":
         frame = np.array([_frame(measure, p) for p in sets]).reshape(sets.shape[:-1])
         values = _frame_values(kind, frame)

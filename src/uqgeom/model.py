@@ -11,8 +11,8 @@ All types are immutable after construction and safe to share across
 threads.  Sampling takes an explicit numpy ``Generator`` so callers control
 reproducibility; see :func:`uqgeom.montecarlo.trial_rng` for the
 counter-based stream derivation used by the randomized engines, which
-derive the seeds of a chunk of trials at once but hand
-:func:`sample_support` the same stream per trial.
+derive the seeds of a chunk of trials at once and draw the chunk's supports
+with :func:`draw_supports`, one stream per trial.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "ContinuousUncertainSet",
     "Support",
     "sample_support",
+    "draw_supports",
     "support_probability",
     "canonical_jitter",
     "load_point_set",
@@ -208,10 +209,19 @@ class UniformDiskPoint:
         return 2
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random()
-        theta = 2.0 * math.pi * rng.random()
-        r = self.radius * math.sqrt(u)
-        return self.center + r * np.array([math.cos(theta), math.sin(theta)])
+        return self._place(rng.random((2, 1)))[0]
+
+    def _place(self, uv: np.ndarray) -> np.ndarray:
+        """Locations (rows, 2) from the two uniforms of each draw, (2, rows):
+        ``uv[0]`` sets the radius and ``uv[1]`` the angle.  Scalar ``math``
+        per draw, so the bits do not depend on numpy's vector kernels."""
+        cx, cy = self.center.tolist()
+        out = []
+        for u, v in zip(*uv.tolist()):
+            theta = 2.0 * math.pi * v
+            r = self.radius * math.sqrt(u)
+            out.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
+        return np.array(out).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,23 +262,30 @@ class ContinuousUncertainSet:
         return len(self.points)
 
     @functools.cached_property
-    def _sampling_plan(self) -> tuple[tuple, ...]:
-        """Runs of consecutive points in stream order: ``(start, stop,
-        means, chols)`` for a run of Gaussian points, which is drawn with
-        one ``standard_normal`` call, and ``(i, i + 1, None, None)`` for a
-        point drawn by its own ``sample`` method."""
-        runs = []
+    def _sampling_plan(self) -> tuple[tuple, tuple, tuple]:
+        """How a support is drawn.  ``draws``, in stream order: the stream
+        call (``"standard_normal"`` or ``"random"``) and the index, in a
+        support's (n, d) draw buffer, that it fills; one
+        ``standard_normal((run, d))`` per run of consecutive Gaussian
+        points, two uniforms per uniform disk, nothing for a point mass.
+        ``gaussians``: ``(start, stop, means, chols)`` per Gaussian run.
+        ``others``: ``(i, point)`` per other point."""
+        draws, gaussians, others = [], [], []
         start = 0
         for gaussian, group in itertools.groupby(self.points, key=lambda p: isinstance(p, GaussianPoint)):
             group = list(group)
             if gaussian:
                 means = np.array([p.mean for p in group])
                 chols = np.array([p._chol for p in group])
-                runs.append((start, start + len(group), means, chols))
+                draws.append(("standard_normal", (slice(start, start + len(group)),)))
+                gaussians.append((start, start + len(group), means, chols))
             else:
-                runs.extend((i, i + 1, None, None) for i in range(start, start + len(group)))
+                for i, p in enumerate(group, start):
+                    if isinstance(p, UniformDiskPoint):
+                        draws.append(("random", (i, slice(0, 2))))
+                    others.append((i, p))
             start += len(group)
-        return tuple(runs)
+        return tuple(draws), tuple(gaussians), tuple(others)
 
 
 # --------------------------------------------------------------------------
@@ -312,27 +329,47 @@ class Support:
 
 def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.random.Generator) -> Support:
     """Draw one support, each location independently from its point's
-    distribution.  Indecisive draws use inverse-CDF over the cumulative
-    weights so the rational weights are respected.
+    distribution: the one-row case of :func:`draw_supports`."""
+    locations, choices = draw_supports(uset, [rng])
+    return Support._fresh(locations[0], None if choices is None else tuple(choices[0].tolist()))
 
-    The stream is consumed exactly as by one draw per point in point order:
-    an indecisive support takes ``rng.random(n)``, and a run of consecutive
-    Gaussian points takes one ``standard_normal((run, d))``, transformed by
-    a stacked ``matmul`` that gives the same bits as ``chol @ z`` per point."""
+
+def draw_supports(
+    uset: IndecisivePointSet | ContinuousUncertainSet, rngs
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One support per generator in ``rngs``: the (rows, n, d) locations,
+    and for an indecisive set the (rows, n) chosen candidate indices (None
+    for a continuous set).
+
+    Each generator is consumed exactly as by one draw per point in point
+    order: an indecisive support takes ``rng.random(n)``, a run of
+    consecutive Gaussian points one ``standard_normal((run, d))``, and a
+    uniform disk two ``rng.random()``.  Only those draws are made per row;
+    the inverse-CDF lookup over the cumulative weights (which respects the
+    rational weights), the Gaussians' ``chol @ z`` as one stacked
+    ``matmul`` (the same bits as per point), the disk transform and the
+    finiteness check each run once over all rows."""
+    rows = len(rngs)
     if isinstance(uset, IndecisivePointSet):
-        cum, locations, last, rows = uset._sampling_plan
-        j = np.minimum((cum <= rng.random(uset.n)[:, None]).sum(axis=1), last)
-        return Support._fresh(locations[rows, j], tuple(j.tolist()))
-    locs = np.empty((uset.n, uset.dimension))
-    for start, stop, means, chols in uset._sampling_plan:
-        if means is None:
-            locs[start] = uset.points[start].sample(rng)
-        else:
-            z = rng.standard_normal((stop - start, uset.dimension))
-            locs[start:stop] = means + np.matmul(chols, z[..., None])[..., 0]
+        cum, locations, last, points = uset._sampling_plan
+        u = np.empty((rows, uset.n))
+        for t, rng in enumerate(rngs):
+            rng.random(out=u[t])
+        j = np.minimum((cum <= u[..., None]).sum(axis=2), last)
+        return locations[points, j], j
+    draws, gaussians, others = uset._sampling_plan
+    z = np.empty((rows, uset.n, uset.dimension))
+    for t, rng in enumerate(rngs):
+        for call, index in draws:
+            getattr(rng, call)(out=z[(t, *index)])
+    locs = np.empty_like(z)
+    for start, stop, means, chols in gaussians:
+        locs[:, start:stop] = means + np.matmul(chols, z[:, start:stop, :, None])[..., 0]
+    for i, point in others:
+        locs[:, i] = point._place(z[:, i, :2].T) if isinstance(point, UniformDiskPoint) else point.at
     if not np.isfinite(locs).all():
         raise ValueError("coordinates must be finite")
-    return Support._fresh(locs, None)
+    return locs, None
 
 
 def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:
@@ -423,13 +460,19 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
     for key in ("dimension", "model", "points"):
         if key not in doc:
             raise ValidationError(f"missing top-level key {key!r}")
-    d = int(doc["dimension"])
+    try:
+        d = int(doc["dimension"])
+    except (TypeError, ValueError):
+        d = None
     if d not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
     model = doc["model"]
     raw_points = doc["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise ValidationError("points must be a non-empty list")
+    for i, rp in enumerate(raw_points):
+        if not isinstance(rp, dict):
+            raise ValidationError(f"points[{i}]: must be an object")
 
     if model == "indecisive":
         points = []
@@ -437,11 +480,13 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             where = f"points[{i}]"
             if "locations" not in rp or "weights" not in rp:
                 raise ValidationError(f"{where}: needs 'locations' and 'weights'")
+            if not isinstance(rp["weights"], list):
+                raise ValidationError(f"{where}: weights must be a list")
             weights = tuple(_parse_weight(w, where) for w in rp["weights"])
             try:
                 locs = np.asarray(rp["locations"], dtype=np.float64)
                 point = IndecisivePoint(locs, weights)
-            except (ValidationError, ValueError) as exc:
+            except (ValidationError, ValueError, TypeError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
         try:
@@ -470,7 +515,7 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
                     point = PointMassPoint(np.asarray(rp["at"], dtype=np.float64))
                 else:
                     raise ValidationError(f"unknown kind {kind!r}")
-            except (ValidationError, ValueError, KeyError) as exc:
+            except (ValidationError, ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
         try:

@@ -19,17 +19,19 @@ supports, on a stack of point sets.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import as_points, welzl_ball
+from .geometry import as_points, coordinate_scales, welzl_ball
 from .measures import MeasureId, evaluate
-from .model import ContinuousUncertainSet, IndecisivePointSet, ValidationError, sample_support
+from .model import ContinuousUncertainSet, IndecisivePointSet, ValidationError, draw_supports
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
 from .sip import DISK, RECT, SipField
+
+# Unused here; perfbench/layers.py patches it on this module by getattr.
+from .model import sample_support  # noqa: F401
 
 __all__ = [
     "SampleBudget",
@@ -62,9 +64,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Trials whose seeds are hashed together.
 _STREAM_CHUNK = 1024
-# Supports evaluated together: about _CHUNK_CELLS cells (64 KB of float64)
-# in the largest per-support temporary.  Larger chunks ran no faster and
-# raised the peak RSS.
+# Supports drawn, and evaluated, together: about _CHUNK_CELLS cells (64 KB
+# of float64) in the largest per-support temporary.  Larger chunks ran no
+# faster and raised the peak RSS.
 _CHUNK_CELLS = 8192
 
 
@@ -167,25 +169,27 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def _sampled_supports(
+def _support_stacks(
     uset: IndecisivePointSet | ContinuousUncertainSet,
     seed: int,
     count: int,
     tag: tuple[int, ...] = (),
 ):
-    """Locations of ``count`` sampled supports; support t is drawn from
-    the stream of ``trial_rng(seed, *tag, t)``, so it does not depend on
-    the order in which trials are consumed."""
+    """Locations of ``count`` sampled supports, in order, as (rows, n, d)
+    stacks of at most ``_chunk_rows(uset, ())`` supports; support t is
+    drawn from the stream of ``trial_rng(seed, *tag, t)``, so it does not
+    depend on the order in which trials are consumed."""
     seed_state = _seed_state_type()
+    rows = _chunk_rows(uset, ())
     for states in _stream_states(seed, tag, 0, count):
-        for state in states:
-            rng = np.random.Generator(np.random.PCG64(seed_state(state)))
-            yield sample_support(uset, rng).locations
+        for start in range(0, len(states), rows):
+            rngs = [np.random.Generator(np.random.PCG64(seed_state(s))) for s in states[start : start + rows]]
+            yield draw_supports(uset, rngs)[0]
 
 
 def _chunk_rows(uset: IndecisivePointSet | ContinuousUncertainSet, measures) -> int:
-    """Supports per evaluation chunk.  The largest per-support temporary
-    is diameter's n x n x d difference tensor, or else the n x d points."""
+    """Supports per chunk.  The largest per-support temporary is
+    diameter's n x n x d difference tensor, or else the n x d points."""
     cells = uset.n * uset.dimension
     if any(m.kind == "diameter" for m in measures):
         cells *= uset.n
@@ -204,11 +208,13 @@ def sampled_values(
     measure is evaluated once per chunk of supports."""
     values = np.empty((count, len(measures)))
     rows = _chunk_rows(uset, measures)
-    supports = _sampled_supports(uset, seed, count, tag)
-    for start in range(0, count, rows):
-        stack = np.stack(list(itertools.islice(supports, rows)))
-        for c, measure in enumerate(measures):
-            values[start : start + len(stack), c] = evaluate(measure, stack)
+    done = 0
+    for stack in _support_stacks(uset, seed, count, tag):
+        for start in range(0, len(stack), rows):
+            part = stack[start : start + rows]
+            for c, measure in enumerate(measures):
+                values[done + start : done + start + len(part), c] = evaluate(measure, part)
+        done += len(stack)
     return values
 
 
@@ -403,7 +409,9 @@ def build_eda_kernel(
     seed: int,
 ) -> EdaKernel:
     """m sampled supports, each reduced to an (alpha/2)-kernel."""
-    kernels = tuple(alpha_kernel(pts, alpha / 2.0) for pts in _sampled_supports(uset, seed, budget.m))
+    kernels = tuple(
+        alpha_kernel(pts, alpha / 2.0) for stack in _support_stacks(uset, seed, budget.m) for pts in stack
+    )
     return EdaKernel(kernels, alpha, budget)
 
 
@@ -441,24 +449,22 @@ def build_random_sip(
     rectangles.
 
     The field is filled in its array form, with float weights 1/m and no
-    exact numerators: one Welzl ball per support, or one min/max per chunk
-    of stacked supports for rectangles."""
+    exact numerators: one Welzl ball per support, with the coordinate
+    scales of a chunk of stacked supports taken at once, or one min/max per
+    chunk for rectangles."""
     if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
         raise ValueError("randomized SIP needs a disk or rectangle summarizing shape")
     if uset.dimension != 2:
         raise ValidationError("randomized SIP supports d=2 only")
     m = budget.m
-    supports = _sampled_supports(uset, seed, m)
     params = np.zeros((m, 4))
-    if measure.kind == "seb2":
-        kind = DISK
-        for t, pts in enumerate(supports):
-            ball = welzl_ball(pts)
-            params[t, :3] = (ball.center[0], ball.center[1], ball.radius)
-    else:
-        kind = RECT
-        rows = _chunk_rows(uset, [measure])
-        for start in range(0, m, rows):
-            stack = np.stack(list(itertools.islice(supports, rows)))
-            params[start : start + len(stack)] = np.hstack([stack.min(axis=1), stack.max(axis=1)])
+    done = 0
+    for stack in _support_stacks(uset, seed, m):
+        if measure.kind == "seb2":
+            balls = (welzl_ball(pts, scale) for pts, scale in zip(stack, coordinate_scales(stack)))
+            params[done : done + len(stack), :3] = [(*ball.center.tolist(), ball.radius) for ball in balls]
+        else:
+            params[done : done + len(stack)] = np.hstack([stack.min(axis=1), stack.max(axis=1)])
+        done += len(stack)
+    kind = DISK if measure.kind == "seb2" else RECT
     return SipField.from_arrays(np.full(m, kind, dtype=np.int8), params, np.full(m, 1.0 / m))

@@ -106,6 +106,11 @@ class SipField:
     from the arrays on first read; ``SipField(shapes=...)`` and
     :meth:`from_shapes` keep the tuple they were given.  A raster-backed
     field has ``raster`` and no shapes.
+
+    Weights must be finite.  That is what makes :func:`rasterize_sip`'s
+    dense disk add bit-safe: a cell outside a disk receives ``0 * weight``,
+    which is +0.0 or -0.0 and leaves any sum unchanged, where an infinite
+    or NaN weight would give NaN.
     """
 
     kinds: np.ndarray | None
@@ -153,6 +158,8 @@ class SipField:
         m = len(kinds)
         if params.shape != (m, 4) or weights.shape != (m,):
             raise ValueError("need one kind, one (4,) parameter row and one weight per shape")
+        if not np.isfinite(weights).all():
+            raise ValueError("shape weights must be finite")
         if numerators is not None:
             numerators = np.array(numerators)
             if numerators.shape != (m,):
@@ -232,6 +239,11 @@ class SipField:
         return rast.values[fy.astype(np.intp), fx.astype(np.intp)]
 
 
+# Shapes per chunk of window offsets: at most about _OFFSET_CELLS floats
+# (1 MB) of squared column and row offsets.
+_OFFSET_CELLS = 131072
+
+
 def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
     """Evaluate a shape-backed field at every cell center of a (w, h) grid.
 
@@ -242,12 +254,15 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
     test (an empty or NaN box gets an empty window).  A disk's window is its
     bounding box, widened cell by cell, for all disks together, while the
     one-axis test ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a
-    contained center just outside the rounded box); the disk test
-    ``(x - cx) ** 2 + (y - cy) ** 2 <= r * r`` then masks the add in the
-    window.  The adds run in shape order, a slice add per rectangle and a
-    masked add per disk, so every cell receives the same float weights in
-    the same order, starting from 0.0, as a test of every shape at every
-    cell would give: the values are bit-for-bit the same.
+    contained center just outside the rounded box).  For each chunk of
+    shapes, the squared column and row offsets ``(x - cx) ** 2`` and
+    ``(y - cy) ** 2`` of all its disks' windows are taken in one array
+    pass; a disk then adds ``(dx2 + dy2 <= r * r) * weight`` to its window.
+    The adds run in shape order, so every cell receives the same float
+    weights in the same order, starting from +0.0, as a test of every shape
+    at every cell would give, plus +0.0 or -0.0 where a disk misses, which
+    leaves any sum unchanged (weights are finite, see :class:`SipField`):
+    the values are bit-for-bit the same.
     """
     if field.kinds is None:
         raise ValueError("rasterize_sip needs a shape-backed field")
@@ -271,20 +286,39 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
     disk = ~rect
     j0[disk], j1[disk] = _disk_windows(xs, p[disk, 0], p[disk, 2])
     i0[disk], i1[disk] = _disk_windows(ys, p[disk, 1], p[disk, 2])
+    # Empty windows add nothing; drop them, and no offsets are taken there.
+    keep = (i0 < i1) & (j0 < j1)
+    rect, p, weights = rect[keep], p[keep], field.weights[keep]
+    i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
     values = np.zeros((h, w))
-    rows = zip(
-        rect.tolist(), i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist(), field.weights.tolist(), p.tolist()
-    )
-    for is_rect, r0, r1, c0, c1, weight, (cx, cy, r, _) in rows:
-        if r0 >= r1 or c0 >= c1:
-            continue
-        win = values[r0:r1, c0:c1]
-        if is_rect:
-            win += weight
-        else:
-            np.add(win, weight, out=win, where=(xs[c0:c1] - cx) ** 2 + (ys[r0:r1, None] - cy) ** 2 <= r * r)
+    step = max(1, _OFFSET_CELLS // (w + h))
+    for start in range(0, len(p), step):
+        part = slice(start, start + step)
+        dx2, col = _window_offsets(xs, p[part, 0], j0[part], j1[part], ~rect[part])
+        dy2, row = _window_offsets(ys, p[part, 1], i0[part], i1[part], ~rect[part])
+        shapes = zip(
+            rect[part].tolist(), i0[part].tolist(), i1[part].tolist(), j0[part].tolist(),
+            j1[part].tolist(), col.tolist(), row.tolist(), weights[part].tolist(), p[part, 2].tolist(),
+        )
+        for is_rect, r0, r1, c0, c1, a, b, weight, r in shapes:
+            win = values[r0:r1, c0:c1]
+            if is_rect:
+                win += weight
+            else:
+                win += (dx2[a : a + c1 - c0] + dy2[b : b + r1 - r0, None] <= r * r) * weight
     values = np.minimum(values, 1.0)
     return SipField.from_raster(Raster(values, (x0, y0, x1, y1)))
+
+
+def _window_offsets(centers, c, lo, hi, disk):
+    """For the disks among a chunk's shapes, ``(centers[lo:hi] - c) ** 2``
+    of every window, concatenated in shape order, and each shape's start in
+    that array (a rectangle takes no entries there)."""
+    size = np.where(disk, hi - lo, 0)
+    start = np.cumsum(size) - size
+    # Entry e of a window that starts at ``start`` is center ``lo + e - start``.
+    index = np.arange(size.sum()) + np.repeat(lo - start, size)
+    return (centers[index] - np.repeat(c, size)) ** 2, start
 
 
 def _disk_windows(centers: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -259,12 +259,15 @@ def test_malformed_grid_exit_code(grid, indecisive_file, tmp_path, capsys):
         ["quantize", "--measure", "diameter", "--eps", "0.2", "--delta", "0.1"],
         ["exact", "--measure", "seb2"],
         ["oracle", "--measure", "seb2"],
+        ["exact", "--measure", "aabb-area"],
+        ["oracle", "--measure", "aabb-area"],
+        ["quantize", "--measure", "aabb-area", "--eps", "0.2", "--delta", "0.1"],
     ],
 )
 def test_huge_coordinates_exit_code(argv, tmp_path, capsys):
-    # A candidate at 1e200 overflows the seb2 solvers' squares and the
-    # diameter's; each command refuses the set instead of writing inf or
-    # raising OverflowError.
+    # A candidate at 1e200 overflows the seb2 solvers' squares, the
+    # diameter's and the area's product; each command refuses the set
+    # instead of writing inf, raising OverflowError or rejecting every basis.
     doc = {
         "dimension": 2,
         "model": "indecisive",
@@ -278,6 +281,37 @@ def test_huge_coordinates_exit_code(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([argv[0], "--input", str(path), "--out", str(out), *argv[1:]]) == 2
     assert "magnitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_PAIR = [{"locations": [[0, 0], [1, 0]], "weights": ["1/2", "1/2"]},
+         {"locations": [[0, 1], [2, 0]], "weights": ["1/2", "1/2"]}]
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ({"dimension": 2, "model": "indecisive", "points": [1, 2]},
+         ["exact", "--measure", "seb2"], "points[0]: must be an object"),
+        ({"dimension": 2, "model": "continuous", "points": [[1, 2]]},
+         ["exact", "--measure", "seb2"], "points[0]: must be an object"),
+        ({"dimension": 2, "model": "continuous",
+          "points": [{"kind": "uniform_disk", "center": [0, 0], "radius": [1]}]},
+         ["sip-random", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1", "--m", "4",
+          "--grid", "8,8", "--bounds=-2,-2,2,2"], "points[0]: float() argument"),
+        ({"dimension": 2, "model": "indecisive", "points": _PAIR},
+         ["exact", "--measure", "dwid:1"], "dwid direction has dimension 1, points have 2"),
+    ],
+    ids=["indecisive point not an object", "continuous point a list", "disk radius a list",
+         "dwid direction of another dimension"],
+)
+def test_malformed_input_exit_code(doc, argv, message, tmp_path, capsys):
+    # Each of these once ended in a traceback and exit 1.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([argv[0], "--input", str(path), "--out", str(out), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
     assert not out.exists()
 
 

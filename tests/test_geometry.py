@@ -18,6 +18,7 @@ from uqgeom.geometry import (
     _fixed_permutation,
     _trivial_ball,
     coordinate_scale,
+    coordinate_scales,
     welzl_ball,
 )
 
@@ -201,3 +202,25 @@ def test_trivial_ball_matches_subset_search_reference(d):
             pts[2:] = 0.25 * half
             _assert_same_trivial_ball(pts, list(range(m)))
             _assert_same_ball(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coordinate_scales_equal_per_set(d):
+    rng = np.random.default_rng(70 + d)
+    stacks = [
+        rng.normal(size=(40, 7, d)),  # generic, scale from the diagonal or the floor
+        rng.normal(size=(40, 7, d)) * 1e-3 + 1e6,  # offset: the magnitude wins
+        -np.abs(rng.normal(size=(40, 5, d))) * 50.0 - 3.0,  # negative coordinates
+        np.repeat(rng.normal(size=(40, 1, d)) * 1e3, 6, axis=1),  # all coincident
+        np.zeros((3, 4, d)),  # all at the origin: the floor of 1
+        rng.normal(size=(25, 1, d)) * 10.0,  # one point per set
+        rng.uniform(-1, 1, size=(60, 3, d)) * 10.0 ** rng.integers(-5, 6, size=(60, 1, 1)),
+    ]
+    for stack in stacks:
+        got = coordinate_scales(stack)
+        want = [coordinate_scale(pts) for pts in stack]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        for pts, scale in zip(stack[:8], got):
+            a, b = welzl_ball(pts, scale), welzl_ball(pts)
+            assert (a.center.tobytes(), a.radius, a.support) == (b.center.tobytes(), b.radius, b.support)

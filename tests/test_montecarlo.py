@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +9,11 @@ import pytest
 from uqgeom import (
     ContinuousUncertainSet,
     GaussianPoint,
+    IndecisivePoint,
+    IndecisivePointSet,
     MeasureId,
     PointMassPoint,
+    UniformDiskPoint,
     SampleBudget,
     ValidationError,
     alpha_kernel,
@@ -28,7 +33,7 @@ import uqgeom.montecarlo as mc
 from uqgeom.geometry import welzl_ball
 from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
 from uqgeom.measures import evaluate
-from uqgeom.model import sample_support
+from uqgeom.model import draw_supports, sample_support
 from uqgeom.montecarlo import directional_width, sampled_values, trial_rng, verification_net
 from uqgeom.sip import DiskShape, RectShape
 
@@ -207,7 +212,7 @@ def test_eda_kernel_median_window(rng):
     ek = build_eda_kernel(cset, alpha, SampleBudget(0.1, 0.05, explicit_m=m), seed=4)
     u = np.array([math.cos(0.4), math.sin(0.4)])
     # reference widths from raw supports (independent, large sample)
-    from uqgeom.model import sample_support
+    from uqgeom.model import draw_supports, sample_support
     from uqgeom.montecarlo import trial_rng
 
     ref = np.sort(
@@ -320,21 +325,25 @@ def test_stream_states_equal_seed_sequence(monkeypatch, seed, tag):
 @pytest.mark.parametrize("tag", TAGS)
 def test_sampled_support_streams_equal_trial_rng(monkeypatch, seed, tag):
     """Each trial's generator starts in trial_rng's state and draws what it
-    draws."""
+    draws, across stream chunks of 7 trials and support chunks of 3."""
     monkeypatch.setattr(mc, "_STREAM_CHUNK", 7)
+    monkeypatch.setattr(mc, "_CHUNK_CELLS", 6)
     seen = []
 
-    def recording_sample_support(uset, rng):
-        t = len(seen)
-        ref = trial_rng(seed, *tag, t)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random(3).tobytes() == ref.random(3).tobytes()
-        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
-        seen.append(t)
-        return SimpleNamespace(locations=np.zeros((2, 2)))
+    def recording_draw_supports(uset, rngs):
+        assert 1 <= len(rngs) <= 3
+        for rng in rngs:
+            t = len(seen)
+            ref = trial_rng(seed, *tag, t)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random(3).tobytes() == ref.random(3).tobytes()
+            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+            seen.append(t)
+        return np.zeros((len(rngs), 1, 2)), None
 
-    monkeypatch.setattr(mc, "sample_support", recording_sample_support)
-    assert len(list(mc._sampled_supports(None, seed, 16, tag))) == 16
+    monkeypatch.setattr(mc, "draw_supports", recording_draw_supports)
+    stacks = list(mc._support_stacks(SimpleNamespace(n=1, dimension=2), seed, 16, tag))
+    assert [len(s) for s in stacks] == [3, 3, 1, 3, 3, 1, 2]
     assert seen == list(range(16))
 
 
@@ -352,11 +361,51 @@ def test_negative_seed_raises_as_trial_rng(rng):
         assert str(got.value) == str(want.value)
 
 
+def _ref_support(uset, rng):
+    """One support drawn as the per-support sampler did before chunked
+    sampling: the reference.  Returns the locations and, for an indecisive
+    set, the chosen candidate indices."""
+    if isinstance(uset, IndecisivePointSet):
+        cum = np.full((uset.n, uset.k_max), np.inf)
+        locations = np.zeros((uset.n, uset.k_max, uset.dimension))
+        for i, p in enumerate(uset.points):
+            cum[i, : p.k] = p._cum
+            locations[i, : p.k] = p.locations
+        last = np.array([p.k - 1 for p in uset.points])
+        j = np.minimum((cum <= rng.random(uset.n)[:, None]).sum(axis=1), last)
+        return locations[np.arange(uset.n), j], j
+    locs = np.empty((uset.n, uset.dimension))
+    start = 0
+    for gaussian, group in itertools.groupby(uset.points, key=lambda p: isinstance(p, GaussianPoint)):
+        group = list(group)
+        if gaussian:
+            means = np.array([p.mean for p in group])
+            chols = np.array([p._chol for p in group])
+            z = rng.standard_normal((len(group), uset.dimension))
+            locs[start : start + len(group)] = means + np.matmul(chols, z[..., None])[..., 0]
+        else:
+            for i, p in enumerate(group, start):
+                if isinstance(p, UniformDiskPoint):
+                    u = rng.random()
+                    theta = 2.0 * math.pi * rng.random()
+                    r = p.radius * math.sqrt(u)
+                    locs[i] = p.center + r * np.array([math.cos(theta), math.sin(theta)])
+                else:
+                    locs[i] = p.at.copy()
+        start += len(group)
+    if not np.isfinite(locs).all():
+        raise ValueError("coordinates must be finite")
+    return locs, None
+
+
+def _per_trial_supports(uset, seed, count, tag=()):
+    return [_ref_support(uset, trial_rng(seed, *tag, t))[0] for t in range(count)]
+
+
 def _per_trial_values(uset, measures, seed, count, tag=()):
     """The randomized engine as one trial at a time: the reference."""
     out = np.empty((count, len(measures)))
-    for t in range(count):
-        locations = sample_support(uset, trial_rng(seed, *tag, t)).locations
+    for t, locations in enumerate(_per_trial_supports(uset, seed, count, tag)):
         for c, measure in enumerate(measures):
             out[t, c] = evaluate(measure, locations)
     return out
@@ -409,8 +458,7 @@ def test_random_sip_equals_per_trial_loop(monkeypatch, measure):
     uset = random_indecisive(np.random.default_rng(34), 6, 3)
     field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=20), seed=8)
     want = []
-    for t in range(20):
-        pts = sample_support(uset, trial_rng(8, t)).locations
+    for pts in _per_trial_supports(uset, 8, 20):
         if measure == "seb2":
             ball = welzl_ball(pts)
             shape = DiskShape(float(ball.center[0]), float(ball.center[1]), float(ball.radius))
@@ -419,3 +467,76 @@ def test_random_sip_equals_per_trial_loop(monkeypatch, measure):
             shape = RectShape(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
         want.append((shape, 1.0 / 20))
     assert field.shapes == tuple(want)
+
+
+def _sampler_sets():
+    """Sets for the chunked sampler: Gaussian runs of length 1 and 20 in
+    d = 2 and 3, uniform disks, point masses, mixed point orders, and
+    indecisive sets with unequal k."""
+    rng = np.random.default_rng(60)
+
+    def gaussian(d):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return GaussianPoint(10.0 * rng.normal(size=d), q @ np.diag(10.0 ** rng.uniform(-3, 1, size=d)) @ q.T)
+
+    def disk():
+        return UniformDiskPoint(rng.normal(size=2), float(rng.uniform(0.1, 3.0)))
+
+    def mass(d=2):
+        return PointMassPoint(rng.normal(size=d))
+
+    def indecisive(n, d):
+        points = []
+        for _ in range(n):
+            k = int(rng.integers(1, 6))
+            raw = [int(x) for x in rng.integers(1, 100, size=k)]
+            points.append(IndecisivePoint(rng.normal(size=(k, d)), tuple(Fraction(x, sum(raw)) for x in raw)))
+        return IndecisivePointSet(tuple(points), d)
+
+    sets = {}
+    for d in (2, 3):
+        sets[f"gaussian-1-d{d}"] = ContinuousUncertainSet((gaussian(d),), d)
+        sets[f"gaussian-20-d{d}"] = ContinuousUncertainSet(tuple(gaussian(d) for _ in range(20)), d)
+        sets[f"indecisive-d{d}"] = indecisive(9, d)
+    sets["disks"] = ContinuousUncertainSet(tuple(disk() for _ in range(5)), 2)
+    sets["masses"] = ContinuousUncertainSet((mass(3), mass(3)), 3)
+    sets["mixed"] = ContinuousUncertainSet(
+        (disk(), gaussian(2), gaussian(2), mass(), disk(), disk(), gaussian(2), mass(), gaussian(2)), 2
+    )
+    sets["mixed-3d"] = ContinuousUncertainSet((mass(3), gaussian(3), mass(3), gaussian(3), gaussian(3)), 3)
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_sampler_sets()))
+def test_chunked_sampler_equals_per_support_reference(name):
+    uset = _sampler_sets()[name]
+    rows = mc._chunk_rows(uset, ())
+    # One support, a count that is not a multiple of the chunk, and one
+    # that crosses a stream-state chunk of 1024 trials.
+    for seed, tag, count in ((3, (), 1), (2**40 + 9, (7,), rows + rows // 2 + 1), (11, (1, 2), 1030)):
+        want = _per_trial_supports(uset, seed, count, tag)
+        stacks = list(mc._support_stacks(uset, seed, count, tag))
+        assert all(1 <= len(s) <= rows for s in stacks)
+        assert np.concatenate(stacks).tobytes() == np.array(want).tobytes(), (seed, count)
+    # draw_supports on its own, with the candidate choices; and its one-row
+    # case, sample_support.
+    rngs = [trial_rng(5, t) for t in range(40)]
+    locations, choices = draw_supports(uset, rngs)
+    refs = [_ref_support(uset, trial_rng(5, t)) for t in range(40)]
+    assert locations.tobytes() == np.array([r[0] for r in refs]).tobytes()
+    if choices is None:
+        assert isinstance(uset, ContinuousUncertainSet)
+    else:
+        assert choices.tobytes() == np.array([r[1] for r in refs]).tobytes()
+    for t, (want_locs, want_choice) in enumerate(refs[:5]):
+        sup = sample_support(uset, trial_rng(5, t))
+        assert sup.locations.tobytes() == want_locs.tobytes()
+        assert sup.provenance == (None if want_choice is None else tuple(want_choice.tolist()))
+
+
+def test_eda_kernel_equals_per_trial_loop():
+    for uset in (_gaussian_set(np.random.default_rng(35), n=9), random_indecisive(np.random.default_rng(36), 6, 3)):
+        kernel = build_eda_kernel(uset, 0.2, SampleBudget(0.2, 0.2, explicit_m=30), seed=4)
+        want = [alpha_kernel(pts, 0.1) for pts in _per_trial_supports(uset, 4, 30)]
+        assert len(kernel.kernels) == 30
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kernel.kernels, want))

@@ -10,7 +10,8 @@ import pytest
 from uqgeom import MeasureId, deterministic_sip, rasterize_sip, read_pgm, write_pgm
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.montecarlo import SampleBudget, build_random_sip
-from uqgeom.sip import DiskShape, Raster, RectShape, SipField
+import uqgeom.sip as sip_mod
+from uqgeom.sip import DISK, RECT, DiskShape, Raster, RectShape, SipField
 
 from conftest import random_indecisive
 
@@ -208,6 +209,57 @@ def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
     # rounds into the unit disk at (1, 0), although 1 - 1 = 0 is mid-grid.
     shapes = [(DiskShape(1.0, 0.0, 1.0), 0.5), (DiskShape(-1.0, 0.0, 1.0), 0.25)]
     _assert_rasterizes_like_full_grid(shapes, (32, 3), (-1e-20, -1e-20, 1e-20, 1e-20))
+
+
+@pytest.mark.parametrize("offset_cells", [1, 300, None])
+def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, offset_cells):
+    # Chunks of one shape, of a few shapes, and the default: the squared
+    # offsets of a chunk's disks are taken together, rectangles among them.
+    if offset_cells is not None:
+        monkeypatch.setattr(sip_mod, "_OFFSET_CELLS", offset_cells)
+    grid, bounds = (23, 19), (-1.0, -1.0, 1.3, 0.9)
+    w, h = grid
+    xs = (-1.0 + (np.arange(w) + 0.5) * 2.3 / w).tolist()
+    ys = (-1.0 + (np.arange(h) + 0.5) * 1.9 / h).tolist()
+    rng = np.random.default_rng(17)
+    shapes = []
+    for _ in range(400):
+        kind = rng.integers(4)
+        i, j = int(rng.integers(h)), int(rng.integers(w))
+        weight = float(rng.random()) / 150
+        if kind == 0:
+            # A disk through cell centres: centred on one, radius to another.
+            i2, j2 = int(rng.integers(h)), int(rng.integers(w))
+            shapes.append((DiskShape(xs[j], ys[i], math.hypot(xs[j2] - xs[j], ys[i2] - ys[i])), weight))
+        elif kind == 1:
+            # Zero-radius disks, on a cell centre and off it.
+            cx = xs[j] if rng.random() < 0.5 else float(rng.uniform(-1.2, 1.5))
+            shapes.append((DiskShape(cx, ys[i], 0.0), weight))
+        elif kind == 2:
+            cx, cy = rng.uniform(-1.5, 1.8, 2)
+            shapes.append((DiskShape(float(cx), float(cy), float(rng.uniform(0.0, 0.8))), weight))
+        else:
+            cx, cy = rng.uniform(-1.5, 1.8, 2)
+            dx, dy = rng.uniform(0.0, 0.9, 2)
+            shapes.append((RectShape(float(cx), float(cy), float(cx + dx), float(cy + dy)), weight))
+    _assert_rasterizes_like_full_grid(shapes, grid, bounds)
+    field = SipField.from_arrays(
+        [DISK if isinstance(s, DiskShape) else RECT for s, _ in shapes],
+        [(s.cx, s.cy, s.r, 0.0) if isinstance(s, DiskShape) else (s.x0, s.y0, s.x1, s.y1) for s, _ in shapes],
+        [wt for _, wt in shapes],
+    )
+    got = rasterize_sip(field, grid, bounds).raster.values
+    assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sipfield_rejects_non_finite_weights(bad):
+    params = [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 1.0)]
+    with pytest.raises(ValueError, match="weights must be finite"):
+        SipField.from_arrays([DISK, RECT], params, [0.5, bad])
+    # Fraction refuses them first here.
+    with pytest.raises((ValueError, OverflowError)):
+        SipField.from_shapes([(DiskShape(0.0, 0.0, 1.0), 0.5), (RectShape(0.0, 0.0, 1.0, 1.0), bad)])
 
 
 def test_rasterize_empty_shape_list():

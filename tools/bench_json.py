@@ -1,0 +1,89 @@
+"""Summarize benchmark runs of a parent and a change into one BENCH_*.json.
+
+    python3 tools/bench_json.py --parent DIR --change DIR --out BENCH_<n>.json --note TEXT
+
+Each DIR holds the result records that ``python3 perfbench/run.py --workload W
+--seed S --seconds 12 --trace 0`` writes to ``.perfbench_run/results/`` (one
+``W-seedS-trace0.json`` per run), from a checkout of that side.  Runs pair up
+by workload and seed, so run both sides on the same seeds, alternating.  For
+every workload and every end-to-end metric that BENCHMARK.json declares, the
+output holds each side's median and quartiles and the number of pairs the
+change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _records(directory: Path) -> dict[tuple[str, int], dict]:
+    out = {}
+    for path in sorted(directory.glob("*-trace0.json")):
+        record = json.loads(path.read_text())
+        out[(record["workload"], record["seed"])] = record
+    return out
+
+
+def _spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(parent: dict, change: dict, spec: dict) -> dict:
+    workloads = {}
+    for name in (w["name"] for w in spec["workloads"]):
+        seeds = sorted(seed for wl, seed in parent if wl == name and (wl, seed) in change)
+        if len(seeds) < 2:
+            raise SystemExit(f"{name}: need at least two seeds run on both sides, found {seeds}")
+        pairs = [(parent[name, s], change[name, s]) for s in seeds]
+        metrics = {}
+        for metric in spec["end_to_end"]:
+            key, lower = metric["name"], metric["better"] == "lower"
+            before = [p["metrics"][key] for p, _ in pairs]
+            after = [c["metrics"][key] for _, c in pairs]
+            metrics[key] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": _spread(before),
+                "change": _spread(after),
+                "change_wins": sum((a < b) if lower else (a > b) for b, a in zip(before, after)),
+            }
+        workloads[name] = {
+            "seeds": seeds,
+            "seconds": pairs[0][0]["seconds"],
+            "failed": {
+                "parent": sum(len(p["failures"]) for p, _ in pairs),
+                "change": sum(len(c["failures"]) for _, c in pairs),
+            },
+            "metrics": metrics,
+        }
+    return workloads
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--note", default="", help="what was compared, on what machine")
+    args = parser.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent, change = _records(args.parent), _records(args.change)
+    # The load average is one run's; the rest describes the machine.
+    env = {k: v for k, v in next(iter(change.values()))["env"].items() if k != "loadavg"}
+    doc = {
+        "note": args.note,
+        "env": env,
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') over the seeds of each side",
+        "workloads": summarize(parent, change, spec),
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()
