@@ -94,89 +94,231 @@ def _fixed_permutation(n: int) -> list[int]:
     return cached
 
 
-def _dist2(p, q, d):
-    if d == 2:
-        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
-
-
-def _midpoint(a, b, d):
-    if d == 2:
-        return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
-
-
-def _subsets(m: int, size: int) -> tuple:
-    """(members, others) for every ``size``-subset of range(m), in
-    lexicographic order."""
-    return tuple(
-        (s, tuple(t for t in range(m) if t not in s))
-        for s in itertools.combinations(range(m), size)
-    )
-
-
-# Pair and triple search plans for the 3- and 4-point boundaries.
-_PAIRS = {m: _subsets(m, 2) for m in (3, 4)}
-_TRIPLES = {m: _subsets(m, 3) for m in (3, 4)}
-
-
 def _trivial_ball(coords, boundary, d):
-    """Smallest ball of <= d+1 boundary points as (center..., radius,
-    support): pure-float subset search (pairs, then circumcircles, then the
-    circumsphere).  Pairs and triples are tried in lexicographic order and
-    the first strictly smallest enclosing one wins."""
-    m = len(boundary)
-    if m == 0:
-        return None
-    if m == 1:
-        p = coords[boundary[0]]
-        return (*p, 0.0, (boundary[0],))
-    if m == 2:
-        a = coords[boundary[0]]
-        c = _midpoint(a, coords[boundary[1]], d)
-        return (*c, math.sqrt(_dist2(a, c, d)), (boundary[0], boundary[1]))
+    """Smallest ball of 1 to d+1 boundary points (indices into ``coords``)
+    as (center..., radius, support), from the boundary ball of that
+    dimension and size."""
     pts = [coords[b] for b in boundary]
+    s = tuple(boundary)
+    if len(s) == 1:
+        return (*pts[0], 0.0, s)
+    if len(s) == 2:
+        a, b = pts
+        if d == 2:
+            cx, cy = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
+            return (cx, cy, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2), s)
+        cx, cy, cz = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2])
+        return (cx, cy, cz, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2 + (a[2] - cz) ** 2), s)
+    if d == 2:
+        return _ball2_3(*pts, s)
+    if len(s) == 3:
+        return _ball3_3(*pts, s)
+    return _ball3_4(*pts, s)
+
+
+# Boundary balls of 3 and 4 points, one straight-line function per
+# dimension and size.  Each tries the pairs in lexicographic order (the
+# first strictly smallest diametral ball holding the other points wins),
+# then the triples' circumcircles the same way, then, for four points in
+# 3-D, the circumsphere, and falls back to the farthest pair's diametral
+# ball.  The balls' bits are part of the output, so the float operations
+# and their order are fixed; ``** 2`` calls libm ``pow``, which a product
+# does not match.
+
+
+def _ball2_3(p0, p1, p2, s):
+    x0, y0 = p0
+    x1, y1 = p1
+    x2, y2 = p2
     best = None
-    for (i, j), others in _PAIRS[m]:
-        a = pts[i]
-        c = _midpoint(a, pts[j], d)
-        r2 = _dist2(a, c, d)
-        if best is not None and r2 >= best[0]:
-            continue
+    cx = 0.5 * (x0 + x1)
+    cy = 0.5 * (y0 + y1)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2
+    lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+    if not ((x2 - cx) ** 2 + (y2 - cy) ** 2 > lim):
+        best, bx, by, support = r2, cx, cy, (s[0], s[1])
+    cx = 0.5 * (x0 + x2)
+    cy = 0.5 * (y0 + y2)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2
+    if best is None or not r2 >= best:
         lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        for k in others:
-            if _dist2(pts[k], c, d) > lim:
-                break
-        else:
-            best = (r2, c, (boundary[i], boundary[j]))
+        if not ((x1 - cx) ** 2 + (y1 - cy) ** 2 > lim):
+            best, bx, by, support = r2, cx, cy, (s[0], s[2])
+    cx = 0.5 * (x1 + x2)
+    cy = 0.5 * (y1 + y2)
+    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not ((x0 - cx) ** 2 + (y0 - cy) ** 2 > lim):
+            best, bx, by, support = r2, cx, cy, (s[1], s[2])
     if best is None:
-        for (i, j, k), others in _TRIPLES[m]:
-            sol = _circum3(pts[i], pts[j], pts[k], d)
-            if sol is None:
-                continue
-            c, r2 = sol
-            if best is not None and r2 >= best[0]:
-                continue
-            lim = r2 * (1 + 1e-10)
-            for t in others:
-                if _dist2(pts[t], c, d) > lim:
-                    break
-            else:
-                best = (r2, c, (boundary[i], boundary[j], boundary[k]))
-    if best is None and d == 3 and m == 4:
-        sol = _circumsphere_coords(*pts)
+        sol = _circum3(p0, p1, p2, 2)
+        if sol is None:
+            return _farthest_pair_ball((p0, p1, p2), s)
+        (bx, by), best = sol
+        support = (s[0], s[1], s[2])
+    return (bx, by, math.sqrt(best), support)
+
+
+def _ball3_3(p0, p1, p2, s):
+    x0, y0, z0 = p0
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    best = None
+    cx = 0.5 * (x0 + x1)
+    cy = 0.5 * (y0 + y1)
+    cz = 0.5 * (z0 + z1)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
+    lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+    if not ((x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim):
+        best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1])
+    cx = 0.5 * (x0 + x2)
+    cy = 0.5 * (y0 + y2)
+    cz = 0.5 * (z0 + z2)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not ((x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[2])
+    cx = 0.5 * (x1 + x2)
+    cy = 0.5 * (y1 + y2)
+    cz = 0.5 * (z1 + z2)
+    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not ((x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[2])
+    if best is None:
+        sol = _circum3(p0, p1, p2, 3)
+        if sol is None:
+            return _farthest_pair_ball((p0, p1, p2), s)
+        (bx, by, bz), best = sol
+        support = (s[0], s[1], s[2])
+    return (bx, by, bz, math.sqrt(best), support)
+
+
+def _ball3_4(p0, p1, p2, p3, s):
+    x0, y0, z0 = p0
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    x3, y3, z3 = p3
+    best = None
+    cx = 0.5 * (x0 + x1)
+    cy = 0.5 * (y0 + y1)
+    cz = 0.5 * (z0 + z1)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
+    lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+    if not (
+        (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
+        or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
+    ):
+        best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1])
+    cx = 0.5 * (x0 + x2)
+    cy = 0.5 * (y0 + y2)
+    cz = 0.5 * (z0 + z2)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not (
+            (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
+            or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
+        ):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[2])
+    cx = 0.5 * (x0 + x3)
+    cy = 0.5 * (y0 + y3)
+    cz = 0.5 * (z0 + z3)
+    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not (
+            (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
+            or (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
+        ):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[3])
+    cx = 0.5 * (x1 + x2)
+    cy = 0.5 * (y1 + y2)
+    cz = 0.5 * (z1 + z2)
+    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not (
+            (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
+            or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
+        ):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[2])
+    cx = 0.5 * (x1 + x3)
+    cy = 0.5 * (y1 + y3)
+    cz = 0.5 * (z1 + z3)
+    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not (
+            (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
+            or (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
+        ):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[3])
+    cx = 0.5 * (x2 + x3)
+    cy = 0.5 * (y2 + y3)
+    cz = 0.5 * (z2 + z3)
+    r2 = (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2
+    if best is None or not r2 >= best:
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        if not (
+            (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
+            or (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
+        ):
+            best, bx, by, bz, support = r2, cx, cy, cz, (s[2], s[3])
+    if best is None:
+        sol = _circum3(p0, p1, p2, 3)
         if sol is not None:
-            best = (sol[1], sol[0], tuple(boundary))
+            (cx, cy, cz), r2 = sol
+            if (best is None or not r2 >= best) and not (
+                (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > r2 * (1 + 1e-10)
+            ):
+                best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1], s[2])
+        sol = _circum3(p0, p1, p3, 3)
+        if sol is not None:
+            (cx, cy, cz), r2 = sol
+            if (best is None or not r2 >= best) and not (
+                (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > r2 * (1 + 1e-10)
+            ):
+                best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1], s[3])
+        sol = _circum3(p0, p2, p3, 3)
+        if sol is not None:
+            (cx, cy, cz), r2 = sol
+            if (best is None or not r2 >= best) and not (
+                (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > r2 * (1 + 1e-10)
+            ):
+                best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[2], s[3])
+        sol = _circum3(p1, p2, p3, 3)
+        if sol is not None:
+            (cx, cy, cz), r2 = sol
+            if (best is None or not r2 >= best) and not (
+                (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > r2 * (1 + 1e-10)
+            ):
+                best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[2], s[3])
     if best is None:
-        # Degenerate boundary set; use the farthest pair's diametral ball.
-        dmax, (i, j) = -1.0, (0, m - 1)
-        for pair, _ in _PAIRS[m]:
-            dist = _dist2(pts[pair[0]], pts[pair[1]], d)
-            if dist > dmax:
-                dmax, (i, j) = dist, pair
-        best = (0.25 * dmax, _midpoint(pts[i], pts[j], d), (boundary[i], boundary[j]))
-    r2, c, support = best
-    return (*c, math.sqrt(r2), support)
+        sol = _circumsphere_coords(p0, p1, p2, p3)
+        if sol is not None:
+            (bx, by, bz), best = sol
+            support = (s[0], s[1], s[2], s[3])
+    if best is None:
+        return _farthest_pair_ball((p0, p1, p2, p3), s)
+    return (bx, by, bz, math.sqrt(best), support)
+
+
+def _farthest_pair_ball(pts, s):
+    """Diametral ball of the farthest pair of a degenerate boundary set."""
+    dmax, (i, j) = -1.0, (0, len(pts) - 1)
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        p, q = pts[a], pts[b]
+        dist = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+        if len(p) == 3:
+            dist += (p[2] - q[2]) ** 2
+        if dist > dmax:
+            dmax, i, j = dist, a, b
+    center = [0.5 * (u + v) for u, v in zip(pts[i], pts[j])]
+    return (*center, math.sqrt(0.25 * dmax), (s[i], s[j]))
 
 
 def _circum3(a, b, c, d):
@@ -212,23 +354,25 @@ def _circum3(a, b, c, d):
 
 
 def _circumsphere_coords(a, b, c, d4):
-    rows = []
-    rhs = []
-    aa = sum(x * x for x in a)
-    for p in (b, c, d4):
-        rows.append([2.0 * (p[t] - a[t]) for t in range(3)])
-        rhs.append(sum(x * x for x in p) - aa)
+    ax, ay, az = a
+    aa = ax * ax + ay * ay + az * az
+    m11, m12, m13 = 2.0 * (b[0] - ax), 2.0 * (b[1] - ay), 2.0 * (b[2] - az)
+    m21, m22, m23 = 2.0 * (c[0] - ax), 2.0 * (c[1] - ay), 2.0 * (c[2] - az)
+    m31, m32, m33 = 2.0 * (d4[0] - ax), 2.0 * (d4[1] - ay), 2.0 * (d4[2] - az)
+    r1 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2] - aa
+    r2_ = c[0] * c[0] + c[1] * c[1] + c[2] * c[2] - aa
+    r3 = d4[0] * d4[0] + d4[1] * d4[1] + d4[2] * d4[2] - aa
     # Hand-rolled 3x3 solve via Cramer's rule.
-    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = rows
     det = (
         m11 * (m22 * m33 - m23 * m32)
         - m12 * (m21 * m33 - m23 * m31)
         + m13 * (m21 * m32 - m22 * m31)
     )
-    scale = max(abs(v) for row in rows for v in row) or 1e-300
+    scale = max(
+        abs(m11), abs(m12), abs(m13), abs(m21), abs(m22), abs(m23), abs(m31), abs(m32), abs(m33)
+    ) or 1e-300
     if abs(det) <= 1e-12 * scale**3:
         return None
-    r1, r2_, r3 = rhs
     x = (
         r1 * (m22 * m33 - m23 * m32)
         - m12 * (r2_ * m33 - m23 * r3)
@@ -244,9 +388,7 @@ def _circumsphere_coords(a, b, c, d4):
         - m12 * (m21 * r3 - r2_ * m31)
         + r1 * (m21 * m32 - m22 * m31)
     ) / det
-    cen = (x, y, z)
-    r2v = sum((cen[t] - a[t]) ** 2 for t in range(3))
-    return cen, r2v
+    return (x, y, z), (x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2
 
 
 def welzl_ball(pts: np.ndarray, scale: float | None = None) -> Ball:
@@ -270,54 +412,99 @@ def welzl_ball(pts: np.ndarray, scale: float | None = None) -> Ball:
     coords = pts.tolist()
     if scale is None:
         scale = coordinate_scale(pts)
-    slack = _WELZL_REL * scale
-    dup2 = (1e-10 * scale) ** 2
-    max_boundary = d + 1
     order = list(_fixed_permutation(n))
+    # With no boundary the first point starts the ball and stays in place.
+    first = (*coords[order[0]], 0.0, (order[0],))
+    scan = _scan2 if d == 2 else _scan3
+    result = scan(coords, order, n, (), first, _WELZL_REL * scale, (1e-10 * scale) ** 2)
+    return Ball(np.array(result[:d]), result[d], result[d + 1])
 
-    def solve(count: int, boundary: list[int]):
-        # Ball of {order[0..count-1]} with `boundary` forced on the boundary:
-        # one pass over the prefix, starting from the ball of the boundary
-        # alone.  A point outside the current ball is forced onto the
-        # boundary of the ball of the points before it, then moved to the
-        # front so that later passes test it early.  With no boundary the
-        # first point always starts the ball and stays in place.
-        if boundary:
-            ball = _trivial_ball(coords, boundary, d)
-            if len(boundary) == max_boundary:
-                return ball
-            start = 0
+
+# The scans: the ball of {order[0..count-1]} with ``boundary`` forced on
+# the boundary, in one pass over the prefix from ``ball``, the ball of the
+# boundary alone (with no boundary, of order[0], which the pass skips).  A
+# point outside the current ball (by more than ``slack``) is forced onto
+# the boundary of the ball of the points before it, then moved to the front
+# so that later passes test it early.  A point within duplicate tolerance
+# (``dup2``) of a boundary point is already on the boundary: forcing both
+# would make the d+1 ball drop genuine constraints.  A boundary of d+1
+# points determines its ball, with no pass.
+
+
+def _scan2(coords, order, count, boundary, ball, slack, dup2):
+    cx, cy = ball[0], ball[1]
+    r = ball[2] + slack
+    lim = r * r
+    m = len(boundary)
+    for i in range(0 if m else 1, count):
+        p = order[i]
+        q = coords[p]
+        x, y = q
+        if (x - cx) ** 2 + (y - cy) ** 2 <= lim:
+            continue
+        for b in boundary:
+            u = coords[b]
+            if (u[0] - x) ** 2 + (u[1] - y) ** 2 <= dup2:
+                break
         else:
-            ball = _trivial_ball(coords, order[:1], d)
-            start = 1
-        r = ball[d] + slack
-        lim = r * r
-        for i in range(start, count):
-            p = order[i]
-            q = coords[p]
-            if d == 2:
-                if (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 <= lim:
-                    continue
-            elif (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 + (q[2] - ball[2]) ** 2 <= lim:
-                continue
-            # A near-duplicate of a boundary point is already (within
-            # duplicate tolerance) on the ball boundary; forcing both onto
-            # the boundary would make the d+1 base case drop genuine
-            # constraints.
-            for b in boundary:
-                if _dist2(coords[b], q, d) <= dup2:
-                    break
+            if m == 0:
+                bnd = (p,)
+                ball = _scan2(coords, order, i, bnd, (x, y, 0.0, bnd), slack, dup2)
+            elif m == 1:
+                bnd = (boundary[0], p)
+                a = coords[boundary[0]]
+                mx, my = 0.5 * (a[0] + x), 0.5 * (a[1] + y)
+                two = (mx, my, math.sqrt((a[0] - mx) ** 2 + (a[1] - my) ** 2), bnd)
+                ball = _scan2(coords, order, i, bnd, two, slack, dup2)
             else:
-                ball = solve(i, boundary + [p])
-                r = ball[d] + slack
-                lim = r * r
-                del order[i]
-                order.insert(0, p)
-        return ball
+                b0, b1 = boundary
+                ball = _ball2_3(coords[b0], coords[b1], q, (b0, b1, p))
+            cx, cy = ball[0], ball[1]
+            r = ball[2] + slack
+            lim = r * r
+            del order[i]
+            order.insert(0, p)
+    return ball
 
-    result = solve(n, [])
-    center = np.array(result[:d])
-    return Ball(center, result[d], result[d + 1])
+
+def _scan3(coords, order, count, boundary, ball, slack, dup2):
+    cx, cy, cz = ball[0], ball[1], ball[2]
+    r = ball[3] + slack
+    lim = r * r
+    m = len(boundary)
+    for i in range(0 if m else 1, count):
+        p = order[i]
+        q = coords[p]
+        x, y, z = q
+        if (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= lim:
+            continue
+        for b in boundary:
+            u = coords[b]
+            if (u[0] - x) ** 2 + (u[1] - y) ** 2 + (u[2] - z) ** 2 <= dup2:
+                break
+        else:
+            if m == 0:
+                bnd = (p,)
+                ball = _scan3(coords, order, i, bnd, (x, y, z, 0.0, bnd), slack, dup2)
+            elif m == 1:
+                bnd = (boundary[0], p)
+                a = coords[boundary[0]]
+                mx, my, mz = 0.5 * (a[0] + x), 0.5 * (a[1] + y), 0.5 * (a[2] + z)
+                r = math.sqrt((a[0] - mx) ** 2 + (a[1] - my) ** 2 + (a[2] - mz) ** 2)
+                ball = _scan3(coords, order, i, bnd, (mx, my, mz, r, bnd), slack, dup2)
+            elif m == 2:
+                bnd = (*boundary, p)
+                three = _ball3_3(coords[boundary[0]], coords[boundary[1]], q, bnd)
+                ball = _scan3(coords, order, i, bnd, three, slack, dup2)
+            else:
+                b0, b1, b2 = boundary
+                ball = _ball3_4(coords[b0], coords[b1], coords[b2], q, (b0, b1, b2, p))
+            cx, cy, cz = ball[0], ball[1], ball[2]
+            r = ball[3] + slack
+            lim = r * r
+            del order[i]
+            order.insert(0, p)
+    return ball
 
 
 def lens_area(c1, r1, c2, r2) -> float:

@@ -10,13 +10,14 @@ model 1 - delta = 1 - exp(-m eps^2 / C + nu) to recover the constant C
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .measures import MeasureId
-from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet
+from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet, ValidationError
 from .montecarlo import sampled_values
 from .quantize import Quantization1D, max_deviation, quantization_to_csv
 
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 
+# The largest sigma whose square ``sigma ** 2`` is finite, about 1.34e154;
+# above it libm ``pow`` overflows and CPython raises OverflowError.
+_MAX_SIGMA = math.sqrt(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class CylinderConfig:
     """Gaussian-blurred points on the lateral surface of a cylinder."""
@@ -44,6 +50,17 @@ class CylinderConfig:
     length: float = 10.0
     radius: float = 1.0
     sigma: float = 2.0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"cylinder: n must be at least 1, got {self.n}")
+        if not (math.isfinite(self.length) and math.isfinite(self.radius)):
+            raise ValidationError("cylinder: length and radius must be finite")
+        # The covariance is sigma ** 2 times the identity.
+        if not (0.0 < self.sigma <= _MAX_SIGMA):
+            raise ValidationError(
+                f"cylinder: sigma must be positive with a finite square, got {self.sigma!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -212,20 +229,49 @@ def fit_sample_constant(
     return FitResult(c, float(np.sqrt((residuals**2).mean())), tuple(points), nu)
 
 
+# Most samples read_deviation_csv rebuilds from a table: weights w imply
+# about 1/min(w) of them.  A table the experiment writes holds tau samples.
+_MAX_TABLE_SAMPLES = 10**6
+
+
 def read_deviation_csv(path) -> np.ndarray:
-    """Deviation values from a CSV written by ExperimentResult.write_csv."""
+    """Deviation values from a CSV written by ExperimentResult.write_csv.
+
+    A table that is empty, lacks a ``value`` or ``weight`` column, has no
+    data rows, has a row without two numbers there, a non-finite value, a
+    non-finite or non-positive weight, or weights implying more than
+    ``_MAX_TABLE_SAMPLES`` samples is refused with ValidationError."""
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: empty deviation table")
     header = lines[0].split(",")
+    if "value" not in header or "weight" not in header:
+        raise ValidationError(f"{path}: a deviation table needs value and weight columns")
+    if len(lines) == 1:
+        raise ValidationError(f"{path}: no data rows")
     vi = header.index("value")
     wi = header.index("weight")
     values = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        v = float(parts[vi])
-        w = float(parts[wi])
+        try:
+            v = float(parts[vi])
+            w = float(parts[wi])
+        except (IndexError, ValueError):
+            raise ValidationError(f"{path}: line {number} needs a numeric value and weight") from None
+        if not math.isfinite(v):
+            raise ValidationError(f"{path}: line {number}: value must be finite, got {v!r}")
+        if not (math.isfinite(w) and w > 0.0):
+            raise ValidationError(f"{path}: line {number}: weight must be finite and positive, got {w!r}")
         values.append((v, w))
-    # Reconstruct an (approximately) uniform sample list from the weights.
-    m = round(1.0 / min(w for _, w in values if w > 0))
+    # Reconstruct an (approximately) uniform sample list from the weights:
+    # weight w stands for round(w * m) samples, m = round(1 / min(w)).
+    m = 1.0 / min(w for _, w in values)
+    if m > _MAX_TABLE_SAMPLES or sum(w for _, w in values) * round(m) > _MAX_TABLE_SAMPLES:
+        raise ValidationError(
+            f"{path}: the weights imply more than {_MAX_TABLE_SAMPLES} samples"
+        )
+    m = round(m)
     out = []
     for v, w in values:
         out.extend([v] * max(1, round(w * m)))

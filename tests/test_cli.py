@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgeom import load_point_set
 from uqgeom.cli import main
@@ -226,6 +228,59 @@ def test_fit_table_name_without_m_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "foo.csv" in err and "_m<m>" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty deviation table"),
+        ("\n\n", "empty deviation table"),
+        ("weight,cumulative\n0.5,0.5\n0.5,1\n", "value and weight columns"),
+        ("value,cumulative\n0.1,0.5\n0.2,1\n", "value and weight columns"),
+        ("value,weight,cumulative\n", "no data rows"),
+        ("value,weight\n0.1,0.5\n0.2\n", "line 3 needs a numeric value and weight"),
+        ("value,weight\n0.1,half\n", "line 2 needs a numeric value and weight"),
+        ("value,weight\n0.1,0.5\n0.2,nan\n", "line 3: weight must be finite and positive"),
+        ("value,weight\n0.1,inf\n", "line 2: weight must be finite and positive"),
+        ("value,weight\n0.1,0\n0.2,-1\n", "line 2: weight must be finite and positive"),
+        ("value,weight\n0.1,-0.5\n0.2,-0.5\n", "line 2: weight must be finite and positive"),
+        ("value,weight\n0.1,1\n0.2,1e-6\n", "the weights imply more than 1000000 samples"),
+        ("value,weight\n0.1,1e-300\n", "the weights imply more than 1000000 samples"),
+        ("value,weight\n0.1,1e300\n0.2,0.001\n", "the weights imply more than 1000000 samples"),
+        ("value,weight\nnan,0.5\n0.2,0.5\n", "line 2: value must be finite"),
+    ],
+    ids=["empty", "blank lines", "no value column", "no weight column", "no rows", "truncated row",
+         "text weight", "nan weight", "inf weight", "zero weight", "negative weights",
+         "tiny weight", "subnormal-scale weight", "huge weight", "nan value"],
+)
+def test_malformed_fit_table_exit_code(text, message, tmp_path, capsys):
+    table = tmp_path / "deviation_seb2_m8.csv"
+    table.write_text(text)
+    good = tmp_path / "deviation_seb2_m16.csv"
+    good.write_text("value,weight\n0.1,0.5\n0.2,0.5\n")
+    assert main(["fit", "--tables", str(good), str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sigma", "1e160"], "sigma must be positive with a finite square, got 1e+160"),
+        (["--sigma", "1.3407807929942597e154"], "sigma must be positive with a finite square"),
+        (["--sigma", "-2"], "sigma must be positive with a finite square, got -2.0"),
+        (["--n", "0"], "n must be at least 1, got 0"),
+        (["--n", "-3"], "n must be at least 1, got -3"),
+    ],
+)
+def test_bad_cylinder_exit_code(flags, message, tmp_path, capsys):
+    outdir = tmp_path / "exp"
+    argv = ["experiment", "--n", "3", "--measures", "diameter", "--m-values", "2,4",
+            "--eta", "8", "--tau", "2", "--out", str(outdir)]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cylinder: ") and message in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("case", ["missing input", "input is a directory", "missing table",
                                   "unwritable out"])
 def test_unreadable_or_unwritable_file_exit_code(case, indecisive_file, tmp_path, capsys):
@@ -380,3 +435,87 @@ def test_randomized_outputs_golden(indecisive_file, continuous_file, tmp_path):
         "kvariate": "525e74b5c78bb818c0828e4d61bf14d7bfdf9acade85449cb1919aa8a7838d5a",
         "experiment": "18e3cd4361a6d8534d89e568d5e1c4d7cced8180025a74b5cf93648bea674e1c",
     }
+
+
+# --------------------------------------------------------------------------
+# Fuzzed fit tables and experiment flags: every outcome is exit 0 or 2
+
+
+def _run_cli(argv) -> int:
+    """Exit code of ``uqgeom argv`` run in-process; argparse's own refusals
+    (SystemExit) count as their exit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_SPECIAL_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320", "1e-300", "1e-7",
+                     "1e154", "1e160", "1e300", "", "x", "1/2"]),
+)
+
+
+@st.composite
+def _fit_tables(draw):
+    """A valid deviation table (tau samples) with at most two mutations:
+    emptied, truncated, a wrong header, no rows, or a special value or weight."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    total = sum(counts)
+    rows = [["0.%d" % i, repr(c / total), repr(sum(counts[: i + 1]) / total)]
+            for i, c in enumerate(counts)]
+    header = "value,weight,cumulative"
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(["header", "rows", "weight", "value", "cell"]))
+        if mutation == "header":
+            header = draw(st.sampled_from(["", "weight,cumulative", "value,cumulative",
+                                           "value;weight", "weight,value", "value,weights"]))
+        elif mutation == "rows":
+            rows = rows[: draw(st.integers(0, len(rows)))]
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            column = {"weight": 1, "value": 0}.get(mutation, 2)
+            row[column] = draw(_SPECIAL_NUMBERS)
+    text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_fit_tables(), _fit_tables())
+def test_fuzzed_fit_tables_exit_0_or_2(tmp_path_factory, first, second):
+    outdir = tmp_path_factory.mktemp("fit")
+    a, b = outdir / "deviation_seb2_m8.csv", outdir / "deviation_seb2_m16.csv"
+    a.write_text(first)
+    b.write_text(second)
+    assert _run_cli(["fit", "--tables", str(a), str(b), "--out", str(outdir / "fit.csv")]) in (0, 2)
+
+
+_EXPERIMENT_FLAGS = {
+    "--n": st.one_of(st.integers(-2, 5).map(str), _SPECIAL_NUMBERS),
+    "--length": _SPECIAL_NUMBERS,
+    "--radius": _SPECIAL_NUMBERS,
+    "--sigma": _SPECIAL_NUMBERS,
+    "--eta": st.one_of(st.integers(-1, 20).map(str), _SPECIAL_NUMBERS),
+    "--tau": st.one_of(st.integers(-1, 3).map(str), _SPECIAL_NUMBERS),
+    "--m-values": st.lists(st.integers(-1, 9).map(str), max_size=3).map(",".join),
+    "--seed": st.one_of(st.integers(-2, 2**70).map(str), _SPECIAL_NUMBERS),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sets(st.sampled_from(sorted(_EXPERIMENT_FLAGS)), max_size=2).flatmap(
+    lambda flags: st.fixed_dictionaries({flag: _EXPERIMENT_FLAGS[flag] for flag in flags})
+))
+def test_fuzzed_experiment_flags_exit_0_or_2(tmp_path_factory, changed):
+    """A small valid experiment (tiny eta and tau) with up to two numeric
+    flags replaced."""
+    flags = {"--n": "3", "--length": "10", "--radius": "1", "--sigma": "0.5", "--eta": "8",
+             "--tau": "2", "--m-values": "2,4", "--seed": "0", **changed}
+    outdir = tmp_path_factory.mktemp("exp") / "out"
+    argv = ["experiment", "--measures", "diameter;seb2", "--out", str(outdir)]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value}")
+    assert _run_cli(argv) in (0, 2)

@@ -4,13 +4,21 @@ The references below are the one-frame-per-point recursion and the nested
 subset search of ``_trivial_ball`` as they were before the loop rewrite.
 Both versions must make the same decisions and produce the same floats, so
 the comparison is on center bytes, radius bits and the support tuple.
+
+A second set of references, further down, is the one-loop-per-level Welzl
+and the generic pair/triple subset search (``_PAIRS``/``_TRIPLES`` tables,
+``_dist2``/``_midpoint`` helpers, generator sums in the circumsphere) as they
+were before the boundary balls were written out per dimension and size.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import random_indecisive
+from uqgeom import geometry
 from uqgeom.geometry import (
     _WELZL_REL,
     _circum3,
@@ -21,6 +29,8 @@ from uqgeom.geometry import (
     coordinate_scales,
     welzl_ball,
 )
+from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
+from uqgeom.model import draw_supports
 
 
 def _ref_dist2(p, q, d):
@@ -224,3 +234,342 @@ def test_coordinate_scales_equal_per_set(d):
         for pts, scale in zip(stack[:8], got):
             a, b = welzl_ball(pts, scale), welzl_ball(pts)
             assert (a.center.tobytes(), a.radius, a.support) == (b.center.tobytes(), b.radius, b.support)
+
+
+# --------------------------------------------------------------------------
+# The one-loop-per-level Welzl and the generic subset search, before the
+# straight-line boundary balls.
+
+
+def _ref_midpoint(a, b, d):
+    if d == 2:
+        return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
+
+
+def _ref_subsets(m, size):
+    return tuple(
+        (s, tuple(t for t in range(m) if t not in s))
+        for s in itertools.combinations(range(m), size)
+    )
+
+
+_REF_PAIRS = {m: _ref_subsets(m, 2) for m in (3, 4)}
+_REF_TRIPLES = {m: _ref_subsets(m, 3) for m in (3, 4)}
+
+
+def _ref_circumsphere_coords(a, b, c, d4):
+    rows = []
+    rhs = []
+    aa = sum(x * x for x in a)
+    for p in (b, c, d4):
+        rows.append([2.0 * (p[t] - a[t]) for t in range(3)])
+        rhs.append(sum(x * x for x in p) - aa)
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = rows
+    det = (
+        m11 * (m22 * m33 - m23 * m32)
+        - m12 * (m21 * m33 - m23 * m31)
+        + m13 * (m21 * m32 - m22 * m31)
+    )
+    scale = max(abs(v) for row in rows for v in row) or 1e-300
+    if abs(det) <= 1e-12 * scale**3:
+        return None
+    r1, r2_, r3 = rhs
+    x = (
+        r1 * (m22 * m33 - m23 * m32)
+        - m12 * (r2_ * m33 - m23 * r3)
+        + m13 * (r2_ * m32 - m22 * r3)
+    ) / det
+    y = (
+        m11 * (r2_ * m33 - m23 * r3)
+        - r1 * (m21 * m33 - m23 * m31)
+        + m13 * (m21 * r3 - r2_ * m31)
+    ) / det
+    z = (
+        m11 * (m22 * r3 - r2_ * m32)
+        - m12 * (m21 * r3 - r2_ * m31)
+        + r1 * (m21 * m32 - m22 * m31)
+    ) / det
+    cen = (x, y, z)
+    r2v = sum((cen[t] - a[t]) ** 2 for t in range(3))
+    return cen, r2v
+
+
+def _ref_subset_ball(coords, boundary, d):
+    m = len(boundary)
+    if m == 0:
+        return None
+    if m == 1:
+        p = coords[boundary[0]]
+        return (*p, 0.0, (boundary[0],))
+    if m == 2:
+        a = coords[boundary[0]]
+        c = _ref_midpoint(a, coords[boundary[1]], d)
+        return (*c, math.sqrt(_ref_dist2(a, c, d)), (boundary[0], boundary[1]))
+    pts = [coords[b] for b in boundary]
+    best = None
+    for (i, j), others in _REF_PAIRS[m]:
+        a = pts[i]
+        c = _ref_midpoint(a, pts[j], d)
+        r2 = _ref_dist2(a, c, d)
+        if best is not None and r2 >= best[0]:
+            continue
+        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+        for k in others:
+            if _ref_dist2(pts[k], c, d) > lim:
+                break
+        else:
+            best = (r2, c, (boundary[i], boundary[j]))
+    if best is None:
+        for (i, j, k), others in _REF_TRIPLES[m]:
+            sol = _circum3(pts[i], pts[j], pts[k], d)
+            if sol is None:
+                continue
+            c, r2 = sol
+            if best is not None and r2 >= best[0]:
+                continue
+            lim = r2 * (1 + 1e-10)
+            for t in others:
+                if _ref_dist2(pts[t], c, d) > lim:
+                    break
+            else:
+                best = (r2, c, (boundary[i], boundary[j], boundary[k]))
+    if best is None and d == 3 and m == 4:
+        sol = _ref_circumsphere_coords(*pts)
+        if sol is not None:
+            best = (sol[1], sol[0], tuple(boundary))
+    if best is None:
+        dmax, (i, j) = -1.0, (0, m - 1)
+        for pair, _ in _REF_PAIRS[m]:
+            dist = _ref_dist2(pts[pair[0]], pts[pair[1]], d)
+            if dist > dmax:
+                dmax, (i, j) = dist, pair
+        best = (0.25 * dmax, _ref_midpoint(pts[i], pts[j], d), (boundary[i], boundary[j]))
+    r2, c, support = best
+    return (*c, math.sqrt(r2), support)
+
+
+def _ref_loop_welzl_ball(pts, scale=None):
+    """Move-to-front Welzl with one scan loop per boundary level."""
+    pts = np.asarray(pts, dtype=np.float64)
+    n, d = pts.shape
+    if n == 1:
+        return pts[0].copy(), 0.0, (0,)
+    coords = pts.tolist()
+    if scale is None:
+        scale = coordinate_scale(pts)
+    slack = _WELZL_REL * scale
+    dup2 = (1e-10 * scale) ** 2
+    max_boundary = d + 1
+    order = list(_fixed_permutation(n))
+
+    def solve(count, boundary):
+        if boundary:
+            ball = _ref_subset_ball(coords, boundary, d)
+            if len(boundary) == max_boundary:
+                return ball
+            start = 0
+        else:
+            ball = _ref_subset_ball(coords, order[:1], d)
+            start = 1
+        r = ball[d] + slack
+        lim = r * r
+        for i in range(start, count):
+            p = order[i]
+            q = coords[p]
+            if d == 2:
+                if (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 <= lim:
+                    continue
+            elif (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 + (q[2] - ball[2]) ** 2 <= lim:
+                continue
+            for b in boundary:
+                if _ref_dist2(coords[b], q, d) <= dup2:
+                    break
+            else:
+                ball = solve(i, boundary + [p])
+                r = ball[d] + slack
+                lim = r * r
+                del order[i]
+                order.insert(0, p)
+        return ball
+
+    result = solve(n, [])
+    return np.array(result[:d]), result[d], result[d + 1]
+
+
+def _assert_same_as_loop(pts, scale=None):
+    ball = welzl_ball(pts, scale)
+    center, radius, support = _ref_loop_welzl_ball(pts, scale)
+    assert ball.center.tobytes() == center.tobytes()
+    assert float(ball.radius).hex() == float(radius).hex()
+    assert tuple(ball.support) == tuple(support)
+
+
+def _assert_same_as_subset_search(pts, boundary):
+    d = pts.shape[1]
+    coords = pts.tolist()
+    got = _trivial_ball(coords, boundary, d)
+    want = _ref_subset_ball(coords, boundary, d)
+    assert [float(x).hex() for x in got[:-1]] == [float(x).hex() for x in want[:-1]]
+    assert got[-1] == want[-1]
+
+
+def _families(d):
+    """The random and degenerate families of the recursive-reference tests."""
+    rng = np.random.default_rng(80 + d)
+    for n in range(1, 61):
+        yield rng.normal(size=(n, d))
+        yield rng.normal(size=(n, d)) * rng.uniform(0.01, 10.0, size=d)
+        yield rng.uniform(-1.0, 1.0, size=(n, d))
+        yield rng.integers(-2, 3, size=(n, d)).astype(float)
+        yield rng.integers(-1, 2, size=(n, d)).astype(float)
+        yield np.full((n, d), 2.5)
+        yield np.outer(rng.integers(-3, 4, size=n).astype(float), rng.normal(size=d))
+        theta = 2.0 * np.pi * rng.integers(0, 12, size=n) / 12.0
+        ring = np.zeros((n, d))
+        ring[:, 0], ring[:, 1] = np.cos(theta), np.sin(theta)
+        yield ring
+        yield rng.integers(-2, 3, size=(n, d)) + 1e8
+        yield rng.normal(size=(n, d)) + 1e8
+        yield rng.normal(size=(n, d)) * 1e-9
+        yield rng.normal(size=(n, d)) * 1e-9 + 3.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_welzl_families_match_loop_reference(d):
+    for pts in _families(d):
+        _assert_same_as_loop(pts)
+
+
+def _support_stack(d, count, seed):
+    """Sampled supports as the randomized engine draws them: 3-D Gaussian
+    cylinder supports with n = 20, or 2-D indecisive supports with n = 50."""
+    rng = np.random.default_rng(seed)
+    if d == 3:
+        uset = cylinder_uncertain_set(CylinderConfig(n=20), seed)
+    else:
+        uset = random_indecisive(rng, 50, 4)
+    rngs = [np.random.default_rng([seed, t]) for t in range(count)]
+    return draw_supports(uset, rngs)[0]
+
+
+@pytest.mark.parametrize("d, count", [(3, 2000), (2, 1000)])
+def test_welzl_sampled_supports_match_loop_reference(d, count):
+    stack = _support_stack(d, count, 90 + d)
+    for pts, scale in zip(stack, coordinate_scales(stack)):
+        _assert_same_as_loop(pts, scale)
+        _assert_same_as_loop(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_welzl_near_duplicates_match_loop_reference(d):
+    # A copy of a set's boundary point moved just inside or just outside the
+    # duplicate tolerance (1e-10 of the coordinate scale): inside, the copy
+    # is skipped; outside, it joins the boundary.
+    rng = np.random.default_rng(100 + d)
+    for n in (3, 5, 12, 30):
+        for _ in range(40):
+            pts = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+            support = welzl_ball(pts).support
+            scale = coordinate_scale(pts)
+            copies = []
+            for b in support:
+                direction = rng.normal(size=d)
+                direction /= np.linalg.norm(direction)
+                for factor in (0.5, 0.999, 1.001, 2.0):
+                    copies.append(pts[b] + factor * 1e-10 * scale * direction)
+            both = np.vstack([pts, copies])
+            _assert_same_as_loop(both)
+            _assert_same_as_loop(rng.permutation(both))
+    if d == 2:
+        # Rare in 2-D: a set whose ball changes if the duplicate test is dropped.
+        _assert_same_as_loop(np.array([
+            [486.183162602622, -137.883322161765],
+            [506.80103351138683, -105.74580147205177],
+            [506.80103347852435, -105.74580149123842],
+            [501.77537803149886, -105.58360158806549],
+            [506.80103351137285, -105.74580147210217],
+            [506.8010334777401, -105.74580150525307],
+        ]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundaries_on_the_containment_limit_match_subset_search(d):
+    # The other points of a boundary placed at squared distance r2 * (1 + t)
+    # from a pair's midpoint or a triple's circumcenter, t straddling the
+    # containment limits (about 1e-10 relative).
+    rng = np.random.default_rng(140 + d)
+    for _ in range(3000):
+        m = int(rng.integers(3, d + 2))
+        pts = rng.normal(size=(m, d))
+        if m == 4 and rng.random() < 0.5:
+            sol = _circum3(*pts[:3].tolist(), d)
+            if sol is None:
+                continue
+            center, r2, rest = np.array(sol[0]), sol[1], pts[3:]
+        else:
+            center, rest = 0.5 * (pts[0] + pts[1]), pts[2:]
+            r2 = float(np.sum((pts[0] - center) ** 2))
+        u = rng.normal(size=rest.shape)
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        t = 10.0 ** rng.uniform(-11.0, -9.0, size=(len(rest), 1))
+        rest[:] = center + u * np.sqrt(r2 * (1.0 + t))
+        _assert_same_as_subset_search(pts, rng.permutation(m).tolist())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_degenerate_boundaries_fall_back_like_subset_search(d, monkeypatch):
+    # Collinear triples and coplanar quadruples, exact or within noise, where
+    # the circumcircle's or circumsphere's determinant test refuses; and
+    # boundaries a few ulps apart at large offsets, where rounding makes every
+    # pair, circle and sphere fail, so the farthest-pair fallback decides.
+    # The fallback runs only where the circumcircle (three points) or the
+    # circumsphere (four) was refused.
+    fallbacks = set()
+    farthest_pair_ball = geometry._farthest_pair_ball
+
+    def counted(pts, s):
+        fallbacks.add(len(pts))
+        return farthest_pair_ball(pts, s)
+
+    monkeypatch.setattr(geometry, "_farthest_pair_ball", counted)
+    rng = np.random.default_rng(120 + d)
+    for trial in range(6000):
+        m = 3 if d == 2 else 3 + trial % 2
+        u, v = rng.normal(size=d), rng.normal(size=d)
+        kind = trial // 2 % 3
+        if kind == 0:
+            pts = np.outer(rng.integers(-3, 4, size=m).astype(float), u)
+        elif kind == 1:
+            pts = np.outer(rng.normal(size=m), u) + np.outer(rng.normal(size=m), v)
+            pts += rng.normal(size=(m, d)) * 10.0 ** -rng.integers(6, 17)
+        else:
+            offset = 10.0 ** rng.integers(0, 9)
+            pts = offset + np.spacing(offset) * rng.integers(-3, 4, size=(m, d))
+        _assert_same_as_subset_search(pts, rng.permutation(m).tolist())
+        if trial % 10 == 0:
+            _assert_same_as_loop(np.vstack([pts, pts[::-1] + np.spacing(pts[::-1])]))
+    assert fallbacks == ({3} if d == 2 else {3, 4})
+
+
+def test_circumsphere_matches_generator_sums():
+    # Random quadruples, and nearly coplanar ones whose height above the
+    # plane of the first three straddles the determinant test.
+    rng = np.random.default_rng(130)
+    refused = 0
+    for _ in range(4000):
+        quad = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-3, 4)
+        if rng.random() < 0.7:
+            quad[:, 2] = 0.0
+            quad[3, 2] = 10.0 ** rng.uniform(-14.0, -10.0) * np.abs(quad).max()
+        quad = quad @ np.linalg.qr(rng.normal(size=(3, 3)))[0] + rng.normal(size=3)
+        got = _circumsphere_coords(*quad.tolist())
+        want = _ref_circumsphere_coords(*quad.tolist())
+        refused += got is None
+        if want is None:
+            assert got is None
+        else:
+            assert [float(x).hex() for x in (*got[0], got[1])] == [
+                float(x).hex() for x in (*want[0], want[1])
+            ]
+    assert 100 < refused < 3000
