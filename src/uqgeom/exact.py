@@ -137,16 +137,10 @@ def _require_indecisive(uset) -> None:
         )
 
 
-def _integer_weights(uset: IndecisivePointSet) -> tuple[list[list[int]], list[int]]:
+def _integer_weights(uset: IndecisivePointSet) -> tuple[list[tuple[int, ...]], list[int]]:
     """Per point, its weights scaled to their common denominator: returns
     the integer weights of every point and the denominators."""
-    ints = []
-    denoms = []
-    for p in uset.points:
-        denom = math.lcm(*(w.denominator for w in p.weights))
-        ints.append([w.numerator * (denom // w.denominator) for w in p.weights])
-        denoms.append(denom)
-    return ints, denoms
+    return [p._nums for p in uset.points], [p._denom for p in uset.points]
 
 
 class _Prepared:
@@ -154,7 +148,7 @@ class _Prepared:
 
     Candidates are numbered globally in point order: ``offsets[i]`` is the
     global index of point i's first candidate, ``point_of[g]`` the point of
-    candidate g and ``basis_members[g]`` its basis member.  ``fx``/``fy``
+    candidate g and ``members()[g]`` its basis member.  ``fx``/``fy``
     hold the frame coordinates the validity test works in, ``w`` the
     integer weights over each point's common denominator.  ``grid_x``,
     ``grid_y`` and ``grid_w`` lay the same candidates out as (n, k_max)
@@ -169,7 +163,8 @@ class _Prepared:
         "ks",
         "offsets",
         "point_of",
-        "basis_members",
+        "jset",
+        "_members",
         "fx",
         "fy",
         "w",
@@ -204,11 +199,8 @@ class _Prepared:
         self.beta = min(combinatorial_dimension(measure, 2), self.n)
         self.offsets = np.cumsum([0] + self.ks[:-1])
         self.point_of = np.repeat(np.arange(self.n), self.ks)
-        self.basis_members = [
-            BasisMember(i, j, tuple(loc))
-            for i, p in enumerate(uset.points)
-            for j, loc in enumerate(p.locations.tolist())
-        ]
+        self.jset = uset
+        self._members = None
         x = all_locs[:, 0]
         y = all_locs[:, 1]
         # Frame coordinates: projections for dwid, the 45-degree frame in
@@ -239,12 +231,24 @@ class _Prepared:
         self.grid_y[cell] = self.fy
         self.grid_w[cell] = self.w
 
+    def members(self) -> list[BasisMember]:
+        """The basis member of every global candidate, built on first use."""
+        if self._members is None:
+            self._members = [
+                BasisMember(i, j, tuple(loc))
+                for i, p in enumerate(self.jset.points)
+                for j, loc in enumerate(p.locations.tolist())
+            ]
+        return self._members
+
     def combo_count(self) -> int:
-        total = 0
-        for s in range(1, self.beta + 1):
-            for pts_combo in itertools.combinations(range(self.n), s):
-                total += math.prod(self.ks[i] for i in pts_combo)
-        return total
+        """Potential bases: the sum over sizes 1..beta of the elementary
+        symmetric polynomials of the ks."""
+        e = [1] + [0] * self.beta
+        for k in self.ks:
+            for s in range(self.beta, 0, -1):
+                e[s] += e[s - 1] * k
+        return sum(e[1:])
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +478,8 @@ def _counted_bases(prep: _Prepared):
 
 
 def _basis_object(prep: _Prepared, row, value: float) -> Basis:
-    return Basis(prep.measure, tuple(prep.basis_members[g] for g in row), value)
+    members = prep.members()
+    return Basis(prep.measure, tuple(members[g] for g in row), value)
 
 
 def _require_lp_type(measure: MeasureId):
@@ -726,22 +731,20 @@ def distributions_match(
 ) -> bool:
     """Grouped-breakpoint equality: cluster the union of breakpoints at the
     given tolerance (single linkage) and require exactly equal rational
-    weights per cluster."""
-    pooled = [(float(v), 0, w) for v, w in zip(a.collapsed.values, a.collapsed.weights)]
-    pooled += [(float(v), 1, w) for v, w in zip(b.collapsed.values, b.collapsed.weights)]
+    weights per cluster.  Weights are compared as integer numerators over
+    the lcm of the two denominators: a's count up, b's down, and each
+    cluster must balance to 0."""
+    qa, qb = a.collapsed, b.collapsed
+    denom = math.lcm(qa.denominator, qb.denominator)
+    sa, sb = denom // qa.denominator, -(denom // qb.denominator)
+    pooled = [(v, n * sa) for v, n in zip(qa.values.tolist(), qa.numerators.tolist())]
+    pooled += [(v, n * sb) for v, n in zip(qb.values.tolist(), qb.numerators.tolist())]
     pooled.sort(key=lambda t: t[0])
-    wa = Fraction(0)
-    wb = Fraction(0)
+    balance = 0
     prev = None
-    for v, side, w in pooled:
-        if prev is not None and v - prev > tol:
-            if wa != wb:
-                return False
-            wa = Fraction(0)
-            wb = Fraction(0)
-        if side == 0:
-            wa += w
-        else:
-            wb += w
+    for v, n in pooled:
+        if prev is not None and v - prev > tol and balance:
+            return False
+        balance += n
         prev = v
-    return wa == wb
+    return balance == 0

@@ -221,7 +221,10 @@ def fit_sample_constant(
         )
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    slope = float((xs * ys).sum() / (xs * xs).sum())
+    with np.errstate(all="ignore"):
+        slope = float((xs * ys).sum() / (xs * xs).sum())
+    if not math.isfinite(slope):
+        return FitResult(math.nan, math.nan, tuple(points), nu, degenerate=True, note="non-finite slope")
     if slope <= 0:
         return FitResult(math.nan, math.nan, tuple(points), nu, degenerate=True, note="non-positive slope")
     c = 1.0 / slope
@@ -238,8 +241,9 @@ def read_deviation_csv(path) -> np.ndarray:
     """Deviation values from a CSV written by ExperimentResult.write_csv.
 
     A table that is empty, lacks a ``value`` or ``weight`` column, has no
-    data rows, has a row without two numbers there, a non-finite value, a
-    non-finite or non-positive weight, or weights implying more than
+    data rows, has a row without two numbers there, a value outside [0, 1]
+    (a sup-norm distance between two CDFs cannot leave it), a non-finite or
+    non-positive weight, or weights implying more than
     ``_MAX_TABLE_SAMPLES`` samples is refused with ValidationError."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
@@ -261,6 +265,8 @@ def read_deviation_csv(path) -> np.ndarray:
             raise ValidationError(f"{path}: line {number} needs a numeric value and weight") from None
         if not math.isfinite(v):
             raise ValidationError(f"{path}: line {number}: value must be finite, got {v!r}")
+        if not (0.0 <= v <= 1.0):
+            raise ValidationError(f"{path}: line {number}: value must lie in [0, 1], got {v!r}")
         if not (math.isfinite(w) and w > 0.0):
             raise ValidationError(f"{path}: line {number}: weight must be finite and positive, got {w!r}")
         values.append((v, w))

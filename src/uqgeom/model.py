@@ -66,27 +66,35 @@ class IndecisivePoint:
 
     ``weights`` are exact rationals in (0, 1] summing to exactly 1; decimal
     inputs should be converted with an exact decimal expansion before
-    construction (the JSON loader does this).
+    construction (the JSON loader does this).  They are validated, and kept
+    in ``_nums``, as integers over their common denominator ``_denom``.
     """
 
     locations: np.ndarray  # (k, d), read-only
     weights: tuple[Fraction, ...]
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _denom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         locs = as_points(self.locations)
         object.__setattr__(self, "locations", _freeze(locs))
-        w = tuple(Fraction(x) for x in self.weights)
+        w = tuple(x if type(x) is Fraction else Fraction(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
         if len(w) != len(locs):
             raise ValidationError(f"{len(locs)} locations but {len(w)} weights")
-        if any(not (0 < x <= 1) for x in w):
+        denom = math.lcm(*(x.denominator for x in w))
+        nums = tuple(x.numerator * (denom // x.denominator) for x in w)
+        if any(not (0 < v <= denom) for v in nums):
             raise ValidationError("weights must lie in (0, 1]")
-        if sum(w) != 1:
-            raise ValidationError(f"weights sum to {sum(w)}, expected exactly 1")
-        cum = np.cumsum([float(x) for x in w])
+        if sum(nums) != denom:
+            raise ValidationError(f"weights sum to {Fraction(sum(nums), denom)}, expected exactly 1")
+        # Python's int / int is correctly rounded: float() of each weight.
+        cum = np.cumsum([v / denom for v in nums])
         cum[-1] = 1.0
         object.__setattr__(self, "_cum", _freeze(cum))
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_denom", denom)
 
     @classmethod
     def _fresh(cls, locations: np.ndarray, like: "IndecisivePoint") -> "IndecisivePoint":
@@ -97,6 +105,8 @@ class IndecisivePoint:
         object.__setattr__(point, "locations", locations)
         object.__setattr__(point, "weights", like.weights)
         object.__setattr__(point, "_cum", like._cum)
+        object.__setattr__(point, "_nums", like._nums)
+        object.__setattr__(point, "_denom", like._denom)
         return point
 
     @property
@@ -156,6 +166,11 @@ class IndecisivePointSet:
         last = np.array([p.k - 1 for p in self.points])
         return cum, locations, last, np.arange(self.n)
 
+    @functools.cached_property
+    def _jittered(self) -> "IndecisivePointSet":
+        """The set :func:`canonical_jitter` returns, computed once."""
+        return _jitter(self)
+
 
 # --------------------------------------------------------------------------
 # Continuous model
@@ -174,12 +189,16 @@ class GaussianPoint:
             raise ValidationError(f"covariance shape {cov.shape} does not match mean of length {len(mean)}")
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValidationError("covariance must be symmetric")
+        with np.errstate(over="ignore"):
+            cov = 0.5 * (cov + cov.T)
+        if not np.isfinite(cov).all():
+            raise ValidationError("covariance must be finite")
         try:
-            chol = np.linalg.cholesky(0.5 * (cov + cov.T))
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValidationError("covariance must be positive-definite") from None
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _freeze(0.5 * (cov + cov.T)))
+        object.__setattr__(self, "cov", _freeze(cov))
         object.__setattr__(self, "_chol", _freeze(chol))
 
     @property
@@ -400,10 +419,14 @@ def canonical_jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
     the coordinate magnitude of the set) along one fixed pseudo-random
     direction, so coincident candidates, shared coordinates, concyclic
     quadruples and projection ties are all broken consistently.  Applying the
-    function to an already-jittered set is a no-op.
+    function to an already-jittered set is a no-op.  The jittered set is
+    computed once per set and kept on it, so the exact engine and the
+    oracle on one set share it.
     """
-    if uset.jitter_applied:
-        return uset
+    return uset if uset.jitter_applied else uset._jittered
+
+
+def _jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
     locs = uset.all_locations()
     step = _JITTER_UNIT * coordinate_scale(locs)
     if uset.dimension == 2:
@@ -435,6 +458,11 @@ def _weight_to_json(w: Fraction) -> str:
 
 def _parse_weight(text, where: str) -> Fraction:
     try:
+        # Plain "p/q" strings, as save_point_set writes them, skip the regex.
+        if type(text) is str and text.isascii():
+            num, slash, den = text.partition("/")
+            if slash and num.isdigit() and den.isdigit():
+                return Fraction(int(num), int(den))
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{where}: cannot parse weight {text!r}") from None
@@ -462,7 +490,7 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             raise ValidationError(f"missing top-level key {key!r}")
     try:
         d = int(doc["dimension"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         d = None
     if d not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
@@ -486,7 +514,7 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             try:
                 locs = np.asarray(rp["locations"], dtype=np.float64)
                 point = IndecisivePoint(locs, weights)
-            except (ValidationError, ValueError, TypeError) as exc:
+            except (ValidationError, ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
         try:
@@ -515,7 +543,7 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
                     point = PointMassPoint(np.asarray(rp["at"], dtype=np.float64))
                 else:
                     raise ValidationError(f"unknown kind {kind!r}")
-            except (ValidationError, ValueError, KeyError, TypeError) as exc:
+            except (ValidationError, ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
         try:

@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqgeom import load_point_set
@@ -246,10 +250,13 @@ def test_fit_table_name_without_m_exit_code(tmp_path, capsys):
         ("value,weight\n0.1,1e-300\n", "the weights imply more than 1000000 samples"),
         ("value,weight\n0.1,1e300\n0.2,0.001\n", "the weights imply more than 1000000 samples"),
         ("value,weight\nnan,0.5\n0.2,0.5\n", "line 2: value must be finite"),
+        ("value,weight\n0.1,0.5\n1e300,0.5\n", "line 3: value must lie in [0, 1], got 1e+300"),
+        ("value,weight\n-0.25,0.5\n0.2,0.5\n", "line 2: value must lie in [0, 1], got -0.25"),
     ],
     ids=["empty", "blank lines", "no value column", "no weight column", "no rows", "truncated row",
          "text weight", "nan weight", "inf weight", "zero weight", "negative weights",
-         "tiny weight", "subnormal-scale weight", "huge weight", "nan value"],
+         "tiny weight", "subnormal-scale weight", "huge weight", "nan value", "value above 1",
+         "negative value"],
 )
 def test_malformed_fit_table_exit_code(text, message, tmp_path, capsys):
     table = tmp_path / "deviation_seb2_m8.csv"
@@ -485,12 +492,20 @@ def _fit_tables(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_fit_tables(), _fit_tables())
+@example("value,weight\n1e300,0.5\n0.2,0.5\n", "value,weight\n0.1,0.5\n0.2,0.5\n")
+@example("value,weight\n1e-200,1\n", "value,weight\n1e-300,1\n")
 def test_fuzzed_fit_tables_exit_0_or_2(tmp_path_factory, first, second):
+    """Exit 0 or 2, with no numpy warning and no nan in the report."""
     outdir = tmp_path_factory.mktemp("fit")
     a, b = outdir / "deviation_seb2_m8.csv", outdir / "deviation_seb2_m16.csv"
     a.write_text(first)
     b.write_text(second)
-    assert _run_cli(["fit", "--tables", str(a), str(b), "--out", str(outdir / "fit.csv")]) in (0, 2)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error")
+        code = _run_cli(["fit", "--tables", str(a), str(b), "--out", str(outdir / "fit.csv")])
+    assert code in (0, 2)
+    assert "nan" not in out.getvalue()
 
 
 _EXPERIMENT_FLAGS = {
@@ -519,3 +534,99 @@ def test_fuzzed_experiment_flags_exit_0_or_2(tmp_path_factory, changed):
     for flag, value in flags.items():
         argv.append(f"{flag}={value}")
     assert _run_cli(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("case", ["experiment sigma", "gaussian document"])
+def test_overflowing_covariance_exit_code(case, tmp_path, capsys):
+    # sigma ** 2 is finite here, but 0.5 * (cov + cov.T) is not.
+    out = tmp_path / "out"
+    if case == "experiment sigma":
+        argv = ["experiment", "--n", "3", "--measures", "diameter", "--m-values", "2,4", "--eta", "8",
+                "--tau", "2", "--sigma", "1.3407807929942596e154", "--out", str(out)]
+    else:
+        doc = {"dimension": 3, "model": "continuous",
+               "points": [{"kind": "gaussian", "mean": [0, 0, 0], "cov": (1.5e308 * np.eye(3)).tolist()}]}
+        path = tmp_path / "cont.json"
+        path.write_text(json.dumps(doc))
+        argv = ["kvariate", "--input", str(path), "--measures", "diameter", "--eps", "0.2",
+                "--delta", "0.1", "--m", "4", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "covariance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --------------------------------------------------------------------------
+# Fuzzed indecisive documents through exact and oracle: exit 0, 2, 3 or 4
+
+
+_VALID_DOC = {
+    "dimension": 2,
+    "model": "indecisive",
+    "points": [
+        {"locations": [[0, 0], [1, 0], [0, 2]], "weights": ["1/2", "1/4", "1/4"]},
+        {"locations": [[2, 0], [2, 1]], "weights": ["1/3", "2/3"]},
+        {"locations": [[1, 1]], "weights": ["1"]},
+    ],
+}
+_ODD_VALUES = st.sampled_from(
+    [None, True, 0, -1, 2, 10**400, 1e308, -1e308, 1e200, float("nan"), float("inf"), "", "x", "1/0",
+     "0/0", "-1/2", "²", "١/٢", "1e-3", [], [[]], {}, [1], [0, 0, 0], [[0, 0], [1]], "1/2"]
+).map(copy.deepcopy)
+# Coordinates that keep the document valid: tiny, huge or coincident.
+_COORDINATES = st.one_of(st.sampled_from([0, 0.5, -3, 1e-300, 1e6, 1e154, 1e200]), _ODD_VALUES)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The valid document with up to three mutations: a key removed, or a
+    top-level field, a point, its locations, one coordinate, its weights or
+    one weight replaced by an odd value."""
+    doc = copy.deepcopy(_VALID_DOC)
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(["top", "drop", "point", "locations", "coordinate", "coordinate",
+                                       "weights", "weight"]))
+        points = doc.get("points")
+        if target == "top":
+            doc[draw(st.sampled_from(["dimension", "model", "points", "jitter_applied"]))] = draw(_ODD_VALUES)
+            continue
+        if not (isinstance(points, list) and points):
+            continue
+        i = draw(st.integers(0, len(points) - 1))
+        point = points[i]
+        if target == "drop":
+            holder = draw(st.sampled_from(["doc", "point"]))
+            if holder == "doc" or not isinstance(point, dict):
+                doc.pop(draw(st.sampled_from(["dimension", "model", "points"])), None)
+            else:
+                point.pop(draw(st.sampled_from(["locations", "weights"])), None)
+        elif target == "point":
+            points[i] = draw(_ODD_VALUES)
+        elif not isinstance(point, dict):
+            continue
+        elif target in ("locations", "weights"):
+            point[target] = draw(_ODD_VALUES)
+        else:
+            key = "locations" if target == "coordinate" else "weights"
+            value = point.get(key)
+            if isinstance(value, list) and value:
+                j = draw(st.integers(0, len(value) - 1))
+                if key == "locations" and isinstance(value[j], list) and value[j]:
+                    value[j][draw(st.integers(0, len(value[j]) - 1))] = draw(_COORDINATES)
+                else:
+                    value[j] = draw(_ODD_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_mutated_documents(), st.sampled_from(["exact", "oracle"]),
+       st.sampled_from(["seb2", "aabb-area", "dwid:0.6,0.8", "sebinf", "diameter"]))
+def test_fuzzed_documents_exit_0_2_3_or_4(tmp_path_factory, doc, command, measure):
+    path = tmp_path_factory.mktemp("doc") / "set.json"
+    path.write_text(json.dumps(doc))
+    out = path.with_suffix(".csv")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run_cli([command, "--input", str(path), "--measure", measure, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -952,3 +952,138 @@ def test_counting_matches_former_code_on_81_and_100_candidates():
         assert prep.grid_w.shape == (2, 100)
         for idx in exact_mod._index_chunks(prep):
             _assert_chunks_match_former(prep, idx)
+
+
+# --------------------------------------------------------------------------
+# Setup done once per set, against the former code kept here
+
+
+def _former_distributions_match(a, b, tol):
+    """Reference: the former matcher, adding Fraction weights."""
+    pooled = [(float(v), 0, w) for v, w in zip(a.collapsed.values, a.collapsed.weights)]
+    pooled += [(float(v), 1, w) for v, w in zip(b.collapsed.values, b.collapsed.weights)]
+    pooled.sort(key=lambda t: t[0])
+    wa = Fraction(0)
+    wb = Fraction(0)
+    prev = None
+    for v, side, w in pooled:
+        if prev is not None and v - prev > tol:
+            if wa != wb:
+                return False
+            wa = Fraction(0)
+            wb = Fraction(0)
+        if side == 0:
+            wa += w
+        else:
+            wb += w
+        prev = v
+    return wa == wb
+
+
+def _exact_of(values, weights, denom):
+    from uqgeom.exact import ExactDistribution
+    from uqgeom.quantize import Quantization1D
+
+    nums = [int(w * denom) for w in weights]
+    collapsed = Quantization1D.from_numerators(values, nums, denom)
+    return ExactDistribution(lambda: (), collapsed, MeasureId("seb2"))
+
+
+def _random_atoms(rng, grid):
+    """Sorted values drawn from the grid (repeats and both signed zeros
+    allowed) with positive rational weights summing to 1."""
+    values = sorted(float(v) for v in rng.choice(grid, size=int(rng.integers(1, 7))))
+    cuts = [int(c) for c in rng.integers(1, 6, size=len(values))]
+    return values, [Fraction(c, sum(cuts)) for c in cuts]
+
+
+def test_integer_matching_matches_fraction_matching():
+    rng = np.random.default_rng(1313)
+    tol = 0.25
+    # Multiples of tol are exact, so many gaps are exactly tol.
+    grid = np.array([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, -0.25, 1e-12, 0.25 + 1e-12])
+    outcomes = []
+    for trial in range(600):
+        values, weights = _random_atoms(rng, grid)
+        if trial % 3 == 0:
+            other_values, other_weights = _random_atoms(rng, grid)
+        else:
+            other_values, other_weights = list(values), list(weights)
+            if trial % 3 == 2 and len(values) > 1:
+                # Move a little mass between two atoms, or one atom along the grid.
+                i, j = rng.choice(len(values), size=2, replace=False)
+                if rng.random() < 0.5:
+                    step = min(other_weights[i], other_weights[j]) / 2
+                    other_weights[i] -= step
+                    other_weights[j] += step
+                else:
+                    other_values[i] = float(rng.choice(grid))
+                    order = np.argsort(other_values, kind="stable")
+                    other_values = [other_values[t] for t in order]
+                    other_weights = [other_weights[t] for t in order]
+        common = math.lcm(*(w.denominator for w in weights))
+        other_common = math.lcm(*(w.denominator for w in other_weights))
+        # Equal denominators, unequal ones, and one past the int64 range.
+        scale_a, scale_b = [(1, 1), (1, 3), (2, 5), (3 * 2**62, 7)][trial % 4]
+        a = _exact_of(values, weights, common * scale_a)
+        b = _exact_of(other_values, other_weights, other_common * scale_b)
+        for t in (tol, 0.0, 1e-12):
+            want = _former_distributions_match(a, b, t)
+            assert distributions_match(a, b, t) == want, (values, weights, other_values, other_weights, t)
+            assert distributions_match(b, a, t) == want
+            outcomes.append(want)
+    assert 400 < sum(outcomes) < len(outcomes) - 400
+
+
+def test_lazy_basis_members_match_eager_list():
+    import uqgeom.exact as exact_mod
+    from uqgeom.measures import Basis, BasisMember
+
+    rng = np.random.default_rng(41)
+    for uset in (random_indecisive(rng, 4, 3), _unequal_k_indecisive(rng, (1, 3, 2, 4), lattice=True)):
+        jset = canonical_jitter(uset)
+        # Reference: the member list the engine used to build up front.
+        eager = [
+            BasisMember(i, j, tuple(loc))
+            for i, p in enumerate(jset.points)
+            for j, loc in enumerate(p.locations.tolist())
+        ]
+        for m in MEASURES:
+            prep = exact_mod._Prepared(uset, m)
+            assert prep._members is None
+            want_records = [
+                Basis(m, tuple(eager[g] for g in row), value)
+                for idx, values, _, _ in exact_mod._counted_bases(prep)
+                for row, value in zip(idx.tolist(), values.tolist())
+            ]
+            want_bases = []
+            for idx in exact_mod._index_chunks(prep):
+                idx, values, _ = exact_mod._validate(prep, idx)
+                want_bases += [
+                    Basis(m, tuple(eager[g] for g in row), v) for row, v in zip(idx.tolist(), values.tolist())
+                ]
+            assert prep._members is None
+            dist = exact_distribution(uset, m, keep_records=True)
+            assert [r.basis for r in dist.records] == want_records
+            assert list(enumerate_potential_bases(uset, m)) == want_bases
+            assert prep.members() == eager and prep.members() is prep.members()
+
+
+def test_combo_count_matches_itertools_sum():
+    import itertools
+
+    import uqgeom.exact as exact_mod
+    from uqgeom.measures import combinatorial_dimension
+
+    rng = np.random.default_rng(17)
+    for ks in ((1,), (4,), (2, 5), (3, 3, 3), (1, 4, 2, 7, 3), (4,) * 11, (81, 100, 81)):
+        uset = _unequal_k_indecisive(rng, ks, lattice=False)
+        for m in MEASURES:
+            prep = exact_mod._Prepared(uset, m)
+            beta = min(combinatorial_dimension(m, 2), len(ks))
+            want = sum(
+                math.prod(ks[i] for i in combo)
+                for s in range(1, beta + 1)
+                for combo in itertools.combinations(range(len(ks)), s)
+            )
+            assert prep.combo_count() == want, (ks, m.kind)

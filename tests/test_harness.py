@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def test_fit_requires_two_m_values():
 def test_fit_degenerate_all_zero():
     fit = fit_sample_constant({16: np.zeros(10), 64: np.zeros(10)})
     assert fit.degenerate and math.isnan(fit.c)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_fit_degenerate_non_finite_slope(scale):
+    # m * eps * eps underflows to 0 or overflows to inf, so the slope is
+    # 0/0 or inf/inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_sample_constant({16: np.full(10, scale), 64: np.full(10, scale)})
+    assert fit.degenerate and fit.note == "non-finite slope" and math.isnan(fit.c)
 
 
 def test_experiment_point_mass_degenerate():

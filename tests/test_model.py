@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgeom import (
     ContinuousUncertainSet,
@@ -382,3 +385,154 @@ def test_non_finite_continuous_draw_raises():
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
             for t in range(64):
                 sample_support(cset, trial_rng(5, t))
+
+
+def test_gaussian_rejects_overflowing_covariance():
+    # 0.5 * (cov + cov.T) overflows; the point is refused as it is built,
+    # without numpy warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cov in (1.5e308 * np.eye(3), np.diag([1.0, 1e308])):
+            with pytest.raises(ValidationError, match="covariance must be finite"):
+                GaussianPoint(np.zeros(len(cov)), cov)
+        g = GaussianPoint(np.zeros(2), np.diag([1.0, 8e307]))
+    assert np.isfinite(g.cov).all() and np.isfinite(g._chol).all()
+
+
+# --------------------------------------------------------------------------
+# Integer weight validation against the former Fraction checks
+
+
+def _former_weight_error(k, weights):
+    """Reference: the message of the former Fraction-based validation, or
+    None when it accepted the weights."""
+    w = tuple(Fraction(x) for x in weights)
+    if len(w) != k:
+        return f"{k} locations but {len(w)} weights"
+    if any(not (0 < x <= 1) for x in w):
+        return "weights must lie in (0, 1]"
+    if sum(w) != 1:
+        return f"weights sum to {sum(w)}, expected exactly 1"
+    return None
+
+
+_WEIGHT_CASES = [
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(-1, 2), Fraction(3, 2)),
+    (Fraction(3, 2), Fraction(-1, 2)),
+    (Fraction(5, 4), Fraction(-1, 4)),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(2, 3), Fraction(2, 3)),
+    (Fraction(1, 2),),
+    (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+    ("1/3", 0.5, Fraction(1, 6)),
+    (1, 0),
+    (Fraction(1, 3 * 2**62), Fraction(3 * 2**62 - 1, 3 * 2**62)),
+]
+
+
+@pytest.mark.parametrize("weights", _WEIGHT_CASES, ids=range(len(_WEIGHT_CASES)))
+def test_integer_weight_validation_keeps_messages(weights):
+    locs = np.zeros((2, 2))
+    want = _former_weight_error(len(locs), weights)
+    if want is None:
+        p = IndecisivePoint(locs, weights)
+        assert p.weights == tuple(Fraction(x) for x in weights)
+        assert Fraction(1) == sum(Fraction(v, p._denom) for v in p._nums)
+        assert tuple(Fraction(v, p._denom) for v in p._nums) == p.weights
+        assert p._denom == math.lcm(*(w.denominator for w in p.weights))
+        return
+    with pytest.raises(ValidationError) as exc:
+        IndecisivePoint(locs, weights)
+    assert str(exc.value) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=40), min_size=1, max_size=4))
+def test_integer_weight_validation_matches_fraction_checks(weights):
+    locs = np.zeros((len(weights), 2))
+    want = _former_weight_error(len(locs), weights)
+    try:
+        p = IndecisivePoint(locs, weights)
+    except ValidationError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert p.weights == tuple(weights)
+        assert tuple(Fraction(v, p._denom) for v in p._nums) == p.weights
+        cum = np.cumsum([float(w) for w in weights])
+        cum[-1] = 1.0
+        assert p._cum.tobytes() == cum.tobytes()
+
+
+def test_fraction_weights_are_kept_and_jitter_copies_the_integer_row():
+    w = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    p = IndecisivePoint(np.arange(6.0).reshape(3, 2), w)
+    assert all(a is b for a, b in zip(p.weights, w))
+    assert p._nums == (1, 2, 3) and p._denom == 6
+    jit = canonical_jitter(IndecisivePointSet((p,), 2))
+    q = jit.points[0]
+    assert q.weights is p.weights and q._nums is p._nums and q._denom == 6 and q._cum is p._cum
+
+
+def test_jitter_runs_once_per_set(monkeypatch):
+    import uqgeom.model as model_mod
+    from uqgeom import MeasureId, brute_force_distribution, exact_distribution
+
+    calls = []
+    former = model_mod._jitter
+
+    def counting(uset):
+        calls.append(uset)
+        return former(uset)
+
+    monkeypatch.setattr(model_mod, "_jitter", counting)
+    uset = random_indecisive(np.random.default_rng(3), 3, 2)
+    for m in ("seb2", "aabb-perimeter", "dwid:0.6,0.8"):
+        exact_distribution(uset, MeasureId.parse(m))
+        brute_force_distribution(uset, MeasureId.parse(m))
+    assert calls == [uset]
+    jit = canonical_jitter(uset)
+    assert canonical_jitter(uset) is jit and canonical_jitter(jit) is jit
+    # Another set with the same content is jittered on its own.
+    twin = load_point_set(save_point_set(uset))
+    assert canonical_jitter(twin) is not jit and len(calls) == 2
+    assert np.array_equal(canonical_jitter(twin).all_locations(), jit.all_locations())
+
+
+# --------------------------------------------------------------------------
+# Weight strings: the p/q fast path against Fraction(str)
+
+
+def _fraction_or_error(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+_DIGITS = st.sampled_from("0123456789")
+_ODD_CHARS = st.sampled_from(["/", "-", "+", " ", ".", "e", "E", "_", "\t", "²", "١", "٢", "٣", "０",
+                             "x"])
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.lists(st.one_of(_DIGITS, _ODD_CHARS), max_size=12).map("".join),
+    st.tuples(st.integers(-5, 10**30), st.integers(-5, 10**30)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["0/0", "1/0", "0/5", "1/2", "١/٢", "²", "2²/3", " 1/2", "1/2 ", "+1/2", "-1/2",
+                     "1.5/2", "1e3/2", "3e-1", "0.25", "1/2/3", "/2", "1/", "", "1_0/3", "01/02",
+                     "9" * 5000 + "/1", "1/" + "9" * 5000]),
+))
+def test_parse_weight_matches_fraction(text):
+    from uqgeom.model import _parse_weight
+
+    want = _fraction_or_error(text)
+    try:
+        got = _parse_weight(text, "points[0]")
+    except ValidationError as exc:
+        assert want is None, text
+        assert str(exc) == f"points[0]: cannot parse weight {text!r}"
+    else:
+        assert want is not None and type(got) is Fraction and got == want, text
