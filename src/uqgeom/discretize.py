@@ -392,12 +392,15 @@ def lattice_eps_sample(
 
     if isinstance(dist, UniformDiskPoint):
         r = dist.radius
+        area_total = math.pi * r * r
+        # Cell areas are taken against the disk's area, which must be finite.
+        if not math.isfinite(area_total):
+            raise ValidationError(f"a uniform disk of radius {r:g} is too large to discretize")
         per_axis = max(2, math.ceil(math.sqrt(target_size * 4.0 / math.pi)))
         cx, lx, hx = _axis_lattice(-r, r, per_axis, offset[0])
         cy, ly, hy = _axis_lattice(-r, r, per_axis, offset[1])
         pts = []
         w = []
-        area_total = math.pi * r * r
         for i in range(len(cx)):
             for j in range(len(cy)):
                 a = disk_rect_area((0.0, 0.0), r, lx[i], hx[i], ly[j], hy[j])

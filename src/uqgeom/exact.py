@@ -255,13 +255,21 @@ class _Prepared:
 # Chunked enumeration, validation and counting
 #
 # Potential bases travel as (rows, s) arrays of global candidate indices,
-# one basis size at a time.  A chunk's strict-interior mask has rows x n x
-# k_max cells (candidates padded per point to the largest k); about
-# _CHUNK_CELLS of them keep its temporaries well under a megabyte, and a
-# floor on the rows keeps per-chunk overhead small when there are many
-# candidates.
-_CHUNK_CELLS = 32_768
+# one basis size at a time.  A chunk holds about _CHUNK_CELLS cells of its
+# largest temporaries, counted by what its basis size builds: bases of
+# fewer than n points build the strict-interior mask, n x k_max cells a row
+# (candidates padded per point to the largest k); bases of every point
+# build no mask, only the (rows, s) gathers and the per-slot folds of
+# validation, taken as 4 s cells a row.  The budget keeps the temporaries
+# of a chunk within a few megabytes whatever the instance size, and a floor
+# on the rows keeps per-chunk overhead small when there are many candidates.
+_CHUNK_CELLS = 131_072
 _MIN_CHUNK_ROWS = 64
+
+
+def _chunk_rows(cells_per_row: int) -> int:
+    """Rows of a chunk whose rows take ``cells_per_row`` cells each."""
+    return max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // cells_per_row)
 
 
 def _combos(ks: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,10 +305,11 @@ def _candidate_rows(ks: np.ndarray, offsets: np.ndarray, s: int, rows: int):
 def _index_chunks(prep: _Prepared):
     """All potential bases as arrays of global candidate indices: basis
     sizes ascending, then point combos and candidate products in
-    lexicographic order, cut into chunks of a fixed number of rows."""
-    rows = max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // prep.grid_w.size)
+    lexicographic order, cut into chunks of a number of rows fixed per
+    basis size (see _CHUNK_CELLS)."""
     ks = np.array(prep.ks)
     for s in range(1, prep.beta + 1):
+        rows = _chunk_rows(4 * s if s == prep.n else prep.grid_w.size)
         yield from _candidate_rows(ks, prep.offsets, s, rows)
 
 
@@ -638,9 +647,11 @@ def brute_force_distribution(
         def values_of(idx):
             return _frame_values(measure.kind, frames[idx])
 
+    # Supports are chunked as bases of every point are, 4 cells a row for
+    # each of the ``width`` cells a support takes.
     chunks = [
         _merge_equal(values_of(idx), w[idx].prod(axis=1))
-        for idx in _candidate_rows(ks, offsets, n, max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // width))
+        for idx in _candidate_rows(ks, offsets, n, _chunk_rows(4 * width))
     ]
     values, nums = _merge_equal(np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]))
     if sum(nums.tolist()) != total_denom:
@@ -667,7 +678,7 @@ def _seb2_support_values(locs: np.ndarray, ks: np.ndarray, offsets: np.ndarray):
     tables = []
     for s in range(2, min(n, 3) + 1):
         radii = []
-        for idx in _candidate_rows(ks, offsets, s, max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // s)):
+        for idx in _candidate_rows(ks, offsets, s, _chunk_rows(4 * s)):
             xs = locs[idx, 0]
             ys = locs[idx, 1]
             if s == 2:

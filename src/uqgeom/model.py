@@ -517,10 +517,11 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             except (ValidationError, ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
+        jittered = doc.get("jitter_applied", False)
+        if not isinstance(jittered, bool):
+            raise ValidationError("jitter_applied must be true or false")
         try:
-            return IndecisivePointSet(
-                tuple(points), d, jitter_applied=bool(doc.get("jitter_applied", False))
-            )
+            return IndecisivePointSet(tuple(points), d, jitter_applied=jittered)
         except ValidationError as exc:
             raise ValidationError(f"points: {exc}") from None
 
@@ -543,7 +544,9 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
                     point = PointMassPoint(np.asarray(rp["at"], dtype=np.float64))
                 else:
                     raise ValidationError(f"unknown kind {kind!r}")
-            except (ValidationError, ValueError, KeyError, TypeError, OverflowError) as exc:
+            except KeyError as exc:
+                raise ValidationError(f"{where}: {kind} needs the field {exc}") from None
+            except (ValidationError, ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
         try:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import as_points, coordinate_scales, welzl_ball
-from .measures import MeasureId, evaluate
+from .measures import MeasureId, _check_input, evaluate
 from .model import ContinuousUncertainSet, IndecisivePointSet, ValidationError, draw_supports
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
 from .sip import DISK, RECT, SipField
@@ -460,6 +460,8 @@ def build_random_sip(
     params = np.zeros((m, 4))
     done = 0
     for stack in _support_stacks(uset, seed, m):
+        # The sampled coordinates pass the measure's input check, as in evaluate.
+        _check_input(measure, stack)
         if measure.kind == "seb2":
             balls = (welzl_ball(pts, scale) for pts, scale in zip(stack, coordinate_scales(stack)))
             params[done : done + len(stack), :3] = [(*ball.center.tolist(), ball.radius) for ball in balls]

@@ -324,6 +324,8 @@ def test_malformed_grid_exit_code(grid, indecisive_file, tmp_path, capsys):
         ["exact", "--measure", "aabb-area"],
         ["oracle", "--measure", "aabb-area"],
         ["quantize", "--measure", "aabb-area", "--eps", "0.2", "--delta", "0.1"],
+        ["sip-random", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1", "--grid", "8,8",
+         "--bounds=-2,-2,2,2"],
     ],
 )
 def test_huge_coordinates_exit_code(argv, tmp_path, capsys):
@@ -363,17 +365,51 @@ _PAIR = [{"locations": [[0, 0], [1, 0]], "weights": ["1/2", "1/2"]},
           "--grid", "8,8", "--bounds=-2,-2,2,2"], "points[0]: float() argument"),
         ({"dimension": 2, "model": "indecisive", "points": _PAIR},
          ["exact", "--measure", "dwid:1"], "dwid direction has dimension 1, points have 2"),
+        ({"dimension": 2, "model": "continuous",
+          "points": [{"kind": "uniform_disk", "center": [0, 0], "radius": 1e200}]},
+         ["discretize", "--measure", "seb2", "--eps", "0.3"],
+         "a uniform disk of radius 1e+200 is too large to discretize"),
+        ({"dimension": 2, "model": "continuous", "points": [{"kind": "gaussian", "mean": [0, 0]}]},
+         ["quantize", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1"],
+         "points[0]: gaussian needs the field 'cov'"),
     ],
     ids=["indecisive point not an object", "continuous point a list", "disk radius a list",
-         "dwid direction of another dimension"],
+         "dwid direction of another dimension", "disk area beyond float range", "missing field"],
 )
 def test_malformed_input_exit_code(doc, argv, message, tmp_path, capsys):
-    # Each of these once ended in a traceback and exit 1.
+    # Each of these once ended in a traceback and exit 1, or in exit 2
+    # with a message that did not name the fault.
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main([argv[0], "--input", str(path), "--out", str(out), *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
+
+
+# Two points, each two adjacent corners of the unit square: only the
+# canonical jitter separates the aabb-area bases of equal area.
+_SQUARE = [{"locations": [[0, 0], [1, 0]], "weights": ["1/2", "1/2"]},
+           {"locations": [[1, 1], [0, 1]], "weights": ["1/2", "1/2"]}]
+
+
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1, None, [True]])
+def test_jitter_applied_must_be_a_json_boolean(flag, tmp_path, capsys):
+    # Any truthy value once marked the raw square as jittered, and the
+    # engine then refused it with exit 4.
+    out = tmp_path / "out.csv"
+    argv = ["exact", "--measure", "aabb-area", "--out", str(out)]
+    path = tmp_path / "square.json"
+    for jittered in (None, False):
+        doc = {"dimension": 2, "model": "indecisive", "points": _SQUARE}
+        if jittered is not None:
+            doc["jitter_applied"] = jittered
+        path.write_text(json.dumps(doc))
+        assert main([*argv, "--input", str(path)]) == 0
+    out.unlink()
+    path.write_text(json.dumps({"dimension": 2, "model": "indecisive", "points": _SQUARE, "jitter_applied": flag}))
+    assert main([*argv, "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: jitter_applied must be true or false\n"
     assert not out.exists()
 
 
@@ -628,5 +664,96 @@ def test_fuzzed_documents_exit_0_2_3_or_4(tmp_path_factory, doc, command, measur
     out = path.with_suffix(".csv")
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = _run_cli([command, "--input", str(path), "--measure", measure, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# --------------------------------------------------------------------------
+# Fuzzed continuous documents through discretize, quantize and sip-random
+
+
+_VALID_CONTINUOUS = {
+    "dimension": 2,
+    "model": "continuous",
+    "points": [
+        {"kind": "gaussian", "mean": [0, 0], "cov": [[0.3, 0.05], [0.05, 0.2]]},
+        {"kind": "uniform_disk", "center": [1, 0], "radius": 0.5},
+        {"kind": "point_mass", "at": [0, 1]},
+    ],
+}
+_CONTINUOUS_FIELDS = {"gaussian": ("mean", "cov"), "uniform_disk": ("center", "radius"), "point_mass": ("at",)}
+# Per command, its flags and the measures it is run with.
+_CONTINUOUS_ARGV = {
+    "discretize": (["--eps", "0.3"], ["aabb-perimeter", "seb2"]),
+    "quantize": (["--eps", "0.2", "--delta", "0.1", "--m", "16"],
+                 ["seb2", "aabb-area", "diameter", "dwid:0.6,0.8", "sebinf"]),
+    "sip-random": (["--eps", "0.2", "--delta", "0.1", "--m", "16", "--grid", "8,8", "--bounds=-2,-2,2,2"],
+                   ["seb2", "aabb-perimeter", "aabb-area"]),
+}
+_NUMBERS = st.sampled_from([0, -1, 0.5, -3.5, 1e-300, 1e6, 1e154, 1e200, 1e308, -1e308, 10**400,
+                            float("nan"), float("inf"), float("-inf")])
+
+
+def _leaves(value, path=()):
+    """Paths of the numbers and other non-list leaves inside a field."""
+    if isinstance(value, list) and value:
+        return [p for i, v in enumerate(value) for p in _leaves(v, (*path, i))]
+    return [path]
+
+
+@st.composite
+def _mutated_continuous_documents(draw):
+    """The valid continuous document with one to three mutations: a key
+    removed, or a top-level field, a point, its kind, one of its fields or
+    one number inside a field replaced by an odd value or number."""
+    doc = copy.deepcopy(_VALID_CONTINUOUS)
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["number", "number", "field", "kind", "drop", "point", "top"]))
+        points = doc.get("points")
+        if target == "top":
+            doc[draw(st.sampled_from(["dimension", "model", "points"]))] = draw(_ODD_VALUES)
+            continue
+        if not (isinstance(points, list) and points):
+            continue
+        i = draw(st.integers(0, len(points) - 1))
+        point = points[i]
+        if target == "point":
+            points[i] = draw(_ODD_VALUES)
+            continue
+        if not isinstance(point, dict):
+            continue
+        kind = point.get("kind")
+        fields = ["kind", *(_CONTINUOUS_FIELDS.get(kind, ()) if isinstance(kind, str) else ())]
+        if target == "drop":
+            point.pop(draw(st.sampled_from(fields)), None)
+        elif target == "kind":
+            point["kind"] = draw(st.one_of(st.sampled_from(sorted(_CONTINUOUS_FIELDS)), _ODD_VALUES))
+        elif len(fields) > 1:
+            key = draw(st.sampled_from(fields[1:]))
+            if target == "field" or key not in point:
+                point[key] = draw(_ODD_VALUES)
+                continue
+            path = draw(st.sampled_from(_leaves(point[key])))
+            if not path:
+                point[key] = draw(_NUMBERS)
+                continue
+            holder = point[key]
+            for step in path[:-1]:
+                holder = holder[step]
+            holder[path[-1]] = draw(_NUMBERS)
+    return doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_mutated_continuous_documents(), st.sampled_from(sorted(_CONTINUOUS_ARGV)).flatmap(
+    lambda command: st.tuples(st.just(command), st.sampled_from(_CONTINUOUS_ARGV[command][1]))
+))
+def test_fuzzed_continuous_documents_exit_0_2_3_or_4(tmp_path_factory, doc, run):
+    command, measure = run
+    path = tmp_path_factory.mktemp("doc") / "set.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path), "--out", str(path.with_suffix(".out")), "--measure", measure]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run_cli([*argv, *_CONTINUOUS_ARGV[command][0]])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

@@ -954,6 +954,49 @@ def test_counting_matches_former_code_on_81_and_100_candidates():
             _assert_chunks_match_former(prep, idx)
 
 
+_SIP_MEASURES = [MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("aabb_area")]
+
+
+def _sip_field_bytes(field):
+    return (field.kinds.tobytes(), field.params.tobytes(), field.weights.tobytes(),
+            field.numerators.dtype, field.numerators.tolist(), field.denominator)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_chunk_boundaries_leave_sip_field_unchanged(monkeypatch, rows):
+    import uqgeom.exact as exact_mod
+
+    # The sets no larger than the basis sizes, whose last size holds every
+    # point, and the discretized pipeline's (81, 100) shape.
+    usets = [_COUNTING_SETS[kind]() for kind in ("n=2", "n=3-lattice", "n=4-unequal-k")]
+    usets.append(_unequal_k_indecisive(np.random.default_rng(46), (81, 100), lattice=False))
+    default = [[_sip_field_bytes(deterministic_sip(u, m)) for m in _SIP_MEASURES] for u in usets]
+    monkeypatch.setattr(exact_mod, "_CHUNK_CELLS", 0)
+    monkeypatch.setattr(exact_mod, "_MIN_CHUNK_ROWS", rows)
+    for uset, want in zip(usets, default):
+        for m, w in zip(_SIP_MEASURES, want):
+            assert _sip_field_bytes(deterministic_sip(uset, m)) == w, (uset.n, m.kind)
+
+
+def test_exact_engine_memory_stays_flat_as_the_instance_grows():
+    # Temporaries are bounded per chunk: 5.4x the potential bases must not
+    # raise the traced peak by more than half.
+    import tracemalloc
+
+    m = MeasureId("aabb_perimeter")
+    peaks = []
+    for n in (7, 10):
+        uset = random_indecisive(np.random.default_rng(47), n, 4)
+        exact_distribution(uset, m, keep_records=False)
+        tracemalloc.start()
+        try:
+            exact_distribution(uset, m, keep_records=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5 * min(peaks), peaks
+
+
 # --------------------------------------------------------------------------
 # Setup done once per set, against the former code kept here
 
