@@ -27,11 +27,8 @@ from .exact import (
 from .discretize import (
     LatticeSample,
     RangeFamily,
-    Wedge,
     discretize_for_measure,
     lattice_eps_sample,
-    range_membership,
-    wedge_decompose_seb2,
 )
 from .harness import (
     CylinderConfig,
@@ -43,16 +40,12 @@ from .harness import (
 )
 from .isolines import extract_isolines, isolines_svg
 from .measures import (
-    AxiomReport,
     Basis,
     BasisMember,
     MeasureId,
     NotLPTypeError,
-    check_lp_axioms,
     combinatorial_dimension,
     evaluate,
-    find_basis,
-    full_violation_test,
     tolerance,
 )
 from .model import (

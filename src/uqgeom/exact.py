@@ -40,7 +40,6 @@ import numpy as np
 
 from .geometry import bbox_diameter, coordinate_scale
 from .measures import (
-    _STRICT_REL,
     Basis,
     BasisMember,
     MeasureId,
@@ -69,6 +68,10 @@ __all__ = [
     "deterministic_sip",
     "distributions_match",
 ]
+
+# Strictness margin of basis validation, relative to the coordinate scale
+# (and to the value scale for value comparisons).
+_STRICT_REL = 1e-14
 
 _HARDNESS_MESSAGE = (
     "diameter is not LP-type (locality fails); computing its exact "

@@ -1,4 +1,4 @@
-"""Geometric measures and the LP-type basis machinery.
+"""Geometric measures and the basis records of the exact engine.
 
 Supported measures: smallest enclosing ball radius in the L2, L1 and
 L-infinity metrics (``seb2``, ``seb1``, ``sebinf``), axis-aligned bounding
@@ -11,27 +11,24 @@ Numeric conventions
 -------------------
 Comparisons of measure values use an absolute tolerance of 1e-9 scaled by
 the point set's bounding-box diameter (squared for the area-valued
-measure).  Basis identification internally uses much tighter thresholds
-(1e-13/1e-14 of the coordinate scale) so that the deterministic engine's
-counting agrees with brute-force enumeration even on near-degenerate,
-jittered inputs.
+measure).  Bases are found and validated only by the deterministic engine
+(:mod:`uqgeom.exact`), which keeps its own tighter thresholds (1e-14 of
+the coordinate scale) so that its counting agrees with brute-force
+enumeration even on near-degenerate, jittered inputs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    Ball,
     _circum3,
     _trivial_ball,
     as_points,
     bbox_diameter,
-    coordinate_scale,
     coordinate_scales,
     welzl_ball,
 )
@@ -45,14 +42,7 @@ __all__ = [
     "combinatorial_dimension",
     "tolerance",
     "evaluate",
-    "find_basis",
-    "full_violation_test",
-    "check_lp_axioms",
-    "AxiomReport",
 ]
-
-_MATCH_REL = 1e-13   # value-identity threshold for basis recognition
-_STRICT_REL = 1e-14  # strictness margin for minimality / interior tests
 
 _KINDS = ("seb2", "seb1", "sebinf", "aabb_perimeter", "aabb_area", "dwid", "diameter")
 _AREA_VALUED = {"aabb_area"}
@@ -308,14 +298,6 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seb2_ball_of_members(locs: np.ndarray) -> Ball:
-    """Canonical enclosing ball of a (candidate) basis (array interface)."""
-    locs = np.asarray(locs, dtype=np.float64)
-    d = locs.shape[1]
-    sol = _seb2_ball_tuple([tuple(row) for row in locs])
-    return Ball(np.array(sol[:d]), sol[d], sol[d + 1])
-
-
 def _seb2_value(pts: np.ndarray, scale: float) -> float:
     ball = welzl_ball(pts, scale)
     if pts.shape[1] == 2 and 1 <= len(ball.support) <= 3:
@@ -382,181 +364,3 @@ class Basis:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def member_array(self) -> np.ndarray:
-        return np.array([m.location for m in self.members], dtype=np.float64)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(m.point for m in self.members)
-
-
-def _seb2_basis_indices(pts: np.ndarray) -> tuple[int, ...]:
-    """Defining index set of the minimum enclosing disk, ties broken by the
-    lexicographically smallest index tuple."""
-    n = len(pts)
-    if n == 1:
-        return (0,)
-    ball = welzl_ball(pts)
-    scale = coordinate_scale(pts)
-    match_eps = _MATCH_REL * scale
-    strict_eps = _STRICT_REL * scale
-    dist = np.linalg.norm(pts - ball.center, axis=1)
-    on_boundary = np.flatnonzero(np.abs(dist - ball.radius) <= max(1e-9 * scale, match_eps))
-    if len(on_boundary) == 0:
-        on_boundary = np.array(sorted(ball.support))
-    candidates = [int(i) for i in on_boundary]
-    if len(candidates) > 12:
-        candidates = candidates[:12]
-    for size in (1, 2, 3):
-        if size > len(candidates):
-            break
-        for combo in itertools.combinations(candidates, size):
-            sub = _seb2_ball_of_members(pts[list(combo)])
-            if abs(sub.radius - ball.radius) > match_eps:
-                continue
-            d2 = np.linalg.norm(pts - sub.center, axis=1)
-            if d2.max() > sub.radius + max(1e-11 * scale, match_eps):
-                continue
-            if size >= 2:
-                minimal = all(
-                    _seb2_ball_of_members(pts[[c for c in combo if c != drop]]).radius
-                    < sub.radius - strict_eps
-                    for drop in combo
-                )
-                if not minimal:
-                    continue
-            return combo
-    return tuple(sorted(ball.support))
-
-
-def _extreme_candidates(measure: MeasureId, pts: np.ndarray) -> list[int]:
-    """Indices attaining (bitwise) one of the measure's defining extremes."""
-    kind = measure.kind
-    cols: list[np.ndarray]
-    if kind == "dwid":
-        cols = [pts @ np.asarray(measure.direction)]
-    elif kind in ("aabb_perimeter", "aabb_area", "sebinf"):
-        cols = [pts[:, 0], pts[:, 1]]
-    elif kind == "seb1":
-        s, t = _rot_coords(pts)
-        cols = [s, t]
-    else:
-        raise AssertionError(kind)
-    out: set[int] = set()
-    for c in cols:
-        out.update(np.flatnonzero(c == c.min()).tolist())
-        out.update(np.flatnonzero(c == c.max()).tolist())
-    return sorted(out)
-
-
-def find_basis(measure: MeasureId, pts) -> Basis:
-    """Minimal defining subset with the same measure value as the whole set.
-
-    Ties are broken by the lexicographically smallest index tuple; the
-    returned value equals ``evaluate`` on the full set up to the internal
-    identification threshold.
-    """
-    if not measure.is_lp_type:
-        raise NotLPTypeError("diameter is not LP-type; no basis structure is available")
-    pts = as_points(pts)
-    if measure.kind != "seb2" and pts.shape[1] != 2:
-        raise ValueError(f"{measure.kind} basis search is implemented for d=2 only")
-    scale = coordinate_scale(pts)
-    vscale = value_scale(measure, scale)
-    total = evaluate(measure, pts)
-    if measure.kind == "seb2":
-        combo = _seb2_basis_indices(pts)
-        value = _seb2_ball_of_members(pts[list(combo)]).radius
-        members = tuple(BasisMember(int(i), None, tuple(pts[i])) for i in combo)
-        return Basis(measure, members, value)
-    candidates = _extreme_candidates(measure, pts)
-    if len(candidates) > 12:
-        candidates = candidates[:12]
-    beta = combinatorial_dimension(measure, pts.shape[1])
-    match_eps = _MATCH_REL * vscale
-    strict_eps = _STRICT_REL * vscale
-    for size in range(1, min(beta, len(candidates)) + 1):
-        for combo in itertools.combinations(candidates, size):
-            sub = pts[list(combo)]
-            if abs(evaluate(measure, sub) - total) > match_eps:
-                continue
-            minimal = True
-            if size > 1:
-                for drop in range(size):
-                    rest = np.delete(sub, drop, axis=0)
-                    if evaluate(measure, rest) >= total - strict_eps:
-                        minimal = False
-                        break
-            if minimal:
-                members = tuple(BasisMember(int(i), None, tuple(pts[i])) for i in combo)
-                return Basis(measure, members, total)
-    raise AssertionError(f"no basis identified for {measure.kind} (numerically degenerate input)")
-
-
-def full_violation_test(measure: MeasureId, basis: Basis, candidate) -> bool:
-    """True iff adding the candidate strictly increases the basis value.
-
-    Equality (the candidate on the shape boundary) counts as no violation;
-    the comparison uses the bounding-box tolerance policy.  Only the basis is
-    consulted, which is what makes the test O(1) for constant basis size.
-    """
-    cand = np.asarray(candidate, dtype=np.float64).reshape(1, -1)
-    union = np.concatenate([basis.member_array(), cand], axis=0)
-    return evaluate(measure, union) > basis.value + tolerance(union, measure)
-
-
-# --------------------------------------------------------------------------
-# Axiom checking
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    measure: MeasureId
-    trials: int
-    monotonicity_violations: tuple
-    locality_violations: tuple
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.monotonicity_violations and not self.locality_violations
-
-
-def check_lp_axioms(measure: MeasureId, pts, trials: int, seed: int) -> AxiomReport:
-    """Randomized spot-check of monotonicity and locality on nested subsets.
-
-    For diameter the check still runs (monotonicity holds; locality
-    generally fails), but the result is diagnostic only: the deterministic
-    engine never relies on a violation test for diameter.
-    """
-    pts = as_points(pts)
-    n = len(pts)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    mono, loc = [], []
-    for t in range(trials):
-        size_g = int(rng.integers(1, n + 1))
-        g_idx = np.sort(rng.choice(n, size=size_g, replace=False))
-        size_f = int(rng.integers(1, size_g + 1))
-        f_idx = np.sort(rng.choice(g_idx, size=size_f, replace=False))
-        g = pts[g_idx]
-        f = pts[f_idx]
-        vg = evaluate(measure, g)
-        vf = evaluate(measure, f)
-        tol = tolerance(g, measure)
-        if vf > vg + tol:
-            mono.append((tuple(f_idx), tuple(g_idx), vf, vg))
-            continue
-        if abs(vf - vg) <= tol and size_g < n:
-            rest = np.setdiff1d(np.arange(n), g_idx)
-            h = int(rng.choice(rest))
-            vg_h = evaluate(measure, np.concatenate([g, pts[[h]]]))
-            vf_h = evaluate(measure, np.concatenate([f, pts[[h]]]))
-            if vg_h > vg + tol and not (vf_h > vf + tol):
-                loc.append((tuple(f_idx), tuple(g_idx), h))
-    note = ""
-    if measure.kind == "diameter":
-        note = (
-            "diameter monotone but locality is not exploitable: "
-            "no constant-time full violation test exists"
-        )
-    return AxiomReport(measure, trials, tuple(mono), tuple(loc), note)

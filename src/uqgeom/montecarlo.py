@@ -238,19 +238,30 @@ class SampleBudget:
             raise ValueError("epsilon must lie in (0, 1)")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.nu < 1.0:
-            raise ValueError("nu must be at least 1")
-        if self.constant_c <= 0.0:
-            raise ValueError("constant_c must be positive")
-        if self.explicit_m is not None and self.explicit_m < 1:
-            raise ValueError("explicit_m must be at least 1")
+        if not (1.0 <= self.nu < math.inf):
+            raise ValueError("nu must be finite and at least 1")
+        if not (0.0 < self.constant_c < math.inf):
+            raise ValueError("constant_c must be finite and positive")
+        if self.explicit_m is not None:
+            if self.explicit_m < 1:
+                raise ValueError("explicit_m must be at least 1")
+        elif not math.isfinite(self._raw_m()):
+            raise ValueError(
+                "the sample count C (nu + ln(1/delta)) / epsilon^2 is not finite at "
+                f"epsilon={self.epsilon:g}, constant_c={self.constant_c:g}, nu={self.nu:g}"
+            )
+
+    def _raw_m(self) -> float:
+        eps2 = self.epsilon**2
+        if eps2 == 0.0:  # epsilon^2 underflows
+            return math.inf
+        return self.constant_c * (self.nu + math.log(1.0 / self.delta)) / eps2
 
     @property
     def m(self) -> int:
         if self.explicit_m is not None:
             return self.explicit_m
-        raw = self.constant_c * (self.nu + math.log(1.0 / self.delta)) / self.epsilon**2
-        return max(1, math.ceil(raw))
+        return max(1, math.ceil(self._raw_m()))
 
 
 def build_quantization(

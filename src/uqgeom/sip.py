@@ -38,7 +38,12 @@ class DiskShape:
     r: float
 
     def contains(self, x, y):
-        return (x - self.cx) ** 2 + (y - self.cy) ** 2 <= self.r * self.r
+        # Multiplied, not ``** 2``: on a Python float that is libm pow, which
+        # may round apart from the array square that query_many and the
+        # raster take.
+        dx = x - self.cx
+        dy = y - self.cy
+        return dx * dx + dy * dy <= self.r * self.r
 
 
 @dataclass(frozen=True)

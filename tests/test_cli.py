@@ -210,6 +210,36 @@ def test_discretize_emits_model_schema(continuous_file, tmp_path):
     assert back.points[1].k == 1  # the point mass
 
 
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_discretize_points_per_point_below_one_exit_code(count, continuous_file, tmp_path, capsys):
+    out = tmp_path / "disc.json"
+    rc = main(["discretize", "--input", str(continuous_file), "--measure", "seb2",
+               "--eps", "0.3", "--points-per-point", count, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --points-per-point must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "1e-300"], "epsilon^2 is not finite at epsilon=1e-300"),
+        (["--constant-c", "inf"], "constant_c must be finite and positive"),
+        (["--nu", "nan"], "nu must be finite and at least 1"),
+    ],
+    ids=["eps squared underflows", "infinite constant", "nan nu"],
+)
+def test_non_finite_sample_budget_exit_code(flags, message, indecisive_file, tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    argv = ["quantize", "--input", str(indecisive_file), "--measure", "seb2",
+            "--eps", "0.1", "--delta", "0.05", "--out", str(out)]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_experiment_and_fit_round_trip(tmp_path):
     outdir = tmp_path / "exp"
     rc = main(["experiment", "--n", "5", "--sigma", "0.5", "--measures", "diameter",

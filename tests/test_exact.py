@@ -218,19 +218,13 @@ def test_brute_force_diameter_and_cap():
 
 
 def test_exact_cdf_matches_enumeration(rng):
+    # The exact referee over every support of the jittered set the engine
+    # itself solves.
     uset = random_indecisive(rng, 3, 3)
     m = MeasureId("seb2")
     dist = exact_distribution(uset, m)
-    jit = canonical_jitter(uset)
-    from uqgeom.measures import _seb2_ball_of_members, _seb2_basis_indices
-
-    values = []
-    for locs, prob in enumerate_supports(jit):
-        idx = _seb2_basis_indices(locs)
-        values.append((float(_seb2_ball_of_members(locs[list(idx)]).radius), prob))
-    for r in np.quantile([v for v, _ in values], [0.2, 0.5, 0.9]):
-        truth = sum((p for v, p in values if v <= r), Fraction(0))
-        assert dist.cdf(float(r)) == truth
+    ref = _referee_distribution(canonical_jitter(uset))
+    assert distributions_match(dist, ref, group_tolerance(uset, m))
 
 
 def test_deterministic_sip_point_disks():
@@ -703,12 +697,13 @@ def test_oracle_checks_cap_and_dimension_before_allocating(monkeypatch):
 
 
 def _seb2_referee_sq(pts) -> Fraction:
-    """Exact squared radius of the smallest enclosing disk of integer
-    points: the largest over pairs (half the distance) and strictly acute
-    triples (the circumcircle); any other triple's disk is a pair's."""
+    """Exact squared radius of the smallest enclosing disk of planar
+    points, read exactly from their floats: the largest over pairs (half
+    the distance) and strictly acute triples (the circumcircle); any other
+    triple's disk is a pair's."""
     from itertools import combinations
 
-    pts = [tuple(Fraction(int(c)) for c in p) for p in pts]
+    pts = [tuple(Fraction(c) for c in p) for p in pts]
     best = Fraction(0)
 
     def sq(a, b):
@@ -728,7 +723,7 @@ def _seb2_referee_sq(pts) -> Fraction:
 
 
 def _referee_distribution(uset):
-    """seb2 distribution over the unjittered supports by the referee."""
+    """seb2 distribution over the supports of ``uset`` by the referee."""
     from uqgeom import ExactDistribution, Quantization1D
 
     mass = {}

@@ -6,13 +6,9 @@ import pytest
 
 from uqgeom import (
     MeasureId,
-    NotLPTypeError,
     ValidationError,
-    check_lp_axioms,
     combinatorial_dimension,
     evaluate,
-    find_basis,
-    full_violation_test,
     tolerance,
 )
 from uqgeom.measures import _MAX_COORDINATE, _seb2_ball_tuple, _seb2_balls
@@ -42,11 +38,15 @@ def test_combinatorial_dimensions():
 
 def test_evaluate_seb2_antipodal_pair():
     assert abs(evaluate(MeasureId("seb2"), [[0, 0], [2, 0]]) - 1.0) < 1e-12
+    # A point between the pair leaves the disk as it is.
+    assert abs(evaluate(MeasureId("seb2"), [[0, 0], [1, 0], [2, 0]]) - 1.0) < 1e-12
 
 
 def test_evaluate_seb2_equilateral_circumradius():
     tri = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
     assert abs(evaluate(MeasureId("seb2"), tri) - 1 / math.sqrt(3)) < 1e-12
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert abs(evaluate(MeasureId("seb2"), square) - math.sqrt(2) / 2) < 1e-12
 
 
 def test_evaluate_aabb_perimeter():
@@ -126,96 +126,145 @@ def test_seb2_in_3d():
     assert abs(evaluate(MeasureId("seb2"), pts) - 1.0) < 1e-12
 
 
-def test_find_basis_collinear_points():
-    basis = find_basis(MeasureId("seb2"), [[0, 0], [1, 0], [2, 0]])
-    assert basis.indices() == (0, 2)
-    assert basis.size == 2
+def _small_basis(m, pts):
+    """Brute force: indices of the first subset, by size and then in
+    combination order, of at most combinatorial_dimension(m) points whose
+    value is the whole set's within tolerance; None if there is none."""
+    total = evaluate(m, pts)
+    tol = max(tolerance(pts, m), 1e-12)
+    for size in range(1, min(combinatorial_dimension(m), len(pts)) + 1):
+        combos = np.array(list(itertools.combinations(range(len(pts)), size)))
+        close = np.flatnonzero(np.abs(evaluate(m, pts[combos]) - total) <= tol)
+        if len(close):
+            return combos[close[0]]
+    return None
 
 
-def test_find_basis_square_lexicographic():
-    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    basis = find_basis(MeasureId("seb2"), sq)
-    assert basis.indices() == (0, 2)
-    # derived check: f(B) equals f(Q) (brute: circumradius of the square)
-    assert abs(basis.value - evaluate(MeasureId("seb2"), sq)) < 1e-12
-    assert abs(basis.value - math.sqrt(2) / 2) < 1e-12
+def _axiom_violations(m, pts, trials, seed):
+    """Seeded spot-check of monotonicity and locality on nested F in G.
+
+    G is a random proper subset and F holds a small basis of G, so
+    f(F) = f(G) and locality can be put to the test: a point h outside G
+    must raise f(F) exactly when it raises f(G).  Returns the
+    monotonicity and the locality violations."""
+    rng = np.random.default_rng(seed)
+    n = len(pts)
+    mono, loc = [], []
+    for _ in range(trials):
+        g = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        extra = rng.choice(g, size=int(rng.integers(0, len(g) + 1)), replace=False)
+        f = np.union1d(g[_small_basis(m, pts[g])], extra)
+        vf, vg = evaluate(m, pts[f]), evaluate(m, pts[g])
+        tol = tolerance(pts[g], m)
+        if vf > vg + tol:
+            mono.append((tuple(f), tuple(g)))
+        for h in np.setdiff1d(np.arange(n), g):
+            raises_g = evaluate(m, pts[np.append(g, h)]) > vg + tol
+            raises_f = evaluate(m, pts[np.append(f, h)]) > vf + tol
+            if raises_g != raises_f:
+                loc.append((tuple(f), tuple(g), int(h)))
+    return mono, loc
 
 
-def test_find_basis_aabb_on_random_points(rng):
-    m = MeasureId("aabb_perimeter")
-    for _ in range(20):
-        pts = rng.uniform(-1, 1, (5, 2))
-        basis = find_basis(m, pts)
-        assert basis.size <= 4
-        assert abs(evaluate(m, basis.member_array()) - evaluate(m, pts)) <= tolerance(pts, m)
+_LP_TYPE = [
+    MeasureId("seb2"),
+    MeasureId("seb1"),
+    MeasureId("sebinf"),
+    MeasureId("aabb_perimeter"),
+    MeasureId("aabb_area"),
+    MeasureId("dwid", (0.6, 0.8)),
+]
 
 
-def test_find_basis_matches_full_value_randomized(rng):
-    measures = [
-        MeasureId("seb2"),
-        MeasureId("seb1"),
-        MeasureId("sebinf"),
-        MeasureId("aabb_area"),
-        MeasureId("dwid", (0.6, 0.8)),
-    ]
+def test_lp_type_measures_have_bases_of_combinatorial_dimension(rng):
     for _ in range(20):
         pts = rng.uniform(-2, 2, (int(rng.integers(1, 9)), 2))
-        for m in measures:
-            basis = find_basis(m, pts)
-            assert basis.size <= combinatorial_dimension(m)
-            assert abs(evaluate(m, basis.member_array()) - evaluate(m, pts)) <= max(
-                tolerance(pts, m), 1e-12
-            )
-            # minimality: every strict subset has strictly smaller value
-            if basis.size > 1:
-                arr = basis.member_array()
-                for drop in range(basis.size):
-                    sub = np.delete(arr, drop, axis=0)
-                    assert evaluate(m, sub) < basis.value
-
-
-def test_find_basis_rejects_diameter():
-    with pytest.raises(NotLPTypeError):
-        find_basis(MeasureId("diameter"), [[0, 0], [1, 1]])
+        for m in _LP_TYPE:
+            assert _small_basis(m, pts) is not None, m.kind
 
 
 def test_full_violation_closed_boundary():
+    # A candidate violates the pair's disk only if it lies strictly outside.
     m = MeasureId("seb2")
-    basis = find_basis(m, [[-1.0, 0.0], [1.0, 0.0]])
-    assert not full_violation_test(m, basis, (0.5, 0.5))  # inside
-    assert full_violation_test(m, basis, (1.5, 0.5))  # outside
-    assert not full_violation_test(m, basis, (0.0, 1.0))  # exactly on the circle
+    basis = [[-1.0, 0.0], [1.0, 0.0]]
+    value = evaluate(m, basis)
+
+    def violates(q):
+        union = np.vstack([basis, q])
+        return evaluate(m, union) > value + tolerance(union, m)
+
+    assert not violates((0.5, 0.5))  # inside
+    assert violates((1.5, 0.5))  # outside
+    assert not violates((0.0, 1.0))  # exactly on the circle
 
 
 def test_full_violation_matches_evaluate(rng):
+    # A candidate violates a set exactly when it violates the set's basis.
     measures = [MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("dwid", (1, 0))]
     for _ in range(50):
         pts = rng.uniform(-1, 1, (6, 2))
         q = rng.uniform(-1.5, 1.5, 2)
         for m in measures:
-            basis = find_basis(m, pts)
-            union = np.vstack([basis.member_array(), q])
-            slow = evaluate(m, union) > basis.value + tolerance(union, m)
-            assert full_violation_test(m, basis, q) == slow
+            basis = pts[_small_basis(m, pts)]
+            union = np.vstack([basis, q])
+            by_basis = evaluate(m, union) > evaluate(m, basis) + tolerance(union, m)
+            union = np.vstack([pts, q])
+            assert by_basis == (evaluate(m, union) > evaluate(m, pts) + tolerance(union, m))
 
 
 def test_axioms_seb2_clean(rng):
     pts = rng.uniform(-1, 1, (10, 2))
-    report = check_lp_axioms(MeasureId("seb2"), pts, trials=100, seed=7)
-    assert report.ok
+    assert _axiom_violations(MeasureId("seb2"), pts, trials=100, seed=7) == ([], [])
 
 
 def test_axioms_dwid_monotone(rng):
     pts = rng.uniform(-1, 1, (8, 2))
-    report = check_lp_axioms(MeasureId("dwid", (0.3, 0.7)), pts, trials=100, seed=8)
-    assert not report.monotonicity_violations
+    assert _axiom_violations(MeasureId("dwid", (0.3, 0.7)), pts, trials=100, seed=8) == ([], [])
 
 
 def test_axioms_diameter_diagnostic(rng):
+    m = MeasureId("diameter")
     pts = rng.uniform(-1, 1, (8, 2))
-    report = check_lp_axioms(MeasureId("diameter"), pts, trials=50, seed=9)
-    assert "not exploitable" in report.note
-    assert not report.monotonicity_violations
+    mono, _ = _axiom_violations(m, pts, trials=50, seed=9)
+    assert not mono
+    # Locality fails, which is why the exact engine refuses diameter: F and
+    # G share the diameter 2, and h raises G's diameter but not F's.
+    f = np.array([[0.0, 0.0], [2.0, 0.0]])
+    g = np.vstack([f, [1.0, 1.7]])
+    h = [1.0, -1.7]
+    assert evaluate(m, f) == evaluate(m, g) == evaluate(m, np.vstack([f, h])) == 2.0
+    assert evaluate(m, np.vstack([g, h])) > 3.0
+
+
+def _circumcenter(a, b, c):
+    """Centre of the circle through three non-collinear planar points."""
+    m = 2.0 * np.array([b - a, c - a])
+    return np.linalg.solve(m, [b @ b - a @ a, c @ c - a @ a])
+
+
+_ACUTE = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]])
+
+
+@pytest.mark.parametrize(
+    "anchor, center",
+    [
+        (np.array([[0.0, 0.0], [2.0, 0.5]]), np.array([1.0, 0.25])),
+        (_ACUTE, _circumcenter(*_ACUTE)),
+        (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0])),
+        (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5])),
+    ],
+    ids=["two", "acute-triple", "collinear-triple", "coincident"],
+)
+def test_seb2_range_at_enclosing_radius_is_the_enclosing_disk(anchor, center):
+    """With w the anchors' enclosing radius, {p : seb2(anchor + p) <= w} is
+    that one disk."""
+    w = float(np.max(np.linalg.norm(anchor - center, axis=1)))
+    pts = np.random.default_rng(17).uniform(center - 1.5 * w, center + 1.5 * w, (2000, 2))
+    dist = np.linalg.norm(pts - center, axis=1)
+    away = np.abs(dist - w) > 1e-6 * w
+    sets = np.concatenate([np.broadcast_to(anchor, (len(pts), *anchor.shape)), pts[:, None]], axis=1)
+    member = evaluate(MeasureId("seb2"), sets) <= w
+    assert np.array_equal(member[away], (dist <= w)[away])
 
 
 def test_monotonicity_property_all_measures(rng):

@@ -337,6 +337,28 @@ def test_rasterize_rejects_non_finite_bounds():
         rasterize_sip(field, (4, 4), (-math.inf, 0.0, 1.0, 1.0))
 
 
+def test_disk_query_equals_query_many_on_the_boundary():
+    # Points on a disk's circle up to rounding, with r the square root of
+    # the scalar squared distance.  CPython's float ** squares with libm
+    # pow, which for some of them decides containment apart from the
+    # product of an array square; query, query_exact and query_many must
+    # all give one answer.
+    rng = np.random.default_rng(5)
+    centers, points = rng.uniform(-1.0, 1.0, size=(2, 200_000, 2)).tolist()
+    split = []
+    for (cx, cy), (px, py) in zip(centers, points):
+        dx, dy = px - cx, py - cy
+        r = math.sqrt(dx**2 + dy**2)
+        if (dx**2 + dy**2 <= r * r) != (dx * dx + dy * dy <= r * r):
+            split.append(((cx, cy, r), (px, py)))
+    assert len(split) >= 10
+    for disk, point in split:
+        field = SipField.from_shapes([(DiskShape(*disk), Fraction(1))])
+        many = field.query_many([point])[0]
+        assert field.query(point) == many
+        assert field.query_exact(point) == many
+
+
 def test_raster_query_many_equals_query():
     rng = np.random.default_rng(5)
     field = SipField.from_raster(Raster(rng.random((9, 13)), (-1.0, 2.0, 3.0, 5.0)))
