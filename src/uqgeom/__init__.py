@@ -16,7 +16,6 @@ from .exact import (
     BasisRecord,
     ConservationError,
     ExactDistribution,
-    ResourceCapError,
     basis_support_probability,
     brute_force_distribution,
     deterministic_sip,
@@ -54,6 +53,7 @@ from .model import (
     IndecisivePoint,
     IndecisivePointSet,
     PointMassPoint,
+    ResourceCapError,
     Support,
     UniformDiskPoint,
     ValidationError,

@@ -19,12 +19,30 @@ from . import exact as exact_mod
 from . import harness, isolines, montecarlo, sip
 from .discretize import discretize_for_measure
 from .measures import MeasureId, NotLPTypeError
-from .model import ValidationError, load_point_set, save_point_set
+from .model import ResourceCapError, ValidationError, load_point_set, save_point_set
 from .quantize import quantization_to_csv
+
+
+# Caps checked before anything is allocated (exit 3).  A randomized run
+# samples m supports of n points each, and --cap bounds m x n; the default
+# is over three times the largest run the CLI's own defaults make (the
+# experiment: 20 000 + 200 x 1360 supports of 50 points, 1.46e7 points).
+_SAMPLE_CAP = 50_000_000
+# Cells of a --grid raster: 4096 x 4096 float64 values, 128 MB.
+_GRID_CELLS_CAP = 4096 * 4096
 
 
 def _load(path: str):
     return load_point_set(Path(path).read_text())
+
+
+def _check_samples(m: int, n: int, cap: int) -> None:
+    """Refuse a run of m sampled supports of n points beyond ``--cap``."""
+    if m * n > cap:
+        raise ResourceCapError(
+            f"the run samples {m} supports of {n} points, {m * n} points, exceeding the "
+            f"cap of {cap}; rerun with --cap {m * n} or fewer samples"
+        )
 
 
 def _budget(args) -> montecarlo.SampleBudget:
@@ -41,7 +59,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError("grid must be W,H")
-    return int(parts[0]), int(parts[1])
+    w, h = int(parts[0]), int(parts[1])
+    if w > 0 and h > 0 and w * h > _GRID_CELLS_CAP:
+        raise ResourceCapError(
+            f"--grid {w},{h} has {w * h} cells, exceeding the cap of {_GRID_CELLS_CAP}"
+        )
+    return w, h
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
@@ -57,8 +80,10 @@ def _write(path: str, text: str):
 
 def _cmd_quantize(args) -> int:
     uset = _load(args.input)
+    budget = _budget(args)
+    _check_samples(budget.m, uset.n, args.cap)
     q = montecarlo.build_quantization(
-        uset, MeasureId.parse(args.measure), _budget(args), args.seed, simplify_output=args.simplify
+        uset, MeasureId.parse(args.measure), budget, args.seed, simplify_output=args.simplify
     )
     _write(args.out, quantization_to_csv(q))
     return 0
@@ -67,7 +92,9 @@ def _cmd_quantize(args) -> int:
 def _cmd_kvariate(args) -> int:
     uset = _load(args.input)
     measures = [MeasureId.parse(t) for t in args.measures.split(";")]
-    q = montecarlo.build_kvariate_quantization(uset, measures, _budget(args), args.seed)
+    budget = _budget(args)
+    _check_samples(budget.kvariate(len(measures)).m, uset.n, args.cap)
+    q = montecarlo.build_kvariate_quantization(uset, measures, budget, args.seed)
     lines = [",".join(f"v{i}" for i in range(q.arity)) + ",weight"]
     for row, w in zip(q.values, q.weights):
         lines.append(",".join(f"{v:.17g}" for v in row) + f",{w:.17g}")
@@ -77,7 +104,9 @@ def _cmd_kvariate(args) -> int:
 
 def _cmd_kernel(args) -> int:
     uset = _load(args.input)
-    kern = montecarlo.build_eda_kernel(uset, args.alpha, _budget(args), args.seed)
+    budget = _budget(args)
+    _check_samples(budget.m, uset.n, args.cap)
+    kern = montecarlo.build_eda_kernel(uset, args.alpha, budget, args.seed)
     direction = tuple(float(x) for x in args.direction.split(","))
     widths = montecarlo.query_eda_kernel(kern, direction)
     _write(args.out, quantization_to_csv(widths.as_quantization()))
@@ -85,19 +114,23 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_sip_random(args) -> int:
+    grid = _parse_grid(args.grid)
     uset = _load(args.input)
-    field = montecarlo.build_random_sip(uset, MeasureId.parse(args.measure), _budget(args), args.seed)
-    return _emit_sip(field, args)
+    budget = _budget(args)
+    _check_samples(budget.m, uset.n, args.cap)
+    field = montecarlo.build_random_sip(uset, MeasureId.parse(args.measure), budget, args.seed)
+    return _emit_sip(field, grid, args)
 
 
 def _cmd_sip_exact(args) -> int:
+    grid = _parse_grid(args.grid)
     uset = _load(args.input)
     field = exact_mod.deterministic_sip(uset, MeasureId.parse(args.measure))
-    return _emit_sip(field, args)
+    return _emit_sip(field, grid, args)
 
 
-def _emit_sip(field: sip.SipField, args) -> int:
-    raster_field = sip.rasterize_sip(field, _parse_grid(args.grid), _parse_bounds(args.bounds))
+def _emit_sip(field: sip.SipField, grid: tuple[int, int], args) -> int:
+    raster_field = sip.rasterize_sip(field, grid, _parse_bounds(args.bounds))
     sip.write_pgm(raster_field.raster, args.out)
     if args.isolines:
         levels = (
@@ -152,6 +185,7 @@ def _cmd_experiment(args) -> int:
         tau=args.tau,
         seed=args.seed,
     )
+    _check_samples(config.eta + config.tau * sum(config.m_values), generator.n, args.cap)
     result = harness.run_deviation_experiment(config)
     written = result.write_csv(args.out)
     for mname, fit in result.fits.items():
@@ -199,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--nu", type=float, default=1.0)
             p.add_argument("--constant-c", dest="constant_c", type=float, default=0.5)
             p.add_argument("--m", type=int, default=None, help="override sample count")
+            p.add_argument("--cap", type=int, default=_SAMPLE_CAP, help="most sampled points, m x n")
         p.add_argument("--out", required=out_required)
 
     p = sub.add_parser("quantize", help="sampled quantization of one measure")
@@ -257,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=20_000)
     p.add_argument("--tau", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cap", type=int, default=_SAMPLE_CAP, help="most sampled points, supports x n")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 
@@ -282,7 +318,7 @@ def main(argv=None) -> int:
     except (ValidationError, NotLPTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except exact_mod.ResourceCapError as exc:
+    except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except exact_mod.ConservationError as exc:

@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import disk_rect_area
+from .geometry import disk_rect_area, unit_vector
 from .measures import MeasureId
 from .model import (
     ContinuousUncertainSet,
@@ -26,6 +26,7 @@ from .model import (
     IndecisivePoint,
     IndecisivePointSet,
     PointMassPoint,
+    ResourceCapError,
     UniformDiskPoint,
     ValidationError,
 )
@@ -68,11 +69,8 @@ class RangeFamily:
                 raise ValueError("slab family needs directions")
             dirs = []
             for d in self.directions:
-                v = np.asarray(d, dtype=np.float64)
-                n = float(np.linalg.norm(v))
-                if not n > 0:
-                    raise ValueError("slab directions must be nonzero")
-                dirs.append((float(v[0] / n), float(v[1] / n)))
+                u = unit_vector(d, "slab directions")
+                dirs.append((float(u[0]), float(u[1])))
             if len({(round(a, 12), round(b, 12)) for a, b in dirs}) != len(dirs):
                 raise ValueError("slab directions must be distinct")
             object.__setattr__(self, "directions", tuple(dirs))
@@ -226,6 +224,10 @@ def lattice_eps_sample(
 # tractable at desk scale; the asymptotic policy is available through
 # lattice_eps_sample(..., target_size=None).
 _DEFAULT_PIPELINE_SIZES = {"aabb_perimeter": 64, "seb2": 256}
+# The most candidates a point may ask for: a 256 x 256 lattice.  Beyond it
+# the lattice's arrays outgrow memory long before the exact engine could
+# enumerate the result.
+_POINTS_PER_POINT_CAP = 65_536
 _WEIGHT_DENOM = 2**53
 
 
@@ -270,6 +272,10 @@ def discretize_for_measure(
     size = _DEFAULT_PIPELINE_SIZES[measure.kind] if points_per_point is None else points_per_point
     if size < 1:
         raise ValidationError(f"--points-per-point must be at least 1, got {size}")
+    if size > _POINTS_PER_POINT_CAP:
+        raise ResourceCapError(
+            f"--points-per-point {size} exceeds the cap of {_POINTS_PER_POINT_CAP} candidates per point"
+        )
     points = []
     for i, dist in enumerate(cset.points):
         sample = lattice_eps_sample(

@@ -52,7 +52,7 @@ from .measures import (
     combinatorial_dimension,
     value_scale,
 )
-from .model import IndecisivePointSet, ValidationError, canonical_jitter
+from .model import IndecisivePointSet, ResourceCapError, ValidationError, canonical_jitter
 from .quantize import Quantization1D, eval_cdf
 from .sip import DISK, RECT, SipField
 
@@ -78,11 +78,6 @@ _HARDNESS_MESSAGE = (
     "distribution is #P-hard, use brute_force_distribution or the "
     "randomized engine instead"
 )
-
-
-class ResourceCapError(RuntimeError):
-    """Raised when an enumeration would exceed the configured cap; maps to
-    CLI exit code 3."""
 
 
 class ConservationError(AssertionError):
@@ -269,6 +264,17 @@ class _Prepared:
 _CHUNK_CELLS = 131_072
 _MIN_CHUNK_ROWS = 64
 
+# Enumeration plans.  The point combos of a basis size, where each combo's
+# candidate products start, and the rows of candidate indices depend on the
+# candidate counts ks alone, so :func:`_plan` builds them once per (ks, s)
+# and keeps them, read-only, in one LRU cache of _PLAN_SLOTS plans.  A plan
+# holds at most _PLAN_CELLS cells: the rows only when they fit beside the
+# combos and starts, which larger enumerations keep while they stream their
+# rows chunk by chunk.  So the cache retains at most _PLAN_SLOTS x
+# _PLAN_CELLS int64 cells, 4 MB, whatever the instances.
+_PLAN_CELLS = 16_384
+_PLAN_SLOTS = 32
+
 
 def _chunk_rows(cells_per_row: int) -> int:
     """Rows of a chunk whose rows take ``cells_per_row`` cells each."""
@@ -283,26 +289,62 @@ def _combos(ks: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     return combos, np.concatenate([[0], np.cumsum(ks[combos].prod(axis=1))])
 
 
+def _rows_between(ks, offsets, combos, starts, first: int, last: int) -> np.ndarray:
+    """Rows first..last-1 of the enumeration of combos and starts (see
+    :func:`_candidate_rows`)."""
+    pos = np.arange(first, last)
+    combo = np.searchsorted(starts, pos, side="right") - 1
+    pts = combos[combo]
+    # Mixed-radix digits of the position within its combo's product.
+    local = pos - starts[combo]
+    idx = np.empty_like(pts)
+    for t in range(pts.shape[1] - 1, -1, -1):
+        k = ks[pts[:, t]]
+        idx[:, t] = offsets[pts[:, t]] + local % k
+        local //= k
+    return idx
+
+
+@functools.lru_cache(maxsize=_PLAN_SLOTS)
+def _plan(ks: tuple[int, ...], s: int):
+    """The enumeration plan of size-s bases of points with ks candidates:
+    (combos, starts, rows), read-only, with rows the whole (total, s) array
+    of :func:`_candidate_rows` when it fits in _PLAN_CELLS cells beside the
+    combos and starts, else None.  None when not even those fit."""
+    if math.comb(len(ks), s) * (s + 1) + 1 > _PLAN_CELLS:
+        return None
+    k = np.array(ks)
+    combos, starts = _combos(k, s)
+    total = int(starts[-1])
+    rows = None
+    if combos.size + starts.size + total * s <= _PLAN_CELLS:
+        rows = _rows_between(k, np.cumsum(k) - k, combos, starts, 0, total)
+    for a in (combos, starts, rows):
+        if a is not None:
+            a.flags.writeable = False
+    return combos, starts, rows
+
+
+def _plan_of(ks: np.ndarray, s: int):
+    """(combos, starts, rows or None) of (ks, s): the cached plan, or the
+    combos and starts built for this call when the plan holds none."""
+    plan = _plan(tuple(ks.tolist()), s)
+    return plan if plan is not None else (*_combos(ks, s), None)
+
+
 def _candidate_rows(ks: np.ndarray, offsets: np.ndarray, s: int, rows: int):
     """Every choice of one candidate from each of s distinct points, as
     (rows, s) arrays of global candidate indices: point combos in
     lexicographic order, then candidates in ``itertools.product`` order,
     cut into chunks of at most ``rows`` rows.  With s = n these are all
-    supports."""
-    combos, starts = _combos(ks, s)
+    supports.  ``offsets`` are the global indices of each point's first
+    candidate, ``np.cumsum(ks) - ks``.  Chunks are read-only slices of the
+    plan's rows when it holds them, built chunk by chunk otherwise."""
+    combos, starts, whole = _plan_of(ks, s)
     total = int(starts[-1])
     for first in range(0, total, rows):
-        pos = np.arange(first, min(first + rows, total))
-        combo = np.searchsorted(starts, pos, side="right") - 1
-        pts = combos[combo]
-        # Mixed-radix digits of the position within its combo's product.
-        local = pos - starts[combo]
-        idx = np.empty_like(pts)
-        for t in range(s - 1, -1, -1):
-            k = ks[pts[:, t]]
-            idx[:, t] = offsets[pts[:, t]] + local % k
-            local //= k
-        yield idx
+        last = min(first + rows, total)
+        yield whole[first:last] if whole is not None else _rows_between(ks, offsets, combos, starts, first, last)
 
 
 def _index_chunks(prep: _Prepared):
@@ -691,7 +733,7 @@ def _seb2_support_values(locs: np.ndarray, ks: np.ndarray, offsets: np.ndarray):
             acute = _strictly_acute(xs, ys)
             r[acute] = _seb2_balls(xs[acute], ys[acute])[:, 2]
             radii.append(r)
-        combos, starts = _combos(ks, s)
+        combos, starts, _ = _plan_of(ks, s)
         strides = np.ones_like(combos)
         # Candidate digits of a combo vary in itertools.product order.
         strides[:, :-1] = np.cumprod(ks[combos][:, :0:-1], axis=1)[:, ::-1]

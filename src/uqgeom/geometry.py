@@ -18,6 +18,7 @@ __all__ = [
     "bbox_diameter",
     "coordinate_scale",
     "coordinate_scales",
+    "unit_vector",
     "Ball",
     "welzl_ball",
     "lens_area",
@@ -40,6 +41,24 @@ def as_points(pts) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")
     return arr
+
+
+def unit_vector(v, what: str) -> np.ndarray:
+    """``v`` divided by its Euclidean norm; a non-finite or zero ``v`` is
+    refused with a ValueError naming it ``what``.  Only when the squares of
+    the norm overflow or underflow is ``v`` first divided by its largest
+    magnitude, so every other vector is divided as a plain norm divides it."""
+    u = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(u).all():
+        raise ValueError(f"{what} must be finite")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(u))
+        if norm in (0.0, math.inf) and u.any():
+            u = u / np.abs(u).max()
+            norm = float(np.linalg.norm(u))
+    if not norm > 0:
+        raise ValueError(f"{what} must be nonzero")
+    return u / norm
 
 
 def bbox_diameter(pts: np.ndarray) -> float:

@@ -229,7 +229,13 @@ def fit_sample_constant(
         return FitResult(math.nan, math.nan, tuple(points), nu, degenerate=True, note="non-positive slope")
     c = 1.0 / slope
     residuals = xs / c - ys  # residuals of ln delta against the fitted model
-    return FitResult(c, float(np.sqrt((residuals**2).mean())), tuple(points), nu)
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((residuals**2).mean()))
+    if norm == math.inf:
+        # The squares overflowed (a huge nu): square relative to the largest.
+        scale = float(np.abs(residuals).max())
+        norm = scale * float(np.sqrt(((residuals / scale) ** 2).mean()))
+    return FitResult(c, norm, tuple(points), nu)
 
 
 # Most samples read_deviation_csv rebuilds from a table: weights w imply

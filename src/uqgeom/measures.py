@@ -30,6 +30,7 @@ from .geometry import (
     as_points,
     bbox_diameter,
     coordinate_scales,
+    unit_vector,
     welzl_ball,
 )
 from .model import ValidationError
@@ -78,11 +79,8 @@ class MeasureId:
         if self.kind == "dwid":
             if self.direction is None:
                 raise ValueError("dwid requires a direction")
-            u = np.asarray(self.direction, dtype=np.float64)
-            norm = float(np.linalg.norm(u))
-            if not norm > 0:
-                raise ValueError("dwid direction must be nonzero")
-            object.__setattr__(self, "direction", tuple(float(x) for x in u / norm))
+            u = unit_vector(self.direction, "dwid direction")
+            object.__setattr__(self, "direction", tuple(float(x) for x in u))
         elif self.direction is not None:
             raise ValueError(f"{self.kind} does not take a direction")
 

@@ -30,6 +30,7 @@ from .geometry import as_points, coordinate_scale
 
 __all__ = [
     "ValidationError",
+    "ResourceCapError",
     "IndecisivePoint",
     "IndecisivePointSet",
     "GaussianPoint",
@@ -48,6 +49,12 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised for malformed inputs; maps to CLI exit code 2."""
+
+
+class ResourceCapError(RuntimeError):
+    """Raised when a run would exceed a cap on its size (supports,
+    sampled points, raster cells, candidates or kernel directions), before
+    it allocates for them; maps to CLI exit code 3."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

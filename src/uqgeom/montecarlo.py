@@ -24,9 +24,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import as_points, coordinate_scales, welzl_ball
+from .geometry import as_points, coordinate_scales, unit_vector, welzl_ball
 from .measures import MeasureId, _check_input, evaluate
-from .model import ContinuousUncertainSet, IndecisivePointSet, ValidationError, draw_supports
+from .model import (
+    ContinuousUncertainSet,
+    IndecisivePointSet,
+    ResourceCapError,
+    ValidationError,
+    draw_supports,
+)
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
 from .sip import DISK, RECT, SipField
 
@@ -263,6 +269,10 @@ class SampleBudget:
             return self.explicit_m
         return max(1, math.ceil(self._raw_m()))
 
+    def kvariate(self, k: int) -> SampleBudget:
+        """The budget of a k-variate quantization: nu = k."""
+        return replace(self, nu=float(k))
+
 
 def build_quantization(
     uset: IndecisivePointSet | ContinuousUncertainSet,
@@ -293,7 +303,7 @@ def build_kvariate_quantization(
     """k-variate sampled quantization; the effective budget uses nu = k."""
     if not measures:
         raise ValueError("need at least one measure")
-    m = replace(budget, nu=float(len(measures))).m
+    m = budget.kvariate(len(measures)).m
     return QuantizationKD(sampled_values(uset, measures, seed, m), np.full(m, 1.0 / m))
 
 
@@ -362,6 +372,11 @@ def _normalized_frame(pts: np.ndarray) -> np.ndarray:
     return local / span
 
 
+# The most directions an alpha-kernel is built from; each support projects
+# onto all of them at once.
+_DIRECTIONS_CAP = 65_536
+
+
 def alpha_kernel(points, alpha: float) -> np.ndarray:
     """Subset preserving every directional width within relative error alpha.
 
@@ -378,7 +393,13 @@ def alpha_kernel(points, alpha: float) -> np.ndarray:
         return pts.copy()
     net = verification_net(d)
     widths_full = directional_width(pts, net)
-    count = math.ceil(4.0 / alpha ** ((d - 1) / 2.0))
+    count = 4.0 / alpha ** ((d - 1) / 2.0)
+    if not count <= _DIRECTIONS_CAP:
+        raise ResourceCapError(
+            f"an alpha-kernel at alpha={alpha:g} in {d}-D takes {count:g} directions, exceeding the "
+            f"cap of {_DIRECTIONS_CAP}; rerun with a larger --alpha"
+        )
+    count = math.ceil(count)
     normalized = _normalized_frame(pts)
     while True:
         idx = _extreme_indices(normalized, _direction_net(count, d))
@@ -428,14 +449,10 @@ def build_eda_kernel(
 
 def query_eda_kernel(kernel: EdaKernel, direction) -> EpsAlphaQuantization:
     """Sorted kernel widths in the query direction."""
-    u = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(u))
-    if not norm > 0:
-        raise ValueError("direction must be nonzero")
+    u = unit_vector(direction, "direction")
     d = kernel.kernels[0].shape[1]
     if len(u) != d:
         raise ValidationError(f"direction has dimension {len(u)}, the kernel has dimension {d}")
-    u = u / norm
     projections = [k @ u for k in kernel.kernels]
     widths = np.array([float(p.max() - p.min()) for p in projections])
     return EpsAlphaQuantization(widths, kernel.alpha, kernel.budget.epsilon)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqgeom import load_point_set
+from uqgeom import ResourceCapError, load_point_set
 from uqgeom.cli import main
 from uqgeom.montecarlo import SampleBudget
 from uqgeom.sip import read_pgm
@@ -786,4 +786,280 @@ def test_fuzzed_continuous_documents_exit_0_2_3_or_4(tmp_path_factory, doc, run)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = _run_cli([*argv, *_CONTINUOUS_ARGV[command][0]])
     assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# --------------------------------------------------------------------------
+# Caps: refused with exit 3 before anything is drawn or allocated
+
+
+def _refusing(monkeypatch, *names):
+    """Make each ``module.attr`` of names fail if it is ever called."""
+    import uqgeom.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before its cap was checked")
+
+    for name in names:
+        module, attr = name.split(".")
+        monkeypatch.setattr(getattr(cli_mod, module), attr, fail)
+
+
+_SAMPLED_ARGV = {
+    "quantize": ["--measure", "seb2"],
+    "kvariate": ["--measures", "seb2;aabb-area"],
+    "kernel": ["--alpha", "0.2", "--direction", "0.6,0.8"],
+    "sip-random": ["--measure", "seb2", "--grid", "8,8", "--bounds=-1,-1,3,3"],
+}
+
+
+@pytest.mark.parametrize("command", [*_SAMPLED_ARGV, "experiment"])
+def test_sample_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch, capsys):
+    # eps = 1e-7 asks for about 2e14 supports: once an allocation error
+    # traceback (quantize, kvariate, sip-random), or hours of sampling.
+    _refusing(monkeypatch, "montecarlo.sampled_values", "montecarlo._support_stacks",
+              "harness.run_deviation_experiment")
+    out = tmp_path / "out"
+    if command == "experiment":
+        argv = ["experiment", "--n", "3", "--tau", "10000000000", "--out", str(out)]
+        points = 3 * (20_000 + 10_000_000_000 * (16 + 64 + 256 + 1024))
+    else:
+        argv = [command, "--input", str(indecisive_file), *_SAMPLED_ARGV[command], "--eps", "1e-7",
+                "--delta", "0.05", "--out", str(out)]
+        points = 3 * SampleBudget(1e-7, 0.05, nu=2.0 if command == "kvariate" else 1.0).m
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{points} points, exceeding the cap of 50000000; rerun with --cap {points}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [*_SAMPLED_ARGV, "experiment"])
+def test_sample_cap_counts_supports_times_points(command, indecisive_file, tmp_path, capsys):
+    # 12 supports of 3 points: 36 points, refused by a cap of 35 only.
+    if command == "experiment":
+        base = ["experiment", "--n", "3", "--eta", "8", "--tau", "1", "--m-values", "2,2",
+                "--measures", "diameter"]
+    else:
+        base = [command, "--input", str(indecisive_file), *_SAMPLED_ARGV[command], "--eps", "0.2",
+                "--delta", "0.1", "--m", "12"]
+    for cap, code in (("36", 0), ("35", 3)):
+        out = tmp_path / f"out-{cap}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*base, "--cap", cap, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "12 supports of 3 points, 36 points, exceeding the cap of 35" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sip-exact", "sip-random"])
+def test_grid_cell_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch, capsys):
+    import tracemalloc
+
+    # No field is built and no raster allocated: a real grid this size may
+    # be given lazily zeroed pages and then touch gigabytes.
+    _refusing(monkeypatch, "sip.rasterize_sip", "exact_mod.deterministic_sip", "montecarlo.build_random_sip")
+    argv = [command, "--input", str(indecisive_file), "--measure", "seb2", "--grid", "100000,4096",
+            "--bounds=-1,-1,3,3", "--out", str(tmp_path / "f.pgm")]
+    if command == "sip-random":
+        argv += ["--eps", "0.2", "--delta", "0.1"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert capsys.readouterr().err == (
+        "error: --grid 100000,4096 has 409600000 cells, exceeding the cap of 16777216\n"
+    )
+    assert not (tmp_path / "f.pgm").exists()
+
+
+def test_grid_cell_cap_bounds_w_times_h():
+    from uqgeom.cli import _parse_grid
+
+    assert _parse_grid("4096,4096") == (4096, 4096)
+    assert _parse_grid("16777216,1") == (16777216, 1)
+    for grid in ("4097,4096", "16777217,1"):
+        with pytest.raises(ResourceCapError, match="cells, exceeding the cap of 16777216"):
+            _parse_grid(grid)
+
+
+def test_points_per_point_cap_exit_code(continuous_file, tmp_path, capsys):
+    # Once exit 2 with numpy's "Maximum allowed size exceeded"; smaller
+    # counts would fill memory with the lattice's arrays.
+    out = tmp_path / "d.json"
+    argv = ["discretize", "--input", str(continuous_file), "--measure", "seb2", "--eps", "0.5",
+            "--points-per-point", str(10**40), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: --points-per-point {10**40} exceeds the cap of 65536 candidates per point\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dimension, alpha", [(2, "1e-300"), (3, "1e-308")])
+def test_kernel_direction_cap_exit_code(dimension, alpha, indecisive_file, tmp_path, capsys):
+    # In 3-D, 4 / alpha overflowed to inf and math.ceil raised OverflowError
+    # (a traceback); in 2-D numpy refused the direction net with exit 2.
+    path = indecisive_file
+    if dimension == 3:
+        path = tmp_path / "cylinder.json"
+        path.write_text(json.dumps({"dimension": 3, "model": "continuous", "points": [
+            {"kind": "gaussian", "mean": [0, 0, z], "cov": np.eye(3).tolist()} for z in range(3)]}))
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--input", str(path), "--alpha", alpha, "--direction", ",".join(["1"] * dimension),
+            "--eps", "0.2", "--delta", "0.1", "--m", "4", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"in {dimension}-D takes" in err and "exceeding the cap of 65536; rerun with a larger --alpha" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, huge, plain", [
+    ("exact", ["--measure", "dwid:1e308,1e308"], ["--measure", "dwid:1,1"]),
+    ("oracle", ["--measure", "dwid:-1e-200,1e-200"], ["--measure", "dwid:-1,1"]),
+    ("kernel", ["--direction", "1e308,1e308"], ["--direction", "1,1"]),
+])
+def test_directions_whose_norm_overflows_or_underflows(command, huge, plain, indecisive_file, tmp_path):
+    # Found by the argv fuzz: the norm's squares overflowed to inf (or
+    # underflowed to 0), so the exact engine saw a NaN direction and exited
+    # 4, and kernel wrote zero widths; tiny directions were refused as zero.
+    outs = []
+    for flags in (huge, plain):
+        out = tmp_path / f"{len(outs)}.csv"
+        argv = [command, "--input", str(indecisive_file), *flags, "--out", str(out)]
+        if command == "kernel":
+            argv += ["--alpha", "0.2", "--eps", "0.2", "--delta", "0.1", "--m", "8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--alpha", "0.2", "--direction", "inf,0", "--eps", "0.2", "--delta", "0.1", "--m", "8"],
+     "direction must be finite"),
+    (["quantize", "--measure", "dwid:inf,1", "--eps", "0.2", "--delta", "0.1", "--m", "8"],
+     "dwid direction must be finite"),
+])
+def test_non_finite_direction_exit_code(argv, message, indecisive_file, tmp_path, capsys):
+    # kernel once wrote NaN widths with exit 0.
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--input", str(indecisive_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_fit_residual_norm_of_a_huge_nu_is_finite(tmp_path, capsys):
+    # The squared residuals overflowed: residual_norm=inf, with a warning.
+    a, b = tmp_path / "deviation_seb2_m8.csv", tmp_path / "deviation_seb2_m16.csv"
+    a.write_text("value,weight\n0.1,0.5\n0.2,0.5\n")
+    b.write_text("value,weight\n0.05,0.5\n0.1,0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--tables", str(a), str(b), "--nu", "1e300"]) == 0
+    report = capsys.readouterr().out
+    assert "residual_norm=4732648220993555" in report and "inf" not in report
+
+
+# --------------------------------------------------------------------------
+# Fuzzed argv of every subcommand: exit 0, 2, 3 or 4, never a traceback
+
+
+_GRIDS = st.sampled_from(["10", "0,0", "-5,5", "5,-5", "1e3,4", "a,b", "3,3,3", ",", "8,", "4097,4097",
+                          "100000,100000", "-100000,-100000", "1,1", "99999999999999999999,1"])
+_BOUNDS = st.sampled_from(["0,0,0,0", "nan,0,1,1", "1,1,0,0", "-inf,0,1,1", "1,2,3", "1,2,3,4,5", "",
+                           "a,b,c,d", "-1e308,-1e308,1e308,1e308", "0,0,1e-320,1e-320", "-2,-2,2,2"])
+_LEVELS = st.sampled_from(["", ",", "0.5,", "nan", "inf", "2", "-1", "0.5,0.5", "1,0", "x", "0", "1",
+                           "1e-320", "0.1,0.3,0.5,0.7,0.9"])
+_MEASURE_NAMES = st.sampled_from(["", "seb2", "seb3", "diameter", "aabb-area", "aabb_perimeter", "seb1",
+                                  "sebinf", "dwid", "dwid:", "dwid:0,0", "dwid:nan,1", "dwid:1e308,1e308",
+                                  "dwid:1,2,3", "dwid:x,y", "dwid:0.6,0.8", "dwid:1e-320,0", ":", "seb2:1"])
+_MEASURE_LISTS = st.lists(_MEASURE_NAMES, min_size=1, max_size=3).map(";".join) | st.sampled_from([";", "seb2;"])
+_M_VALUES = st.sampled_from(["", ",", "2,", "0", "-4", "2,4,x", "nan", "1e3", "3,3", "99999999999999999999"])
+_DIRECTIONS = st.sampled_from(["", "0,0", "1", "1,2,3", "nan,1", "inf,0", "1e308,1e308", "1e-320,0", "x,y"])
+_INTEGERS = st.one_of(st.integers(-2, 10**22).map(str), _SPECIAL_NUMBERS)
+# Counts the caps let through stay small: a lattice of 64 candidates at most.
+_CANDIDATE_COUNTS = st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["65537", str(10**40)]),
+                              _SPECIAL_NUMBERS)
+# The caps are replaced only by values that fail to parse or stay small,
+# so no fuzzed run samples more than the base runs do.
+_CAPS = st.sampled_from(["-1", "0", "1", "60", "", "x", "nan", "1e3", "4.5"])
+_FLAG_VALUES = {
+    "--grid": _GRIDS, "--bounds": _BOUNDS, "--levels": _LEVELS, "--measure": _MEASURE_NAMES,
+    "--measures": _MEASURE_LISTS, "--m-values": _M_VALUES, "--direction": _DIRECTIONS, "--cap": _CAPS,
+    "--m": _INTEGERS, "--n": _INTEGERS, "--eta": _INTEGERS, "--tau": _INTEGERS, "--seed": _INTEGERS,
+    "--points-per-point": _CANDIDATE_COUNTS,
+}
+_BUDGET = {"--eps": "0.5", "--delta": "0.5", "--cap": "1024"}
+_SIP = {"--grid": "8,8", "--bounds": "-1,-1,3,3", "--levels": "0.1,0.5"}
+# Per subcommand, its input and a small valid run's flags.
+_ARGV_BASES = {
+    "quantize": ("indecisive", {"--measure": "seb2", **_BUDGET, "--nu": "1", "--constant-c": "0.5"}),
+    "kvariate": ("indecisive", {"--measures": "seb2;aabb-area", **_BUDGET}),
+    "kernel": ("indecisive", {"--alpha": "0.1", "--direction": "0.6,0.8", **_BUDGET}),
+    "kernel 3-d": ("continuous-3d", {"--alpha": "0.2", "--direction": "0.6,0.8,0", **_BUDGET}),
+    "sip-random": ("indecisive", {"--measure": "seb2", **_BUDGET, **_SIP}),
+    "sip-exact": ("indecisive", {"--measure": "aabb-perimeter", **_SIP}),
+    "exact": ("indecisive", {"--measure": "seb2"}),
+    "oracle": ("indecisive", {"--measure": "sebinf", "--cap": "64"}),
+    "discretize": ("continuous", {"--measure": "aabb-perimeter", "--eps": "0.5", "--points-per-point": "4"}),
+    "experiment": (None, {"--n": "3", "--eta": "8", "--tau": "2", "--m-values": "2,4",
+                          "--measures": "diameter;seb2", "--sigma": "0.5", "--cap": "1024"}),
+    "fit": ("tables", {"--nu": "1"}),
+}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """A subcommand's small valid run with one or two flags replaced by odd
+    values, or dropped, and at times a stray argument added.  The bases set
+    small caps, so no replaced flag makes a run large."""
+    run = draw(st.sampled_from(sorted(_ARGV_BASES)))
+    command = run.split()[0]
+    source, flags = _ARGV_BASES[run]
+    flags = {**flags, "--seed": "0"} if command not in ("exact", "oracle", "sip-exact", "fit") else dict(flags)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2, unique=True)):
+        if draw(st.integers(0, 9)) == 0:
+            del flags[flag]
+        else:
+            flags[flag] = draw(_FLAG_VALUES.get(flag, _SPECIAL_NUMBERS))
+    extra = draw(st.sampled_from([[]] * 12 + [["--threads", "2"], ["stray"], ["--cap"], ["--m=1", "--m=2"]]))
+    return command, source, flags, extra
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """Per input kind, the argv that names it."""
+    workdir = tmp_path_factory.mktemp("argv-inputs")
+    indecisive = workdir / "set.json"
+    indecisive.write_text(json.dumps(_VALID_DOC))
+    continuous = workdir / "cont.json"
+    continuous.write_text(json.dumps(_VALID_CONTINUOUS))
+    cylinder = workdir / "cylinder.json"
+    cylinder.write_text(json.dumps({"dimension": 3, "model": "continuous", "points": [
+        {"kind": "gaussian", "mean": [0, 0, z], "cov": np.eye(3).tolist()} for z in range(4)]}))
+    tables = [workdir / "deviation_seb2_m8.csv", workdir / "deviation_seb2_m16.csv"]
+    for path in tables:
+        path.write_text("value,weight\n0.1,0.5\n0.2,0.5\n")
+    return {"indecisive": ["--input", str(indecisive)], "continuous": ["--input", str(continuous)],
+            "continuous-3d": ["--input", str(cylinder)], "tables": ["--tables", *map(str, tables)], None: []}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_argv())
+def test_fuzzed_argv_exit_0_2_3_or_4(tmp_path_factory, argv_inputs, fuzzed):
+    command, source, flags, extra = fuzzed
+    out = tmp_path_factory.mktemp("argv") / "out"
+    argv = [command, *extra, *argv_inputs[source], "--out", str(out)]
+    if command.startswith("sip-"):
+        argv += ["--isolines", f"{out}.svg"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
+        # A numpy warning means an overflow or NaN went on into the output.
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = _run_cli(argv)
+    assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue()

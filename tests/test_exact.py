@@ -993,6 +993,97 @@ def test_exact_engine_memory_stays_flat_as_the_instance_grows():
 
 
 # --------------------------------------------------------------------------
+# Enumeration plans kept per instance shape
+
+
+@pytest.fixture
+def fresh_plans():
+    """The exact module, with its plan cache emptied before and after."""
+    import uqgeom.exact as exact_mod
+
+    exact_mod._plan.cache_clear()
+    yield exact_mod
+    exact_mod._plan.cache_clear()
+
+
+def _engine_bits(uset):
+    """Per measure, the oracle's and (LP-type measures) the exact engine's
+    collapsed value hexes, numerators and records, or the error raised."""
+    out = []
+    for m in [*MEASURES, MeasureId("diameter")]:
+        engines = [brute_force_distribution] + ([exact_distribution] if m.is_lp_type else [])
+        for engine in engines:
+            try:
+                dist = engine(uset, m)
+            except ConservationError as exc:
+                out.append((m.kind, engine.__name__, str(exc)))
+                continue
+            q = dist.collapsed
+            records = [(r.basis and _record_key(r)[0], r.value.hex(), r.probability) for r in dist.records]
+            out.append((m.kind, engine.__name__, [v.hex() for v in q.values.tolist()], q.numerators.tolist(),
+                        q.denominator, records))
+    return out
+
+
+def test_plans_leave_every_bit_unchanged(monkeypatch, fresh_plans):
+    exact_mod = fresh_plans
+    rng = np.random.default_rng(48)
+    usets = [
+        random_indecisive(rng, 5, 3),
+        _lattice_indecisive(rng, 5, 3),
+        _unequal_k_indecisive(rng, (3, 1, 4, 2), lattice=False),
+        random_indecisive(rng, 7, 4),
+    ]
+    planned = [_engine_bits(u) for u in usets]
+    assert exact_mod._plan.cache_info().hits > 0
+    # Both kinds of plan were read: rows held whole, and combos only, whose
+    # rows streamed (the 4-point bases and the supports of the 7-point set).
+    assert exact_mod._plan((3,) * 5, 5)[2] is not None
+    assert exact_mod._plan((4,) * 7, 4)[2] is None and exact_mod._plan((4,) * 7, 7)[2] is None
+    monkeypatch.setattr(exact_mod, "_PLAN_CELLS", 0)
+    exact_mod._plan.cache_clear()
+    assert [_engine_bits(u) for u in usets] == planned
+    assert exact_mod._plan((3,) * 5, 5) is None
+
+
+def test_plan_arrays_are_read_only(fresh_plans):
+    exact_mod = fresh_plans
+    ks = np.array([3, 2, 4])
+    chunk = next(exact_mod._candidate_rows(ks, np.cumsum(ks) - ks, 2, 64))
+    with pytest.raises(ValueError, match="read-only"):
+        chunk[0, 0] = 0
+    for array in exact_mod._plan((3, 2, 4), 2):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_plan_cache_retains_at_most_its_bound(fresh_plans):
+    import tracemalloc
+
+    exact_mod = fresh_plans
+    rng = np.random.default_rng(49)
+    shapes = set()
+    while len(shapes) < 200:
+        shapes.add(tuple(int(k) for k in rng.integers(1, 9, size=rng.integers(2, 8))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for ks in sorted(shapes):
+            k = np.array(ks)
+            for s in {1, 2, min(3, len(ks)), len(ks)}:
+                for _ in exact_mod._candidate_rows(k, np.cumsum(k) - k, s, 4096):
+                    pass
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert exact_mod._plan.cache_info().currsize == exact_mod._PLAN_SLOTS
+    # The int64 cells of every slot, plus a few hundred bytes of array and
+    # tuple headers per plan.
+    bound = exact_mod._PLAN_SLOTS * (8 * exact_mod._PLAN_CELLS + 1024)
+    assert retained <= bound, (retained, bound)
+
+
+# --------------------------------------------------------------------------
 # Setup done once per set, against the former code kept here
 
 
