@@ -114,23 +114,25 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_sip_random(args) -> int:
-    grid = _parse_grid(args.grid)
+    window = _parse_grid(args.grid), _parse_bounds(args.bounds)
     uset = _load(args.input)
     budget = _budget(args)
     _check_samples(budget.m, uset.n, args.cap)
     field = montecarlo.build_random_sip(uset, MeasureId.parse(args.measure), budget, args.seed)
-    return _emit_sip(field, grid, args)
+    return _emit_sip(field, window, args)
 
 
 def _cmd_sip_exact(args) -> int:
-    grid = _parse_grid(args.grid)
+    window = _parse_grid(args.grid), _parse_bounds(args.bounds)
     uset = _load(args.input)
     field = exact_mod.deterministic_sip(uset, MeasureId.parse(args.measure))
-    return _emit_sip(field, grid, args)
+    return _emit_sip(field, window, args)
 
 
-def _emit_sip(field: sip.SipField, grid: tuple[int, int], args) -> int:
-    raster_field = sip.rasterize_sip(field, grid, _parse_bounds(args.bounds))
+def _emit_sip(field: sip.SipField, window, args) -> int:
+    """Rasterize the field on the (grid, bounds) window, parsed before the
+    field was built, and write the PGM and the optional isolines."""
+    raster_field = sip.rasterize_sip(field, *window)
     sip.write_pgm(raster_field.raster, args.out)
     if args.isolines:
         levels = (
