@@ -24,9 +24,10 @@ from .quantize import quantization_to_csv
 
 
 # Caps checked before anything is allocated (exit 3).  A randomized run
-# samples m supports of n points each, and --cap bounds m x n; the default
-# is over three times the largest run the CLI's own defaults make (the
-# experiment: 20 000 + 200 x 1360 supports of 50 points, 1.46e7 points).
+# samples m supports of n points each, and m x n is bounded by over three
+# times the largest run the CLI's own defaults make (the experiment:
+# 20 000 + 200 x 1360 supports of 50 points, 1.46e7 points).  Larger runs
+# call the library, which has no cap.
 _SAMPLE_CAP = 50_000_000
 # Cells of a --grid raster: 4096 x 4096 float64 values, 128 MB.
 _GRID_CELLS_CAP = 4096 * 4096
@@ -36,12 +37,13 @@ def _load(path: str):
     return load_point_set(Path(path).read_text())
 
 
-def _check_samples(m: int, n: int, cap: int) -> None:
-    """Refuse a run of m sampled supports of n points beyond ``--cap``."""
-    if m * n > cap:
+def _check_samples(m: int, n: int, flags: str = "--m, --eps or --delta") -> None:
+    """Refuse a run of m sampled supports of n points beyond _SAMPLE_CAP;
+    ``flags`` name what sets m."""
+    if m * n > _SAMPLE_CAP:
         raise ResourceCapError(
             f"the run samples {m} supports of {n} points, {m * n} points, exceeding the "
-            f"cap of {cap}; rerun with --cap {m * n} or fewer samples"
+            f"cap of {_SAMPLE_CAP}; rerun with fewer samples ({flags})"
         )
 
 
@@ -81,7 +83,7 @@ def _write(path: str, text: str):
 def _cmd_quantize(args) -> int:
     uset = _load(args.input)
     budget = _budget(args)
-    _check_samples(budget.m, uset.n, args.cap)
+    _check_samples(budget.m, uset.n)
     q = montecarlo.build_quantization(
         uset, MeasureId.parse(args.measure), budget, args.seed, simplify_output=args.simplify
     )
@@ -93,7 +95,7 @@ def _cmd_kvariate(args) -> int:
     uset = _load(args.input)
     measures = [MeasureId.parse(t) for t in args.measures.split(";")]
     budget = _budget(args)
-    _check_samples(budget.kvariate(len(measures)).m, uset.n, args.cap)
+    _check_samples(budget.kvariate(len(measures)).m, uset.n)
     q = montecarlo.build_kvariate_quantization(uset, measures, budget, args.seed)
     lines = [",".join(f"v{i}" for i in range(q.arity)) + ",weight"]
     for row, w in zip(q.values, q.weights):
@@ -105,7 +107,7 @@ def _cmd_kvariate(args) -> int:
 def _cmd_kernel(args) -> int:
     uset = _load(args.input)
     budget = _budget(args)
-    _check_samples(budget.m, uset.n, args.cap)
+    _check_samples(budget.m, uset.n)
     kern = montecarlo.build_eda_kernel(uset, args.alpha, budget, args.seed)
     direction = tuple(float(x) for x in args.direction.split(","))
     widths = montecarlo.query_eda_kernel(kern, direction)
@@ -117,7 +119,7 @@ def _cmd_sip_random(args) -> int:
     window = _parse_grid(args.grid), _parse_bounds(args.bounds)
     uset = _load(args.input)
     budget = _budget(args)
-    _check_samples(budget.m, uset.n, args.cap)
+    _check_samples(budget.m, uset.n)
     field = montecarlo.build_random_sip(uset, MeasureId.parse(args.measure), budget, args.seed)
     return _emit_sip(field, window, args)
 
@@ -187,7 +189,7 @@ def _cmd_experiment(args) -> int:
         tau=args.tau,
         seed=args.seed,
     )
-    _check_samples(config.eta + config.tau * sum(config.m_values), generator.n, args.cap)
+    _check_samples(config.eta + config.tau * sum(config.m_values), generator.n, "--eta, --tau or --m-values")
     result = harness.run_deviation_experiment(config)
     written = result.write_csv(args.out)
     for mname, fit in result.fits.items():
@@ -235,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--nu", type=float, default=1.0)
             p.add_argument("--constant-c", dest="constant_c", type=float, default=0.5)
             p.add_argument("--m", type=int, default=None, help="override sample count")
-            p.add_argument("--cap", type=int, default=_SAMPLE_CAP, help="most sampled points, m x n")
         p.add_argument("--out", required=out_required)
 
     p = sub.add_parser("quantize", help="sampled quantization of one measure")
@@ -294,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=20_000)
     p.add_argument("--tau", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=_SAMPLE_CAP, help="most sampled points, supports x n")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 

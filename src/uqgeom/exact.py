@@ -266,8 +266,10 @@ _MIN_CHUNK_ROWS = 64
 
 # Enumeration plans.  The point combos of a basis size, where each combo's
 # candidate products start, and the rows of candidate indices depend on the
-# candidate counts ks alone, so :func:`_plan` builds them once per (ks, s)
-# and keeps them, read-only, in one LRU cache of _PLAN_SLOTS plans.  A plan
+# candidate counts ks alone (and the offsets, which the callers derive from
+# ks), so :func:`_plan` builds them once per (ks, offsets, s) and keeps
+# them, read-only, in one LRU cache of _PLAN_SLOTS plans.  They pay off
+# when one process solves many instances of the same shape.  A plan
 # holds at most _PLAN_CELLS cells: the rows only when they fit beside the
 # combos and starts, which larger enumerations keep while they stream their
 # rows chunk by chunk.  So the cache retains at most _PLAN_SLOTS x
@@ -306,11 +308,12 @@ def _rows_between(ks, offsets, combos, starts, first: int, last: int) -> np.ndar
 
 
 @functools.lru_cache(maxsize=_PLAN_SLOTS)
-def _plan(ks: tuple[int, ...], s: int):
-    """The enumeration plan of size-s bases of points with ks candidates:
-    (combos, starts, rows), read-only, with rows the whole (total, s) array
-    of :func:`_candidate_rows` when it fits in _PLAN_CELLS cells beside the
-    combos and starts, else None.  None when not even those fit."""
+def _plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
+    """The enumeration plan of size-s bases of points with ks candidates
+    numbered from offsets: (combos, starts, rows), read-only, with rows the
+    whole (total, s) array of :func:`_candidate_rows` when it fits in
+    _PLAN_CELLS cells beside the combos and starts, else None.  None when
+    not even those fit."""
     if math.comb(len(ks), s) * (s + 1) + 1 > _PLAN_CELLS:
         return None
     k = np.array(ks)
@@ -318,17 +321,17 @@ def _plan(ks: tuple[int, ...], s: int):
     total = int(starts[-1])
     rows = None
     if combos.size + starts.size + total * s <= _PLAN_CELLS:
-        rows = _rows_between(k, np.cumsum(k) - k, combos, starts, 0, total)
+        rows = _rows_between(k, np.array(offsets), combos, starts, 0, total)
     for a in (combos, starts, rows):
         if a is not None:
             a.flags.writeable = False
     return combos, starts, rows
 
 
-def _plan_of(ks: np.ndarray, s: int):
-    """(combos, starts, rows or None) of (ks, s): the cached plan, or the
-    combos and starts built for this call when the plan holds none."""
-    plan = _plan(tuple(ks.tolist()), s)
+def _plan_of(ks: np.ndarray, offsets: np.ndarray, s: int):
+    """(combos, starts, rows or None) of (ks, offsets, s): the cached plan,
+    or the combos and starts built for this call when the plan holds none."""
+    plan = _plan(tuple(ks.tolist()), tuple(offsets.tolist()), s)
     return plan if plan is not None else (*_combos(ks, s), None)
 
 
@@ -338,9 +341,10 @@ def _candidate_rows(ks: np.ndarray, offsets: np.ndarray, s: int, rows: int):
     lexicographic order, then candidates in ``itertools.product`` order,
     cut into chunks of at most ``rows`` rows.  With s = n these are all
     supports.  ``offsets`` are the global indices of each point's first
-    candidate, ``np.cumsum(ks) - ks``.  Chunks are read-only slices of the
-    plan's rows when it holds them, built chunk by chunk otherwise."""
-    combos, starts, whole = _plan_of(ks, s)
+    candidate.  Chunks are read-only slices of the plan's rows when it
+    holds them, built chunk by chunk otherwise; the plan is keyed on the
+    offsets too, so both give the same rows."""
+    combos, starts, whole = _plan_of(ks, offsets, s)
     total = int(starts[-1])
     for first in range(0, total, rows):
         last = min(first + rows, total)
@@ -733,7 +737,7 @@ def _seb2_support_values(locs: np.ndarray, ks: np.ndarray, offsets: np.ndarray):
             acute = _strictly_acute(xs, ys)
             r[acute] = _seb2_balls(xs[acute], ys[acute])[:, 2]
             radii.append(r)
-        combos, starts, _ = _plan_of(ks, s)
+        combos, starts, _ = _plan_of(ks, offsets, s)
         strides = np.ones_like(combos)
         # Candidate digits of a combo vary in itertools.product order.
         strides[:, :-1] = np.cumprod(ks[combos][:, :0:-1], axis=1)[:, ::-1]

@@ -43,17 +43,22 @@ def as_points(pts) -> np.ndarray:
     return arr
 
 
+# Below this norm the sum of squares is a subnormal float.
+_TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def unit_vector(v, what: str) -> np.ndarray:
     """``v`` divided by its Euclidean norm; a non-finite or zero ``v`` is
-    refused with a ValueError naming it ``what``.  Only when the squares of
-    the norm overflow or underflow is ``v`` first divided by its largest
-    magnitude, so every other vector is divided as a plain norm divides it."""
+    refused with a ValueError naming it ``what``.  Only when the sum of
+    squares of the norm overflows or falls below the normal floats (where
+    it keeps few digits) is ``v`` first divided by its largest magnitude,
+    so every other vector is divided as a plain norm divides it."""
     u = np.asarray(v, dtype=np.float64)
     if not np.isfinite(u).all():
         raise ValueError(f"{what} must be finite")
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(u))
-        if norm in (0.0, math.inf) and u.any():
+        if (norm < _TINY_NORM or norm == math.inf) and u.any():
             u = u / np.abs(u).max()
             norm = float(np.linalg.norm(u))
     if not norm > 0:

@@ -5,12 +5,14 @@ import hashlib
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uqgeom.cli as cli_mod
 from uqgeom import ResourceCapError, load_point_set
 from uqgeom.cli import main
 from uqgeom.montecarlo import SampleBudget
@@ -795,7 +797,6 @@ def test_fuzzed_continuous_documents_exit_0_2_3_or_4(tmp_path_factory, doc, run)
 
 def _refusing(monkeypatch, *names):
     """Make each ``module.attr`` of names fail if it is ever called."""
-    import uqgeom.cli as cli_mod
 
     def fail(*args, **kwargs):
         raise AssertionError("the run started before its cap was checked")
@@ -829,12 +830,13 @@ def test_sample_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch, c
         points = 3 * SampleBudget(1e-7, 0.05, nu=2.0 if command == "kvariate" else 1.0).m
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert f"{points} points, exceeding the cap of 50000000; rerun with --cap {points}" in err
+    flags = "--eta, --tau or --m-values" if command == "experiment" else "--m, --eps or --delta"
+    assert f"{points} points, exceeding the cap of 50000000; rerun with fewer samples ({flags})" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [*_SAMPLED_ARGV, "experiment"])
-def test_sample_cap_counts_supports_times_points(command, indecisive_file, tmp_path, capsys):
+def test_sample_cap_counts_supports_times_points(command, indecisive_file, tmp_path, monkeypatch, capsys):
     # 12 supports of 3 points: 36 points, refused by a cap of 35 only.
     if command == "experiment":
         base = ["experiment", "--n", "3", "--eta", "8", "--tau", "1", "--m-values", "2,2",
@@ -842,10 +844,11 @@ def test_sample_cap_counts_supports_times_points(command, indecisive_file, tmp_p
     else:
         base = [command, "--input", str(indecisive_file), *_SAMPLED_ARGV[command], "--eps", "0.2",
                 "--delta", "0.1", "--m", "12"]
-    for cap, code in (("36", 0), ("35", 3)):
+    for cap, code in ((36, 0), (35, 3)):
+        monkeypatch.setattr(cli_mod, "_SAMPLE_CAP", cap)
         out = tmp_path / f"out-{cap}"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main([*base, "--cap", cap, "--out", str(out)]) == code
+            assert main([*base, "--out", str(out)]) == code
         assert out.exists() == (code == 0)
     assert "12 supports of 3 points, 36 points, exceeding the cap of 35" in capsys.readouterr().err
 
@@ -918,12 +921,14 @@ def test_kernel_direction_cap_exit_code(dimension, alpha, indecisive_file, tmp_p
 @pytest.mark.parametrize("command, huge, plain", [
     ("exact", ["--measure", "dwid:1e308,1e308"], ["--measure", "dwid:1,1"]),
     ("oracle", ["--measure", "dwid:-1e-200,1e-200"], ["--measure", "dwid:-1,1"]),
+    ("exact", ["--measure", "dwid:1e-160,1e-160"], ["--measure", "dwid:1,1"]),
     ("kernel", ["--direction", "1e308,1e308"], ["--direction", "1,1"]),
 ])
 def test_directions_whose_norm_overflows_or_underflows(command, huge, plain, indecisive_file, tmp_path):
     # Found by the argv fuzz: the norm's squares overflowed to inf (or
     # underflowed to 0), so the exact engine saw a NaN direction and exited
-    # 4, and kernel wrote zero widths; tiny directions were refused as zero.
+    # 4, and kernel wrote zero widths; tiny directions were refused as zero,
+    # and ones whose squares are subnormal came out off unit length.
     outs = []
     for flags in (huge, plain):
         out = tmp_path / f"{len(outs)}.csv"
@@ -983,8 +988,8 @@ _INTEGERS = st.one_of(st.integers(-2, 10**22).map(str), _SPECIAL_NUMBERS)
 # Counts the caps let through stay small: a lattice of 64 candidates at most.
 _CANDIDATE_COUNTS = st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["65537", str(10**40)]),
                               _SPECIAL_NUMBERS)
-# The caps are replaced only by values that fail to parse or stay small,
-# so no fuzzed run samples more than the base runs do.
+# The oracle's cap is replaced only by values that fail to parse or stay
+# small, so no fuzzed oracle run enumerates more than the base run does.
 _CAPS = st.sampled_from(["-1", "0", "1", "60", "", "x", "nan", "1e3", "4.5"])
 _FLAG_VALUES = {
     "--grid": _GRIDS, "--bounds": _BOUNDS, "--levels": _LEVELS, "--measure": _MEASURE_NAMES,
@@ -992,7 +997,7 @@ _FLAG_VALUES = {
     "--m": _INTEGERS, "--n": _INTEGERS, "--eta": _INTEGERS, "--tau": _INTEGERS, "--seed": _INTEGERS,
     "--points-per-point": _CANDIDATE_COUNTS,
 }
-_BUDGET = {"--eps": "0.5", "--delta": "0.5", "--cap": "1024"}
+_BUDGET = {"--eps": "0.5", "--delta": "0.5"}
 _SIP = {"--grid": "8,8", "--bounds": "-1,-1,3,3", "--levels": "0.1,0.5"}
 # Per subcommand, its input and a small valid run's flags.
 _ARGV_BASES = {
@@ -1006,7 +1011,7 @@ _ARGV_BASES = {
     "oracle": ("indecisive", {"--measure": "sebinf", "--cap": "64"}),
     "discretize": ("continuous", {"--measure": "aabb-perimeter", "--eps": "0.5", "--points-per-point": "4"}),
     "experiment": (None, {"--n": "3", "--eta": "8", "--tau": "2", "--m-values": "2,4",
-                          "--measures": "diameter;seb2", "--sigma": "0.5", "--cap": "1024"}),
+                          "--measures": "diameter;seb2", "--sigma": "0.5"}),
     "fit": ("tables", {"--nu": "1"}),
 }
 
@@ -1014,8 +1019,9 @@ _ARGV_BASES = {
 @st.composite
 def _fuzzed_argv(draw):
     """A subcommand's small valid run with one or two flags replaced by odd
-    values, or dropped, and at times a stray argument added.  The bases set
-    small caps, so no replaced flag makes a run large."""
+    values, or dropped, and at times a stray argument added.  The oracle's
+    base sets a small cap, and the test a small sample cap, so no replaced
+    flag makes a run large."""
     run = draw(st.sampled_from(sorted(_ARGV_BASES)))
     command = run.split()[0]
     source, flags = _ARGV_BASES[run]
@@ -1059,7 +1065,7 @@ def test_fuzzed_argv_exit_0_2_3_or_4(tmp_path_factory, argv_inputs, fuzzed):
     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
         # A numpy warning means an overflow or NaN went on into the output.
         warnings.simplefilter("error")
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), mock.patch.object(cli_mod, "_SAMPLE_CAP", 1024):
             code = _run_cli(argv)
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue()

@@ -1038,12 +1038,32 @@ def test_plans_leave_every_bit_unchanged(monkeypatch, fresh_plans):
     assert exact_mod._plan.cache_info().hits > 0
     # Both kinds of plan were read: rows held whole, and combos only, whose
     # rows streamed (the 4-point bases and the supports of the 7-point set).
-    assert exact_mod._plan((3,) * 5, 5)[2] is not None
-    assert exact_mod._plan((4,) * 7, 4)[2] is None and exact_mod._plan((4,) * 7, 7)[2] is None
+    assert _plan_of(exact_mod, (3,) * 5, 5)[2] is not None
+    assert _plan_of(exact_mod, (4,) * 7, 4)[2] is None and _plan_of(exact_mod, (4,) * 7, 7)[2] is None
     monkeypatch.setattr(exact_mod, "_PLAN_CELLS", 0)
     exact_mod._plan.cache_clear()
     assert [_engine_bits(u) for u in usets] == planned
-    assert exact_mod._plan((3,) * 5, 5) is None
+    assert _plan_of(exact_mod, (3,) * 5, 5) is None
+
+
+def _plan_of(exact_mod, ks, s):
+    """The cached plan of size-s bases of points with ks candidates, numbered
+    as the engines number them."""
+    return exact_mod._plan(ks, tuple(np.cumsum(ks) - ks), s)
+
+
+def test_held_rows_follow_the_offsets_given(monkeypatch, fresh_plans):
+    exact_mod = fresh_plans
+    ks = np.array([3, 2, 4])
+    for offsets in (np.cumsum(ks) - ks, np.array([5, 0, 9])):
+        held = np.concatenate(list(exact_mod._candidate_rows(ks, offsets, 2, 5)))
+        assert exact_mod._plan((3, 2, 4), tuple(offsets.tolist()), 2)[2] is not None
+        with monkeypatch.context() as m:
+            m.setattr(exact_mod, "_PLAN_CELLS", 0)
+            exact_mod._plan.cache_clear()
+            streamed = np.concatenate(list(exact_mod._candidate_rows(ks, offsets, 2, 5)))
+        exact_mod._plan.cache_clear()
+        assert np.array_equal(held, streamed)
 
 
 def test_plan_arrays_are_read_only(fresh_plans):
@@ -1052,7 +1072,7 @@ def test_plan_arrays_are_read_only(fresh_plans):
     chunk = next(exact_mod._candidate_rows(ks, np.cumsum(ks) - ks, 2, 64))
     with pytest.raises(ValueError, match="read-only"):
         chunk[0, 0] = 0
-    for array in exact_mod._plan((3, 2, 4), 2):
+    for array in _plan_of(exact_mod, (3, 2, 4), 2):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
