@@ -18,8 +18,8 @@ import numpy as np
 from . import exact as exact_mod
 from . import harness, isolines, montecarlo, sip
 from .discretize import discretize_for_measure
-from .measures import MeasureId, NotLPTypeError
-from .model import ResourceCapError, ValidationError, load_point_set, save_point_set
+from .measures import MeasureId, NotLPTypeError, combinatorial_dimension
+from .model import IndecisivePointSet, ResourceCapError, ValidationError, load_point_set, save_point_set
 from .quantize import quantization_to_csv
 
 
@@ -31,6 +31,11 @@ from .quantize import quantization_to_csv
 _SAMPLE_CAP = 50_000_000
 # Cells of a --grid raster: 4096 x 4096 float64 values, 128 MB.
 _GRID_CELLS_CAP = 4096 * 4096
+# Potential bases of an exact run (exact, sip-exact): over three times the
+# largest count the CLI's own defaults make (seb2 on the default
+# discretization of 3 uniform disks, 322 + 322 + 323 candidates,
+# 3.38e7 potential bases).
+_BASIS_CAP = 120_000_000
 
 
 def _load(path: str):
@@ -45,6 +50,19 @@ def _check_samples(m: int, n: int, flags: str = "--m, --eps or --delta") -> None
             f"the run samples {m} supports of {n} points, {m * n} points, exceeding the "
             f"cap of {_SAMPLE_CAP}; rerun with fewer samples ({flags})"
         )
+
+
+def _check_bases(uset, measure: MeasureId) -> None:
+    """Refuse an exact run of more than _BASIS_CAP potential bases, counted
+    from the candidate counts before anything is jittered or allocated (a
+    set the engine cannot take is left to its own refusal)."""
+    if isinstance(uset, IndecisivePointSet):
+        beta = min(combinatorial_dimension(measure, 2), uset.n)
+        count = exact_mod.combo_count([p.k for p in uset.points], beta)
+        if count > _BASIS_CAP:
+            raise ResourceCapError(
+                f"the exact engine would enumerate {count} potential bases, exceeding the cap of {_BASIS_CAP}"
+            )
 
 
 def _budget(args) -> montecarlo.SampleBudget:
@@ -127,29 +145,33 @@ def _cmd_sip_random(args) -> int:
 def _cmd_sip_exact(args) -> int:
     window = _parse_grid(args.grid), _parse_bounds(args.bounds)
     uset = _load(args.input)
-    field = exact_mod.deterministic_sip(uset, MeasureId.parse(args.measure))
+    measure = MeasureId.parse(args.measure)
+    _check_bases(uset, measure)
+    field = exact_mod.deterministic_sip(uset, measure)
     return _emit_sip(field, window, args)
 
 
 def _emit_sip(field: sip.SipField, window, args) -> int:
     """Rasterize the field on the (grid, bounds) window, parsed before the
     field was built, and write the PGM and the optional isolines."""
-    raster_field = sip.rasterize_sip(field, *window)
-    sip.write_pgm(raster_field.raster, args.out)
+    raster = sip.rasterize_sip(field, *window)
+    sip.write_pgm(raster, args.out)
     if args.isolines:
         levels = (
             tuple(float(x) for x in args.levels.split(","))
             if args.levels
             else isolines.DEFAULT_LEVELS
         )
-        contours = isolines.extract_isolines(raster_field.raster, levels)
-        _write(args.isolines, isolines.isolines_svg(contours, raster_field.raster.bounds))
+        contours = isolines.extract_isolines(raster, levels)
+        _write(args.isolines, isolines.isolines_svg(contours, raster.bounds))
     return 0
 
 
 def _cmd_exact(args) -> int:
     uset = _load(args.input)
-    dist = exact_mod.exact_distribution(uset, MeasureId.parse(args.measure))
+    measure = MeasureId.parse(args.measure)
+    _check_bases(uset, measure)
+    dist = exact_mod.exact_distribution(uset, measure)
     _write(args.out, quantization_to_csv(dist.collapsed))
     return 0
 

@@ -141,6 +141,17 @@ def _integer_weights(uset: IndecisivePointSet) -> tuple[list[tuple[int, ...]], l
     return [p._nums for p in uset.points], [p._denom for p in uset.points]
 
 
+def combo_count(ks, beta: int) -> int:
+    """Potential bases of a set with candidate counts ``ks`` and basis sizes
+    up to ``beta``: the sum over sizes 1..beta of the elementary symmetric
+    polynomials of the ks."""
+    e = [1] + [0] * beta
+    for k in ks:
+        for s in range(beta, 0, -1):
+            e[s] += e[s - 1] * k
+    return sum(e[1:])
+
+
 class _Prepared:
     """Jittered input of the exact engine, flattened over all candidates.
 
@@ -240,13 +251,8 @@ class _Prepared:
         return self._members
 
     def combo_count(self) -> int:
-        """Potential bases: the sum over sizes 1..beta of the elementary
-        symmetric polynomials of the ks."""
-        e = [1] + [0] * self.beta
-        for k in self.ks:
-            for s in range(self.beta, 0, -1):
-                e[s] += e[s - 1] * k
-        return sum(e[1:])
+        """Potential bases of this set (:func:`combo_count`)."""
+        return combo_count(self.ks, self.beta)
 
 
 # --------------------------------------------------------------------------
@@ -768,8 +774,8 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     (cx, cy, r) for seb2, rectangles (x0, y0, x1, y1) otherwise, the integer
     numerators over the product of the point denominators, and float
     weights ``num / denominator`` (Python's int division is correctly
-    rounded, so each is float() of its Fraction).  Its ``shapes``, with
-    Fraction weights, are built on first read."""
+    rounded, so each is float() of its Fraction).  Its queries and
+    :func:`~uqgeom.sip.rasterize_sip` read these arrays."""
     if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
         raise ValidationError("deterministic SIP needs a disk or rectangle summarizing shape")
     prep = _Prepared(uset, measure)

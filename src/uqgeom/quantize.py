@@ -34,66 +34,40 @@ class Quantization1D:
     """Sorted weighted breakpoints of a step CDF.
 
     ``values`` is a read-only nondecreasing float array.  A sampled
-    quantization has a read-only float array of ``weights``.  An exact one
-    holds positive integer ``numerators`` over one ``denominator``, summing
-    to it exactly (int64 while the denominator fits, Python ints
-    otherwise); its ``weights`` are the Fractions they make, kept as passed
-    to the constructor or, from :meth:`from_numerators`, built on first
-    read.
+    quantization, ``Quantization1D(values, weights)``, has a read-only
+    float array of ``weights`` summing to 1.  An exact one, from
+    :meth:`from_numerators`, holds positive integer ``numerators`` over one
+    ``denominator``, summing to it exactly (int64 while the denominator
+    fits, Python ints otherwise); its ``weights`` are the Fractions they
+    make, built on first read.  ``kind`` is "exact" when there are
+    numerators and "sampled" otherwise.
     """
 
     values: np.ndarray
-    kind: str  # "exact" | "sampled"
     numerators: np.ndarray | None
     denominator: int | None
 
-    def __init__(self, values, weights, kind: str):
-        self._set_values(values, kind)
-        if kind == "exact":
-            w = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in weights)
-            denom = math.lcm(*(x.denominator for x in w))
-            self._set_numerators([x.numerator * (denom // x.denominator) for x in w], denom)
-        else:
-            w = np.asarray(
-                [float(x) for x in weights] if not isinstance(weights, np.ndarray) else weights,
-                dtype=np.float64,
-            )
-            if w.shape != (len(self.values),):
-                raise ValueError("one weight per value required")
-            if np.any(w <= 0):
-                raise ValueError("weights must be positive")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError("sampled weights must sum to 1 within 1e-12")
-            w = w.copy()
-            w.setflags(write=False)
-            object.__setattr__(self, "numerators", None)
-            object.__setattr__(self, "denominator", None)
+    def __init__(self, values, weights):
+        self._set_values(values)
+        w = np.array(weights, dtype=np.float64)
+        if w.shape != (len(self.values),):
+            raise ValueError("one weight per value required")
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+        if abs(float(w.sum()) - 1.0) > 1e-12:
+            raise ValueError("sampled weights must sum to 1 within 1e-12")
+        w.setflags(write=False)
+        object.__setattr__(self, "numerators", None)
+        object.__setattr__(self, "denominator", None)
         self.__dict__["weights"] = w
 
     @classmethod
     def from_numerators(cls, values, numerators, denominator: int) -> "Quantization1D":
         """Exact quantization with weights ``numerators / denominator``."""
         q = cls.__new__(cls)
-        q._set_values(values, "exact")
-        q._set_numerators(numerators, denominator)
-        return q
-
-    def _set_values(self, values, kind: str) -> None:
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 1 or len(vals) == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("values must be nondecreasing")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if kind not in ("exact", "sampled"):
-            raise ValueError("kind must be 'exact' or 'sampled'")
-        object.__setattr__(self, "kind", kind)
-
-    def _set_numerators(self, numerators, denominator: int) -> None:
+        q._set_values(values)
         ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
-        if len(ints) != len(self.values):
+        if len(ints) != len(q.values):
             raise ValueError("one weight per value required")
         if any(n <= 0 for n in ints):
             raise ValueError("weights must be positive")
@@ -102,13 +76,27 @@ class Quantization1D:
         # Each numerator lies in (0, denominator].
         nums = np.array(ints, dtype=np.int64 if denominator < 2**63 else object)
         nums.setflags(write=False)
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(q, "numerators", nums)
+        object.__setattr__(q, "denominator", denominator)
+        return q
+
+    def _set_values(self, values) -> None:
+        vals = np.array(values, dtype=np.float64)
+        if vals.ndim != 1 or len(vals) == 0:
+            raise ValueError("values must be a non-empty 1-d array")
+        if np.any(np.diff(vals) < 0):
+            raise ValueError("values must be nondecreasing")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def kind(self) -> str:
+        return "sampled" if self.numerators is None else "exact"
 
     @functools.cached_property
     def weights(self) -> tuple:
-        """Exact weights as Fractions, built from the numerators (reached
-        only from :meth:`from_numerators`; the constructor sets them)."""
+        """Exact weights as Fractions, built from the numerators (a sampled
+        quantization's constructor sets its float weights)."""
         return tuple(Fraction(n, self.denominator) for n in self.numerators.tolist())
 
     def __len__(self) -> int:
@@ -133,7 +121,7 @@ class Quantization1D:
     def from_samples(values) -> "Quantization1D":
         vals = np.sort(np.asarray(values, dtype=np.float64))
         m = len(vals)
-        return Quantization1D(vals, np.full(m, 1.0 / m), "sampled")
+        return Quantization1D(vals, np.full(m, 1.0 / m))
 
 
 def eval_cdf(q: Quantization1D, v: float):
@@ -206,7 +194,7 @@ def simplify(q: Quantization1D, eps: float) -> Quantization1D:
     idx = np.searchsorted(cum, probs, side="left")
     idx = np.minimum(idx, len(q) - 1)
     vals = q.values[idx]
-    return Quantization1D(vals, (1.0 / m_out,) * m_out, "sampled")
+    return Quantization1D(vals, np.full(m_out, 1.0 / m_out))
 
 
 def max_deviation(a: Quantization1D, b: Quantization1D) -> float:

@@ -2,9 +2,10 @@
 
 A SIP field answers, for any query point, the probability that the fitted
 summarizing shape (minimum enclosing disk, bounding rectangle) contains it.
-Fields are backed either by a weighted shape list (exact engine or Monte
-Carlo samples) or by a raster grid of cell-center values; rasters can be
-written to and read from 16-bit binary PGM with a JSON bounds sidecar.
+A :class:`SipField` is a weighted set of shapes in array form, from the
+exact engine or from Monte Carlo samples.  :func:`rasterize_sip` evaluates
+it at the cell centers of a :class:`Raster`, which can be written to and
+read from 16-bit binary PGM with a JSON bounds sidecar.
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ class RectShape:
         return (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
 
 
+def _planar(points) -> np.ndarray:
+    """Query points as a (p, 2) float array; an empty list is no points."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape == (0,):
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"query points must form a (p, 2) array, got shape {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class Raster:
     """Row-major grid of values in [0, 1]; values[i, j] is the cell centered
@@ -92,71 +103,56 @@ class Raster:
         ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
         return xs, ys
 
+    def query_many(self, points) -> np.ndarray:
+        """The value of the cell holding each of the (p, 2) points; points
+        outside the bounds read the nearest edge cell."""
+        pts = _planar(points)
+        x0, y0, x1, y1 = self.bounds
+        h, w = self.values.shape
+        fx = np.clip((pts[:, 0] - x0) / (x1 - x0) * w, 0, w - 1)
+        fy = np.clip((pts[:, 1] - y0) / (y1 - y0) * h, 0, h - 1)
+        if np.isnan(fx).any() or np.isnan(fy).any():
+            raise ValueError("cannot look up a NaN point in a raster")
+        return self.values[fy.astype(np.intp), fx.astype(np.intp)]
+
 
 DISK = 0
 RECT = 1
 
+# Cells per chunk: about _OFFSET_CELLS floats (1 MB) of rasterize_sip's
+# squared column and row offsets, or of SipField.query_many's per-shape
+# masked weights.
+_OFFSET_CELLS = 131072
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class SipField:
-    """A SIP field, backed either by weighted shapes or by a raster.
+    """A SIP field: m weighted shapes in one array form.
 
-    A shape-backed field keeps its m shapes in one array form: ``kinds``
-    (m,) int8, :data:`DISK` or :data:`RECT`; ``params`` (m, 4) float,
-    (cx, cy, r, 0) for a disk and (x0, y0, x1, y1) for a rectangle; float
-    ``weights``; and exact integer ``numerators`` over one ``denominator``
-    when its maker supplied them (the exact engine; :meth:`from_shapes`,
-    from the given weights).  ``shapes``, the (DiskShape | RectShape,
-    weight) pairs with Fraction weights where numerators exist, is built
-    from the arrays on first read; ``SipField(shapes=...)`` and
-    :meth:`from_shapes` keep the tuple they were given.  A raster-backed
-    field has ``raster`` and no shapes.
+    ``kinds`` (m,) int8, :data:`DISK` or :data:`RECT`; ``params`` (m, 4)
+    float, (cx, cy, r, 0) for a disk and (x0, y0, x1, y1) for a closed
+    rectangle; float ``weights``; and exact integer ``numerators`` over one
+    ``denominator`` when the maker has them (the exact engine), else None.
+    The arrays are read-only.  ``shapes``, the (DiskShape | RectShape,
+    weight) pairs with Fraction weights where numerators exist, is a
+    read-only view built from the arrays on first read; the queries and
+    :func:`rasterize_sip` do not build it.
 
-    Weights must be finite.  That is what makes :func:`rasterize_sip`'s
-    dense disk add bit-safe: a cell outside a disk receives ``0 * weight``,
-    which is +0.0 or -0.0 and leaves any sum unchanged, where an infinite
-    or NaN weight would give NaN.
+    Weights must be finite.  That is what makes the dense adds of the
+    queries and of :func:`rasterize_sip` bit-safe: a point outside a shape
+    receives ``+0.0`` or ``0 * weight``, which is +0.0 or -0.0 and leaves
+    any sum unchanged, where an infinite or NaN weight would give NaN.
     """
 
-    kinds: np.ndarray | None
-    params: np.ndarray | None
-    weights: np.ndarray | None
+    kinds: np.ndarray
+    params: np.ndarray
+    weights: np.ndarray
     numerators: np.ndarray | None
     denominator: int | None
-    raster: Raster | None
-
-    def __init__(self, shapes=None, raster=None):
-        if (shapes is None) == (raster is None):
-            raise ValueError("provide exactly one backing (shapes or raster)")
-        if raster is not None:
-            for name in ("kinds", "params", "weights", "numerators", "denominator"):
-                object.__setattr__(self, name, None)
-            object.__setattr__(self, "raster", raster)
-            return
-        shapes = tuple(shapes)
-        rows = [
-            (RECT, (s.x0, s.y0, s.x1, s.y1)) if isinstance(s, RectShape) else (DISK, (s.cx, s.cy, s.r, 0.0))
-            for s, _ in shapes
-        ]
-        exact = [Fraction(w) for _, w in shapes]
-        denom = math.lcm(*(w.denominator for w in exact))
-        self._set_shapes(
-            [k for k, _ in rows],
-            np.array([p for _, p in rows], dtype=np.float64).reshape(-1, 4),
-            [float(w) for _, w in shapes],
-            np.array([w.numerator * (denom // w.denominator) for w in exact], dtype=object),
-            denom,
-        )
-        self.__dict__["shapes"] = shapes
 
     @classmethod
     def from_arrays(cls, kinds, params, weights, numerators=None, denominator=None) -> "SipField":
-        """Shape-backed field from its array form (see the class)."""
-        field = cls.__new__(cls)
-        field._set_shapes(kinds, params, weights, numerators, denominator)
-        return field
-
-    def _set_shapes(self, kinds, params, weights, numerators, denominator) -> None:
+        """The field of m shapes in its array form (see the class)."""
         kinds = np.array(kinds, dtype=np.int8)
         params = np.array(params, dtype=np.float64)
         weights = np.array(weights, dtype=np.float64)
@@ -169,26 +165,17 @@ class SipField:
             numerators = np.array(numerators)
             if numerators.shape != (m,):
                 raise ValueError("need one numerator per shape")
+        field = cls.__new__(cls)
         for name, value in (("kinds", kinds), ("params", params), ("weights", weights), ("numerators", numerators)):
             if value is not None:
                 value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "raster", None)
-
-    @staticmethod
-    def from_shapes(shapes) -> "SipField":
-        return SipField(shapes=shapes)
-
-    @staticmethod
-    def from_raster(raster: Raster) -> "SipField":
-        return SipField(raster=raster)
+            object.__setattr__(field, name, value)
+        object.__setattr__(field, "denominator", denominator)
+        return field
 
     @functools.cached_property
-    def shapes(self) -> tuple | None:
-        """The (DiskShape | RectShape, weight) pairs, None for a raster."""
-        if self.kinds is None:
-            return None
+    def shapes(self) -> tuple:
+        """The (DiskShape | RectShape, weight) pairs."""
         if self.numerators is None:
             weights = self.weights.tolist()
         else:
@@ -198,59 +185,55 @@ class SipField:
             for k, p, w in zip(self.kinds.tolist(), self.params.tolist(), weights)
         )
 
+    def _hits(self, part: slice, pts: np.ndarray) -> np.ndarray:
+        """(shapes, points) containment of the shapes in ``part``: a disk
+        holds a point when ``dx * dx + dy * dy <= r * r`` (as
+        :meth:`DiskShape.contains`), a rectangle when the closed box does.
+        Overflow and ``inf - inf`` give inf and NaN, which contain nothing,
+        as on Python floats."""
+        kinds, p = self.kinds[part], self.params[part]
+        x, y = pts[:, 0], pts[:, 1]
+        hit = np.empty((len(kinds), len(pts)), dtype=bool)
+        disk = kinds == DISK
+        d, r = p[disk].T[:, :, None], p[~disk].T[:, :, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx, dy = x - d[0], y - d[1]
+            hit[disk] = dx * dx + dy * dy <= d[2] * d[2]
+        hit[~disk] = (x >= r[0]) & (x <= r[2]) & (y >= r[1]) & (y <= r[3])
+        return hit
+
     def query(self, point) -> float:
         """Containment probability at one point (float)."""
-        x, y = float(point[0]), float(point[1])
-        if self.kinds is not None:
-            total = 0.0
-            for (shape, _), w in zip(self.shapes, self.weights.tolist()):
-                if shape.contains(x, y):
-                    total += w
-            return min(1.0, total)
-        rast = self.raster
-        x0, y0, x1, y1 = rast.bounds
-        h, w = rast.values.shape
-        j = int(np.clip((x - x0) / (x1 - x0) * w, 0, w - 1))
-        i = int(np.clip((y - y0) / (y1 - y0) * h, 0, h - 1))
-        return float(rast.values[i, j])
+        return float(self.query_many([point])[0])
 
     def query_exact(self, point) -> Fraction:
         """Exact rational containment probability; needs a field with exact
-        weights (the deterministic engine's, or :meth:`from_shapes`)."""
+        weights (the deterministic engine's)."""
         if self.numerators is None:
-            raise ValueError("exact queries need a shape-backed field with exact weights")
-        x, y = float(point[0]), float(point[1])
-        hits = (n for (shape, _), n in zip(self.shapes, self.numerators.tolist()) if shape.contains(x, y))
-        return Fraction(sum(hits), self.denominator)
+            raise ValueError("exact queries need a field with exact weights")
+        hit = self._hits(slice(None), _planar([point]))[:, 0]
+        return Fraction(sum(self.numerators[hit].tolist()), self.denominator)
 
     def query_many(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.size == 0:
-            return np.zeros(0)
-        if self.kinds is not None:
-            out = np.zeros(len(pts))
-            x = pts[:, 0]
-            y = pts[:, 1]
-            for (shape, _), w in zip(self.shapes, self.weights.tolist()):
-                out[shape.contains(x, y)] += w
-            return np.minimum(out, 1.0)
-        rast = self.raster
-        x0, y0, x1, y1 = rast.bounds
-        h, w = rast.values.shape
-        fx = np.clip((pts[:, 0] - x0) / (x1 - x0) * w, 0, w - 1)
-        fy = np.clip((pts[:, 1] - y0) / (y1 - y0) * h, 0, h - 1)
-        if np.isnan(fx).any() or np.isnan(fy).any():
-            raise ValueError("cannot look up a NaN point in a raster")
-        return rast.values[fy.astype(np.intp), fx.astype(np.intp)]
+        """Containment probability at each of the (p, 2) points, capped at 1.
+
+        Each point's weights are added in shape order, starting from +0.0,
+        by a sequential ``np.add.accumulate`` over chunks of shapes: the
+        same float sum as adding each containing shape's weight in turn.
+        """
+        pts = _planar(points)
+        out = np.zeros(len(pts))
+        step = max(1, _OFFSET_CELLS // max(1, len(pts)))
+        for start in range(0, len(self.kinds), step):
+            part = slice(start, start + step)
+            rows = np.where(self._hits(part, pts), self.weights[part, None], 0.0)
+            rows[0] += out  # the running total: float addition commutes
+            out = np.add.accumulate(rows, axis=0)[-1]
+        return np.minimum(out, 1.0)
 
 
-# Shapes per chunk of window offsets: at most about _OFFSET_CELLS floats
-# (1 MB) of squared column and row offsets.
-_OFFSET_CELLS = 131072
-
-
-def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
-    """Evaluate a shape-backed field at every cell center of a (w, h) grid.
+def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
+    """Evaluate the field at every cell center of a (w, h) grid.
 
     Works on the field's array form; ``shapes`` is not built.  Every
     shape's window of cells is found at once with ``np.searchsorted`` on
@@ -269,8 +252,6 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
     leaves any sum unchanged (weights are finite, see :class:`SipField`):
     the values are bit-for-bit the same.
     """
-    if field.kinds is None:
-        raise ValueError("rasterize_sip needs a shape-backed field")
     w, h = int(grid[0]), int(grid[1])
     if w <= 0 or h <= 0:
         raise ValueError("grid dimensions must be positive")
@@ -311,8 +292,7 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> SipField:
                 win += weight
             else:
                 win += (dx2[a : a + c1 - c0] + dy2[b : b + r1 - r0, None] <= r * r) * weight
-    values = np.minimum(values, 1.0)
-    return SipField.from_raster(Raster(values, (x0, y0, x1, y1)))
+    return Raster(np.minimum(values, 1.0), (x0, y0, x1, y1))
 
 
 def _window_offsets(centers, c, lo, hi, disk):

@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from uqgeom import IndecisivePoint, IndecisivePointSet
+from uqgeom import IndecisivePoint, IndecisivePointSet, Quantization1D
 from uqgeom.geometry import bbox_diameter
 from uqgeom.measures import evaluate
 
@@ -27,6 +27,15 @@ def random_indecisive(rng: np.random.Generator, n: int, k: int, span: float = 1.
         weights = tuple(Fraction(c, total) for c in cuts)
         points.append(IndecisivePoint(locs, weights))
     return IndecisivePointSet(tuple(points), 2)
+
+
+def exact_quantization(values, weights) -> Quantization1D:
+    """Exact quantization from rational (or float) weights, as integer
+    numerators over the lcm of their denominators."""
+    exact = [Fraction(w) for w in weights]
+    denom = math.lcm(*(w.denominator for w in exact))
+    nums = [w.numerator * (denom // w.denominator) for w in exact]
+    return Quantization1D.from_numerators(np.asarray(values, dtype=np.float64), nums, denom)
 
 
 def group_tolerance(uset: IndecisivePointSet, measure) -> float:

@@ -887,6 +887,47 @@ def test_grid_cell_cap_bounds_w_times_h():
             _parse_grid(grid)
 
 
+_EXACT_ARGV = {
+    "exact": ["--measure", "seb2"],
+    "sip-exact": ["--measure", "seb2", "--grid", "8,8", "--bounds=-1,-1,3,3"],
+}
+
+
+@pytest.mark.parametrize("command", _EXACT_ARGV)
+def test_basis_cap_exit_code(command, tmp_path, monkeypatch, capsys):
+    # Three points of 500 candidates: 3 * 500 + 3 * 500**2 + 500**3 seb2
+    # potential bases, once hours of enumeration.  Refused before the jitter.
+    _refusing(monkeypatch, "exact_mod.exact_distribution", "exact_mod.deterministic_sip",
+              "exact_mod.canonical_jitter", "sip.rasterize_sip")
+    locs = [[i * 0.01, (i * 7 % 500) * 0.01] for i in range(500)]
+    doc = {"dimension": 2, "model": "indecisive",
+           "points": [{"locations": locs, "weights": ["1/500"] * 500} for _ in range(3)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), *_EXACT_ARGV[command], "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: the exact engine would enumerate 125751500 potential bases, exceeding the cap of 120000000\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, measure, count", [
+    # Candidates 3, 2, 2: seb2 and aabb-perimeter take bases of up to 3
+    # points, 7 + 16 + 12 = 35; dwid of up to 2, 7 + 16 = 23.
+    ("exact", "seb2", 35), ("exact", "dwid:0.6,0.8", 23), ("sip-exact", "aabb-perimeter", 35),
+])
+def test_basis_cap_counts_potential_bases(command, measure, count, indecisive_file, tmp_path, monkeypatch, capsys):
+    argv = [command, "--input", str(indecisive_file), *_EXACT_ARGV[command]]
+    argv[argv.index("seb2")] = measure
+    for cap, code in ((count, 0), (count - 1, 3)):
+        monkeypatch.setattr(cli_mod, "_BASIS_CAP", cap)
+        out = tmp_path / f"out-{cap}"
+        assert main([*argv, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert f"enumerate {count} potential bases, exceeding the cap of {count - 1}" in capsys.readouterr().err
+
+
 def test_points_per_point_cap_exit_code(continuous_file, tmp_path, capsys):
     # Once exit 2 with numpy's "Maximum allowed size exceeded"; smaller
     # counts would fill memory with the lattice's arrays.

@@ -26,7 +26,7 @@ from uqgeom.geometry import coordinate_scale
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 from uqgeom.quantize import quantization_to_csv
 
-from conftest import enumerate_supports, group_tolerance, random_indecisive
+from conftest import enumerate_supports, exact_quantization, group_tolerance, random_indecisive
 
 MEASURES = [
     MeasureId("seb2"),
@@ -435,8 +435,7 @@ def test_total_probability_without_records():
 
 def _dict_collapse(agg: dict, total_denom: int, group_tol: float):
     """Reference: the former collapse of a value -> numerator dict (equal
-    values, 0.0 and -0.0 among them, already merged under the first key),
-    with Fraction weights."""
+    values, 0.0 and -0.0 among them, already merged under the first key)."""
     from uqgeom import Quantization1D
 
     vals, nums = [], []
@@ -448,7 +447,7 @@ def _dict_collapse(agg: dict, total_denom: int, group_tol: float):
             vals.append(v)
             nums.append(num)
         prev = v
-    return Quantization1D(np.array(vals), tuple(Fraction(num, total_denom) for num in nums), "exact")
+    return Quantization1D.from_numerators(np.array(vals), nums, total_denom)
 
 
 def _fraction_csv(q) -> str:
@@ -724,7 +723,7 @@ def _seb2_referee_sq(pts) -> Fraction:
 
 def _referee_distribution(uset):
     """seb2 distribution over the supports of ``uset`` by the referee."""
-    from uqgeom import ExactDistribution, Quantization1D
+    from uqgeom import ExactDistribution
 
     mass = {}
     for locs, prob in enumerate_supports(uset):
@@ -732,7 +731,7 @@ def _referee_distribution(uset):
         mass[r2] = mass.get(r2, 0) + prob
     items = sorted(mass.items())
     values = np.array([math.sqrt(r2) for r2, _ in items])
-    collapsed = Quantization1D(values, tuple(p for _, p in items), "exact")
+    collapsed = exact_quantization(values, [p for _, p in items])
     return ExactDistribution(lambda: (), collapsed, MeasureId("seb2"))
 
 

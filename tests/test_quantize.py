@@ -15,6 +15,8 @@ from uqgeom import (
     simplify,
 )
 
+from conftest import exact_quantization
+
 
 def test_eval_cdf_uniform_breakpoints():
     q = Quantization1D.from_samples([1.0, 2.0, 3.0, 4.0])
@@ -25,7 +27,7 @@ def test_eval_cdf_uniform_breakpoints():
 
 
 def test_eval_cdf_exact_is_rational():
-    q = Quantization1D(np.array([1.0, 2.0]), (Fraction(1, 3), Fraction(2, 3)), "exact")
+    q = exact_quantization([1.0, 2.0], (Fraction(1, 3), Fraction(2, 3)))
     assert eval_cdf(q, 1.5) == Fraction(1, 3)
     assert isinstance(eval_cdf(q, 1.5), Fraction)
 
@@ -83,9 +85,7 @@ def test_simplify_idempotent(rng):
 
 
 def test_simplify_weighted_exact_input():
-    q = Quantization1D(
-        np.arange(100, dtype=float), tuple(Fraction(1, 100) for _ in range(100)), "exact"
-    )
+    q = exact_quantization(np.arange(100, dtype=float), [Fraction(1, 100)] * 100)
     s = simplify(q, 0.1)
     assert len(s) <= 20 and max_deviation(q, s) <= 0.05
 
@@ -109,7 +109,7 @@ def test_max_deviation_pseudometric(rng):
 
 
 def test_max_deviation_mixed_kinds():
-    a = Quantization1D(np.array([0.0, 1.0]), (Fraction(1, 2), Fraction(1, 2)), "exact")
+    a = exact_quantization([0.0, 1.0], (Fraction(1, 2), Fraction(1, 2)))
     b = Quantization1D.from_samples([0.0, 1.0])
     assert max_deviation(a, b) == 0.0
 
@@ -122,7 +122,7 @@ def test_eps_alpha_quantization():
 
 
 def test_csv_formats():
-    q = Quantization1D(np.array([1.0, 2.0]), (Fraction(1, 3), Fraction(2, 3)), "exact")
+    q = exact_quantization([1.0, 2.0], (Fraction(1, 3), Fraction(2, 3)))
     text = quantization_to_csv(q)
     lines = text.strip().splitlines()
     assert lines[0] == "value,weight,cumulative,weight_exact"
@@ -133,9 +133,9 @@ def test_csv_formats():
 
 def test_quantization_validation():
     with pytest.raises(ValueError):
-        Quantization1D(np.array([2.0, 1.0]), (0.5, 0.5), "sampled")  # not sorted
+        Quantization1D(np.array([2.0, 1.0]), (0.5, 0.5))  # not sorted
     with pytest.raises(ValueError):
-        Quantization1D(np.array([1.0]), (Fraction(1, 2),), "exact")  # sum != 1
+        exact_quantization([1.0], (Fraction(1, 2),))  # sum != 1
 
 
 
@@ -153,17 +153,15 @@ def test_quantization_validation():
 )
 def test_exact_weight_validation(weights, message):
     with pytest.raises(ValueError, match=message):
-        Quantization1D(np.array([1.0, 2.0]), weights, "exact")
+        exact_quantization([1.0, 2.0], weights)
 
 
 def test_exact_weights_accept_mixed_types_and_keep_fractions():
-    fr = Fraction(1, 6)
-    q = Quantization1D(np.array([1.0, 2.0, 3.0]), (fr, 0.5, Fraction(1, 3)), "exact")
+    q = exact_quantization([1.0, 2.0, 3.0], (Fraction(1, 6), 0.5, Fraction(1, 3)))
     assert q.weights == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
-    assert q.weights[0] is fr
     assert all(type(w) is Fraction for w in q.weights)
     huge = Fraction(1, 3 * 2**80)
-    q = Quantization1D(np.array([1.0, 2.0]), (huge, 1 - huge), "exact")
+    q = exact_quantization([1.0, 2.0], (huge, 1 - huge))
     assert sum(q.weights) == 1
 
 def test_csv_cumulative_is_rounded_running_fraction():
@@ -172,7 +170,7 @@ def test_csv_cumulative_is_rounded_running_fraction():
     parts = [Fraction(int(rng.integers(1, 50)), int(rng.choice(dens))) for _ in range(60)]
     total = sum(parts)
     weights = tuple(p / total for p in parts)
-    q = Quantization1D(np.arange(60, dtype=np.float64), weights, "exact")
+    q = exact_quantization(np.arange(60, dtype=np.float64), weights)
     running = Fraction(0)
     for w, line in zip(weights, quantization_to_csv(q).splitlines()[1:]):
         running += w

@@ -16,6 +16,21 @@ from uqgeom.sip import DISK, RECT, DiskShape, Raster, RectShape, SipField
 from conftest import random_indecisive
 
 
+def _field(shapes) -> SipField:
+    """The field of (DiskShape | RectShape, weight) pairs, with exact
+    numerators of the weights over the lcm of their denominators."""
+    exact = [Fraction(w) for _, w in shapes]
+    denom = math.lcm(*(w.denominator for w in exact))
+    return SipField.from_arrays(
+        [DISK if isinstance(s, DiskShape) else RECT for s, _ in shapes],
+        np.array([(s.cx, s.cy, s.r, 0.0) if isinstance(s, DiskShape) else (s.x0, s.y0, s.x1, s.y1)
+                  for s, _ in shapes]).reshape(-1, 4),
+        [float(w) for _, w in shapes],
+        [w.numerator * (denom // w.denominator) for w in exact],
+        denom,
+    )
+
+
 def _grid_points(raster):
     xs, ys = raster.cell_centers()
     gx, gy = np.meshgrid(xs, ys)
@@ -23,24 +38,22 @@ def _grid_points(raster):
 
 
 def test_rasterize_unit_disk_indicator():
-    field = SipField.from_shapes([(DiskShape(0.0, 0.0, 1.0), 1.0)])
+    field = _field([(DiskShape(0.0, 0.0, 1.0), 1.0)])
     out = rasterize_sip(field, (64, 64), (-2, -2, 2, 2))
-    gx, gy = _grid_points(out.raster)
+    gx, gy = _grid_points(out)
     expect = ((gx**2 + gy**2) <= 1.0).astype(float)
-    assert np.array_equal(out.raster.values, expect)
+    assert np.array_equal(out.values, expect)
 
 
 def test_rasterize_two_disjoint_disks():
-    field = SipField.from_shapes(
-        [(DiskShape(-1.0, 0.0, 0.5), 0.5), (DiskShape(1.0, 0.0, 0.5), 0.5)]
-    )
+    field = _field([(DiskShape(-1.0, 0.0, 0.5), 0.5), (DiskShape(1.0, 0.0, 0.5), 0.5)])
     out = rasterize_sip(field, (64, 64), (-2, -2, 2, 2))
-    assert set(np.unique(out.raster.values)) <= {0.0, 0.5}
-    assert (out.raster.values == 0.5).any()
+    assert set(np.unique(out.values)) <= {0.0, 0.5}
+    assert (out.values == 0.5).any()
 
 
 def test_rect_shape_containment():
-    field = SipField.from_shapes([(RectShape(0.0, 0.0, 2.0, 1.0), 1.0)])
+    field = _field([(RectShape(0.0, 0.0, 2.0, 1.0), 1.0)])
     assert field.query((1.0, 0.5)) == 1.0
     assert field.query((2.0, 1.0)) == 1.0  # closed boundary
     assert field.query((2.1, 0.5)) == 0.0
@@ -48,18 +61,16 @@ def test_rect_shape_containment():
 
 def test_raster_query_lookup():
     vals = np.arange(16, dtype=float).reshape(4, 4) / 15.0
-    field = SipField.from_raster(Raster(vals, (0, 0, 4, 4)))
-    assert field.query((0.5, 0.5)) == vals[0, 0]
-    assert field.query((3.5, 3.5)) == vals[3, 3]
+    raster = Raster(vals, (0, 0, 4, 4))
+    assert raster.query_many([(0.5, 0.5), (3.5, 3.5)]).tolist() == [vals[0, 0], vals[3, 3]]
 
 
 def test_raster_refinement_stable_away_from_boundaries():
-    field = SipField.from_shapes([(DiskShape(0.0, 0.0, 1.0), 1.0)])
+    field = _field([(DiskShape(0.0, 0.0, 1.0), 1.0)])
     coarse = rasterize_sip(field, (32, 32), (-2, -2, 2, 2))
     fine = rasterize_sip(field, (128, 128), (-2, -2, 2, 2))
     probes = [(-1.5, -1.5), (0.0, 0.0), (0.5, 0.5), (1.8, 0.0)]
-    for p in probes:
-        assert coarse.query(p) == fine.query(p)
+    assert coarse.query_many(probes).tolist() == fine.query_many(probes).tolist()
 
 
 def test_pgm_round_trip():
@@ -79,11 +90,6 @@ def test_pgm_round_trip():
 def test_raster_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         Raster(np.array([[bad, 0.5]]), (0, 0, 1, 1))
-
-
-def test_sipfield_needs_exactly_one_backing():
-    with pytest.raises(ValueError):
-        SipField(shapes=None, raster=None)
 
 
 def test_isoline_constant_field_strictly_greater():
@@ -140,7 +146,7 @@ def _rasterize_full_grid(shapes, grid, bounds):
 
 
 def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
-    got = rasterize_sip(SipField.from_shapes(shapes), grid, bounds).raster.values
+    got = rasterize_sip(_field(shapes), grid, bounds).values
     want = _rasterize_full_grid(shapes, grid, bounds)
     assert got.tobytes() == want.tobytes()
 
@@ -248,7 +254,7 @@ def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypa
         [(s.cx, s.cy, s.r, 0.0) if isinstance(s, DiskShape) else (s.x0, s.y0, s.x1, s.y1) for s, _ in shapes],
         [wt for _, wt in shapes],
     )
-    got = rasterize_sip(field, grid, bounds).raster.values
+    got = rasterize_sip(field, grid, bounds).values
     assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
 
 
@@ -257,9 +263,6 @@ def test_sipfield_rejects_non_finite_weights(bad):
     params = [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 1.0)]
     with pytest.raises(ValueError, match="weights must be finite"):
         SipField.from_arrays([DISK, RECT], params, [0.5, bad])
-    # Fraction refuses them first here.
-    with pytest.raises((ValueError, OverflowError)):
-        SipField.from_shapes([(DiskShape(0.0, 0.0, 1.0), 0.5), (RectShape(0.0, 0.0, 1.0, 1.0), bad)])
 
 
 def test_rasterize_empty_shape_list():
@@ -284,6 +287,15 @@ def _eager_exact_shapes(uset, measure):
     return tuple(shapes)
 
 
+def _in_order(floats) -> float:
+    """Float sum in the given order from +0.0 (the builtin sum() of floats
+    is compensated from Python 3.12 on)."""
+    total = 0.0
+    for w in floats:
+        total += w
+    return total
+
+
 # Bounds that cut through the shapes of sets in [-1, 1]^2, on an uneven grid.
 _CUT_GRID, _CUT_BOUNDS = (41, 37), (-1.3, -0.9, 1.1, 1.4)
 
@@ -294,7 +306,7 @@ def test_exact_sip_array_form_matches_per_basis_shapes(measure):
     uset = random_indecisive(rng, 4, 3)
     m = MeasureId(measure)
     field = deterministic_sip(uset, m)
-    raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).raster.values
+    raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).values
     # Rasterizing reads the arrays only; the shapes are built on first read.
     assert "shapes" not in vars(field)
     assert field.shapes == _eager_exact_shapes(uset, m)
@@ -305,14 +317,14 @@ def test_exact_sip_array_form_matches_per_basis_shapes(measure):
     for x, y in probes:
         want = sum((w for s, w in field.shapes if s.contains(x, y)), Fraction(0))
         assert field.query_exact((x, y)) == want
-        assert field.query((x, y)) == min(1.0, float(sum(float(w) for s, w in field.shapes if s.contains(x, y))))
+        assert field.query((x, y)) == min(1.0, _in_order(float(w) for s, w in field.shapes if s.contains(x, y)))
 
 
 @pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter"])
 def test_random_sip_array_form_rasterizes_like_full_grid(measure):
     uset = random_indecisive(np.random.default_rng(29), 5, 3)
     field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=300), seed=3)
-    raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).raster.values
+    raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).values
     assert "shapes" not in vars(field)
     assert raster.tobytes() == _rasterize_full_grid(field.shapes, _CUT_GRID, _CUT_BOUNDS).tobytes()
     assert all(w == 1 / 300 for _, w in field.shapes)
@@ -321,18 +333,18 @@ def test_random_sip_array_form_rasterizes_like_full_grid(measure):
         field.query_exact((0.0, 0.0))
 
 
-def test_from_shapes_keeps_shapes_and_exact_weights():
-    shapes = [(DiskShape(0.0, 0.0, 1.0), Fraction(1, 3)), (RectShape(0.5, -1.0, 2.0, 1.0), 0.25)]
-    field = SipField.from_shapes(shapes)
-    assert field.shapes == tuple(shapes) and field.shapes[0][1] is shapes[0][1]
+def test_shapes_view_and_exact_queries_from_arrays():
+    field = SipField.from_arrays([DISK, RECT], [(0.0, 0.0, 1.0, 0.0), (0.5, -1.0, 2.0, 1.0)],
+                                 [1 / 3, 0.25], [4, 3], 12)
+    assert field.shapes == ((DiskShape(0.0, 0.0, 1.0), Fraction(1, 3)), (RectShape(0.5, -1.0, 2.0, 1.0), Fraction(1, 4)))
     assert field.weights.tolist() == [1 / 3, 0.25]
     assert field.query_exact((0.75, 0.0)) == Fraction(1, 3) + Fraction(1, 4)
     assert field.query_exact((3.0, 0.0)) == 0
-    assert SipField.from_raster(Raster(np.zeros((2, 2)), (0, 0, 1, 1))).shapes is None
+    assert not any(v.flags.writeable for v in (field.kinds, field.params, field.weights, field.numerators))
 
 
 def test_rasterize_rejects_non_finite_bounds():
-    field = SipField.from_shapes([(RectShape(0.0, 0.0, 1.0, 1.0), 1.0)])
+    field = _field([(RectShape(0.0, 0.0, 1.0, 1.0), 1.0)])
     with pytest.raises(ValueError):
         rasterize_sip(field, (4, 4), (-math.inf, 0.0, 1.0, 1.0))
 
@@ -353,21 +365,127 @@ def test_disk_query_equals_query_many_on_the_boundary():
             split.append(((cx, cy, r), (px, py)))
     assert len(split) >= 10
     for disk, point in split:
-        field = SipField.from_shapes([(DiskShape(*disk), Fraction(1))])
+        field = SipField.from_arrays([DISK], [(*disk, 0.0)], [1.0], [1], 1)
         many = field.query_many([point])[0]
         assert field.query(point) == many
         assert field.query_exact(point) == many
 
 
+def _raster_query(raster, point) -> float:
+    """Reference: the former one-point raster lookup."""
+    x, y = float(point[0]), float(point[1])
+    x0, y0, x1, y1 = raster.bounds
+    h, w = raster.values.shape
+    j = int(np.clip((x - x0) / (x1 - x0) * w, 0, w - 1))
+    i = int(np.clip((y - y0) / (y1 - y0) * h, 0, h - 1))
+    return float(raster.values[i, j])
+
+
 def test_raster_query_many_equals_query():
     rng = np.random.default_rng(5)
-    field = SipField.from_raster(Raster(rng.random((9, 13)), (-1.0, 2.0, 3.0, 5.0)))
+    raster = Raster(rng.random((9, 13)), (-1.0, 2.0, 3.0, 5.0))
     pts = np.column_stack([rng.uniform(-2.0, 4.0, 200), rng.uniform(1.0, 6.0, 200)])
     # Points on the bounds and on interior cell boundaries.
     pts = np.vstack([pts, [[-1.0, 2.0], [3.0, 5.0], [-1.0, 5.0], [1.0, 3.0], [math.inf, -math.inf]]])
-    got = field.query_many(pts)
-    assert got.tobytes() == np.array([field.query(p) for p in pts]).tobytes()
-    assert field.query_many([]).shape == (0,)
+    got = raster.query_many(pts)
+    assert got.tobytes() == np.array([_raster_query(raster, p) for p in pts]).tobytes()
+    assert raster.query_many([]).shape == (0,)
+    with pytest.raises(ValueError, match="NaN"):
+        raster.query_many([[0.0, math.nan]])
+
+
+def _loop_hits(field, pts) -> list:
+    """Reference containment, one shape at a time: each shape's (p,) mask."""
+    x, y = pts[:, 0], pts[:, 1]
+    hits = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, (a, b, c, d) in zip(field.kinds.tolist(), field.params.tolist()):
+            if kind == DISK:
+                hits.append((x - a) * (x - a) + (y - b) * (y - b) <= c * c)
+            else:
+                hits.append((x >= a) & (x <= c) & (y >= b) & (y <= d))
+    return hits
+
+
+def _loop_query_many(field, pts) -> np.ndarray:
+    """Reference: the former per-shape loop, each containing shape's weight
+    added in turn."""
+    out = np.zeros(len(pts))
+    for hit, w in zip(_loop_hits(field, pts), field.weights.tolist()):
+        out[hit] += w
+    return np.minimum(out, 1.0)
+
+
+def _mixed_field(rng, m):
+    """m random disks and closed boxes with exact weights, among them
+    zero-radius disks and empty, NaN and zero-width boxes; and query points
+    on their circles and edges, at their centers and corners, at random,
+    and infinite, NaN and far away."""
+    kinds = rng.integers(0, 2, m).astype(np.int8)
+    params = rng.uniform(-2.0, 2.0, (m, 4))
+    disk = kinds == DISK
+    rect = np.flatnonzero(~disk)
+    params[disk, 2] = rng.uniform(0.0, 1.5, disk.sum()) * (rng.random(disk.sum()) < 0.9)
+    params[disk, 3] = 0.0
+    params[rect] = np.sort(params[rect][:, [0, 2, 1, 3]].reshape(-1, 2, 2), axis=2).reshape(-1, 4)[:, [0, 2, 1, 3]]
+    params[rect[::7], 0] = params[rect[::7], 2] + 0.5  # reversed: empty
+    params[rect[1::11], 3] = math.nan
+    params[rect[2::9], 2] = params[rect[2::9], 0]  # zero width
+    nums = rng.integers(1, 50, m)
+    denom = int(nums.sum()) + int(rng.integers(1, 3))
+    field = SipField.from_arrays(kinds, params, [n / denom for n in nums.tolist()], nums, denom)
+    pts = [rng.uniform(-3.0, 3.0, (200, 2))]
+    for kind, (a, b, c, d) in zip(kinds[:60].tolist(), params[:60].tolist()):
+        if kind == DISK:
+            t = rng.uniform(0.0, 2 * math.pi)
+            pts.append([[a + c * math.cos(t), b + c * math.sin(t)], [a + c, b], [a, b - c], [a, b]])
+        else:
+            mid = b if math.isnan(d) else rng.uniform(b, d)
+            pts.append([[a, b], [c, d], [a, mid], [c, mid]])
+    pts.append([[math.inf, 0.0], [-math.inf, math.inf], [math.nan, 0.0], [1e200, -1e200]])
+    return field, np.vstack(pts)
+
+
+@pytest.mark.parametrize("offset_cells", [1, 500, None])
+def test_array_queries_match_the_per_shape_loop(monkeypatch, offset_cells):
+    # Chunks of one shape, of a few shapes, and the default.
+    if offset_cells is not None:
+        monkeypatch.setattr(sip_mod, "_OFFSET_CELLS", offset_cells)
+    rng = np.random.default_rng(31)
+    for m in (0, 1, 2, 37, 300):
+        field, pts = _mixed_field(rng, m)
+        got = field.query_many(pts)
+        assert got.tobytes() == _loop_query_many(field, pts).tobytes()
+        assert field.query_many(pts[:0]).shape == (0,)
+        hits = _loop_hits(field, pts)
+        for i in range(0, len(pts), 3):
+            assert field.query(pts[i]) == got[i]
+            want = sum((Fraction(n, field.denominator) for n, hit in zip(field.numerators.tolist(), hits) if hit[i]),
+                       Fraction(0))
+            assert field.query_exact(pts[i]) == want
+        # The queries read the arrays; the shapes view is never built.
+        assert "shapes" not in vars(field)
+
+
+def _unit_disk_field():
+    return SipField.from_arrays([DISK], [(0.0, 0.0, 1.0, 0.0)], [1.0], [1], 1)
+
+
+@pytest.mark.parametrize("field", [_unit_disk_field, lambda: Raster(np.ones((4, 4)), (-1.0, -1.0, 1.0, 1.0))],
+                         ids=["shapes", "raster"])
+@pytest.mark.parametrize("points", [[[0.5, 0.5, 0.1]], (0.5, 0.5), [[[0.5, 0.5]]], [[0.5]], 0.5])
+def test_query_many_refuses_points_that_are_not_planar(field, points):
+    with pytest.raises(ValueError, match=r"\(p, 2\) array"):
+        field().query_many(points)
+
+
+def test_one_point_queries_refuse_points_that_are_not_planar():
+    field = _unit_disk_field()
+    for point in ((0.5, 0.5, 0.1), (0.5,)):
+        with pytest.raises(ValueError, match=r"\(p, 2\) array"):
+            field.query(point)
+        with pytest.raises(ValueError, match=r"\(p, 2\) array"):
+            field.query_exact(point)
 
 
 def test_isolines_golden():
