@@ -16,7 +16,6 @@ from .exact import (
     BasisRecord,
     ConservationError,
     ExactDistribution,
-    basis_support_probability,
     brute_force_distribution,
     deterministic_sip,
     distributions_match,

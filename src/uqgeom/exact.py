@@ -21,10 +21,11 @@ counting argument needs.  The brute-force oracle enumerates all supports on
 the same jittered coordinates, so the two engines are comparable breakpoint
 by breakpoint.  It evaluates supports as arrays too: chunks of candidate
 indices in ``itertools.product`` order, valued by the formulas
-:func:`uqgeom.measures.evaluate` uses.  For seb2 it relies on the LP-type
-structure alone: the smallest enclosing disk of a support is the largest
-canonical ball of its candidate pairs and strictly acute triples, so the
-oracle never asks a miniball solver which points define the disk.
+:func:`uqgeom.measures.evaluate` uses on the engine's frame coordinates.
+For seb2 it relies on the LP-type structure alone: the smallest enclosing
+disk of a support is the largest canonical ball of its candidate pairs and
+strictly acute triples, so the oracle never asks a miniball solver which
+points define the disk.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .measures import (
     MeasureId,
     NotLPTypeError,
     _check_input,
-    _frame,
     _frame_values,
     _seb2_balls,
     _strictly_acute,
@@ -62,7 +62,6 @@ __all__ = [
     "ResourceCapError",
     "ConservationError",
     "enumerate_potential_bases",
-    "basis_support_probability",
     "exact_distribution",
     "brute_force_distribution",
     "deterministic_sip",
@@ -152,6 +151,23 @@ def combo_count(ks, beta: int) -> int:
     return sum(e[1:])
 
 
+def _frame_coords(measure: MeasureId, locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame coordinates (fx, fy) of planar locations (N, 2), which the
+    exact engine validates and counts in and the oracle values: the
+    projection onto the direction and zeros for dwid, the 45-degree frame
+    in which the L1 ball is a square for seb1, plain x/y otherwise.  The
+    projection is elementwise, ``x * u0 + y * u1``, so a value does not
+    depend on the array it is computed in, as a matmul's may."""
+    x = locs[:, 0]
+    y = locs[:, 1]
+    if measure.kind == "dwid":
+        u0, u1 = measure.direction
+        return x * u0 + y * u1, np.zeros(len(x))
+    if measure.kind == "seb1":
+        return x + y, y - x
+    return x, y
+
+
 class _Prepared:
     """Jittered input of the exact engine, flattened over all candidates.
 
@@ -210,20 +226,7 @@ class _Prepared:
         self.point_of = np.repeat(np.arange(self.n), self.ks)
         self.jset = uset
         self._members = None
-        x = all_locs[:, 0]
-        y = all_locs[:, 1]
-        # Frame coordinates: projections for dwid, the 45-degree frame in
-        # which the L1 ball is a square for seb1, plain x/y otherwise.
-        if measure.kind == "dwid":
-            u = np.asarray(measure.direction)
-            self.fx = x * u[0] + y * u[1]
-            self.fy = np.zeros(len(x))
-        elif measure.kind == "seb1":
-            self.fx = x + y
-            self.fy = y - x
-        else:
-            self.fx = x
-            self.fy = y
+        self.fx, self.fy = _frame_coords(measure, all_locs)
         ints, denoms = _integer_weights(uset)
         # A point's masses sum to at most its denominator, so int64 holds
         # them unless a denominator is huge.
@@ -465,8 +468,9 @@ def _validate_seb2(prep: _Prepared, idx, xs, ys):
         # minimality must use this linear-scale predicate instead.
         keep = _strictly_acute(xs, ys, prep.geom_eps * prep.scale)
         idx, xs, ys = idx[keep], xs[keep], ys[keep]
-    # Balls are the canonical ones of _seb2_ball_tuple, computed for the
-    # whole chunk at once; values must match the oracle's bitwise.
+    # The canonical balls of measures._seb2_balls, which the oracle and
+    # evaluate read too, for the whole chunk at once; values must match
+    # theirs bitwise.
     shapes = _seb2_balls(xs, ys)
     if s == 2:
         keep = shapes[:, 2] > prep.strict_eps
@@ -565,27 +569,6 @@ def enumerate_potential_bases(uset: IndecisivePointSet, measure: MeasureId):
             yield _basis_object(prep, row, value)
 
 
-def basis_support_probability(uset: IndecisivePointSet, measure: MeasureId, basis: Basis) -> Fraction:
-    """Exact probability that a random support has this basis."""
-    _require_lp_type(measure)
-    prep = _Prepared(uset, measure)
-    combo = []
-    for m in basis.members:
-        if m.candidate is None:
-            raise ValidationError("basis members need (point, candidate) provenance")
-        combo.append((m.point, m.candidate))
-    combo.sort()
-    points = {i for i, _ in combo}
-    in_range = all(0 <= i < prep.n and 0 <= j < prep.ks[i] for i, j in combo)
-    if not in_range or len(points) != len(combo) or len(combo) > prep.beta:
-        raise ValidationError("not a valid (minimal) basis for this measure")
-    idx, _, shapes = _validate(prep, np.array([[prep.offsets[i] + j for i, j in combo]]))
-    if not len(idx):
-        raise ValidationError("not a valid (minimal) basis for this measure")
-    nonzero, nums = _numerators(prep, idx, shapes)
-    return Fraction(int(nums[0]) if nonzero[0] else 0, prep.total_denom)
-
-
 def _merge_equal(values: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values in ascending order and their summed numerators.
     Equal values (0.0 and -0.0 among them) merge into the first of them in
@@ -663,7 +646,8 @@ def brute_force_distribution(
     stays flat up to the cap.  A support's probability numerator is the
     product of its candidates' integer weights.  Values come from the
     formulas :func:`uqgeom.measures.evaluate` uses, applied to the gathered
-    per-candidate frame coordinates.  A seb2 value is the largest canonical
+    per-candidate frame coordinates of the exact engine
+    (:func:`_frame_coords`).  A seb2 value is the largest canonical
     ball radius over the support's candidate pairs and strictly acute
     triples: the smallest enclosing disk is the ball of a basis of at most
     three points and, by monotonicity, no subset's ball is larger (the
@@ -694,9 +678,9 @@ def brute_force_distribution(
     if measure.kind == "seb2":
         width, values_of = _seb2_support_values(locs, ks, offsets)
     else:
-        # Frames per point's candidate matrix: a dwid projection is a matmul
-        # whose rounding can depend on the matrix, so chunking cannot change it.
-        frames = np.concatenate([_frame(measure, p.locations) for p in jset.points])
+        # The engine's frame coordinates, so a dwid projection has its bits.
+        fx, fy = _frame_coords(measure, locs)
+        frames = fx if measure.kind == "dwid" else np.column_stack([fx, fy])
         width = n * n * 2 if measure.kind == "diameter" else n * 2
 
         def values_of(idx):

@@ -7,6 +7,13 @@ satisfy the LP-type monotonicity/locality axioms with a constant basis
 size, which is what the deterministic engine exploits; diameter is exposed
 for evaluation only.
 
+The planar seb2 value of a set is the canonical ball of at most three
+points, defined once, in arrays, by :func:`_seb2_balls`.  The randomized
+engine (through :func:`evaluate`, on the support of each set's Welzl
+ball), the exact engine (on its potential bases) and the brute-force
+oracle (on its pair and triple tables) all read it, so the engines give
+the same bits for the same support.
+
 Numeric conventions
 -------------------
 Comparisons of measure values use an absolute tolerance of 1e-9 scaled by
@@ -19,14 +26,11 @@ enumeration even on near-degenerate, jittered inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    _circum3,
-    _trivial_ball,
     as_points,
     bbox_diameter,
     coordinate_scales,
@@ -162,7 +166,7 @@ def _frame(measure: MeasureId, pts: np.ndarray) -> np.ndarray:
 
     The seb1 frame is elementwise.  The dwid projection is a matmul, whose
     BLAS kernel may round a row differently with its position in the
-    matrix, so callers that must agree bitwise project the same matrices."""
+    matrix, so :func:`evaluate` projects each set on its own."""
     kind = measure.kind
     if kind == "dwid":
         return pts @ np.asarray(measure.direction)
@@ -200,109 +204,97 @@ def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
     raise AssertionError(kind)
 
 
-def _strictly_acute(xs: np.ndarray, ys: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Rows of three planar points whose triangle is strictly acute: vertex
-    V lies outside the opposite pair's diametral disk iff (A-V).(B-V) > 0.
-    The three dot products are the same floats in any vertex order."""
+def _vertex_dots(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dot products (A-V).(B-V) at each vertex V of rows of three planar
+    points, A and B the other two in row order: V lies outside the
+    diametral disk of A and B iff its dot product is positive.  The three
+    are the same floats in any vertex order."""
     ax, bx, cx = xs.T
     ay, by, cy = ys.T
     return (
-        ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay) > eps)
-        & ((ax - bx) * (cx - bx) + (ay - by) * (cy - by) > eps)
-        & ((ax - cx) * (bx - cx) + (ay - cy) * (by - cy) > eps)
+        (bx - ax) * (cx - ax) + (by - ay) * (cy - ay),
+        (ax - bx) * (cx - bx) + (ay - by) * (cy - by),
+        (ax - cx) * (bx - cx) + (ay - cy) * (by - cy),
     )
 
 
-def _seb2_ball_tuple(coords) -> tuple:
-    """Canonical enclosing ball of at most three points given as coordinate
-    tuples.  Members are sorted before solving so the result is bitwise
-    reproducible regardless of input order, and the pair-vs-circumcircle
-    decision for triples uses exact sign predicates (a triangle's enclosing
-    ball is its circumcircle iff no angle is obtuse), not tolerance slack.
-    Returns (cx, cy[, cz], radius, support)."""
-    pts = sorted(tuple(float(x) for x in p) for p in coords)
-    d = len(pts[0])
-    m = len(pts)
-    if m == 1:
-        return (*pts[0], 0.0, (0,))
+def _strictly_acute(xs: np.ndarray, ys: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Rows of three planar points whose triangle is strictly acute: every
+    vertex dot product above ``eps``."""
+    d0, d1, d2 = _vertex_dots(xs, ys)
+    return (d0 > eps) & (d1 > eps) & (d2 > eps)
 
-    def diametral(i, j):
-        a, b = pts[i], pts[j]
-        c = tuple(0.5 * (a[t] + b[t]) for t in range(d))
-        r = math.sqrt(sum((a[t] - c[t]) ** 2 for t in range(d)))
-        return (*c, r, (i, j))
 
-    if m == 2:
-        return diametral(0, 1)
-    if m == 3:
-        dots = []
-        for v in range(3):
-            p, q = [t for t in range(3) if t != v]
-            dots.append(
-                sum((pts[p][t] - pts[v][t]) * (pts[q][t] - pts[v][t]) for t in range(d))
-            )
-        if all(x > 0.0 for x in dots):
-            sol = _circum3(pts[0], pts[1], pts[2], d)
-            if sol is not None:
-                c, r2 = sol
-                return (*c, math.sqrt(r2), (0, 1, 2))
-        # Some angle >= 90 degrees (or degenerate): the ball is the diametral
-        # disk of the pair opposite the widest vertex.
-        v = min(range(3), key=lambda t: dots[t])
-        i, j = [t for t in range(3) if t != v]
-        return diametral(i, j)
-    return _trivial_ball(pts, list(range(m)), d)
+def _diametral(ax, ay, bx, by) -> np.ndarray:
+    """(rows, 3) diametral disks (cx, cy, radius) of the pairs A, B."""
+    out = np.empty((len(ax), 3))
+    out[:, 0] = 0.5 * (ax + bx)
+    out[:, 1] = 0.5 * (ay + by)
+    out[:, 2] = np.sqrt(np.float_power(ax - out[:, 0], 2.0) + np.float_power(ay - out[:, 1], 2.0))
+    return out
 
 
 def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """:func:`_seb2_ball_tuple` over many rows of 2 or 3 planar points.
+    """Canonical enclosing balls of many rows of 2 or 3 planar points, the
+    one definition every engine reads.
 
     ``xs`` and ``ys`` are (rows, m) coordinates; returns (rows, 3) of
-    (cx, cy, radius), bit for bit what the scalar function gives per row.
-    Rows are sorted as ``sorted`` sorts coordinate tuples.  Pair radii
-    square with ``np.float_power``, which calls libm ``pow`` as CPython's
-    float ``**`` does; numpy's multiply and power do not match it on every
-    value.  Strictly acute triples with a well-conditioned circumcircle
-    take only + - * / and comparisons, which numpy rounds as CPython does;
-    the other triples go to the scalar function, which stays the one
-    definition."""
+    (cx, cy, radius).  Each row is sorted first, by x and then y, so a ball
+    has the same bits in any input order.  A pair's ball is its diametral
+    disk.  A strictly acute triple with a well-conditioned circumcircle
+    (solved relative to the first point, |det| above 1e-14 times the
+    square of the largest offset from it) gets the circumcircle; any other
+    triple, obtuse, right or near-singular, gets the diametral disk of the
+    pair opposite the vertex with the smallest dot product, the first one
+    on a tie.  The choice uses exact sign predicates, not tolerance slack.
+    Pair radii square with ``np.float_power``, which calls libm ``pow`` as
+    CPython's float ``**`` does; numpy's multiply and power do not match it
+    on every value."""
     order = np.lexsort((ys, xs))
     xs = np.take_along_axis(xs, order, axis=1)
     ys = np.take_along_axis(ys, order, axis=1)
-    out = np.empty((len(xs), 3))
     if xs.shape[1] == 2:
-        out[:, 0] = 0.5 * (xs[:, 0] + xs[:, 1])
-        out[:, 1] = 0.5 * (ys[:, 0] + ys[:, 1])
-        dx = xs[:, 0] - out[:, 0]
-        dy = ys[:, 0] - out[:, 1]
-        out[:, 2] = np.sqrt(np.float_power(dx, 2.0) + np.float_power(dy, 2.0))
-        return out
+        return _diametral(xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1])
+    out = np.empty((len(xs), 3))
     ax, bx, cx = xs.T
     ay, by, cy = ys.T
-    acute = _strictly_acute(xs, ys)
-    # _circum3's circumcircle relative to the first point, where it has one.
+    d0, d1, d2 = dots = _vertex_dots(xs, ys)
     ubx, uby, ucx, ucy = bx - ax, by - ay, cx - ax, cy - ay
     det = 2.0 * (ubx * ucy - uby * ucx)
     norm = np.maximum(np.abs(np.stack([ubx, uby, ucx, ucy])).max(axis=0), 1e-300)
-    circ = acute & (np.abs(det) > 1e-14 * norm * norm)
+    circ = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (np.abs(det) > 1e-14 * norm * norm)
     ubx, uby, ucx, ucy, det = ubx[circ], uby[circ], ucx[circ], ucy[circ], det[circ]
     b2 = ubx * ubx + uby * uby
     c2 = ucx * ucx + ucy * ucy
     ux = (ucy * b2 - uby * c2) / det
     uy = (ubx * c2 - ucx * b2) / det
     out[circ] = np.column_stack([ax[circ] + ux, ay[circ] + uy, np.sqrt(ux * ux + uy * uy)])
-    for i in np.flatnonzero(~circ).tolist():
-        out[i] = _seb2_ball_tuple(tuple(zip(xs[i].tolist(), ys[i].tolist())))[:3]
+    rest = np.flatnonzero(~circ)
+    if len(rest):
+        v = np.argmin(np.stack([d[rest] for d in dots]), axis=0)
+        # The pair opposite vertex v: (1, 2), (0, 2) or (0, 1).
+        i = (v == 0).astype(np.intp)
+        j = 2 - (v == 2)
+        out[rest] = _diametral(xs[rest, i], ys[rest, i], xs[rest, j], ys[rest, j])
     return out
 
 
-def _seb2_value(pts: np.ndarray, scale: float) -> float:
-    ball = welzl_ball(pts, scale)
-    if pts.shape[1] == 2 and 1 <= len(ball.support) <= 3:
-        # Recompute from the defining set in canonical order so the value
-        # is bitwise identical to the deterministic engine's basis value.
-        return _seb2_ball_tuple([tuple(pts[i]) for i in ball.support])[2]
-    return ball.radius
+def _seb2_values(sets: np.ndarray) -> np.ndarray:
+    """seb2 value of each set in a (rows, n, d) stack: the radius of its
+    Welzl ball in 3-D; in 2-D the canonical ball of the ball's support,
+    0.0 for one point, so that a value has the bits of the exact engine's
+    basis value.  Supports of each size are solved in one call."""
+    balls = [welzl_ball(p, s) for p, s in zip(sets, coordinate_scales(sets))]
+    if sets.shape[-1] == 3:
+        return np.array([b.radius for b in balls], dtype=np.float64)
+    values = np.zeros(len(balls))
+    sizes = np.array([len(b.support) for b in balls], dtype=np.intp)
+    for m in (2, 3):
+        rows = np.flatnonzero(sizes == m)
+        if len(rows):
+            members = sets[rows[:, None], np.array([balls[r].support for r in rows.tolist()])]
+            values[rows] = _seb2_balls(members[..., 0], members[..., 1])[:, 2]
+    return values
 
 
 def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
@@ -311,7 +303,8 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
     value has the same bits either way.
 
     seb2 solves one miniball per set, with the coordinate scales of the
-    whole stack taken at once.  dwid projects each set with its own
+    whole stack taken at once, then, in 2-D, the canonical balls of their
+    supports (:func:`_seb2_values`).  dwid projects each set with its own
     ``pts @ u``, since a matmul over the whole stack may round a row
     differently."""
     arr = np.asarray(pts, dtype=np.float64)
@@ -328,8 +321,7 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
         raise ValueError(f"{kind} is implemented for d=2 only")
     sets = arr.reshape((-1,) + arr.shape[-2:])
     if kind == "seb2":
-        scales = coordinate_scales(sets)
-        values = np.array([_seb2_value(p, s) for p, s in zip(sets, scales)], dtype=np.float64)
+        values = _seb2_values(sets)
     elif kind == "dwid":
         frame = np.array([_frame(measure, p) for p in sets]).reshape(sets.shape[:-1])
         values = _frame_values(kind, frame)

@@ -14,13 +14,13 @@ from uqgeom import (
     NotLPTypeError,
     ResourceCapError,
     ValidationError,
-    basis_support_probability,
     brute_force_distribution,
     canonical_jitter,
     deterministic_sip,
     distributions_match,
     enumerate_potential_bases,
     exact_distribution,
+    tolerance,
 )
 from uqgeom.geometry import coordinate_scale
 from uqgeom.montecarlo import SampleBudget, build_random_sip
@@ -72,15 +72,23 @@ def test_figure_basis_counts_eight_supports():
     assert abs(recs[0].value - 1.0) < 1e-6
 
 
+def _basis_key(basis):
+    return sorted((mm.point, mm.candidate) for mm in basis.members)
+
+
+def _record_probability(uset, m, basis):
+    """Probability of the exact engine's record of this basis, 0 when it
+    has none: only bases that some support realizes get a record."""
+    recs = [r for r in exact_distribution(uset, m).records if _basis_key(r.basis) == _basis_key(basis)]
+    assert len(recs) <= 1
+    return recs[0].probability if recs else 0
+
+
 def test_basis_support_probability_direct():
     uset = figure_count_instance()
     m = MeasureId("seb2")
-    basis = next(
-        b
-        for b in enumerate_potential_bases(uset, m)
-        if sorted((mm.point, mm.candidate) for mm in b.members) == [(0, 0), (1, 0)]
-    )
-    assert basis_support_probability(uset, m, basis) == Fraction(8, 4**5)
+    basis = next(b for b in enumerate_potential_bases(uset, m) if _basis_key(b) == [(0, 0), (1, 0)])
+    assert _record_probability(uset, m, basis) == Fraction(8, 4**5)
 
 
 def test_all_nonmembers_nonviolating_gives_member_product():
@@ -94,13 +102,9 @@ def test_all_nonmembers_nonviolating_gives_member_product():
         2,
     )
     m = MeasureId("seb2")
-    basis = next(
-        b
-        for b in enumerate_potential_bases(uset, m)
-        if sorted((mm.point, mm.candidate) for mm in b.members) == [(0, 0), (1, 0)]
-    )
+    basis = next(b for b in enumerate_potential_bases(uset, m) if _basis_key(b) == [(0, 0), (1, 0)])
     # both candidates of point 2 lie inside the radius-5 disk
-    assert basis_support_probability(uset, m, basis) == Fraction(1, 3) * Fraction(1, 2)
+    assert _record_probability(uset, m, basis) == Fraction(1, 3) * Fraction(1, 2)
 
 
 def test_zero_probability_when_no_interior_candidate():
@@ -118,7 +122,8 @@ def test_zero_probability_when_no_interior_candidate():
         for b in enumerate_potential_bases(uset, m)
         if sorted(mm.point for mm in b.members) == [0, 1]
     )
-    assert basis_support_probability(uset, m, basis) == 0
+    # A valid basis that no support realizes has no record.
+    assert _record_probability(uset, m, basis) == 0
 
 
 def test_enumerate_bases_n1():
@@ -187,6 +192,38 @@ def test_oracle_equivalence_degenerate_square():
         bf = brute_force_distribution(uset, m)
         assert ex.total_probability == 1
         assert distributions_match(ex, bf, group_tolerance(uset, m)), m.kind
+
+
+def _zero_extent_set(rng):
+    """n = 1-4 points of k = 1-3 candidates each, every candidate at one
+    integer point, with random integer weights."""
+    c = tuple(float(v) for v in rng.integers(-3, 4, size=2))
+    points = []
+    for _ in range(int(rng.integers(1, 5))):
+        w = rng.integers(1, 5, size=int(rng.integers(1, 4))).tolist()
+        points.append(IndecisivePoint([c] * len(w), tuple(Fraction(x, sum(w)) for x in w)))
+    return IndecisivePointSet(tuple(points), 2)
+
+
+def test_oracle_equivalence_zero_extent_sets():
+    # The tolerance of a zero-extent set is 0, so the engine and the oracle
+    # must give the jittered values the same bits: both project dwid with
+    # x * u0 + y * u1.  aabb-area still refuses most of these sets.
+    rng = np.random.default_rng(0)
+    refused = 0
+    for _ in range(50):
+        uset = _zero_extent_set(rng)
+        for m in MEASURES + [MeasureId.parse("dwid:0.6,0.8")]:
+            tol = tolerance(uset.all_locations(), m)
+            assert tol == 0.0
+            try:
+                ex = exact_distribution(uset, m)
+            except ConservationError:
+                assert m.kind == "aabb_area"
+                refused += 1
+                continue
+            assert distributions_match(ex, brute_force_distribution(uset, m), tol), str(m)
+    assert refused > 0
 
 
 def test_record_count_within_bound(rng):
@@ -310,30 +347,6 @@ def test_chunk_boundaries_leave_records_unchanged(monkeypatch, rows):
             v.hex() for v in default[m].collapsed.values.tolist()
         ]
         assert small.collapsed.weights == default[m].collapsed.weights
-
-
-def test_basis_support_probability_equals_record_probability(rng):
-    uset = random_indecisive(rng, 4, 2)
-    for m in MEASURES:
-        dist = exact_distribution(uset, m)
-        assert dist.records
-        for rec in dist.records:
-            assert basis_support_probability(uset, m, rec.basis) == rec.probability, m.kind
-
-
-def test_basis_support_probability_rejects_malformed_bases():
-    from uqgeom.measures import Basis, BasisMember
-
-    uset = figure_count_instance()
-    m = MeasureId("seb2")
-
-    def basis(*pairs):
-        return Basis(m, tuple(BasisMember(i, j, (0.0, 0.0)) for i, j in pairs), 1.0)
-
-    # Out-of-range candidate, repeated point, more members than beta = 3.
-    for bad in (basis((0, 0), (1, 4)), basis((0, 0), (0, 1)), basis((0, 0), (1, 1), (2, 2), (3, 3))):
-        with pytest.raises(ValidationError):
-            basis_support_probability(uset, m, bad)
 
 
 def test_deterministic_sip_weights_are_nonzero_records_in_order(rng):
@@ -550,7 +563,8 @@ def test_exact_csv_from_numerators_matches_fraction_writer(kind):
 
 def _loop_oracle(uset, m):
     """Reference: the oracle's former loop, one support at a time in
-    itertools.product order, for every measure but seb2.  Returns the
+    itertools.product order, for every measure but seb2; dwid projects
+    elementwise, as the exact engine does.  Returns the
     value -> numerator map, the common denominator and the group tolerance."""
     import itertools
 
@@ -566,8 +580,8 @@ def _loop_oracle(uset, m):
     total_denom = math.prod(denoms)
     group_tol = 1e-9 * value_scale(m, bbox_diameter(jset.all_locations()))
     if kind == "dwid":
-        u = np.asarray(m.direction)
-        projs = [arr @ u for arr in pts_arrays]
+        u0, u1 = m.direction
+        projs = [arr[:, 0] * u0 + arr[:, 1] * u1 for arr in pts_arrays]
     agg = {}
     buf = np.empty((n, 2))
     for choice in itertools.product(*[range(p.k) for p in jset.points]):

@@ -11,7 +11,8 @@ from uqgeom import (
     evaluate,
     tolerance,
 )
-from uqgeom.measures import _MAX_COORDINATE, _seb2_ball_tuple, _seb2_balls
+from uqgeom.geometry import _circum3, coordinate_scales, welzl_ball
+from uqgeom.measures import _MAX_COORDINATE, _seb2_balls
 
 
 def test_measure_id_parsing():
@@ -289,11 +290,48 @@ def test_monotonicity_property_all_measures(rng):
 # Array seb2 balls against the scalar solver
 
 
+def _seb2_ball_tuple(coords) -> tuple:
+    """Reference: the scalar canonical ball of 1 to 3 points given as
+    coordinate tuples, which the library used to define the canonical ball.
+    Members are sorted before solving; the pair-vs-circumcircle decision
+    for triples uses exact sign predicates (a triangle's enclosing ball is
+    its circumcircle iff no angle is obtuse).  Returns (cx, cy, radius)."""
+    pts = sorted(tuple(float(x) for x in p) for p in coords)
+    d = len(pts[0])
+    m = len(pts)
+    if m == 1:
+        return (*pts[0], 0.0)
+
+    def diametral(i, j):
+        a, b = pts[i], pts[j]
+        c = tuple(0.5 * (a[t] + b[t]) for t in range(d))
+        r = math.sqrt(sum((a[t] - c[t]) ** 2 for t in range(d)))
+        return (*c, r)
+
+    if m == 2:
+        return diametral(0, 1)
+    assert m == 3
+    dots = []
+    for v in range(3):
+        p, q = [t for t in range(3) if t != v]
+        dots.append(sum((pts[p][t] - pts[v][t]) * (pts[q][t] - pts[v][t]) for t in range(d)))
+    if all(x > 0.0 for x in dots):
+        sol = _circum3(pts[0], pts[1], pts[2], d)
+        if sol is not None:
+            c, r2 = sol
+            return (*c, math.sqrt(r2))
+    # Some angle >= 90 degrees (or degenerate): the ball is the diametral
+    # disk of the pair opposite the widest vertex.
+    v = min(range(3), key=lambda t: dots[t])
+    i, j = [t for t in range(3) if t != v]
+    return diametral(i, j)
+
+
 def _seb2_balls_per_row(xs, ys):
     """Reference: the scalar solver row by row, as the exact engine did
     before its balls were computed in arrays."""
     return np.array(
-        [_seb2_ball_tuple(tuple(zip(x, y)))[:3] for x, y in zip(xs.tolist(), ys.tolist())],
+        [_seb2_ball_tuple(tuple(zip(x, y))) for x, y in zip(xs.tolist(), ys.tolist())],
         dtype=np.float64,
     ).reshape(-1, 3)
 
@@ -472,3 +510,155 @@ def test_seb2_balls_scaled_lattice(noise, scale):
         pts += 1e8
     for m in (2, 3):
         _assert_balls_bitwise_equal(pts[:, :m, 0], pts[:, :m, 1])
+
+
+def _sorted_dots(x, y):
+    """A triple's points in sorted order and the dot product at each vertex."""
+    pts = sorted(zip(x, y))
+    dots = [
+        (pts[p][0] - pts[v][0]) * (pts[q][0] - pts[v][0]) + (pts[p][1] - pts[v][1]) * (pts[q][1] - pts[v][1])
+        for v, (p, q) in enumerate(((1, 2), (0, 2), (0, 1)))
+    ]
+    return pts, dots
+
+
+def _takes_fallback(xs, ys):
+    """Rows whose canonical ball is a pair's diametral disk: some vertex
+    dot product not positive, or a circumcircle the solver refuses."""
+    out = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        pts, dots = _sorted_dots(x, y)
+        out.append(min(dots) <= 0.0 or _circum3(*pts, 2) is None)
+    return np.array(out)
+
+
+def _all_orders(tri):
+    """Every vertex order of each (3, 2) triple in ``tri``."""
+    tri = np.asarray(tri, dtype=np.float64)
+    return np.concatenate([tri[:, list(p)] for p in itertools.permutations(range(3))])
+
+
+def _assert_fallback_rows_match(tri):
+    xs, ys = np.ascontiguousarray(tri[..., 0]), np.ascontiguousarray(tri[..., 1])
+    assert _takes_fallback(xs, ys).all()
+    _assert_balls_bitwise_equal(xs, ys)
+
+
+def test_seb2_balls_fallback_obtuse_and_right_triples():
+    rng = np.random.default_rng(15)
+    tri = rng.normal(size=(20_000, 3, 2))
+    xs, ys = tri[..., 0], tri[..., 1]
+    obtuse = _takes_fallback(xs, ys)
+    assert obtuse.sum() > 5000
+    _assert_fallback_rows_match(tri[obtuse])
+    # 3-4-5 triangles under the lattice symmetries, scaled and shifted by
+    # integers, in every vertex order.
+    base = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    sym = [base, base[:, ::-1], -base, -base[:, ::-1], base * [1.0, -1.0], base * [-1.0, 1.0]]
+    k = rng.integers(1, 50, size=(200, 1, 1))
+    shift = rng.integers(-100, 100, size=(200, 1, 2))
+    _assert_fallback_rows_match(_all_orders(np.concatenate([s * k + shift for s in sym])))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_seb2_balls_fallback_collinear_triples(offset):
+    rng = np.random.default_rng(16)
+    # Integer steps along integer directions, and random points on a line.
+    a = rng.integers(-20, 20, size=(2000, 1, 2))
+    step = rng.integers(-5, 6, size=(2000, 1, 2))
+    t = rng.integers(-4, 5, size=(2000, 3, 1))
+    lattice = (a + t * step).astype(np.float64)
+    p0, u = rng.normal(size=(2, 2000, 1, 2))
+    line = p0 + rng.normal(size=(2000, 3, 1)) * u
+    line = line[_takes_fallback(line[..., 0], line[..., 1])]
+    assert len(line) > 1000
+    _assert_fallback_rows_match(_all_orders(lattice) + offset)
+    _assert_fallback_rows_match(line + offset)
+
+
+def test_seb2_balls_fallback_coincident_points():
+    rng = np.random.default_rng(17)
+    p, q = rng.normal(size=(2, 500, 1, 2))
+    q[:100] = np.round(q[:100] * 4)
+    p[:100] = np.round(p[:100] * 4)
+    two = _all_orders(np.concatenate([p, p, q], axis=1))
+    three = np.concatenate([p, p, p], axis=1)
+    # Signed zeros: equal under sorting, different in their bits.
+    zeros = _all_orders([[(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], [(-0.0, -0.0), (0.0, 0.0), (1.0, -1.0)]])
+    for tri in (two, three, zeros, two + 1e6, three - 1e6):
+        _assert_fallback_rows_match(tri)
+
+
+def test_seb2_balls_fallback_at_the_determinant_threshold():
+    # Isosceles slivers: base w, apex 1 above the base's middle.  The
+    # triangle is strictly acute, and its circumcircle determinant 2w
+    # crosses the solver's 1e-14 * norm**2 cut within the sample.  The two
+    # base vertices have the same dot product w**2 / 2, the smallest, so
+    # the tie picks the first of them.
+    rng = np.random.default_rng(18)
+    w = 10.0 ** rng.uniform(-16, -12, size=4000)
+    zero, one = np.zeros_like(w), np.ones_like(w)
+    tri = np.stack([np.column_stack([zero, zero]), np.column_stack([w, zero]), np.column_stack([w / 2, one])], axis=1)
+    tri = np.concatenate([tri, tri * [1.0, -1.0], tri[..., ::-1]])
+    xs, ys = tri[..., 0], tri[..., 1]
+    assert all(min(_sorted_dots(x, y)[1]) > 0.0 for x, y in zip(xs.tolist(), ys.tolist()))
+    fallback = _takes_fallback(xs, ys)
+    assert 1000 < fallback.sum() < len(tri) - 1000
+    _assert_balls_bitwise_equal(xs, ys)
+    _assert_fallback_rows_match(_all_orders(tri[fallback]))
+    # Every fallback row has the tie, and taking the last of the tied
+    # vertices instead would move the centre.
+    got = _seb2_balls(xs[fallback], ys[fallback])
+    for x, y, ball in zip(xs[fallback].tolist(), ys[fallback].tolist(), got.tolist()):
+        pts, dots = _sorted_dots(x, y)
+        tied = [v for v in range(3) if dots[v] == min(dots)]
+        assert len(tied) == 2
+        i, j = [t for t in range(3) if t != tied[-1]]
+        assert (0.5 * (pts[i][0] + pts[j][0]), 0.5 * (pts[i][1] + pts[j][1])) != tuple(ball[:2])
+
+
+# --------------------------------------------------------------------------
+# Stacked seb2 evaluation against the former per-set path
+
+
+def _former_seb2_value(pts, scale):
+    """Reference: one Welzl ball, then, in 2-D, the scalar canonical ball of
+    its support, one set at a time."""
+    ball = welzl_ball(pts, scale)
+    if pts.shape[1] == 2 and 1 <= len(ball.support) <= 3:
+        return _seb2_ball_tuple([tuple(pts[i]) for i in ball.support])[2]
+    return ball.radius
+
+
+def _seb2_stacks(rng):
+    for n in (4, 20, 50):
+        yield rng.uniform(-1, 1, size=(60, n, 2))
+        yield rng.integers(-2, 3, size=(60, n, 2)).astype(np.float64)  # lattice duplicates
+        yield rng.integers(-2, 3, size=(60, n, 2)) + rng.normal(size=(60, n, 2)) * 1e-11
+        yield rng.normal(size=(60, n, 2)) * 1e-9 + 1e6
+    for n in (1, 3, 6):
+        yield np.repeat(rng.integers(-3, 4, size=(30, 1, 2)), n, axis=1).astype(np.float64)  # all coincident
+    p, q = rng.normal(size=(2, 40, 1, 2))
+    yield np.concatenate([p, p, q, p], axis=1)  # two distinct locations
+    t = rng.integers(-3, 4, size=(40, 5, 1))
+    yield (rng.integers(-3, 4, size=(40, 1, 2)) + t * rng.integers(-2, 3, size=(40, 1, 2))).astype(np.float64)
+
+
+def test_evaluate_seb2_matches_the_former_per_set_path():
+    rng = np.random.default_rng(19)
+    seb2 = MeasureId("seb2")
+    sizes = set()
+    for stack in _seb2_stacks(rng):
+        scales = coordinate_scales(stack)
+        sizes.update(len(welzl_ball(p, s).support) for p, s in zip(stack, scales))
+        want = [_former_seb2_value(p, s) for p, s in zip(stack, scales)]
+        assert _bits(evaluate(seb2, stack)) == _bits(want)
+        assert _bits([evaluate(seb2, p) for p in stack]) == _bits(want)
+        # A shuffled stack gives each set the same bits.
+        perm = rng.permutation(len(stack))
+        assert _bits(evaluate(seb2, stack[perm])) == _bits(np.array(want)[perm])
+    assert sizes == {1, 2, 3}
+    # 3-D sets keep the Welzl radius.
+    stack = rng.normal(size=(30, 9, 3))
+    want = [welzl_ball(p, s).radius for p, s in zip(stack, coordinate_scales(stack))]
+    assert _bits(evaluate(seb2, stack)) == _bits(want)
