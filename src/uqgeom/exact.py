@@ -17,11 +17,12 @@ to return a distribution that leaks or double-counts mass.
 
 Inputs are canonically jittered (see :func:`uqgeom.model.canonical_jitter`)
 unless already marked, which realizes the general-position assumption the
-counting argument needs.  The brute-force oracle enumerates all supports on
-the same jittered coordinates, so the two engines are comparable breakpoint
-by breakpoint.  It evaluates supports as arrays too: chunks of candidate
-indices in ``itertools.product`` order, valued by the formulas
-:func:`uqgeom.measures.evaluate` uses on the engine's frame coordinates.
+counting argument needs.  The brute-force oracle starts from the engine's
+own preparation of the set (the jitter, the integer weights, the frame
+coordinates and the group tolerance), so the two engines are comparable
+breakpoint by breakpoint.  It evaluates all supports as arrays too: chunks
+of candidate indices in ``itertools.product`` order, valued by the
+formulas :func:`uqgeom.measures.evaluate` uses on the frame coordinates.
 For seb2 it relies on the LP-type structure alone: the smallest enclosing
 disk of a support is the largest canonical ball of its candidate pairs and
 strictly acute triples, so the oracle never asks a miniball solver which
@@ -46,6 +47,7 @@ from .measures import (
     MeasureId,
     NotLPTypeError,
     _check_input,
+    _extent_value,
     _frame_values,
     _seb2_balls,
     _strictly_acute,
@@ -134,12 +136,6 @@ def _require_indecisive(uset) -> None:
         )
 
 
-def _integer_weights(uset: IndecisivePointSet) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per point, its weights scaled to their common denominator: returns
-    the integer weights of every point and the denominators."""
-    return [p._nums for p in uset.points], [p._denom for p in uset.points]
-
-
 def combo_count(ks, beta: int) -> int:
     """Potential bases of a set with candidate counts ``ks`` and basis sizes
     up to ``beta``: the sum over sizes 1..beta of the elementary symmetric
@@ -208,7 +204,7 @@ class _Prepared:
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
         _require_indecisive(uset)
         if uset.dimension != 2:
-            raise ValidationError("the deterministic engine supports d=2 only")
+            raise ValidationError("the deterministic engine and the brute-force oracle support d=2 only")
         _check_input(measure, uset.all_locations())
         uset = canonical_jitter(uset)
         self.measure = measure
@@ -227,11 +223,11 @@ class _Prepared:
         self.jset = uset
         self._members = None
         self.fx, self.fy = _frame_coords(measure, all_locs)
-        ints, denoms = _integer_weights(uset)
+        denoms = [p._denom for p in uset.points]
         # A point's masses sum to at most its denominator, so int64 holds
         # them unless a denominator is huge.
         dtype = np.int64 if max(denoms) < 2**62 else object
-        self.w = np.array([v for row in ints for v in row], dtype=dtype)
+        self.w = np.array([v for p in uset.points for v in p._nums], dtype=dtype)
         self.total_denom = math.prod(denoms)
         # The (point, candidate) grid cell of each global candidate.
         cell = (self.point_of, np.arange(len(self.w)) - self.offsets[self.point_of])
@@ -254,7 +250,8 @@ class _Prepared:
         return self._members
 
     def combo_count(self) -> int:
-        """Potential bases of this set (:func:`combo_count`)."""
+        """Potential bases of this set (:func:`combo_count`).  Kept only for
+        the benchmark's test, which checks its own count against it."""
         return combo_count(self.ks, self.beta)
 
 
@@ -407,7 +404,7 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     x_lo, x_lo_drops = _extrema(xs, np.minimum)
     if kind == "dwid":
         # At most two slots, and a single point has width 0.
-        values = x_hi - x_lo
+        values = _extent_value(kind, x_hi - x_lo, None)
         if idx.shape[1] == 2:
             keep = values > eps
         shapes = [x_lo, x_hi]
@@ -415,18 +412,11 @@ def _validate(prep: _Prepared, idx: np.ndarray):
         ys = prep.fy[idx.T]
         y_hi, y_hi_drops = _extrema(ys, np.maximum)
         y_lo, y_lo_drops = _extrema(ys, np.minimum)
+        values = _extent_value(kind, x_hi - x_lo, y_hi - y_lo)
         drops = zip(x_hi_drops, x_lo_drops, y_hi_drops, y_lo_drops)
         if kind in ("aabb_perimeter", "aabb_area"):
-            perim = kind == "aabb_perimeter"
-
-            def rect_value(x_hi, x_lo, y_hi, y_lo):
-                ex = x_hi - x_lo
-                ey = y_hi - y_lo
-                return 2.0 * (ex + ey) if perim else ex * ey
-
-            values = rect_value(x_hi, x_lo, y_hi, y_lo)
-            for drop in drops:
-                keep &= rect_value(*drop) < values - eps
+            for xh, xl, yh, yl in drops:
+                keep &= _extent_value(kind, xh - xl, yh - yl) < values - eps
             shapes = [x_lo, x_hi, y_lo, y_hi]
         else:
             # sebinf / seb1.  The plain radius violates the locality axiom
@@ -434,20 +424,15 @@ def _validate(prep: _Prepared, idx: np.ndarray):
             # lexicographically minimal optimum (r, cx, cy): minimality
             # compares the full triple, with cx = max_x - r and cy = max_y - r.
             geps = prep.geom_eps
-
-            def lex_opt(x_hi, x_lo, y_hi, y_lo):
-                r = np.maximum(x_hi - x_lo, y_hi - y_lo) / 2.0
-                return r, x_hi - r, y_hi - r
-
-            values, cx, cy = lex_opt(x_hi, x_lo, y_hi, y_lo)
+            cx, cy = x_hi - values, y_hi - values
             # Subsets give lexicographically smaller-or-equal optima; reject
             # the combo unless every drop strictly changes some component.
-            for drop in drops:
-                r2, cx2, cy2 = lex_opt(*drop)
+            for xh, xl, yh, yl in drops:
+                r2 = _extent_value(kind, xh - xl, yh - yl)
                 keep &= ~(
                     (np.abs(r2 - values) <= eps)
-                    & (np.abs(cx2 - cx) <= geps)
-                    & (np.abs(cy2 - cy) <= geps)
+                    & (np.abs(xh - r2 - cx) <= geps)
+                    & (np.abs(yh - r2 - cy) <= geps)
                 )
             # The canonical (lex-minimal) optimal square in frame
             # coordinates, anchored at the max corner.  A support has this
@@ -507,8 +492,10 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
     so a numerator is at most prep.total_denom), Python ints otherwise.
 
     When the bases hold every point, the masses are the members' weights
-    and no interior test is made."""
+    and no interior test is made: every weight is positive, so every row
+    is kept."""
     if idx.shape[1] == prep.n:
+        nonzero = np.ones(len(idx), dtype=bool)
         masses = prep.w[idx]
     else:
         # Masked weights, summed per point by adding the k_max columns.
@@ -517,8 +504,8 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
         for j in range(1, terms.shape[2]):
             masses = masses + terms[..., j]
         masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
-    nonzero = (masses > 0).all(axis=1)
-    masses = masses[nonzero]
+        nonzero = (masses > 0).all(axis=1)
+        masses = masses[nonzero]
     if prep.total_denom >= 2**63:
         masses = masses.astype(object)
     return nonzero, masses.prod(axis=1)
@@ -588,12 +575,7 @@ def _collapse(values: np.ndarray, nums: np.ndarray, total_denom: int, group_tol:
     return Quantization1D.from_numerators(values[first], np.add.reduceat(nums, first), total_denom)
 
 
-def exact_distribution(
-    uset: IndecisivePointSet,
-    measure: MeasureId,
-    *,
-    keep_records: bool | None = None,
-) -> ExactDistribution:
+def exact_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDistribution:
     """Exact distribution of the measure over all supports (Theorem-style
     basis counting; O((nk)^(beta+1)) time).
 
@@ -602,29 +584,25 @@ def exact_distribution(
 
     The collapse works on the engine's arrays: ``collapsed`` holds integer
     numerators over the product of the point denominators, and builds its
-    Fraction weights on first read.  ``keep_records`` keeps each chunk's
-    (candidate indices, values, numerators) arrays, from which ``records``
-    builds its :class:`BasisRecord` tuple on first read; without it
-    ``records`` is ``()``.  It defaults to True for small enumerations and
-    False beyond 200k potential bases.
+    Fraction weights on first read.  Only the values and numerators are
+    kept; ``records`` enumerates and counts the bases again on its first
+    read and builds one :class:`BasisRecord` per nonzero basis, in the
+    same order.
     """
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
-    if keep_records is None:
-        keep_records = prep.combo_count() <= 200_000
-    chunks = [(idx, values, nums) for idx, values, _, nums in _counted_bases(prep)]
+    chunks = [(values, nums) for _, values, _, nums in _counted_bases(prep)]
     collapsed = _collapse(
-        np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks]),
+        np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]),
         prep.total_denom, prep.group_tol,
     )
-    kept = chunks if keep_records else []
-    return ExactDistribution(functools.partial(_basis_records, prep, kept), collapsed, measure)
+    return ExactDistribution(functools.partial(_basis_records, prep), collapsed, measure)
 
 
-def _basis_records(prep: _Prepared, chunks) -> tuple[BasisRecord, ...]:
+def _basis_records(prep: _Prepared) -> tuple[BasisRecord, ...]:
     return tuple(
         BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.total_denom), value)
-        for idx, values, nums in chunks
+        for idx, values, _, nums in _counted_bases(prep)
         for row, value, num in zip(idx.tolist(), values.tolist(), nums.tolist())
     )
 
@@ -637,23 +615,24 @@ def brute_force_distribution(
 ) -> ExactDistribution:
     """Oracle distribution by full enumeration of all k^n supports.
 
-    Works for every measure including diameter.  Uses the same jittered
-    coordinates and value conventions as the deterministic engine so the two
-    outputs are directly comparable.
+    Works for every measure including diameter.  The set is prepared as
+    the deterministic engine prepares it (:class:`_Prepared`: the jitter,
+    the integer weights, the frame coordinates and the group tolerance),
+    so the two outputs are directly comparable.
 
     Supports are enumerated as arrays of global candidate indices, in
     ``itertools.product`` order and in chunks of bounded size, so memory
     stays flat up to the cap.  A support's probability numerator is the
-    product of its candidates' integer weights.  Values come from the
-    formulas :func:`uqgeom.measures.evaluate` uses, applied to the gathered
-    per-candidate frame coordinates of the exact engine
-    (:func:`_frame_coords`).  A seb2 value is the largest canonical
-    ball radius over the support's candidate pairs and strictly acute
-    triples: the smallest enclosing disk is the ball of a basis of at most
-    three points and, by monotonicity, no subset's ball is larger (the
-    LP-type structure of Matoušek, Sharir and Welzl, and Welzl 1991).  An
-    obtuse or right triple's ball is one of its pairs' balls.  ``records``
-    holds one atom per distinct value, sorted by value, with ``basis=None``.
+    product of its candidates' integer weights (:func:`_numerators` on
+    bases of every point).  Values come from the formulas
+    :func:`uqgeom.measures.evaluate` uses, applied to the gathered frame
+    coordinates.  A seb2 value is the largest canonical ball radius over
+    the support's candidate pairs and strictly acute triples: the smallest
+    enclosing disk is the ball of a basis of at most three points and, by
+    monotonicity, no subset's ball is larger (the LP-type structure of
+    Matoušek, Sharir and Welzl, and Welzl 1991).  An obtuse or right
+    triple's ball is one of its pairs' balls.  ``records`` holds one atom
+    per distinct value, sorted by value, with ``basis=None``.
     """
     _require_indecisive(uset)
     count = uset.support_count()
@@ -662,25 +641,12 @@ def brute_force_distribution(
             f"instance has {count} supports, exceeding the cap of {cap}; "
             f"rerun with a cap of at least {count}"
         )
-    if uset.dimension != 2:
-        raise ValidationError("the brute-force oracle supports d=2 only")
-    _check_input(measure, uset.all_locations())
-    jset = canonical_jitter(uset)
-    n = jset.n
-    ks = np.array([p.k for p in jset.points])
-    offsets = np.cumsum(ks) - ks
-    wints, denoms = _integer_weights(jset)
-    total_denom = math.prod(denoms)
-    # A numerator is at most total_denom, so int64 holds it unless that is huge.
-    w = np.array([v for row in wints for v in row], dtype=np.int64 if total_denom < 2**62 else object)
-    locs = jset.all_locations()
-    group_tol = 1e-9 * value_scale(measure, bbox_diameter(locs))
+    prep = _Prepared(uset, measure)
+    n = prep.n
     if measure.kind == "seb2":
-        width, values_of = _seb2_support_values(locs, ks, offsets)
+        width, values_of = _seb2_support_values(prep)
     else:
-        # The engine's frame coordinates, so a dwid projection has its bits.
-        fx, fy = _frame_coords(measure, locs)
-        frames = fx if measure.kind == "dwid" else np.column_stack([fx, fy])
+        frames = prep.fx if measure.kind == "dwid" else np.column_stack([prep.fx, prep.fy])
         width = n * n * 2 if measure.kind == "diameter" else n * 2
 
         def values_of(idx):
@@ -689,37 +655,37 @@ def brute_force_distribution(
     # Supports are chunked as bases of every point are, 4 cells a row for
     # each of the ``width`` cells a support takes.
     chunks = [
-        _merge_equal(values_of(idx), w[idx].prod(axis=1))
-        for idx in _candidate_rows(ks, offsets, n, _chunk_rows(4 * width))
+        _merge_equal(values_of(idx), _numerators(prep, idx, None)[1])
+        for idx in _candidate_rows(np.array(prep.ks), prep.offsets, n, _chunk_rows(4 * width))
     ]
     values, nums = _merge_equal(np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]))
-    if sum(nums.tolist()) != total_denom:
+    if sum(nums.tolist()) != prep.total_denom:
         raise ConservationError("support probabilities failed to sum to 1 (internal error)")
-    collapsed = _collapse(values, nums, total_denom, group_tol)
-    return ExactDistribution(functools.partial(_value_records, values, nums, total_denom), collapsed, measure)
+    collapsed = _collapse(values, nums, prep.total_denom, prep.group_tol)
+    return ExactDistribution(functools.partial(_value_records, values, nums, prep.total_denom), collapsed, measure)
 
 
 def _value_records(values: np.ndarray, nums: np.ndarray, total_denom: int) -> tuple[BasisRecord, ...]:
     return tuple(BasisRecord(None, Fraction(num, total_denom), v) for v, num in zip(values.tolist(), nums.tolist()))
 
 
-def _seb2_support_values(locs: np.ndarray, ks: np.ndarray, offsets: np.ndarray):
-    """The brute-force oracle's seb2 values: returns the cells a support
-    takes in a chunk and a function from a chunk of supports to their
-    values.
+def _seb2_support_values(prep: _Prepared):
+    """The brute-force oracle's seb2 values on the prepared set: returns
+    the cells a support takes in a chunk and a function from a chunk of
+    supports to their values.
 
     The canonical ball radius of every candidate pair and strictly acute
     candidate triple (one candidate from each of 2 or 3 distinct points) is
     computed once, in :func:`_candidate_rows` order; other triples get 0.
     A support's value is the largest radius over its pairs and triples,
     found at the mixed-radix position of its candidates in those tables."""
-    n = len(ks)
+    ks, offsets = np.array(prep.ks), prep.offsets
     tables = []
-    for s in range(2, min(n, 3) + 1):
+    for s in range(2, min(prep.n, 3) + 1):
         radii = []
         for idx in _candidate_rows(ks, offsets, s, _chunk_rows(4 * s)):
-            xs = locs[idx, 0]
-            ys = locs[idx, 1]
+            xs = prep.fx[idx]
+            ys = prep.fy[idx]
             if s == 2:
                 radii.append(_seb2_balls(xs, ys)[:, 2])
                 continue

@@ -177,12 +177,29 @@ def _frame(measure: MeasureId, pts: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _extent_value(kind: str, ex, ey):
+    """Value of a set from its extents in frame coordinates, the one
+    formula the randomized engine, the oracle and the exact engine's
+    validation share: dwid is its extent ``ex`` (``ey`` unused), sebinf and
+    seb1 half the larger extent, aabb-perimeter and aabb-area the box's
+    perimeter and area."""
+    if kind == "dwid":
+        return ex
+    if kind in ("sebinf", "seb1"):
+        return np.maximum(ex, ey) / 2.0
+    if kind == "aabb_perimeter":
+        return 2.0 * (ex + ey)
+    if kind == "aabb_area":
+        return ex * ey
+    raise AssertionError(kind)
+
+
 def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
     """Value of each point set in a stack of frame coordinates, reduced
     over the last two axes (the last one for dwid); every measure but
     seb2."""
     if kind == "dwid":
-        return f.max(axis=-1) - f.min(axis=-1)
+        return _extent_value(kind, f.max(axis=-1) - f.min(axis=-1), None)
     if kind == "diameter":
         diff = f[..., :, None, :] - f[..., None, :, :]
         sq = diff * diff
@@ -195,13 +212,7 @@ def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
         # sqrt rounds monotonically, so it commutes with the max.
         return np.sqrt(total.max(axis=(-2, -1)))
     ext = f.max(axis=-2) - f.min(axis=-2)
-    if kind in ("sebinf", "seb1"):
-        return ext.max(axis=-1) / 2.0
-    if kind == "aabb_perimeter":
-        return 2.0 * (ext[..., 0] + ext[..., 1])
-    if kind == "aabb_area":
-        return ext[..., 0] * ext[..., 1]
-    raise AssertionError(kind)
+    return _extent_value(kind, ext[..., 0], ext[..., 1])
 
 
 def _vertex_dots(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

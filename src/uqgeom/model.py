@@ -74,12 +74,12 @@ class IndecisivePoint:
     ``weights`` are exact rationals in (0, 1] summing to exactly 1; decimal
     inputs should be converted with an exact decimal expansion before
     construction (the JSON loader does this).  They are validated, and kept
-    in ``_nums``, as integers over their common denominator ``_denom``.
+    in ``_nums``, as integers over their common denominator ``_denom``; the
+    sampler's cumulative float weights live in the set's sampling plan.
     """
 
     locations: np.ndarray  # (k, d), read-only
     weights: tuple[Fraction, ...]
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
     _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _denom: int = field(init=False, repr=False, compare=False)
 
@@ -96,10 +96,6 @@ class IndecisivePoint:
             raise ValidationError("weights must lie in (0, 1]")
         if sum(nums) != denom:
             raise ValidationError(f"weights sum to {Fraction(sum(nums), denom)}, expected exactly 1")
-        # Python's int / int is correctly rounded: float() of each weight.
-        cum = np.cumsum([v / denom for v in nums])
-        cum[-1] = 1.0
-        object.__setattr__(self, "_cum", _freeze(cum))
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_denom", denom)
 
@@ -111,7 +107,6 @@ class IndecisivePoint:
         point = object.__new__(cls)
         object.__setattr__(point, "locations", locations)
         object.__setattr__(point, "weights", like.weights)
-        object.__setattr__(point, "_cum", like._cum)
         object.__setattr__(point, "_nums", like._nums)
         object.__setattr__(point, "_denom", like._denom)
         return point
@@ -168,7 +163,9 @@ class IndecisivePointSet:
         cum = np.full((self.n, self.k_max), np.inf)
         locations = np.zeros((self.n, self.k_max, self.dimension))
         for i, p in enumerate(self.points):
-            cum[i, : p.k] = p._cum
+            # Python's int / int is correctly rounded: float() of each weight.
+            cum[i, : p.k] = np.cumsum([v / p._denom for v in p._nums])
+            cum[i, p.k - 1] = 1.0
             locations[i, : p.k] = p.locations
         last = np.array([p.k - 1 for p in self.points])
         return cum, locations, last, np.arange(self.n)

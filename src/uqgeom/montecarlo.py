@@ -194,8 +194,9 @@ def _support_stacks(
 
 
 def _chunk_rows(uset: IndecisivePointSet | ContinuousUncertainSet, measures) -> int:
-    """Supports per chunk.  The largest per-support temporary is
-    diameter's n x n x d difference tensor, or else the n x d points."""
+    """Supports per chunk of ``measures``.  The largest per-support
+    temporary is diameter's n x n x d difference tensor, or else the n x d
+    points."""
     cells = uset.n * uset.dimension
     if any(m.kind == "diameter" for m in measures):
         cells *= uset.n
@@ -211,14 +212,15 @@ def sampled_values(
 ) -> np.ndarray:
     """(count, len(measures)) array of measure values over ``count`` sampled
     supports; support t is drawn from ``trial_rng(seed, *tag, t)``.  Each
-    measure is evaluated once per chunk of supports."""
+    measure is evaluated once per chunk of supports, chunked by its own
+    temporary; a set's value does not depend on the chunk."""
     values = np.empty((count, len(measures)))
-    rows = _chunk_rows(uset, measures)
+    rows = [_chunk_rows(uset, (measure,)) for measure in measures]
     done = 0
     for stack in _support_stacks(uset, seed, count, tag):
-        for start in range(0, len(stack), rows):
-            part = stack[start : start + rows]
-            for c, measure in enumerate(measures):
+        for c, measure in enumerate(measures):
+            for start in range(0, len(stack), rows[c]):
+                part = stack[start : start + rows[c]]
                 values[done + start : done + start + len(part), c] = evaluate(measure, part)
         done += len(stack)
     return values

@@ -49,7 +49,7 @@ def oracle_sweep():
         k = int(rng.integers(2, 4))
         uset = random_indecisive(rng, n, k)
         for m in MEASURES_C1:
-            ex = uq.exact_distribution(uset, m, keep_records=False)
+            ex = uq.exact_distribution(uset, m)
             bf = uq.brute_force_distribution(uset, m)
             count += 1
             if not uq.distributions_match(ex, bf, group_tolerance(uset, m)):
@@ -115,7 +115,7 @@ def test_criterion_04_randomized_bound():
     rng = np.random.default_rng(0xC4_0004)
     uset = uq.canonical_jitter(random_indecisive(rng, 4, 3))
     measure = MeasureId("seb2")
-    exact = uq.exact_distribution(uset, measure, keep_records=False).collapsed
+    exact = uq.exact_distribution(uset, measure).collapsed
     t0 = time.time()
     trials = 500
     good = sum(
@@ -250,7 +250,7 @@ def test_criterion_10_theorem5_pipeline():
     )
     m_aabb = MeasureId("aabb_perimeter")
     indec = uq.discretize_for_measure(cset3, m_aabb, 0.2)
-    dist = uq.exact_distribution(indec, m_aabb, keep_records=False)
+    dist = uq.exact_distribution(indec, m_aabb)
     ref = uq.build_quantization(cset3, m_aabb, SampleBudget(0.01, 0.01, explicit_m=100_000), seed=101)
     d_aabb = uq.max_deviation(dist.collapsed, ref)
 
@@ -264,7 +264,7 @@ def test_criterion_10_theorem5_pipeline():
     )
     m_seb = MeasureId("seb2")
     indec2 = uq.discretize_for_measure(cset2, m_seb, 0.3)
-    dist2 = uq.exact_distribution(indec2, m_seb, keep_records=False)
+    dist2 = uq.exact_distribution(indec2, m_seb)
     ref2 = uq.build_quantization(cset2, m_seb, SampleBudget(0.01, 0.01, explicit_m=100_000), seed=102)
     d_seb = uq.max_deviation(dist2.collapsed, ref2)
 

@@ -149,6 +149,6 @@ def test_pipeline_small_aabbp_vs_montecarlo():
     )
     m = MeasureId("aabb_perimeter")
     indec = discretize_for_measure(cset, m, 0.3, points_per_point=49)
-    dist = exact_distribution(indec, m, keep_records=False)
+    dist = exact_distribution(indec, m)
     ref = build_quantization(cset, m, SampleBudget(0.05, 0.05, explicit_m=30_000), seed=3)
     assert max_deviation(dist.collapsed, ref) <= 0.3 + 3 * math.sqrt(0.25 / 30_000)

@@ -304,13 +304,6 @@ def test_deterministic_sip_matches_montecarlo(rng):
     assert errs.max() <= 0.01
 
 
-def test_keep_records_auto_disable():
-    uset = random_indecisive(np.random.default_rng(8), 3, 3)
-    dist = exact_distribution(uset, MeasureId("seb2"), keep_records=False)
-    assert dist.records == ()
-    assert len(dist.collapsed) >= 1
-
-
 def _record_key(rec):
     members = tuple((m.point, m.candidate, m.location) for m in rec.basis.members)
     return members, rec.value.hex(), rec.probability
@@ -321,7 +314,9 @@ def test_chunk_boundaries_leave_records_unchanged(monkeypatch, rows):
     import uqgeom.exact as exact_mod
 
     uset = random_indecisive(np.random.default_rng(21), 4, 3)
-    default = {m: exact_distribution(uset, m, keep_records=True) for m in MEASURES}
+    default = {m: exact_distribution(uset, m) for m in MEASURES}
+    # Records are built on first read: read them before the chunks change.
+    default_keys = {m: [_record_key(r) for r in d.records] for m, d in default.items()}
     chunk_rows = []
     real_chunks = exact_mod._index_chunks
 
@@ -335,14 +330,12 @@ def test_chunk_boundaries_leave_records_unchanged(monkeypatch, rows):
     monkeypatch.setattr(exact_mod, "_index_chunks", recording_chunks)
     for m in MEASURES:
         chunk_rows.clear()
-        small = exact_distribution(uset, m, keep_records=True)
+        small = exact_distribution(uset, m)
         # Every basis size spans several chunks, and some chunk has one row.
         sizes = {s for _, s in chunk_rows}
         assert all(sum(1 for _, s2 in chunk_rows if s2 == s) > 1 for s in sizes)
         assert min(r for r, _ in chunk_rows) == 1
-        assert [_record_key(r) for r in small.records] == [
-            _record_key(r) for r in default[m].records
-        ], m.kind
+        assert [_record_key(r) for r in small.records] == default_keys[m], m.kind
         assert [v.hex() for v in small.collapsed.values.tolist()] == [
             v.hex() for v in default[m].collapsed.values.tolist()
         ]
@@ -353,7 +346,7 @@ def test_deterministic_sip_weights_are_nonzero_records_in_order(rng):
     uset = random_indecisive(rng, 4, 3)
     for m in (MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("aabb_area")):
         field = deterministic_sip(uset, m)
-        records = exact_distribution(uset, m, keep_records=True).records
+        records = exact_distribution(uset, m).records
         weights = [w for _, w in field.shapes]
         assert sum(weights, Fraction(0)) == 1
         assert weights == [r.probability for r in records]
@@ -411,14 +404,12 @@ def test_lazy_records_equal_eager_records(kind):
         uset = make(rng, n, k)
         for m in MEASURES:
             want = _eager_records(uset, m)
-            for keep in (True, None):
-                dist = exact_distribution(uset, m, keep_records=keep)
-                got = dist.records
-                assert [_record_key(r) for r in got] == [_record_key(r) for r in want], m.kind
-                assert all(r.basis.measure == m for r in got)
-                assert [r.basis.value.hex() for r in got] == [r.basis.value.hex() for r in want]
-                assert dist.records is got
-            assert exact_distribution(uset, m, keep_records=False).records == ()
+            dist = exact_distribution(uset, m)
+            got = dist.records
+            assert [_record_key(r) for r in got] == [_record_key(r) for r in want], m.kind
+            assert all(r.basis.measure == m for r in got)
+            assert [r.basis.value.hex() for r in got] == [r.basis.value.hex() for r in want]
+            assert dist.records is got
 
 
 def test_total_probability_without_records():
@@ -430,15 +421,33 @@ def test_total_probability_without_records():
         2,
     )
     for m in MEASURES:
-        for keep in (True, False, None):
-            dist = exact_distribution(uset, m, keep_records=keep)
-            assert dist.total_probability == 1
-            # Summing the collapsed weights leaves the records unbuilt.
-            assert "records" not in vars(dist)
-            assert sum((r.probability for r in dist.records), Fraction(0)) == (0 if keep is False else 1)
+        dist = exact_distribution(uset, m)
+        assert dist.total_probability == 1
+        # Summing the collapsed weights leaves the records unbuilt.
+        assert "records" not in vars(dist)
+        assert sum((r.probability for r in dist.records), Fraction(0)) == 1
         bf = brute_force_distribution(uset, m)
         assert bf.total_probability == 1
         assert sum((r.probability for r in bf.records), Fraction(0)) == 1
+
+
+def test_records_of_an_instance_past_200k_potential_bases():
+    # The engine used to drop the records of instances this large.
+    import uqgeom.exact as exact_mod
+
+    uset = random_indecisive(np.random.default_rng(5), 13, 4)
+    m = MeasureId("aabb_perimeter")
+    prep = exact_mod._Prepared(uset, m)
+    assert exact_mod.combo_count(prep.ks, prep.beta) > 200_000
+    dist = exact_distribution(uset, m)
+    assert dist.records
+    assert sum((r.probability for r in dist.records), Fraction(0)) == 1
+    agg = {}
+    for r in dist.records:
+        agg[r.value] = agg.get(r.value, 0) + r.probability.numerator * (
+            prep.total_denom // r.probability.denominator
+        )
+    _assert_same_quantization(dist.collapsed, _dict_collapse(agg, prep.total_denom, prep.group_tol))
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +543,7 @@ def test_exact_csv_from_numerators_matches_fraction_writer(kind):
     for m in MEASURES:
         prep = exact_mod._Prepared(uset, m)
         try:
-            dist = exact_distribution(uset, m, keep_records=True)
+            dist = exact_distribution(uset, m)
         except ConservationError:
             # The engine still refuses some degenerate lattice sets; the
             # oracle's CSV below is checked on them all the same.
@@ -995,10 +1004,10 @@ def test_exact_engine_memory_stays_flat_as_the_instance_grows():
     peaks = []
     for n in (7, 10):
         uset = random_indecisive(np.random.default_rng(47), n, 4)
-        exact_distribution(uset, m, keep_records=False)
+        exact_distribution(uset, m)
         tracemalloc.start()
         try:
-            exact_distribution(uset, m, keep_records=False)
+            exact_distribution(uset, m)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1225,7 +1234,7 @@ def test_lazy_basis_members_match_eager_list():
                     Basis(m, tuple(eager[g] for g in row), v) for row, v in zip(idx.tolist(), values.tolist())
                 ]
             assert prep._members is None
-            dist = exact_distribution(uset, m, keep_records=True)
+            dist = exact_distribution(uset, m)
             assert [r.basis for r in dist.records] == want_records
             assert list(enumerate_potential_bases(uset, m)) == want_bases
             assert prep.members() == eager and prep.members() is prep.members()

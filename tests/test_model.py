@@ -247,7 +247,8 @@ def test_jitter_matches_candidate_loop(kind):
         for got, want, p in zip(jit.points, _loop_jitter_locations(uset), uset.points):
             assert got.locations.tobytes() == want.tobytes()
             assert got.locations.shape == want.shape and not got.locations.flags.writeable
-            assert got.weights == p.weights and np.array_equal(got._cum, p._cum)
+            assert got.weights == p.weights and got._nums == p._nums
+        assert jit._sampling_plan[0].tobytes() == uset._sampling_plan[0].tobytes()
         assert canonical_jitter(jit) is jit
 
 
@@ -280,7 +281,9 @@ def _ref_sample_support(uset, rng):
     locs, prov = [], []
     if isinstance(uset, IndecisivePointSet):
         for p in uset.points:
-            j = min(int(np.searchsorted(p._cum, rng.random(), side="right")), p.k - 1)
+            cum = np.cumsum([float(w) for w in p.weights])
+            cum[-1] = 1.0
+            j = min(int(np.searchsorted(cum, rng.random(), side="right")), p.k - 1)
             prov.append(j)
             locs.append(p.locations[j])
         return np.array(locs), tuple(prov)
@@ -463,7 +466,7 @@ def test_integer_weight_validation_matches_fraction_checks(weights):
         assert tuple(Fraction(v, p._denom) for v in p._nums) == p.weights
         cum = np.cumsum([float(w) for w in weights])
         cum[-1] = 1.0
-        assert p._cum.tobytes() == cum.tobytes()
+        assert IndecisivePointSet((p,), 2)._sampling_plan[0][0].tobytes() == cum.tobytes()
 
 
 def test_fraction_weights_are_kept_and_jitter_copies_the_integer_row():
@@ -473,7 +476,8 @@ def test_fraction_weights_are_kept_and_jitter_copies_the_integer_row():
     assert p._nums == (1, 2, 3) and p._denom == 6
     jit = canonical_jitter(IndecisivePointSet((p,), 2))
     q = jit.points[0]
-    assert q.weights is p.weights and q._nums is p._nums and q._denom == 6 and q._cum is p._cum
+    assert q.weights is p.weights and q._nums is p._nums and q._denom == 6
+    assert jit._sampling_plan[0].tobytes() == IndecisivePointSet((p,), 2)._sampling_plan[0].tobytes()
 
 
 def test_jitter_runs_once_per_set(monkeypatch):

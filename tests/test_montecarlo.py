@@ -369,7 +369,8 @@ def _ref_support(uset, rng):
         cum = np.full((uset.n, uset.k_max), np.inf)
         locations = np.zeros((uset.n, uset.k_max, uset.dimension))
         for i, p in enumerate(uset.points):
-            cum[i, : p.k] = p._cum
+            cum[i, : p.k] = np.cumsum([float(w) for w in p.weights])
+            cum[i, p.k - 1] = 1.0
             locations[i, : p.k] = p.locations
         last = np.array([p.k - 1 for p in uset.points])
         j = np.minimum((cum <= rng.random(uset.n)[:, None]).sum(axis=1), last)
@@ -436,6 +437,28 @@ def test_sampled_values_equal_per_trial_loop(monkeypatch, rows):
                 one = sampled_values(uset, [measure], seed, count, tag)[:, 0]
                 assert one.tobytes() == want[:, c].tobytes(), measure.kind
     assert sampled_values(uset, measures, 1, 0).shape == (0, len(measures))
+
+
+def test_each_measure_is_chunked_by_its_own_temporary(monkeypatch):
+    # Diameter's n x n x d temporary must not shrink seb2's chunks.
+    uset = random_indecisive(np.random.default_rng(50), 50, 3)
+    n, d = uset.n, uset.dimension
+    measures = [MeasureId("seb2"), MeasureId("diameter")]
+    count = 200
+    want = np.column_stack([sampled_values(uset, [m], 4, count)[:, 0] for m in measures])
+    calls = []
+
+    def recording(measure, pts):
+        calls.append((measure.kind, len(pts)))
+        return evaluate(measure, pts)
+
+    monkeypatch.setattr(mc, "evaluate", recording)
+    got = sampled_values(uset, measures, 4, count)
+    assert got.tobytes() == want.tobytes()
+    rows = {"seb2": mc._CHUNK_CELLS // (n * d), "diameter": mc._CHUNK_CELLS // (n * n * d)}
+    for kind, want_rows in rows.items():
+        sizes = [r for k, r in calls if k == kind]
+        assert max(sizes) == want_rows and sum(sizes) == count, kind
 
 
 def test_direction_nets_built_once_and_read_only():
