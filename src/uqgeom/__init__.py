@@ -60,7 +60,6 @@ from .model import (
     load_point_set,
     sample_support,
     save_point_set,
-    support_probability,
 )
 from .montecarlo import (
     EdaKernel,
@@ -72,7 +71,6 @@ from .montecarlo import (
     build_random_sip,
     query_eda_kernel,
     trial_rng,
-    verify_alpha_kernel,
 )
 from .quantize import (
     EpsAlphaQuantization,
@@ -84,6 +82,6 @@ from .quantize import (
     quantization_to_csv,
     simplify,
 )
-from .sip import DiskShape, Raster, RectShape, SipField, rasterize_sip, read_pgm, write_pgm
+from .sip import DiskShape, Raster, RectShape, SipField, rasterize_sip, write_pgm
 
 __version__ = "0.1.0"

@@ -58,7 +58,7 @@ def _check_bases(uset, measure: MeasureId) -> None:
     set the engine cannot take is left to its own refusal)."""
     if isinstance(uset, IndecisivePointSet):
         beta = min(combinatorial_dimension(measure, 2), uset.n)
-        count = exact_mod.combo_count([p.k for p in uset.points], beta)
+        count = exact_mod.combo_count(uset.ks.tolist(), beta)
         if count > _BASIS_CAP:
             raise ResourceCapError(
                 f"the exact engine would enumerate {count} potential bases, exceeding the cap of {_BASIS_CAP}"

@@ -23,7 +23,6 @@ from .measures import MeasureId
 from .model import (
     ContinuousUncertainSet,
     GaussianPoint,
-    IndecisivePoint,
     IndecisivePointSet,
     PointMassPoint,
     ResourceCapError,
@@ -276,14 +275,11 @@ def discretize_for_measure(
         raise ResourceCapError(
             f"--points-per-point {size} exceeds the cap of {_POINTS_PER_POINT_CAP} candidates per point"
         )
-    points = []
+    rows = []
     for i, dist in enumerate(cset.points):
         sample = lattice_eps_sample(
             dist, family, max(eps_point, 1e-6), index=i, target_size=size
         )
-        if len(sample.points) == 1:
-            points.append(IndecisivePoint(sample.points, (Fraction(1),)))
-            continue
-        weights = _exact_weights(sample.weights)
-        points.append(IndecisivePoint(sample.points, weights))
-    return IndecisivePointSet(tuple(points), 2)
+        weights = (Fraction(1),) if len(sample.points) == 1 else _exact_weights(sample.weights)
+        rows.append((sample.points, weights))
+    return IndecisivePointSet._from_rows(rows, 2)

@@ -165,94 +165,53 @@ def _frame_coords(measure: MeasureId, locs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class _Prepared:
-    """Jittered input of the exact engine, flattened over all candidates.
+    """The exact engines' state of a set and a measure.
 
-    Candidates are numbered globally in point order: ``offsets[i]`` is the
-    global index of point i's first candidate, ``point_of[g]`` the point of
-    candidate g and ``members()[g]`` its basis member.  ``fx``/``fy``
-    hold the frame coordinates the validity test works in, ``w`` the
-    integer weights over each point's common denominator.  ``grid_x``,
-    ``grid_y`` and ``grid_w`` lay the same candidates out as (n, k_max)
-    arrays for the strict-interior test and the per-point sums: a point
-    with fewer candidates is padded with NaN coordinates, which are never
-    strictly inside a shape, and zero weight.
+    ``jset`` is the jittered set, whose arrays number the candidates
+    globally in point order and hold their integer weights; ``members()[g]``
+    is candidate g's basis member.  ``fx``/``fy`` hold the frame
+    coordinates the validity test works in, and ``grid_x``/``grid_y`` lay
+    them out as (n, k_max) arrays for the strict-interior test, like the
+    set's weight grid: a point with fewer candidates is padded with NaN
+    coordinates, which are never strictly inside a shape, and zero weight.
     """
 
     __slots__ = (
-        "measure",
-        "n",
-        "ks",
-        "offsets",
-        "point_of",
-        "jset",
-        "_members",
-        "fx",
-        "fy",
-        "w",
-        "grid_x",
-        "grid_y",
-        "grid_w",
-        "total_denom",
-        "scale",
-        "vscale",
-        "geom_eps",
-        "strict_eps",
-        "group_tol",
-        "beta",
+        "measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y",
+        "scale", "geom_eps", "strict_eps", "group_tol", "beta",
     )
 
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
         _require_indecisive(uset)
         if uset.dimension != 2:
             raise ValidationError("the deterministic engine and the brute-force oracle support d=2 only")
-        _check_input(measure, uset.all_locations())
-        uset = canonical_jitter(uset)
+        _check_input(measure, uset.locations)
         self.measure = measure
-        self.n = uset.n
-        self.ks = [p.k for p in uset.points]
-        all_locs = uset.all_locations()
-        self.scale = coordinate_scale(all_locs)
-        self.vscale = value_scale(measure, self.scale)
-        self.geom_eps = _STRICT_REL * self.scale
-        self.strict_eps = _STRICT_REL * self.vscale
-        diam = bbox_diameter(all_locs)
-        self.group_tol = 1e-9 * value_scale(measure, diam)
-        self.beta = min(combinatorial_dimension(measure, 2), self.n)
-        self.offsets = np.cumsum([0] + self.ks[:-1])
-        self.point_of = np.repeat(np.arange(self.n), self.ks)
-        self.jset = uset
+        self.jset = jset = canonical_jitter(uset)
         self._members = None
-        self.fx, self.fy = _frame_coords(measure, all_locs)
-        denoms = [p._denom for p in uset.points]
-        # A point's masses sum to at most its denominator, so int64 holds
-        # them unless a denominator is huge.
-        dtype = np.int64 if max(denoms) < 2**62 else object
-        self.w = np.array([v for p in uset.points for v in p._nums], dtype=dtype)
-        self.total_denom = math.prod(denoms)
-        # The (point, candidate) grid cell of each global candidate.
-        cell = (self.point_of, np.arange(len(self.w)) - self.offsets[self.point_of])
-        shape = (self.n, max(self.ks))
-        self.grid_x = np.full(shape, np.nan)
-        self.grid_y = np.full(shape, np.nan)
-        self.grid_w = np.zeros(shape, dtype=dtype)
-        self.grid_x[cell] = self.fx
-        self.grid_y[cell] = self.fy
-        self.grid_w[cell] = self.w
+        self.scale = coordinate_scale(jset.locations)
+        self.geom_eps = _STRICT_REL * self.scale
+        self.strict_eps = _STRICT_REL * value_scale(measure, self.scale)
+        self.group_tol = 1e-9 * value_scale(measure, bbox_diameter(jset.locations))
+        self.beta = min(combinatorial_dimension(measure, 2), jset.n)
+        self.fx, self.fy = _frame_coords(measure, jset.locations)
+        self.grid_x, self.grid_y = jset._grid(self.fx, np.nan), jset._grid(self.fy, np.nan)
 
     def members(self) -> list[BasisMember]:
         """The basis member of every global candidate, built on first use."""
         if self._members is None:
+            locs = self.jset.locations.tolist()
             self._members = [
-                BasisMember(i, j, tuple(loc))
-                for i, p in enumerate(self.jset.points)
-                for j, loc in enumerate(p.locations.tolist())
+                BasisMember(i, j, tuple(locs[a + j]))
+                for i, (a, k) in enumerate(zip(self.jset.offsets.tolist(), self.jset.ks.tolist()))
+                for j in range(k)
             ]
         return self._members
 
     def combo_count(self) -> int:
         """Potential bases of this set (:func:`combo_count`).  Kept only for
         the benchmark's test, which checks its own count against it."""
-        return combo_count(self.ks, self.beta)
+        return combo_count(self.jset.ks.tolist(), self.beta)
 
 
 # --------------------------------------------------------------------------
@@ -362,10 +321,10 @@ def _index_chunks(prep: _Prepared):
     sizes ascending, then point combos and candidate products in
     lexicographic order, cut into chunks of a number of rows fixed per
     basis size (see _CHUNK_CELLS)."""
-    ks = np.array(prep.ks)
+    jset = prep.jset
     for s in range(1, prep.beta + 1):
-        rows = _chunk_rows(4 * s if s == prep.n else prep.grid_w.size)
-        yield from _candidate_rows(ks, prep.offsets, s, rows)
+        rows = _chunk_rows(4 * s if s == jset.n else prep.grid_x.size)
+        yield from _candidate_rows(jset.ks, jset.offsets, s, rows)
 
 
 def _extrema(cols, op):
@@ -484,29 +443,31 @@ def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
 
 
 def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
-    """Integer probability numerators (over prep.total_denom) of validated
-    bases: members contribute their own weight, every other point the summed
-    weight of its candidates strictly inside the basis's shape.  Returns the
-    mask of the rows with nonzero probability and their numerators, int64
-    while prep.total_denom fits (a point's mass is at most its denominator,
-    so a numerator is at most prep.total_denom), Python ints otherwise.
+    """Integer probability numerators (over the set's denominator) of
+    validated bases: members contribute their own weight, every other point
+    the summed weight of its candidates strictly inside the basis's shape.
+    Returns the mask of the rows with nonzero probability and their
+    numerators, int64 while the denominator fits (a point's mass is at most
+    its denominator, so a numerator is at most their product), Python ints
+    otherwise.
 
     When the bases hold every point, the masses are the members' weights
     and no interior test is made: every weight is positive, so every row
     is kept."""
-    if idx.shape[1] == prep.n:
+    jset = prep.jset
+    if idx.shape[1] == jset.n:
         nonzero = np.ones(len(idx), dtype=bool)
-        masses = prep.w[idx]
+        masses = jset.nums[idx]
     else:
         # Masked weights, summed per point by adding the k_max columns.
-        terms = _strict_inside(prep, shapes) * prep.grid_w
+        terms = _strict_inside(prep, shapes) * jset._weight_grid
         masses = terms[..., 0]
         for j in range(1, terms.shape[2]):
             masses = masses + terms[..., j]
-        masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
+        masses[np.arange(len(idx))[:, None], jset.point_of[idx]] = jset.nums[idx]
         nonzero = (masses > 0).all(axis=1)
         masses = masses[nonzero]
-    if prep.total_denom >= 2**63:
+    if jset.denominator >= 2**63:
         masses = masses.astype(object)
     return nonzero, masses.prod(axis=1)
 
@@ -514,20 +475,21 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
 def _counted_bases(prep: _Prepared):
     """Yield, chunk by chunk in the order of :func:`_index_chunks`, the
     bases with nonzero probability as arrays: (global candidate indices,
-    values, shapes, numerators over prep.total_denom).
+    values, shapes, numerators over the set's denominator).
 
     Raises ConservationError once exhausted unless the numerators sum to
-    exactly prep.total_denom.
+    exactly the denominator.
     """
+    denom = prep.jset.denominator
     total = 0
     for idx in _index_chunks(prep):
         idx, values, shapes = _validate(prep, idx)
         nonzero, nums = _numerators(prep, idx, shapes)
         total += sum(nums.tolist())
         yield idx[nonzero], values[nonzero], shapes[nonzero], nums
-    if total != prep.total_denom:
+    if total != denom:
         raise ConservationError(
-            f"basis probabilities sum to {Fraction(total, prep.total_denom)} != 1; "
+            f"basis probabilities sum to {Fraction(total, denom)} != 1; "
             "the instance is degenerate beyond what canonical jitter resolves"
         )
 
@@ -594,14 +556,14 @@ def exact_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDis
     chunks = [(values, nums) for _, values, _, nums in _counted_bases(prep)]
     collapsed = _collapse(
         np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]),
-        prep.total_denom, prep.group_tol,
+        prep.jset.denominator, prep.group_tol,
     )
     return ExactDistribution(functools.partial(_basis_records, prep), collapsed, measure)
 
 
 def _basis_records(prep: _Prepared) -> tuple[BasisRecord, ...]:
     return tuple(
-        BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.total_denom), value)
+        BasisRecord(_basis_object(prep, row, value), Fraction(num, prep.jset.denominator), value)
         for idx, values, _, nums in _counted_bases(prep)
         for row, value, num in zip(idx.tolist(), values.tolist(), nums.tolist())
     )
@@ -642,7 +604,8 @@ def brute_force_distribution(
             f"rerun with a cap of at least {count}"
         )
     prep = _Prepared(uset, measure)
-    n = prep.n
+    jset = prep.jset
+    n = jset.n
     if measure.kind == "seb2":
         width, values_of = _seb2_support_values(prep)
     else:
@@ -656,13 +619,13 @@ def brute_force_distribution(
     # each of the ``width`` cells a support takes.
     chunks = [
         _merge_equal(values_of(idx), _numerators(prep, idx, None)[1])
-        for idx in _candidate_rows(np.array(prep.ks), prep.offsets, n, _chunk_rows(4 * width))
+        for idx in _candidate_rows(jset.ks, jset.offsets, n, _chunk_rows(4 * width))
     ]
     values, nums = _merge_equal(np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]))
-    if sum(nums.tolist()) != prep.total_denom:
+    if sum(nums.tolist()) != jset.denominator:
         raise ConservationError("support probabilities failed to sum to 1 (internal error)")
-    collapsed = _collapse(values, nums, prep.total_denom, prep.group_tol)
-    return ExactDistribution(functools.partial(_value_records, values, nums, prep.total_denom), collapsed, measure)
+    collapsed = _collapse(values, nums, jset.denominator, prep.group_tol)
+    return ExactDistribution(functools.partial(_value_records, values, nums, jset.denominator), collapsed, measure)
 
 
 def _value_records(values: np.ndarray, nums: np.ndarray, total_denom: int) -> tuple[BasisRecord, ...]:
@@ -679,9 +642,9 @@ def _seb2_support_values(prep: _Prepared):
     computed once, in :func:`_candidate_rows` order; other triples get 0.
     A support's value is the largest radius over its pairs and triples,
     found at the mixed-radix position of its candidates in those tables."""
-    ks, offsets = np.array(prep.ks), prep.offsets
+    ks, offsets = prep.jset.ks, prep.jset.offsets
     tables = []
-    for s in range(2, min(prep.n, 3) + 1):
+    for s in range(2, min(prep.jset.n, 3) + 1):
         radii = []
         for idx in _candidate_rows(ks, offsets, s, _chunk_rows(4 * s)):
             xs = prep.fx[idx]
@@ -738,8 +701,9 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
         kind, params = DISK, np.column_stack([shapes, np.zeros(len(shapes))])
     else:
         kind, params = RECT, shapes[:, [0, 2, 1, 3]]
-    weights = np.array([num / prep.total_denom for num in nums.tolist()])
-    return SipField.from_arrays(np.full(len(nums), kind, dtype=np.int8), params, weights, nums, prep.total_denom)
+    denom = prep.jset.denominator
+    weights = np.array([num / denom for num in nums.tolist()])
+    return SipField.from_arrays(np.full(len(nums), kind, dtype=np.int8), params, weights, nums, denom)
 
 
 def distributions_match(

@@ -21,7 +21,6 @@ __all__ = [
     "unit_vector",
     "Ball",
     "welzl_ball",
-    "lens_area",
     "disk_rect_area",
 ]
 
@@ -116,28 +115,6 @@ def _fixed_permutation(n: int) -> list[int]:
         cached = [int(i) for i in rng.permutation(n)]
         _PERMUTATION_CACHE[n] = cached
     return cached
-
-
-def _trivial_ball(coords, boundary, d):
-    """Smallest ball of 1 to d+1 boundary points (indices into ``coords``)
-    as (center..., radius, support), from the boundary ball of that
-    dimension and size."""
-    pts = [coords[b] for b in boundary]
-    s = tuple(boundary)
-    if len(s) == 1:
-        return (*pts[0], 0.0, s)
-    if len(s) == 2:
-        a, b = pts
-        if d == 2:
-            cx, cy = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
-            return (cx, cy, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2), s)
-        cx, cy, cz = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2])
-        return (cx, cy, cz, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2 + (a[2] - cz) ** 2), s)
-    if d == 2:
-        return _ball2_3(*pts, s)
-    if len(s) == 3:
-        return _ball3_3(*pts, s)
-    return _ball3_4(*pts, s)
 
 
 # Boundary balls of 3 and 4 points, one straight-line function per
@@ -529,24 +506,6 @@ def _scan3(coords, order, count, boundary, ball, slack, dup2):
             del order[i]
             order.insert(0, p)
     return ball
-
-
-def lens_area(c1, r1, c2, r2) -> float:
-    """Area of the intersection of two disks (closed form)."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    d = float(np.linalg.norm(c1 - c2))
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        r = min(r1, r2)
-        return math.pi * r * r
-    alpha = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    beta = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    tri = 0.5 * math.sqrt(
-        max(0.0, (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
-    )
-    return r1 * r1 * alpha + r2 * r2 * beta - tri
 
 
 def _disk_corner_area(x: float, y: float, r: float) -> float:

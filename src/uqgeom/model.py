@@ -40,7 +40,6 @@ __all__ = [
     "Support",
     "sample_support",
     "draw_supports",
-    "support_probability",
     "canonical_jitter",
     "load_point_set",
     "save_point_set",
@@ -67,49 +66,49 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # Indecisive model
 
 
+def _integer_weights(weights: tuple[Fraction, ...], k: int) -> tuple[list[int], int]:
+    """One point's weights for its k candidates as integer numerators over
+    their common denominator, checked to lie in (0, 1] and sum to 1."""
+    if len(weights) != k:
+        raise ValidationError(f"{k} locations but {len(weights)} weights")
+    denom = math.lcm(*(x.denominator for x in weights))
+    nums = [x.numerator * (denom // x.denominator) for x in weights]
+    if any(not (0 < v <= denom) for v in nums):
+        raise ValidationError("weights must lie in (0, 1]")
+    if sum(nums) != denom:
+        raise ValidationError(f"weights sum to {Fraction(sum(nums), denom)}, expected exactly 1")
+    return nums, denom
+
+
+def _check_dimensions(dimension, dims: list[int]) -> None:
+    """A set's dimension is the int 2 or 3, and its points' ``dims`` match it."""
+    if not isinstance(dimension, int) or dimension not in (2, 3):
+        raise ValidationError("dimension must be 2 or 3")
+    if not dims:
+        raise ValidationError("need at least one point")
+    for i, d in enumerate(dims):
+        if d != dimension:
+            raise ValidationError(f"points[{i}]: has dimension {d}, set has {dimension}")
+
+
 @dataclass(frozen=True, eq=False)
 class IndecisivePoint:
     """One uncertain point restricted to finitely many weighted locations.
 
     ``weights`` are exact rationals in (0, 1] summing to exactly 1; decimal
     inputs should be converted with an exact decimal expansion before
-    construction (the JSON loader does this).  They are validated, and kept
-    in ``_nums``, as integers over their common denominator ``_denom``; the
-    sampler's cumulative float weights live in the set's sampling plan.
+    construction (the JSON loader does this).
     """
 
     locations: np.ndarray  # (k, d), read-only
     weights: tuple[Fraction, ...]
-    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _denom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         locs = as_points(self.locations)
         object.__setattr__(self, "locations", _freeze(locs))
         w = tuple(x if type(x) is Fraction else Fraction(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        if len(w) != len(locs):
-            raise ValidationError(f"{len(locs)} locations but {len(w)} weights")
-        denom = math.lcm(*(x.denominator for x in w))
-        nums = tuple(x.numerator * (denom // x.denominator) for x in w)
-        if any(not (0 < v <= denom) for v in nums):
-            raise ValidationError("weights must lie in (0, 1]")
-        if sum(nums) != denom:
-            raise ValidationError(f"weights sum to {Fraction(sum(nums), denom)}, expected exactly 1")
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_denom", denom)
-
-    @classmethod
-    def _fresh(cls, locations: np.ndarray, like: "IndecisivePoint") -> "IndecisivePoint":
-        """A point at new (k, d) read-only float64 finite locations that
-        nothing else writes, with the already validated weights of ``like``:
-        skips the public constructor's validation and copies."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "locations", locations)
-        object.__setattr__(point, "weights", like.weights)
-        object.__setattr__(point, "_nums", like._nums)
-        object.__setattr__(point, "_denom", like._denom)
-        return point
+        _integer_weights(w, len(locs))
 
     @property
     def k(self) -> int:
@@ -120,58 +119,117 @@ class IndecisivePoint:
         return self.locations.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
 class IndecisivePointSet:
-    points: tuple[IndecisivePoint, ...]
-    dimension: int
-    # True once canonical_jitter has been applied; the deterministic engine
-    # skips re-jittering sets that carry this mark.
-    jitter_applied: bool = False
+    """n indecisive points, held as read-only arrays over all N candidates
+    in point order: ``locations`` (N, d); ``ks`` (n,), the candidates per
+    point, and ``offsets`` (n,), the index of each point's first one;
+    ``nums`` (N,), each weight's integer numerator over its point's common
+    denominator in ``denoms`` (n,), both int64 while every denominator is
+    below 2**62 and Python ints otherwise.  ``jitter_applied`` marks a set
+    that canonical_jitter made, which the exact engines do not jitter
+    again.  ``points`` views the set as IndecisivePoint objects, built on
+    first read; the library reads the arrays.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
-            raise ValidationError("need at least one point")
-        for i, p in enumerate(self.points):
-            if p.dimension != self.dimension:
-                raise ValidationError(
-                    f"points[{i}] has dimension {p.dimension}, set has {self.dimension}"
-                )
+    def __init__(self, points, dimension: int, jitter_applied: bool = False):
+        self._fill(((p.locations, p.weights) for p in points), dimension, jitter_applied)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _from_rows(cls, rows, dimension: int, jitter_applied: bool = False) -> IndecisivePointSet:
+        """The set of ``rows``, a (locations, Fraction weights) pair per
+        point, each checked as IndecisivePoint checks it (errors prefixed
+        ``points[i]:``)."""
+        uset = object.__new__(cls)
+        uset._fill(rows, dimension, jitter_applied)
+        return uset
+
+    def _fill(self, rows, dimension, jitter_applied) -> None:
+        blocks, nums, denoms = [], [], []
+        for i, (locations, weights) in enumerate(rows):
+            try:
+                blocks.append(as_points(locations))
+                row, denom = _integer_weights(weights, len(blocks[-1]))
+            except (ValidationError, ValueError, TypeError, OverflowError) as exc:
+                raise ValidationError(f"points[{i}]: {exc}") from None
+            nums += row
+            denoms.append(denom)
+        if not isinstance(jitter_applied, bool):
+            raise ValidationError("jitter_applied must be true or false")
+        _check_dimensions(dimension, [b.shape[1] for b in blocks])
+        ks = np.array([len(b) for b in blocks])
+        # int64 holds the sum of a point's masses unless a denominator is huge.
+        dtype = np.int64 if max(denoms) < 2**62 else object
+        nums, denoms = np.array(nums, dtype=dtype), np.array(denoms, dtype=dtype)
+        self._adopt(dimension, jitter_applied, np.concatenate(blocks), ks, np.cumsum(ks) - ks, nums, denoms)
+
+    def _adopt(self, dimension, jitter_applied, locations, ks, offsets, nums, denoms) -> None:
+        for a in (locations, ks, offsets, nums, denoms):
+            a.flags.writeable = False
+        self.__dict__.update(dimension=dimension, jitter_applied=jitter_applied, locations=locations)
+        self.__dict__.update(ks=ks, offsets=offsets, nums=nums, denoms=denoms)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.ks)
 
     @property
     def k_max(self) -> int:
-        return max(p.k for p in self.points)
+        return int(self.ks.max())
 
     def support_count(self) -> int:
-        out = 1
-        for p in self.points:
-            out *= p.k
-        return out
+        return math.prod(self.ks.tolist())
 
     def all_locations(self) -> np.ndarray:
-        return np.concatenate([p.locations for p in self.points], axis=0)
+        return self.locations
+
+    @functools.cached_property
+    def point_of(self) -> np.ndarray:
+        """(N,) the point of each candidate."""
+        return np.repeat(np.arange(self.n), self.ks)
+
+    @functools.cached_property
+    def denominator(self) -> int:
+        """The product of the point denominators: each support's
+        probability is an integer numerator over it."""
+        return math.prod(self.denoms.tolist())
+
+    def _grid(self, flat: np.ndarray, pad) -> np.ndarray:
+        """``flat``, an entry or row per candidate, as (n, k_max, ...): row
+        i holds point i's candidates, padded with ``pad``."""
+        out = np.full((self.n, self.k_max, *flat.shape[1:]), pad, dtype=flat.dtype)
+        out[self.point_of, np.arange(len(flat)) - self.offsets[self.point_of]] = flat
+        return out
+
+    @functools.cached_property
+    def _weight_grid(self) -> np.ndarray:
+        return self._grid(self.nums, 0)
 
     @functools.cached_property
     def _sampling_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Tables for drawing a whole support at once: the cumulative
         weights padded with inf (n, k_max), the candidate locations
         (n, k_max, d), each point's k - 1, and the row indices."""
-        cum = np.full((self.n, self.k_max), np.inf)
-        locations = np.zeros((self.n, self.k_max, self.dimension))
-        for i, p in enumerate(self.points):
-            # Python's int / int is correctly rounded: float() of each weight.
-            cum[i, : p.k] = np.cumsum([v / p._denom for v in p._nums])
-            cum[i, p.k - 1] = 1.0
-            locations[i, : p.k] = p.locations
-        last = np.array([p.k - 1 for p in self.points])
-        return cum, locations, last, np.arange(self.n)
+        # Python's int / int is correctly rounded: float() of each weight.
+        weights = [v / d for v, d in zip(self.nums.tolist(), self.denoms[self.point_of].tolist())]
+        # accumulate adds each row left to right, as a cumsum per point does.
+        cum = np.cumsum(self._grid(np.array(weights), np.inf), axis=1)
+        last, rows = self.ks - 1, np.arange(self.n)
+        cum[rows, last] = 1.0
+        return cum, self._grid(self.locations, 0.0), last, rows
 
     @functools.cached_property
-    def _jittered(self) -> "IndecisivePointSet":
+    def points(self) -> tuple[IndecisivePoint, ...]:
+        nums = self.nums.tolist()
+        return tuple(
+            IndecisivePoint(self.locations[a : a + k], tuple(Fraction(v, d) for v in nums[a : a + k]))
+            for a, k, d in zip(self.offsets.tolist(), self.ks.tolist(), self.denoms.tolist())
+        )
+
+    @functools.cached_property
+    def _jittered(self) -> IndecisivePointSet:
         """The set :func:`canonical_jitter` returns, computed once."""
         return _jitter(self)
 
@@ -272,13 +330,7 @@ class ContinuousUncertainSet:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
-            raise ValidationError("need at least one point")
-        for i, p in enumerate(self.points):
-            if p.dimension != self.dimension:
-                raise ValidationError(
-                    f"points[{i}] has dimension {p.dimension}, set has {self.dimension}"
-                )
+        _check_dimensions(self.dimension, [p.dimension for p in self.points])
 
     @property
     def n(self) -> int:
@@ -338,23 +390,12 @@ class Support:
     def n(self) -> int:
         return len(self.locations)
 
-    @classmethod
-    def _fresh(cls, locations: np.ndarray, provenance: tuple[int, ...] | None) -> "Support":
-        """A support around a new (n, d) float64 array of finite locations
-        that nothing else references, and provenance already of ints:
-        skips the public constructor's validation and copy."""
-        locations.setflags(write=False)
-        support = object.__new__(cls)
-        object.__setattr__(support, "locations", locations)
-        object.__setattr__(support, "provenance", provenance)
-        return support
-
 
 def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.random.Generator) -> Support:
     """Draw one support, each location independently from its point's
     distribution: the one-row case of :func:`draw_supports`."""
     locations, choices = draw_supports(uset, [rng])
-    return Support._fresh(locations[0], None if choices is None else tuple(choices[0].tolist()))
+    return Support(locations[0], None if choices is None else choices[0].tolist())
 
 
 def draw_supports(
@@ -395,18 +436,6 @@ def draw_supports(
     return locs, None
 
 
-def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:
-    """Exact probability of a support: the product of chosen candidate weights."""
-    if support.provenance is None:
-        raise ValidationError("provenance required")
-    if len(support.provenance) != uset.n:
-        raise ValidationError("support does not match the point set")
-    prob = Fraction(1)
-    for p, j in zip(uset.points, support.provenance):
-        prob *= p.weights[j]
-    return prob
-
-
 # --------------------------------------------------------------------------
 # Canonical jitter
 
@@ -431,7 +460,7 @@ def canonical_jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
 
 
 def _jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
-    locs = uset.all_locations()
+    locs = uset.locations
     step = _JITTER_UNIT * coordinate_scale(locs)
     if uset.dimension == 2:
         direction = np.array(_JITTER_DIR)
@@ -446,18 +475,19 @@ def _jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
     # raw input was adversarially aligned with the jitter direction.
     if len(set(map(tuple, flat.tolist()))) != len(flat):
         raise ValidationError("jitter failed to separate coincident candidates")
-    flat.setflags(write=False)
-    bounds = np.cumsum([p.k for p in uset.points])[:-1]
-    new_points = tuple(IndecisivePoint._fresh(a, p) for a, p in zip(np.split(flat, bounds), uset.points))
-    return IndecisivePointSet(new_points, uset.dimension, jitter_applied=True)
+    # The jittered twin shares the set's index and weight arrays.
+    twin = object.__new__(IndecisivePointSet)
+    twin._adopt(uset.dimension, True, flat, uset.ks, uset.offsets, uset.nums, uset.denoms)
+    return twin
 
 
 # --------------------------------------------------------------------------
 # JSON interchange
 
 
-def _weight_to_json(w: Fraction) -> str:
-    return f"{w.numerator}/{w.denominator}"
+def _weight_to_json(num: int, denom: int) -> str:
+    g = math.gcd(num, denom)
+    return f"{num // g}/{denom // g}"
 
 
 def _parse_weight(text, where: str) -> Fraction:
@@ -507,27 +537,19 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             raise ValidationError(f"points[{i}]: must be an object")
 
     if model == "indecisive":
-        points = []
-        for i, rp in enumerate(raw_points):
-            where = f"points[{i}]"
-            if "locations" not in rp or "weights" not in rp:
-                raise ValidationError(f"{where}: needs 'locations' and 'weights'")
-            if not isinstance(rp["weights"], list):
-                raise ValidationError(f"{where}: weights must be a list")
-            weights = tuple(_parse_weight(w, where) for w in rp["weights"])
-            try:
-                locs = np.asarray(rp["locations"], dtype=np.float64)
-                point = IndecisivePoint(locs, weights)
-            except (ValidationError, ValueError, TypeError, OverflowError) as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            points.append(point)
-        jittered = doc.get("jitter_applied", False)
-        if not isinstance(jittered, bool):
-            raise ValidationError("jitter_applied must be true or false")
-        try:
-            return IndecisivePointSet(tuple(points), d, jitter_applied=jittered)
-        except ValidationError as exc:
-            raise ValidationError(f"points: {exc}") from None
+
+        def rows():
+            # Parsed point by point as the set is built, so the first
+            # faulty point is the one reported.
+            for i, rp in enumerate(raw_points):
+                where = f"points[{i}]"
+                if "locations" not in rp or "weights" not in rp:
+                    raise ValidationError(f"{where}: needs 'locations' and 'weights'")
+                if not isinstance(rp["weights"], list):
+                    raise ValidationError(f"{where}: weights must be a list")
+                yield rp["locations"], tuple(_parse_weight(w, where) for w in rp["weights"])
+
+        return IndecisivePointSet._from_rows(rows(), d, doc.get("jitter_applied", False))
 
     if model == "continuous":
         points = []
@@ -553,10 +575,7 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             except (ValidationError, ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             points.append(point)
-        try:
-            return ContinuousUncertainSet(tuple(points), d)
-        except ValidationError as exc:
-            raise ValidationError(f"points: {exc}") from None
+        return ContinuousUncertainSet(tuple(points), d)
 
     raise ValidationError(f"unknown model {model!r}")
 
@@ -564,15 +583,17 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
 def save_point_set(uset: IndecisivePointSet | ContinuousUncertainSet) -> str:
     """Serialize to the JSON interchange format (inverse of load_point_set)."""
     if isinstance(uset, IndecisivePointSet):
+        locs = uset.locations.tolist()
+        nums = uset.nums.tolist()
         doc = {
             "dimension": uset.dimension,
             "model": "indecisive",
             "points": [
                 {
-                    "locations": [[float(x) for x in loc] for loc in p.locations],
-                    "weights": [_weight_to_json(w) for w in p.weights],
+                    "locations": locs[a : a + k],
+                    "weights": [_weight_to_json(v, d) for v in nums[a : a + k]],
                 }
-                for p in uset.points
+                for a, k, d in zip(uset.offsets.tolist(), uset.ks.tolist(), uset.denoms.tolist())
             ],
         }
         if uset.jitter_applied:

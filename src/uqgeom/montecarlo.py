@@ -47,7 +47,6 @@ __all__ = [
     "build_kvariate_quantization",
     "alpha_kernel",
     "directional_width",
-    "verify_alpha_kernel",
     "EdaKernel",
     "build_eda_kernel",
     "query_eda_kernel",
@@ -412,13 +411,6 @@ def alpha_kernel(points, alpha: float) -> np.ndarray:
         if count >= len(net):
             return pts.copy()
         count *= 2
-
-
-def verify_alpha_kernel(pts: np.ndarray, kernel: np.ndarray, alpha: float) -> bool:
-    net = verification_net(pts.shape[1])
-    wf = directional_width(as_points(pts), net)
-    wk = directional_width(as_points(kernel), net)
-    return bool(np.all(wf - wk <= alpha * wf + 1e-12))
 
 
 @dataclass(frozen=True, eq=False)

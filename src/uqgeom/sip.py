@@ -28,7 +28,6 @@ __all__ = [
     "SipField",
     "rasterize_sip",
     "write_pgm",
-    "read_pgm",
 ]
 
 
@@ -345,31 +344,3 @@ def write_pgm(raster: Raster, path) -> None:
     path.write_bytes(header + quantized.tobytes())
     sidecar = {"bounds": list(raster.bounds), "width": w, "height": h}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def read_pgm(path) -> Raster:
-    path = Path(path)
-    data = path.read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError("expected binary PGM (P5)")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 65535:
-        raise ValueError("expected 16-bit PGM")
-    pos += 1  # single whitespace after maxval
-    raw = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos)
-    values = raw.reshape(h, w).astype(np.float64) / 65535.0
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    return Raster(values, tuple(sidecar["bounds"]))

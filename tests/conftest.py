@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from uqgeom import IndecisivePoint, IndecisivePointSet, Quantization1D
+from uqgeom.sip import Raster
 from uqgeom.geometry import bbox_diameter
 from uqgeom.measures import evaluate
 
@@ -109,3 +112,33 @@ def gaussian_slab_mass(slabs, epsabs: float = 1e-9) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def read_pgm(path) -> Raster:
+    """Reference reader of :func:`uqgeom.sip.write_pgm`'s 16-bit P5 PGM and
+    its JSON sidecar."""
+    path = Path(path)
+    data = path.read_bytes()
+    fields = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(data[start:pos])
+    if fields[0] != b"P5":
+        raise ValueError("expected binary PGM (P5)")
+    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval != 65535:
+        raise ValueError("expected 16-bit PGM")
+    pos += 1  # single whitespace after maxval
+    raw = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos)
+    values = raw.reshape(h, w).astype(np.float64) / 65535.0
+    sidecar = json.loads(Path(str(path) + ".json").read_text())
+    return Raster(values, tuple(sidecar["bounds"]))

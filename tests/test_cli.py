@@ -16,7 +16,8 @@ import uqgeom.cli as cli_mod
 from uqgeom import ResourceCapError, load_point_set
 from uqgeom.cli import main
 from uqgeom.montecarlo import SampleBudget
-from uqgeom.sip import read_pgm
+
+from conftest import read_pgm
 
 
 @pytest.fixture
@@ -404,9 +405,17 @@ _PAIR = [{"locations": [[0, 0], [1, 0]], "weights": ["1/2", "1/2"]},
         ({"dimension": 2, "model": "continuous", "points": [{"kind": "gaussian", "mean": [0, 0]}]},
          ["quantize", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1"],
          "points[0]: gaussian needs the field 'cov'"),
+        ({"dimension": 2, "model": "indecisive",
+          "points": [_PAIR[0], {"locations": [[0, 1, 2]], "weights": ["1"]}]},
+         ["exact", "--measure", "seb2"], "points[1]: has dimension 3, set has 2\n"),
+        ({"dimension": 3, "model": "continuous",
+          "points": [{"kind": "uniform_disk", "center": [0, 0], "radius": 1}]},
+         ["quantize", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1"],
+         "points[0]: has dimension 2, set has 3\n"),
     ],
     ids=["indecisive point not an object", "continuous point a list", "disk radius a list",
-         "dwid direction of another dimension", "disk area beyond float range", "missing field"],
+         "dwid direction of another dimension", "disk area beyond float range", "missing field",
+         "indecisive point of another dimension", "continuous point of another dimension"],
 )
 def test_malformed_input_exit_code(doc, argv, message, tmp_path, capsys):
     # Each of these once ended in a traceback and exit 1, or in exit 2

@@ -20,9 +20,26 @@ from uqgeom import (
     max_deviation,
 )
 from uqgeom.discretize import SLAB_DIRECTIONS_AABB
-from uqgeom.geometry import lens_area
 
 from conftest import gaussian_slab_mass
+
+
+def lens_area(c1, r1, c2, r2) -> float:
+    """Reference: area of the intersection of two disks (closed form)."""
+    c1 = np.asarray(c1, dtype=np.float64)
+    c2 = np.asarray(c2, dtype=np.float64)
+    d = float(np.linalg.norm(c1 - c2))
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        r = min(r1, r2)
+        return math.pi * r * r
+    alpha = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
+    beta = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
+    tri = 0.5 * math.sqrt(
+        max(0.0, (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
+    )
+    return r1 * r1 * alpha + r2 * r2 * beta - tri
 
 
 def test_lattice_point_mass():

@@ -376,7 +376,7 @@ def _eager_records(uset, m):
     prep = exact_mod._Prepared(uset, m)
     return tuple(
         exact_mod.BasisRecord(
-            exact_mod._basis_object(prep, row, value), Fraction(num, prep.total_denom), value
+            exact_mod._basis_object(prep, row, value), Fraction(num, prep.jset.denominator), value
         )
         for idx, values, _, nums in exact_mod._counted_bases(prep)
         for row, value, num in zip(idx.tolist(), values.tolist(), nums.tolist())
@@ -438,16 +438,16 @@ def test_records_of_an_instance_past_200k_potential_bases():
     uset = random_indecisive(np.random.default_rng(5), 13, 4)
     m = MeasureId("aabb_perimeter")
     prep = exact_mod._Prepared(uset, m)
-    assert exact_mod.combo_count(prep.ks, prep.beta) > 200_000
+    assert exact_mod.combo_count(prep.jset.ks.tolist(), prep.beta) > 200_000
     dist = exact_distribution(uset, m)
     assert dist.records
     assert sum((r.probability for r in dist.records), Fraction(0)) == 1
     agg = {}
     for r in dist.records:
         agg[r.value] = agg.get(r.value, 0) + r.probability.numerator * (
-            prep.total_denom // r.probability.denominator
+            prep.jset.denominator // r.probability.denominator
         )
-    _assert_same_quantization(dist.collapsed, _dict_collapse(agg, prep.total_denom, prep.group_tol))
+    _assert_same_quantization(dist.collapsed, _dict_collapse(agg, prep.jset.denominator, prep.group_tol))
 
 
 # --------------------------------------------------------------------------
@@ -553,15 +553,15 @@ def test_exact_csv_from_numerators_matches_fraction_writer(kind):
             agg = {}
             for r in dist.records:
                 agg[r.value] = agg.get(r.value, 0) + r.probability.numerator * (
-                    prep.total_denom // r.probability.denominator
+                    prep.jset.denominator // r.probability.denominator
                 )
-            want = _dict_collapse(agg, prep.total_denom, prep.group_tol)
+            want = _dict_collapse(agg, prep.jset.denominator, prep.group_tol)
             _assert_same_quantization(dist.collapsed, want)
             assert quantization_to_csv(dist.collapsed) == _fraction_csv(want), m.kind
         bf = brute_force_distribution(uset, m)
-        agg = {r.value: r.probability.numerator * (prep.total_denom // r.probability.denominator) for r in bf.records}
+        agg = {r.value: r.probability.numerator * (prep.jset.denominator // r.probability.denominator) for r in bf.records}
         assert quantization_to_csv(bf.collapsed) == _fraction_csv(
-            _dict_collapse(agg, prep.total_denom, prep.group_tol)
+            _dict_collapse(agg, prep.jset.denominator, prep.group_tol)
         ), m.kind
     assert refused == ([] if kind != "lattice" else ["aabb_area"])
 
@@ -897,11 +897,12 @@ def _former_numerators(prep, idx, shapes):
     else:
         x0, x1, y0, y1 = cols
         inside = (fx > x0 + eps) & (fx < x1 - eps) & (fy > y0 + eps) & (fy < y1 - eps)
-    masses = np.add.reduceat(np.where(inside, prep.w, 0), prep.offsets, axis=1)
-    masses[np.arange(len(idx))[:, None], prep.point_of[idx]] = prep.w[idx]
+    jset = prep.jset
+    masses = np.add.reduceat(np.where(inside, jset.nums, 0), jset.offsets, axis=1)
+    masses[np.arange(len(idx))[:, None], jset.point_of[idx]] = jset.nums[idx]
     nonzero = (masses > 0).all(axis=1)
     masses = masses[nonzero]
-    if prep.total_denom >= 2**63:
+    if prep.jset.denominator >= 2**63:
         masses = masses.astype(object)
     return nonzero, masses.prod(axis=1)
 
@@ -946,16 +947,16 @@ def test_validation_and_counting_match_former_code(monkeypatch, kind, rows):
     full = 0
     for m in MEASURES:
         prep = exact_mod._Prepared(uset, m)
-        assert np.isnan(prep.grid_x).sum() == prep.grid_w.size - len(prep.w)
+        assert np.isnan(prep.grid_x).sum() == prep.jset._weight_grid.size - len(prep.jset.nums)
         for idx in exact_mod._index_chunks(prep):
             assert rows is None or len(idx) <= rows
             _assert_chunks_match_former(prep, idx)
-            full += idx.shape[1] == prep.n
+            full += idx.shape[1] == prep.jset.n
     # Chunks of bases that hold every point, for every measure, exactly
     # when the set is no larger than the basis sizes.
     assert (full > 0) == (uset.n <= 4)
     if kind == "huge-denominator":
-        assert exact_mod._Prepared(uset, MEASURES[0]).w.dtype == object
+        assert exact_mod._Prepared(uset, MEASURES[0]).jset.nums.dtype == object
 
 
 def test_counting_matches_former_code_on_81_and_100_candidates():
@@ -966,7 +967,7 @@ def test_counting_matches_former_code_on_81_and_100_candidates():
     uset = _unequal_k_indecisive(np.random.default_rng(46), (81, 100), lattice=False)
     for m in MEASURES:
         prep = exact_mod._Prepared(uset, m)
-        assert prep.grid_w.shape == (2, 100)
+        assert prep.jset._weight_grid.shape == (2, 100)
         for idx in exact_mod._index_chunks(prep):
             _assert_chunks_match_former(prep, idx)
 

@@ -21,16 +21,40 @@ from conftest import random_indecisive
 from uqgeom import geometry
 from uqgeom.geometry import (
     _WELZL_REL,
+    _ball2_3,
+    _ball3_3,
+    _ball3_4,
     _circum3,
     _circumsphere_coords,
     _fixed_permutation,
-    _trivial_ball,
     coordinate_scale,
     coordinate_scales,
     welzl_ball,
 )
 from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
 from uqgeom.model import draw_supports
+
+
+def _trivial_ball(coords, boundary, d):
+    """Smallest ball of 1 to d+1 boundary points (indices into ``coords``)
+    as (center..., radius, support), from the library's boundary ball of
+    that dimension and size: the dispatch the Welzl loop inlines."""
+    pts = [coords[b] for b in boundary]
+    s = tuple(boundary)
+    if len(s) == 1:
+        return (*pts[0], 0.0, s)
+    if len(s) == 2:
+        a, b = pts
+        if d == 2:
+            cx, cy = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
+            return (cx, cy, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2), s)
+        cx, cy, cz = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2])
+        return (cx, cy, cz, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2 + (a[2] - cz) ** 2), s)
+    if d == 2:
+        return _ball2_3(*pts, s)
+    if len(s) == 3:
+        return _ball3_3(*pts, s)
+    return _ball3_4(*pts, s)
 
 
 def _ref_dist2(p, q, d):

@@ -22,11 +22,23 @@ from uqgeom import (
     load_point_set,
     sample_support,
     save_point_set,
-    support_probability,
 )
 from uqgeom.montecarlo import trial_rng
 
 from conftest import enumerate_supports, random_indecisive
+
+
+def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:
+    """Reference: exact probability of a support, the product of its chosen
+    candidates' weights."""
+    if support.provenance is None:
+        raise ValidationError("provenance required")
+    if len(support.provenance) != uset.n:
+        raise ValidationError("support does not match the point set")
+    prob = Fraction(1)
+    for p, j in zip(uset.points, support.provenance):
+        prob *= p.weights[j]
+    return prob
 
 
 def test_point_mass_sampling_is_degenerate():
@@ -244,10 +256,13 @@ def test_jitter_matches_candidate_loop(kind):
         uset = IndecisivePointSet(tuple(points), d)
         jit = canonical_jitter(uset)
         assert jit.jitter_applied and jit.dimension == d
-        for got, want, p in zip(jit.points, _loop_jitter_locations(uset), uset.points):
-            assert got.locations.tobytes() == want.tobytes()
-            assert got.locations.shape == want.shape and not got.locations.flags.writeable
-            assert got.weights == p.weights and got._nums == p._nums
+        loop = _loop_jitter_locations(uset)
+        want = np.concatenate(loop)
+        assert jit.locations.tobytes() == want.tobytes()
+        assert jit.locations.shape == want.shape and not jit.locations.flags.writeable
+        for got, want, p in zip(jit.points, loop, uset.points):
+            assert got.locations.tobytes() == want.tobytes() and got.weights == p.weights
+        assert jit.nums is uset.nums and jit.denoms is uset.denoms
         assert jit._sampling_plan[0].tobytes() == uset._sampling_plan[0].tobytes()
         assert canonical_jitter(jit) is jit
 
@@ -442,9 +457,11 @@ def test_integer_weight_validation_keeps_messages(weights):
     if want is None:
         p = IndecisivePoint(locs, weights)
         assert p.weights == tuple(Fraction(x) for x in weights)
-        assert Fraction(1) == sum(Fraction(v, p._denom) for v in p._nums)
-        assert tuple(Fraction(v, p._denom) for v in p._nums) == p.weights
-        assert p._denom == math.lcm(*(w.denominator for w in p.weights))
+        uset = IndecisivePointSet((p,), 2)
+        nums, denom = uset.nums.tolist(), int(uset.denoms[0])
+        assert Fraction(1) == sum(Fraction(v, denom) for v in nums)
+        assert tuple(Fraction(v, denom) for v in nums) == p.weights
+        assert denom == math.lcm(*(w.denominator for w in p.weights))
         return
     with pytest.raises(ValidationError) as exc:
         IndecisivePoint(locs, weights)
@@ -463,20 +480,23 @@ def test_integer_weight_validation_matches_fraction_checks(weights):
     else:
         assert want is None
         assert p.weights == tuple(weights)
-        assert tuple(Fraction(v, p._denom) for v in p._nums) == p.weights
+        uset = IndecisivePointSet((p,), 2)
+        assert tuple(Fraction(v, int(uset.denoms[0])) for v in uset.nums.tolist()) == p.weights
         cum = np.cumsum([float(w) for w in weights])
         cum[-1] = 1.0
-        assert IndecisivePointSet((p,), 2)._sampling_plan[0][0].tobytes() == cum.tobytes()
+        assert uset._sampling_plan[0][0].tobytes() == cum.tobytes()
 
 
-def test_fraction_weights_are_kept_and_jitter_copies_the_integer_row():
+def test_fraction_weights_are_kept_and_jitter_shares_the_integer_arrays():
     w = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
     p = IndecisivePoint(np.arange(6.0).reshape(3, 2), w)
     assert all(a is b for a, b in zip(p.weights, w))
-    assert p._nums == (1, 2, 3) and p._denom == 6
-    jit = canonical_jitter(IndecisivePointSet((p,), 2))
+    uset = IndecisivePointSet((p,), 2)
+    assert uset.nums.tolist() == [1, 2, 3] and uset.denoms.tolist() == [6]
+    jit = canonical_jitter(uset)
     q = jit.points[0]
-    assert q.weights is p.weights and q._nums is p._nums and q._denom == 6
+    # The jittered set shares the integer weight arrays, not copies of them.
+    assert q.weights == p.weights and jit.nums is uset.nums and jit.denoms is uset.denoms
     assert jit._sampling_plan[0].tobytes() == IndecisivePointSet((p,), 2)._sampling_plan[0].tobytes()
 
 
@@ -540,3 +560,141 @@ def test_parse_weight_matches_fraction(text):
         assert str(exc) == f"points[0]: cannot parse weight {text!r}"
     else:
         assert want is not None and type(got) is Fraction and got == want, text
+
+
+# --------------------------------------------------------------------------
+# The set's arrays: one representation, read by every library path
+
+
+def _arrays(uset):
+    return (
+        uset.dimension,
+        uset.jitter_applied,
+        uset.locations.shape,
+        uset.locations.tobytes(),
+        uset.ks.tolist(),
+        uset.offsets.tolist(),
+        uset.nums.dtype,
+        uset.nums.tolist(),
+        uset.denoms.dtype,
+        uset.denoms.tolist(),
+    )
+
+
+def _array_sets():
+    rng = np.random.default_rng(71)
+    tiny = Fraction(1, 3 * 2**62)
+    huge = IndecisivePoint([[0.5, 0.25], [1.0, -2.0], [3.0, 0.0]], (tiny, Fraction(1, 3), Fraction(2, 3) - tiny))
+    unequal = []
+    for k in (3, 1, 5, 2):
+        cuts = [int(c) for c in rng.integers(1, 9, size=k)]
+        unequal.append(IndecisivePoint(rng.standard_normal((k, 2)), tuple(Fraction(c, sum(cuts)) for c in cuts)))
+    return [
+        random_indecisive(rng, 5, 3),
+        IndecisivePointSet(tuple(unequal), 2),
+        IndecisivePointSet((huge, *unequal[:2]), 2),
+        IndecisivePointSet((IndecisivePoint(rng.standard_normal((4, 3)), (Fraction(1, 4),) * 4),) * 2, 3),
+    ]
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+def test_save_and_load_keep_the_arrays(jittered):
+    for uset in _array_sets():
+        if jittered:
+            uset = canonical_jitter(uset)
+        back = load_point_set(save_point_set(uset))
+        assert back.jitter_applied is jittered
+        assert _arrays(back) == _arrays(uset)
+
+
+def test_arrays_are_read_only_with_the_integer_dtype_rule():
+    for uset in _array_sets():
+        for a in (uset.locations, uset.ks, uset.offsets, uset.nums, uset.denoms):
+            assert not a.flags.writeable
+        assert uset.offsets.tolist() == [sum(uset.ks.tolist()[:i]) for i in range(uset.n)]
+        big = max(uset.denoms.tolist()) >= 2**62
+        assert uset.nums.dtype == (object if big else np.int64) and uset.denoms.dtype == uset.nums.dtype
+
+
+def test_jitter_shares_the_weight_arrays():
+    for uset in _array_sets():
+        jit = canonical_jitter(uset)
+        assert jit.nums is uset.nums and jit.denoms is uset.denoms
+        assert jit.ks is uset.ks and jit.offsets is uset.offsets
+        assert jit.locations is not uset.locations and jit.jitter_applied
+
+
+def test_points_view_rebuilds_the_same_arrays():
+    for uset in _array_sets():
+        for s in (uset, canonical_jitter(uset)):
+            again = IndecisivePointSet(s.points, s.dimension, s.jitter_applied)
+            assert _arrays(again) == _arrays(s)
+            assert [p.k for p in s.points] == s.ks.tolist()
+
+
+def test_library_paths_never_build_the_points_view(tmp_path, monkeypatch):
+    import uqgeom.cli as cli_mod
+    from uqgeom import MeasureId, brute_force_distribution, deterministic_sip, exact_distribution
+    from uqgeom.model import draw_supports
+
+    text = save_point_set(random_indecisive(np.random.default_rng(72), 4, 3))
+    uset = load_point_set(text)
+    for kind in ("seb2", "aabb_perimeter", "dwid"):
+        m = MeasureId(kind, (0.6, 0.8)) if kind == "dwid" else MeasureId(kind)
+        dist = exact_distribution(uset, m)
+        assert dist.records
+        brute_force_distribution(uset, m)
+    deterministic_sip(uset, MeasureId("seb2"))
+    draw_supports(uset, [trial_rng(0, t) for t in range(3)])
+    jit = canonical_jitter(uset)
+    save_point_set(uset)
+    save_point_set(jit)
+    assert "points" not in vars(uset) and "points" not in vars(jit)
+
+    loaded = []
+
+    def load(document):
+        loaded.append(load_point_set(document))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli_mod, "load_point_set", load)
+    path = tmp_path / "set.json"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli_mod.main(["exact", "--input", str(path), "--measure", "seb2", "--out", str(out)]) == 0
+    assert len(loaded) == 1
+    assert "points" not in vars(loaded[0]) and "points" not in vars(canonical_jitter(loaded[0]))
+
+
+# --------------------------------------------------------------------------
+# Set constructors
+
+
+@pytest.mark.parametrize("dimension", [2.0, 3.0, 1, 4, "2", True, None])
+def test_set_constructors_need_the_int_dimension_2_or_3(dimension):
+    # A float dimension once built a set that draw_supports then failed on
+    # with a TypeError, and that save_point_set wrote as "dimension": 2.0.
+    point = IndecisivePoint([[0, 0], [1, 1]], ("1/2", "1/2"))
+    with pytest.raises(ValidationError, match="^dimension must be 2 or 3$"):
+        IndecisivePointSet((point,), dimension)
+    with pytest.raises(ValidationError, match="^dimension must be 2 or 3$"):
+        ContinuousUncertainSet((PointMassPoint((0.0, 0.0)),), dimension)
+
+
+@pytest.mark.parametrize("flag", [1, 0, "true", None, np.bool_(True)])
+def test_indecisive_set_needs_a_bool_jitter_flag(flag):
+    point = IndecisivePoint([[0, 0], [1, 1]], ("1/2", "1/2"))
+    with pytest.raises(ValidationError, match="^jitter_applied must be true or false$"):
+        IndecisivePointSet((point,), 2, jitter_applied=flag)
+
+
+def test_point_of_another_dimension_is_named_once():
+    flat = IndecisivePoint([[0, 0], [1, 1]], ("1/2", "1/2"))
+    solid = IndecisivePoint([[0, 0, 0]], (1,))
+    with pytest.raises(ValidationError) as exc:
+        IndecisivePointSet((flat, solid), 2)
+    assert str(exc.value) == "points[1]: has dimension 3, set has 2"
+    with pytest.raises(ValidationError) as exc:
+        ContinuousUncertainSet((PointMassPoint((0.0, 0.0, 1.0)),), 2)
+    assert str(exc.value) == "points[0]: has dimension 3, set has 2"
+

@@ -27,7 +27,6 @@ from uqgeom import (
     exact_distribution,
     max_deviation,
     query_eda_kernel,
-    verify_alpha_kernel,
 )
 import uqgeom.montecarlo as mc
 from uqgeom.geometry import welzl_ball
@@ -38,6 +37,15 @@ from uqgeom.montecarlo import directional_width, sampled_values, trial_rng, veri
 from uqgeom.sip import DiskShape, RectShape
 
 from conftest import kvariate_oracle, random_indecisive
+
+
+def verify_alpha_kernel(pts: np.ndarray, kernel: np.ndarray, alpha: float) -> bool:
+    """Reference: every width of the verification net keeps at least a
+    1 - alpha share on the kernel."""
+    net = verification_net(pts.shape[1])
+    wf = directional_width(np.asarray(pts, dtype=np.float64), net)
+    wk = directional_width(np.asarray(kernel, dtype=np.float64), net)
+    return bool(np.all(wf - wk <= alpha * wf + 1e-12))
 
 
 def test_budget_formula_matches_paper_fit():

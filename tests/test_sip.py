@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uqgeom import MeasureId, deterministic_sip, rasterize_sip, read_pgm, write_pgm
+from uqgeom import MeasureId, deterministic_sip, rasterize_sip, write_pgm
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 import uqgeom.sip as sip_mod
 from uqgeom.sip import DISK, RECT, DiskShape, Raster, RectShape, SipField
 
-from conftest import random_indecisive
+from conftest import random_indecisive, read_pgm
 
 
 def _field(shapes) -> SipField:
@@ -278,7 +278,7 @@ def _eager_exact_shapes(uset, measure):
     shapes = []
     for _, _, chunk, nums in exact_mod._counted_bases(prep):
         for shape, num in zip(chunk.tolist(), nums.tolist()):
-            weight = Fraction(num, prep.total_denom)
+            weight = Fraction(num, prep.jset.denominator)
             if measure.kind == "seb2":
                 shapes.append((DiskShape(*shape), weight))
             else:
