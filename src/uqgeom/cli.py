@@ -79,8 +79,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError("grid must be W,H")
-    w, h = int(parts[0]), int(parts[1])
-    if w > 0 and h > 0 and w * h > _GRID_CELLS_CAP:
+    (w, h), _ = sip.check_window(grid=parts)
+    if w * h > _GRID_CELLS_CAP:
         raise ResourceCapError(
             f"--grid {w},{h} has {w * h} cells, exceeding the cap of {_GRID_CELLS_CAP}"
         )
@@ -91,7 +91,7 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 4:
         raise ValidationError("bounds must be x0,y0,x1,y1")
-    return tuple(parts)
+    return sip.check_window(bounds=parts)[1]
 
 
 def _write(path: str, text: str):
@@ -152,8 +152,9 @@ def _cmd_sip_exact(args) -> int:
 
 
 def _emit_sip(field: sip.SipField, window, args) -> int:
-    """Rasterize the field on the (grid, bounds) window, parsed before the
-    field was built, and write the PGM and the optional isolines."""
+    """Rasterize the field on the (grid, bounds) window, parsed and checked
+    before the field was built, and write the PGM and the optional
+    isolines."""
     raster = sip.rasterize_sip(field, *window)
     sip.write_pgm(raster, args.out)
     if args.isolines:

@@ -26,6 +26,7 @@ __all__ = [
     "RectShape",
     "Raster",
     "SipField",
+    "check_window",
     "rasterize_sip",
     "write_pgm",
 ]
@@ -57,6 +58,12 @@ class RectShape:
         return (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
 
 
+def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """The centers ``lo + (j + 1/2) (hi - lo) / n`` of n cells along one axis:
+    the one definition the raster, the rasterizer and the isolines share."""
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
 def _planar(points) -> np.ndarray:
     """Query points as a (p, 2) float array; an empty list is no points."""
     pts = np.asarray(points, dtype=np.float64)
@@ -86,10 +93,7 @@ class Raster:
         vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        x0, y0, x1, y1 = (float(v) for v in self.bounds)
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError("bounds must be well-ordered")
-        object.__setattr__(self, "bounds", (x0, y0, x1, y1))
+        object.__setattr__(self, "bounds", check_window(bounds=self.bounds)[1])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -98,9 +102,7 @@ class Raster:
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         x0, y0, x1, y1 = self.bounds
         h, w = self.values.shape
-        xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
-        ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
-        return xs, ys
+        return _cell_centers(x0, x1, w), _cell_centers(y0, y1, h)
 
     def query_many(self, points) -> np.ndarray:
         """The value of the cell holding each of the (p, 2) points; points
@@ -119,8 +121,8 @@ DISK = 0
 RECT = 1
 
 # Cells per chunk: about _OFFSET_CELLS floats (1 MB) of rasterize_sip's
-# squared column and row offsets, or of SipField.query_many's per-shape
-# masked weights.
+# squared column and row offsets or of its disks' per-row runs, or of
+# SipField.query_many's per-shape masked weights.
 _OFFSET_CELLS = 131072
 
 
@@ -231,34 +233,64 @@ class SipField:
         return np.minimum(out, 1.0)
 
 
+def check_window(grid=None, bounds=None):
+    """A raster window's (w, h) grid as ints and (x0, y0, x1, y1) bounds as
+    floats, each checked when given: the grid must be positive and the
+    bounds finite and well-ordered (``ValueError``).  The CLI checks its
+    flags with it before it builds a field, :func:`rasterize_sip` its
+    window before any work, and a :class:`Raster` its bounds."""
+    if grid is not None:
+        grid = int(grid[0]), int(grid[1])
+        if grid[0] <= 0 or grid[1] <= 0:
+            raise ValueError("grid dimensions must be positive")
+    if bounds is not None:
+        x0, y0, x1, y1 = bounds = tuple(float(v) for v in bounds)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError("bounds must be finite")
+        if not (x1 > x0 and y1 > y0):
+            raise ValueError("bounds must be well-ordered")
+    return grid, bounds
+
+
 def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
     """Evaluate the field at every cell center of a (w, h) grid.
 
-    Works on the field's array form; ``shapes`` is not built.  Every
-    shape's window of cells is found at once with ``np.searchsorted`` on
-    the sorted cell centers.  A rectangle's window is exactly the set of
-    centers inside the closed box, so its weight is added there with no
-    test (an empty or NaN box gets an empty window).  A disk's window is its
-    bounding box, widened cell by cell, for all disks together, while the
-    one-axis test ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a
-    contained center just outside the rounded box).  For each chunk of
-    shapes, the squared column and row offsets ``(x - cx) ** 2`` and
-    ``(y - cy) ** 2`` of all its disks' windows are taken in one array
-    pass; a disk then adds ``(dx2 + dy2 <= r * r) * weight`` to its window.
-    The adds run in shape order, so every cell receives the same float
-    weights in the same order, starting from +0.0, as a test of every shape
-    at every cell would give, plus +0.0 or -0.0 where a disk misses, which
-    leaves any sum unchanged (weights are finite, see :class:`SipField`):
-    the values are bit-for-bit the same.
+    The value of a cell is its containing shapes' weights added in shape
+    order to +0.0, capped at 1: bit for bit what a test of every shape at
+    every cell gives.  Works on the field's array form; ``shapes`` is not
+    built.  Every shape's window of cells is found at once with
+    ``np.searchsorted`` on the sorted cell centers.  A rectangle's window
+    is exactly the set of centers inside the closed box (an empty or NaN
+    box gets an empty window).  A disk's window is its bounding box,
+    widened cell by cell, for all disks together, while the one-axis test
+    ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a contained
+    center just outside the rounded box).  Then one of three paths adds
+    the weights, chosen by what the field shows:
+
+    - *Every weight equal* (every Monte Carlo field): a cell covered c
+      times holds the weight added c times to +0.0, whatever the order, so
+      the raster is ``table[counts]`` with ``table`` the running sum of the
+      weight from 0.0 (a sequential ``np.add.accumulate``).  Rectangles
+      count through a 2-D difference table of their window corners;
+      disks through each window row's run of contained columns, estimated
+      with a square root and fixed up at both ends with the exact test
+      ``(x - cx) ** 2 + dy2 <= r * r``, which is monotone on each side of
+      ``cx``.
+    - *Every shape a rectangle*: cells between the same consecutive window
+      edges are covered by the same rectangles in the same order, so the
+      per-rectangle slice adds run on the grid compressed at the distinct
+      window rows and columns, and each block is copied to its cells.
+    - *Otherwise*: for each chunk of shapes, the squared column and row
+      offsets of all its disks' windows are taken in one array pass; in
+      shape order, a rectangle adds its weight to its window and a disk
+      adds ``(dx2 + dy2 <= r * r) * weight`` to its window.  A cell
+      outside the disk gets +0.0 or -0.0, which leaves any sum unchanged
+      (weights are finite, see :class:`SipField`).
+
+    The window is checked first (:func:`check_window`).
     """
-    w, h = int(grid[0]), int(grid[1])
-    if w <= 0 or h <= 0:
-        raise ValueError("grid dimensions must be positive")
-    x0, y0, x1, y1 = (float(v) for v in bounds)
-    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
-        raise ValueError("bounds must be finite")
-    xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
-    ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
+    (w, h), (x0, y0, x1, y1) = check_window(grid, bounds)
+    xs, ys = _cell_centers(x0, x1, w), _cell_centers(y0, y1, h)
     p = field.params
     rect = field.kinds == RECT
     # Every shape's window as a rectangle's, then the disks' own; a reversed
@@ -273,10 +305,117 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
     i0[disk], i1[disk] = _disk_windows(ys, p[disk, 1], p[disk, 2])
     # Empty windows add nothing; drop them, and no offsets are taken there.
     keep = (i0 < i1) & (j0 < j1)
-    rect, p, weights = rect[keep], p[keep], field.weights[keep]
+    weights = field.weights[keep]
     i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
-    values = np.zeros((h, w))
-    step = max(1, _OFFSET_CELLS // (w + h))
+    if (field.weights == field.weights[:1]).all():
+        values = _equal_weight_values(xs, ys, rect[keep], p[keep], weights, i0, i1, j0, j1)
+    elif rect.all():
+        values = _rectangle_values(w, h, weights, i0, i1, j0, j1)
+    else:
+        values = _windowed_values(xs, ys, rect[keep], p[keep], weights, i0, i1, j0, j1)
+    return Raster(np.minimum(values, 1.0), (x0, y0, x1, y1))
+
+
+def _equal_weight_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
+    """The raster of shapes of one weight, from each cell's count of
+    containing shapes: a sum of rectangle window corners in a 2-D
+    difference table, and of disk column runs in per-row differences."""
+    w, h = len(xs), len(ys)
+    size = (h + 1) * (w + 1)
+    ri0, ri1, rj0, rj1 = i0[rect], i1[rect], j0[rect], j1[rect]
+    rises = np.bincount(np.concatenate([ri0 * (w + 1) + rj0, ri1 * (w + 1) + rj1]), minlength=size)
+    falls = np.bincount(np.concatenate([ri0 * (w + 1) + rj1, ri1 * (w + 1) + rj0]), minlength=size)
+    # Summed down the columns, the corners become per-row differences.
+    steps = np.cumsum((rises - falls).reshape(h + 1, w + 1), axis=0)
+    disk = ~rect
+    d, i0, i1, j0, j1 = p[disk], i0[disk], i1[disk], j0[disk], j1[disk]
+    # Chunks of about _OFFSET_CELLS / 8 window rows: the dozen per-row
+    # arrays of _disk_runs then take about _OFFSET_CELLS floats.
+    chunk = np.cumsum(i1 - i0) // max(1, _OFFSET_CELLS // 8)
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(d)]
+    for part in map(slice, cuts[:-1], cuts[1:]):
+        row, lo, hi = _disk_runs(xs, ys, d[part], i0[part], i1[part], j0[part], j1[part])
+        steps += (np.bincount(row * (w + 1) + lo, minlength=size)
+                  - np.bincount(row * (w + 1) + hi, minlength=size)).reshape(h + 1, w + 1)
+    counts = np.cumsum(steps, axis=1)[:h, :w]
+    # table[c] is the weight added c times to +0.0, one addition at a time.
+    table = np.zeros(counts.max() + 1)
+    table[1:] = weights[:1]
+    return np.add.accumulate(table)[counts]
+
+
+def _disk_runs(xs, ys, d, i0, i1, j0, j1):
+    """For every row i of each disk's window (rows [i0, i1), columns
+    [j0, j1)), the run [lo, hi) of columns j whose centers pass
+    ``(xs[j] - cx) ** 2 + (ys[i] - cy) ** 2 <= r * r``, as (row, lo, hi).
+
+    Along a row that squared distance falls and then rises, least at
+    column ``jc - 1`` or ``jc``, ``jc`` the first center at or right of
+    ``cx``, and the test is monotone in it: so the passing columns are one
+    run within the window, with ``lo <= jc <= hi`` when it is not empty.
+    The ends are estimated from ``cx -/+ sqrt(r * r - dy2)`` (a NaN
+    estimate is ``jc``), clamped to the window on each side of ``jc``, then
+    each moves a column at a time while the test says so; an empty run
+    ends as ``lo == hi == jc``.
+    """
+    size = i1 - i0
+    disk = np.repeat(np.arange(len(d)), size)
+    row = np.arange(size.sum()) + np.repeat(i0 - (np.cumsum(size) - size), size)
+    cx, cy = d[:, 0], d[:, 1]
+    jc = np.searchsorted(xs, cx, "left")
+    # A center past either end tests as NaN, which contains nothing.
+    xe = np.append(xs, np.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rr = d[:, 2] * d[:, 2]
+        dy2 = ys[row] - cy[disk]
+        dy2 *= dy2
+        cxs, jcs, rrs = cx[disk], jc[disk], rr[disk]
+        half = np.sqrt(rrs - dy2)
+        # x lies (x - xs[0]) * scale columns right of the first center.
+        scale = (len(xs) - 1) / (xs[-1] - xs[0])
+        lo = np.fmax(np.fmin(np.ceil((cxs - half - xs[0]) * scale), jcs), j0[disk]).astype(np.intp)
+        hi = np.fmin(np.fmax(np.floor((cxs + half - xs[0]) * scale) + 1, jcs), j1[disk]).astype(np.intp)
+
+        def inside(s, col):
+            dx = xe[col] - cxs[s]
+            return dx * dx + dy2[s] <= rrs[s]
+
+        _walk(lo, -1, lambda s, col: inside(s, col - 1))
+        _walk(lo, 1, lambda s, col: (col < jcs[s]) & ~inside(s, col))
+        _walk(hi, 1, lambda s, col: inside(s, col))
+        _walk(hi, -1, lambda s, col: (col > jcs[s]) & ~inside(s, col - 1))
+    return row, lo, hi
+
+
+def _walk(pos, step, go):
+    """Move each entry of ``pos`` by ``step`` while ``go(entries, pos)``
+    holds for it, all entries together."""
+    moving = np.flatnonzero(go(slice(None), pos))
+    while len(moving):
+        pos[moving] += step
+        moving = moving[go(moving, pos[moving])]
+
+
+def _rectangle_values(w, h, weights, i0, i1, j0, j1):
+    """The raster of rectangles alone: the slice adds in shape order on the
+    grid compressed at the distinct window edges, each block then repeated
+    over its rows and columns."""
+    rows = np.unique(np.concatenate([[0, h], i0, i1]))
+    cols = np.unique(np.concatenate([[0, w], j0, j1]))
+    blocks = np.zeros((len(rows) - 1, len(cols) - 1))
+    edges = zip(
+        np.searchsorted(rows, i0).tolist(), np.searchsorted(rows, i1).tolist(),
+        np.searchsorted(cols, j0).tolist(), np.searchsorted(cols, j1).tolist(), weights.tolist(),
+    )
+    for r0, r1, c0, c1, weight in edges:
+        blocks[r0:r1, c0:c1] += weight
+    return np.repeat(np.repeat(blocks, np.diff(rows), axis=0), np.diff(cols), axis=1)
+
+
+def _windowed_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
+    """The raster by per-shape adds over each window, in shape order."""
+    values = np.zeros((len(ys), len(xs)))
+    step = max(1, _OFFSET_CELLS // (len(xs) + len(ys)))
     for start in range(0, len(p), step):
         part = slice(start, start + step)
         dx2, col = _window_offsets(xs, p[part, 0], j0[part], j1[part], ~rect[part])
@@ -291,7 +430,7 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
                 win += weight
             else:
                 win += (dx2[a : a + c1 - c0] + dy2[b : b + r1 - r0, None] <= r * r) * weight
-    return Raster(np.minimum(values, 1.0), (x0, y0, x1, y1))
+    return values
 
 
 def _window_offsets(centers, c, lo, hi, disk):

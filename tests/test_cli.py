@@ -886,6 +886,27 @@ def test_grid_cell_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch
     assert not (tmp_path / "f.pgm").exists()
 
 
+@pytest.mark.parametrize("command", ["sip-exact", "sip-random"])
+@pytest.mark.parametrize("window, message", [
+    (["--grid", "0,128", "--bounds=-1,-1,3,3"], "grid dimensions must be positive"),
+    (["--grid", "8,-5", "--bounds=-1,-1,3,3"], "grid dimensions must be positive"),
+    (["--grid", "8,8", "--bounds=1,1,0,0"], "bounds must be well-ordered"),
+    (["--grid", "8,8", "--bounds=-1,2,3,2"], "bounds must be well-ordered"),
+    (["--grid", "8,8", "--bounds=nan,-1,3,3"], "bounds must be finite"),
+    (["--grid", "8,8", "--bounds=-1,-1,3,inf"], "bounds must be finite"),
+], ids=["zero-width", "negative-height", "reversed", "flat", "nan", "inf"])
+def test_raster_window_refused_before_the_field_is_built(command, window, message, indecisive_file, tmp_path,
+                                                         monkeypatch, capsys):
+    _refusing(monkeypatch, "sip.rasterize_sip", "exact_mod.deterministic_sip", "montecarlo.build_random_sip")
+    out = tmp_path / "f.pgm"
+    argv = [command, "--input", str(indecisive_file), "--measure", "seb2", *window, "--out", str(out)]
+    if command == "sip-random":
+        argv += ["--eps", "0.2", "--delta", "0.1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_grid_cell_cap_bounds_w_times_h():
     from uqgeom.cli import _parse_grid
 

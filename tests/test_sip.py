@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import math
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,10 +147,37 @@ def _rasterize_full_grid(shapes, grid, bounds):
     return np.minimum(values, 1.0)
 
 
+_PATHS = ("_equal_weight_values", "_rectangle_values", "_windowed_values")
+
+
+def _rasterize_by_path(field, grid, bounds):
+    """rasterize_sip's values, and the name of the one path that made them."""
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(sip_mod, name, wraps=getattr(sip_mod, name)))
+                 for name in _PATHS}
+        values = rasterize_sip(field, grid, bounds).values
+    (path,) = [name for name, spy in spies.items() if spy.called]
+    return values, path
+
+
+def _expected_path(shapes) -> str:
+    if len({float(w) for _, w in shapes}) <= 1:
+        return "_equal_weight_values"
+    if all(isinstance(s, RectShape) for s, _ in shapes):
+        return "_rectangle_values"
+    return "_windowed_values"
+
+
 def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
-    got = rasterize_sip(_field(shapes), grid, bounds).values
-    want = _rasterize_full_grid(shapes, grid, bounds)
-    assert got.tobytes() == want.tobytes()
+    """The shapes as given, with every weight 1/3 and with every weight
+    1/2187, and their rectangles alone: each rasterizes bit for bit as the
+    reference does, by the path its weights and kinds select."""
+    rects = [(s, w) for s, w in shapes if isinstance(s, RectShape)]
+    equal = [[(s, w) for s, _ in shapes] for w in (Fraction(1, 3), Fraction(1, 2187))]
+    for variant in (shapes, *equal, rects):
+        got, path = _rasterize_by_path(_field(variant), grid, bounds)
+        assert got.tobytes() == _rasterize_full_grid(variant, grid, bounds).tobytes()
+        assert path == _expected_path(variant)
 
 
 def test_rasterize_random_shapes_bitwise_equal_full_grid():
@@ -168,6 +197,29 @@ def test_rasterize_random_shapes_bitwise_equal_full_grid():
     shapes.append((DiskShape(0.5, 0.5, 0.7), Fraction(1, 3)))
     shapes.append((RectShape(-3.0, -3.0, 5.0, 5.0), Fraction(2, 7)))
     _assert_rasterizes_like_full_grid(shapes, (37, 29), bounds)
+    # Some cells are covered more than three times: at weight 1/3 their
+    # running sum passes 1.0 before the cap.
+    assert _rasterize_full_grid([(s, 1 / 4096) for s, _ in shapes], (37, 29), bounds).max() > 3 / 4096
+
+
+def test_rasterize_rectangles_on_a_lattice_bitwise_equal_full_grid():
+    # Few distinct edges, some on cell centers, so the compressed grid has
+    # few blocks; among the boxes zero-width, reversed and NaN ones.
+    grid, bounds = (24, 20), (-1.0, -1.0, 1.4, 1.0)
+    w, h = grid
+    centers_x = (-1.0 + (np.arange(w) + 0.5) * 2.4 / w).tolist()
+    centers_y = (-1.0 + (np.arange(h) + 0.5) * 2.0 / h).tolist()
+    rng = np.random.default_rng(41)
+    xs = [-1.2, centers_x[0], -0.5, centers_x[10], 0.3, centers_x[17], 1.3, 1.6]
+    ys = [-1.1, centers_y[3], -0.05, 0.2, centers_y[14], 0.95, 1.2]
+    shapes = []
+    for _ in range(250):
+        a, b = sorted(rng.choice(xs, 2))
+        c, d = sorted(rng.choice(ys, 2))
+        shapes.append((RectShape(float(a), float(c), float(b), float(d)), Fraction(int(rng.integers(1, 60)), 997)))
+    shapes += [(RectShape(0.3, -0.05, 0.3, 0.95), Fraction(1, 9)), (RectShape(1.3, -0.05, 0.3, 0.95), Fraction(1, 5)),
+               (RectShape(-0.5, math.nan, 1.3, 0.95), Fraction(1, 5))]
+    _assert_rasterizes_like_full_grid(shapes, grid, bounds)
 
 
 def test_rasterize_edges_on_cell_centers_bitwise_equal_full_grid():
@@ -256,6 +308,39 @@ def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypa
     )
     got = rasterize_sip(field, grid, bounds).values
     assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
+
+
+def _grown_field(m, path) -> SipField:
+    """m disks and rectangles in [-1, 1]^2 (rectangles alone for the
+    compressed grid), with the weights that select ``path``."""
+    rng = np.random.default_rng(43)
+    kinds = np.full(m, RECT, dtype=np.int8) if path == "_rectangle_values" else rng.integers(0, 2, m).astype(np.int8)
+    center, extent = rng.uniform(-1.0, 1.0, (m, 2)), rng.uniform(0.05, 0.6, (m, 2))
+    disk = np.column_stack([center, extent[:, 0], np.zeros(m)])
+    params = np.where((kinds == DISK)[:, None], disk, np.column_stack([center - extent, center + extent]))
+    weights = np.full(m, 1 / m) if path == "_equal_weight_values" else rng.random(m) / m
+    return SipField.from_arrays(kinds, params, weights)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_rasterize_memory_stays_flat_as_the_field_grows(path):
+    # Per-row runs and squared offsets are bounded per chunk; what grows
+    # with the field is a few dozen bytes a shape.  4x the shapes must not
+    # raise the traced peak by more than half.
+    import tracemalloc
+
+    grid, bounds = (256, 256), (-1.2, -1.2, 1.2, 1.2)
+    peaks = []
+    for m in (2000, 8000):
+        field = _grown_field(m, path)
+        assert _rasterize_by_path(field, grid, bounds)[1] == path
+        tracemalloc.start()
+        try:
+            rasterize_sip(field, grid, bounds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5 * min(peaks), peaks
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -347,6 +432,22 @@ def test_rasterize_rejects_non_finite_bounds():
     field = _field([(RectShape(0.0, 0.0, 1.0, 1.0), 1.0)])
     with pytest.raises(ValueError):
         rasterize_sip(field, (4, 4), (-math.inf, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("grid, bounds, message", [
+    ((0, 4), (0.0, 0.0, 1.0, 1.0), "grid dimensions must be positive"),
+    ((4, 4), (1.0, 1.0, 0.0, 0.0), "bounds must be well-ordered"),
+    ((4, 4), (0.0, 0.0, 1.0, math.nan), "bounds must be finite"),
+], ids=["grid", "reversed", "nan"])
+def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bounds, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("the field was rasterized before its window was checked")
+
+    for name in ("_disk_windows", *_PATHS):
+        monkeypatch.setattr(sip_mod, name, fail)
+    field = _field([(DiskShape(0.5, 0.5, 0.3), 0.5), (RectShape(0.0, 0.0, 1.0, 1.0), 0.25)])
+    with pytest.raises(ValueError, match=message):
+        rasterize_sip(field, grid, bounds)
 
 
 def test_disk_query_equals_query_many_on_the_boundary():
