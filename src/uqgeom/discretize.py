@@ -135,9 +135,9 @@ def _axis_lattice(lo: float, hi: float, count: int, offset: float):
     return centers[keep], lows[keep], highs[keep]
 
 
-def default_sample_size(family: RangeFamily, eps: float, size_constant: float = 1.0) -> int:
+def default_sample_size(family: RangeFamily, eps: float) -> int:
     nu = family.vc_dimension
-    return max(4, math.ceil(size_constant * (nu / eps**2) * math.log(max(math.e, nu / eps))))
+    return max(4, math.ceil((nu / eps**2) * math.log(max(math.e, nu / eps))))
 
 
 def lattice_eps_sample(
@@ -147,7 +147,6 @@ def lattice_eps_sample(
     *,
     index: int = 0,
     target_size: int | None = None,
-    size_constant: float = 1.0,
 ) -> LatticeSample:
     """Lattice-based epsilon-sample of one distribution for a range family.
 
@@ -162,7 +161,7 @@ def lattice_eps_sample(
     if isinstance(dist, PointMassPoint):
         return LatticeSample(dist.at.reshape(1, 2), np.array([1.0]), eps, family)
     if target_size is None:
-        target_size = default_sample_size(family, eps, size_constant)
+        target_size = default_sample_size(family, eps)
     offset = _offset_for_index(index)
 
     if isinstance(dist, GaussianPoint):

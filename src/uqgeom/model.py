@@ -267,9 +267,6 @@ class GaussianPoint:
     def dimension(self) -> int:
         return len(self.mean)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.mean + self._chol @ rng.standard_normal(self.dimension)
-
 
 @dataclass(frozen=True, eq=False)
 class UniformDiskPoint:
@@ -288,9 +285,6 @@ class UniformDiskPoint:
     @property
     def dimension(self) -> int:
         return 2
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self._place(rng.random((2, 1)))[0]
 
     def _place(self, uv: np.ndarray) -> np.ndarray:
         """Locations (rows, 2) from the two uniforms of each draw, (2, rows):
@@ -315,9 +309,6 @@ class PointMassPoint:
     @property
     def dimension(self) -> int:
         return len(self.at)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.at.copy()
 
 
 ContinuousUncertainPoint = GaussianPoint | UniformDiskPoint | PointMassPoint

@@ -121,8 +121,8 @@ DISK = 0
 RECT = 1
 
 # Cells per chunk: about _OFFSET_CELLS floats (1 MB) of rasterize_sip's
-# squared column and row offsets or of its disks' per-row runs, or of
-# SipField.query_many's per-shape masked weights.
+# per-row runs or of its cells to add, or of SipField.query_many's
+# per-shape masked weights.
 _OFFSET_CELLS = 131072
 
 
@@ -236,9 +236,10 @@ class SipField:
 def check_window(grid=None, bounds=None):
     """A raster window's (w, h) grid as ints and (x0, y0, x1, y1) bounds as
     floats, each checked when given: the grid must be positive and the
-    bounds finite and well-ordered (``ValueError``).  The CLI checks its
-    flags with it before it builds a field, :func:`rasterize_sip` its
-    window before any work, and a :class:`Raster` its bounds."""
+    bounds finite, well-ordered and of finite width and height
+    (``ValueError``).  The CLI checks its flags with it before it builds a
+    field, :func:`rasterize_sip` its window before any work, and a
+    :class:`Raster` its bounds."""
     if grid is not None:
         grid = int(grid[0]), int(grid[1])
         if grid[0] <= 0 or grid[1] <= 0:
@@ -249,11 +250,14 @@ def check_window(grid=None, bounds=None):
             raise ValueError("bounds must be finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("bounds must be well-ordered")
+        if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+            raise ValueError("bounds must have a finite width and height")
     return grid, bounds
 
 
 def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
-    """Evaluate the field at every cell center of a (w, h) grid.
+    """Evaluate the field at every cell center of a (w, h) grid, once the
+    window passes :func:`check_window`.
 
     The value of a cell is its containing shapes' weights added in shape
     order to +0.0, capped at 1: bit for bit what a test of every shape at
@@ -264,30 +268,24 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
     box gets an empty window).  A disk's window is its bounding box,
     widened cell by cell, for all disks together, while the one-axis test
     ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a contained
-    center just outside the rounded box).  Then one of three paths adds
-    the weights, chosen by what the field shows:
+    center just outside the rounded box).  On each window row a disk
+    covers one run of columns: its ends are estimated with a square root
+    and fixed up with the exact test ``(x - cx) ** 2 + dy2 <= r * r``,
+    which is monotone on each side of ``cx``.  The weights are then added
+    by one of three paths, chosen by what the field shows:
 
     - *Every weight equal* (every Monte Carlo field): a cell covered c
-      times holds the weight added c times to +0.0, whatever the order, so
-      the raster is ``table[counts]`` with ``table`` the running sum of the
-      weight from 0.0 (a sequential ``np.add.accumulate``).  Rectangles
-      count through a 2-D difference table of their window corners;
-      disks through each window row's run of contained columns, estimated
-      with a square root and fixed up at both ends with the exact test
-      ``(x - cx) ** 2 + dy2 <= r * r``, which is monotone on each side of
-      ``cx``.
+      times holds the weight added c times to +0.0 in any order, so the
+      raster indexes the running sum of the weight from 0.0 (a sequential
+      ``np.add.accumulate``) by counts from difference tables of the
+      rectangles' window corners and of the disks' runs.
     - *Every shape a rectangle*: cells between the same consecutive window
       edges are covered by the same rectangles in the same order, so the
       per-rectangle slice adds run on the grid compressed at the distinct
       window rows and columns, and each block is copied to its cells.
-    - *Otherwise*: for each chunk of shapes, the squared column and row
-      offsets of all its disks' windows are taken in one array pass; in
-      shape order, a rectangle adds its weight to its window and a disk
-      adds ``(dx2 + dy2 <= r * r) * weight`` to its window.  A cell
-      outside the disk gets +0.0 or -0.0, which leaves any sum unchanged
-      (weights are finite, see :class:`SipField`).
-
-    The window is checked first (:func:`check_window`).
+    - *Otherwise* (exact seb2 disks, mixed fields): the cells of every
+      shape's runs (a rectangle's are its window rows) are listed in shape
+      order and added by ``np.add.at``, one index at a time in order.
     """
     (w, h), (x0, y0, x1, y1) = check_window(grid, bounds)
     xs, ys = _cell_centers(x0, x1, w), _cell_centers(y0, y1, h)
@@ -303,7 +301,7 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
     disk = ~rect
     j0[disk], j1[disk] = _disk_windows(xs, p[disk, 0], p[disk, 2])
     i0[disk], i1[disk] = _disk_windows(ys, p[disk, 1], p[disk, 2])
-    # Empty windows add nothing; drop them, and no offsets are taken there.
+    # Empty windows add nothing; drop them, and no runs are taken there.
     keep = (i0 < i1) & (j0 < j1)
     weights = field.weights[keep]
     i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
@@ -312,7 +310,7 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
     elif rect.all():
         values = _rectangle_values(w, h, weights, i0, i1, j0, j1)
     else:
-        values = _windowed_values(xs, ys, rect[keep], p[keep], weights, i0, i1, j0, j1)
+        values = _run_values(xs, ys, rect[keep], p[keep], weights, i0, i1, j0, j1)
     return Raster(np.minimum(values, 1.0), (x0, y0, x1, y1))
 
 
@@ -331,10 +329,9 @@ def _equal_weight_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
     d, i0, i1, j0, j1 = p[disk], i0[disk], i1[disk], j0[disk], j1[disk]
     # Chunks of about _OFFSET_CELLS / 8 window rows: the dozen per-row
     # arrays of _disk_runs then take about _OFFSET_CELLS floats.
-    chunk = np.cumsum(i1 - i0) // max(1, _OFFSET_CELLS // 8)
-    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(d)]
-    for part in map(slice, cuts[:-1], cuts[1:]):
-        row, lo, hi = _disk_runs(xs, ys, d[part], i0[part], i1[part], j0[part], j1[part])
+    for part in _chunks(i1 - i0, _OFFSET_CELLS // 8):
+        which, row = _window_rows(i0[part], i1[part])
+        lo, hi = _disk_runs(xs, ys, d[part], j0[part], j1[part], which, row)
         steps += (np.bincount(row * (w + 1) + lo, minlength=size)
                   - np.bincount(row * (w + 1) + hi, minlength=size)).reshape(h + 1, w + 1)
     counts = np.cumsum(steps, axis=1)[:h, :w]
@@ -344,10 +341,51 @@ def _equal_weight_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
     return np.add.accumulate(table)[counts]
 
 
-def _disk_runs(xs, ys, d, i0, i1, j0, j1):
-    """For every row i of each disk's window (rows [i0, i1), columns
-    [j0, j1)), the run [lo, hi) of columns j whose centers pass
-    ``(xs[j] - cx) ** 2 + (ys[i] - cy) ** 2 <= r * r``, as (row, lo, hi).
+def _run_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
+    """The raster by the cells of every shape in shape order, each window
+    row's run of them from the disk's runs or the rectangle's window,
+    added one at a time by ``np.add.at``."""
+    w = len(xs)
+    values = np.zeros(len(ys) * w)
+    # Chunks of about _OFFSET_CELLS / 32 window rows, and within them of
+    # about _OFFSET_CELLS / 4 cells to add: the per-row arrays of the runs,
+    # and the cell indices with their weights, each take about 1 MB.
+    for part in _chunks(i1 - i0, _OFFSET_CELLS // 32):
+        which, row = _window_rows(i0[part], i1[part])
+        lo, hi, run_weights = j0[part][which], j1[part][which], weights[part][which]
+        disk = ~rect[part][which]
+        lo[disk], hi[disk] = _disk_runs(xs, ys, p[part], j0[part], j1[part], which[disk], row[disk])
+        for runs in _chunks(hi - lo, _OFFSET_CELLS // 4):
+            size = hi[runs] - lo[runs]
+            np.add.at(values, _spans(row[runs] * w + lo[runs], size), np.repeat(run_weights[runs], size))
+    return values.reshape(len(ys), w)
+
+
+def _chunks(sizes, budget):
+    """Consecutive slices of the entries, cut where the running total of
+    ``sizes`` passes a multiple of ``budget``."""
+    chunk = np.cumsum(sizes) // max(1, budget)
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(sizes)]
+    return map(slice, cuts[:-1], cuts[1:])
+
+
+def _window_rows(i0, i1):
+    """Every row of each window [i0, i1), in order, and its window's index."""
+    size = i1 - i0
+    return np.repeat(np.arange(len(size)), size), _spans(i0, size)
+
+
+def _spans(lo, size):
+    """The integers ``lo + [0, size)`` of every range, in order."""
+    out = np.repeat(lo - (np.cumsum(size) - size), size)
+    out += np.arange(len(out))
+    return out
+
+
+def _disk_runs(xs, ys, d, j0, j1, disk, row):
+    """For each window row, of disk ``d[disk]`` (window columns
+    ``[j0[disk], j1[disk])``) at row ``row``, the run [lo, hi) of columns j
+    whose centers pass ``(xs[j] - cx) ** 2 + (ys[row] - cy) ** 2 <= r * r``.
 
     Along a row that squared distance falls and then rises, least at
     column ``jc - 1`` or ``jc``, ``jc`` the first center at or right of
@@ -358,9 +396,6 @@ def _disk_runs(xs, ys, d, i0, i1, j0, j1):
     each moves a column at a time while the test says so; an empty run
     ends as ``lo == hi == jc``.
     """
-    size = i1 - i0
-    disk = np.repeat(np.arange(len(d)), size)
-    row = np.arange(size.sum()) + np.repeat(i0 - (np.cumsum(size) - size), size)
     cx, cy = d[:, 0], d[:, 1]
     jc = np.searchsorted(xs, cx, "left")
     # A center past either end tests as NaN, which contains nothing.
@@ -384,7 +419,7 @@ def _disk_runs(xs, ys, d, i0, i1, j0, j1):
         _walk(lo, 1, lambda s, col: (col < jcs[s]) & ~inside(s, col))
         _walk(hi, 1, lambda s, col: inside(s, col))
         _walk(hi, -1, lambda s, col: (col > jcs[s]) & ~inside(s, col - 1))
-    return row, lo, hi
+    return lo, hi
 
 
 def _walk(pos, step, go):
@@ -412,38 +447,6 @@ def _rectangle_values(w, h, weights, i0, i1, j0, j1):
     return np.repeat(np.repeat(blocks, np.diff(rows), axis=0), np.diff(cols), axis=1)
 
 
-def _windowed_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
-    """The raster by per-shape adds over each window, in shape order."""
-    values = np.zeros((len(ys), len(xs)))
-    step = max(1, _OFFSET_CELLS // (len(xs) + len(ys)))
-    for start in range(0, len(p), step):
-        part = slice(start, start + step)
-        dx2, col = _window_offsets(xs, p[part, 0], j0[part], j1[part], ~rect[part])
-        dy2, row = _window_offsets(ys, p[part, 1], i0[part], i1[part], ~rect[part])
-        shapes = zip(
-            rect[part].tolist(), i0[part].tolist(), i1[part].tolist(), j0[part].tolist(),
-            j1[part].tolist(), col.tolist(), row.tolist(), weights[part].tolist(), p[part, 2].tolist(),
-        )
-        for is_rect, r0, r1, c0, c1, a, b, weight, r in shapes:
-            win = values[r0:r1, c0:c1]
-            if is_rect:
-                win += weight
-            else:
-                win += (dx2[a : a + c1 - c0] + dy2[b : b + r1 - r0, None] <= r * r) * weight
-    return values
-
-
-def _window_offsets(centers, c, lo, hi, disk):
-    """For the disks among a chunk's shapes, ``(centers[lo:hi] - c) ** 2``
-    of every window, concatenated in shape order, and each shape's start in
-    that array (a rectangle takes no entries there)."""
-    size = np.where(disk, hi - lo, 0)
-    start = np.cumsum(size) - size
-    # Entry e of a window that starts at ``start`` is center ``lo + e - start``.
-    index = np.arange(size.sum()) + np.repeat(lo - start, size)
-    return (centers[index] - np.repeat(c, size)) ** 2, start
-
-
 def _disk_windows(centers: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per disk, the index range [lo, hi) of the sorted ``centers`` that can
     satisfy ``(x - c) ** 2 + dy2 <= r * r`` for some ``dy2 >= 0``.
@@ -451,26 +454,22 @@ def _disk_windows(centers: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple[np
     A center passes only if ``(x - c) ** 2 <= r * r`` in floating point,
     and that test is monotone on each side of ``c``, so the passing centers
     left of the rounded ``c - |r|`` run up to it without a gap (likewise
-    right of ``c + |r|``).  Each pass widens every window that still has a
-    passing center just outside it by one cell.
+    right of ``c + |r|``).  Each end then moves out a cell at a time while
+    the center just outside passes.
     """
-    rr = r * r
-    ext = np.abs(r)
-    lo = np.searchsorted(centers, c - ext, "left")
-    hi = np.searchsorted(centers, c + ext, "right")
-    last = len(centers) - 1
-    while True:
-        d = centers[np.maximum(lo - 1, 0)] - c
-        grow = (lo > 0) & (d * d <= rr)
-        if not grow.any():
-            break
-        lo -= grow
-    while True:
-        d = centers[np.minimum(hi, last)] - c
-        grow = (hi <= last) & (d * d <= rr)
-        if not grow.any():
-            break
-        hi += grow
+    # A center past either end tests as NaN, which passes nothing.
+    ce = np.append(centers, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr = r * r
+        lo = np.searchsorted(centers, c - np.abs(r), "left")
+        hi = np.searchsorted(centers, c + np.abs(r), "right")
+
+        def inside(s, col):
+            d = ce[col] - c[s]
+            return d * d <= rr[s]
+
+        _walk(lo, -1, lambda s, col: inside(s, col - 1))
+        _walk(hi, 1, inside)
     return lo, hi
 
 

@@ -894,7 +894,8 @@ def test_grid_cell_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch
     (["--grid", "8,8", "--bounds=-1,2,3,2"], "bounds must be well-ordered"),
     (["--grid", "8,8", "--bounds=nan,-1,3,3"], "bounds must be finite"),
     (["--grid", "8,8", "--bounds=-1,-1,3,inf"], "bounds must be finite"),
-], ids=["zero-width", "negative-height", "reversed", "flat", "nan", "inf"])
+    (["--grid", "8,8", "--bounds=-1e308,-1e308,1e308,1e308"], "bounds must have a finite width and height"),
+], ids=["zero-width", "negative-height", "reversed", "flat", "nan", "inf", "overflowing-width"])
 def test_raster_window_refused_before_the_field_is_built(command, window, message, indecisive_file, tmp_path,
                                                          monkeypatch, capsys):
     _refusing(monkeypatch, "sip.rasterize_sip", "exact_mod.deterministic_sip", "montecarlo.build_random_sip")

@@ -23,6 +23,7 @@ from uqgeom import (
     sample_support,
     save_point_set,
 )
+from uqgeom.model import draw_supports
 from uqgeom.montecarlo import trial_rng
 
 from conftest import enumerate_supports, random_indecisive
@@ -273,17 +274,22 @@ def test_jitter_rejects_overflowing_coordinates():
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         canonical_jitter(uset)
 
+
+def _one_point_draws(point, seed, trials):
+    """The (trials, d) locations of one point, one trial_rng stream a draw."""
+    cset = ContinuousUncertainSet((point,), point.dimension)
+    return draw_supports(cset, [trial_rng(seed, t) for t in range(trials)])[0][:, 0]
+
+
 def test_gaussian_sampling_moments():
     cov = np.array([[0.5, 0.2], [0.2, 0.8]])
-    g = GaussianPoint((1.0, -2.0), cov)
-    draws = np.array([g.sample(trial_rng(7, t)) for t in range(40_000)])
+    draws = _one_point_draws(GaussianPoint((1.0, -2.0), cov), 7, 40_000)
     assert np.allclose(draws.mean(axis=0), [1.0, -2.0], atol=0.02)
     assert np.allclose(np.cov(draws.T), cov, atol=0.03)
 
 
 def test_uniform_disk_sampling_inside():
-    d = UniformDiskPoint((3.0, 4.0), 0.5)
-    draws = np.array([d.sample(trial_rng(8, t)) for t in range(5_000)])
+    draws = _one_point_draws(UniformDiskPoint((3.0, 4.0), 0.5), 8, 5_000)
     r = np.linalg.norm(draws - [3.0, 4.0], axis=1)
     assert r.max() <= 0.5
     # area-uniform: mean squared radius = r^2/2
@@ -305,8 +311,12 @@ def _ref_sample_support(uset, rng):
     for p in uset.points:
         if isinstance(p, GaussianPoint):
             locs.append(p.mean + p._chol @ rng.standard_normal(p.dimension))
+        elif isinstance(p, UniformDiskPoint):
+            u, v = rng.random(2).tolist()
+            r, theta = p.radius * math.sqrt(u), 2.0 * math.pi * v
+            locs.append(p.center + (r * math.cos(theta), r * math.sin(theta)))
         else:
-            locs.append(p.sample(rng))
+            locs.append(p.at)
     return np.array(locs), None
 
 
@@ -635,7 +645,6 @@ def test_points_view_rebuilds_the_same_arrays():
 def test_library_paths_never_build_the_points_view(tmp_path, monkeypatch):
     import uqgeom.cli as cli_mod
     from uqgeom import MeasureId, brute_force_distribution, deterministic_sip, exact_distribution
-    from uqgeom.model import draw_supports
 
     text = save_point_set(random_indecisive(np.random.default_rng(72), 4, 3))
     uset = load_point_set(text)

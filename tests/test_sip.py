@@ -147,7 +147,7 @@ def _rasterize_full_grid(shapes, grid, bounds):
     return np.minimum(values, 1.0)
 
 
-_PATHS = ("_equal_weight_values", "_rectangle_values", "_windowed_values")
+_PATHS = ("_equal_weight_values", "_rectangle_values", "_run_values")
 
 
 def _rasterize_by_path(field, grid, bounds):
@@ -165,7 +165,7 @@ def _expected_path(shapes) -> str:
         return "_equal_weight_values"
     if all(isinstance(s, RectShape) for s, _ in shapes):
         return "_rectangle_values"
-    return "_windowed_values"
+    return "_run_values"
 
 
 def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
@@ -176,7 +176,11 @@ def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
     equal = [[(s, w) for s, _ in shapes] for w in (Fraction(1, 3), Fraction(1, 2187))]
     for variant in (shapes, *equal, rects):
         got, path = _rasterize_by_path(_field(variant), grid, bounds)
-        assert got.tobytes() == _rasterize_full_grid(variant, grid, bounds).tobytes()
+        # The reference's dx * dx overflows, with numpy's warning, for a
+        # disk centered far off the grid.
+        with np.errstate(over="ignore"):
+            want = _rasterize_full_grid(variant, grid, bounds)
+        assert got.tobytes() == want.tobytes()
         assert path == _expected_path(variant)
 
 
@@ -267,12 +271,16 @@ def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
     # rounds into the unit disk at (1, 0), although 1 - 1 = 0 is mid-grid.
     shapes = [(DiskShape(1.0, 0.0, 1.0), 0.5), (DiskShape(-1.0, 0.0, 1.0), 0.25)]
     _assert_rasterizes_like_full_grid(shapes, (32, 3), (-1e-20, -1e-20, 1e-20, 1e-20))
+    # Radii whose square overflows to inf, one disk centered far off the
+    # grid: every center passes, and the windows take no overflow warning.
+    shapes = [(DiskShape(0.2, -0.1, 1e300), 0.5), (DiskShape(1e300, 0.0, 1e300), 0.25)]
+    _assert_rasterizes_like_full_grid(shapes, (5, 4), (-1.0, -1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("offset_cells", [1, 300, None])
 def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, offset_cells):
-    # Chunks of one shape, of a few shapes, and the default: the squared
-    # offsets of a chunk's disks are taken together, rectangles among them.
+    # Chunks of one window row or cell, of a few, and the default: the runs
+    # of a chunk's disks are taken together, rectangles among them.
     if offset_cells is not None:
         monkeypatch.setattr(sip_mod, "_OFFSET_CELLS", offset_cells)
     grid, bounds = (23, 19), (-1.0, -1.0, 1.3, 0.9)
@@ -308,6 +316,14 @@ def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypa
     )
     got = rasterize_sip(field, grid, bounds).values
     assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
+    # Three shapes over one cell, added in shape order: 0.5 + 2**-54 rounds
+    # to 0.5 twice, where the two small weights first would give 0.5 + 2**-53.
+    i, j = 4, 7
+    shapes = [(DiskShape(xs[j], ys[i], 0.0), 0.5), (RectShape(xs[j], ys[i], xs[j], ys[i]), 2.0**-54),
+              (DiskShape(xs[j], ys[i], 0.0), 2.0**-54)]
+    got = rasterize_sip(_field(shapes), grid, bounds).values
+    assert got[i, j] == 0.5 and got.sum() == 0.5
+    _assert_rasterizes_like_full_grid(shapes, grid, bounds)
 
 
 def _grown_field(m, path) -> SipField:
@@ -324,7 +340,7 @@ def _grown_field(m, path) -> SipField:
 
 @pytest.mark.parametrize("path", _PATHS)
 def test_rasterize_memory_stays_flat_as_the_field_grows(path):
-    # Per-row runs and squared offsets are bounded per chunk; what grows
+    # Per-row runs and cells to add are bounded per chunk; what grows
     # with the field is a few dozen bytes a shape.  4x the shapes must not
     # raise the traced peak by more than half.
     import tracemalloc
@@ -438,7 +454,8 @@ def test_rasterize_rejects_non_finite_bounds():
     ((0, 4), (0.0, 0.0, 1.0, 1.0), "grid dimensions must be positive"),
     ((4, 4), (1.0, 1.0, 0.0, 0.0), "bounds must be well-ordered"),
     ((4, 4), (0.0, 0.0, 1.0, math.nan), "bounds must be finite"),
-], ids=["grid", "reversed", "nan"])
+    ((4, 4), (-1e308, -1e308, 1e308, 1e308), "bounds must have a finite width and height"),
+], ids=["grid", "reversed", "nan", "overflowing-width"])
 def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bounds, message):
     def fail(*args, **kwargs):
         raise AssertionError("the field was rasterized before its window was checked")
