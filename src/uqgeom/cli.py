@@ -251,13 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True, out_required=True):
+    def common(p, budget=True, out_required=True, nu=True):
         p.add_argument("--input", required=True, help="point-set JSON file")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         if budget:
             p.add_argument("--eps", type=float, required=True)
             p.add_argument("--delta", type=float, required=True)
-            p.add_argument("--nu", type=float, default=1.0)
+            if nu:
+                p.add_argument("--nu", type=float, default=1.0)
             p.add_argument("--constant-c", dest="constant_c", type=float, default=0.5)
             p.add_argument("--m", type=int, default=None, help="override sample count")
         p.add_argument("--out", required=out_required)
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("kvariate", help="k-variate sampled quantization")
-    common(p)
+    common(p, nu=False)  # the k-variate budget sets nu = k
     p.add_argument("--measures", required=True, help="semicolon-separated measure list")
     p.set_defaults(func=_cmd_kvariate)
 

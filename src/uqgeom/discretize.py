@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import disk_rect_area, unit_vector
+from .geometry import _EPS_POINT_FLOOR, _WEIGHT_SLACK, disk_rect_area, unit_vector
 from .measures import MeasureId
 from .model import (
     ContinuousUncertainSet,
@@ -102,7 +102,7 @@ class LatticeSample:
         w = np.asarray(self.weights, dtype=np.float64)
         if len(pts) == 0 or len(pts) != len(w):
             raise ValueError("points and weights must be non-empty and aligned")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > _WEIGHT_SLACK:
             raise ValueError("weights must be positive and sum to 1 within 1e-12")
         pts = pts.copy()
         pts.setflags(write=False)
@@ -277,7 +277,7 @@ def discretize_for_measure(
     rows = []
     for i, dist in enumerate(cset.points):
         sample = lattice_eps_sample(
-            dist, family, max(eps_point, 1e-6), index=i, target_size=size
+            dist, family, max(eps_point, _EPS_POINT_FLOOR), index=i, target_size=size
         )
         weights = (Fraction(1),) if len(sample.points) == 1 else _exact_weights(sample.weights)
         rows.append((sample.points, weights))

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import bbox_diameter, coordinate_scale
+from .geometry import _STRICT_REL, coordinate_scale
 from .measures import (
     Basis,
     BasisMember,
@@ -52,6 +52,7 @@ from .measures import (
     _seb2_balls,
     _strictly_acute,
     combinatorial_dimension,
+    tolerance,
     value_scale,
 )
 from .model import IndecisivePointSet, ResourceCapError, ValidationError, canonical_jitter
@@ -69,10 +70,6 @@ __all__ = [
     "deterministic_sip",
     "distributions_match",
 ]
-
-# Strictness margin of basis validation, relative to the coordinate scale
-# (and to the value scale for value comparisons).
-_STRICT_REL = 1e-14
 
 _HARDNESS_MESSAGE = (
     "diameter is not LP-type (locality fails); computing its exact "
@@ -192,7 +189,7 @@ class _Prepared:
         self.scale = coordinate_scale(jset.locations)
         self.geom_eps = _STRICT_REL * self.scale
         self.strict_eps = _STRICT_REL * value_scale(measure, self.scale)
-        self.group_tol = 1e-9 * value_scale(measure, bbox_diameter(jset.locations))
+        self.group_tol = tolerance(jset.locations, measure)
         self.beta = min(combinatorial_dimension(measure, 2), jset.n)
         self.fx, self.fy = _frame_coords(measure, jset.locations)
         self.grid_x, self.grid_y = jset._grid(self.fx, np.nan), jset._grid(self.fy, np.nan)
@@ -713,7 +710,9 @@ def distributions_match(
     given tolerance (single linkage) and require exactly equal rational
     weights per cluster.  Weights are compared as integer numerators over
     the lcm of the two denominators: a's count up, b's down, and each
-    cluster must balance to 0."""
+    cluster must balance to 0.  A NaN, infinite or negative ``tol`` is refused."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     qa, qb = a.collapsed, b.collapsed
     denom = math.lcm(qa.denominator, qb.denominator)
     sa, sb = denom // qa.denominator, -(denom // qb.denominator)

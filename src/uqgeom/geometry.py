@@ -1,4 +1,4 @@
-"""Low-level geometric primitives shared across the package.
+"""Low-level geometric primitives and the tolerance policy of the package.
 
 Everything here works on plain numpy arrays: a point set is an (m, d)
 float64 array with d in {2, 3}.  The minimum enclosing ball machinery is
@@ -18,15 +18,38 @@ __all__ = [
     "bbox_diameter",
     "coordinate_scale",
     "coordinate_scales",
+    "length_scale",
     "unit_vector",
     "Ball",
     "welzl_ball",
     "disk_rect_area",
 ]
 
-# Containment slack used inside the Welzl recursion only; final radii are
-# recomputed from the support set, so this does not leak into results.
-_WELZL_REL = 1e-13
+# --------------------------------------------------------------------------
+# Tolerance policy: every tolerance of the package; the other modules import
+# these names.  The canonical jitter (model.canonical_jitter) moves candidate c
+# of a set by c * _JITTER_UNIT * coordinate_scale, the general position the
+# exact engine's counting assumes.  The strictness margins and the Welzl slacks
+# are relative to the coordinate scale and decide output bits.  Measure values
+# compare at measures.tolerance, _COMPARE_REL times the value scale of
+# length_scale, which is never 0.  The boundary-ball limits of _ball2_3,
+# _ball3_3 and _ball3_4 (1e-10, 1e-12, 1e-300) stay inline literals: read as
+# module globals they slow every welzl_ball call.
+_JITTER_UNIT = 2.0**-40  # jitter step, relative to the coordinate scale
+_COMPARE_REL = 1e-9  # value comparisons, relative to the value scale
+_STRICT_REL = 1e-14  # basis validation's strictness, relative to the coordinate (value) scale
+_CIRCUM_DET_REL = 1e-14  # planar circumcircle cut (_circum3 and measures._seb2_balls)
+_CIRCUM_GRAM_REL = 1e-28  # 3-D circumcircle cut on the Gram determinant
+_CIRCUMSPHERE_DET_REL = 1e-12  # circumsphere cut on the Cramer determinant
+_UNDERFLOW_GUARD = 1e-300  # floor of the magnitudes those cuts scale with
+_WEIGHT_SLACK = 1e-12  # float weight sums against 1, raster values against [0, 1]
+# Welzl containment slack and duplicate radius, relative to the coordinate
+# scale; final radii are recomputed from the support set, so neither leaks.
+_WELZL_REL, _WELZL_DUP_REL = 1e-13, 1e-10
+_KERNEL_SLACK = 1e-12  # absolute slack of alpha_kernel's width check
+_FRAME_SPAN_REL = 1e-12  # _normalized_frame's degenerate span, relative to max(axis, 1)
+_SYMMETRY_TOL = 1e-12  # rtol and atol of the covariance symmetry check
+_EPS_POINT_FLOOR = 1e-6  # the discretizer's smallest per-point epsilon
 _WELZL_PERMUTATION_SEED = 0x5EB2C1DC
 
 
@@ -73,25 +96,25 @@ def bbox_diameter(pts: np.ndarray) -> float:
     return float(math.hypot(*span))
 
 
-def coordinate_scale(pts: np.ndarray) -> float:
-    """Length scale for tolerance decisions: bbox diagonal with a floor of
-    the coordinate magnitude (so all-coincident sets still get a usable scale)."""
-    if len(pts) == 0:
-        return 1.0
-    diag = bbox_diameter(pts)
-    return max(diag, float(np.abs(pts).max()), 1.0)
-
-
 def coordinate_scales(stack: np.ndarray) -> list[float]:
-    """:func:`coordinate_scale` of each set in a (rows, m, d) stack with
-    m >= 1, bit for bit, from one pass over the stack: the extents and
-    magnitudes are exact maxima and minima, and each diagonal is the same
-    ``math.hypot``."""
+    """Coordinate scale of each set in a (rows, m, d) stack with m >= 1: the
+    bbox diagonal with a floor of the coordinate magnitude and of 1."""
     hi = stack.max(axis=1)
     lo = stack.min(axis=1)
     diag = [math.hypot(*span) for span in (hi - lo).tolist()]
     magnitude = np.maximum(np.abs(hi), np.abs(lo)).max(axis=1)
     return np.maximum(np.maximum(diag, magnitude), 1.0).tolist()
+
+
+def coordinate_scale(pts: np.ndarray) -> float:
+    """:func:`coordinate_scales` of one set of m >= 1 points."""
+    return coordinate_scales(pts[None])[0]
+
+
+def length_scale(pts: np.ndarray) -> float:
+    """Length scale of value comparisons, never 0 for m >= 1 points: the bbox
+    diameter, floored at the farthest the jitter moves one of them."""
+    return max(bbox_diameter(pts), len(pts) * _JITTER_UNIT * coordinate_scale(pts))
 
 
 class Ball:
@@ -327,8 +350,8 @@ def _circum3(a, b, c, d):
         bx, by = b[0] - a[0], b[1] - a[1]
         cx, cy = c[0] - a[0], c[1] - a[1]
         det = 2.0 * (bx * cy - by * cx)
-        norm = max(abs(bx), abs(by), abs(cx), abs(cy), 1e-300)
-        if abs(det) <= 1e-14 * norm * norm:
+        norm = max(abs(bx), abs(by), abs(cx), abs(cy), _UNDERFLOW_GUARD)
+        if abs(det) <= _CIRCUM_DET_REL * norm * norm:
             return None
         b2 = bx * bx + by * by
         c2 = cx * cx + cy * cy
@@ -341,7 +364,7 @@ def _circum3(a, b, c, d):
     vv = vx * vx + vy * vy + vz * vz
     uv = ux * vx + uy * vy + uz * vz
     det = uu * vv - uv * uv
-    if det <= 1e-28 * max(uu, vv, 1e-300) ** 2:
+    if det <= _CIRCUM_GRAM_REL * max(uu, vv, _UNDERFLOW_GUARD) ** 2:
         return None
     alpha = 0.5 * vv * (uu - uv) / det
     beta = 0.5 * uu * (vv - uv) / det
@@ -371,8 +394,8 @@ def _circumsphere_coords(a, b, c, d4):
     )
     scale = max(
         abs(m11), abs(m12), abs(m13), abs(m21), abs(m22), abs(m23), abs(m31), abs(m32), abs(m33)
-    ) or 1e-300
-    if abs(det) <= 1e-12 * scale**3:
+    ) or _UNDERFLOW_GUARD
+    if abs(det) <= _CIRCUMSPHERE_DET_REL * scale**3:
         return None
     x = (
         r1 * (m22 * m33 - m23 * m32)
@@ -417,7 +440,7 @@ def welzl_ball(pts: np.ndarray, scale: float | None = None) -> Ball:
     # With no boundary the first point starts the ball and stays in place.
     first = (*coords[order[0]], 0.0, (order[0],))
     scan = _scan2 if d == 2 else _scan3
-    result = scan(coords, order, n, (), first, _WELZL_REL * scale, (1e-10 * scale) ** 2)
+    result = scan(coords, order, n, (), first, _WELZL_REL * scale, (_WELZL_DUP_REL * scale) ** 2)
     return Ball(np.array(result[:d]), result[d], result[d + 1])
 
 

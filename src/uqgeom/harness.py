@@ -186,17 +186,13 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
 _DELTA_GRID = tuple(np.linspace(0.05, 0.6, 12))
 
 
-def fit_sample_constant(
-    deviation_tables: dict[int, np.ndarray],
-    nu: float = 1.0,
-    delta_grid=_DELTA_GRID,
-) -> FitResult:
+def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = 1.0) -> FitResult:
     """Least-squares fit of C in delta = exp(-m eps^2 / C + nu), nu fixed.
 
-    ``deviation_tables`` maps each m to its tau sup-norm deviations.  For a
-    grid of failure probabilities delta, eps is the empirical (1 - delta)
-    quantile of the deviations; the fit is linear in log space:
-    ln delta = nu - (m eps^2) / C.
+    ``deviation_tables`` maps each m to its tau sup-norm deviations.  For
+    each failure probability delta of ``_DELTA_GRID``, eps is the
+    empirical (1 - delta) quantile of the deviations; the fit is linear in
+    log space: ln delta = nu - (m eps^2) / C.
     """
     ms = sorted(deviation_tables)
     if len(ms) < 2:
@@ -207,7 +203,7 @@ def fit_sample_constant(
     for m in ms:
         devs = np.sort(np.asarray(deviation_tables[m], dtype=np.float64))
         tau = len(devs)
-        for delta in delta_grid:
+        for delta in _DELTA_GRID:
             idx = min(tau - 1, max(0, math.ceil((1.0 - delta) * tau) - 1))
             eps = float(devs[idx])
             if eps <= 0.0:

@@ -16,12 +16,12 @@ the same bits for the same support.
 
 Numeric conventions
 -------------------
-Comparisons of measure values use an absolute tolerance of 1e-9 scaled by
-the point set's bounding-box diameter (squared for the area-valued
-measure).  Bases are found and validated only by the deterministic engine
-(:mod:`uqgeom.exact`), which keeps its own tighter thresholds (1e-14 of
-the coordinate scale) so that its counting agrees with brute-force
-enumeration even on near-degenerate, jittered inputs.
+Every tolerance is set in the tolerance policy of :mod:`uqgeom.geometry`.
+Measure values compare at :func:`tolerance`, 1e-9 times the set's length
+scale (squared for area): its bbox diameter floored at the jitter span, so
+never 0.  Bases are validated only by :mod:`uqgeom.exact`, at the policy's
+tighter strictness margins (1e-14 of the coordinate scale), so that its
+counting agrees with brute-force enumeration on jittered inputs.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _CIRCUM_DET_REL, _COMPARE_REL, _UNDERFLOW_GUARD,
     as_points,
-    bbox_diameter,
     coordinate_scales,
+    length_scale,
     unit_vector,
     welzl_ball,
 )
@@ -122,19 +123,16 @@ def combinatorial_dimension(measure: MeasureId, dimension: int = 2) -> int:
     raise AssertionError(measure.kind)
 
 
-def value_scale(measure: MeasureId, length_scale: float) -> float:
-    """Scale factor converting the coordinate length scale into the units of
-    the measure's value (squared for area)."""
-    return length_scale * length_scale if measure.kind in _AREA_VALUED else length_scale
+def value_scale(measure: MeasureId | None, scale: float) -> float:
+    """A length scale converted into the units of the measure's value
+    (squared for area)."""
+    return scale * scale if measure is not None and measure.kind in _AREA_VALUED else scale
 
 
 def tolerance(pts: np.ndarray, measure: MeasureId | None = None) -> float:
-    """Absolute comparison tolerance: 1e-9 times the bounding-box diameter
-    (diameter squared for area-valued measures)."""
-    diam = bbox_diameter(pts)
-    if measure is not None and measure.kind in _AREA_VALUED:
-        return 1e-9 * diam * diam
-    return 1e-9 * diam
+    """The comparison tolerance of measure values on m >= 1 points, always
+    positive: 1e-9 times the value scale of their length scale."""
+    return _COMPARE_REL * value_scale(measure, length_scale(pts))
 
 
 # --------------------------------------------------------------------------
@@ -253,8 +251,8 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     (cx, cy, radius).  Each row is sorted first, by x and then y, so a ball
     has the same bits in any input order.  A pair's ball is its diametral
     disk.  A strictly acute triple with a well-conditioned circumcircle
-    (solved relative to the first point, |det| above 1e-14 times the
-    square of the largest offset from it) gets the circumcircle; any other
+    (solved relative to the first point, |det| above _CIRCUM_DET_REL times
+    the square of the largest offset from it) gets the circumcircle; any other
     triple, obtuse, right or near-singular, gets the diametral disk of the
     pair opposite the vertex with the smallest dot product, the first one
     on a tie.  The choice uses exact sign predicates, not tolerance slack.
@@ -272,8 +270,8 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     d0, d1, d2 = dots = _vertex_dots(xs, ys)
     ubx, uby, ucx, ucy = bx - ax, by - ay, cx - ax, cy - ay
     det = 2.0 * (ubx * ucy - uby * ucx)
-    norm = np.maximum(np.abs(np.stack([ubx, uby, ucx, ucy])).max(axis=0), 1e-300)
-    circ = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (np.abs(det) > 1e-14 * norm * norm)
+    norm = np.maximum(np.abs(np.stack([ubx, uby, ucx, ucy])).max(axis=0), _UNDERFLOW_GUARD)
+    circ = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (np.abs(det) > _CIRCUM_DET_REL * norm * norm)
     ubx, uby, ucx, ucy, det = ubx[circ], uby[circ], ucx[circ], ucy[circ], det[circ]
     b2 = ubx * ubx + uby * uby
     c2 = ucx * ucx + ucy * ucy

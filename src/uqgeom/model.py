@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import as_points, coordinate_scale
+from .geometry import _JITTER_UNIT, _SYMMETRY_TOL, as_points, coordinate_scale
 
 __all__ = [
     "ValidationError",
@@ -249,7 +249,7 @@ class GaussianPoint:
         cov = np.asarray(self.cov, dtype=np.float64)
         if cov.shape != (len(mean), len(mean)):
             raise ValidationError(f"covariance shape {cov.shape} does not match mean of length {len(mean)}")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
+        if not np.allclose(cov, cov.T, rtol=_SYMMETRY_TOL, atol=_SYMMETRY_TOL):
             raise ValidationError("covariance must be symmetric")
         with np.errstate(over="ignore"):
             cov = 0.5 * (cov + cov.T)
@@ -433,7 +433,6 @@ def draw_supports(
 # Fixed pseudo-random unit direction used for all jitter offsets.
 _JITTER_ANGLE = 2.399963229728653  # radians
 _JITTER_DIR = (math.cos(_JITTER_ANGLE), math.sin(_JITTER_ANGLE))
-_JITTER_UNIT = 2.0**-40
 
 
 def canonical_jitter(uset: IndecisivePointSet) -> IndecisivePointSet:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import as_points, coordinate_scales, unit_vector, welzl_ball
+from .geometry import _FRAME_SPAN_REL, _KERNEL_SLACK, as_points, coordinate_scales, unit_vector, welzl_ball
 from .measures import MeasureId, _check_input, evaluate
 from .model import (
     ContinuousUncertainSet,
@@ -369,7 +369,7 @@ def _normalized_frame(pts: np.ndarray) -> np.ndarray:
         rot = np.stack([a, np.cross(b, a), b])
     local = (pts - pts.mean(axis=0)) @ rot.T
     span = local.max(axis=0) - local.min(axis=0)
-    span = np.where(span > 1e-12 * max(norm, 1.0), span, 1.0)
+    span = np.where(span > _FRAME_SPAN_REL * max(norm, 1.0), span, 1.0)
     return local / span
 
 
@@ -406,7 +406,7 @@ def alpha_kernel(points, alpha: float) -> np.ndarray:
         idx = _extreme_indices(normalized, _direction_net(count, d))
         kernel = pts[idx]
         widths_k = directional_width(kernel, net)
-        if np.all(widths_full - widths_k <= alpha * widths_full + 1e-12):
+        if np.all(widths_full - widths_k <= alpha * widths_full + _KERNEL_SLACK):
             return kernel
         if count >= len(net):
             return pts.copy()

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import _WEIGHT_SLACK
+
 __all__ = [
     "Quantization1D",
     "QuantizationKD",
@@ -54,7 +56,7 @@ class Quantization1D:
             raise ValueError("one weight per value required")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if abs(float(w.sum()) - 1.0) > _WEIGHT_SLACK:
             raise ValueError("sampled weights must sum to 1 within 1e-12")
         w.setflags(write=False)
         object.__setattr__(self, "numerators", None)
@@ -121,7 +123,7 @@ class Quantization1D:
     def from_samples(values) -> "Quantization1D":
         vals = np.sort(np.asarray(values, dtype=np.float64))
         m = len(vals)
-        return Quantization1D(vals, np.full(m, 1.0 / m))
+        return Quantization1D(vals, np.full(m, 1.0 / max(m, 1)))
 
 
 def eval_cdf(q: Quantization1D, v: float):
@@ -150,7 +152,7 @@ class QuantizationKD:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(vals),):
             raise ValueError("one weight per value row required")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > _WEIGHT_SLACK:
             raise ValueError("weights must be positive and sum to 1")
         vals = vals.copy()
         vals.setflags(write=False)

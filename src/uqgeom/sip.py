@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import _WEIGHT_SLACK
+
 __all__ = [
     "DISK",
     "RECT",
@@ -88,7 +90,7 @@ class Raster:
             raise ValueError("raster values must be 2-d")
         if not np.isfinite(vals).all():
             raise ValueError("raster values must be finite")
-        if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
+        if vals.min() < -_WEIGHT_SLACK or vals.max() > 1 + _WEIGHT_SLACK:
             raise ValueError("raster values must lie in [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)

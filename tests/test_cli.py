@@ -203,6 +203,26 @@ def test_kvariate_and_kernel(indecisive_file, tmp_path):
     assert rc == 0
 
 
+def test_kvariate_takes_no_nu(indecisive_file, tmp_path, capsys):
+    # The k-variate budget sets nu = k, so the flag would be ignored.
+    out = tmp_path / "kv.csv"
+    argv = ["kvariate", "--input", str(indecisive_file), "--measures", "dwid:1,0;dwid:0,1",
+            "--eps", "0.2", "--delta", "0.1", "--m", "10", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--nu", "7"])
+    assert exc.value.code == 2
+    assert "--nu" in capsys.readouterr().err
+    assert not out.exists()
+    from uqgeom.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    takes_nu = {name for name, sub in subparsers.choices.items()
+                if any("--nu" in a.option_strings for a in sub._actions)}
+    assert takes_nu == {"quantize", "kernel", "sip-random", "fit"}
+
+
 def test_discretize_emits_model_schema(continuous_file, tmp_path):
     out = tmp_path / "disc.json"
     rc = main(["discretize", "--input", str(continuous_file), "--measure", "aabb-perimeter",

@@ -206,24 +206,40 @@ def _zero_extent_set(rng):
 
 
 def test_oracle_equivalence_zero_extent_sets():
-    # The tolerance of a zero-extent set is 0, so the engine and the oracle
-    # must give the jittered values the same bits: both project dwid with
+    # The tolerance of a zero-extent set is positive, floored at the jitter
+    # span, but the engine and the oracle are compared at 0.0: they must
+    # give the jittered values the same bits, as both project dwid with
     # x * u0 + y * u1.  aabb-area still refuses most of these sets.
     rng = np.random.default_rng(0)
     refused = 0
     for _ in range(50):
         uset = _zero_extent_set(rng)
         for m in MEASURES + [MeasureId.parse("dwid:0.6,0.8")]:
-            tol = tolerance(uset.all_locations(), m)
-            assert tol == 0.0
+            assert tolerance(uset.all_locations(), m) > 0
             try:
                 ex = exact_distribution(uset, m)
             except ConservationError:
                 assert m.kind == "aabb_area"
                 refused += 1
                 continue
-            assert distributions_match(ex, brute_force_distribution(uset, m), tol), str(m)
+            assert distributions_match(ex, brute_force_distribution(uset, m), 0.0), str(m)
     assert refused > 0
+
+
+def test_distributions_match_refuses_bad_tolerances():
+    def perimeters(xs):
+        # aabb-perimeters 2x of the pairs (0, 0), (x, 0).
+        far = IndecisivePoint([(x, 0.0) for x in xs], (Fraction(1, len(xs)),) * len(xs))
+        uset = IndecisivePointSet((IndecisivePoint([(0.0, 0.0)], (Fraction(1),)), far), 2)
+        return exact_distribution(uset, MeasureId("aabb_perimeter"))
+
+    a, b = perimeters([1.0, 2.0, 3.0, 4.0]), perimeters([1.0, 6.0, 11.0])
+    assert not distributions_match(a, b, 1e-9)
+    assert distributions_match(a, a, 0.0)
+    # A NaN or infinite tolerance made any two distributions match.
+    for tol in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            distributions_match(a, b, tol)
 
 
 def test_record_count_within_bound(rng):

@@ -27,6 +27,7 @@ from uqgeom.geometry import (
     _circum3,
     _circumsphere_coords,
     _fixed_permutation,
+    bbox_diameter,
     coordinate_scale,
     coordinate_scales,
     welzl_ball,
@@ -252,9 +253,11 @@ def test_coordinate_scales_equal_per_set(d):
     ]
     for stack in stacks:
         got = coordinate_scales(stack)
-        want = [coordinate_scale(pts) for pts in stack]
+        # The former per-set formula, kept as the reference.
+        want = [max(bbox_diameter(pts), float(np.abs(pts).max()), 1.0) for pts in stack]
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert [coordinate_scale(pts) for pts in stack] == got
         for pts, scale in zip(stack[:8], got):
             a, b = welzl_ball(pts, scale), welzl_ball(pts)
             assert (a.center.tobytes(), a.radius, a.support) == (b.center.tobytes(), b.radius, b.support)

@@ -132,7 +132,7 @@ def _small_basis(m, pts):
     combination order, of at most combinatorial_dimension(m) points whose
     value is the whole set's within tolerance; None if there is none."""
     total = evaluate(m, pts)
-    tol = max(tolerance(pts, m), 1e-12)
+    tol = tolerance(pts, m)
     for size in range(1, min(combinatorial_dimension(m), len(pts)) + 1):
         combos = np.array(list(itertools.combinations(range(len(pts)), size)))
         close = np.flatnonzero(np.abs(evaluate(m, pts[combos]) - total) <= tol)

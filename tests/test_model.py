@@ -221,8 +221,8 @@ def test_jitter_separates_coincident_candidates():
 
 def _loop_jitter_locations(uset):
     """Reference: the jitter's former loop, one candidate at a time."""
-    from uqgeom.geometry import coordinate_scale
-    from uqgeom.model import _JITTER_DIR, _JITTER_UNIT
+    from uqgeom.geometry import _JITTER_UNIT, coordinate_scale
+    from uqgeom.model import _JITTER_DIR
 
     step = _JITTER_UNIT * coordinate_scale(uset.all_locations())
     if uset.dimension == 2:

@@ -136,6 +136,8 @@ def test_quantization_validation():
         Quantization1D(np.array([2.0, 1.0]), (0.5, 0.5))  # not sorted
     with pytest.raises(ValueError):
         exact_quantization([1.0], (Fraction(1, 2),))  # sum != 1
+    with pytest.raises(ValueError, match="values must be a non-empty 1-d array"):
+        Quantization1D.from_samples([])
 
 
 

@@ -24,7 +24,6 @@ ALLOWED = {
     # Names the benchmark patches or calls until it reads a run record.
     "sample_support": "perfbench/layers.py wraps it on the harness and montecarlo modules",
     "enumerate_potential_bases": "perfbench/layers.py counts valid bases with it",
-    "tolerance": "perfbench/workloads.py takes the oracle workload's match tolerance from it",
 }
 
 
