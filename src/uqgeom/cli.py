@@ -124,10 +124,11 @@ def _cmd_kvariate(args) -> int:
 
 def _cmd_kernel(args) -> int:
     uset = _load(args.input)
+    direction = tuple(float(x) for x in args.direction.split(","))
+    montecarlo.kernel_direction(direction, uset.dimension)
     budget = _budget(args)
     _check_samples(budget.m, uset.n)
     kern = montecarlo.build_eda_kernel(uset, args.alpha, budget, args.seed)
-    direction = tuple(float(x) for x in args.direction.split(","))
     widths = montecarlo.query_eda_kernel(kern, direction)
     _write(args.out, quantization_to_csv(widths.as_quantization()))
     return 0

@@ -57,7 +57,7 @@ from .measures import (
 )
 from .model import IndecisivePointSet, ResourceCapError, ValidationError, canonical_jitter
 from .quantize import Quantization1D, eval_cdf
-from .sip import DISK, RECT, SipField
+from .sip import DISK, SipField, shape_kind
 
 __all__ = [
     "BasisRecord",
@@ -686,21 +686,17 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     weights ``num / denominator`` (Python's int division is correctly
     rounded, so each is float() of its Fraction).  Its queries and
     :func:`~uqgeom.sip.rasterize_sip` read these arrays."""
-    if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
-        raise ValidationError("deterministic SIP needs a disk or rectangle summarizing shape")
+    kind = shape_kind(measure)
     prep = _Prepared(uset, measure)
     chunks = [(shapes, nums) for _, _, shapes, nums in _counted_bases(prep)]
     shapes = np.concatenate([c[0] for c in chunks])
     nums = np.concatenate([c[1] for c in chunks])
     # For these measures the frame coordinates are plain x/y, so the
     # counting shape doubles as the summarizing shape.
-    if measure.kind == "seb2":
-        kind, params = DISK, np.column_stack([shapes, np.zeros(len(shapes))])
-    else:
-        kind, params = RECT, shapes[:, [0, 2, 1, 3]]
+    params = shapes if kind == DISK else shapes[:, [0, 2, 1, 3]]
     denom = prep.jset.denominator
     weights = np.array([num / denom for num in nums.tolist()])
-    return SipField.from_arrays(np.full(len(nums), kind, dtype=np.int8), params, weights, nums, denom)
+    return SipField.from_arrays(kind, params, weights, nums, denom)
 
 
 def distributions_match(

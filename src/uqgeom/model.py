@@ -512,11 +512,9 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
     for key in ("dimension", "model", "points"):
         if key not in doc:
             raise ValidationError(f"missing top-level key {key!r}")
-    try:
-        d = int(doc["dimension"])
-    except (TypeError, ValueError, OverflowError):
-        d = None
-    if d not in (2, 3):
+    # A JSON integer only: not a string of one, and not a boolean.
+    d = doc["dimension"]
+    if not isinstance(d, int) or isinstance(d, bool) or d not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
     model = doc["model"]
     raw_points = doc["points"]

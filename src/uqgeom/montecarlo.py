@@ -34,7 +34,7 @@ from .model import (
     draw_supports,
 )
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
-from .sip import DISK, RECT, SipField
+from .sip import DISK, SipField, shape_kind
 
 # Unused here; perfbench/layers.py patches it on this module by getattr.
 from .model import sample_support  # noqa: F401
@@ -441,12 +441,17 @@ def build_eda_kernel(
     return EdaKernel(kernels, alpha, budget)
 
 
-def query_eda_kernel(kernel: EdaKernel, direction) -> EpsAlphaQuantization:
-    """Sorted kernel widths in the query direction."""
+def kernel_direction(direction, d: int) -> np.ndarray:
+    """The unit query direction of a d-dimensional kernel, else refused."""
     u = unit_vector(direction, "direction")
-    d = kernel.kernels[0].shape[1]
     if len(u) != d:
         raise ValidationError(f"direction has dimension {len(u)}, the kernel has dimension {d}")
+    return u
+
+
+def query_eda_kernel(kernel: EdaKernel, direction) -> EpsAlphaQuantization:
+    """Sorted kernel widths in the query direction."""
+    u = kernel_direction(direction, kernel.kernels[0].shape[1])
     projections = [k @ u for k in kernel.kernels]
     widths = np.array([float(p.max() - p.min()) for p in projections])
     return EpsAlphaQuantization(widths, kernel.alpha, kernel.budget.epsilon)
@@ -474,21 +479,19 @@ def build_random_sip(
     exact numerators: one Welzl ball per support, with the coordinate
     scales of a chunk of stacked supports taken at once, or one min/max per
     chunk for rectangles."""
-    if measure.kind not in ("seb2", "aabb_perimeter", "aabb_area"):
-        raise ValueError("randomized SIP needs a disk or rectangle summarizing shape")
+    kind = shape_kind(measure)
     if uset.dimension != 2:
         raise ValidationError("randomized SIP supports d=2 only")
     m = budget.m
-    params = np.zeros((m, 4))
+    params = np.zeros((m, 3 if kind == DISK else 4))
     done = 0
     for stack in _support_stacks(uset, seed, m):
         # The sampled coordinates pass the measure's input check, as in evaluate.
         _check_input(measure, stack)
-        if measure.kind == "seb2":
+        if kind == DISK:
             balls = (welzl_ball(pts, scale) for pts, scale in zip(stack, coordinate_scales(stack)))
-            params[done : done + len(stack), :3] = [(*ball.center.tolist(), ball.radius) for ball in balls]
+            params[done : done + len(stack)] = [(*ball.center.tolist(), ball.radius) for ball in balls]
         else:
             params[done : done + len(stack)] = np.hstack([stack.min(axis=1), stack.max(axis=1)])
         done += len(stack)
-    kind = DISK if measure.kind == "seb2" else RECT
-    return SipField.from_arrays(np.full(m, kind, dtype=np.int8), params, np.full(m, 1.0 / m))
+    return SipField.from_arrays(kind, params, np.full(m, 1.0 / m))

@@ -86,6 +86,8 @@ class Quantization1D:
         vals = np.array(values, dtype=np.float64)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("values must be a non-empty 1-d array")
+        if np.isnan(vals).any():
+            raise ValueError("values must not be NaN")
         if np.any(np.diff(vals) < 0):
             raise ValueError("values must be nondecreasing")
         vals.setflags(write=False)

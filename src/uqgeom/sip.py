@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import _WEIGHT_SLACK
+from .model import ValidationError
 
 __all__ = [
     "DISK",
@@ -30,6 +31,7 @@ __all__ = [
     "SipField",
     "check_window",
     "rasterize_sip",
+    "shape_kind",
     "write_pgm",
 ]
 
@@ -122,6 +124,17 @@ class Raster:
 DISK = 0
 RECT = 1
 
+
+def shape_kind(measure) -> int:
+    """The family of a measure's SIP field: :data:`DISK` for seb2 (the
+    smallest enclosing disk), :data:`RECT` for the bounding-box measures;
+    any other measure has no summarizing shape (``ValidationError``)."""
+    kind = {"seb2": DISK, "aabb_perimeter": RECT, "aabb_area": RECT}.get(measure.kind)
+    if kind is None:
+        raise ValidationError("SIP needs a disk or rectangle summarizing shape")
+    return kind
+
+
 # Cells per chunk: about _OFFSET_CELLS floats (1 MB) of rasterize_sip's
 # per-row runs or of its cells to add, or of SipField.query_many's
 # per-shape masked weights.
@@ -130,16 +143,16 @@ _OFFSET_CELLS = 131072
 
 @dataclass(frozen=True, eq=False, init=False)
 class SipField:
-    """A SIP field: m weighted shapes in one array form.
+    """A SIP field: m weighted shapes of one family in array form.
 
-    ``kinds`` (m,) int8, :data:`DISK` or :data:`RECT`; ``params`` (m, 4)
-    float, (cx, cy, r, 0) for a disk and (x0, y0, x1, y1) for a closed
-    rectangle; float ``weights``; and exact integer ``numerators`` over one
-    ``denominator`` when the maker has them (the exact engine), else None.
-    The arrays are read-only.  ``shapes``, the (DiskShape | RectShape,
-    weight) pairs with Fraction weights where numerators exist, is a
-    read-only view built from the arrays on first read; the queries and
-    :func:`rasterize_sip` do not build it.
+    ``kind`` is :data:`DISK` or :data:`RECT`; ``params`` is (m, 3) float
+    (cx, cy, r) rows for disks and (m, 4) (x0, y0, x1, y1) rows for closed
+    rectangles; float ``weights``; and exact integer ``numerators`` over one
+    positive integer ``denominator`` when the maker has them (the exact
+    engine), else both None.  The arrays are read-only.  ``shapes``, the
+    (DiskShape or RectShape, weight) pairs with Fraction weights where
+    numerators exist, is a read-only view built from the arrays on first
+    read; the queries and :func:`rasterize_sip` do not build it.
 
     Weights must be finite.  That is what makes the dense adds of the
     queries and of :func:`rasterize_sip` bit-safe: a point outside a shape
@@ -147,46 +160,50 @@ class SipField:
     any sum unchanged, where an infinite or NaN weight would give NaN.
     """
 
-    kinds: np.ndarray
+    kind: int
     params: np.ndarray
     weights: np.ndarray
     numerators: np.ndarray | None
     denominator: int | None
 
     @classmethod
-    def from_arrays(cls, kinds, params, weights, numerators=None, denominator=None) -> "SipField":
-        """The field of m shapes in its array form (see the class)."""
-        kinds = np.array(kinds, dtype=np.int8)
+    def from_arrays(cls, kind, params, weights, numerators=None, denominator=None) -> "SipField":
+        """The field of m shapes of one family in its array form (see the class)."""
+        if type(kind) is not int or kind not in (DISK, RECT):
+            raise ValueError("a SIP field's kind must be DISK or RECT")
         params = np.array(params, dtype=np.float64)
         weights = np.array(weights, dtype=np.float64)
-        m = len(kinds)
-        if params.shape != (m, 4) or weights.shape != (m,):
-            raise ValueError("need one kind, one (4,) parameter row and one weight per shape")
+        m, width = weights.size, 3 if kind == DISK else 4
+        if weights.shape != (m,) or params.shape != (m, width):
+            raise ValueError(f"need one weight and one ({width},) parameter row per shape")
         if not np.isfinite(weights).all():
             raise ValueError("shape weights must be finite")
+        if (numerators is None) != (denominator is None):
+            raise ValueError("exact weights need both the numerators and their denominator")
         if numerators is not None:
             numerators = np.array(numerators)
             if numerators.shape != (m,):
                 raise ValueError("need one numerator per shape")
+            if type(denominator) is not int or denominator <= 0:
+                raise ValueError("the denominator of exact weights must be a positive integer")
         field = cls.__new__(cls)
-        for name, value in (("kinds", kinds), ("params", params), ("weights", weights), ("numerators", numerators)):
+        for name, value in (("params", params), ("weights", weights), ("numerators", numerators)):
             if value is not None:
                 value.setflags(write=False)
             object.__setattr__(field, name, value)
+        object.__setattr__(field, "kind", kind)
         object.__setattr__(field, "denominator", denominator)
         return field
 
     @functools.cached_property
     def shapes(self) -> tuple:
-        """The (DiskShape | RectShape, weight) pairs."""
+        """The (DiskShape or RectShape, weight) pairs."""
         if self.numerators is None:
             weights = self.weights.tolist()
         else:
             weights = [Fraction(n, self.denominator) for n in self.numerators.tolist()]
-        return tuple(
-            (RectShape(*p) if k == RECT else DiskShape(*p[:3]), w)
-            for k, p, w in zip(self.kinds.tolist(), self.params.tolist(), weights)
-        )
+        shape = DiskShape if self.kind == DISK else RectShape
+        return tuple((shape(*p), w) for p, w in zip(self.params.tolist(), weights))
 
     def _hits(self, part: slice, pts: np.ndarray) -> np.ndarray:
         """(shapes, points) containment of the shapes in ``part``: a disk
@@ -194,16 +211,13 @@ class SipField:
         :meth:`DiskShape.contains`), a rectangle when the closed box does.
         Overflow and ``inf - inf`` give inf and NaN, which contain nothing,
         as on Python floats."""
-        kinds, p = self.kinds[part], self.params[part]
+        p = self.params[part].T[:, :, None]
         x, y = pts[:, 0], pts[:, 1]
-        hit = np.empty((len(kinds), len(pts)), dtype=bool)
-        disk = kinds == DISK
-        d, r = p[disk].T[:, :, None], p[~disk].T[:, :, None]
+        if self.kind == RECT:
+            return (x >= p[0]) & (x <= p[2]) & (y >= p[1]) & (y <= p[3])
         with np.errstate(over="ignore", invalid="ignore"):
-            dx, dy = x - d[0], y - d[1]
-            hit[disk] = dx * dx + dy * dy <= d[2] * d[2]
-        hit[~disk] = (x >= r[0]) & (x <= r[2]) & (y >= r[1]) & (y <= r[3])
-        return hit
+            dx, dy = x - p[0], y - p[1]
+            return dx * dx + dy * dy <= p[2] * p[2]
 
     def query(self, point) -> float:
         """Containment probability at one point (float)."""
@@ -227,7 +241,7 @@ class SipField:
         pts = _planar(points)
         out = np.zeros(len(pts))
         step = max(1, _OFFSET_CELLS // max(1, len(pts)))
-        for start in range(0, len(self.kinds), step):
+        for start in range(0, len(self.weights), step):
             part = slice(start, start + step)
             rows = np.where(self._hits(part, pts), self.weights[part, None], 0.0)
             rows[0] += out  # the running total: float addition commutes
@@ -263,104 +277,89 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
 
     The value of a cell is its containing shapes' weights added in shape
     order to +0.0, capped at 1: bit for bit what a test of every shape at
-    every cell gives.  Works on the field's array form; ``shapes`` is not
-    built.  Every shape's window of cells is found at once with
-    ``np.searchsorted`` on the sorted cell centers.  A rectangle's window
-    is exactly the set of centers inside the closed box (an empty or NaN
-    box gets an empty window).  A disk's window is its bounding box,
-    widened cell by cell, for all disks together, while the one-axis test
-    ``(x - cx) ** 2 <= r * r`` still holds (rounding can put a contained
-    center just outside the rounded box).  On each window row a disk
-    covers one run of columns: its ends are estimated with a square root
-    and fixed up with the exact test ``(x - cx) ** 2 + dy2 <= r * r``,
-    which is monotone on each side of ``cx``.  The weights are then added
-    by one of three paths, chosen by what the field shows:
+    every cell gives, read from the field's arrays.  Every shape's window of
+    cells is found at once with ``np.searchsorted`` on the cell centers.
 
-    - *Every weight equal* (every Monte Carlo field): a cell covered c
-      times holds the weight added c times to +0.0 in any order, so the
-      raster indexes the running sum of the weight from 0.0 (a sequential
-      ``np.add.accumulate``) by counts from difference tables of the
-      rectangles' window corners and of the disks' runs.
-    - *Every shape a rectangle*: cells between the same consecutive window
-      edges are covered by the same rectangles in the same order, so the
-      per-rectangle slice adds run on the grid compressed at the distinct
-      window rows and columns, and each block is copied to its cells.
-    - *Otherwise* (exact seb2 disks, mixed fields): the cells of every
-      shape's runs (a rectangle's are its window rows) are listed in shape
-      order and added by ``np.add.at``, one index at a time in order.
+    - *Rectangles*.  A window is the set of centers inside the closed box
+      (an empty or NaN box gets an empty window).  Equal weights: each
+      cell's count comes from a 2-D difference table of the window corners.
+      Otherwise cells between the same consecutive window edges are covered
+      by the same rectangles in the same order, so the slice adds run on
+      the grid compressed at the distinct window edges, and each block is
+      copied to its cells.
+    - *Disks*.  A window is the disk's bounding box, widened cell by cell
+      while the one-axis test ``(x - cx) ** 2 <= r * r`` still holds
+      (rounding can put a contained center just outside the rounded box).
+      On each window row a disk covers one run of columns
+      (:func:`_disk_runs`).  Equal weights: each cell's count comes from
+      per-row differences of the runs.  Otherwise the cells of the runs are
+      added in shape order by ``np.add.at``, one index at a time.
+
+    A cell covered c times by shapes of one weight (every Monte Carlo
+    field) holds the weight added c times to +0.0 in any order, so a count
+    indexes the running sum of the weight from 0.0.
     """
     (w, h), (x0, y0, x1, y1) = check_window(grid, bounds)
     xs, ys = _cell_centers(x0, x1, w), _cell_centers(y0, y1, h)
-    p = field.params
-    rect = field.kinds == RECT
-    # Every shape's window as a rectangle's, then the disks' own; a reversed
-    # or NaN box contains nothing, so its window is emptied.
-    j0 = np.searchsorted(xs, p[:, 0], "left")
-    j1 = np.searchsorted(xs, p[:, 2], "right")
-    i0 = np.searchsorted(ys, p[:, 1], "left")
-    i1 = np.searchsorted(ys, p[:, 3], "right")
-    i1[rect & ~((p[:, 0] <= p[:, 2]) & (p[:, 1] <= p[:, 3]))] = 0
-    disk = ~rect
-    j0[disk], j1[disk] = _disk_windows(xs, p[disk, 0], p[disk, 2])
-    i0[disk], i1[disk] = _disk_windows(ys, p[disk, 1], p[disk, 2])
-    # Empty windows add nothing; drop them, and no runs are taken there.
-    keep = (i0 < i1) & (j0 < j1)
-    weights = field.weights[keep]
-    i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
-    if (field.weights == field.weights[:1]).all():
-        values = _equal_weight_values(xs, ys, rect[keep], p[keep], weights, i0, i1, j0, j1)
-    elif rect.all():
-        values = _rectangle_values(w, h, weights, i0, i1, j0, j1)
+    p, weights = field.params, field.weights
+    equal = (weights == weights[:1]).all()
+    if field.kind == RECT:
+        # A reversed or NaN box contains nothing, so its window is emptied.
+        j0, j1 = np.searchsorted(xs, p[:, 0], "left"), np.searchsorted(xs, p[:, 2], "right")
+        i0, i1 = np.searchsorted(ys, p[:, 1], "left"), np.searchsorted(ys, p[:, 3], "right")
+        i1[~((p[:, 0] <= p[:, 2]) & (p[:, 1] <= p[:, 3]))] = 0
+        keep = (i0 < i1) & (j0 < j1)
+        windows = i0[keep], i1[keep], j0[keep], j1[keep]
+        values = _rect_counts(w, h, *windows) if equal else _rectangle_values(w, h, weights[keep], *windows)
     else:
-        values = _run_values(xs, ys, rect[keep], p[keep], weights, i0, i1, j0, j1)
+        j0, j1 = _disk_windows(xs, p[:, 0], p[:, 2])
+        i0, i1 = _disk_windows(ys, p[:, 1], p[:, 2])
+        # Empty windows add nothing; drop them, and no runs are taken there.
+        keep = (i0 < i1) & (j0 < j1)
+        values = _disk_values(xs, ys, p[keep], weights[keep], i0[keep], i1[keep], j0[keep], j1[keep], equal)
+    if equal:
+        # table[c] is the weight added c times to +0.0, one addition at a time.
+        table = np.zeros(values.max() + 1)
+        table[1:] = weights[:1]
+        values = np.add.accumulate(table)[values]
     return Raster(np.minimum(values, 1.0), (x0, y0, x1, y1))
 
 
-def _equal_weight_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
-    """The raster of shapes of one weight, from each cell's count of
-    containing shapes: a sum of rectangle window corners in a 2-D
-    difference table, and of disk column runs in per-row differences."""
-    w, h = len(xs), len(ys)
+def _rect_counts(w, h, i0, i1, j0, j1):
+    """Each cell's count of containing rectangles: a sum of the window
+    corners in a 2-D difference table."""
     size = (h + 1) * (w + 1)
-    ri0, ri1, rj0, rj1 = i0[rect], i1[rect], j0[rect], j1[rect]
-    rises = np.bincount(np.concatenate([ri0 * (w + 1) + rj0, ri1 * (w + 1) + rj1]), minlength=size)
-    falls = np.bincount(np.concatenate([ri0 * (w + 1) + rj1, ri1 * (w + 1) + rj0]), minlength=size)
-    # Summed down the columns, the corners become per-row differences.
-    steps = np.cumsum((rises - falls).reshape(h + 1, w + 1), axis=0)
-    disk = ~rect
-    d, i0, i1, j0, j1 = p[disk], i0[disk], i1[disk], j0[disk], j1[disk]
-    # Chunks of about _OFFSET_CELLS / 8 window rows: the dozen per-row
-    # arrays of _disk_runs then take about _OFFSET_CELLS floats.
-    for part in _chunks(i1 - i0, _OFFSET_CELLS // 8):
-        which, row = _window_rows(i0[part], i1[part])
+    rises = np.bincount(np.concatenate([i0 * (w + 1) + j0, i1 * (w + 1) + j1]), minlength=size)
+    falls = np.bincount(np.concatenate([i0 * (w + 1) + j1, i1 * (w + 1) + j0]), minlength=size)
+    steps = (rises - falls).reshape(h + 1, w + 1)
+    return np.cumsum(np.cumsum(steps, axis=0), axis=1)[:h, :w]
+
+
+def _disk_values(xs, ys, d, weights, i0, i1, j0, j1, equal):
+    """The raster of disks from each window row's run of columns: with
+    ``equal`` weights each cell's count of containing disks, from per-row
+    differences of the runs; otherwise the weights, the cells of every run
+    added in shape order by ``np.add.at``."""
+    w, h = len(xs), len(ys)
+    values = np.zeros(h * (w + 1), dtype=np.intp if equal else np.float64)
+    # Chunks of _OFFSET_CELLS / 8 window rows to count (the dozen per-row
+    # arrays of _disk_runs take about 1 MB), or of _OFFSET_CELLS / 32 rows
+    # and _OFFSET_CELLS / 4 cells to add (indices and weights, 1 MB each).
+    for part in _chunks(i1 - i0, _OFFSET_CELLS // (8 if equal else 32)):
+        # Every row of each window, in order, and its window's index.
+        heights = i1[part] - i0[part]
+        which, row = np.repeat(np.arange(len(heights)), heights), _spans(i0[part], heights)
         lo, hi = _disk_runs(xs, ys, d[part], j0[part], j1[part], which, row)
-        steps += (np.bincount(row * (w + 1) + lo, minlength=size)
-                  - np.bincount(row * (w + 1) + hi, minlength=size)).reshape(h + 1, w + 1)
-    counts = np.cumsum(steps, axis=1)[:h, :w]
-    # table[c] is the weight added c times to +0.0, one addition at a time.
-    table = np.zeros(counts.max() + 1)
-    table[1:] = weights[:1]
-    return np.add.accumulate(table)[counts]
-
-
-def _run_values(xs, ys, rect, p, weights, i0, i1, j0, j1):
-    """The raster by the cells of every shape in shape order, each window
-    row's run of them from the disk's runs or the rectangle's window,
-    added one at a time by ``np.add.at``."""
-    w = len(xs)
-    values = np.zeros(len(ys) * w)
-    # Chunks of about _OFFSET_CELLS / 32 window rows, and within them of
-    # about _OFFSET_CELLS / 4 cells to add: the per-row arrays of the runs,
-    # and the cell indices with their weights, each take about 1 MB.
-    for part in _chunks(i1 - i0, _OFFSET_CELLS // 32):
-        which, row = _window_rows(i0[part], i1[part])
-        lo, hi, run_weights = j0[part][which], j1[part][which], weights[part][which]
-        disk = ~rect[part][which]
-        lo[disk], hi[disk] = _disk_runs(xs, ys, p[part], j0[part], j1[part], which[disk], row[disk])
+        if equal:
+            values += np.bincount(row * (w + 1) + lo, minlength=len(values))
+            values -= np.bincount(row * (w + 1) + hi, minlength=len(values))
+            continue
+        run_weights = weights[part][which]
         for runs in _chunks(hi - lo, _OFFSET_CELLS // 4):
             size = hi[runs] - lo[runs]
-            np.add.at(values, _spans(row[runs] * w + lo[runs], size), np.repeat(run_weights[runs], size))
-    return values.reshape(len(ys), w)
+            np.add.at(values, _spans(row[runs] * (w + 1) + lo[runs], size), np.repeat(run_weights[runs], size))
+    values = values.reshape(h, w + 1)
+    return np.cumsum(values, axis=1)[:, :w] if equal else values[:, :w]
 
 
 def _chunks(sizes, budget):
@@ -371,12 +370,6 @@ def _chunks(sizes, budget):
     return map(slice, cuts[:-1], cuts[1:])
 
 
-def _window_rows(i0, i1):
-    """Every row of each window [i0, i1), in order, and its window's index."""
-    size = i1 - i0
-    return np.repeat(np.arange(len(size)), size), _spans(i0, size)
-
-
 def _spans(lo, size):
     """The integers ``lo + [0, size)`` of every range, in order."""
     out = np.repeat(lo - (np.cumsum(size) - size), size)
@@ -384,9 +377,9 @@ def _spans(lo, size):
     return out
 
 
-def _disk_runs(xs, ys, d, j0, j1, disk, row):
-    """For each window row, of disk ``d[disk]`` (window columns
-    ``[j0[disk], j1[disk])``) at row ``row``, the run [lo, hi) of columns j
+def _disk_runs(xs, ys, d, j0, j1, which, row):
+    """For each window row, of disk ``d[which]`` (window columns
+    ``[j0[which], j1[which])``) at row ``row``, the run [lo, hi) of columns j
     whose centers pass ``(xs[j] - cx) ** 2 + (ys[row] - cy) ** 2 <= r * r``.
 
     Along a row that squared distance falls and then rises, least at
@@ -404,14 +397,14 @@ def _disk_runs(xs, ys, d, j0, j1, disk, row):
     xe = np.append(xs, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rr = d[:, 2] * d[:, 2]
-        dy2 = ys[row] - cy[disk]
+        dy2 = ys[row] - cy[which]
         dy2 *= dy2
-        cxs, jcs, rrs = cx[disk], jc[disk], rr[disk]
+        cxs, jcs, rrs = cx[which], jc[which], rr[which]
         half = np.sqrt(rrs - dy2)
         # x lies (x - xs[0]) * scale columns right of the first center.
         scale = (len(xs) - 1) / (xs[-1] - xs[0])
-        lo = np.fmax(np.fmin(np.ceil((cxs - half - xs[0]) * scale), jcs), j0[disk]).astype(np.intp)
-        hi = np.fmin(np.fmax(np.floor((cxs + half - xs[0]) * scale) + 1, jcs), j1[disk]).astype(np.intp)
+        lo = np.fmax(np.fmin(np.ceil((cxs - half - xs[0]) * scale), jcs), j0[which]).astype(np.intp)
+        hi = np.fmin(np.fmax(np.floor((cxs + half - xs[0]) * scale) + 1, jcs), j1[which]).astype(np.intp)
 
         def inside(s, col):
             dx = xe[col] - cxs[s]

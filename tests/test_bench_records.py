@@ -29,3 +29,56 @@ def test_bench_record_has_parent_and_change_per_workload_and_metric(path):
                 spread = figures[side]
                 assert all(isinstance(spread[k], (int, float)) for k in ("median", "q1", "q3")), (workload, metric)
                 assert spread["q1"] <= spread["median"] <= spread["q3"], (workload, metric, side)
+
+
+def _bench_json():
+    """tools/bench_json.py, which is a script, not a package module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_json", ROOT / "tools" / "bench_json.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _records(seeds, value, failures):
+    """Result records of every workload on ``seeds``: metric j of workload
+    i reads ``value(10 * i + j, seed)``, with ``failures(seed)`` failures."""
+    return {
+        (w["name"], seed): {
+            "workload": w["name"], "seed": seed, "seconds": 12.0,
+            "metrics": {m["name"]: value(10 * i + j, seed) for j, m in enumerate(SPEC["end_to_end"])},
+            "failures": [f"failure {n}" for n in range(failures(seed))],
+        }
+        for i, w in enumerate(SPEC["workloads"]) for seed in seeds
+    }
+
+
+def test_summarize_takes_medians_quartiles_wins_and_failures_per_workload():
+    bench_json = _bench_json()
+    # Seed 4 is run on the parent side only and is left out.
+    parent = _records([1, 2, 3, 4], lambda base, seed: base + seed, lambda seed: seed - 1)
+    change = _records([1, 2, 3], lambda base, seed: base + seed - 0.5 if seed < 3 else base + 4.0,
+                      lambda seed: int(seed == 3))
+    out = bench_json.summarize(parent, change, SPEC)
+    assert list(out) == [w["name"] for w in SPEC["workloads"]]
+    for i, name in enumerate(out):
+        entry = out[name]
+        assert entry["seeds"] == [1, 2, 3] and entry["seconds"] == 12.0
+        assert entry["failed"] == {"parent": 0 + 1 + 2, "change": 1}
+        assert list(entry["metrics"]) == [m["name"] for m in SPEC["end_to_end"]]
+        for j, metric in enumerate(SPEC["end_to_end"]):
+            base, figures = 10 * i + j, entry["metrics"][metric["name"]]
+            assert (figures["unit"], figures["better"]) == (metric["unit"], metric["better"])
+            # Parent base + [1, 2, 3], change base + [0.5, 1.5, 4]: inclusive quartiles.
+            assert figures["parent"] == {"median": base + 2, "q1": base + 1.5, "q3": base + 2.5}
+            assert figures["change"] == {"median": base + 1.5, "q1": base + 1.0, "q3": base + 2.75}
+            assert figures["change_wins"] == (2 if metric["better"] == "lower" else 1)
+
+
+def test_summarize_refuses_fewer_than_two_seeds_on_both_sides():
+    bench_json = _bench_json()
+    parent = _records([1, 2, 3], lambda base, seed: base + seed, lambda seed: 0)
+    change = _records([3, 5], lambda base, seed: base + seed, lambda seed: 0)
+    with pytest.raises(SystemExit, match="need at least two seeds run on both sides, found \\[3\\]"):
+        bench_json.summarize(parent, change, SPEC)

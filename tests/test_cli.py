@@ -432,10 +432,16 @@ _PAIR = [{"locations": [[0, 0], [1, 0]], "weights": ["1/2", "1/2"]},
           "points": [{"kind": "uniform_disk", "center": [0, 0], "radius": 1}]},
          ["quantize", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1"],
          "points[0]: has dimension 2, set has 3\n"),
+        ({"dimension": "2", "model": "indecisive", "points": _PAIR},
+         ["exact", "--measure", "seb2"], "dimension must be 2 or 3\n"),
+        ({"dimension": "3", "model": "continuous",
+          "points": [{"kind": "point_mass", "at": [0, 0, 1]}]},
+         ["quantize", "--measure", "seb2", "--eps", "0.2", "--delta", "0.1"], "dimension must be 2 or 3\n"),
     ],
     ids=["indecisive point not an object", "continuous point a list", "disk radius a list",
          "dwid direction of another dimension", "disk area beyond float range", "missing field",
-         "indecisive point of another dimension", "continuous point of another dimension"],
+         "indecisive point of another dimension", "continuous point of another dimension",
+         "dimension a string 2", "dimension a string 3"],
 )
 def test_malformed_input_exit_code(doc, argv, message, tmp_path, capsys):
     # Each of these once ended in a traceback and exit 1, or in exit 2
@@ -1032,6 +1038,26 @@ def test_directions_whose_norm_overflows_or_underflows(command, huge, plain, ind
             assert main(argv) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("direction, message", [
+    ("1,0,0", "direction has dimension 3, the kernel has dimension 2"),
+    ("inf,0", "direction must be finite"),
+    ("0,0", "direction must be nonzero"),
+    ("1,x", "could not convert string to float: 'x'"),
+], ids=["another dimension", "not finite", "zero", "not a number"])
+def test_kernel_checks_its_direction_before_building_the_kernel(direction, message, indecisive_file, tmp_path,
+                                                                capsys):
+    # The direction was once parsed and checked only after every support had
+    # been sampled and reduced to a kernel.
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--input", str(indecisive_file), "--alpha", "0.2", "--direction", direction,
+            "--eps", "0.2", "--delta", "0.1", "--m", "5", "--out", str(out)]
+    with mock.patch.object(cli_mod.montecarlo, "build_eda_kernel", wraps=cli_mod.montecarlo.build_eda_kernel) as spy:
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not spy.called
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -992,7 +992,7 @@ _SIP_MEASURES = [MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("aabb
 
 
 def _sip_field_bytes(field):
-    return (field.kinds.tobytes(), field.params.tobytes(), field.weights.tobytes(),
+    return (field.kind, field.params.tobytes(), field.weights.tobytes(),
             field.numerators.dtype, field.numerators.tolist(), field.denominator)
 
 

@@ -140,6 +140,21 @@ def test_quantization_validation():
         Quantization1D.from_samples([])
 
 
+def test_quantization_refuses_nan_values():
+    # The order check is false on NaN: from_samples([1, nan, 0.5]) once built
+    # [0.5, 1.0, nan], whose CDF read 2/3 at 10.
+    with pytest.raises(ValueError, match="values must not be NaN"):
+        Quantization1D.from_samples([1.0, math.nan, 0.5])
+    with pytest.raises(ValueError, match="values must not be NaN"):
+        Quantization1D(np.array([0.5, math.nan]), (0.5, 0.5))
+    with pytest.raises(ValueError, match="values must not be NaN"):
+        Quantization1D.from_numerators([math.nan], [1], 1)
+    # Infinite values are ordered and stay accepted.
+    q = Quantization1D.from_samples([math.inf, 0.5, -math.inf])
+    assert q.values.tolist() == [-math.inf, 0.5, math.inf]
+    assert eval_cdf(q, 10.0) == 2 / 3
+
+
 
 @pytest.mark.parametrize(
     "weights, message",

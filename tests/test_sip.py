@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from uqgeom import MeasureId, deterministic_sip, rasterize_sip, write_pgm
+from uqgeom import MeasureId, ValidationError, deterministic_sip, rasterize_sip, write_pgm
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 import uqgeom.sip as sip_mod
@@ -18,15 +19,21 @@ from uqgeom.sip import DISK, RECT, DiskShape, Raster, RectShape, SipField
 from conftest import random_indecisive, read_pgm
 
 
-def _field(shapes) -> SipField:
-    """The field of (DiskShape | RectShape, weight) pairs, with exact
-    numerators of the weights over the lcm of their denominators."""
+_SHAPE = {DISK: DiskShape, RECT: RectShape}
+
+
+def _field(shapes, kind=None) -> SipField:
+    """The field of (DiskShape | RectShape, weight) pairs of one family
+    (``kind``, else the first shape's), with exact numerators of the
+    weights over the lcm of their denominators."""
+    if kind is None:
+        kind = DISK if isinstance(shapes[0][0], DiskShape) else RECT
+    assert all(type(s) is _SHAPE[kind] for s, _ in shapes)
     exact = [Fraction(w) for _, w in shapes]
     denom = math.lcm(*(w.denominator for w in exact))
     return SipField.from_arrays(
-        [DISK if isinstance(s, DiskShape) else RECT for s, _ in shapes],
-        np.array([(s.cx, s.cy, s.r, 0.0) if isinstance(s, DiskShape) else (s.x0, s.y0, s.x1, s.y1)
-                  for s, _ in shapes]).reshape(-1, 4),
+        kind,
+        np.array([dataclasses.astuple(s) for s, _ in shapes]).reshape(-1, 3 if kind == DISK else 4),
         [float(w) for _, w in shapes],
         [w.numerator * (denom // w.denominator) for w in exact],
         denom,
@@ -147,41 +154,45 @@ def _rasterize_full_grid(shapes, grid, bounds):
     return np.minimum(values, 1.0)
 
 
-_PATHS = ("_equal_weight_values", "_rectangle_values", "_run_values")
+_PATHS = ("_rect_counts", "_rectangle_values", "_disk_values")
 
 
 def _rasterize_by_path(field, grid, bounds):
-    """rasterize_sip's values, and the name of the one path that made them."""
+    """rasterize_sip's values, and the one path that made them: the name of
+    the function called and whether it counted cells (equal weights) or
+    added weights."""
     with contextlib.ExitStack() as stack:
         spies = {name: stack.enter_context(mock.patch.object(sip_mod, name, wraps=getattr(sip_mod, name)))
                  for name in _PATHS}
         values = rasterize_sip(field, grid, bounds).values
     (path,) = [name for name, spy in spies.items() if spy.called]
-    return values, path
+    counts = path == "_rect_counts" or (path == "_disk_values" and spies[path].call_args.args[-1])
+    return values, (path, counts)
 
 
-def _expected_path(shapes) -> str:
-    if len({float(w) for _, w in shapes}) <= 1:
-        return "_equal_weight_values"
-    if all(isinstance(s, RectShape) for s, _ in shapes):
-        return "_rectangle_values"
-    return "_run_values"
+def _expected_path(kind, shapes) -> tuple:
+    equal = len({float(w) for _, w in shapes}) <= 1
+    if kind == DISK:
+        return "_disk_values", equal
+    return ("_rect_counts", True) if equal else ("_rectangle_values", False)
 
 
 def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
-    """The shapes as given, with every weight 1/3 and with every weight
-    1/2187, and their rectangles alone: each rasterizes bit for bit as the
-    reference does, by the path its weights and kinds select."""
-    rects = [(s, w) for s, w in shapes if isinstance(s, RectShape)]
-    equal = [[(s, w) for s, _ in shapes] for w in (Fraction(1, 3), Fraction(1, 2187))]
-    for variant in (shapes, *equal, rects):
-        got, path = _rasterize_by_path(_field(variant), grid, bounds)
-        # The reference's dx * dx overflows, with numpy's warning, for a
-        # disk centered far off the grid.
-        with np.errstate(over="ignore"):
-            want = _rasterize_full_grid(variant, grid, bounds)
-        assert got.tobytes() == want.tobytes()
-        assert path == _expected_path(variant)
+    """The disks and the rectangles of the shapes, each family as given,
+    with every weight 1/3 and with every weight 1/2187: each rasterizes bit
+    for bit as the reference does, by the path its family and weights
+    select."""
+    for kind, cls in _SHAPE.items():
+        family = [(s, w) for s, w in shapes if isinstance(s, cls)]
+        equal = [[(s, w) for s, _ in family] for w in (Fraction(1, 3), Fraction(1, 2187))]
+        for variant in (family, *equal):
+            got, path = _rasterize_by_path(_field(variant, kind), grid, bounds)
+            # The reference's dx * dx overflows, with numpy's warning, for a
+            # disk centered far off the grid.
+            with np.errstate(over="ignore"):
+                want = _rasterize_full_grid(variant, grid, bounds)
+            assert got.tobytes() == want.tobytes()
+            assert path == _expected_path(kind, variant)
 
 
 def test_rasterize_random_shapes_bitwise_equal_full_grid():
@@ -278,9 +289,10 @@ def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
 
 
 @pytest.mark.parametrize("offset_cells", [1, 300, None])
-def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, offset_cells):
+@pytest.mark.parametrize("kind", [DISK, RECT], ids=["disk", "rect"])
+def test_rasterize_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, kind, offset_cells):
     # Chunks of one window row or cell, of a few, and the default: the runs
-    # of a chunk's disks are taken together, rectangles among them.
+    # of a chunk's disks are taken together.
     if offset_cells is not None:
         monkeypatch.setattr(sip_mod, "_OFFSET_CELLS", offset_cells)
     grid, bounds = (23, 19), (-1.0, -1.0, 1.3, 0.9)
@@ -290,18 +302,19 @@ def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypa
     rng = np.random.default_rng(17)
     shapes = []
     for _ in range(400):
-        kind = rng.integers(4)
+        # The 400 draws of either family: three kinds of disk, or a box.
+        shape = rng.integers(3) if kind == DISK else 3
         i, j = int(rng.integers(h)), int(rng.integers(w))
         weight = float(rng.random()) / 150
-        if kind == 0:
+        if shape == 0:
             # A disk through cell centres: centred on one, radius to another.
             i2, j2 = int(rng.integers(h)), int(rng.integers(w))
             shapes.append((DiskShape(xs[j], ys[i], math.hypot(xs[j2] - xs[j], ys[i2] - ys[i])), weight))
-        elif kind == 1:
+        elif shape == 1:
             # Zero-radius disks, on a cell centre and off it.
             cx = xs[j] if rng.random() < 0.5 else float(rng.uniform(-1.2, 1.5))
             shapes.append((DiskShape(cx, ys[i], 0.0), weight))
-        elif kind == 2:
+        elif shape == 2:
             cx, cy = rng.uniform(-1.5, 1.8, 2)
             shapes.append((DiskShape(float(cx), float(cy), float(rng.uniform(0.0, 0.8))), weight))
         else:
@@ -309,36 +322,40 @@ def test_rasterize_mixed_field_in_offset_chunks_bitwise_equal_full_grid(monkeypa
             dx, dy = rng.uniform(0.0, 0.9, 2)
             shapes.append((RectShape(float(cx), float(cy), float(cx + dx), float(cy + dy)), weight))
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
-    field = SipField.from_arrays(
-        [DISK if isinstance(s, DiskShape) else RECT for s, _ in shapes],
-        [(s.cx, s.cy, s.r, 0.0) if isinstance(s, DiskShape) else (s.x0, s.y0, s.x1, s.y1) for s, _ in shapes],
-        [wt for _, wt in shapes],
-    )
+    field = SipField.from_arrays(kind, [dataclasses.astuple(s) for s, _ in shapes], [wt for _, wt in shapes])
     got = rasterize_sip(field, grid, bounds).values
     assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
-    # Three shapes over one cell, added in shape order: 0.5 + 2**-54 rounds
+    if kind == RECT:
+        return
+    # Three disks over one cell, added in shape order: 0.5 + 2**-54 rounds
     # to 0.5 twice, where the two small weights first would give 0.5 + 2**-53.
     i, j = 4, 7
-    shapes = [(DiskShape(xs[j], ys[i], 0.0), 0.5), (RectShape(xs[j], ys[i], xs[j], ys[i]), 2.0**-54),
+    shapes = [(DiskShape(xs[j], ys[i], 0.0), 0.5), (DiskShape(xs[j], ys[i], 0.0), 2.0**-54),
               (DiskShape(xs[j], ys[i], 0.0), 2.0**-54)]
     got = rasterize_sip(_field(shapes), grid, bounds).values
     assert got[i, j] == 0.5 and got.sum() == 0.5
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
 
 
-def _grown_field(m, path) -> SipField:
-    """m disks and rectangles in [-1, 1]^2 (rectangles alone for the
-    compressed grid), with the weights that select ``path``."""
+def _grown_field(m, kind, equal) -> SipField:
+    """m disks or rectangles in [-1, 1]^2, with equal weights or not."""
     rng = np.random.default_rng(43)
-    kinds = np.full(m, RECT, dtype=np.int8) if path == "_rectangle_values" else rng.integers(0, 2, m).astype(np.int8)
     center, extent = rng.uniform(-1.0, 1.0, (m, 2)), rng.uniform(0.05, 0.6, (m, 2))
-    disk = np.column_stack([center, extent[:, 0], np.zeros(m)])
-    params = np.where((kinds == DISK)[:, None], disk, np.column_stack([center - extent, center + extent]))
-    weights = np.full(m, 1 / m) if path == "_equal_weight_values" else rng.random(m) / m
-    return SipField.from_arrays(kinds, params, weights)
+    if kind == DISK:
+        params = np.column_stack([center, extent[:, 0]])
+    else:
+        params = np.column_stack([center - extent, center + extent])
+    weights = np.full(m, 1 / m) if equal else rng.random(m) / m
+    return SipField.from_arrays(kind, params, weights)
 
 
-@pytest.mark.parametrize("path", _PATHS)
+_GROWN_PATHS = {
+    "_rect_counts": (RECT, True), "_rectangle_values": (RECT, False),
+    "_disk_values-counts": (DISK, True), "_disk_values-weights": (DISK, False),
+}
+
+
+@pytest.mark.parametrize("path", _GROWN_PATHS)
 def test_rasterize_memory_stays_flat_as_the_field_grows(path):
     # Per-row runs and cells to add are bounded per chunk; what grows
     # with the field is a few dozen bytes a shape.  4x the shapes must not
@@ -346,10 +363,11 @@ def test_rasterize_memory_stays_flat_as_the_field_grows(path):
     import tracemalloc
 
     grid, bounds = (256, 256), (-1.2, -1.2, 1.2, 1.2)
+    kind, equal = _GROWN_PATHS[path]
     peaks = []
     for m in (2000, 8000):
-        field = _grown_field(m, path)
-        assert _rasterize_by_path(field, grid, bounds)[1] == path
+        field = _grown_field(m, kind, equal)
+        assert _rasterize_by_path(field, grid, bounds)[1] == (path.split("-")[0], equal)
         tracemalloc.start()
         try:
             rasterize_sip(field, grid, bounds)
@@ -361,9 +379,41 @@ def test_rasterize_memory_stays_flat_as_the_field_grows(path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sipfield_rejects_non_finite_weights(bad):
-    params = [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 1.0)]
+    params = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="weights must be finite"):
-        SipField.from_arrays([DISK, RECT], params, [0.5, bad])
+        SipField.from_arrays(DISK, params, [0.5, bad])
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    (2, [(0.0, 0.0, 1.0)], "kind must be DISK or RECT"),
+    ([DISK], [(0.0, 0.0, 1.0)], "kind must be DISK or RECT"),
+    (True, [(0.0, 0.0, 1.0, 1.0)], "kind must be DISK or RECT"),
+    (DISK, [(0.0, 0.0, 1.0, 0.0)], r"one \(3,\) parameter row"),
+    (RECT, [(0.0, 0.0, 1.0)], r"one \(4,\) parameter row"),
+    (DISK, [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)], r"one \(3,\) parameter row"),
+], ids=["kind 2", "kind a list", "kind a bool", "disk of 4", "rectangle of 3", "two rows, one weight"])
+def test_sipfield_refuses_another_kind_or_row_width(kind, params, message):
+    with pytest.raises(ValueError, match=message):
+        SipField.from_arrays(kind, params, [1.0])
+
+
+@pytest.mark.parametrize("numerators, denominator", [
+    ([5], None), (None, 1), ([1], 0), ([1], -1), ([1], 1.0), ([1], True),
+], ids=["no denominator", "no numerators", "zero", "negative", "a float", "a bool"])
+def test_sipfield_refuses_exact_weights_without_a_positive_integer_denominator(numerators, denominator):
+    # Fraction(5, None) is 5: a field with numerators and no denominator
+    # once answered query_exact with the bare numerator sum.
+    with pytest.raises(ValueError, match="numerators and their denominator|positive integer"):
+        SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [1.0], numerators, denominator)
+
+
+def test_sip_makers_refuse_a_measure_without_a_summarizing_shape():
+    uset = random_indecisive(np.random.default_rng(2), 3, 2)
+    for make in (lambda m: deterministic_sip(uset, m),
+                 lambda m: build_random_sip(uset, m, SampleBudget(0.2, 0.2, explicit_m=4), seed=0)):
+        for measure in (MeasureId("dwid", (1.0, 0.0)), MeasureId("diameter"), MeasureId("sebinf")):
+            with pytest.raises(ValidationError, match="^SIP needs a disk or rectangle summarizing shape$"):
+                make(measure)
 
 
 def test_rasterize_empty_shape_list():
@@ -435,13 +485,18 @@ def test_random_sip_array_form_rasterizes_like_full_grid(measure):
 
 
 def test_shapes_view_and_exact_queries_from_arrays():
-    field = SipField.from_arrays([DISK, RECT], [(0.0, 0.0, 1.0, 0.0), (0.5, -1.0, 2.0, 1.0)],
-                                 [1 / 3, 0.25], [4, 3], 12)
-    assert field.shapes == ((DiskShape(0.0, 0.0, 1.0), Fraction(1, 3)), (RectShape(0.5, -1.0, 2.0, 1.0), Fraction(1, 4)))
-    assert field.weights.tolist() == [1 / 3, 0.25]
-    assert field.query_exact((0.75, 0.0)) == Fraction(1, 3) + Fraction(1, 4)
-    assert field.query_exact((3.0, 0.0)) == 0
-    assert not any(v.flags.writeable for v in (field.kinds, field.params, field.weights, field.numerators))
+    disks = SipField.from_arrays(DISK, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.5)], [1 / 3, 0.25], [4, 3], 12)
+    rects = SipField.from_arrays(RECT, [(0.5, -1.0, 2.0, 1.0), (-1.0, -1.0, 1.0, 0.5)], [1 / 3, 0.25], [4, 3], 12)
+    assert disks.shapes == ((DiskShape(0.0, 0.0, 1.0), Fraction(1, 3)), (DiskShape(1.0, 0.0, 0.5), Fraction(1, 4)))
+    assert rects.shapes == ((RectShape(0.5, -1.0, 2.0, 1.0), Fraction(1, 3)),
+                            (RectShape(-1.0, -1.0, 1.0, 0.5), Fraction(1, 4)))
+    for field in (disks, rects):
+        assert field.weights.tolist() == [1 / 3, 0.25]
+        assert field.query_exact((0.75, 0.0)) == Fraction(1, 3) + Fraction(1, 4)
+        assert field.query_exact((3.0, 0.0)) == 0
+        assert not any(v.flags.writeable for v in (field.params, field.weights, field.numerators))
+    assert (disks.kind, rects.kind) == (DISK, RECT)
+    assert not hasattr(disks, "kinds")
 
 
 def test_rasterize_rejects_non_finite_bounds():
@@ -462,9 +517,10 @@ def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bound
 
     for name in ("_disk_windows", *_PATHS):
         monkeypatch.setattr(sip_mod, name, fail)
-    field = _field([(DiskShape(0.5, 0.5, 0.3), 0.5), (RectShape(0.0, 0.0, 1.0, 1.0), 0.25)])
-    with pytest.raises(ValueError, match=message):
-        rasterize_sip(field, grid, bounds)
+    for field in (_field([(DiskShape(0.5, 0.5, 0.3), 0.5), (DiskShape(0.2, 0.5, 0.3), 0.25)]),
+                  _field([(RectShape(0.0, 0.0, 1.0, 1.0), 0.5), (RectShape(0.2, 0.0, 1.0, 0.5), 0.25)])):
+        with pytest.raises(ValueError, match=message):
+            rasterize_sip(field, grid, bounds)
 
 
 def test_disk_query_equals_query_many_on_the_boundary():
@@ -483,7 +539,7 @@ def test_disk_query_equals_query_many_on_the_boundary():
             split.append(((cx, cy, r), (px, py)))
     assert len(split) >= 10
     for disk, point in split:
-        field = SipField.from_arrays([DISK], [(*disk, 0.0)], [1.0], [1], 1)
+        field = SipField.from_arrays(DISK, [disk], [1.0], [1], 1)
         many = field.query_many([point])[0]
         assert field.query(point) == many
         assert field.query_exact(point) == many
@@ -517,10 +573,12 @@ def _loop_hits(field, pts) -> list:
     x, y = pts[:, 0], pts[:, 1]
     hits = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind, (a, b, c, d) in zip(field.kinds.tolist(), field.params.tolist()):
-            if kind == DISK:
+        for p in field.params.tolist():
+            if field.kind == DISK:
+                a, b, c = p
                 hits.append((x - a) * (x - a) + (y - b) * (y - b) <= c * c)
             else:
+                a, b, c, d = p
                 hits.append((x >= a) & (x <= c) & (y >= b) & (y <= d))
     return hits
 
@@ -534,30 +592,31 @@ def _loop_query_many(field, pts) -> np.ndarray:
     return np.minimum(out, 1.0)
 
 
-def _mixed_field(rng, m):
-    """m random disks and closed boxes with exact weights, among them
-    zero-radius disks and empty, NaN and zero-width boxes; and query points
+def _random_field(rng, m, kind):
+    """m random disks or closed boxes with exact weights, among them
+    zero-radius disks, or empty, NaN and zero-width boxes; and query points
     on their circles and edges, at their centers and corners, at random,
     and infinite, NaN and far away."""
-    kinds = rng.integers(0, 2, m).astype(np.int8)
     params = rng.uniform(-2.0, 2.0, (m, 4))
-    disk = kinds == DISK
-    rect = np.flatnonzero(~disk)
-    params[disk, 2] = rng.uniform(0.0, 1.5, disk.sum()) * (rng.random(disk.sum()) < 0.9)
-    params[disk, 3] = 0.0
-    params[rect] = np.sort(params[rect][:, [0, 2, 1, 3]].reshape(-1, 2, 2), axis=2).reshape(-1, 4)[:, [0, 2, 1, 3]]
-    params[rect[::7], 0] = params[rect[::7], 2] + 0.5  # reversed: empty
-    params[rect[1::11], 3] = math.nan
-    params[rect[2::9], 2] = params[rect[2::9], 0]  # zero width
+    if kind == DISK:
+        params = params[:, :3]
+        params[:, 2] = rng.uniform(0.0, 1.5, m) * (rng.random(m) < 0.9)
+    else:
+        params = np.sort(params[:, [0, 2, 1, 3]].reshape(-1, 2, 2), axis=2).reshape(-1, 4)[:, [0, 2, 1, 3]]
+        params[::7, 0] = params[::7, 2] + 0.5  # reversed: empty
+        params[1::11, 3] = math.nan
+        params[2::9, 2] = params[2::9, 0]  # zero width
     nums = rng.integers(1, 50, m)
     denom = int(nums.sum()) + int(rng.integers(1, 3))
-    field = SipField.from_arrays(kinds, params, [n / denom for n in nums.tolist()], nums, denom)
+    field = SipField.from_arrays(kind, params, [n / denom for n in nums.tolist()], nums, denom)
     pts = [rng.uniform(-3.0, 3.0, (200, 2))]
-    for kind, (a, b, c, d) in zip(kinds[:60].tolist(), params[:60].tolist()):
+    for p in params[:60].tolist():
         if kind == DISK:
+            a, b, c = p
             t = rng.uniform(0.0, 2 * math.pi)
             pts.append([[a + c * math.cos(t), b + c * math.sin(t)], [a + c, b], [a, b - c], [a, b]])
         else:
+            a, b, c, d = p
             mid = b if math.isnan(d) else rng.uniform(b, d)
             pts.append([[a, b], [c, d], [a, mid], [c, mid]])
     pts.append([[math.inf, 0.0], [-math.inf, math.inf], [math.nan, 0.0], [1e200, -1e200]])
@@ -571,22 +630,23 @@ def test_array_queries_match_the_per_shape_loop(monkeypatch, offset_cells):
         monkeypatch.setattr(sip_mod, "_OFFSET_CELLS", offset_cells)
     rng = np.random.default_rng(31)
     for m in (0, 1, 2, 37, 300):
-        field, pts = _mixed_field(rng, m)
-        got = field.query_many(pts)
-        assert got.tobytes() == _loop_query_many(field, pts).tobytes()
-        assert field.query_many(pts[:0]).shape == (0,)
-        hits = _loop_hits(field, pts)
-        for i in range(0, len(pts), 3):
-            assert field.query(pts[i]) == got[i]
-            want = sum((Fraction(n, field.denominator) for n, hit in zip(field.numerators.tolist(), hits) if hit[i]),
-                       Fraction(0))
-            assert field.query_exact(pts[i]) == want
-        # The queries read the arrays; the shapes view is never built.
-        assert "shapes" not in vars(field)
+        for kind in (DISK, RECT):
+            field, pts = _random_field(rng, m, kind)
+            got = field.query_many(pts)
+            assert got.tobytes() == _loop_query_many(field, pts).tobytes()
+            assert field.query_many(pts[:0]).shape == (0,)
+            hits = _loop_hits(field, pts)
+            for i in range(0, len(pts), 3):
+                assert field.query(pts[i]) == got[i]
+                want = sum((Fraction(n, field.denominator) for n, hit in zip(field.numerators.tolist(), hits)
+                            if hit[i]), Fraction(0))
+                assert field.query_exact(pts[i]) == want
+            # The queries read the arrays; the shapes view is never built.
+            assert "shapes" not in vars(field)
 
 
 def _unit_disk_field():
-    return SipField.from_arrays([DISK], [(0.0, 0.0, 1.0, 0.0)], [1.0], [1], 1)
+    return SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [1.0], [1], 1)
 
 
 @pytest.mark.parametrize("field", [_unit_disk_field, lambda: Raster(np.ones((4, 4)), (-1.0, -1.0, 1.0, 1.0))],
