@@ -682,10 +682,9 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
 
     The field is filled from the engine's chunks in its array form: disks
     (cx, cy, r) for seb2, rectangles (x0, y0, x1, y1) otherwise, the integer
-    numerators over the product of the point denominators, and float
-    weights ``num / denominator`` (Python's int division is correctly
-    rounded, so each is float() of its Fraction).  Its queries and
-    :func:`~uqgeom.sip.rasterize_sip` read these arrays."""
+    numerators over the product of the point denominators, from which
+    :meth:`~uqgeom.sip.SipField.from_arrays` derives the float weights.  Its
+    queries and :func:`~uqgeom.sip.rasterize_sip` read these arrays."""
     kind = shape_kind(measure)
     prep = _Prepared(uset, measure)
     chunks = [(shapes, nums) for _, _, shapes, nums in _counted_bases(prep)]
@@ -694,9 +693,7 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     # For these measures the frame coordinates are plain x/y, so the
     # counting shape doubles as the summarizing shape.
     params = shapes if kind == DISK else shapes[:, [0, 2, 1, 3]]
-    denom = prep.jset.denominator
-    weights = np.array([num / denom for num in nums.tolist()])
-    return SipField.from_arrays(kind, params, weights, nums, denom)
+    return SipField.from_arrays(kind, params, None, nums, prep.jset.denominator)
 
 
 def distributions_match(

@@ -149,7 +149,8 @@ class SipField:
     (cx, cy, r) rows for disks and (m, 4) (x0, y0, x1, y1) rows for closed
     rectangles; float ``weights``; and exact integer ``numerators`` over one
     positive integer ``denominator`` when the maker has them (the exact
-    engine), else both None.  The arrays are read-only.  ``shapes``, the
+    engine), else both None; each exact weight is its numerator over the
+    denominator, rounded once.  The arrays are read-only.  ``shapes``, the
     (DiskShape or RectShape, weight) pairs with Fraction weights where
     numerators exist, is a read-only view built from the arrays on first
     read; the queries and :func:`rasterize_sip` do not build it.
@@ -168,9 +169,30 @@ class SipField:
 
     @classmethod
     def from_arrays(cls, kind, params, weights, numerators=None, denominator=None) -> "SipField":
-        """The field of m shapes of one family in its array form (see the class)."""
+        """The field of m shapes of one family in its array form (see the
+        class).  With exact weights, ``weights`` may be None: each float
+        weight is then ``num / denominator``, Python's correctly rounded
+        int division, so float() of its Fraction; given weights must equal
+        it.  Numerators must be ints (bools are refused)."""
         if type(kind) is not int or kind not in (DISK, RECT):
             raise ValueError("a SIP field's kind must be DISK or RECT")
+        if (numerators is None) != (denominator is None):
+            raise ValueError("exact weights need both the numerators and their denominator")
+        if numerators is not None:
+            if type(denominator) is not int or denominator <= 0:
+                raise ValueError("the denominator of exact weights must be a positive integer")
+            numerators = np.array(numerators)
+            if numerators.ndim != 1:
+                raise ValueError("need one numerator per shape")
+            nums = numerators.tolist()
+            if not {type(n) for n in nums} <= {int}:
+                raise ValueError("the numerators of exact weights must be integers")
+            try:
+                exact = np.array([n / denominator for n in nums], dtype=np.float64)
+            except OverflowError:
+                raise ValueError("shape weights must be finite") from None
+            if weights is None:
+                weights = exact
         params = np.array(params, dtype=np.float64)
         weights = np.array(weights, dtype=np.float64)
         m, width = weights.size, 3 if kind == DISK else 4
@@ -178,14 +200,11 @@ class SipField:
             raise ValueError(f"need one weight and one ({width},) parameter row per shape")
         if not np.isfinite(weights).all():
             raise ValueError("shape weights must be finite")
-        if (numerators is None) != (denominator is None):
-            raise ValueError("exact weights need both the numerators and their denominator")
         if numerators is not None:
-            numerators = np.array(numerators)
             if numerators.shape != (m,):
                 raise ValueError("need one numerator per shape")
-            if type(denominator) is not int or denominator <= 0:
-                raise ValueError("the denominator of exact weights must be a positive integer")
+            if not (weights == exact).all():
+                raise ValueError("each exact shape weight must be its numerator over the denominator")
         field = cls.__new__(cls)
         for name, value in (("params", params), ("weights", weights), ("numerators", numerators)):
             if value is not None:
@@ -284,16 +303,21 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
       (an empty or NaN box gets an empty window).  Equal weights: each
       cell's count comes from a 2-D difference table of the window corners.
       Otherwise cells between the same consecutive window edges are covered
-      by the same rectangles in the same order, so the slice adds run on
-      the grid compressed at the distinct window edges, and each block is
-      copied to its cells.
+      by the same rectangles in the same order, so the adds run on the grid
+      compressed at the distinct window edges, and each block is copied to
+      its cells.  There a rectangle covers one run of block columns on each
+      of its block rows, and the blocks of the runs are added in shape
+      order by ``np.add.at``, as for disks; where the rectangles cover more
+      than ``_SLICE_ADD_BLOCKS`` blocks each on the mean, one slice add per
+      rectangle, in shape order, is faster.
     - *Disks*.  A window is the disk's bounding box, widened cell by cell
       while the one-axis test ``(x - cx) ** 2 <= r * r`` still holds
       (rounding can put a contained center just outside the rounded box).
       On each window row a disk covers one run of columns
       (:func:`_disk_runs`).  Equal weights: each cell's count comes from
       per-row differences of the runs.  Otherwise the cells of the runs are
-      added in shape order by ``np.add.at``, one index at a time.
+      added in shape order by ``np.add.at``, one index at a time
+      (:func:`_add_runs`, which the rectangles share).
 
     A cell covered c times by shapes of one weight (every Monte Carlo
     field) holds the weight added c times to +0.0 in any order, so a count
@@ -339,27 +363,40 @@ def _disk_values(xs, ys, d, weights, i0, i1, j0, j1, equal):
     """The raster of disks from each window row's run of columns: with
     ``equal`` weights each cell's count of containing disks, from per-row
     differences of the runs; otherwise the weights, the cells of every run
-    added in shape order by ``np.add.at``."""
+    added in shape order by :func:`_add_runs`."""
     w, h = len(xs), len(ys)
     values = np.zeros(h * (w + 1), dtype=np.intp if equal else np.float64)
     # Chunks of _OFFSET_CELLS / 8 window rows to count (the dozen per-row
     # arrays of _disk_runs take about 1 MB), or of _OFFSET_CELLS / 32 rows
-    # and _OFFSET_CELLS / 4 cells to add (indices and weights, 1 MB each).
-    for part in _chunks(i1 - i0, _OFFSET_CELLS // (8 if equal else 32)):
-        # Every row of each window, in order, and its window's index.
-        heights = i1[part] - i0[part]
-        which, row = np.repeat(np.arange(len(heights)), heights), _spans(i0[part], heights)
+    # to add.
+    for part, which, row in _window_rows(i0, i1, _OFFSET_CELLS // (8 if equal else 32)):
         lo, hi = _disk_runs(xs, ys, d[part], j0[part], j1[part], which, row)
         if equal:
             values += np.bincount(row * (w + 1) + lo, minlength=len(values))
             values -= np.bincount(row * (w + 1) + hi, minlength=len(values))
-            continue
-        run_weights = weights[part][which]
-        for runs in _chunks(hi - lo, _OFFSET_CELLS // 4):
-            size = hi[runs] - lo[runs]
-            np.add.at(values, _spans(row[runs] * (w + 1) + lo[runs], size), np.repeat(run_weights[runs], size))
+        else:
+            _add_runs(values, row * (w + 1) + lo, hi - lo, weights[part][which])
     values = values.reshape(h, w + 1)
     return np.cumsum(values, axis=1)[:, :w] if equal else values[:, :w]
+
+
+def _window_rows(i0, i1, budget):
+    """Consecutive slices ``part`` of the windows (rows [i0, i1)), cut by
+    :func:`_chunks` at ``budget`` window rows, each with every row of its
+    windows in order: the row and its window's index within the part."""
+    for part in _chunks(i1 - i0, budget):
+        heights = i1[part] - i0[part]
+        yield part, np.repeat(np.arange(len(heights)), heights), _spans(i0[part], heights)
+
+
+def _add_runs(values, starts, sizes, weights):
+    """Add each run's weight to the flat cells ``starts + [0, sizes)`` of
+    ``values``, run after run: ``np.add.at`` applies its indices one at a
+    time, so every cell gets the weights of its runs in run order.  In
+    chunks of _OFFSET_CELLS / 4 cells (indices and weights, 1 MB each)."""
+    for runs in _chunks(sizes, _OFFSET_CELLS // 4):
+        size = sizes[runs]
+        np.add.at(values, _spans(starts[runs], size), np.repeat(weights[runs], size))
 
 
 def _chunks(sizes, budget):
@@ -426,19 +463,37 @@ def _walk(pos, step, go):
         moving = moving[go(moving, pos[moving])]
 
 
+# Mean blocks of the compressed grid per rectangle above which
+# _rectangle_values adds one slice per rectangle rather than runs: the run
+# adds pay per block, the slice adds per rectangle.  Per call on exact
+# aabb-perimeter fields (best of seven, both ways in one process, a 2-core
+# box), the run adds took 0.24-0.36x the slice adds' time at 71-98 blocks a
+# rectangle, 0.63-0.99x at 276-625, 0.93-1.07x at 762-774, 1.07-1.24x at
+# 928-980 and 1.36-1.40x at 1287-1379: even near 700, so at 512 the run
+# adds are taken only where they win.
+_SLICE_ADD_BLOCKS = 512
+
+
 def _rectangle_values(w, h, weights, i0, i1, j0, j1):
-    """The raster of rectangles alone: the slice adds in shape order on the
-    grid compressed at the distinct window edges, each block then repeated
-    over its rows and columns."""
+    """The raster of rectangles alone, added in shape order on the grid
+    compressed at the distinct window edges, each block then repeated over
+    its rows and columns.  A rectangle covers one run of block columns on
+    each of its block rows, and the runs are added by :func:`_add_runs`;
+    where the rectangles cover more than _SLICE_ADD_BLOCKS blocks each on
+    the mean, one slice add per rectangle is faster."""
     rows = np.unique(np.concatenate([[0, h], i0, i1]))
     cols = np.unique(np.concatenate([[0, w], j0, j1]))
+    r0, r1 = np.searchsorted(rows, i0), np.searchsorted(rows, i1)
+    c0, c1 = np.searchsorted(cols, j0), np.searchsorted(cols, j1)
     blocks = np.zeros((len(rows) - 1, len(cols) - 1))
-    edges = zip(
-        np.searchsorted(rows, i0).tolist(), np.searchsorted(rows, i1).tolist(),
-        np.searchsorted(cols, j0).tolist(), np.searchsorted(cols, j1).tolist(), weights.tolist(),
-    )
-    for r0, r1, c0, c1, weight in edges:
-        blocks[r0:r1, c0:c1] += weight
+    if ((r1 - r0) * (c1 - c0)).sum() > _SLICE_ADD_BLOCKS * len(weights):
+        for b0, b1, a0, a1, weight in zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist(), weights.tolist()):
+            blocks[b0:b1, a0:a1] += weight
+    else:
+        stride = blocks.shape[1]
+        for part, which, row in _window_rows(r0, r1, _OFFSET_CELLS // 32):
+            lo = c0[part][which]
+            _add_runs(blocks.reshape(-1), row * stride + lo, c1[part][which] - lo, weights[part][which])
     return np.repeat(np.repeat(blocks, np.diff(rows), axis=0), np.diff(cols), axis=1)
 
 

@@ -10,7 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from uqgeom import MeasureId, ValidationError, deterministic_sip, rasterize_sip, write_pgm
+from uqgeom import (ContinuousUncertainSet, GaussianPoint, MeasureId, UniformDiskPoint, ValidationError,
+                    deterministic_sip, discretize_for_measure, rasterize_sip, write_pgm)
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 import uqgeom.sip as sip_mod
@@ -177,22 +178,45 @@ def _expected_path(kind, shapes) -> tuple:
     return ("_rect_counts", True) if equal else ("_rectangle_values", False)
 
 
+# _SLICE_ADD_BLOCKS values that force the rectangle run adds (no field
+# covers more blocks per rectangle) and the slice adds (every field with a
+# rectangle on the grid covers more than 0).
+_RUN_ADDS, _SLICE_ADDS = 2**62, 0
+
+
+def _rasterize_rectangles_by_side(field, grid, bounds, cut):
+    """rasterize_sip's values with _SLICE_ADD_BLOCKS set to ``cut``, and
+    whether _rectangle_values added them by runs."""
+    with mock.patch.object(sip_mod, "_SLICE_ADD_BLOCKS", cut), \
+            mock.patch.object(sip_mod, "_add_runs", wraps=sip_mod._add_runs) as runs:
+        return rasterize_sip(field, grid, bounds).values, runs.called
+
+
 def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
     """The disks and the rectangles of the shapes, each family as given,
     with every weight 1/3 and with every weight 1/2187: each rasterizes bit
     for bit as the reference does, by the path its family and weights
-    select."""
+    select; unequal-weight rectangles also with the run adds forced and
+    with the slice adds forced."""
     for kind, cls in _SHAPE.items():
         family = [(s, w) for s, w in shapes if isinstance(s, cls)]
         equal = [[(s, w) for s, _ in family] for w in (Fraction(1, 3), Fraction(1, 2187))]
         for variant in (family, *equal):
-            got, path = _rasterize_by_path(_field(variant, kind), grid, bounds)
+            field = _field(variant, kind)
+            got, path = _rasterize_by_path(field, grid, bounds)
             # The reference's dx * dx overflows, with numpy's warning, for a
             # disk centered far off the grid.
             with np.errstate(over="ignore"):
                 want = _rasterize_full_grid(variant, grid, bounds)
             assert got.tobytes() == want.tobytes()
             assert path == _expected_path(kind, variant)
+            if path == ("_rectangle_values", False):
+                for cut, by_runs in ((_RUN_ADDS, True), (_SLICE_ADDS, False)):
+                    got, ran = _rasterize_rectangles_by_side(field, grid, bounds, cut)
+                    assert got.tobytes() == want.tobytes()
+                    # A raster of zeros may come from a field with no
+                    # rectangle on the grid, which has no side.
+                    assert ran == by_runs or not want.any()
 
 
 def test_rasterize_random_shapes_bitwise_equal_full_grid():
@@ -325,33 +349,42 @@ def test_rasterize_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, kind, o
     field = SipField.from_arrays(kind, [dataclasses.astuple(s) for s, _ in shapes], [wt for _, wt in shapes])
     got = rasterize_sip(field, grid, bounds).values
     assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
-    if kind == RECT:
-        return
-    # Three disks over one cell, added in shape order: 0.5 + 2**-54 rounds
+    # Three shapes over one cell, added in shape order: 0.5 + 2**-54 rounds
     # to 0.5 twice, where the two small weights first would give 0.5 + 2**-53.
+    # Zero-radius disks, or zero-size boxes, on the cell's center; boxes on
+    # both sides of the rectangle cut (which disks do not read).
     i, j = 4, 7
-    shapes = [(DiskShape(xs[j], ys[i], 0.0), 0.5), (DiskShape(xs[j], ys[i], 0.0), 2.0**-54),
-              (DiskShape(xs[j], ys[i], 0.0), 2.0**-54)]
-    got = rasterize_sip(_field(shapes), grid, bounds).values
-    assert got[i, j] == 0.5 and got.sum() == 0.5
+    point = DiskShape(xs[j], ys[i], 0.0) if kind == DISK else RectShape(xs[j], ys[i], xs[j], ys[i])
+    shapes = [(point, 0.5), (point, 2.0**-54), (point, 2.0**-54)]
+    for cut in (_RUN_ADDS, _SLICE_ADDS):
+        got = _rasterize_rectangles_by_side(_field(shapes), grid, bounds, cut)[0]
+        assert got[i, j] == 0.5 and got.sum() == 0.5
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
 
 
-def _grown_field(m, kind, equal) -> SipField:
-    """m disks or rectangles in [-1, 1]^2, with equal weights or not."""
+def _grown_field(m, kind, equal, snap=False) -> SipField:
+    """m disks or rectangles in [-1, 1]^2, with equal weights or not; with
+    ``snap``, rectangle edges rounded to multiples of 0.2, so that the
+    rasterizer's compressed grid has at most 14 x 14 blocks."""
     rng = np.random.default_rng(43)
     center, extent = rng.uniform(-1.0, 1.0, (m, 2)), rng.uniform(0.05, 0.6, (m, 2))
     if kind == DISK:
         params = np.column_stack([center, extent[:, 0]])
     else:
         params = np.column_stack([center - extent, center + extent])
+        if snap:
+            params = np.round(params * 5) / 5
     weights = np.full(m, 1 / m) if equal else rng.random(m) / m
     return SipField.from_arrays(kind, params, weights)
 
 
+# path -> (kind, equal weights, snapped edges): the rectangles of
+# _grown_field cover thousands of blocks each, so unequal weights take the
+# slice adds; snapped, a few dozen, and the run adds.
 _GROWN_PATHS = {
-    "_rect_counts": (RECT, True), "_rectangle_values": (RECT, False),
-    "_disk_values-counts": (DISK, True), "_disk_values-weights": (DISK, False),
+    "_rect_counts": (RECT, True, False), "_rectangle_values": (RECT, False, False),
+    "_rectangle_values-runs": (RECT, False, True),
+    "_disk_values-counts": (DISK, True, False), "_disk_values-weights": (DISK, False, False),
 }
 
 
@@ -363,11 +396,15 @@ def test_rasterize_memory_stays_flat_as_the_field_grows(path):
     import tracemalloc
 
     grid, bounds = (256, 256), (-1.2, -1.2, 1.2, 1.2)
-    kind, equal = _GROWN_PATHS[path]
+    kind, equal, snap = _GROWN_PATHS[path]
     peaks = []
     for m in (2000, 8000):
-        field = _grown_field(m, kind, equal)
+        field = _grown_field(m, kind, equal, snap)
         assert _rasterize_by_path(field, grid, bounds)[1] == (path.split("-")[0], equal)
+        if kind == RECT and not equal:
+            with mock.patch.object(sip_mod, "_add_runs", wraps=sip_mod._add_runs) as runs:
+                rasterize_sip(field, grid, bounds)
+            assert runs.called == snap
         tracemalloc.start()
         try:
             rasterize_sip(field, grid, bounds)
@@ -405,6 +442,39 @@ def test_sipfield_refuses_exact_weights_without_a_positive_integer_denominator(n
     # once answered query_exact with the bare numerator sum.
     with pytest.raises(ValueError, match="numerators and their denominator|positive integer"):
         SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [1.0], numerators, denominator)
+
+
+@pytest.mark.parametrize("numerators", [[0.5], [1.0], [True]], ids=["a half", "a float", "a bool"])
+def test_sipfield_refuses_numerators_that_are_not_integers(numerators):
+    # [0.5] was once accepted, and query_exact then raised TypeError; [True]
+    # was kept as a bool array.
+    with pytest.raises(ValueError, match="numerators of exact weights must be integers"):
+        SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [0.5], numerators, 1)
+
+
+def test_sipfield_refuses_weights_that_are_not_numerator_over_denominator():
+    # Weights 1/2 over numerators 1/3 once gave query 1.0 and query_exact
+    # 2/3 at the origin.
+    with pytest.raises(ValueError, match="numerator over the denominator"):
+        SipField.from_arrays(DISK, [(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)], [0.5, 0.5], [1, 1], 3)
+    # A weight one ulp off the rounded quotient is refused too.
+    with pytest.raises(ValueError, match="numerator over the denominator"):
+        SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [math.nextafter(1 / 3, 1.0)], [1], 3)
+    # A quotient too large for a float is not a finite weight.
+    with pytest.raises(ValueError, match="weights must be finite"):
+        SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], None, [10**400], 1)
+
+
+def test_sipfield_derives_exact_weights_from_the_numerators():
+    # Numerators past 2**63, as the exact engine's object arrays hold them.
+    big = 3**60
+    nums = np.array([1, 2, big, big - 5], dtype=object)
+    field = SipField.from_arrays(RECT, np.zeros((4, 4)), None, nums, 3**61)
+    assert field.weights.tolist() == [float(Fraction(n, 3**61)) for n in nums.tolist()]
+    assert field.query_exact((0.0, 0.0)) == Fraction(2 * big - 2, 3**61)
+    # Given weights that equal the quotients are kept.
+    same = SipField.from_arrays(RECT, np.zeros((4, 4)), field.weights.tolist(), nums, 3**61)
+    assert same.weights.tobytes() == field.weights.tobytes()
 
 
 def test_sip_makers_refuse_a_measure_without_a_summarizing_shape():
@@ -469,6 +539,28 @@ def test_exact_sip_array_form_matches_per_basis_shapes(measure):
         want = sum((w for s, w in field.shapes if s.contains(x, y)), Fraction(0))
         assert field.query_exact((x, y)) == want
         assert field.query((x, y)) == min(1.0, _in_order(float(w) for s, w in field.shapes if s.contains(x, y)))
+
+
+@pytest.mark.parametrize("measure", ["aabb_perimeter", "aabb_area"])
+def test_exact_sip_of_a_discretized_set_rasterizes_like_full_grid(measure):
+    # The sip-pipeline's traffic: Gaussians and a uniform disk on the
+    # bounding-box lattice, a few thousand rectangles of unequal weights
+    # that cover tens of blocks each.  The run adds, chosen or forced, and
+    # the slice adds forced give the reference bit for bit.
+    cset = ContinuousUncertainSet((GaussianPoint((-1.0, -0.6), 0.16 * np.eye(2)),
+                                   UniformDiskPoint((1.0, -0.5), 0.55),
+                                   GaussianPoint((0.1, 0.9), 0.2 * np.eye(2))), 2)
+    uset = discretize_for_measure(cset, MeasureId("aabb_perimeter"), 0.2, points_per_point=9)
+    field = deterministic_sip(uset, MeasureId(measure))
+    grid, bounds = (48, 40), (-3.0, -2.5, 3.0, 2.5)
+    want = _rasterize_full_grid(field.shapes, grid, bounds)
+    assert len(field.weights) > 4000 and want.max() > 0.9
+    got, path = _rasterize_by_path(field, grid, bounds)
+    assert got.tobytes() == want.tobytes() and path == ("_rectangle_values", False)
+    for cut, by_runs in ((sip_mod._SLICE_ADD_BLOCKS, True), (_RUN_ADDS, True), (_SLICE_ADDS, False)):
+        got, ran = _rasterize_rectangles_by_side(field, grid, bounds, cut)
+        assert got.tobytes() == want.tobytes()
+        assert ran == by_runs
 
 
 @pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter"])
