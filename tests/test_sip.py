@@ -402,9 +402,7 @@ def test_rasterize_memory_stays_flat_as_the_field_grows(path):
         field = _grown_field(m, kind, equal, snap)
         assert _rasterize_by_path(field, grid, bounds)[1] == (path.split("-")[0], equal)
         if kind == RECT and not equal:
-            with mock.patch.object(sip_mod, "_add_runs", wraps=sip_mod._add_runs) as runs:
-                rasterize_sip(field, grid, bounds)
-            assert runs.called == snap
+            assert _rasterize_rectangles_by_side(field, grid, bounds, sip_mod._SLICE_ADD_BLOCKS)[1] == snap
         tracemalloc.start()
         try:
             rasterize_sip(field, grid, bounds)
