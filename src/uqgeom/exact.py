@@ -53,7 +53,6 @@ from .measures import (
     _strictly_acute,
     combinatorial_dimension,
     tolerance,
-    value_scale,
 )
 from .model import IndecisivePointSet, ResourceCapError, ValidationError, canonical_jitter
 from .quantize import Quantization1D, eval_cdf
@@ -171,11 +170,12 @@ class _Prepared:
     them out as (n, k_max) arrays for the strict-interior test, like the
     set's weight grid: a point with fewer candidates is padded with NaN
     coordinates, which are never strictly inside a shape, and zero weight.
+    ``geom_eps`` is the engine's one strictness margin, read by seb2 only.
     """
 
     __slots__ = (
         "measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y",
-        "scale", "geom_eps", "strict_eps", "group_tol", "beta",
+        "scale", "geom_eps", "group_tol", "beta",
     )
 
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
@@ -188,7 +188,6 @@ class _Prepared:
         self._members = None
         self.scale = coordinate_scale(jset.locations)
         self.geom_eps = _STRICT_REL * self.scale
-        self.strict_eps = _STRICT_REL * value_scale(measure, self.scale)
         self.group_tol = tolerance(jset.locations, measure)
         self.beta = min(combinatorial_dimension(measure, 2), jset.n)
         self.fx, self.fy = _frame_coords(measure, jset.locations)
@@ -344,7 +343,9 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     counting shapes: returns (idx, values, shapes) restricted to the rows
     that are true bases.  Minimality only needs the drop-one subsets by
     monotonicity; their extrema come from one prefix and one suffix fold
-    per coordinate (:func:`_extrema`).
+    per coordinate (:func:`_extrema`).  The box family compares exactly: a
+    dwid or aabb row is minimal iff every drop moves an extreme (of x alone
+    for dwid), a sebinf or seb1 row iff every drop changes (r, cx, cy).
 
     Shapes, one row per basis: (cx, cy, r) for seb2, (lo, hi) for dwid and
     (x0, x1, y0, y1) otherwise, in frame coordinates.
@@ -352,17 +353,15 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     kind = prep.measure.kind
     if kind == "seb2":
         return _validate_seb2(prep, idx, prep.fx[idx], prep.fy[idx])
-    eps = prep.strict_eps
     keep = np.ones(len(idx), dtype=bool)
     # One coordinate array per basis slot (a column of idx).
     xs = prep.fx[idx.T]
     x_hi, x_hi_drops = _extrema(xs, np.maximum)
     x_lo, x_lo_drops = _extrema(xs, np.minimum)
     if kind == "dwid":
-        # At most two slots, and a single point has width 0.
         values = _extent_value(kind, x_hi - x_lo, None)
-        if idx.shape[1] == 2:
-            keep = values > eps
+        for xh, xl in zip(x_hi_drops, x_lo_drops):
+            keep &= (xh < x_hi) | (xl > x_lo)
         shapes = [x_lo, x_hi]
     else:
         ys = prep.fy[idx.T]
@@ -372,24 +371,17 @@ def _validate(prep: _Prepared, idx: np.ndarray):
         drops = zip(x_hi_drops, x_lo_drops, y_hi_drops, y_lo_drops)
         if kind in ("aabb_perimeter", "aabb_area"):
             for xh, xl, yh, yl in drops:
-                keep &= _extent_value(kind, xh - xl, yh - yl) < values - eps
+                keep &= (xh < x_hi) | (xl > x_lo) | (yh < y_hi) | (yl > y_lo)
             shapes = [x_lo, x_hi, y_lo, y_hi]
         else:
             # sebinf / seb1.  The plain radius violates the locality axiom
             # (optimal centers are not unique), so the basis must pin the
             # lexicographically minimal optimum (r, cx, cy): minimality
             # compares the full triple, with cx = max_x - r and cy = max_y - r.
-            geps = prep.geom_eps
             cx, cy = x_hi - values, y_hi - values
-            # Subsets give lexicographically smaller-or-equal optima; reject
-            # the combo unless every drop strictly changes some component.
             for xh, xl, yh, yl in drops:
                 r2 = _extent_value(kind, xh - xl, yh - yl)
-                keep &= ~(
-                    (np.abs(r2 - values) <= eps)
-                    & (np.abs(xh - r2 - cx) <= geps)
-                    & (np.abs(yh - r2 - cy) <= geps)
-                )
+                keep &= ~((r2 == values) & (xh - r2 == cx) & (yh - r2 == cy))
             # The canonical (lex-minimal) optimal square in frame
             # coordinates, anchored at the max corner.  A support has this
             # basis iff all its other candidates lie inside this square,
@@ -414,29 +406,29 @@ def _validate_seb2(prep: _Prepared, idx, xs, ys):
     # theirs bitwise.
     shapes = _seb2_balls(xs, ys)
     if s == 2:
-        keep = shapes[:, 2] > prep.strict_eps
+        keep = shapes[:, 2] > prep.geom_eps
         idx, shapes = idx[keep], shapes[keep]
     return idx, shapes[:, 2], shapes
 
 
 def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
     """(rows, n, k_max) mask over the padded candidate grid: candidate
-    strictly inside the row's counting shape (never a NaN pad)."""
-    eps = prep.geom_eps
+    strictly inside the row's counting shape (never a NaN pad): exact
+    comparisons for intervals and boxes, a disk shrunk by ``geom_eps``."""
     fx = prep.grid_x
     fy = prep.grid_y
     cols = [c[:, None, None] for c in shapes.T]
     kind = prep.measure.kind
     if kind == "seb2":
         cx, cy, r = cols
-        lim = r - eps
+        lim = r - prep.geom_eps
         # A disk whose shrunk radius is not positive holds nothing strictly.
         return ((fx - cx) ** 2 + (fy - cy) ** 2 < lim * lim) & (lim > 0.0)
     if kind == "dwid":
         lo, hi = cols
-        return (fx > lo + eps) & (fx < hi - eps)
+        return (fx > lo) & (fx < hi)
     x0, x1, y0, y1 = cols
-    return (fx > x0 + eps) & (fx < x1 - eps) & (fy > y0 + eps) & (fy < y1 - eps)
+    return (fx > x0) & (fx < x1) & (fy > y0) & (fy < y1)
 
 
 def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):

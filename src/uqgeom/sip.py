@@ -193,8 +193,10 @@ class SipField:
                 raise ValueError("shape weights must be finite") from None
             if weights is None:
                 weights = exact
-        params = np.array(params, dtype=np.float64)
-        weights = np.array(weights, dtype=np.float64)
+        # Copies in the canonical float64 dtype: np.array keeps an equal dtype
+        # instance of its input (one unpickled, say), slow in np.add.at.
+        params = np.asarray(params, dtype=np.float64).astype(np.float64)
+        weights = np.asarray(weights, dtype=np.float64).astype(np.float64)
         m, width = weights.size, 3 if kind == DISK else 4
         if weights.shape != (m,) or params.shape != (m, width):
             raise ValueError(f"need one weight and one ({width},) parameter row per shape")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqgeom import (
@@ -209,21 +209,15 @@ def test_oracle_equivalence_zero_extent_sets():
     # The tolerance of a zero-extent set is positive, floored at the jitter
     # span, but the engine and the oracle are compared at 0.0: they must
     # give the jittered values the same bits, as both project dwid with
-    # x * u0 + y * u1.  aabb-area still refuses most of these sets.
+    # x * u0 + y * u1.  No measure refuses them: aabb-area bases are decided
+    # by the extremes a drop moves, not by a drop in area, which is 0 here.
     rng = np.random.default_rng(0)
-    refused = 0
     for _ in range(50):
         uset = _zero_extent_set(rng)
         for m in MEASURES + [MeasureId.parse("dwid:0.6,0.8")]:
             assert tolerance(uset.all_locations(), m) > 0
-            try:
-                ex = exact_distribution(uset, m)
-            except ConservationError:
-                assert m.kind == "aabb_area"
-                refused += 1
-                continue
+            ex = exact_distribution(uset, m)
             assert distributions_match(ex, brute_force_distribution(uset, m), 0.0), str(m)
-    assert refused > 0
 
 
 def test_distributions_match_refuses_bad_tolerances():
@@ -555,31 +549,24 @@ def test_exact_csv_from_numerators_matches_fraction_writer(kind):
         "huge-denominator": _huge_denominator_set,
     }[kind]
     uset = make()
-    refused = []
     for m in MEASURES:
         prep = exact_mod._Prepared(uset, m)
-        try:
-            dist = exact_distribution(uset, m)
-        except ConservationError:
-            # The engine still refuses some degenerate lattice sets; the
-            # oracle's CSV below is checked on them all the same.
-            refused.append(m.kind)
-        else:
-            # The dict the engine used to fill, in basis order, from the records.
-            agg = {}
-            for r in dist.records:
-                agg[r.value] = agg.get(r.value, 0) + r.probability.numerator * (
-                    prep.jset.denominator // r.probability.denominator
-                )
-            want = _dict_collapse(agg, prep.jset.denominator, prep.group_tol)
-            _assert_same_quantization(dist.collapsed, want)
-            assert quantization_to_csv(dist.collapsed) == _fraction_csv(want), m.kind
+        # No measure refuses these sets, the lattice one included.
+        dist = exact_distribution(uset, m)
+        # The dict the engine used to fill, in basis order, from the records.
+        agg = {}
+        for r in dist.records:
+            agg[r.value] = agg.get(r.value, 0) + r.probability.numerator * (
+                prep.jset.denominator // r.probability.denominator
+            )
+        want = _dict_collapse(agg, prep.jset.denominator, prep.group_tol)
+        _assert_same_quantization(dist.collapsed, want)
+        assert quantization_to_csv(dist.collapsed) == _fraction_csv(want), m.kind
         bf = brute_force_distribution(uset, m)
         agg = {r.value: r.probability.numerator * (prep.jset.denominator // r.probability.denominator) for r in bf.records}
         assert quantization_to_csv(bf.collapsed) == _fraction_csv(
             _dict_collapse(agg, prep.jset.denominator, prep.group_tol)
         ), m.kind
-    assert refused == ([] if kind != "lattice" else ["aabb_area"])
 
 
 # --------------------------------------------------------------------------
@@ -809,8 +796,8 @@ _POOLS = {
 
 
 @st.composite
-def _degenerate_sets(draw):
-    pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+def _degenerate_sets(draw, pools=_POOLS):
+    pool = pools[draw(st.sampled_from(sorted(pools)))]
     n = draw(st.integers(1, 5))
     ks = [draw(st.integers(1, 3)) for _ in range(n)]
     coords = [[draw(st.sampled_from(pool)) for _ in range(k)] for k in ks]
@@ -828,43 +815,65 @@ def test_seb2_oracle_matches_exact_referee(uset):
     assert distributions_match(bf, ref, 1e-9 * coordinate_scale(uset.all_locations()))
 
 
+# The pools above plus candidates on one horizontal and one vertical line,
+# whose boxes have zero area or share an edge coordinate.  A separate dict,
+# so the seb2 test above keeps its draws.
+_BOX_POOLS = {**_POOLS, "axis-parallel": [(t, 1) for t in range(-3, 4)] + [(2, t) for t in range(-3, 4) if t != 1]}
+
+_BOX_MEASURES = [MeasureId.parse(m) for m in ("aabb-perimeter", "aabb-area", "sebinf", "seb1", "dwid:0.6,0.8")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_degenerate_sets(_BOX_POOLS))
+# Coincident candidates on which sebinf minimality with an eps slack on
+# (r, cx, cy) loses mass.
+@example(_lattice_set(
+    [[(1, -2), (1, -2), (-2, 0)], [(-2, 0), (-2, 0), (1, 1)], [(1, 1), (1, -2), (-2, 0)],
+     [(1, -2), (-2, 0), (-2, 0)], [(1, 1)]],
+    [[1, 1, 3], [1, 1, 4], [1, 4, 1], [3, 2, 1], [2]],
+))
+def test_box_family_matches_oracle_bit_for_bit_on_degenerate_sets(uset):
+    # The box family's bases and interiors are decided by exact comparisons
+    # on the jittered floats, so the engine never refuses these sets
+    # (ConservationError would fail the test) and agrees with the oracle at
+    # tolerance 0.0.
+    for m in _BOX_MEASURES:
+        ex = exact_distribution(uset, m)
+        assert distributions_match(ex, brute_force_distribution(uset, m), 0.0), str(m)
+
+
 # --------------------------------------------------------------------------
 # Validation and counting against the former per-drop and reduceat code
 
 
 def _former_validate(prep, idx):
     """Reference: the validation that rebuilt every drop-one rectangle or
-    square from copied column subsets."""
+    square from copied column subsets, comparing them exactly."""
     import uqgeom.exact as exact_mod
 
     kind = prep.measure.kind
-    eps = prep.strict_eps
     s = idx.shape[1]
     xs = prep.fx[idx]
     ys = prep.fy[idx]
     if kind == "seb2":
         return exact_mod._validate_seb2(prep, idx, xs, ys)
+
+    def moves(c, cols):
+        # The subset of columns cols has a smaller maximum or a larger minimum.
+        return (c[:, cols].max(axis=1) < c.max(axis=1)) | (c[:, cols].min(axis=1) > c.min(axis=1))
+
+    keep = np.ones(len(idx), dtype=bool)
     if s == 1:
-        keep = np.ones(len(idx), dtype=bool)
         values = np.zeros(len(idx))
-    elif kind == "dwid":
-        values = np.abs(xs[:, 1] - xs[:, 0])
-        keep = values > eps
-    elif kind in ("aabb_perimeter", "aabb_area"):
-        perim = kind == "aabb_perimeter"
-
-        def rect_value(x, y):
-            ex = x.max(axis=1) - x.min(axis=1)
-            ey = y.max(axis=1) - y.min(axis=1)
-            return 2.0 * (ex + ey) if perim else ex * ey
-
-        values = rect_value(xs, ys)
-        keep = np.ones(len(idx), dtype=bool)
+    elif kind in ("dwid", "aabb_perimeter", "aabb_area"):
+        # dwid's frame y is 0 throughout, so no drop moves it.
+        ex = xs.max(axis=1) - xs.min(axis=1)
+        ey = ys.max(axis=1) - ys.min(axis=1)
+        values = {"dwid": ex, "aabb_perimeter": 2.0 * (ex + ey), "aabb_area": ex * ey}[kind]
         for drop in range(s):
             cols = [t for t in range(s) if t != drop]
-            keep &= rect_value(xs[:, cols], ys[:, cols]) < values - eps
+            keep &= moves(xs, cols) | moves(ys, cols)
     else:
-        geps = prep.geom_eps
 
         def lex_opt(x, y):
             mx = x.max(axis=1)
@@ -873,15 +882,10 @@ def _former_validate(prep, idx):
             return r, mx - r, my - r
 
         values, cx, cy = lex_opt(xs, ys)
-        keep = np.ones(len(idx), dtype=bool)
         for drop in range(s):
             cols = [t for t in range(s) if t != drop]
             r2, cx2, cy2 = lex_opt(xs[:, cols], ys[:, cols])
-            keep &= ~(
-                (np.abs(r2 - values) <= eps)
-                & (np.abs(cx2 - cx) <= geps)
-                & (np.abs(cy2 - cy) <= geps)
-            )
+            keep &= ~((r2 == values) & (cx2 == cx) & (cy2 == cy))
     idx, xs, ys, values = idx[keep], xs[keep], ys[keep], values[keep]
     if kind == "dwid":
         shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1)])
@@ -897,22 +901,22 @@ def _former_validate(prep, idx):
 
 def _former_numerators(prep, idx, shapes):
     """Reference: a rows x N strict-interior mask over the flat candidates
-    for every chunk, reduced per point with where + reduceat."""
-    eps = prep.geom_eps
+    for every chunk, reduced per point with where + reduceat.  Intervals and
+    boxes compare exactly; a seb2 disk is shrunk by the margin."""
     fx = prep.fx
     fy = prep.fy
     cols = [c[:, None] for c in shapes.T]
     kind = prep.measure.kind
     if kind == "seb2":
         cx, cy, r = cols
-        lim = r - eps
+        lim = r - prep.geom_eps
         inside = ((fx - cx) ** 2 + (fy - cy) ** 2 < lim * lim) & (lim > 0.0)
     elif kind == "dwid":
         lo, hi = cols
-        inside = (fx > lo + eps) & (fx < hi - eps)
+        inside = (fx > lo) & (fx < hi)
     else:
         x0, x1, y0, y1 = cols
-        inside = (fx > x0 + eps) & (fx < x1 - eps) & (fy > y0 + eps) & (fy < y1 - eps)
+        inside = (fx > x0) & (fx < x1) & (fy > y0) & (fy < y1)
     jset = prep.jset
     masses = np.add.reduceat(np.where(inside, jset.nums, 0), jset.offsets, axis=1)
     masses[np.arange(len(idx))[:, None], jset.point_of[idx]] = jset.nums[idx]

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -473,6 +474,21 @@ def test_sipfield_derives_exact_weights_from_the_numerators():
     # Given weights that equal the quotients are kept.
     same = SipField.from_arrays(RECT, np.zeros((4, 4)), field.weights.tolist(), nums, 3**61)
     assert same.weights.tobytes() == field.weights.tobytes()
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb-perimeter"])
+def test_sipfield_gives_unpickled_arrays_the_canonical_dtype(measure):
+    # Arrays read back by pickle carry a float64 dtype instance that equals
+    # np.dtype(np.float64) but is not it; a field that kept it sent
+    # np.add.at down numpy's slow path, many times slower.
+    field = deterministic_sip(random_indecisive(np.random.default_rng(3), 4, 3), MeasureId.parse(measure))
+    params, weights, nums = pickle.loads(pickle.dumps((field.params, field.weights, field.numerators)))
+    for w in (weights, None):
+        again = SipField.from_arrays(field.kind, params, w, nums, field.denominator)
+        assert again.params.dtype is np.dtype(np.float64) and again.weights.dtype is np.dtype(np.float64)
+        for grid in ((96, 80), (7, 5)):
+            want = rasterize_sip(field, grid, (-2.0, -2.0, 2.0, 2.0)).values
+            assert rasterize_sip(again, grid, (-2.0, -2.0, 2.0, 2.0)).values.tobytes() == want.tobytes()
 
 
 def test_sip_makers_refuse_a_measure_without_a_summarizing_shape():
