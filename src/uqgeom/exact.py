@@ -40,7 +40,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import _STRICT_REL, coordinate_scale
 from .measures import (
     Basis,
     BasisMember,
@@ -170,13 +169,10 @@ class _Prepared:
     them out as (n, k_max) arrays for the strict-interior test, like the
     set's weight grid: a point with fewer candidates is padded with NaN
     coordinates, which are never strictly inside a shape, and zero weight.
-    ``geom_eps`` is the engine's one strictness margin, read by seb2 only.
+    Every basis and interior test is a sign test on these floats, no margin.
     """
 
-    __slots__ = (
-        "measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y",
-        "scale", "geom_eps", "group_tol", "beta",
-    )
+    __slots__ = ("measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y", "group_tol", "beta")
 
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
         _require_indecisive(uset)
@@ -186,8 +182,6 @@ class _Prepared:
         self.measure = measure
         self.jset = jset = canonical_jitter(uset)
         self._members = None
-        self.scale = coordinate_scale(jset.locations)
-        self.geom_eps = _STRICT_REL * self.scale
         self.group_tol = tolerance(jset.locations, measure)
         self.beta = min(combinatorial_dimension(measure, 2), jset.n)
         self.fx, self.fy = _frame_coords(measure, jset.locations)
@@ -346,13 +340,14 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     per coordinate (:func:`_extrema`).  The box family compares exactly: a
     dwid or aabb row is minimal iff every drop moves an extreme (of x alone
     for dwid), a sebinf or seb1 row iff every drop changes (r, cx, cy).
+    seb2 keeps every pair, and a triple iff strictly acute.
 
     Shapes, one row per basis: (cx, cy, r) for seb2, (lo, hi) for dwid and
     (x0, x1, y0, y1) otherwise, in frame coordinates.
     """
     kind = prep.measure.kind
     if kind == "seb2":
-        return _validate_seb2(prep, idx, prep.fx[idx], prep.fy[idx])
+        return _validate_seb2(idx, prep.fx[idx], prep.fy[idx])
     keep = np.ones(len(idx), dtype=bool)
     # One coordinate array per basis slot (a column of idx).
     xs = prep.fx[idx.T]
@@ -391,39 +386,33 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     return idx[keep], values[keep], np.column_stack(shapes)[keep]
 
 
-def _validate_seb2(prep: _Prepared, idx, xs, ys):
+def _validate_seb2(idx, xs, ys):
+    """:func:`_validate` for seb2: every single candidate and pair is
+    minimal, and a triple iff strictly acute by the oracle's own test."""
     s = idx.shape[1]
     if s == 1:
         return idx, np.zeros(len(idx)), np.column_stack([xs[:, 0], ys[:, 0], np.zeros(len(idx))])
     if s == 3:
-        # A triple is minimal iff the triangle is strictly acute.  Radius
-        # differences degrade quadratically near right triangles, so
-        # minimality must use this linear-scale predicate instead.
-        keep = _strictly_acute(xs, ys, prep.geom_eps * prep.scale)
+        keep = _strictly_acute(xs, ys)
         idx, xs, ys = idx[keep], xs[keep], ys[keep]
     # The canonical balls of measures._seb2_balls, which the oracle and
     # evaluate read too, for the whole chunk at once; values must match
     # theirs bitwise.
     shapes = _seb2_balls(xs, ys)
-    if s == 2:
-        keep = shapes[:, 2] > prep.geom_eps
-        idx, shapes = idx[keep], shapes[keep]
     return idx, shapes[:, 2], shapes
 
 
 def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
     """(rows, n, k_max) mask over the padded candidate grid: candidate
-    strictly inside the row's counting shape (never a NaN pad): exact
-    comparisons for intervals and boxes, a disk shrunk by ``geom_eps``."""
+    strictly inside the row's counting shape (never a NaN pad), by plain
+    ``<`` and ``>``, so a seb2 disk of radius 0 holds nothing."""
     fx = prep.grid_x
     fy = prep.grid_y
     cols = [c[:, None, None] for c in shapes.T]
     kind = prep.measure.kind
     if kind == "seb2":
         cx, cy, r = cols
-        lim = r - prep.geom_eps
-        # A disk whose shrunk radius is not positive holds nothing strictly.
-        return ((fx - cx) ** 2 + (fy - cy) ** 2 < lim * lim) & (lim > 0.0)
+        return (fx - cx) ** 2 + (fy - cy) ** 2 < r * r
     if kind == "dwid":
         lo, hi = cols
         return (fx > lo) & (fx < hi)

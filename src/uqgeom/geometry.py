@@ -29,15 +29,14 @@ __all__ = [
 # Tolerance policy: every tolerance of the package; the other modules import
 # these names.  The canonical jitter (model.canonical_jitter) moves candidate c
 # of a set by c * _JITTER_UNIT * coordinate_scale, the general position the
-# exact engine's counting assumes.  The seb2 strictness margin and the Welzl
-# slacks are relative to the coordinate scale and decide output bits.  Measure
-# values compare at measures.tolerance, _COMPARE_REL times the value scale of
-# length_scale, which is never 0.  The boundary-ball limits of _ball2_3,
+# exact engine's counting assumes.  The Welzl slacks are relative to the
+# coordinate scale and decide output bits.  Measure values compare at
+# measures.tolerance, _COMPARE_REL times the value scale of length_scale,
+# which is never 0.  The boundary-ball limits of _ball2_3,
 # _ball3_3 and _ball3_4 (1e-10, 1e-12, 1e-300) stay inline literals: read as
 # module globals they slow every welzl_ball call.
 _JITTER_UNIT = 2.0**-40  # jitter step, relative to the coordinate scale
 _COMPARE_REL = 1e-9  # value comparisons, relative to the value scale
-_STRICT_REL = 1e-14  # the exact engine's seb2 margin only, relative to the coordinate scale
 _CIRCUM_DET_REL = 1e-14  # planar circumcircle cut (_circum3 and measures._seb2_balls)
 _CIRCUM_GRAM_REL = 1e-28  # 3-D circumcircle cut on the Gram determinant
 _CIRCUMSPHERE_DET_REL = 1e-12  # circumsphere cut on the Cramer determinant

@@ -19,9 +19,9 @@ Numeric conventions
 Every tolerance is set in the tolerance policy of :mod:`uqgeom.geometry`.
 Measure values compare at :func:`tolerance`, 1e-9 times the set's length
 scale (squared for area): its bbox diameter floored at the jitter span, so
-never 0.  Bases are validated only by :mod:`uqgeom.exact`, at the policy's
-tighter strictness margins (1e-14 of the coordinate scale), so that its
-counting agrees with brute-force enumeration on jittered inputs.
+never 0.  Bases are validated only by :mod:`uqgeom.exact`, by sign tests
+on the jittered floats with no margin (the oracle reads the same
+:func:`_strictly_acute`), so that the two engines count alike.
 """
 
 from __future__ import annotations
@@ -227,11 +227,11 @@ def _vertex_dots(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def _strictly_acute(xs: np.ndarray, ys: np.ndarray, eps: float = 0.0) -> np.ndarray:
+def _strictly_acute(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Rows of three planar points whose triangle is strictly acute: every
-    vertex dot product above ``eps``."""
+    vertex dot product positive."""
     d0, d1, d2 = _vertex_dots(xs, ys)
-    return (d0 > eps) & (d1 > eps) & (d2 > eps)
+    return (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
 
 
 def _diametral(ax, ay, bx, by) -> np.ndarray:

@@ -54,7 +54,7 @@ class Quantization1D:
         w = np.array(weights, dtype=np.float64)
         if w.shape != (len(self.values),):
             raise ValueError("one weight per value required")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # NaN too
             raise ValueError("weights must be positive")
         if abs(float(w.sum()) - 1.0) > _WEIGHT_SLACK:
             raise ValueError("sampled weights must sum to 1 within 1e-12")
@@ -151,10 +151,12 @@ class QuantizationKD:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2 or len(vals) == 0:
             raise ValueError("values must be a non-empty (m, k) array")
+        if np.isnan(vals).any():
+            raise ValueError("values must not be NaN")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(vals),):
             raise ValueError("one weight per value row required")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > _WEIGHT_SLACK:
+        if not np.all(w > 0) or not abs(float(w.sum()) - 1.0) <= _WEIGHT_SLACK:
             raise ValueError("weights must be positive and sum to 1")
         vals = vals.copy()
         vals.setflags(write=False)
@@ -240,7 +242,7 @@ class EpsAlphaQuantization:
 
     def __post_init__(self):
         w = np.sort(np.asarray(self.widths, dtype=np.float64))
-        if len(w) == 0 or np.any(w < 0):
+        if len(w) == 0 or not np.all(w >= 0):  # NaN too
             raise ValueError("widths must be nonnegative and non-empty")
         w.setflags(write=False)
         object.__setattr__(self, "widths", w)

@@ -155,6 +155,31 @@ def test_quantization_refuses_nan_values():
     assert eval_cdf(q, 10.0) == 2 / 3
 
 
+def test_kvariate_quantization_refuses_nan_values_and_weights():
+    # The checks compared with <=, false on NaN: a NaN row once built and
+    # was never dominated, so eval_dominance(q, [10, 10]) read 0.5.
+    with pytest.raises(ValueError, match="values must not be NaN"):
+        QuantizationKD([[math.nan, 1.0], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="weights must be positive"):
+        QuantizationKD([[0.0, 1.0], [0.5, 0.5]], [math.nan, 1.0])
+    q = QuantizationKD([[-math.inf, 1.0], [0.5, math.inf]], [0.5, 0.5])
+    assert eval_dominance(q, [10.0, 10.0]) == 0.5
+
+
+def test_eps_alpha_quantization_refuses_nan_widths():
+    # The check compared with <, false on NaN: widths [nan, 1, 0.5] once
+    # sorted to [0.5, 1, nan], whose CDF read 2/3 at 10.
+    with pytest.raises(ValueError, match="widths must be nonnegative"):
+        EpsAlphaQuantization(np.array([math.nan, 1.0, 0.5]), 0.1, 0.1)
+    assert EpsAlphaQuantization(np.array([math.inf, 1.0]), 0.1, 0.1).eval_cdf(10.0) == 0.5
+
+
+def test_sampled_quantization_refuses_nan_weights():
+    # A NaN weight passed both the positivity and the sum check.
+    with pytest.raises(ValueError, match="weights must be positive"):
+        Quantization1D([0.5, 1.0], [math.nan, 1.0])
+
+
 
 @pytest.mark.parametrize(
     "weights, message",
