@@ -420,8 +420,11 @@ def welzl_ball(pts: np.ndarray, scale: float | None = None) -> Ball:
     The processing order is a fixed pseudo-random permutation, giving the
     expected-linear behaviour of the randomized algorithm with deterministic,
     bit-reproducible output.  ``support`` holds indices (into ``pts``) of the
-    boundary set the algorithm ended with; it is a valid defining set but
-    tie-breaking among equally valid sets is left to the caller.
+    boundary set the scan ended with.  It need not define the smallest
+    enclosing ball: on near-degenerate input (integer lattices with 1e-11
+    noise, 3-D sets far from the origin) the boundary ball of d + 1 points
+    can leave a point outside, and the radius is then too small.  The
+    planar seb2 value does not read it (see ``measures._seb2_pivot``).
 
     ``scale`` is ``coordinate_scale(pts)``, for callers that have it (see
     :func:`coordinate_scales`); it sets the containment slack.

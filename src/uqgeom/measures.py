@@ -9,10 +9,10 @@ for evaluation only.
 
 The planar seb2 value of a set is the canonical ball of at most three
 points, defined once, in arrays, by :func:`_seb2_balls`.  The randomized
-engine (through :func:`evaluate`, on the support of each set's Welzl
-ball), the exact engine (on its potential bases) and the brute-force
-oracle (on its pair and triple tables) all read it, so the engines give
-the same bits for the same support.
+engine (through :func:`evaluate`, on the final basis of a pivoting search
+run on a whole stack of sets at once), the exact engine (on its potential
+bases) and the brute-force oracle (on its pair and triple tables) all read
+it, so the engines give the same bits for the same basis.
 
 Numeric conventions
 -------------------
@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _CIRCUM_DET_REL, _COMPARE_REL, _UNDERFLOW_GUARD,
+    _CIRCUM_DET_REL, _COMPARE_REL, _UNDERFLOW_GUARD, _WELZL_REL,
     as_points,
     coordinate_scales,
     length_scale,
     unit_vector,
     welzl_ball,
 )
-from .model import ValidationError
+from .model import ResourceCapError, ValidationError
 
 __all__ = [
     "MeasureId",
@@ -288,22 +288,88 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pivot_round_cap(n: int) -> int:
+    """Rounds after which the planar pivot search gives up on a set of n
+    points.  In exact arithmetic each round strictly grows the ball, so no
+    basis comes back, and stacks of up to 50 points have needed about 5
+    rounds."""
+    return 4 * n + 8
+
+
+# The six subsets of a basis (b0, b1, b2) and the pivot f (column 3) that
+# contain f: three pairs, then three triples, so that on equal radii a
+# pair wins.
+_PAIRS = np.array([[0, 3], [1, 3], [2, 3]])
+_TRIPLES = np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3]])
+# Each subset as a basis of three indices into (b0, b1, b2, f).
+_SUBSETS = np.concatenate([_PAIRS[:, [0, 1, 1]], _TRIPLES])
+
+
+def _seb2_pivot(sets: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Radius of the smallest enclosing disk of each set in a (rows, n, 2)
+    stack, by Gärtner's pivoting search run on every row at once.
+
+    A row holds a basis of at most three point indices (a pair or a single
+    point repeats its last index) and its canonical ball, and starts from
+    its first point.  Each round takes each row's farthest point f.  A row
+    is done when f is inside its ball under Welzl's containment rule,
+    distance at most radius + ``slack``; every other row moves to the
+    smallest canonical ball (:func:`_seb2_balls`) of a subset of basis and
+    f that contains f and holds the basis and f under the same rule (the
+    first pair if rounding leaves none).  So a row ends only on a ball
+    that holds every point, and the choice decides only how many rounds
+    it takes.  A set's value is its final ball's radius: 0.0 for one
+    distinct point, and otherwise the bits of the exact engine's value of
+    the same basis.  A row still moving after :func:`_pivot_round_cap`
+    rounds is refused."""
+    rows, n, _ = sets.shape
+    values = np.empty(rows)
+    active = np.arange(rows)
+    xs, ys = sets[..., 0], sets[..., 1]
+    basis = np.zeros((rows, 3), dtype=np.intp)
+    ball = np.zeros((rows, 3))
+    ball[:, 0], ball[:, 1] = xs[:, 0], ys[:, 0]
+    for _ in range(_pivot_round_cap(n)):
+        x, y = xs[active], ys[active]
+        dx, dy = x - ball[:, :1], y - ball[:, 1:2]
+        d2 = dx * dx + dy * dy
+        f = d2.argmax(axis=1)
+        reach = ball[:, 2] + slack
+        out = d2[np.arange(len(f)), f] > reach * reach
+        values[active[~out]] = ball[~out, 2]
+        if not out.any():
+            return values
+        active, basis, slack = active[out], basis[out], slack[out]
+        members = np.column_stack([basis, f[out]])
+        kept = np.flatnonzero(out)[:, None]
+        mx, my = x[kept, members], y[kept, members]
+        pairs = _seb2_balls(mx[:, _PAIRS].reshape(-1, 2), my[:, _PAIRS].reshape(-1, 2))
+        triples = _seb2_balls(mx[:, _TRIPLES].reshape(-1, 3), my[:, _TRIPLES].reshape(-1, 3))
+        balls = np.concatenate([pairs.reshape(-1, 3, 3), triples.reshape(-1, 3, 3)], axis=1)
+        ex = mx[:, None, :] - balls[..., :1]
+        ey = my[:, None, :] - balls[..., 1:2]
+        reach = balls[..., 2] + slack[:, None]
+        holds = (ex * ex + ey * ey <= (reach * reach)[..., None]).all(axis=2)
+        pick = np.where(holds, balls[..., 2], np.inf).argmin(axis=1)
+        kept = np.arange(len(pick))
+        basis = members[kept[:, None], _SUBSETS[pick]]
+        ball = balls[kept, pick]
+    raise ResourceCapError(
+        f"seb2 pivot search still moving after {_pivot_round_cap(n)} rounds on a set of {n} points"
+    )
+
+
 def _seb2_values(sets: np.ndarray) -> np.ndarray:
-    """seb2 value of each set in a (rows, n, d) stack: the radius of its
-    Welzl ball in 3-D; in 2-D the canonical ball of the ball's support,
-    0.0 for one point, so that a value has the bits of the exact engine's
-    basis value.  Supports of each size are solved in one call."""
-    balls = [welzl_ball(p, s) for p, s in zip(sets, coordinate_scales(sets))]
+    """seb2 value of each set in a (rows, n, d) stack with n >= 1: the
+    radius of its Welzl ball in 3-D; in 2-D the radius of the smallest
+    enclosing disk, from one pivoting search over the whole stack
+    (:func:`_seb2_pivot`), whose final ball is the canonical ball of its
+    basis, so that a value has the bits of the exact engine's basis
+    value."""
+    scales = coordinate_scales(sets)
     if sets.shape[-1] == 3:
-        return np.array([b.radius for b in balls], dtype=np.float64)
-    values = np.zeros(len(balls))
-    sizes = np.array([len(b.support) for b in balls], dtype=np.intp)
-    for m in (2, 3):
-        rows = np.flatnonzero(sizes == m)
-        if len(rows):
-            members = sets[rows[:, None], np.array([balls[r].support for r in rows.tolist()])]
-            values[rows] = _seb2_balls(members[..., 0], members[..., 1])[:, 2]
-    return values
+        return np.array([welzl_ball(p, s).radius for p, s in zip(sets, scales)], dtype=np.float64)
+    return _seb2_pivot(sets, _WELZL_REL * np.asarray(scales))
 
 
 def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
@@ -311,12 +377,15 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
     each set in a stack (..., n, d), as an array of shape (...).  A set's
     value has the same bits either way.
 
-    seb2 solves one miniball per set, with the coordinate scales of the
-    whole stack taken at once, then, in 2-D, the canonical balls of their
-    supports (:func:`_seb2_values`).  dwid projects each set with its own
+    A set needs at least one point.  seb2 takes the coordinate scales of
+    the whole stack at once; in 2-D it solves every set in one pivoting
+    search over the stack, in 3-D one Welzl ball per set
+    (:func:`_seb2_values`).  dwid projects each set with its own
     ``pts @ u``, since a matmul over the whole stack may round a row
     differently."""
     arr = np.asarray(pts, dtype=np.float64)
+    if arr.size == 0 and (arr.ndim < 2 or arr.shape[-2] == 0):
+        raise ValueError(f"a point set needs at least one point, got shape {arr.shape}")
     if arr.ndim <= 2:
         arr = as_points(arr)
     elif arr.shape[-1] not in (2, 3):
