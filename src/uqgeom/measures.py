@@ -291,8 +291,12 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def _pivot_round_cap(n: int) -> int:
     """Rounds after which the planar pivot search gives up on a set of n
     points.  In exact arithmetic each round strictly grows the ball, so no
-    basis comes back, and stacks of up to 50 points have needed about 5
-    rounds."""
+    basis comes back.  In floats it need not: a new ball holds the old
+    basis only within the slack, so its radius may be up to the slack
+    smaller, and a round that finds no holding subset takes the first
+    pair.  The cap is therefore what ends the search.  Seeded sets of 3 to
+    200 points, generic and hard (noisy and plain lattices, 1e7 offsets,
+    1e-9 extents), have needed at most 7 rounds."""
     return 4 * n + 8
 
 
