@@ -1,7 +1,9 @@
 """Low-level geometric primitives and the tolerance policy of the package.
 
 Everything here works on plain numpy arrays: a point set is an (m, d)
-float64 array with d in {2, 3}.  The minimum enclosing ball machinery is
+float64 array with d in {2, 3}.  The minimum enclosing ball here,
+:func:`welzl_ball`, is 3-D only; the planar smallest enclosing disk has one
+solver, the pivoting search of ``measures._seb2_pivot``.  Welzl's scan is
 deterministic: a fixed internal permutation seed makes results
 bit-reproducible across runs and platforms.
 """
@@ -32,18 +34,19 @@ __all__ = [
 # exact engine's counting assumes.  The Welzl slacks are relative to the
 # coordinate scale and decide output bits.  Measure values compare at
 # measures.tolerance, _COMPARE_REL times the value scale of length_scale,
-# which is never 0.  The boundary-ball limits of _ball2_3,
-# _ball3_3 and _ball3_4 (1e-10, 1e-12, 1e-300) stay inline literals: read as
-# module globals they slow every welzl_ball call.
+# which is never 0.  The boundary-ball limits of _ball3_3 and _ball3_4
+# (1e-10, 1e-12, 1e-300) stay inline literals: read as module globals they
+# slow every welzl_ball call.
 _JITTER_UNIT = 2.0**-40  # jitter step, relative to the coordinate scale
 _COMPARE_REL = 1e-9  # value comparisons, relative to the value scale
-_CIRCUM_DET_REL = 1e-14  # planar circumcircle cut (_circum3 and measures._seb2_balls)
+_CIRCUM_DET_REL = 1e-14  # planar circumcircle cut, read only by measures._seb2_balls
 _CIRCUM_GRAM_REL = 1e-28  # 3-D circumcircle cut on the Gram determinant
 _CIRCUMSPHERE_DET_REL = 1e-12  # circumsphere cut on the Cramer determinant
 _UNDERFLOW_GUARD = 1e-300  # floor of the magnitudes those cuts scale with
 _WEIGHT_SLACK = 1e-12  # float weight sums against 1, raster values against [0, 1]
-# Welzl containment slack and duplicate radius, relative to the coordinate
-# scale; final radii are recomputed from the support set, so neither leaks.
+# Containment slack (Welzl's and the planar pivoting search's) and Welzl's
+# duplicate radius, relative to the coordinate scale; a final radius is that
+# of the ball of its boundary or basis alone, so neither leaks.
 _WELZL_REL, _WELZL_DUP_REL = 1e-13, 1e-10
 _KERNEL_SLACK = 1e-12  # absolute slack of alpha_kernel's width check
 _FRAME_SPAN_REL = 1e-12  # _normalized_frame's degenerate span, relative to max(axis, 1)
@@ -117,14 +120,13 @@ def length_scale(pts: np.ndarray) -> float:
 
 
 class Ball:
-    """Enclosing ball with the indices of the points defining it."""
+    """Enclosing ball: its center and radius."""
 
-    __slots__ = ("center", "radius", "support")
+    __slots__ = ("center", "radius")
 
-    def __init__(self, center: np.ndarray, radius: float, support: tuple[int, ...]):
+    def __init__(self, center: np.ndarray, radius: float):
         self.center = center
         self.radius = radius
-        self.support = support
 
 
 _PERMUTATION_CACHE: dict[int, list[int]] = {}
@@ -139,51 +141,16 @@ def _fixed_permutation(n: int) -> list[int]:
     return cached
 
 
-# Boundary balls of 3 and 4 points, one straight-line function per
-# dimension and size.  Each tries the pairs in lexicographic order (the
-# first strictly smallest diametral ball holding the other points wins),
-# then the triples' circumcircles the same way, then, for four points in
-# 3-D, the circumsphere, and falls back to the farthest pair's diametral
-# ball.  The balls' bits are part of the output, so the float operations
-# and their order are fixed; ``** 2`` calls libm ``pow``, which a product
-# does not match.
+# Boundary balls of 3 and 4 points in 3-D, one straight-line function per
+# size.  Each tries the pairs in lexicographic order (the first strictly
+# smallest diametral ball holding the other points wins), then the triples'
+# circumcircles the same way, then, for four points, the circumsphere, and
+# falls back to the farthest pair's diametral ball.  The balls' bits are
+# part of the output, so the float operations and their order are fixed;
+# ``** 2`` calls libm ``pow``, which a product does not match.
 
 
-def _ball2_3(p0, p1, p2, s):
-    x0, y0 = p0
-    x1, y1 = p1
-    x2, y2 = p2
-    best = None
-    cx = 0.5 * (x0 + x1)
-    cy = 0.5 * (y0 + y1)
-    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2
-    lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-    if not ((x2 - cx) ** 2 + (y2 - cy) ** 2 > lim):
-        best, bx, by, support = r2, cx, cy, (s[0], s[1])
-    cx = 0.5 * (x0 + x2)
-    cy = 0.5 * (y0 + y2)
-    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not ((x1 - cx) ** 2 + (y1 - cy) ** 2 > lim):
-            best, bx, by, support = r2, cx, cy, (s[0], s[2])
-    cx = 0.5 * (x1 + x2)
-    cy = 0.5 * (y1 + y2)
-    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not ((x0 - cx) ** 2 + (y0 - cy) ** 2 > lim):
-            best, bx, by, support = r2, cx, cy, (s[1], s[2])
-    if best is None:
-        sol = _circum3(p0, p1, p2, 2)
-        if sol is None:
-            return _farthest_pair_ball((p0, p1, p2), s)
-        (bx, by), best = sol
-        support = (s[0], s[1], s[2])
-    return (bx, by, math.sqrt(best), support)
-
-
-def _ball3_3(p0, p1, p2, s):
+def _ball3_3(p0, p1, p2):
     x0, y0, z0 = p0
     x1, y1, z1 = p1
     x2, y2, z2 = p2
@@ -194,7 +161,7 @@ def _ball3_3(p0, p1, p2, s):
     r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
     lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
     if not ((x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim):
-        best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1])
+        best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x0 + x2)
     cy = 0.5 * (y0 + y2)
     cz = 0.5 * (z0 + z2)
@@ -202,7 +169,7 @@ def _ball3_3(p0, p1, p2, s):
     if best is None or not r2 >= best:
         lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
         if not ((x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[2])
+            best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x1 + x2)
     cy = 0.5 * (y1 + y2)
     cz = 0.5 * (z1 + z2)
@@ -210,17 +177,16 @@ def _ball3_3(p0, p1, p2, s):
     if best is None or not r2 >= best:
         lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
         if not ((x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[2])
+            best, bx, by, bz = r2, cx, cy, cz
     if best is None:
-        sol = _circum3(p0, p1, p2, 3)
+        sol = _circum3(p0, p1, p2)
         if sol is None:
-            return _farthest_pair_ball((p0, p1, p2), s)
+            return _farthest_pair_ball((p0, p1, p2))
         (bx, by, bz), best = sol
-        support = (s[0], s[1], s[2])
-    return (bx, by, bz, math.sqrt(best), support)
+    return (bx, by, bz, math.sqrt(best))
 
 
-def _ball3_4(p0, p1, p2, p3, s):
+def _ball3_4(p0, p1, p2, p3):
     x0, y0, z0 = p0
     x1, y1, z1 = p1
     x2, y2, z2 = p2
@@ -235,7 +201,7 @@ def _ball3_4(p0, p1, p2, p3, s):
         (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
         or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
     ):
-        best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1])
+        best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x0 + x2)
     cy = 0.5 * (y0 + y2)
     cz = 0.5 * (z0 + z2)
@@ -246,7 +212,7 @@ def _ball3_4(p0, p1, p2, p3, s):
             (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
             or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
         ):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[2])
+            best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x0 + x3)
     cy = 0.5 * (y0 + y3)
     cz = 0.5 * (z0 + z3)
@@ -257,7 +223,7 @@ def _ball3_4(p0, p1, p2, p3, s):
             (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
             or (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
         ):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[3])
+            best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x1 + x2)
     cy = 0.5 * (y1 + y2)
     cz = 0.5 * (z1 + z2)
@@ -268,7 +234,7 @@ def _ball3_4(p0, p1, p2, p3, s):
             (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
             or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
         ):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[2])
+            best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x1 + x3)
     cy = 0.5 * (y1 + y3)
     cz = 0.5 * (z1 + z3)
@@ -279,7 +245,7 @@ def _ball3_4(p0, p1, p2, p3, s):
             (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
             or (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
         ):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[3])
+            best, bx, by, bz = r2, cx, cy, cz
     cx = 0.5 * (x2 + x3)
     cy = 0.5 * (y2 + y3)
     cz = 0.5 * (z2 + z3)
@@ -290,73 +256,60 @@ def _ball3_4(p0, p1, p2, p3, s):
             (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
             or (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
         ):
-            best, bx, by, bz, support = r2, cx, cy, cz, (s[2], s[3])
+            best, bx, by, bz = r2, cx, cy, cz
     if best is None:
-        sol = _circum3(p0, p1, p2, 3)
+        sol = _circum3(p0, p1, p2)
         if sol is not None:
             (cx, cy, cz), r2 = sol
             if (best is None or not r2 >= best) and not (
                 (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > r2 * (1 + 1e-10)
             ):
-                best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1], s[2])
-        sol = _circum3(p0, p1, p3, 3)
+                best, bx, by, bz = r2, cx, cy, cz
+        sol = _circum3(p0, p1, p3)
         if sol is not None:
             (cx, cy, cz), r2 = sol
             if (best is None or not r2 >= best) and not (
                 (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > r2 * (1 + 1e-10)
             ):
-                best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[1], s[3])
-        sol = _circum3(p0, p2, p3, 3)
+                best, bx, by, bz = r2, cx, cy, cz
+        sol = _circum3(p0, p2, p3)
         if sol is not None:
             (cx, cy, cz), r2 = sol
             if (best is None or not r2 >= best) and not (
                 (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > r2 * (1 + 1e-10)
             ):
-                best, bx, by, bz, support = r2, cx, cy, cz, (s[0], s[2], s[3])
-        sol = _circum3(p1, p2, p3, 3)
+                best, bx, by, bz = r2, cx, cy, cz
+        sol = _circum3(p1, p2, p3)
         if sol is not None:
             (cx, cy, cz), r2 = sol
             if (best is None or not r2 >= best) and not (
                 (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > r2 * (1 + 1e-10)
             ):
-                best, bx, by, bz, support = r2, cx, cy, cz, (s[1], s[2], s[3])
+                best, bx, by, bz = r2, cx, cy, cz
     if best is None:
         sol = _circumsphere_coords(p0, p1, p2, p3)
         if sol is not None:
             (bx, by, bz), best = sol
-            support = (s[0], s[1], s[2], s[3])
     if best is None:
-        return _farthest_pair_ball((p0, p1, p2, p3), s)
-    return (bx, by, bz, math.sqrt(best), support)
+        return _farthest_pair_ball((p0, p1, p2, p3))
+    return (bx, by, bz, math.sqrt(best))
 
 
-def _farthest_pair_ball(pts, s):
+def _farthest_pair_ball(pts):
     """Diametral ball of the farthest pair of a degenerate boundary set."""
     dmax, (i, j) = -1.0, (0, len(pts) - 1)
     for a, b in itertools.combinations(range(len(pts)), 2):
         p, q = pts[a], pts[b]
-        dist = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-        if len(p) == 3:
-            dist += (p[2] - q[2]) ** 2
+        dist = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
         if dist > dmax:
             dmax, i, j = dist, a, b
     center = [0.5 * (u + v) for u, v in zip(pts[i], pts[j])]
-    return (*center, math.sqrt(0.25 * dmax), (s[i], s[j]))
+    return (*center, math.sqrt(0.25 * dmax))
 
 
-def _circum3(a, b, c, d):
-    if d == 2:
-        bx, by = b[0] - a[0], b[1] - a[1]
-        cx, cy = c[0] - a[0], c[1] - a[1]
-        det = 2.0 * (bx * cy - by * cx)
-        norm = max(abs(bx), abs(by), abs(cx), abs(cy), _UNDERFLOW_GUARD)
-        if abs(det) <= _CIRCUM_DET_REL * norm * norm:
-            return None
-        b2 = bx * bx + by * by
-        c2 = cx * cx + cy * cy
-        ux = (cy * b2 - by * c2) / det
-        uy = (bx * c2 - cx * b2) / det
-        return (a[0] + ux, a[1] + uy), ux * ux + uy * uy
+def _circum3(a, b, c):
+    """Circumcircle (center, squared radius) of three points in 3-D, or
+    None when their Gram determinant is too small to solve."""
     ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
     vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
     uu = ux * ux + uy * uy + uz * uz
@@ -415,82 +368,51 @@ def _circumsphere_coords(a, b, c, d4):
 
 
 def welzl_ball(pts: np.ndarray, scale: float | None = None) -> Ball:
-    """Minimum enclosing ball via Welzl's move-to-front algorithm (d = 2, 3).
+    """Minimum enclosing ball of a 3-D set via Welzl's move-to-front
+    algorithm.  A planar set is refused: its smallest enclosing disk is
+    ``measures.evaluate(MeasureId("seb2"), pts)``, by the pivoting search
+    of ``measures._seb2_pivot``.
 
     The processing order is a fixed pseudo-random permutation, giving the
     expected-linear behaviour of the randomized algorithm with deterministic,
-    bit-reproducible output.  ``support`` holds indices (into ``pts``) of the
-    boundary set the scan ended with.  It need not define the smallest
-    enclosing ball: on near-degenerate input (integer lattices with 1e-11
-    noise, 3-D sets far from the origin) the boundary ball of d + 1 points
-    can leave a point outside, and the radius is then too small.  The
-    planar seb2 value does not read it (see ``measures._seb2_pivot``).
+    bit-reproducible output.  The ball is the boundary ball the scan ended
+    with.  It need not be the smallest enclosing ball: on near-degenerate
+    input (sets far from the origin) the boundary ball of four points can
+    leave a point outside, and the radius is then too small.
 
     ``scale`` is ``coordinate_scale(pts)``, for callers that have it (see
     :func:`coordinate_scales`); it sets the containment slack.
     """
     pts = np.asarray(pts, dtype=np.float64)
     n, d = pts.shape
+    if d != 3:
+        raise ValueError(
+            f"welzl_ball takes 3-D points, got d = {d}; the planar smallest enclosing disk is "
+            "measures.evaluate(MeasureId('seb2'), pts)"
+        )
     if n == 0:
         raise ValueError("need at least one point")
     if n == 1:
-        return Ball(pts[0].copy(), 0.0, (0,))
+        return Ball(pts[0].copy(), 0.0)
     coords = pts.tolist()
     if scale is None:
         scale = coordinate_scale(pts)
     order = list(_fixed_permutation(n))
     # With no boundary the first point starts the ball and stays in place.
-    first = (*coords[order[0]], 0.0, (order[0],))
-    scan = _scan2 if d == 2 else _scan3
-    result = scan(coords, order, n, (), first, _WELZL_REL * scale, (_WELZL_DUP_REL * scale) ** 2)
-    return Ball(np.array(result[:d]), result[d], result[d + 1])
+    first = (*coords[order[0]], 0.0)
+    result = _scan3(coords, order, n, (), first, _WELZL_REL * scale, (_WELZL_DUP_REL * scale) ** 2)
+    return Ball(np.array(result[:3]), result[3])
 
 
-# The scans: the ball of {order[0..count-1]} with ``boundary`` forced on
+# The scan: the ball of {order[0..count-1]} with ``boundary`` forced on
 # the boundary, in one pass over the prefix from ``ball``, the ball of the
 # boundary alone (with no boundary, of order[0], which the pass skips).  A
 # point outside the current ball (by more than ``slack``) is forced onto
 # the boundary of the ball of the points before it, then moved to the front
 # so that later passes test it early.  A point within duplicate tolerance
 # (``dup2``) of a boundary point is already on the boundary: forcing both
-# would make the d+1 ball drop genuine constraints.  A boundary of d+1
-# points determines its ball, with no pass.
-
-
-def _scan2(coords, order, count, boundary, ball, slack, dup2):
-    cx, cy = ball[0], ball[1]
-    r = ball[2] + slack
-    lim = r * r
-    m = len(boundary)
-    for i in range(0 if m else 1, count):
-        p = order[i]
-        q = coords[p]
-        x, y = q
-        if (x - cx) ** 2 + (y - cy) ** 2 <= lim:
-            continue
-        for b in boundary:
-            u = coords[b]
-            if (u[0] - x) ** 2 + (u[1] - y) ** 2 <= dup2:
-                break
-        else:
-            if m == 0:
-                bnd = (p,)
-                ball = _scan2(coords, order, i, bnd, (x, y, 0.0, bnd), slack, dup2)
-            elif m == 1:
-                bnd = (boundary[0], p)
-                a = coords[boundary[0]]
-                mx, my = 0.5 * (a[0] + x), 0.5 * (a[1] + y)
-                two = (mx, my, math.sqrt((a[0] - mx) ** 2 + (a[1] - my) ** 2), bnd)
-                ball = _scan2(coords, order, i, bnd, two, slack, dup2)
-            else:
-                b0, b1 = boundary
-                ball = _ball2_3(coords[b0], coords[b1], q, (b0, b1, p))
-            cx, cy = ball[0], ball[1]
-            r = ball[2] + slack
-            lim = r * r
-            del order[i]
-            order.insert(0, p)
-    return ball
+# would make the four-point ball drop genuine constraints.  A boundary of
+# four points determines its ball, with no pass.
 
 
 def _scan3(coords, order, count, boundary, ball, slack, dup2):
@@ -510,21 +432,18 @@ def _scan3(coords, order, count, boundary, ball, slack, dup2):
                 break
         else:
             if m == 0:
-                bnd = (p,)
-                ball = _scan3(coords, order, i, bnd, (x, y, z, 0.0, bnd), slack, dup2)
+                ball = _scan3(coords, order, i, (p,), (x, y, z, 0.0), slack, dup2)
             elif m == 1:
-                bnd = (boundary[0], p)
                 a = coords[boundary[0]]
                 mx, my, mz = 0.5 * (a[0] + x), 0.5 * (a[1] + y), 0.5 * (a[2] + z)
                 r = math.sqrt((a[0] - mx) ** 2 + (a[1] - my) ** 2 + (a[2] - mz) ** 2)
-                ball = _scan3(coords, order, i, bnd, (mx, my, mz, r, bnd), slack, dup2)
+                ball = _scan3(coords, order, i, (boundary[0], p), (mx, my, mz, r), slack, dup2)
             elif m == 2:
-                bnd = (*boundary, p)
-                three = _ball3_3(coords[boundary[0]], coords[boundary[1]], q, bnd)
-                ball = _scan3(coords, order, i, bnd, three, slack, dup2)
+                three = _ball3_3(coords[boundary[0]], coords[boundary[1]], q)
+                ball = _scan3(coords, order, i, (*boundary, p), three, slack, dup2)
             else:
                 b0, b1, b2 = boundary
-                ball = _ball3_4(coords[b0], coords[b1], coords[b2], q, (b0, b1, b2, p))
+                ball = _ball3_4(coords[b0], coords[b1], coords[b2], q)
             cx, cy, cz = ball[0], ball[1], ball[2]
             r = ball[3] + slack
             lim = r * r

@@ -7,12 +7,14 @@ satisfy the LP-type monotonicity/locality axioms with a constant basis
 size, which is what the deterministic engine exploits; diameter is exposed
 for evaluation only.
 
-The planar seb2 value of a set is the canonical ball of at most three
-points, defined once, in arrays, by :func:`_seb2_balls`.  The randomized
-engine (through :func:`evaluate`, on the final basis of a pivoting search
-run on a whole stack of sets at once), the exact engine (on its potential
-bases) and the brute-force oracle (on its pair and triple tables) all read
-it, so the engines give the same bits for the same basis.
+The planar smallest enclosing disk of a set is the canonical ball of at
+most three points, defined once, in arrays, by :func:`_seb2_balls`.  The
+randomized engine (its seb2 values through :func:`evaluate` and its random
+SIP disks, both the final ball of the one planar solver, a pivoting search
+run on a whole stack of sets at once, :func:`_seb2_pivot`), the exact
+engine (on its potential bases) and the brute-force oracle (on its pair
+and triple tables) all read it, so the engines give the same bits for the
+same basis.
 
 Numeric conventions
 -------------------
@@ -309,25 +311,29 @@ _TRIPLES = np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3]])
 _SUBSETS = np.concatenate([_PAIRS[:, [0, 1, 1]], _TRIPLES])
 
 
-def _seb2_pivot(sets: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Radius of the smallest enclosing disk of each set in a (rows, n, 2)
-    stack, by Gärtner's pivoting search run on every row at once.
+def _seb2_pivot(sets: np.ndarray) -> np.ndarray:
+    """Smallest enclosing disk (cx, cy, r) of each set in a (rows, n, 2)
+    stack, as a (rows, 3) array, by Gärtner's pivoting search run on every
+    row at once: the one planar miniball solver, which serves both
+    :func:`evaluate` and the random SIP disks.
 
     A row holds a basis of at most three point indices (a pair or a single
     point repeats its last index) and its canonical ball, and starts from
     its first point.  Each round takes each row's farthest point f.  A row
     is done when f is inside its ball under Welzl's containment rule,
-    distance at most radius + ``slack``; every other row moves to the
-    smallest canonical ball (:func:`_seb2_balls`) of a subset of basis and
-    f that contains f and holds the basis and f under the same rule (the
-    first pair if rounding leaves none).  So a row ends only on a ball
+    distance at most radius + a slack of ``_WELZL_REL`` times the set's
+    coordinate scale; every other row moves to the smallest canonical ball
+    (:func:`_seb2_balls`) of a subset of basis and f that contains f and
+    holds the basis and f under the same rule (the first pair if rounding
+    leaves none).  So a row ends only on a ball
     that holds every point, and the choice decides only how many rounds
-    it takes.  A set's value is its final ball's radius: 0.0 for one
-    distinct point, and otherwise the bits of the exact engine's value of
-    the same basis.  A row still moving after :func:`_pivot_round_cap`
-    rounds is refused."""
+    it takes.  A set's disk is its final basis's canonical ball: centred
+    on the point with radius 0.0 for one distinct point, and otherwise the
+    bits of the exact engine's ball of the same basis.  A row still moving
+    after :func:`_pivot_round_cap` rounds is refused."""
     rows, n, _ = sets.shape
-    values = np.empty(rows)
+    slack = _WELZL_REL * np.asarray(coordinate_scales(sets))
+    disks = np.empty((rows, 3))
     active = np.arange(rows)
     xs, ys = sets[..., 0], sets[..., 1]
     basis = np.zeros((rows, 3), dtype=np.intp)
@@ -340,9 +346,9 @@ def _seb2_pivot(sets: np.ndarray, slack: np.ndarray) -> np.ndarray:
         f = d2.argmax(axis=1)
         reach = ball[:, 2] + slack
         out = d2[np.arange(len(f)), f] > reach * reach
-        values[active[~out]] = ball[~out, 2]
+        disks[active[~out]] = ball[~out]
         if not out.any():
-            return values
+            return disks
         active, basis, slack = active[out], basis[out], slack[out]
         members = np.column_stack([basis, f[out]])
         kept = np.flatnonzero(out)[:, None]
@@ -370,10 +376,9 @@ def _seb2_values(sets: np.ndarray) -> np.ndarray:
     (:func:`_seb2_pivot`), whose final ball is the canonical ball of its
     basis, so that a value has the bits of the exact engine's basis
     value."""
-    scales = coordinate_scales(sets)
-    if sets.shape[-1] == 3:
-        return np.array([welzl_ball(p, s).radius for p, s in zip(sets, scales)], dtype=np.float64)
-    return _seb2_pivot(sets, _WELZL_REL * np.asarray(scales))
+    if sets.shape[-1] == 2:
+        return _seb2_pivot(sets)[:, 2]
+    return np.array([welzl_ball(p, s).radius for p, s in zip(sets, coordinate_scales(sets))])
 
 
 def evaluate(measure: MeasureId, pts) -> float | np.ndarray:

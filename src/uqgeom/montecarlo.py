@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import _FRAME_SPAN_REL, _KERNEL_SLACK, as_points, coordinate_scales, unit_vector, welzl_ball
-from .measures import MeasureId, _check_input, evaluate
+from .geometry import _FRAME_SPAN_REL, _KERNEL_SLACK, as_points, unit_vector
+from .measures import MeasureId, _check_input, _seb2_pivot, evaluate
 from .model import (
     ContinuousUncertainSet,
     IndecisivePointSet,
@@ -36,7 +36,8 @@ from .model import (
 from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
 from .sip import DISK, SipField, shape_kind
 
-# Unused here; perfbench/layers.py patches it on this module by getattr.
+# Unused here; perfbench/layers.py patches these names on this module by getattr.
+from .geometry import welzl_ball  # noqa: F401
 from .model import sample_support  # noqa: F401
 
 __all__ = [
@@ -476,9 +477,9 @@ def build_random_sip(
     rectangles.
 
     The field is filled in its array form, with float weights 1/m and no
-    exact numerators: one Welzl ball per support, with the coordinate
-    scales of a chunk of stacked supports taken at once, or one min/max per
-    chunk for rectangles."""
+    exact numerators: per chunk of stacked supports, one pivoting search
+    for the disks (``measures._seb2_pivot``, so each radius has the bits of
+    ``evaluate(seb2, support)``), or one min/max for rectangles."""
     kind = shape_kind(measure)
     if uset.dimension != 2:
         raise ValidationError("randomized SIP supports d=2 only")
@@ -489,8 +490,7 @@ def build_random_sip(
         # The sampled coordinates pass the measure's input check, as in evaluate.
         _check_input(measure, stack)
         if kind == DISK:
-            balls = (welzl_ball(pts, scale) for pts, scale in zip(stack, coordinate_scales(stack)))
-            params[done : done + len(stack)] = [(*ball.center.tolist(), ball.radius) for ball in balls]
+            params[done : done + len(stack)] = _seb2_pivot(stack)
         else:
             params[done : done + len(stack)] = np.hstack([stack.min(axis=1), stack.max(axis=1)])
         done += len(stack)

@@ -1,9 +1,13 @@
 """welzl_ball against the recursive Welzl it replaced, bit for bit.
 
+welzl_ball is 3-D only: a planar set is refused, since the planar smallest
+enclosing disk is the pivoting search of ``measures._seb2_pivot``.
+
 The references below are the one-frame-per-point recursion and the nested
 subset search of ``_trivial_ball`` as they were before the loop rewrite.
 Both versions must make the same decisions and produce the same floats, so
-the comparison is on center bytes, radius bits and the support tuple.
+the comparison is on center bytes and radius bits.  The references still
+return the support they end with, which the near-duplicate test reads.
 
 A second set of references, further down, is the one-loop-per-level Welzl
 and the generic pair/triple subset search (``_PAIRS``/``_TRIPLES`` tables,
@@ -17,11 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_indecisive
 from uqgeom import geometry
 from uqgeom.geometry import (
     _WELZL_REL,
-    _ball2_3,
     _ball3_3,
     _ball3_4,
     _circum3,
@@ -36,31 +38,23 @@ from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
 from uqgeom.model import draw_supports
 
 
-def _trivial_ball(coords, boundary, d):
-    """Smallest ball of 1 to d+1 boundary points (indices into ``coords``)
-    as (center..., radius, support), from the library's boundary ball of
-    that dimension and size: the dispatch the Welzl loop inlines."""
+def _trivial_ball(coords, boundary):
+    """Smallest ball of 1 to 4 boundary points (indices into ``coords``)
+    as (center..., radius), from the library's boundary ball of that size:
+    the dispatch the Welzl loop inlines."""
     pts = [coords[b] for b in boundary]
-    s = tuple(boundary)
-    if len(s) == 1:
-        return (*pts[0], 0.0, s)
-    if len(s) == 2:
+    if len(pts) == 1:
+        return (*pts[0], 0.0)
+    if len(pts) == 2:
         a, b = pts
-        if d == 2:
-            cx, cy = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
-            return (cx, cy, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2), s)
         cx, cy, cz = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2])
-        return (cx, cy, cz, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2 + (a[2] - cz) ** 2), s)
-    if d == 2:
-        return _ball2_3(*pts, s)
-    if len(s) == 3:
-        return _ball3_3(*pts, s)
-    return _ball3_4(*pts, s)
+        return (cx, cy, cz, math.sqrt((a[0] - cx) ** 2 + (a[1] - cy) ** 2 + (a[2] - cz) ** 2))
+    if len(pts) == 3:
+        return _ball3_3(*pts)
+    return _ball3_4(*pts)
 
 
 def _ref_dist2(p, q, d):
-    if d == 2:
-        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
 
 
@@ -94,7 +88,7 @@ def _ref_trivial_ball(coords, boundary, d):
         for ii in range(m):
             for jj in range(ii + 1, m):
                 for kk in range(jj + 1, m):
-                    sol = _circum3(coords[boundary[ii]], coords[boundary[jj]], coords[boundary[kk]], d)
+                    sol = _circum3(coords[boundary[ii]], coords[boundary[jj]], coords[boundary[kk]])
                     if sol is None:
                         continue
                     c, r2 = sol
@@ -110,7 +104,7 @@ def _ref_trivial_ball(coords, boundary, d):
                             break
                     if ok:
                         best = (r2, c, (boundary[ii], boundary[jj], boundary[kk]))
-    if best is None and d == 3 and m == 4:
+    if best is None and m == 4:
         sol = _circumsphere_coords(*(coords[b] for b in boundary))
         if sol is not None:
             best = (sol[1], sol[0], tuple(boundary))
@@ -163,13 +157,18 @@ def _ref_welzl_ball(pts):
 
 def _assert_same_ball(pts):
     ball = welzl_ball(pts)
-    center, radius, support = _ref_welzl_ball(pts)
+    center, radius, _ = _ref_welzl_ball(pts)
     assert ball.center.tobytes() == center.tobytes()
     assert float(ball.radius).hex() == float(radius).hex()
-    assert tuple(ball.support) == tuple(support)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def test_welzl_ball_refuses_a_planar_set():
+    for pts in (np.zeros((1, 2)), np.random.default_rng(39).normal(size=(20, 2))):
+        with pytest.raises(ValueError, match=r"3-D points, got d = 2; .*measures\.evaluate"):
+            welzl_ball(pts)
+
+
+@pytest.mark.parametrize("d", [3])
 def test_welzl_random_sets_match_recursive_reference(d):
     rng = np.random.default_rng(40 + d)
     for n in range(1, 61):
@@ -180,7 +179,7 @@ def test_welzl_random_sets_match_recursive_reference(d):
         _assert_same_ball(rng.uniform(-1.0, 1.0, size=(n, d)))
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_welzl_degenerate_sets_match_recursive_reference(d):
     rng = np.random.default_rng(50 + d)
     for n in range(1, 61):
@@ -192,7 +191,7 @@ def test_welzl_degenerate_sets_match_recursive_reference(d):
         # Collinear, with repeats.
         t = rng.integers(-3, 4, size=n).astype(float)
         _assert_same_ball(np.outer(t, rng.normal(size=d)))
-        # Cocircular: points on one circle (a great circle in 3-D).
+        # Cocircular: points on a great circle.
         theta = 2.0 * np.pi * rng.integers(0, 12, size=n) / 12.0
         ring = np.zeros((n, d))
         ring[:, 0], ring[:, 1] = np.cos(theta), np.sin(theta)
@@ -205,14 +204,12 @@ def test_welzl_degenerate_sets_match_recursive_reference(d):
 
 
 def _assert_same_trivial_ball(pts, boundary):
-    d = pts.shape[1]
-    got = _trivial_ball(pts.tolist(), boundary, d)
-    want = _ref_trivial_ball([tuple(row) for row in pts], boundary, d)
-    assert [float(x).hex() for x in got[:-1]] == [float(x).hex() for x in want[:-1]]
-    assert got[-1] == want[-1]
+    got = _trivial_ball(pts.tolist(), boundary)
+    want = _ref_trivial_ball([tuple(row) for row in pts], boundary, pts.shape[1])
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want[:-1]]
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_trivial_ball_matches_subset_search_reference(d):
     # Most boundaries Welzl builds end in a circumcircle; these random and
     # obtuse ones make the pair search decide, so a changed pair radius shows.
@@ -258,9 +255,10 @@ def test_coordinate_scales_equal_per_set(d):
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert [coordinate_scale(pts) for pts in stack] == got
-        for pts, scale in zip(stack[:8], got):
-            a, b = welzl_ball(pts, scale), welzl_ball(pts)
-            assert (a.center.tobytes(), a.radius, a.support) == (b.center.tobytes(), b.radius, b.support)
+        if d == 3:
+            for pts, scale in zip(stack[:8], got):
+                a, b = welzl_ball(pts, scale), welzl_ball(pts)
+                assert (a.center.tobytes(), a.radius) == (b.center.tobytes(), b.radius)
 
 
 # --------------------------------------------------------------------------
@@ -269,8 +267,6 @@ def test_coordinate_scales_equal_per_set(d):
 
 
 def _ref_midpoint(a, b, d):
-    if d == 2:
-        return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
     return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
 
 
@@ -349,7 +345,7 @@ def _ref_subset_ball(coords, boundary, d):
             best = (r2, c, (boundary[i], boundary[j]))
     if best is None:
         for (i, j, k), others in _REF_TRIPLES[m]:
-            sol = _circum3(pts[i], pts[j], pts[k], d)
+            sol = _circum3(pts[i], pts[j], pts[k])
             if sol is None:
                 continue
             c, r2 = sol
@@ -361,7 +357,7 @@ def _ref_subset_ball(coords, boundary, d):
                     break
             else:
                 best = (r2, c, (boundary[i], boundary[j], boundary[k]))
-    if best is None and d == 3 and m == 4:
+    if best is None and m == 4:
         sol = _ref_circumsphere_coords(*pts)
         if sol is not None:
             best = (sol[1], sol[0], tuple(boundary))
@@ -404,10 +400,7 @@ def _ref_loop_welzl_ball(pts, scale=None):
         for i in range(start, count):
             p = order[i]
             q = coords[p]
-            if d == 2:
-                if (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 <= lim:
-                    continue
-            elif (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 + (q[2] - ball[2]) ** 2 <= lim:
+            if (q[0] - ball[0]) ** 2 + (q[1] - ball[1]) ** 2 + (q[2] - ball[2]) ** 2 <= lim:
                 continue
             for b in boundary:
                 if _ref_dist2(coords[b], q, d) <= dup2:
@@ -426,19 +419,16 @@ def _ref_loop_welzl_ball(pts, scale=None):
 
 def _assert_same_as_loop(pts, scale=None):
     ball = welzl_ball(pts, scale)
-    center, radius, support = _ref_loop_welzl_ball(pts, scale)
+    center, radius, _ = _ref_loop_welzl_ball(pts, scale)
     assert ball.center.tobytes() == center.tobytes()
     assert float(ball.radius).hex() == float(radius).hex()
-    assert tuple(ball.support) == tuple(support)
 
 
 def _assert_same_as_subset_search(pts, boundary):
-    d = pts.shape[1]
     coords = pts.tolist()
-    got = _trivial_ball(coords, boundary, d)
-    want = _ref_subset_ball(coords, boundary, d)
-    assert [float(x).hex() for x in got[:-1]] == [float(x).hex() for x in want[:-1]]
-    assert got[-1] == want[-1]
+    got = _trivial_ball(coords, boundary)
+    want = _ref_subset_ball(coords, boundary, pts.shape[1])
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want[:-1]]
 
 
 def _families(d):
@@ -462,33 +452,29 @@ def _families(d):
         yield rng.normal(size=(n, d)) * 1e-9 + 3.0
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_welzl_families_match_loop_reference(d):
     for pts in _families(d):
         _assert_same_as_loop(pts)
 
 
-def _support_stack(d, count, seed):
+def _support_stack(count, seed):
     """Sampled supports as the randomized engine draws them: 3-D Gaussian
-    cylinder supports with n = 20, or 2-D indecisive supports with n = 50."""
-    rng = np.random.default_rng(seed)
-    if d == 3:
-        uset = cylinder_uncertain_set(CylinderConfig(n=20), seed)
-    else:
-        uset = random_indecisive(rng, 50, 4)
+    cylinder supports with n = 20."""
+    uset = cylinder_uncertain_set(CylinderConfig(n=20), seed)
     rngs = [np.random.default_rng([seed, t]) for t in range(count)]
     return draw_supports(uset, rngs)[0]
 
 
-@pytest.mark.parametrize("d, count", [(3, 2000), (2, 1000)])
+@pytest.mark.parametrize("d, count", [(3, 2000)])
 def test_welzl_sampled_supports_match_loop_reference(d, count):
-    stack = _support_stack(d, count, 90 + d)
+    stack = _support_stack(count, 90 + d)
     for pts, scale in zip(stack, coordinate_scales(stack)):
         _assert_same_as_loop(pts, scale)
         _assert_same_as_loop(pts)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_welzl_near_duplicates_match_loop_reference(d):
     # A copy of a set's boundary point moved just inside or just outside the
     # duplicate tolerance (1e-10 of the coordinate scale): inside, the copy
@@ -497,7 +483,7 @@ def test_welzl_near_duplicates_match_loop_reference(d):
     for n in (3, 5, 12, 30):
         for _ in range(40):
             pts = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
-            support = welzl_ball(pts).support
+            support = _ref_loop_welzl_ball(pts)[2]
             scale = coordinate_scale(pts)
             copies = []
             for b in support:
@@ -508,19 +494,9 @@ def test_welzl_near_duplicates_match_loop_reference(d):
             both = np.vstack([pts, copies])
             _assert_same_as_loop(both)
             _assert_same_as_loop(rng.permutation(both))
-    if d == 2:
-        # Rare in 2-D: a set whose ball changes if the duplicate test is dropped.
-        _assert_same_as_loop(np.array([
-            [486.183162602622, -137.883322161765],
-            [506.80103351138683, -105.74580147205177],
-            [506.80103347852435, -105.74580149123842],
-            [501.77537803149886, -105.58360158806549],
-            [506.80103351137285, -105.74580147210217],
-            [506.8010334777401, -105.74580150525307],
-        ]))
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_boundaries_on_the_containment_limit_match_subset_search(d):
     # The other points of a boundary placed at squared distance r2 * (1 + t)
     # from a pair's midpoint or a triple's circumcenter, t straddling the
@@ -530,7 +506,7 @@ def test_boundaries_on_the_containment_limit_match_subset_search(d):
         m = int(rng.integers(3, d + 2))
         pts = rng.normal(size=(m, d))
         if m == 4 and rng.random() < 0.5:
-            sol = _circum3(*pts[:3].tolist(), d)
+            sol = _circum3(*pts[:3].tolist())
             if sol is None:
                 continue
             center, r2, rest = np.array(sol[0]), sol[1], pts[3:]
@@ -544,7 +520,7 @@ def test_boundaries_on_the_containment_limit_match_subset_search(d):
         _assert_same_as_subset_search(pts, rng.permutation(m).tolist())
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_degenerate_boundaries_fall_back_like_subset_search(d, monkeypatch):
     # Collinear triples and coplanar quadruples, exact or within noise, where
     # the circumcircle's or circumsphere's determinant test refuses; and
@@ -555,14 +531,14 @@ def test_degenerate_boundaries_fall_back_like_subset_search(d, monkeypatch):
     fallbacks = set()
     farthest_pair_ball = geometry._farthest_pair_ball
 
-    def counted(pts, s):
+    def counted(pts):
         fallbacks.add(len(pts))
-        return farthest_pair_ball(pts, s)
+        return farthest_pair_ball(pts)
 
     monkeypatch.setattr(geometry, "_farthest_pair_ball", counted)
     rng = np.random.default_rng(120 + d)
     for trial in range(6000):
-        m = 3 if d == 2 else 3 + trial % 2
+        m = 3 + trial % 2
         u, v = rng.normal(size=d), rng.normal(size=d)
         kind = trial // 2 % 3
         if kind == 0:
@@ -576,7 +552,7 @@ def test_degenerate_boundaries_fall_back_like_subset_search(d, monkeypatch):
         _assert_same_as_subset_search(pts, rng.permutation(m).tolist())
         if trial % 10 == 0:
             _assert_same_as_loop(np.vstack([pts, pts[::-1] + np.spacing(pts[::-1])]))
-    assert fallbacks == ({3} if d == 2 else {3, 4})
+    assert fallbacks == {3, 4}
 
 
 def test_circumsphere_matches_generator_sums():

@@ -29,12 +29,12 @@ from uqgeom import (
     query_eda_kernel,
 )
 import uqgeom.montecarlo as mc
-from uqgeom.geometry import welzl_ball
+from uqgeom.geometry import _WELZL_REL, coordinate_scale
 from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
 from uqgeom.measures import evaluate
 from uqgeom.model import draw_supports, sample_support
 from uqgeom.montecarlo import directional_width, sampled_values, trial_rng, verification_net
-from uqgeom.sip import DiskShape, RectShape
+from uqgeom.sip import RectShape
 
 from conftest import kvariate_oracle, random_indecisive
 
@@ -488,16 +488,21 @@ def test_random_sip_equals_per_trial_loop(monkeypatch, measure):
     monkeypatch.setattr(mc, "_CHUNK_CELLS", 36)
     uset = random_indecisive(np.random.default_rng(34), 6, 3)
     field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=20), seed=8)
+    supports = _per_trial_supports(uset, 8, 20)
+    assert [w for _, w in field.shapes] == [1.0 / 20] * 20
+    if measure == "seb2":
+        # Each trial's disk has the radius bits of its seb2 value and holds
+        # the support within the solver's containment slack.
+        for (disk, _), pts in zip(field.shapes, supports):
+            assert disk.r.hex() == evaluate(MeasureId("seb2"), pts).hex()
+            reach = disk.r + _WELZL_REL * coordinate_scale(pts)
+            assert (((pts - (disk.cx, disk.cy)) ** 2).sum(axis=1) <= reach * reach).all()
+        return
     want = []
-    for pts in _per_trial_supports(uset, 8, 20):
-        if measure == "seb2":
-            ball = welzl_ball(pts)
-            shape = DiskShape(float(ball.center[0]), float(ball.center[1]), float(ball.radius))
-        else:
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            shape = RectShape(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-        want.append((shape, 1.0 / 20))
-    assert field.shapes == tuple(want)
+    for pts in supports:
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        want.append(RectShape(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])))
+    assert [shape for shape, _ in field.shapes] == want
 
 
 def _sampler_sets():
