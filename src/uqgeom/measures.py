@@ -164,9 +164,11 @@ def _frame(measure: MeasureId, pts: np.ndarray) -> np.ndarray:
     projections (..., n) onto the direction for dwid, the (..., n, 2)
     45-degree frame for seb1, the (..., n, d) points themselves otherwise.
 
-    The seb1 frame is elementwise.  The dwid projection is a matmul, whose
-    BLAS kernel may round a row differently with its position in the
-    matrix, so :func:`evaluate` projects each set on its own."""
+    The seb1 frame is elementwise.  The dwid projection of a stack is a
+    stacked matmul, one matrix-vector product per set, so a set's
+    projection has the bits of its own ``p @ u``; only a matmul over the
+    flattened (rows * n, d) matrix may round a row differently with its
+    position in the matrix."""
     kind = measure.kind
     if kind == "dwid":
         return pts @ np.asarray(measure.direction)
@@ -197,7 +199,8 @@ def _extent_value(kind: str, ex, ey):
 def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
     """Value of each point set in a stack of frame coordinates, reduced
     over the last two axes (the last one for dwid); every measure but
-    seb2."""
+    seb2.  Diameter holds, per set, two n x n x d tensors (the differences
+    and their squares) and at most two n x n sums at once."""
     if kind == "dwid":
         return _extent_value(kind, f.max(axis=-1) - f.min(axis=-1), None)
     if kind == "diameter":
@@ -330,7 +333,17 @@ def _seb2_pivot(sets: np.ndarray) -> np.ndarray:
     it takes.  A set's disk is its final basis's canonical ball: centred
     on the point with radius 0.0 for one distinct point, and otherwise the
     bits of the exact engine's ball of the same basis.  A row still moving
-    after :func:`_pivot_round_cap` rounds is refused."""
+    after :func:`_pivot_round_cap` rounds is refused.
+
+    Memory, per row of a stack of n-point sets: a round holds at most eight
+    arrays of n floats at once, this round's x, y, offsets from the ball,
+    their two squares and the squared distances, with the last round's
+    squared distances.  Besides five of those, the row's state (basis,
+    ball, disk, slack) and its candidate balls hold under 256 floats: the
+    basis and f (four members), the three pairs and three triples that
+    :func:`_seb2_balls` solves with their sorted copies, and the six
+    balls' offsets to the four members with their squares (24 floats
+    each)."""
     rows, n, _ = sets.shape
     slack = _WELZL_REL * np.asarray(coordinate_scales(sets))
     disks = np.empty((rows, 3))
@@ -389,9 +402,8 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
     A set needs at least one point.  seb2 takes the coordinate scales of
     the whole stack at once; in 2-D it solves every set in one pivoting
     search over the stack, in 3-D one Welzl ball per set
-    (:func:`_seb2_values`).  dwid projects each set with its own
-    ``pts @ u``, since a matmul over the whole stack may round a row
-    differently."""
+    (:func:`_seb2_values`).  Every other measure reads the frame of the
+    whole stack (:func:`_frame`)."""
     arr = np.asarray(pts, dtype=np.float64)
     if arr.size == 0 and (arr.ndim < 2 or arr.shape[-2] == 0):
         raise ValueError(f"a point set needs at least one point, got shape {arr.shape}")
@@ -409,9 +421,6 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
     sets = arr.reshape((-1,) + arr.shape[-2:])
     if kind == "seb2":
         values = _seb2_values(sets)
-    elif kind == "dwid":
-        frame = np.array([_frame(measure, p) for p in sets]).reshape(sets.shape[:-1])
-        values = _frame_values(kind, frame)
     else:
         values = _frame_values(kind, _frame(measure, sets))
     return float(values[0]) if arr.ndim == 2 else values.reshape(arr.shape[:-2])

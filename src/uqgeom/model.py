@@ -410,7 +410,13 @@ def draw_supports(
         u = np.empty((rows, uset.n))
         for t, rng in enumerate(rngs):
             rng.random(out=u[t])
-        j = np.minimum((cum <= u[..., None]).sum(axis=2), last)
+        # Candidates below each draw, counted one candidate column at a
+        # time: the counts of a sum over a (rows, n, k) comparison, without
+        # numpy's reduction over its short last axis.
+        j = np.zeros(u.shape, dtype=np.intp)
+        for column in cum.T:
+            j += column <= u
+        np.minimum(j, last, out=j)
         return locations[points, j], j
     draws, gaussians, others = uset._sampling_plan
     z = np.empty((rows, uset.n, uset.dimension))

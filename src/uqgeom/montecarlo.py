@@ -70,10 +70,13 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Trials whose seeds are hashed together.
 _STREAM_CHUNK = 1024
-# Supports drawn, and evaluated, together: about _CHUNK_CELLS cells (64 KB
-# of float64) in the largest per-support temporary.  Larger chunks ran no
-# faster and raised the peak RSS.
-_CHUNK_CELLS = 8192
+# Supports drawn, and evaluated, together: about _CHUNK_CELLS cells (256 KB
+# of float64) in the largest per-support temporary.  The planar pivot
+# search pays its per-round numpy overhead once per stack: on 2-D sets of
+# 50 points (a 2-core Xeon) a support cost 23.8 us in stacks of 81 rows
+# (8192 cells), 15.8 us in stacks of 327 (this budget) and 14.6 us in
+# stacks of 655, for twice the memory again.
+_CHUNK_CELLS = 32_768
 
 
 def _words(value: int) -> list[int]:
@@ -182,21 +185,29 @@ def _support_stacks(
     tag: tuple[int, ...] = (),
 ):
     """Locations of ``count`` sampled supports, in order, as (rows, n, d)
-    stacks of at most ``_chunk_rows(uset, ())`` supports; support t is
-    drawn from the stream of ``trial_rng(seed, *tag, t)``, so it does not
-    depend on the order in which trials are consumed."""
+    stacks of at most ``_chunk_rows(uset, ())`` supports (and of at most
+    the ``_STREAM_CHUNK`` trials whose seeds are hashed together); support
+    t is drawn from the stream of ``trial_rng(seed, *tag, t)``, so it does
+    not depend on the order in which trials are consumed.
+
+    Drawing a stack holds, per support, its generator (under 1 KB), its n
+    uniform draws and n candidate indices, and its n x d locations, while
+    the caller may still hold the last stack.  The generators are dropped
+    before the stack is yielded."""
     seed_state = _seed_state_type()
     rows = _chunk_rows(uset, ())
     for states in _stream_states(seed, tag, 0, count):
         for start in range(0, len(states), rows):
-            rngs = [np.random.Generator(np.random.PCG64(seed_state(s))) for s in states[start : start + rows]]
-            yield draw_supports(uset, rngs)[0]
+            yield draw_supports(
+                uset, [np.random.Generator(np.random.PCG64(seed_state(s))) for s in states[start : start + rows]]
+            )[0]
 
 
 def _chunk_rows(uset: IndecisivePointSet | ContinuousUncertainSet, measures) -> int:
-    """Supports per chunk of ``measures``.  The largest per-support
-    temporary is diameter's n x n x d difference tensor, or else the n x d
-    points."""
+    """Supports per chunk of ``measures``: about ``_CHUNK_CELLS`` cells of
+    the largest per-support temporary, diameter's n x n x d difference
+    tensor, or else the n x d points.  The one rule sizes both the support
+    stacks (``measures`` empty) and every measure's chunk of them."""
     cells = uset.n * uset.dimension
     if any(m.kind == "diameter" for m in measures):
         cells *= uset.n
@@ -213,7 +224,10 @@ def sampled_values(
     """(count, len(measures)) array of measure values over ``count`` sampled
     supports; support t is drawn from ``trial_rng(seed, *tag, t)``.  Each
     measure is evaluated once per chunk of supports, chunked by its own
-    temporary; a set's value does not depend on the chunk."""
+    temporary (:func:`_chunk_rows`); a set's value does not depend on the
+    chunk.  So planar seb2 solves a whole support stack in one pivoting
+    search (327 sets of 50 points at the budget), and diameter takes the
+    same sets a few at a time (6 of 50 points)."""
     values = np.empty((count, len(measures)))
     rows = [_chunk_rows(uset, (measure,)) for measure in measures]
     done = 0

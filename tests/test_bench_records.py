@@ -1,5 +1,7 @@
 """Every committed BENCH_*.json shows parent and change figures for each
-workload and end-to-end metric that BENCHMARK.json declares."""
+workload and end-to-end metric that BENCHMARK.json declares; a record that
+carries a metric's relative median change and bound check (older ones do
+not) agrees with its medians."""
 
 import json
 from pathlib import Path
@@ -29,6 +31,11 @@ def test_bench_record_has_parent_and_change_per_workload_and_metric(path):
                 spread = figures[side]
                 assert all(isinstance(spread[k], (int, float)) for k in ("median", "q1", "q3")), (workload, metric)
                 assert spread["q1"] <= spread["median"] <= spread["q3"], (workload, metric, side)
+            if "median_change" in figures:
+                change = figures["change"]["median"] / figures["parent"]["median"] - 1.0
+                worse = change if figures["better"] == "lower" else -change
+                assert figures["median_change"] == change, (workload, metric)
+                assert figures["past_bound"] == (worse > figures["bound"]), (workload, metric)
 
 
 def _bench_json():
@@ -82,3 +89,31 @@ def test_summarize_refuses_fewer_than_two_seeds_on_both_sides():
     change = _records([3, 5], lambda base, seed: base + seed, lambda seed: 0)
     with pytest.raises(SystemExit, match="need at least two seeds run on both sides, found \\[3\\]"):
         bench_json.summarize(parent, change, SPEC)
+
+
+def test_summarize_checks_each_median_change_against_its_bound():
+    bench_json = _bench_json()
+    spec = {
+        "workloads": [{"name": "w"}],
+        "end_to_end": [
+            {"name": "time", "unit": "s", "better": "lower", "bound": 0.1},
+            {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.2},
+        ],
+    }
+
+    def records(time, rate):
+        return {
+            ("w", seed): {"workload": "w", "seed": seed, "seconds": 12.0,
+                          "metrics": {"time": time * seed, "rate": rate * seed}, "failures": []}
+            for seed in (1, 2, 3)
+        }
+
+    parent = records(2.0, 4.0)
+    # (time factor, rate factor, time past its bound, rate past its bound)
+    for t, r, time_past, rate_past in ((1.05, 0.9, False, False), (1.25, 1.5, True, False),
+                                       (0.5, 0.75, False, True), (1.0, 1.0, False, False)):
+        metrics = bench_json.summarize(parent, records(2.0 * t, 4.0 * r), spec)["w"]["metrics"]
+        assert metrics["time"]["median_change"] == pytest.approx(t - 1.0)
+        assert metrics["rate"]["median_change"] == pytest.approx(r - 1.0)
+        assert (metrics["time"]["bound"], metrics["rate"]["bound"]) == (0.1, 0.2)
+        assert (metrics["time"]["past_bound"], metrics["rate"]["past_bound"]) == (time_past, rate_past), (t, r)

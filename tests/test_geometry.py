@@ -247,6 +247,9 @@ def test_coordinate_scales_equal_per_set(d):
         np.zeros((3, 4, d)),  # all at the origin: the floor of 1
         rng.normal(size=(25, 1, d)) * 10.0,  # one point per set
         rng.uniform(-1, 1, size=(60, 3, d)) * 10.0 ** rng.integers(-5, 6, size=(60, 1, 1)),
+        # Signed zeros, alone and beside small coordinates.
+        rng.choice([-0.0, 0.0], size=(30, 6, d)),
+        rng.choice([-0.0, 0.0, -1e-300, 3e-7, -2.5], size=(200, 9, d)),
     ]
     for stack in stacks:
         got = coordinate_scales(stack)
@@ -254,6 +257,11 @@ def test_coordinate_scales_equal_per_set(d):
         want = [max(bbox_diameter(pts), float(np.abs(pts).max()), 1.0) for pts in stack]
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        # And the extremes per set in Python floats.
+        for pts, scale in zip(stack.tolist(), got):
+            hi, lo = [max(c) for c in zip(*pts)], [min(c) for c in zip(*pts)]
+            magnitude = max(max(abs(a), abs(b)) for a, b in zip(hi, lo))
+            assert scale == max(math.hypot(*(a - b for a, b in zip(hi, lo))), magnitude, 1.0)
         assert [coordinate_scale(pts) for pts in stack] == got
         if d == 3:
             for pts, scale in zip(stack[:8], got):

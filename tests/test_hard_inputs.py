@@ -1,8 +1,9 @@
 """Planar seb2 on the hard-input corpus, against the exact referee of
-``hard_inputs``: the referee itself, ``evaluate`` on every family, the
-randomized engine against the exact one on sets where Welzl's ball left a
-point outside, and the random SIP disks on those sets and on noisy-lattice
-indecisive sets."""
+``hard_inputs``: the referee itself, ``evaluate`` on every family and at
+every stack size, the randomized engine against the exact one on sets
+where Welzl's ball left a point outside, and the random SIP disks on those
+sets and on noisy-lattice indecisive sets.  Also dwid's stacked projection
+against each set's own on the same families."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from uqgeom import IndecisivePoint, IndecisivePointSet, MeasureId, evaluate, exact_distribution
 from uqgeom.geometry import _WELZL_REL, coordinate_scale
 from uqgeom.measures import tolerance
-from uqgeom.montecarlo import SampleBudget, _support_stacks, build_quantization, build_random_sip
+from uqgeom.montecarlo import _CHUNK_CELLS, SampleBudget, _support_stacks, build_quantization, build_random_sip
 
 from hard_inputs import (
     miniball_radius, miniball_radius2, noisy_lattice_stack, offset_stack, seb2_interval, tiny_extent_stack,
@@ -55,6 +56,40 @@ def test_evaluate_seb2_within_the_referee(family, n, seed):
     for points, value in zip(stack, values.tolist()):
         lo, hi = seb2_interval(points, _WELZL_REL * coordinate_scale(points))
         assert lo <= value <= hi, (points.tolist(), value, miniball_radius(points))
+
+
+@pytest.mark.parametrize("family", ["noisy-lattice", "offset-1e7", "extent-1e-9"])
+def test_evaluate_seb2_does_not_depend_on_the_stack_size(family):
+    # Sets of 50 points, as the sampled supports of the benchmark's
+    # indecisive set, in stacks of one set, of the former chunk budget's 81
+    # rows, of this budget's rows and of 1024 (a whole hashed chunk of
+    # trials).
+    n = 50
+    stack = _FAMILIES[family](np.random.default_rng(12), 1024, n)
+    whole = evaluate(SEB2, stack)
+    for rows in (1, 81, _CHUNK_CELLS // (2 * n)):
+        parts = [evaluate(SEB2, stack[i : i + rows]) for i in range(0, len(stack), rows)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), rows
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3])
+def test_evaluate_dwid_projects_a_stack_as_each_set_on_its_own(family, d):
+    # A stacked matmul makes one matrix-vector product per set, so the
+    # whole stack's projection has each set's bits; a 3-D set takes its
+    # third coordinate from a second stack of the family.
+    rng = np.random.default_rng(13)
+    for rows, n in ((1, 1), (9, 2), (40, 17), (327, 50)):
+        stack = _FAMILIES[family](rng, rows, n)
+        if d == 3:
+            stack = np.concatenate([stack, _FAMILIES[family](rng, rows, n)[..., :1]], axis=2)
+        measure = MeasureId("dwid", tuple(rng.normal(size=d)))
+        u = np.asarray(measure.direction)
+        want = []
+        for points in stack:
+            projection = (points @ u).tolist()
+            want.append(max(projection) - min(projection))
+        assert evaluate(measure, stack).tobytes() == np.array(want).tobytes(), (rows, n)
 
 
 # (n, row) of noisy_lattice_stack(default_rng(7), 1000, n, span=3): sets on

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -448,11 +449,12 @@ def test_sampled_values_equal_per_trial_loop(monkeypatch, rows):
 
 
 def test_each_measure_is_chunked_by_its_own_temporary(monkeypatch):
-    # Diameter's n x n x d temporary must not shrink seb2's chunks.
+    # Diameter's n x n x d temporary must not shrink seb2's chunks.  The
+    # count holds two full support stacks and a partial one.
     uset = random_indecisive(np.random.default_rng(50), 50, 3)
     n, d = uset.n, uset.dimension
     measures = [MeasureId("seb2"), MeasureId("diameter")]
-    count = 200
+    count = 2 * mc._chunk_rows(uset, ()) + 46
     want = np.column_stack([sampled_values(uset, [m], 4, count)[:, 0] for m in measures])
     calls = []
 
@@ -467,6 +469,38 @@ def test_each_measure_is_chunked_by_its_own_temporary(monkeypatch):
     for kind, want_rows in rows.items():
         sizes = [r for k, r in calls if k == kind]
         assert max(sizes) == want_rows and sum(sizes) == count, kind
+
+
+@pytest.mark.parametrize("kind", ["seb2", "diameter"])
+def test_sampled_values_peak_memory_is_bounded_per_support(kind):
+    """The tracemalloc peak of sampled_values at the chunk budget stays
+    within the arrays counted per support row: drawing a stack
+    (``_support_stacks``: the last and the new n x d stack, n draws, n
+    candidate indices and a generator under 1 KB), or evaluating one (the
+    stack, plus for seb2 eight arrays of n floats and under 256 floats per
+    row, ``measures._seb2_pivot``; for diameter, two n x n x d tensors and
+    two n x n sums per set of its chunk, ``measures._frame_values``)."""
+    uset = random_indecisive(np.random.default_rng(52), 50, 4)
+    measure = MeasureId(kind)
+    n, d = uset.n, uset.dimension
+    rows, chunk = mc._chunk_rows(uset, ()), mc._chunk_rows(uset, (measure,))
+    count = 2 * rows
+    want = sampled_values(uset, [measure], 3, count)  # builds the sampling plan
+    tracemalloc.start()
+    try:
+        got = sampled_values(uset, [measure], 3, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    drawing = rows * (2 * n * d + 2 * n + 128)
+    if kind == "seb2":
+        evaluating = rows * (n * d + 8 * n + 256)
+    else:
+        evaluating = rows * n * d + chunk * (2 * d + 2) * n * n
+    # Besides the float64 arrays, the seed states of one hashed chunk of
+    # trials and the (count, 1) values: under 128 KB.
+    assert peak <= 8 * max(drawing, evaluating) + 128 * 1024, (peak, drawing, evaluating)
 
 
 def test_direction_nets_built_once_and_read_only():

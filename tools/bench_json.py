@@ -7,8 +7,9 @@ Each DIR holds the result records that ``python3 perfbench/run.py --workload W
 ``W-seedS-trace0.json`` per run), from a checkout of that side.  Runs pair up
 by workload and seed, so run both sides on the same seeds, alternating.  For
 every workload and every end-to-end metric that BENCHMARK.json declares, the
-output holds each side's median and quartiles and the number of pairs the
-change won.
+output holds each side's median and quartiles, the number of pairs the
+change won, the relative change of the median (change / parent - 1), and
+whether that change is worse than the metric's bound.
 """
 
 from __future__ import annotations
@@ -46,12 +47,17 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
             key, lower = metric["name"], metric["better"] == "lower"
             before = [p["metrics"][key] for p, _ in pairs]
             after = [c["metrics"][key] for _, c in pairs]
+            parent_spread, change_spread = _spread(before), _spread(after)
+            median_change = change_spread["median"] / parent_spread["median"] - 1.0
             metrics[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "parent": _spread(before),
-                "change": _spread(after),
+                "parent": parent_spread,
+                "change": change_spread,
                 "change_wins": sum((a < b) if lower else (a > b) for b, a in zip(before, after)),
+                "median_change": median_change,
+                "bound": metric["bound"],
+                "past_bound": (median_change if lower else -median_change) > metric["bound"],
             }
         workloads[name] = {
             "seeds": seeds,
