@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True, out_required=True, nu=True):
+    def common(p, budget=True, nu=True):
         p.add_argument("--input", required=True, help="point-set JSON file")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         if budget:
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--nu", type=float, default=1.0)
             p.add_argument("--constant-c", dest="constant_c", type=float, default=0.5)
             p.add_argument("--m", type=int, default=None, help="override sample count")
-        p.add_argument("--out", required=out_required)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("quantize", help="sampled quantization of one measure")
     common(p)

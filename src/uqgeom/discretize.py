@@ -94,8 +94,6 @@ class LatticeSample:
 
     points: np.ndarray  # (N, 2)
     weights: np.ndarray
-    target_epsilon: float
-    family: RangeFamily
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -159,7 +157,7 @@ def lattice_eps_sample(
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if isinstance(dist, PointMassPoint):
-        return LatticeSample(dist.at.reshape(1, 2), np.array([1.0]), eps, family)
+        return LatticeSample(dist.at.reshape(1, 2), np.array([1.0]))
     if target_size is None:
         target_size = default_sample_size(family, eps)
     offset = _offset_for_index(index)
@@ -188,7 +186,7 @@ def lattice_eps_sample(
         w = w[keep]
         pts = pts[keep]
         w = w / w.sum()
-        return LatticeSample(pts, w, eps, family)
+        return LatticeSample(pts, w)
 
     if isinstance(dist, UniformDiskPoint):
         r = dist.radius
@@ -210,7 +208,7 @@ def lattice_eps_sample(
         pts = np.asarray(pts) + dist.center
         w = np.asarray(w)
         w = w / w.sum()
-        return LatticeSample(pts, w, eps, family)
+        return LatticeSample(pts, w)
 
     raise ValueError(f"unsupported distribution kind {type(dist).__name__}")
 

@@ -48,6 +48,7 @@ from .measures import (
     _check_input,
     _extent_value,
     _frame_values,
+    _rot_coords,
     _seb2_balls,
     _strictly_acute,
     combinatorial_dimension,
@@ -155,7 +156,7 @@ def _frame_coords(measure: MeasureId, locs: np.ndarray) -> tuple[np.ndarray, np.
         u0, u1 = measure.direction
         return x * u0 + y * u1, np.zeros(len(x))
     if measure.kind == "seb1":
-        return x + y, y - x
+        return _rot_coords(locs)
     return x, y
 
 

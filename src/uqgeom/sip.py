@@ -312,14 +312,16 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
       order by ``np.add.at``, as for disks; where the rectangles cover more
       than ``_SLICE_ADD_BLOCKS`` blocks each on the mean, one slice add per
       rectangle, in shape order, is faster.
-    - *Disks*.  A window is the disk's bounding box, widened cell by cell
-      while the one-axis test ``(x - cx) ** 2 <= r * r`` still holds
-      (rounding can put a contained center just outside the rounded box).
-      On each window row a disk covers one run of columns
-      (:func:`_disk_runs`).  Equal weights: each cell's count comes from
-      per-row differences of the runs.  Otherwise the cells of the runs are
-      added in shape order by ``np.add.at``, one index at a time
-      (:func:`_add_runs`, which the rectangles share).
+    - *Disks*.  One rule, :func:`_disk_runs`, finds every run of centers a
+      disk covers.  A disk's windows are its runs along the whole x and y
+      axes through its center (``dy2 = 0``), the centers that pass the
+      one-axis test ``(x - cx) ** 2 <= r * r``: every center the disk
+      holds passes it, since adding ``dy2 >= 0`` never rounds below
+      ``dx * dx``.  On each window row the disk covers one run of columns,
+      maybe empty, which adds nothing.  Equal weights: each cell's count
+      comes from per-row differences of the runs.  Otherwise the cells of
+      the runs are added in shape order by ``np.add.at``, one index at a
+      time (:func:`_add_runs`, which the rectangles share).
 
     A cell covered c times by shapes of one weight (every Monte Carlo
     field) holds the weight added c times to +0.0 in any order, so a count
@@ -338,11 +340,16 @@ def rasterize_sip(field: SipField, grid: tuple[int, int], bounds) -> Raster:
         windows = i0[keep], i1[keep], j0[keep], j1[keep]
         values = _rect_counts(w, h, *windows) if equal else _rectangle_values(w, h, weights[keep], *windows)
     else:
-        j0, j1 = _disk_windows(xs, p[:, 0], p[:, 2])
-        i0, i1 = _disk_windows(ys, p[:, 1], p[:, 2])
+        with np.errstate(over="ignore"):
+            rr = p[:, 2] * p[:, 2]
+        # The windows: each disk's runs through its center along each axis.
+        every, flat = np.arange(len(p)), np.zeros(len(p))
+        j0, j1 = _disk_runs(xs, p[:, 0], rr, 0, w, every, flat)
+        i0, i1 = _disk_runs(ys, p[:, 1], rr, 0, h, every, flat)
         # Empty windows add nothing; drop them, and no runs are taken there.
         keep = (i0 < i1) & (j0 < j1)
-        values = _disk_values(xs, ys, p[keep], weights[keep], i0[keep], i1[keep], j0[keep], j1[keep], equal)
+        values = _disk_values(xs, ys, p[keep], rr[keep], weights[keep],
+                              i0[keep], i1[keep], j0[keep], j1[keep], equal)
     if equal:
         # table[c] is the weight added c times to +0.0, one addition at a time.
         table = np.zeros(values.max() + 1)
@@ -361,18 +368,22 @@ def _rect_counts(w, h, i0, i1, j0, j1):
     return np.cumsum(np.cumsum(steps, axis=0), axis=1)[:h, :w]
 
 
-def _disk_values(xs, ys, d, weights, i0, i1, j0, j1, equal):
-    """The raster of disks from each window row's run of columns: with
-    ``equal`` weights each cell's count of containing disks, from per-row
-    differences of the runs; otherwise the weights, the cells of every run
-    added in shape order by :func:`_add_runs`."""
+def _disk_values(xs, ys, d, rr, weights, i0, i1, j0, j1, equal):
+    """The raster of disks (params ``d``, squared radii ``rr``) from each
+    window row's run of columns: with ``equal`` weights each cell's count
+    of containing disks, from per-row differences of the runs; otherwise
+    the weights, the cells of every run added in shape order by
+    :func:`_add_runs`."""
     w, h = len(xs), len(ys)
     values = np.zeros(h * (w + 1), dtype=np.intp if equal else np.float64)
-    # Chunks of _OFFSET_CELLS / 8 window rows to count (the dozen per-row
-    # arrays of _disk_runs take about 1 MB), or of _OFFSET_CELLS / 32 rows
-    # to add.
+    # Chunks of _OFFSET_CELLS / 8 window rows to count (each row's dy2, its
+    # window ends and the dozen arrays of _disk_runs take about 1 MB), or
+    # of _OFFSET_CELLS / 32 rows to add.
     for part, which, row in _window_rows(i0, i1, _OFFSET_CELLS // (8 if equal else 32)):
-        lo, hi = _disk_runs(xs, ys, d[part], j0[part], j1[part], which, row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy2 = ys[row] - d[part, 1][which]
+            dy2 *= dy2
+        lo, hi = _disk_runs(xs, d[part, 0], rr[part], j0[part][which], j1[part][which], which, dy2)
         if equal:
             values += np.bincount(row * (w + 1) + lo, minlength=len(values))
             values -= np.bincount(row * (w + 1) + hi, minlength=len(values))
@@ -416,37 +427,35 @@ def _spans(lo, size):
     return out
 
 
-def _disk_runs(xs, ys, d, j0, j1, which, row):
-    """For each window row, of disk ``d[which]`` (window columns
-    ``[j0[which], j1[which])``) at row ``row``, the run [lo, hi) of columns j
-    whose centers pass ``(xs[j] - cx) ** 2 + (ys[row] - cy) ** 2 <= r * r``.
+def _disk_runs(xs, c, rr, j0, j1, which, dy2):
+    """For each entry, of the disk ``which`` (center ``c[which]`` along the
+    axis of sorted cell centers ``xs``, squared radius ``rr[which]``) at
+    squared distance ``dy2`` across the axis, the run [lo, hi) of indices j
+    whose centers pass ``(xs[j] - c) ** 2 + dy2 <= rr``; ``j0`` and ``j1``
+    clamp the first estimates of the ends, per entry.
 
-    Along a row that squared distance falls and then rises, least at
-    column ``jc - 1`` or ``jc``, ``jc`` the first center at or right of
-    ``cx``, and the test is monotone in it: so the passing columns are one
-    run within the window, with ``lo <= jc <= hi`` when it is not empty.
-    The ends are estimated from ``cx -/+ sqrt(r * r - dy2)`` (a NaN
-    estimate is ``jc``), clamped to the window on each side of ``jc``, then
-    each moves a column at a time while the test says so; an empty run
-    ends as ``lo == hi == jc``.
+    Along the axis that squared distance falls and then rises, least at
+    index ``jc - 1`` or ``jc``, ``jc`` the first center at or right of
+    ``c``, and the test is monotone in it: so the passing centers are one
+    run, with ``lo <= jc <= hi`` when it is not empty.  The ends are
+    estimated from ``c -/+ sqrt(rr - dy2)`` (a NaN estimate is ``jc``),
+    clamped to ``[j0, j1)`` on each side of ``jc``, then each moves a
+    center at a time, past the clamp if need be, while the test says so;
+    an empty run ends as ``lo == hi == jc``.
     """
-    cx, cy = d[:, 0], d[:, 1]
-    jc = np.searchsorted(xs, cx, "left")
+    jc = np.searchsorted(xs, c, "left")
     # A center past either end tests as NaN, which contains nothing.
     xe = np.append(xs, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rr = d[:, 2] * d[:, 2]
-        dy2 = ys[row] - cy[which]
-        dy2 *= dy2
-        cxs, jcs, rrs = cx[which], jc[which], rr[which]
+        cs, jcs, rrs = c[which], jc[which], rr[which]
         half = np.sqrt(rrs - dy2)
-        # x lies (x - xs[0]) * scale columns right of the first center.
+        # x lies (x - xs[0]) * scale centers right of the first one.
         scale = (len(xs) - 1) / (xs[-1] - xs[0])
-        lo = np.fmax(np.fmin(np.ceil((cxs - half - xs[0]) * scale), jcs), j0[which]).astype(np.intp)
-        hi = np.fmin(np.fmax(np.floor((cxs + half - xs[0]) * scale) + 1, jcs), j1[which]).astype(np.intp)
+        lo = np.fmax(np.fmin(np.ceil((cs - half - xs[0]) * scale), jcs), j0).astype(np.intp)
+        hi = np.fmin(np.fmax(np.floor((cs + half - xs[0]) * scale) + 1, jcs), j1).astype(np.intp)
 
         def inside(s, col):
-            dx = xe[col] - cxs[s]
+            dx = xe[col] - cs[s]
             return dx * dx + dy2[s] <= rrs[s]
 
         _walk(lo, -1, lambda s, col: inside(s, col - 1))
@@ -497,32 +506,6 @@ def _rectangle_values(w, h, weights, i0, i1, j0, j1):
             lo = c0[part][which]
             _add_runs(blocks.reshape(-1), row * stride + lo, c1[part][which] - lo, weights[part][which])
     return np.repeat(np.repeat(blocks, np.diff(rows), axis=0), np.diff(cols), axis=1)
-
-
-def _disk_windows(centers: np.ndarray, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per disk, the index range [lo, hi) of the sorted ``centers`` that can
-    satisfy ``(x - c) ** 2 + dy2 <= r * r`` for some ``dy2 >= 0``.
-
-    A center passes only if ``(x - c) ** 2 <= r * r`` in floating point,
-    and that test is monotone on each side of ``c``, so the passing centers
-    left of the rounded ``c - |r|`` run up to it without a gap (likewise
-    right of ``c + |r|``).  Each end then moves out a cell at a time while
-    the center just outside passes.
-    """
-    # A center past either end tests as NaN, which passes nothing.
-    ce = np.append(centers, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rr = r * r
-        lo = np.searchsorted(centers, c - np.abs(r), "left")
-        hi = np.searchsorted(centers, c + np.abs(r), "right")
-
-        def inside(s, col):
-            d = ce[col] - c[s]
-            return d * d <= rr[s]
-
-        _walk(lo, -1, lambda s, col: inside(s, col - 1))
-        _walk(hi, 1, inside)
-    return lo, hi
 
 
 def write_pgm(raster: Raster, path) -> None:

@@ -284,8 +284,40 @@ def test_rasterize_edges_on_cell_centers_bitwise_equal_full_grid():
         # Disk edges exactly on cell centers, along both axes.
         (DiskShape(xs[8], ys[6], xs[13] - xs[8]), 0.0625),
         (DiskShape(xs[8], ys[6], ys[10] - ys[6]), 0.0625),
+        # NaN centers and radii hold nothing; radius -r holds what r does.
+        (DiskShape(math.nan, ys[6], 0.3), 0.25),
+        (DiskShape(xs[8], math.nan, 0.3), 0.25),
+        (DiskShape(xs[8], ys[6], math.nan), 0.25),
+        (DiskShape(xs[8], ys[6], xs[8] - xs[13]), 0.0625),
+        # Infinite centers: nothing within a finite radius, every center
+        # within an infinite one.
+        (DiskShape(math.inf, ys[6], 0.3), 0.25),
+        (DiskShape(xs[8], -math.inf, 0.3), 0.25),
+        (DiskShape(-math.inf, ys[6], math.inf), 0.0625),
     ]
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_disk_runs_through_the_center_are_the_passing_centers(n):
+    # dy2 = 0 over the whole axis, as rasterize_sip takes a disk's windows:
+    # [lo, hi) must be every center with (x - c) ** 2 <= r * r and no other.
+    xs = sip_mod._cell_centers(-1.0, 1.0, n)
+    grid = xs.tolist()
+    cs = [*grid, (grid[0] + grid[-1]) / 2 + 0.01, -7.5, 6.0, 1e300, math.nan, math.inf, -math.inf]
+    radii = [0.0, -0.0, 0.3, -0.3, 2.5, 1e300, math.nan, math.inf, -math.inf]
+    radii += [grid[k] - grid[0] for k in range(n)]
+    c, r = (np.array(v, dtype=np.float64).ravel() for v in np.meshgrid(cs, radii))
+    with np.errstate(over="ignore"):
+        rr = r * r
+    m = len(c)
+    lo, hi = sip_mod._disk_runs(xs, c, rr, 0, n, np.arange(m), np.zeros(m))
+    # Python floats: (x - c) * (x - c) overflows to inf and inf - inf is NaN
+    # without a warning.
+    for ck, rk, rrk, lok, hik in zip(c.tolist(), r.tolist(), rr.tolist(), lo.tolist(), hi.tolist()):
+        passing = [j for j, x in enumerate(grid) if (x - ck) * (x - ck) <= rrk]
+        assert list(range(lok, hik)) == passing, (ck, rk)
+        assert 0 <= lok <= hik <= n
 
 
 def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
@@ -621,7 +653,7 @@ def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bound
     def fail(*args, **kwargs):
         raise AssertionError("the field was rasterized before its window was checked")
 
-    for name in ("_disk_windows", *_PATHS):
+    for name in ("_disk_runs", *_PATHS):
         monkeypatch.setattr(sip_mod, name, fail)
     for field in (_field([(DiskShape(0.5, 0.5, 0.3), 0.5), (DiskShape(0.2, 0.5, 0.3), 0.25)]),
                   _field([(RectShape(0.0, 0.0, 1.0, 1.0), 0.5), (RectShape(0.2, 0.0, 1.0, 0.5), 0.25)])):
