@@ -62,7 +62,6 @@ from .model import (
     save_point_set,
 )
 from .montecarlo import (
-    EdaKernel,
     SampleBudget,
     alpha_kernel,
     build_eda_kernel,
@@ -73,7 +72,6 @@ from .montecarlo import (
     trial_rng,
 )
 from .quantize import (
-    EpsAlphaQuantization,
     Quantization1D,
     QuantizationKD,
     eval_cdf,

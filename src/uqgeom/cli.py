@@ -128,9 +128,8 @@ def _cmd_kernel(args) -> int:
     montecarlo.kernel_direction(direction, uset.dimension)
     budget = _budget(args)
     _check_samples(budget.m, uset.n)
-    kern = montecarlo.build_eda_kernel(uset, args.alpha, budget, args.seed)
-    widths = montecarlo.query_eda_kernel(kern, direction)
-    _write(args.out, quantization_to_csv(widths.as_quantization()))
+    kernels = montecarlo.build_eda_kernel(uset, args.alpha, budget, args.seed)
+    _write(args.out, quantization_to_csv(montecarlo.query_eda_kernel(kernels, direction)))
     return 0
 
 

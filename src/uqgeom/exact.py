@@ -112,10 +112,6 @@ class ExactDistribution:
     def records(self) -> tuple[BasisRecord, ...]:
         return self._build_records()
 
-    @property
-    def total_probability(self) -> Fraction:
-        return Fraction(sum(self.collapsed.numerators.tolist()), self.collapsed.denominator)
-
     def cdf(self, r: float) -> Fraction:
         return eval_cdf(self.collapsed, r)
 

@@ -87,7 +87,6 @@ class ExperimentConfig:
 class FitResult:
     c: float
     residual_norm: float
-    points: tuple  # (m, eps, delta) triples entering the fit
     nu: float
     degenerate: bool = False
     note: str = ""
@@ -95,8 +94,6 @@ class FitResult:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    config: ExperimentConfig
-    references: dict
     deviations: dict  # (measure string, m) -> Quantization1D of d_inf values
     fits: dict  # measure string -> FitResult
 
@@ -177,10 +174,8 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             fits[mname] = fit_sample_constant(table, nu=1.0)
         except ValueError as exc:
-            fits[mname] = FitResult(
-                math.nan, math.nan, (), 1.0, degenerate=True, note=str(exc)
-            )
-    return ExperimentResult(config, references, deviations, fits)
+            fits[mname] = FitResult(math.nan, math.nan, 1.0, degenerate=True, note=str(exc))
+    return ExperimentResult(deviations, fits)
 
 
 _DELTA_GRID = tuple(np.linspace(0.05, 0.6, 12))
@@ -199,7 +194,6 @@ def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = 1.0
         raise ValueError("need deviation tables for at least 2 distinct m values")
     xs = []
     ys = []
-    points = []
     for m in ms:
         devs = np.sort(np.asarray(deviation_tables[m], dtype=np.float64))
         tau = len(devs)
@@ -210,19 +204,16 @@ def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = 1.0
                 continue
             xs.append(m * eps * eps)
             ys.append(nu - math.log(delta))
-            points.append((m, eps, float(delta)))
     if not xs:
-        return FitResult(
-            math.nan, math.nan, (), nu, degenerate=True, note="all deviations are zero"
-        )
+        return FitResult(math.nan, math.nan, nu, degenerate=True, note="all deviations are zero")
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     with np.errstate(all="ignore"):
         slope = float((xs * ys).sum() / (xs * xs).sum())
     if not math.isfinite(slope):
-        return FitResult(math.nan, math.nan, tuple(points), nu, degenerate=True, note="non-finite slope")
+        return FitResult(math.nan, math.nan, nu, degenerate=True, note="non-finite slope")
     if slope <= 0:
-        return FitResult(math.nan, math.nan, tuple(points), nu, degenerate=True, note="non-positive slope")
+        return FitResult(math.nan, math.nan, nu, degenerate=True, note="non-positive slope")
     c = 1.0 / slope
     residuals = xs / c - ys  # residuals of ln delta against the fitted model
     with np.errstate(over="ignore"):
@@ -231,7 +222,7 @@ def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = 1.0
         # The squares overflowed (a huge nu): square relative to the largest.
         scale = float(np.abs(residuals).max())
         norm = scale * float(np.sqrt(((residuals / scale) ** 2).mean()))
-    return FitResult(c, norm, tuple(points), nu)
+    return FitResult(c, norm, nu)
 
 
 # Most samples read_deviation_csv rebuilds from a table: weights w imply

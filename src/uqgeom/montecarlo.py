@@ -2,7 +2,9 @@
 
 The common pattern: draw m supports (one location per uncertain point),
 compute the statistic or summarizing shape of each, and keep the collection
-as an empirical distribution.  With m = ceil(C (1/eps^2)(nu + ln(1/delta)))
+as an empirical distribution: every 1-D answer, the width query of an
+(eps, delta, alpha)-kernel included, is a sampled ``Quantization1D``.
+With m = ceil(C (1/eps^2)(nu + ln(1/delta)))
 samples the result is an eps-accurate answer with probability at least
 1 - delta; the default constant C = 0.5 is an empirical fit (see
 ``uqgeom.harness.run_deviation_experiment``) and can be overridden.
@@ -33,7 +35,7 @@ from .model import (
     ValidationError,
     draw_supports,
 )
-from .quantize import EpsAlphaQuantization, Quantization1D, QuantizationKD, simplify
+from .quantize import Quantization1D, QuantizationKD, simplify
 from .sip import DISK, SipField, shape_kind
 
 # Unused here; perfbench/layers.py patches these names on this module by getattr.
@@ -48,7 +50,6 @@ __all__ = [
     "build_kvariate_quantization",
     "alpha_kernel",
     "directional_width",
-    "EdaKernel",
     "build_eda_kernel",
     "query_eda_kernel",
     "build_random_sip",
@@ -428,32 +429,20 @@ def alpha_kernel(points, alpha: float) -> np.ndarray:
         count *= 2
 
 
-@dataclass(frozen=True, eq=False)
-class EdaKernel:
-    """Coreset of per-trial (alpha/2)-kernels: queries in any direction give
-    width quantizations carrying both a probability error (epsilon) and a
-    relative geometric error (alpha)."""
-
-    kernels: tuple[np.ndarray, ...]
-    alpha: float
-    budget: SampleBudget
-
-    @property
-    def size(self) -> int:
-        return sum(len(k) for k in self.kernels)
-
-
 def build_eda_kernel(
     uset: IndecisivePointSet | ContinuousUncertainSet,
     alpha: float,
     budget: SampleBudget,
     seed: int,
-) -> EdaKernel:
-    """m sampled supports, each reduced to an (alpha/2)-kernel."""
-    kernels = tuple(
+) -> tuple[np.ndarray, ...]:
+    """An (eps, delta, alpha)-kernel: m sampled supports, each reduced to an
+    (alpha/2)-kernel, in trial order.  ``alpha`` must lie in (0, 1); it is
+    checked before any support is drawn."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+    return tuple(
         alpha_kernel(pts, alpha / 2.0) for stack in _support_stacks(uset, seed, budget.m) for pts in stack
     )
-    return EdaKernel(kernels, alpha, budget)
 
 
 def kernel_direction(direction, d: int) -> np.ndarray:
@@ -464,12 +453,14 @@ def kernel_direction(direction, d: int) -> np.ndarray:
     return u
 
 
-def query_eda_kernel(kernel: EdaKernel, direction) -> EpsAlphaQuantization:
-    """Sorted kernel widths in the query direction."""
-    u = kernel_direction(direction, kernel.kernels[0].shape[1])
-    projections = [k @ u for k in kernel.kernels]
-    widths = np.array([float(p.max() - p.min()) for p in projections])
-    return EpsAlphaQuantization(widths, kernel.alpha, kernel.budget.epsilon)
+def query_eda_kernel(kernels: tuple[np.ndarray, ...], direction) -> Quantization1D:
+    """Sampled width quantization in the query direction: each kernel's
+    width, weight 1/m.  With probability at least 1 - delta its CDF is
+    within eps of the true width CDF, up to a relative alpha perturbation
+    of the width axis."""
+    u = kernel_direction(direction, kernels[0].shape[1])
+    projections = [k @ u for k in kernels]
+    return Quantization1D.from_samples([float(p.max() - p.min()) for p in projections])
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .geometry import _WEIGHT_SLACK
 __all__ = [
     "Quantization1D",
     "QuantizationKD",
-    "EpsAlphaQuantization",
     "eval_cdf",
     "eval_dominance",
     "simplify",
@@ -133,7 +132,8 @@ def eval_cdf(q: Quantization1D, v: float):
 
     Returns a Fraction for exact quantizations, a float for sampled ones.
     """
-    idx = int(np.searchsorted(q.values, v, side="right"))
+    # No breakpoint is <= NaN, though searchsorted sorts NaN after them all.
+    idx = 0 if v != v else int(np.searchsorted(q.values, v, side="right"))
     if q.kind == "exact":
         return Fraction(0) if idx == 0 else q._cum_exact[idx - 1]
     return 0.0 if idx == 0 else float(q._cum_float[idx - 1])
@@ -225,33 +225,6 @@ def max_deviation(a: Quantization1D, b: Quantization1D) -> float:
     da = np.abs(at(a, ca, "right") - at(b, cb, "right"))
     db = np.abs(at(a, ca, "left") - at(b, cb, "left"))
     return float(max(da.max(), db.max()))
-
-
-@dataclass(frozen=True, eq=False)
-class EpsAlphaQuantization:
-    """Width quantization with a relative geometric error budget.
-
-    ``widths`` are the per-trial coreset widths in one query direction; the
-    CDF they induce matches the true width CDF up to ``epsilon`` in
-    probability after a relative ``alpha`` perturbation of the width axis.
-    """
-
-    widths: np.ndarray
-    alpha: float
-    epsilon: float
-
-    def __post_init__(self):
-        w = np.sort(np.asarray(self.widths, dtype=np.float64))
-        if len(w) == 0 or not np.all(w >= 0):  # NaN too
-            raise ValueError("widths must be nonnegative and non-empty")
-        w.setflags(write=False)
-        object.__setattr__(self, "widths", w)
-
-    def eval_cdf(self, w: float) -> float:
-        return float(np.searchsorted(self.widths, w, side="right")) / len(self.widths)
-
-    def as_quantization(self) -> Quantization1D:
-        return Quantization1D.from_samples(self.widths)
 
 
 def quantization_to_csv(q: Quantization1D) -> str:

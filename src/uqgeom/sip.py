@@ -240,10 +240,6 @@ class SipField:
             dx, dy = x - p[0], y - p[1]
             return dx * dx + dy * dy <= p[2] * p[2]
 
-    def query(self, point) -> float:
-        """Containment probability at one point (float)."""
-        return float(self.query_many([point])[0])
-
     def query_exact(self, point) -> Fraction:
         """Exact rational containment probability; needs a field with exact
         weights (the deterministic engine's)."""

@@ -530,6 +530,9 @@ def test_randomized_outputs_golden(indecisive_file, continuous_file, tmp_path):
     assert main(["kvariate", "--input", str(continuous_file),
                  "--measures", "diameter;aabb-perimeter", "--eps", "0.2", "--delta", "0.1",
                  "--m", "40", "--seed", "12", "--out", str(kv)]) == 0
+    kern = tmp_path / "kern.csv"
+    assert main(["kernel", "--input", str(indecisive_file), "--alpha", "0.2", "--direction", "0.6,0.8",
+                 "--eps", "0.2", "--delta", "0.1", "--m", "40", "--seed", "14", "--out", str(kern)]) == 0
     outdir = tmp_path / "exp"
     assert main(["experiment", "--n", "6", "--sigma", "0.5", "--measures", "diameter;seb2",
                  "--m-values", "8,16", "--eta", "64", "--tau", "4", "--seed", "13",
@@ -540,9 +543,10 @@ def test_randomized_outputs_golden(indecisive_file, continuous_file, tmp_path):
         "deviation_seb2_m16.csv", "deviation_seb2_m8.csv", "fits.csv",
     ]
     assert {"quantize": _digest([q]), "kvariate": _digest([kv]),
-            "experiment": _digest(experiment)} == {
+            "kernel": _digest([kern]), "experiment": _digest(experiment)} == {
         "quantize": "58be489f3937cbc0b9f4ffb9f6f61bab70c3315381503cad43a924c50cf70554",
         "kvariate": "525e74b5c78bb818c0828e4d61bf14d7bfdf9acade85449cb1919aa8a7838d5a",
+        "kernel": "b5b043b7ca524af2842de51d52d9ae9c1c3f0ddad03eaa4f067e868864d26c99",
         "experiment": "18e3cd4361a6d8534d89e568d5e1c4d7cced8180025a74b5cf93648bea674e1c",
     }
 
@@ -1056,6 +1060,21 @@ def test_kernel_checks_its_direction_before_building_the_kernel(direction, messa
     with mock.patch.object(cli_mod.montecarlo, "build_eda_kernel", wraps=cli_mod.montecarlo.build_eda_kernel) as spy:
         assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not spy.called
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1", "1.5", "2.5", "nan"])
+def test_kernel_checks_its_alpha_before_drawing_supports(alpha, indecisive_file, tmp_path, capsys):
+    # Each kernel was once built at alpha / 2, so alpha in [1, 2) wrote widths
+    # with exit 0, and a larger alpha was refused only after the first stack
+    # of supports had been drawn.
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--input", str(indecisive_file), "--alpha", alpha, "--direction", "0.6,0.8",
+            "--eps", "0.2", "--delta", "0.1", "--m", "5", "--out", str(out)]
+    with mock.patch.object(cli_mod.montecarlo, "draw_supports", wraps=cli_mod.montecarlo.draw_supports) as spy:
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
     assert not spy.called
     assert not out.exists()
 

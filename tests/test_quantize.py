@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from uqgeom import (
-    EpsAlphaQuantization,
     Quantization1D,
     QuantizationKD,
     eval_cdf,
@@ -24,12 +23,14 @@ def test_eval_cdf_uniform_breakpoints():
     assert eval_cdf(q, 0.0) == 0.0
     assert eval_cdf(q, 9.0) == 1.0
     assert eval_cdf(q, 2.0) == 0.5  # closed step convention
+    assert eval_cdf(q, math.nan) == 0.0  # no breakpoint is <= NaN
 
 
 def test_eval_cdf_exact_is_rational():
     q = exact_quantization([1.0, 2.0], (Fraction(1, 3), Fraction(2, 3)))
     assert eval_cdf(q, 1.5) == Fraction(1, 3)
     assert isinstance(eval_cdf(q, 1.5), Fraction)
+    assert isinstance(eval_cdf(q, math.nan), Fraction) and eval_cdf(q, math.nan) == 0
 
 
 def test_cdf_monotone_with_limits(rng):
@@ -114,11 +115,12 @@ def test_max_deviation_mixed_kinds():
     assert max_deviation(a, b) == 0.0
 
 
-def test_eps_alpha_quantization():
-    q = EpsAlphaQuantization(np.array([3.0, 1.0, 2.0]), alpha=0.1, epsilon=0.2)
-    assert np.array_equal(q.widths, [1.0, 2.0, 3.0])
-    assert q.eval_cdf(2.0) == 2 / 3
-    assert q.as_quantization().kind == "sampled"
+def test_from_samples_sorts_with_uniform_weights():
+    q = Quantization1D.from_samples(np.array([3.0, 1.0, 2.0]))
+    assert np.array_equal(q.values, [1.0, 2.0, 3.0])
+    assert np.array_equal(q.weights, np.full(3, 1 / 3))
+    assert eval_cdf(q, 2.0) == 2 / 3
+    assert q.kind == "sampled"
 
 
 def test_csv_formats():
@@ -164,14 +166,6 @@ def test_kvariate_quantization_refuses_nan_values_and_weights():
         QuantizationKD([[0.0, 1.0], [0.5, 0.5]], [math.nan, 1.0])
     q = QuantizationKD([[-math.inf, 1.0], [0.5, math.inf]], [0.5, 0.5])
     assert eval_dominance(q, [10.0, 10.0]) == 0.5
-
-
-def test_eps_alpha_quantization_refuses_nan_widths():
-    # The check compared with <, false on NaN: widths [nan, 1, 0.5] once
-    # sorted to [0.5, 1, nan], whose CDF read 2/3 at 10.
-    with pytest.raises(ValueError, match="widths must be nonnegative"):
-        EpsAlphaQuantization(np.array([math.nan, 1.0, 0.5]), 0.1, 0.1)
-    assert EpsAlphaQuantization(np.array([math.inf, 1.0]), 0.1, 0.1).eval_cdf(10.0) == 0.5
 
 
 def test_sampled_quantization_refuses_nan_weights():

@@ -65,9 +65,8 @@ def test_rasterize_two_disjoint_disks():
 
 def test_rect_shape_containment():
     field = _field([(RectShape(0.0, 0.0, 2.0, 1.0), 1.0)])
-    assert field.query((1.0, 0.5)) == 1.0
-    assert field.query((2.0, 1.0)) == 1.0  # closed boundary
-    assert field.query((2.1, 0.5)) == 0.0
+    # Inside, on the closed boundary, outside.
+    assert field.query_many([(1.0, 0.5), (2.0, 1.0), (2.1, 0.5)]).tolist() == [1.0, 1.0, 0.0]
 
 
 def test_raster_query_lookup():
@@ -584,7 +583,8 @@ def test_exact_sip_array_form_matches_per_basis_shapes(measure):
     for x, y in probes:
         want = sum((w for s, w in field.shapes if s.contains(x, y)), Fraction(0))
         assert field.query_exact((x, y)) == want
-        assert field.query((x, y)) == min(1.0, _in_order(float(w) for s, w in field.shapes if s.contains(x, y)))
+        hits = (float(w) for s, w in field.shapes if s.contains(x, y))
+        assert field.query_many([(x, y)])[0] == min(1.0, _in_order(hits))
 
 
 @pytest.mark.parametrize("measure", ["aabb_perimeter", "aabb_area"])
@@ -665,8 +665,8 @@ def test_disk_query_equals_query_many_on_the_boundary():
     # Points on a disk's circle up to rounding, with r the square root of
     # the scalar squared distance.  CPython's float ** squares with libm
     # pow, which for some of them decides containment apart from the
-    # product of an array square; query, query_exact and query_many must
-    # all give one answer.
+    # product of an array square; query_exact and query_many must give one
+    # answer.
     rng = np.random.default_rng(5)
     centers, points = rng.uniform(-1.0, 1.0, size=(2, 200_000, 2)).tolist()
     split = []
@@ -678,9 +678,7 @@ def test_disk_query_equals_query_many_on_the_boundary():
     assert len(split) >= 10
     for disk, point in split:
         field = SipField.from_arrays(DISK, [disk], [1.0], [1], 1)
-        many = field.query_many([point])[0]
-        assert field.query(point) == many
-        assert field.query_exact(point) == many
+        assert field.query_exact(point) == field.query_many([point])[0]
 
 
 def _raster_query(raster, point) -> float:
@@ -775,7 +773,6 @@ def test_array_queries_match_the_per_shape_loop(monkeypatch, offset_cells):
             assert field.query_many(pts[:0]).shape == (0,)
             hits = _loop_hits(field, pts)
             for i in range(0, len(pts), 3):
-                assert field.query(pts[i]) == got[i]
                 want = sum((Fraction(n, field.denominator) for n, hit in zip(field.numerators.tolist(), hits)
                             if hit[i]), Fraction(0))
                 assert field.query_exact(pts[i]) == want
@@ -799,7 +796,7 @@ def test_one_point_queries_refuse_points_that_are_not_planar():
     field = _unit_disk_field()
     for point in ((0.5, 0.5, 0.1), (0.5,)):
         with pytest.raises(ValueError, match=r"\(p, 2\) array"):
-            field.query(point)
+            field.query_many([point])
         with pytest.raises(ValueError, match=r"\(p, 2\) array"):
             field.query_exact(point)
 
