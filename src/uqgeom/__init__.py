@@ -53,7 +53,6 @@ from .model import (
     IndecisivePointSet,
     PointMassPoint,
     ResourceCapError,
-    Support,
     UniformDiskPoint,
     ValidationError,
     canonical_jitter,

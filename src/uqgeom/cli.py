@@ -94,6 +94,17 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
     return sip.check_window(bounds=parts)[1]
 
 
+def _sip_flags(args):
+    """A SIP command's grid, bounds and isoline levels (``--levels`` needs
+    ``--isolines``), parsed and checked before its input is loaded."""
+    grid, bounds = _parse_grid(args.grid), _parse_bounds(args.bounds)
+    if args.levels is None:
+        return grid, bounds, isolines.DEFAULT_LEVELS
+    if not args.isolines:
+        raise ValidationError("--levels needs --isolines")
+    return grid, bounds, isolines.check_levels(args.levels.split(","))
+
+
 def _write(path: str, text: str):
     Path(path).write_text(text)
 
@@ -134,35 +145,30 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_sip_random(args) -> int:
-    window = _parse_grid(args.grid), _parse_bounds(args.bounds)
+    flags = _sip_flags(args)
     uset = _load(args.input)
     budget = _budget(args)
     _check_samples(budget.m, uset.n)
     field = montecarlo.build_random_sip(uset, MeasureId.parse(args.measure), budget, args.seed)
-    return _emit_sip(field, window, args)
+    return _emit_sip(field, flags, args)
 
 
 def _cmd_sip_exact(args) -> int:
-    window = _parse_grid(args.grid), _parse_bounds(args.bounds)
+    flags = _sip_flags(args)
     uset = _load(args.input)
     measure = MeasureId.parse(args.measure)
     _check_bases(uset, measure)
     field = exact_mod.deterministic_sip(uset, measure)
-    return _emit_sip(field, window, args)
+    return _emit_sip(field, flags, args)
 
 
-def _emit_sip(field: sip.SipField, window, args) -> int:
-    """Rasterize the field on the (grid, bounds) window, parsed and checked
-    before the field was built, and write the PGM and the optional
-    isolines."""
-    raster = sip.rasterize_sip(field, *window)
+def _emit_sip(field: sip.SipField, flags, args) -> int:
+    """Rasterize the field on the window of :func:`_sip_flags`, and write
+    the PGM and the optional isolines at its levels."""
+    grid, bounds, levels = flags
+    raster = sip.rasterize_sip(field, grid, bounds)
     sip.write_pgm(raster, args.out)
     if args.isolines:
-        levels = (
-            tuple(float(x) for x in args.levels.split(","))
-            if args.levels
-            else isolines.DEFAULT_LEVELS
-        )
         contours = isolines.extract_isolines(raster, levels)
         _write(args.isolines, isolines.isolines_svg(contours, raster.bounds))
     return 0
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", required=True, help="W,H")
         p.add_argument("--bounds", required=True, help="x0,y0,x1,y1")
         p.add_argument("--isolines", default=None, help="optional SVG output path")
-        p.add_argument("--levels", default=None, help="isoline levels, default 0.1,0.3,0.5,0.7,0.9")
+        p.add_argument("--levels", default=None, help="isoline levels in (0, 1), default 0.1,0.3,0.5,0.7,0.9")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("exact", help="deterministic exact distribution")

@@ -29,6 +29,7 @@ from .model import (
     UniformDiskPoint,
     ValidationError,
 )
+from .montecarlo import trial_rng
 
 # Unused here; perfbench/layers.py patches this name on this module by getattr.
 from .geometry import welzl_ball  # noqa: F401
@@ -115,8 +116,7 @@ class LatticeSample:
 
 
 def _offset_for_index(index: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=_OFFSET_SEED, spawn_key=(index,)))
-    return rng.random(2)
+    return trial_rng(_OFFSET_SEED, index).random(2)
 
 
 def _axis_lattice(lo: float, hi: float, count: int, offset: float):

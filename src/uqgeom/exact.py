@@ -55,8 +55,8 @@ from .measures import (
     tolerance,
 )
 from .model import IndecisivePointSet, ResourceCapError, ValidationError, canonical_jitter
-from .quantize import Quantization1D, eval_cdf
-from .sip import DISK, SipField, shape_kind
+from .quantize import Quantization1D
+from .sip import SipField, shape_kind
 
 __all__ = [
     "BasisRecord",
@@ -111,9 +111,6 @@ class ExactDistribution:
     @functools.cached_property
     def records(self) -> tuple[BasisRecord, ...]:
         return self._build_records()
-
-    def cdf(self, r: float) -> Fraction:
-        return eval_cdf(self.collapsed, r)
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +337,7 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     seb2 keeps every pair, and a triple iff strictly acute.
 
     Shapes, one row per basis: (cx, cy, r) for seb2, (lo, hi) for dwid and
-    (x0, x1, y0, y1) otherwise, in frame coordinates.
+    (x0, y0, x1, y1) otherwise, in frame coordinates.
     """
     kind = prep.measure.kind
     if kind == "seb2":
@@ -364,7 +361,7 @@ def _validate(prep: _Prepared, idx: np.ndarray):
         if kind in ("aabb_perimeter", "aabb_area"):
             for xh, xl, yh, yl in drops:
                 keep &= (xh < x_hi) | (xl > x_lo) | (yh < y_hi) | (yl > y_lo)
-            shapes = [x_lo, x_hi, y_lo, y_hi]
+            shapes = [x_lo, y_lo, x_hi, y_hi]
         else:
             # sebinf / seb1.  The plain radius violates the locality axiom
             # (optimal centers are not unique), so the basis must pin the
@@ -379,7 +376,7 @@ def _validate(prep: _Prepared, idx: np.ndarray):
             # basis iff all its other candidates lie inside this square,
             # which pins radius and both center components at once.
             w2 = 2.0 * values
-            shapes = [x_hi - w2, x_hi, y_hi - w2, y_hi]
+            shapes = [x_hi - w2, y_hi - w2, x_hi, y_hi]
     return idx[keep], values[keep], np.column_stack(shapes)[keep]
 
 
@@ -413,7 +410,7 @@ def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
     if kind == "dwid":
         lo, hi = cols
         return (fx > lo) & (fx < hi)
-    x0, x1, y0, y1 = cols
+    x0, y0, x1, y1 = cols
     return (fx > x0) & (fx < x1) & (fy > y0) & (fy < y1)
 
 
@@ -670,8 +667,7 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     nums = np.concatenate([c[1] for c in chunks])
     # For these measures the frame coordinates are plain x/y, so the
     # counting shape doubles as the summarizing shape.
-    params = shapes if kind == DISK else shapes[:, [0, 2, 1, 3]]
-    return SipField.from_arrays(kind, params, None, nums, prep.jset.denominator)
+    return SipField.from_arrays(kind, shapes, None, nums, prep.jset.denominator)
 
 
 def distributions_match(

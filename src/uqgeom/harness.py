@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import MeasureId
 from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet, ValidationError
-from .montecarlo import sampled_values
+from .montecarlo import sampled_values, trial_rng
 from .quantize import Quantization1D, max_deviation, quantization_to_csv
 
 # Unused here; perfbench/layers.py patches both names on this module by getattr.
@@ -120,7 +120,7 @@ class ExperimentResult:
 def cylinder_uncertain_set(cfg: CylinderConfig, seed: int) -> ContinuousUncertainSet:
     """n isotropic 3-variate Gaussians centered uniformly on the cylinder's
     lateral surface."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xC71,)))
+    rng = trial_rng(seed, 0xC71)
     cov = (cfg.sigma**2) * np.eye(3)
     points = []
     for _ in range(cfg.n):

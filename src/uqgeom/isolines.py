@@ -15,7 +15,7 @@ import numpy as np
 
 from .sip import Raster
 
-__all__ = ["extract_isolines", "isolines_svg", "DEFAULT_LEVELS"]
+__all__ = ["check_levels", "extract_isolines", "isolines_svg", "DEFAULT_LEVELS"]
 
 DEFAULT_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -106,13 +106,20 @@ def _chain(segments) -> list[np.ndarray]:
     return polylines
 
 
-def extract_isolines(raster: Raster, levels=DEFAULT_LEVELS) -> dict[float, list[np.ndarray]]:
-    """Contours per level; each contour is an (m, 2) polyline (closed loops
-    repeat their first point as last)."""
+def check_levels(levels) -> tuple[float, ...]:
+    """Levels as floats, each strictly inside (0, 1) (``ValueError``): the
+    CLI's ``--levels`` before it builds a field, and each extraction's."""
     levels = tuple(float(v) for v in levels)
     for level in levels:
         if not (0.0 < level < 1.0):
             raise ValueError(f"isoline level {level} outside (0, 1)")
+    return levels
+
+
+def extract_isolines(raster: Raster, levels=DEFAULT_LEVELS) -> dict[float, list[np.ndarray]]:
+    """Contours per level; each contour is an (m, 2) polyline (closed loops
+    repeat their first point as last)."""
+    levels = check_levels(levels)
     xs, ys = raster.cell_centers()
     out = {}
     for level in levels:

@@ -446,7 +446,3 @@ class Basis:
     measure: MeasureId
     members: tuple[BasisMember, ...]
     value: float
-
-    @property
-    def size(self) -> int:
-        return len(self.members)

@@ -37,7 +37,6 @@ __all__ = [
     "UniformDiskPoint",
     "PointMassPoint",
     "ContinuousUncertainSet",
-    "Support",
     "sample_support",
     "draw_supports",
     "canonical_jitter",
@@ -113,10 +112,6 @@ class IndecisivePoint:
     @property
     def k(self) -> int:
         return len(self.weights)
-
-    @property
-    def dimension(self) -> int:
-        return self.locations.shape[1]
 
 
 class IndecisivePointSet:
@@ -358,35 +353,12 @@ class ContinuousUncertainSet:
 # Supports
 
 
-@dataclass(frozen=True, eq=False)
-class Support:
-    """One realization: exactly one location per uncertain point.
-
-    ``provenance`` carries the chosen candidate index per point when the
-    support comes from an indecisive set; it is required for exact
-    probability computations.
-    """
-
-    locations: np.ndarray  # (n, d)
-    provenance: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "locations", _freeze(as_points(self.locations)))
-        if self.provenance is not None:
-            object.__setattr__(self, "provenance", tuple(int(j) for j in self.provenance))
-            if len(self.provenance) != len(self.locations):
-                raise ValidationError("provenance length must equal the number of points")
-
-    @property
-    def n(self) -> int:
-        return len(self.locations)
-
-
-def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.random.Generator) -> Support:
+def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.random.Generator) -> tuple:
     """Draw one support, each location independently from its point's
-    distribution: the one-row case of :func:`draw_supports`."""
+    distribution: the one-row case of :func:`draw_supports`, as the (n, d)
+    locations and the (n,) candidate choices (None for a continuous set)."""
     locations, choices = draw_supports(uset, [rng])
-    return Support(locations[0], None if choices is None else choices[0].tolist())
+    return locations[0], None if choices is None else choices[0]
 
 
 def draw_supports(

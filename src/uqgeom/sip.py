@@ -99,10 +99,6 @@ class Raster:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", check_window(bounds=self.bounds)[1])
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         x0, y0, x1, y1 = self.bounds
         h, w = self.values.shape

@@ -938,6 +938,32 @@ def test_raster_window_refused_before_the_field_is_built(command, window, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sip-exact", "sip-random"])
+@pytest.mark.parametrize("levels, isolines, message", [
+    ("0.5,1.5", True, "isoline level 1.5 outside (0, 1)"),
+    ("nan", True, "isoline level nan outside (0, 1)"),
+    ("junk", True, "could not convert string to float: 'junk'"),
+    ("", True, "could not convert string to float: ''"),
+    ("0.5", False, "--levels needs --isolines"),
+], ids=["above-one", "nan", "junk", "empty", "without-isolines"])
+def test_levels_refused_before_the_input_is_loaded(command, levels, isolines, message, indecisive_file,
+                                                    tmp_path, monkeypatch, capsys):
+    # The PGM was written before a level outside (0, 1) was refused, and
+    # --levels without --isolines was ignored.
+    _refusing(monkeypatch, "sip.rasterize_sip", "exact_mod.deterministic_sip", "montecarlo.build_random_sip")
+    monkeypatch.setattr(cli_mod, "_load", lambda path: pytest.fail("the input was loaded"))
+    out, svg = tmp_path / "f.pgm", tmp_path / "f.svg"
+    argv = [command, "--input", str(indecisive_file), "--measure", "seb2", "--grid", "8,8", "--bounds=-1,-1,3,3",
+            "--out", str(out), f"--levels={levels}"]
+    if isolines:
+        argv += ["--isolines", str(svg)]
+    if command == "sip-random":
+        argv += ["--eps", "0.2", "--delta", "0.1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not svg.exists()
+
+
 def test_grid_cell_cap_bounds_w_times_h():
     from uqgeom.cli import _parse_grid
 

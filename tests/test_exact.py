@@ -129,17 +129,17 @@ def test_zero_probability_when_no_interior_candidate():
 def test_enumerate_bases_n1():
     uset = IndecisivePointSet((IndecisivePoint([(1.0, 1.0)], (Fraction(1),)),), 2)
     bases = list(enumerate_potential_bases(uset, MeasureId("seb2")))
-    assert len(bases) == 1 and bases[0].size == 1
+    assert len(bases) == 1 and len(bases[0].members) == 1
 
 
 def test_enumerate_dwid_pairs_plus_singletons():
     uset = random_indecisive(np.random.default_rng(3), 2, 2)
     m = MeasureId("dwid", (1.0, 0.0))
     bases = list(enumerate_potential_bases(uset, m))
-    sizes = sorted(b.size for b in bases)
+    sizes = sorted(len(b.members) for b in bases)
     # 4 singletons always; pairs validated by distinct projections
     assert sizes.count(1) == 4
-    assert all(b.size <= 2 for b in bases)
+    assert all(len(b.members) <= 2 for b in bases)
     # cross-check the pair count by direct enumeration
     jit = canonical_jitter(uset)
     proj = [p.locations @ np.array([1.0, 0.0]) for p in jit.points]
@@ -938,12 +938,12 @@ def _former_validate(prep, idx):
     if kind == "dwid":
         shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1)])
     elif kind in ("aabb_perimeter", "aabb_area"):
-        shapes = np.column_stack([xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)])
+        shapes = np.column_stack([xs.min(axis=1), ys.min(axis=1), xs.max(axis=1), ys.max(axis=1)])
     else:
         w2 = 2.0 * values
         mx = xs.max(axis=1)
         my = ys.max(axis=1)
-        shapes = np.column_stack([mx - w2, mx, my - w2, my])
+        shapes = np.column_stack([mx - w2, my - w2, mx, my])
     return idx, values, shapes
 
 
@@ -962,7 +962,7 @@ def _former_numerators(prep, idx, shapes):
         lo, hi = cols
         inside = (fx > lo) & (fx < hi)
     else:
-        x0, x1, y0, y1 = cols
+        x0, y0, x1, y1 = cols
         inside = (fx > x0) & (fx < x1) & (fy > y0) & (fy < y1)
     jset = prep.jset
     masses = np.add.reduceat(np.where(inside, jset.nums, 0), jset.offsets, axis=1)

@@ -15,7 +15,6 @@ from uqgeom import (
     IndecisivePoint,
     IndecisivePointSet,
     PointMassPoint,
-    Support,
     UniformDiskPoint,
     ValidationError,
     canonical_jitter,
@@ -29,31 +28,29 @@ from uqgeom.montecarlo import trial_rng
 from conftest import enumerate_supports, random_indecisive
 
 
-def support_probability(uset: IndecisivePointSet, support: Support) -> Fraction:
-    """Reference: exact probability of a support, the product of its chosen
-    candidates' weights."""
-    if support.provenance is None:
-        raise ValidationError("provenance required")
-    if len(support.provenance) != uset.n:
+def support_probability(uset: IndecisivePointSet, choices) -> Fraction:
+    """Reference: exact probability of the support that takes candidate
+    ``choices[i]`` of point i, the product of those candidates' weights."""
+    if len(choices) != uset.n:
         raise ValidationError("support does not match the point set")
     prob = Fraction(1)
-    for p, j in zip(uset.points, support.provenance):
+    for p, j in zip(uset.points, choices):
         prob *= p.weights[j]
     return prob
 
 
 def test_point_mass_sampling_is_degenerate():
     cset = ContinuousUncertainSet(tuple(PointMassPoint((1.0, 2.0)) for _ in range(3)), 2)
-    sup = sample_support(cset, trial_rng(0, 0))
-    assert np.array_equal(sup.locations, np.array([[1.0, 2.0]] * 3))
+    locations, choices = sample_support(cset, trial_rng(0, 0))
+    assert np.array_equal(locations, np.array([[1.0, 2.0]] * 3))
+    assert choices is None
 
 
 def test_single_candidate_always_chosen():
     p = IndecisivePoint([[3.0, 4.0]], (Fraction(1),))
     uset = IndecisivePointSet((p,), 2)
     for t in range(5):
-        sup = sample_support(uset, trial_rng(1, t))
-        assert sup.provenance == (0,)
+        assert sample_support(uset, trial_rng(1, t))[1].tolist() == [0]
 
 
 def test_uniform_support_frequencies(rng):
@@ -66,8 +63,8 @@ def test_uniform_support_frequencies(rng):
     m = 100_000
     counts = {}
     for t in range(m):
-        sup = sample_support(uset, trial_rng(99, t))
-        counts[sup.provenance] = counts.get(sup.provenance, 0) + 1
+        key = tuple(sample_support(uset, trial_rng(99, t))[1].tolist())
+        counts[key] = counts.get(key, 0) + 1
     for key in product(range(2), repeat=2):
         assert abs(counts.get(key, 0) / m - 0.25) <= 0.01
 
@@ -80,7 +77,7 @@ def test_candidate_frequencies_match_weights():
     m = 100_000
     counts = [0, 0, 0]
     for t in range(m):
-        counts[sample_support(uset, trial_rng(5, t)).provenance[0]] += 1
+        counts[sample_support(uset, trial_rng(5, t))[1][0]] += 1
     for j, w in enumerate(weights):
         w = float(w)
         assert abs(counts[j] / m - w) <= 4.0 * math.sqrt(w * (1 - w) / m)
@@ -88,8 +85,8 @@ def test_candidate_frequencies_match_weights():
 
 def test_sampling_reproducible_bitwise():
     uset = random_indecisive(np.random.default_rng(4), 4, 3)
-    a = [sample_support(uset, trial_rng(123, t)).locations for t in range(20)]
-    b = [sample_support(uset, trial_rng(123, t)).locations for t in range(20)]
+    a = [sample_support(uset, trial_rng(123, t))[0] for t in range(20)]
+    b = [sample_support(uset, trial_rng(123, t))[0] for t in range(20)]
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -103,15 +100,13 @@ def test_support_probability_products():
         ),
         2,
     )
-    sup = Support(np.array([[0.0, 0.0], [1.0, 1.0]]), (0, 1))
-    assert support_probability(uset, sup) == Fraction(1, 3)
+    assert support_probability(uset, (0, 1)) == Fraction(1, 3)
     # uniform n=3, k=3 -> 1/27
     uni = IndecisivePointSet(
         tuple(IndecisivePoint(np.random.rand(3, 2), (Fraction(1, 3),) * 3) for _ in range(3)),
         2,
     )
-    sup = Support(np.zeros((3, 2)), (0, 2, 1))
-    assert support_probability(uni, sup) == Fraction(1, 27)
+    assert support_probability(uni, (0, 2, 1)) == Fraction(1, 27)
 
 
 def test_support_probabilities_sum_to_one(rng):
@@ -119,13 +114,6 @@ def test_support_probabilities_sum_to_one(rng):
         uset = random_indecisive(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
         total = sum((prob for _, prob in enumerate_supports(uset)), Fraction(0))
         assert total == 1
-
-
-def test_support_probability_requires_provenance():
-    uset = random_indecisive(np.random.default_rng(0), 2, 2)
-    sup = Support(np.zeros((2, 2)), None)
-    with pytest.raises(ValidationError, match="provenance required"):
-        support_probability(uset, sup)
 
 
 def test_load_minimal_document():
@@ -322,10 +310,13 @@ def _ref_sample_support(uset, rng):
 
 def _assert_samples_like_reference(uset, seed, trials=40):
     for t in range(trials):
-        sup = sample_support(uset, trial_rng(seed, t))
-        want_locs, want_prov = _ref_sample_support(uset, trial_rng(seed, t))
-        assert sup.locations.tobytes() == want_locs.tobytes()
-        assert sup.provenance == want_prov
+        locations, choices = sample_support(uset, trial_rng(seed, t))
+        want_locs, want_choices = _ref_sample_support(uset, trial_rng(seed, t))
+        assert locations.tobytes() == want_locs.tobytes()
+        if want_choices is None:
+            assert choices is None
+        else:
+            assert choices.tolist() == list(want_choices)
 
 
 def _anisotropic_cov(rng, d):
@@ -384,26 +375,43 @@ def test_indecisive_draw_on_a_cumulative_weight_matches_reference():
     )
     uset = IndecisivePointSet(points, 2)
     _assert_samples_like_reference(uset, seed, trials=1)
-    assert sample_support(uset, trial_rng(seed, 0)).provenance == (1,) * n
+    assert sample_support(uset, trial_rng(seed, 0))[1].tolist() == [1] * n
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_sampled_supports_own_read_only_arrays(d):
+def test_sampled_supports_own_their_arrays(d):
     rng = np.random.default_rng(50 + d)
     uset = random_indecisive(rng, 5, 3) if d == 2 else IndecisivePointSet(
         tuple(IndecisivePoint(rng.normal(size=(3, 3)), (Fraction(1, 3),) * 3) for _ in range(5)), 3
     )
     cset = ContinuousUncertainSet(tuple(GaussianPoint(rng.normal(size=d), np.eye(d)) for _ in range(4)), d)
     for s in (uset, cset):
-        a = sample_support(s, trial_rng(1, 0))
-        b = sample_support(s, trial_rng(1, 1))
-        for sup in (a, b):
-            assert sup.locations.dtype == np.float64 and sup.locations.shape == (s.n, d)
-            assert not sup.locations.flags.writeable
-            with pytest.raises(ValueError):
-                sup.locations[0, 0] = 1.0
-        assert not np.shares_memory(a.locations, b.locations)
-    assert all(type(j) is int for j in sample_support(uset, trial_rng(1, 2)).provenance)
+        a, _ = sample_support(s, trial_rng(1, 0))
+        b, _ = sample_support(s, trial_rng(1, 1))
+        for locations in (a, b):
+            assert locations.dtype == np.float64 and locations.shape == (s.n, d)
+        assert not np.shares_memory(a, b)
+
+
+def test_sample_support_is_row_zero_of_draw_supports():
+    rng = np.random.default_rng(60)
+    mixed = (
+        GaussianPoint(rng.normal(size=2), _anisotropic_cov(rng, 2)),
+        UniformDiskPoint(rng.normal(size=2), 0.7),
+        PointMassPoint(rng.normal(size=2)),
+        GaussianPoint(rng.normal(size=2), np.eye(2)),
+    )
+    gaussians = tuple(GaussianPoint(rng.normal(size=3), _anisotropic_cov(rng, 3)) for _ in range(5))
+    sets = (random_indecisive(rng, 6, 3), ContinuousUncertainSet(gaussians, 3), ContinuousUncertainSet(mixed, 2))
+    for s in sets:
+        for t in range(5):
+            locations, choices = sample_support(s, trial_rng(8, t))
+            rows, all_choices = draw_supports(s, [trial_rng(8, t)])
+            assert locations.shape == rows[0].shape and locations.tobytes() == rows[0].tobytes()
+            if all_choices is None:
+                assert choices is None and isinstance(s, ContinuousUncertainSet)
+            else:
+                assert choices.dtype == all_choices.dtype and choices.tobytes() == all_choices[0].tobytes()
 
 
 def test_non_finite_continuous_draw_raises():

@@ -226,7 +226,7 @@ def test_eda_kernel_median_window(rng):
 
     ref = np.sort(
         [
-            float(np.ptp(sample_support(cset, trial_rng(1234, t)).locations @ u))
+            float(np.ptp(sample_support(cset, trial_rng(1234, t))[0] @ u))
             for t in range(100_000)
         ]
     )
@@ -598,9 +598,12 @@ def test_chunked_sampler_equals_per_support_reference(name):
     else:
         assert choices.tobytes() == np.array([r[1] for r in refs]).tobytes()
     for t, (want_locs, want_choice) in enumerate(refs[:5]):
-        sup = sample_support(uset, trial_rng(5, t))
-        assert sup.locations.tobytes() == want_locs.tobytes()
-        assert sup.provenance == (None if want_choice is None else tuple(want_choice.tolist()))
+        locations, choices = sample_support(uset, trial_rng(5, t))
+        assert locations.tobytes() == want_locs.tobytes()
+        if want_choice is None:
+            assert choices is None
+        else:
+            assert choices.tobytes() == want_choice.tobytes()
 
 
 def test_eda_kernel_equals_per_trial_loop():

@@ -548,8 +548,7 @@ def _eager_exact_shapes(uset, measure):
             if measure.kind == "seb2":
                 shapes.append((DiskShape(*shape), weight))
             else:
-                x0, x1, y0, y1 = shape
-                shapes.append((RectShape(x0, y0, x1, y1), weight))
+                shapes.append((RectShape(*shape), weight))
     return tuple(shapes)
 
 
