@@ -70,8 +70,8 @@ def _budget(args) -> montecarlo.SampleBudget:
         epsilon=args.eps,
         delta=args.delta,
         nu=getattr(args, "nu", 1.0),
-        constant_c=getattr(args, "constant_c", 0.5),
-        explicit_m=getattr(args, "m", None),
+        constant_c=args.constant_c,
+        explicit_m=args.m,
     )
 
 
@@ -206,10 +206,11 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_experiment(args) -> int:
     measures = tuple(MeasureId.parse(t) for t in args.measures.split(";"))
-    if args.input:
-        generator = _load(args.input)
-    else:
-        generator = harness.CylinderConfig(args.n, args.length, args.radius, args.sigma)
+    # The cylinder flags given; CylinderConfig holds their defaults.
+    cylinder = {k: v for k in ("n", "length", "radius", "sigma") if (v := getattr(args, k)) is not None}
+    if args.input and cylinder:
+        raise ValidationError(f"--{next(iter(cylinder))} sets the cylinder generator, which --input replaces")
+    generator = _load(args.input) if args.input else harness.CylinderConfig(**cylinder)
     config = harness.ExperimentConfig(
         generator=generator,
         measures=measures,
@@ -234,7 +235,10 @@ def _cmd_fit(args) -> int:
         match = re.search(r"_m(\d+)$", Path(path).stem)  # deviation_<measure>_m<m>
         if match is None:
             raise ValidationError(f"{path}: a deviation table's name must end in _m<m>")
-        tables[int(match.group(1))] = harness.read_deviation_csv(path)
+        m = int(match.group(1))
+        if m in tables:
+            raise ValidationError(f"{path}: a second deviation table for m={m}")
+        tables[m] = harness.read_deviation_csv(path)
     fit = harness.fit_sample_constant(tables, nu=args.nu)
     if fit.degenerate:
         print(f"degenerate fit: {fit.note}")
@@ -259,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, budget=True, nu=True):
         p.add_argument("--input", required=True, help="point-set JSON file")
-        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         if budget:
+            p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
             p.add_argument("--eps", type=float, required=True)
             p.add_argument("--delta", type=float, required=True)
             if nu:
@@ -316,10 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="deviation experiment and constant fit")
     p.add_argument("--input", default=None, help="point-set JSON (overrides the cylinder generator)")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--length", type=float, default=10.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=2.0)
+    for flag, kind in (("--n", int), ("--length", float), ("--radius", float), ("--sigma", float)):
+        p.add_argument(flag, type=kind, help="cylinder generator setting (not with --input)")
     p.add_argument("--measures", default="dwid:0.96592582628906831,0,0.25881904510252074;diameter;seb2")
     p.add_argument("--m-values", dest="m_values", default="16,64,256,1024")
     p.add_argument("--eta", type=int, default=20_000)

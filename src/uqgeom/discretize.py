@@ -138,28 +138,27 @@ def default_sample_size(family: RangeFamily, eps: float) -> int:
     return max(4, math.ceil((nu / eps**2) * math.log(max(math.e, nu / eps))))
 
 
-def lattice_eps_sample(
-    dist,
-    family: RangeFamily,
-    eps: float,
-    *,
-    index: int = 0,
-    target_size: int | None = None,
-) -> LatticeSample:
-    """Lattice-based epsilon-sample of one distribution for a range family.
-
-    The distribution is truncated to a region holding all but eps/4 of its
-    mass, overlaid with a shifted scaled lattice sized to
-    Theta((nu/eps^2) ln(nu/eps)), and each lattice point is weighted by the
-    exact mass of its cell (error-function products for Gaussians, exact
-    disk/cell overlap areas for uniform disks).
+def lattice_eps_sample(dist, family: RangeFamily, eps: float, *, index: int = 0) -> LatticeSample:
+    """Lattice-based epsilon-sample of one distribution for a range family,
+    sized to Theta((nu/eps^2) ln(nu/eps)) cells by the family's VC
+    dimension nu (:func:`default_sample_size`); see :func:`_lattice_sample`.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+    return _lattice_sample(dist, eps, default_sample_size(family, eps), index)
+
+
+def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
+    """Lattice sample of about ``size`` cells of one distribution.
+
+    The distribution is truncated to a region holding all but eps/4 of its
+    mass, overlaid with a scaled lattice whose origin is shifted per
+    ``index``, and each lattice point is weighted by the exact mass of its
+    cell (error-function products for Gaussians, exact disk/cell overlap
+    areas for uniform disks).  A point mass is its own one-point sample.
+    """
     if isinstance(dist, PointMassPoint):
         return LatticeSample(dist.at.reshape(1, 2), np.array([1.0]))
-    if target_size is None:
-        target_size = default_sample_size(family, eps)
     offset = _offset_for_index(index)
 
     if isinstance(dist, GaussianPoint):
@@ -171,7 +170,7 @@ def lattice_eps_sample(
         # at most eps/4 in total.
         q = (1.0 - math.sqrt(1.0 - eps / 4.0)) / 2.0
         z = NormalDist().inv_cdf(1.0 - q)
-        per_axis = max(2, math.ceil(math.sqrt(target_size)))
+        per_axis = max(2, math.ceil(math.sqrt(size)))
         nd = NormalDist()
         cx, lx, hx = _axis_lattice(-z, z, per_axis, offset[0])
         cy, ly, hy = _axis_lattice(-z, z, per_axis, offset[1])
@@ -194,7 +193,7 @@ def lattice_eps_sample(
         # Cell areas are taken against the disk's area, which must be finite.
         if not math.isfinite(area_total):
             raise ValidationError(f"a uniform disk of radius {r:g} is too large to discretize")
-        per_axis = max(2, math.ceil(math.sqrt(target_size * 4.0 / math.pi)))
+        per_axis = max(2, math.ceil(math.sqrt(size * 4.0 / math.pi)))
         cx, lx, hx = _axis_lattice(-r, r, per_axis, offset[0])
         cy, ly, hy = _axis_lattice(-r, r, per_axis, offset[1])
         pts = []
@@ -217,8 +216,7 @@ def lattice_eps_sample(
 # Theorem-style discretization pipeline
 
 # Default per-point lattice sizes keep the downstream basis enumeration
-# tractable at desk scale; the asymptotic policy is available through
-# lattice_eps_sample(..., target_size=None).
+# tractable at desk scale; lattice_eps_sample sizes by the asymptotic policy.
 _DEFAULT_PIPELINE_SIZES = {"aabb_perimeter": 64, "seb2": 256}
 # The most candidates a point may ask for: a 256 x 256 lattice.  Beyond it
 # the lattice's arrays outgrow memory long before the exact engine could
@@ -244,25 +242,22 @@ def discretize_for_measure(
     *,
     points_per_point: int | None = None,
 ) -> IndecisivePointSet:
-    """Replace each continuous point by a lattice sample tuned to the
-    measure's range family, yielding an indecisive set whose exact
-    distribution approximates the continuous one within eps.
+    """Replace each continuous point by a lattice sample, yielding an
+    indecisive set whose exact distribution approximates the continuous one
+    within eps.
 
     Per-point sample accuracy targets are eps/n for the bounding-box
-    perimeter (four-direction slab family) and eps/(2 n^2) for the smallest
-    enclosing disk (``wedges_seb2`` family).  Default sizes are desk-scale
-    presets; pass ``points_per_point`` (at least 1) to override.
+    perimeter (its range family: four-direction slabs) and eps/(2 n^2) for
+    the smallest enclosing disk (``wedges_seb2``); the accuracy sets the
+    Gaussians' truncation.  Each lattice has about a desk-scale preset
+    count of cells per measure; pass ``points_per_point`` (at least 1) to
+    override it.
     """
     if cset.dimension != 2:
         raise ValidationError("discretization supports d=2 only")
-    if measure.kind == "aabb_perimeter":
-        family = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
-        eps_point = eps / cset.n
-    elif measure.kind == "seb2":
-        family = RangeFamily("wedges_seb2")
-        eps_point = eps / (2.0 * cset.n**2)
-    else:
+    if measure.kind not in _DEFAULT_PIPELINE_SIZES:
         raise ValidationError(f"unsupported measure for discretization: {measure.kind}")
+    eps_point = eps / cset.n if measure.kind == "aabb_perimeter" else eps / (2.0 * cset.n**2)
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
     size = _DEFAULT_PIPELINE_SIZES[measure.kind] if points_per_point is None else points_per_point
@@ -274,9 +269,7 @@ def discretize_for_measure(
         )
     rows = []
     for i, dist in enumerate(cset.points):
-        sample = lattice_eps_sample(
-            dist, family, max(eps_point, _EPS_POINT_FLOOR), index=i, target_size=size
-        )
+        sample = _lattice_sample(dist, max(eps_point, _EPS_POINT_FLOOR), size, i)
         weights = (Fraction(1),) if len(sample.points) == 1 else _exact_weights(sample.weights)
         rows.append((sample.points, weights))
     return IndecisivePointSet._from_rows(rows, 2)

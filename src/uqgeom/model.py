@@ -241,6 +241,8 @@ class GaussianPoint:
 
     def __post_init__(self):
         mean = _freeze(np.asarray(self.mean, dtype=np.float64).reshape(-1))
+        if not np.isfinite(mean).all():
+            raise ValidationError("mean must be finite")
         cov = np.asarray(self.cov, dtype=np.float64)
         if cov.shape != (len(mean), len(mean)):
             raise ValidationError(f"covariance shape {cov.shape} does not match mean of length {len(mean)}")
@@ -272,8 +274,10 @@ class UniformDiskPoint:
         center = _freeze(np.asarray(self.center, dtype=np.float64).reshape(-1))
         if len(center) != 2:
             raise ValidationError("uniform_disk supports d=2 only")
-        if not (self.radius > 0):
-            raise ValidationError("radius must be positive")
+        if not np.isfinite(center).all():
+            raise ValidationError("center must be finite")
+        if not (0.0 < self.radius < math.inf):
+            raise ValidationError(f"radius must lie in (0, inf), got {self.radius!r}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -299,7 +303,10 @@ class PointMassPoint:
     at: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "at", _freeze(np.asarray(self.at, dtype=np.float64).reshape(-1)))
+        at = _freeze(np.asarray(self.at, dtype=np.float64).reshape(-1))
+        if not np.isfinite(at).all():
+            raise ValidationError("at must be finite")
+        object.__setattr__(self, "at", at)
 
     @property
     def dimension(self) -> int:

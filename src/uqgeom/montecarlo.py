@@ -320,8 +320,7 @@ def build_kvariate_quantization(
     """k-variate sampled quantization; the effective budget uses nu = k."""
     if not measures:
         raise ValueError("need at least one measure")
-    m = budget.kvariate(len(measures)).m
-    return QuantizationKD(sampled_values(uset, measures, seed, m), np.full(m, 1.0 / m))
+    return QuantizationKD(sampled_values(uset, measures, seed, budget.kvariate(len(measures)).m))
 
 
 # --------------------------------------------------------------------------

@@ -12,12 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from .geometry import _WEIGHT_SLACK
 
 __all__ = [
     "Quantization1D",
@@ -35,8 +33,8 @@ class Quantization1D:
     """Sorted weighted breakpoints of a step CDF.
 
     ``values`` is a read-only nondecreasing float array.  A sampled
-    quantization, ``Quantization1D(values, weights)``, has a read-only
-    float array of ``weights`` summing to 1.  An exact one, from
+    quantization, from :meth:`from_samples`, is its m sorted samples, each
+    of float weight 1/m (a read-only array).  An exact one, from
     :meth:`from_numerators`, holds positive integer ``numerators`` over one
     ``denominator``, summing to it exactly (int64 while the denominator
     fits, Python ints otherwise); its ``weights`` are the Fractions they
@@ -45,22 +43,18 @@ class Quantization1D:
     """
 
     values: np.ndarray
-    numerators: np.ndarray | None
-    denominator: int | None
+    numerators: np.ndarray | None = None
+    denominator: int | None = None
 
-    def __init__(self, values, weights):
-        self._set_values(values)
-        w = np.array(weights, dtype=np.float64)
-        if w.shape != (len(self.values),):
-            raise ValueError("one weight per value required")
-        if not np.all(w > 0):  # NaN too
-            raise ValueError("weights must be positive")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_SLACK:
-            raise ValueError("sampled weights must sum to 1 within 1e-12")
+    @staticmethod
+    def from_samples(samples) -> "Quantization1D":
+        """Sampled quantization of ``samples``: sorted, each of weight 1/m."""
+        q = Quantization1D.__new__(Quantization1D)
+        q._set_values(np.sort(np.asarray(samples, dtype=np.float64)))
+        w = np.full(len(q.values), 1.0 / len(q.values))
         w.setflags(write=False)
-        object.__setattr__(self, "numerators", None)
-        object.__setattr__(self, "denominator", None)
-        self.__dict__["weights"] = w
+        q.__dict__["weights"] = w
+        return q
 
     @classmethod
     def from_numerators(cls, values, numerators, denominator: int) -> "Quantization1D":
@@ -98,8 +92,8 @@ class Quantization1D:
 
     @functools.cached_property
     def weights(self) -> tuple:
-        """Exact weights as Fractions, built from the numerators (a sampled
-        quantization's constructor sets its float weights)."""
+        """Exact weights as Fractions, built from the numerators
+        (:meth:`from_samples` sets a sampled quantization's float weights)."""
         return tuple(Fraction(n, self.denominator) for n in self.numerators.tolist())
 
     def __len__(self) -> int:
@@ -120,12 +114,6 @@ class Quantization1D:
         """Running exact weights (exact kind only)."""
         return tuple(Fraction(c, self.denominator) for c in itertools.accumulate(self.numerators.tolist()))
 
-    @staticmethod
-    def from_samples(values) -> "Quantization1D":
-        vals = np.sort(np.asarray(values, dtype=np.float64))
-        m = len(vals)
-        return Quantization1D(vals, np.full(m, 1.0 / max(m, 1)))
-
 
 def eval_cdf(q: Quantization1D, v: float):
     """Total weight of breakpoints with value <= v (closed step convention).
@@ -141,30 +129,27 @@ def eval_cdf(q: Quantization1D, v: float):
 
 @dataclass(frozen=True, eq=False)
 class QuantizationKD:
-    """k-variate quantization supporting dominance (coordinate-wise <=) queries."""
+    """k-variate sampled quantization: m rows of k values, each row of
+    float weight 1/m (``weights``, read-only), supporting dominance
+    (coordinate-wise <=) queries."""
 
     values: np.ndarray  # (m, k)
-    weights: np.ndarray
-    arity: int = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 2 or len(vals) == 0:
             raise ValueError("values must be a non-empty (m, k) array")
         if np.isnan(vals).any():
             raise ValueError("values must not be NaN")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(vals),):
-            raise ValueError("one weight per value row required")
-        if not np.all(w > 0) or not abs(float(w.sum()) - 1.0) <= _WEIGHT_SLACK:
-            raise ValueError("weights must be positive and sum to 1")
-        vals = vals.copy()
         vals.setflags(write=False)
-        w = w.copy()
+        w = np.full(len(vals), 1.0 / len(vals))
         w.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "arity", vals.shape[1])
+
+    @property
+    def arity(self) -> int:
+        return self.values.shape[1]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -199,8 +184,7 @@ def simplify(q: Quantization1D, eps: float) -> Quantization1D:
     probs = (np.arange(1, m_out + 1) - 0.5) / m_out
     idx = np.searchsorted(cum, probs, side="left")
     idx = np.minimum(idx, len(q) - 1)
-    vals = q.values[idx]
-    return Quantization1D(vals, np.full(m_out, 1.0 / m_out))
+    return Quantization1D.from_samples(q.values[idx])
 
 
 def max_deviation(a: Quantization1D, b: Quantization1D) -> float:

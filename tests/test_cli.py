@@ -223,6 +223,36 @@ def test_kvariate_takes_no_nu(indecisive_file, tmp_path, capsys):
     assert takes_nu == {"quantize", "kernel", "sip-random", "fit"}
 
 
+def test_seed_only_on_the_commands_that_draw():
+    parser = cli_mod.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes_seed = {name for name, sub in subparsers.choices.items()
+                  if any("--seed" in a.option_strings for a in sub._actions)}
+    assert takes_seed == {"quantize", "kvariate", "kernel", "sip-random", "experiment"}
+
+
+@pytest.mark.parametrize("command", ["exact", "oracle", "sip-exact", "discretize"])
+def test_seed_refused_where_nothing_is_drawn(command, indecisive_file, continuous_file, tmp_path, capsys):
+    # --seed once changed no byte of these commands' outputs.
+    out = tmp_path / "out"
+    flags = {
+        "exact": ["--measure", "seb2"],
+        "oracle": ["--measure", "seb2"],
+        "sip-exact": ["--measure", "aabb-perimeter", "--grid", "8,8", "--bounds=-1,-1,3,3"],
+        "discretize": ["--measure", "aabb-perimeter", "--eps", "0.3", "--points-per-point", "4"],
+    }[command]
+    source = continuous_file if command == "discretize" else indecisive_file
+    argv = [command, "--input", str(source), *flags, "--out", str(out)]
+    assert main(argv) == 0
+    for written in tmp_path.glob("out*"):  # sip-exact's PGM has a JSON sidecar
+        written.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_discretize_emits_model_schema(continuous_file, tmp_path):
     out = tmp_path / "disc.json"
     rc = main(["discretize", "--input", str(continuous_file), "--measure", "aabb-perimeter",
@@ -274,6 +304,50 @@ def test_experiment_and_fit_round_trip(tmp_path):
     rc = main(["fit", "--tables"] + [str(t) for t in tables] + ["--out", str(tmp_path / "fit.csv")])
     assert rc == 0
     assert (tmp_path / "fit.csv").exists()
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_fit_refuses_a_second_table_for_one_m(swap, tmp_path, capsys):
+    # Only the last table of each m was once kept, so the argument order
+    # chose the fit: C=2.944030 in one order, C=0.100574 in the other.
+    tables = {"deviation_seb2_m8.csv": (0.1, 0.2), "deviation_diameter_m8.csv": (0.9, 0.95),
+              "deviation_seb2_m16.csv": (0.05, 0.1)}
+    paths = []
+    for name, (a, b) in tables.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_text(f"value,weight\n{a},0.5\n{b},0.5\n")
+    if swap:
+        paths[0], paths[1] = paths[1], paths[0]
+    out = tmp_path / "fit.csv"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["fit", "--tables", *map(str, paths), "--out", str(out)]) == 2
+    assert stdout.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {paths[1]}: a second deviation table for m=8\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "7"), ("--length", "3"), ("--radius", "2"), ("--sigma", "99")])
+def test_experiment_refuses_cylinder_flags_with_input(flag, value, indecisive_file, tmp_path, monkeypatch, capsys):
+    # The generator came from --input and the flag changed nothing.
+    _refusing(monkeypatch, "harness.run_deviation_experiment")
+    monkeypatch.setattr(cli_mod, "_load", lambda path: pytest.fail("the input was loaded"))
+    out = tmp_path / "exp"
+    argv = ["experiment", "--input", str(indecisive_file), "--measures", "diameter", "--m-values", "2,4",
+            "--eta", "8", "--tau", "2", flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} sets the cylinder generator, which --input replaces\n"
+    assert not out.exists()
+
+
+def test_experiment_cylinder_defaults_are_the_configs(tmp_path):
+    outputs = []
+    for flags in ([], ["--n", "50", "--length", "10", "--radius", "1", "--sigma", "2"]):
+        out = tmp_path / f"exp-{len(flags)}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["experiment", "--measures", "diameter", "--m-values", "2,4", "--eta", "8",
+                         "--tau", "2", "--seed", "5", *flags, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_fit_table_name_without_m_exit_code(tmp_path, capsys):
@@ -815,6 +889,37 @@ def _mutated_continuous_documents(draw):
     return doc
 
 
+@pytest.mark.parametrize("command", sorted(_CONTINUOUS_ARGV))
+@pytest.mark.parametrize(
+    "field, text, message",
+    [
+        ('"mean": [0, 0]', '"mean": [NaN, 0]', "points[0]: mean must be finite"),
+        ('"center": [1, 0]', '"center": [1, -Infinity]', "points[1]: center must be finite"),
+        ('"radius": 0.5', '"radius": 1e400', "points[1]: radius must lie in (0, inf), got inf"),
+        ('"radius": 0.5', '"radius": NaN', "points[1]: radius must lie in (0, inf), got nan"),
+        ('"at": [0, 1]', '"at": [Infinity, 0]', "points[2]: at must be finite"),
+    ],
+    ids=["nan mean", "infinite center", "huge radius", "nan radius", "infinite point mass"],
+)
+def test_non_finite_continuous_parameters_refused_at_load(command, field, text, message, tmp_path, monkeypatch,
+                                                          capsys):
+    # Once refused only by the first draw, as "coordinates must be finite".
+    import uqgeom.discretize
+
+    _refusing(monkeypatch, "montecarlo.draw_supports")
+    monkeypatch.setattr(uqgeom.discretize, "_lattice_sample", lambda *a: pytest.fail("a lattice was built"))
+    document = json.dumps(_VALID_CONTINUOUS)
+    assert field in document
+    path = tmp_path / "cont.json"
+    path.write_text(document.replace(field, text))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(path), "--measure", _CONTINUOUS_ARGV[command][1][0],
+            *_CONTINUOUS_ARGV[command][0], "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_mutated_continuous_documents(), st.sampled_from(sorted(_CONTINUOUS_ARGV)).flatmap(
     lambda command: st.tuples(st.just(command), st.sampled_from(_CONTINUOUS_ARGV[command][1]))
@@ -1188,7 +1293,8 @@ def _fuzzed_argv(draw):
     run = draw(st.sampled_from(sorted(_ARGV_BASES)))
     command = run.split()[0]
     source, flags = _ARGV_BASES[run]
-    flags = {**flags, "--seed": "0"} if command not in ("exact", "oracle", "sip-exact", "fit") else dict(flags)
+    no_seed = ("exact", "oracle", "sip-exact", "discretize", "fit")
+    flags = {**flags, "--seed": "0"} if command not in no_seed else dict(flags)
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2, unique=True)):
         if draw(st.integers(0, 9)) == 0:
             del flags[flag]

@@ -415,12 +415,27 @@ def test_sample_support_is_row_zero_of_draw_supports():
 
 
 def test_non_finite_continuous_draw_raises():
+    # Finite parameters whose draws overflow: the draw refuses them.
     far = UniformDiskPoint((1.7e308, 0.0), 1.7e308)
-    for p in (PointMassPoint((np.inf, 0.0)), PointMassPoint((np.nan, 1.0)), far):
-        cset = ContinuousUncertainSet((PointMassPoint((0.0, 0.0)), p), 2)
-        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-            for t in range(64):
-                sample_support(cset, trial_rng(5, t))
+    cset = ContinuousUncertainSet((PointMassPoint((0.0, 0.0)), far), 2)
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        for t in range(64):
+            sample_support(cset, trial_rng(5, t))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_continuous_points_refuse_non_finite_parameters(bad):
+    with pytest.raises(ValidationError, match="^mean must be finite$"):
+        GaussianPoint((bad, 0.0), np.eye(2))
+    with pytest.raises(ValidationError, match="^center must be finite$"):
+        UniformDiskPoint((0.0, bad), 1.0)
+    with pytest.raises(ValidationError, match="^at must be finite$"):
+        PointMassPoint((bad, 1.0))
+    with pytest.raises(ValidationError, match=r"^radius must lie in \(0, inf\), got "):
+        UniformDiskPoint((0.0, 0.0), bad)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValidationError, match=r"^radius must lie in \(0, inf\), got "):
+            UniformDiskPoint((0.0, 0.0), radius)
 
 
 def test_gaussian_rejects_overflowing_covariance():

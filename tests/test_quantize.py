@@ -43,7 +43,7 @@ def test_cdf_monotone_with_limits(rng):
 
 def test_eval_dominance_examples():
     pts = np.array([[1, 1], [1, 3], [3, 1], [3, 3]], dtype=float)
-    q = QuantizationKD(pts, np.full(4, 0.25))
+    q = QuantizationKD(pts)
     assert eval_dominance(q, (2, 2)) == 0.25
     assert eval_dominance(q, (3, 3)) == 1.0
     assert eval_dominance(q, (0, 0)) == 0.0
@@ -52,7 +52,7 @@ def test_eval_dominance_examples():
 
 
 def test_dominance_monotone(rng):
-    q = QuantizationKD(rng.uniform(0, 1, (50, 2)), np.full(50, 0.02))
+    q = QuantizationKD(rng.uniform(0, 1, (50, 2)))
     v = rng.uniform(0, 1, 2)
     assert eval_dominance(q, v + 0.1) >= eval_dominance(q, v)
 
@@ -134,12 +134,17 @@ def test_csv_formats():
 
 
 def test_quantization_validation():
-    with pytest.raises(ValueError):
-        Quantization1D(np.array([2.0, 1.0]), (0.5, 0.5))  # not sorted
+    with pytest.raises(ValueError, match="values must be nondecreasing"):
+        Quantization1D.from_numerators(np.array([2.0, 1.0]), [1, 1], 2)
     with pytest.raises(ValueError):
         exact_quantization([1.0], (Fraction(1, 2),))  # sum != 1
     with pytest.raises(ValueError, match="values must be a non-empty 1-d array"):
         Quantization1D.from_samples([])
+    # A sampled quantization is its samples: no constructor takes weights.
+    with pytest.raises(TypeError):
+        Quantization1D([1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(TypeError):
+        QuantizationKD([[1.0], [2.0]], [0.5, 0.5])
 
 
 def test_quantization_refuses_nan_values():
@@ -148,8 +153,6 @@ def test_quantization_refuses_nan_values():
     with pytest.raises(ValueError, match="values must not be NaN"):
         Quantization1D.from_samples([1.0, math.nan, 0.5])
     with pytest.raises(ValueError, match="values must not be NaN"):
-        Quantization1D(np.array([0.5, math.nan]), (0.5, 0.5))
-    with pytest.raises(ValueError, match="values must not be NaN"):
         Quantization1D.from_numerators([math.nan], [1], 1)
     # Infinite values are ordered and stay accepted.
     q = Quantization1D.from_samples([math.inf, 0.5, -math.inf])
@@ -157,21 +160,14 @@ def test_quantization_refuses_nan_values():
     assert eval_cdf(q, 10.0) == 2 / 3
 
 
-def test_kvariate_quantization_refuses_nan_values_and_weights():
+def test_kvariate_quantization_refuses_nan_values():
     # The checks compared with <=, false on NaN: a NaN row once built and
     # was never dominated, so eval_dominance(q, [10, 10]) read 0.5.
     with pytest.raises(ValueError, match="values must not be NaN"):
-        QuantizationKD([[math.nan, 1.0], [0.5, 0.5]], [0.5, 0.5])
-    with pytest.raises(ValueError, match="weights must be positive"):
-        QuantizationKD([[0.0, 1.0], [0.5, 0.5]], [math.nan, 1.0])
-    q = QuantizationKD([[-math.inf, 1.0], [0.5, math.inf]], [0.5, 0.5])
+        QuantizationKD([[math.nan, 1.0], [0.5, 0.5]])
+    q = QuantizationKD([[-math.inf, 1.0], [0.5, math.inf]])
     assert eval_dominance(q, [10.0, 10.0]) == 0.5
-
-
-def test_sampled_quantization_refuses_nan_weights():
-    # A NaN weight passed both the positivity and the sum check.
-    with pytest.raises(ValueError, match="weights must be positive"):
-        Quantization1D([0.5, 1.0], [math.nan, 1.0])
+    assert np.array_equal(q.weights, [0.5, 0.5]) and not q.weights.flags.writeable
 
 
 
