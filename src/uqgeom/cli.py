@@ -25,7 +25,7 @@ from .quantize import quantization_to_csv
 
 # Caps checked before anything is allocated (exit 3).  A randomized run
 # samples m supports of n points each, and m x n is bounded by over three
-# times the largest run the CLI's own defaults make (the experiment:
+# times the largest run the default flags make (the experiment:
 # 20 000 + 200 x 1360 supports of 50 points, 1.46e7 points).  Larger runs
 # call the library, which has no cap.
 _SAMPLE_CAP = 50_000_000
@@ -65,13 +65,18 @@ def _check_bases(uset, measure: MeasureId) -> None:
             )
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` given on the command line, by name; a flag
+    left out keeps the library's default."""
+    return {name: value for name in names if (value := getattr(args, name, None)) is not None}
+
+
 def _budget(args) -> montecarlo.SampleBudget:
     return montecarlo.SampleBudget(
         epsilon=args.eps,
         delta=args.delta,
-        nu=getattr(args, "nu", 1.0),
-        constant_c=args.constant_c,
         explicit_m=args.m,
+        **_given(args, "nu", "constant_c"),
     )
 
 
@@ -186,7 +191,7 @@ def _cmd_exact(args) -> int:
 def _cmd_oracle(args) -> int:
     uset = _load(args.input)
     dist = exact_mod.brute_force_distribution(
-        uset, MeasureId.parse(args.measure), cap=args.cap
+        uset, MeasureId.parse(args.measure), **_given(args, "cap")
     )
     _write(args.out, quantization_to_csv(dist.collapsed))
     return 0
@@ -206,8 +211,7 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_experiment(args) -> int:
     measures = tuple(MeasureId.parse(t) for t in args.measures.split(";"))
-    # The cylinder flags given; CylinderConfig holds their defaults.
-    cylinder = {k: v for k in ("n", "length", "radius", "sigma") if (v := getattr(args, k)) is not None}
+    cylinder = _given(args, "n", "length", "radius", "sigma")
     if args.input and cylinder:
         raise ValidationError(f"--{next(iter(cylinder))} sets the cylinder generator, which --input replaces")
     generator = _load(args.input) if args.input else harness.CylinderConfig(**cylinder)
@@ -215,9 +219,7 @@ def _cmd_experiment(args) -> int:
         generator=generator,
         measures=measures,
         m_values=tuple(int(x) for x in args.m_values.split(",")),
-        eta=args.eta,
-        tau=args.tau,
-        seed=args.seed,
+        **_given(args, "eta", "tau", "seed"),
     )
     _check_samples(config.eta + config.tau * sum(config.m_values), generator.n, "--eta, --tau or --m-values")
     result = harness.run_deviation_experiment(config)
@@ -239,7 +241,7 @@ def _cmd_fit(args) -> int:
         if m in tables:
             raise ValidationError(f"{path}: a second deviation table for m={m}")
         tables[m] = harness.read_deviation_csv(path)
-    fit = harness.fit_sample_constant(tables, nu=args.nu)
+    fit = harness.fit_sample_constant(tables, **_given(args, "nu"))
     if fit.degenerate:
         print(f"degenerate fit: {fit.note}")
     else:
@@ -268,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=float, required=True)
             p.add_argument("--delta", type=float, required=True)
             if nu:
-                p.add_argument("--nu", type=float, default=1.0)
-            p.add_argument("--constant-c", dest="constant_c", type=float, default=0.5)
+                p.add_argument("--nu", type=float)
+            p.add_argument("--constant-c", dest="constant_c", type=float)
             p.add_argument("--m", type=int, default=None, help="override sample count")
         p.add_argument("--out", required=True)
 
@@ -297,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", required=True, help="W,H")
         p.add_argument("--bounds", required=True, help="x0,y0,x1,y1")
         p.add_argument("--isolines", default=None, help="optional SVG output path")
-        p.add_argument("--levels", default=None, help="isoline levels in (0, 1), default 0.1,0.3,0.5,0.7,0.9")
+        p.add_argument("--levels", default=None, help="isoline levels in (0, 1), default "
+                       + ",".join(map(str, isolines.DEFAULT_LEVELS)))
         p.set_defaults(func=fn)
 
     p = sub.add_parser("exact", help="deterministic exact distribution")
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force distribution over all supports")
     common(p, budget=False)
     p.add_argument("--measure", required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("discretize", help="continuous set -> indecisive set")
@@ -324,15 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=kind, help="cylinder generator setting (not with --input)")
     p.add_argument("--measures", default="dwid:0.96592582628906831,0,0.25881904510252074;diameter;seb2")
     p.add_argument("--m-values", dest="m_values", default="16,64,256,1024")
-    p.add_argument("--eta", type=int, default=20_000)
-    p.add_argument("--tau", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eta", type=int)
+    p.add_argument("--tau", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("fit", help="fit the sample constant from deviation tables")
     p.add_argument("--tables", nargs="+", required=True)
-    p.add_argument("--nu", type=float, default=1.0)
+    p.add_argument("--nu", type=float)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit)
 

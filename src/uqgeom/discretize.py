@@ -2,11 +2,10 @@
 
 Replaces each continuous uncertain point by a weighted finite candidate set
 (a lattice sample of its distribution) so the deterministic engine can run
-on the result.  The range family the sample must respect depends on the
-measure: intersections of four fixed-direction slabs for the bounding-box
-perimeter, the constant-VC family of disk-fitting ranges for the smallest
-enclosing disk.  A family enters only through its VC dimension, which sets
-the sample-size policy.
+on the result.  The pipeline sizes each lattice by a per-measure preset;
+:func:`lattice_eps_sample` sizes one instead by the VC dimension of the
+range family it must respect, intersections of slabs along fixed directions
+(four for the bounding-box perimeter).
 """
 
 from __future__ import annotations
@@ -51,37 +50,28 @@ _OFFSET_SEED = 0x7A771CE
 
 @dataclass(frozen=True)
 class RangeFamily:
-    """Query ranges an epsilon-sample must respect.
-
-    kinds: ``slabs`` (intersections of slabs along fixed directions),
-    ``wedges_seb2`` (the ranges {p : seb2(anchor + p) <= w}, each a union
-    of halfplane-halfplane-disk wedges), ``balls``, ``axis_rects``.
-    """
+    """Query ranges an epsilon-sample must respect: intersections of slabs
+    along fixed directions, the only kind (``slabs``)."""
 
     kind: str
     directions: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("slabs", "wedges_seb2", "balls", "axis_rects"):
+        if self.kind != "slabs":
             raise ValueError(f"unknown range family {self.kind!r}")
-        if self.kind == "slabs":
-            if not self.directions:
-                raise ValueError("slab family needs directions")
-            dirs = []
-            for d in self.directions:
-                u = unit_vector(d, "slab directions")
-                dirs.append((float(u[0]), float(u[1])))
-            if len({(round(a, 12), round(b, 12)) for a, b in dirs}) != len(dirs):
-                raise ValueError("slab directions must be distinct")
-            object.__setattr__(self, "directions", tuple(dirs))
-        elif self.directions is not None:
-            raise ValueError(f"{self.kind} does not take directions")
+        if not self.directions:
+            raise ValueError("slab family needs directions")
+        dirs = []
+        for d in self.directions:
+            u = unit_vector(d, "slab directions")
+            dirs.append((float(u[0]), float(u[1])))
+        if len({(round(a, 12), round(b, 12)) for a, b in dirs}) != len(dirs):
+            raise ValueError("slab directions must be distinct")
+        object.__setattr__(self, "directions", tuple(dirs))
 
     @property
     def vc_dimension(self) -> int:
-        if self.kind == "slabs":
-            return 2 * len(self.directions)
-        return {"wedges_seb2": 9, "balls": 3, "axis_rects": 4}[self.kind]
+        return 2 * len(self.directions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +237,10 @@ def discretize_for_measure(
     within eps.
 
     Per-point sample accuracy targets are eps/n for the bounding-box
-    perimeter (its range family: four-direction slabs) and eps/(2 n^2) for
-    the smallest enclosing disk (``wedges_seb2``); the accuracy sets the
-    Gaussians' truncation.  Each lattice has about a desk-scale preset
-    count of cells per measure; pass ``points_per_point`` (at least 1) to
-    override it.
+    perimeter and eps/(2 n^2) for the smallest enclosing disk; the accuracy
+    sets the Gaussians' truncation.  Each lattice has about a desk-scale
+    preset count of cells per measure; pass ``points_per_point`` (at least
+    1) to override it.
     """
     if cset.dimension != 2:
         raise ValidationError("discretization supports d=2 only")

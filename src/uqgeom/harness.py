@@ -77,6 +77,11 @@ class ExperimentConfig:
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValueError("m_values must be positive")
+        # A repeated entry would be sampled again and merged into one table.
+        names = [str(m) for m in self.measures]
+        for label, items in (("measure {}", names), ("m={}", self.m_values)):
+            if repeated := [x for i, x in enumerate(items) if x in items[:i]]:
+                raise ValueError(label.format(repeated[0]) + " is listed twice")
         if self.eta < 2 * max(self.m_values):
             raise ValueError("eta must dominate the largest m (reference acts as ground truth)")
         if self.tau < 1:

@@ -231,6 +231,50 @@ def test_seed_only_on_the_commands_that_draw():
     assert takes_seed == {"quantize", "kvariate", "kernel", "sip-random", "experiment"}
 
 
+def test_defaults_live_in_the_library():
+    # A flag the library has a default for defaults to None (or False), so
+    # that the library's default is the one that acts when it is left out.
+    subparsers = next(a for a in cli_mod.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    own = {(name, a.option_strings[0]) for name, sub in subparsers.choices.items() for a in sub._actions
+           if not isinstance(a, argparse._HelpAction) and a.default is not None and a.default is not False}
+    assert own == {("quantize", "--seed"), ("kvariate", "--seed"), ("kernel", "--seed"),
+                   ("sip-random", "--seed"), ("experiment", "--measures"), ("experiment", "--m-values")}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("quantize", ["--measure", "seb2", "--eps", "0.2", "--delta", "0.1"]),
+        ("kernel", ["--alpha", "0.2", "--direction", "0.6,0.8", "--eps", "0.2", "--delta", "0.1"]),
+        ("sip-random", ["--measure", "seb2", "--grid", "8,8", "--bounds=-1,-1,3,3", "--eps", "0.2",
+                        "--delta", "0.1"]),
+        ("oracle", ["--measure", "seb2"]),
+    ],
+)
+def test_omitted_flags_and_the_former_defaults_give_the_same_bytes(command, flags, indecisive_file, tmp_path):
+    former = ["--cap", "1000000"] if command == "oracle" else ["--nu", "1", "--constant-c", "0.5"]
+    outputs = []
+    for extra in ([], former):
+        out = tmp_path / f"run-{len(extra)}"
+        out.mkdir()
+        assert main([command, "--input", str(indecisive_file), *flags, *extra, "--out", str(out / "out")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_fit_without_nu_is_the_fit_at_nu_1(tmp_path, capsys):
+    paths = []
+    for m, (a, b) in ((8, (0.1, 0.2)), (16, (0.05, 0.1))):
+        paths.append(tmp_path / f"deviation_seb2_m{m}.csv")
+        paths[-1].write_text(f"value,weight\n{a},0.5\n{b},0.5\n")
+    outputs = []
+    for extra in ([], ["--nu", "1.0"]):
+        out = tmp_path / f"fit-{len(extra)}.csv"
+        assert main(["fit", "--tables", *map(str, paths), *extra, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1] and outputs[0][0].startswith("C=")
+
+
 @pytest.mark.parametrize("command", ["exact", "oracle", "sip-exact", "discretize"])
 def test_seed_refused_where_nothing_is_drawn(command, indecisive_file, continuous_file, tmp_path, capsys):
     # --seed once changed no byte of these commands' outputs.
@@ -336,6 +380,37 @@ def test_experiment_refuses_cylinder_flags_with_input(flag, value, indecisive_fi
             "--eta", "8", "--tau", "2", flag, value, "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {flag} sets the cylinder generator, which --input replaces\n"
+    assert not out.exists()
+
+
+def test_experiment_defaults_are_the_configs(tmp_path, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli_mod.harness, "run_deviation_experiment",
+                        lambda config: configs.append(config) or cli_mod.harness.ExperimentResult({}, {}))
+    for flags in ([], ["--eta", "20000", "--tau", "200", "--seed", "0"]):
+        assert main(["experiment", *flags, "--out", str(tmp_path / f"exp-{len(flags)}")]) == 0
+    assert configs[0] == configs[1]
+    assert (configs[0].eta, configs[0].tau, configs[0].seed) == (20_000, 200, 0)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--measures", "diameter;diameter"], "measure diameter is listed twice"),
+        (["--measures", "dwid:1,0,0;diameter;dwid:2,0,0"], "measure dwid:1,0,0 is listed twice"),
+        (["--m-values", "2,4,2"], "m=2 is listed twice"),
+    ],
+    ids=["measure", "dwid of one direction", "m"],
+)
+def test_experiment_refuses_a_repeated_entry(flags, message, tmp_path, monkeypatch, capsys):
+    # A repeated measure was once sampled twice and its tables merged into
+    # one measure's files; a repeated m ran tau trials that were overwritten.
+    _refusing(monkeypatch, "harness.run_deviation_experiment")
+    out = tmp_path / "exp"
+    argv = ["experiment", "--n", "3", "--measures", "diameter", "--m-values", "2,4", "--eta", "8",
+            "--tau", "2", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -983,7 +1058,7 @@ def test_sample_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch, c
 def test_sample_cap_counts_supports_times_points(command, indecisive_file, tmp_path, monkeypatch, capsys):
     # 12 supports of 3 points: 36 points, refused by a cap of 35 only.
     if command == "experiment":
-        base = ["experiment", "--n", "3", "--eta", "8", "--tau", "1", "--m-values", "2,2",
+        base = ["experiment", "--n", "3", "--eta", "8", "--tau", "1", "--m-values", "1,3",
                 "--measures", "diameter"]
     else:
         base = [command, "--input", str(indecisive_file), *_SAMPLED_ARGV[command], "--eps", "0.2",

@@ -19,7 +19,7 @@ from uqgeom import (
     lattice_eps_sample,
     max_deviation,
 )
-from uqgeom.discretize import SLAB_DIRECTIONS_AABB
+from uqgeom.discretize import SLAB_DIRECTIONS_AABB, _lattice_sample
 
 from conftest import gaussian_slab_mass
 
@@ -43,7 +43,7 @@ def lens_area(c1, r1, c2, r2) -> float:
 
 
 def test_lattice_point_mass():
-    fam = RangeFamily("balls")
+    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     s = lattice_eps_sample(PointMassPoint((1.0, 2.0)), fam, 0.1)
     assert len(s.points) == 1 and s.weights[0] == 1.0
 
@@ -81,10 +81,10 @@ def test_lattice_gaussian_slab_discrepancy(rng):
 
 
 def test_lattice_uniform_disk_balls_discrepancy(rng):
-    fam = RangeFamily("balls")
     disk = UniformDiskPoint((0.3, -0.2), 0.8)
     eps = 0.1
-    s = lattice_eps_sample(disk, fam, eps)
+    # The asymptotic size for ball ranges, of VC dimension nu = 3.
+    s = _lattice_sample(disk, eps, math.ceil((3 / eps**2) * math.log(3 / eps)), 0)
     worst = 0.0
     for _ in range(1000):
         c = rng.uniform(-1.2, 1.2, 2)
@@ -122,7 +122,7 @@ def test_lattice_monotone_in_eps(rng):
 
 
 def test_lattice_origin_shift_varies_by_index():
-    fam = RangeFamily("balls")
+    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     g = GaussianPoint((0.0, 0.0), np.eye(2))
     a = lattice_eps_sample(g, fam, 0.2, index=0)
     b = lattice_eps_sample(g, fam, 0.2, index=1)
@@ -132,10 +132,10 @@ def test_lattice_origin_shift_varies_by_index():
 def test_range_family_validation():
     with pytest.raises(ValueError):
         RangeFamily("slabs")
-    with pytest.raises(ValueError):
-        RangeFamily("balls", directions=((1, 0),))
+    for kind in ("balls", "wedges_seb2"):
+        with pytest.raises(ValueError, match="unknown range family"):
+            RangeFamily(kind)
     assert RangeFamily("slabs", SLAB_DIRECTIONS_AABB).vc_dimension == 8
-    assert RangeFamily("wedges_seb2").vc_dimension == 9
 
 
 def test_discretize_point_masses_exact():
