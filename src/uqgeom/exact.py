@@ -153,6 +153,19 @@ def _frame_coords(measure: MeasureId, locs: np.ndarray) -> tuple[np.ndarray, np.
     return x, y
 
 
+def _int64_runs(denoms: list[int]) -> list[tuple[int, int]]:
+    """[first, last) point ranges, consecutive and covering every point,
+    each as long as its denominators multiply below 2**63, so the product of
+    a run's masses (each at most its point's denominator) is an int64."""
+    runs, first, prod = [], 0, 1
+    for i, d in enumerate(denoms):
+        if prod * d >= 2**63:
+            runs.append((first, i))
+            first, prod = i, 1
+        prod *= d
+    return runs + [(first, len(denoms))]
+
+
 class _Prepared:
     """The exact engines' state of a set and a measure.
 
@@ -160,13 +173,16 @@ class _Prepared:
     globally in point order and hold their integer weights; ``members()[g]``
     is candidate g's basis member.  ``fx``/``fy`` hold the frame
     coordinates the validity test works in, and ``grid_x``/``grid_y`` lay
-    them out as (n, k_max) arrays for the strict-interior test, like the
-    set's weight grid: a point with fewer candidates is padded with NaN
-    coordinates, which are never strictly inside a shape, and zero weight.
-    Every basis and interior test is a sign test on these floats, no margin.
+    them out points-major, as (k_max, n, 1) arrays, for the strict-interior
+    test, with ``grid_w`` the weights: a point with fewer candidates is
+    padded with NaN coordinates, which are never strictly inside a shape,
+    and zero weight.  Every basis and interior test is a sign test on these
+    floats, no margin.  ``runs`` cuts the points into consecutive runs whose
+    denominators multiply below 2**63 when the set's denominator does not
+    (int64 weights only), else it is None.
     """
 
-    __slots__ = ("measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y", "group_tol", "beta")
+    __slots__ = ("measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y", "grid_w", "runs", "group_tol", "beta")
 
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
         _require_indecisive(uset)
@@ -179,7 +195,11 @@ class _Prepared:
         self.group_tol = tolerance(jset.locations, measure)
         self.beta = min(combinatorial_dimension(measure, 2), jset.n)
         self.fx, self.fy = _frame_coords(measure, jset.locations)
-        self.grid_x, self.grid_y = jset._grid(self.fx, np.nan), jset._grid(self.fy, np.nan)
+        grids = jset._grid(self.fx, np.nan), jset._grid(self.fy, np.nan), jset._weight_grid
+        self.grid_x, self.grid_y, self.grid_w = (np.ascontiguousarray(g.T)[:, :, None] for g in grids)
+        self.runs = None
+        if jset.denominator >= 2**63 and jset.nums.dtype != object:
+            self.runs = _int64_runs(jset.denoms.tolist())
 
     def members(self) -> list[BasisMember]:
         """The basis member of every global candidate, built on first use."""
@@ -217,14 +237,30 @@ _MIN_CHUNK_ROWS = 64
 # candidate products start, and the rows of candidate indices depend on the
 # candidate counts ks alone (and the offsets, which the callers derive from
 # ks), so :func:`_plan` builds them once per (ks, offsets, s) and keeps
-# them, read-only, in one LRU cache of _PLAN_SLOTS plans.  They pay off
-# when one process solves many instances of the same shape.  A plan
-# holds at most _PLAN_CELLS cells: the rows only when they fit beside the
-# combos and starts, which larger enumerations keep while they stream their
-# rows chunk by chunk.  So the cache retains at most _PLAN_SLOTS x
-# _PLAN_CELLS int64 cells, 4 MB, whatever the instances.
-_PLAN_CELLS = 16_384
-_PLAN_SLOTS = 32
+# them, read-only, in one LRU cache bounded by the cells it holds.  They
+# pay off when one process solves many instances of the same shape.  A plan
+# holds its rows whole when they fit in _PLAN_CELLS cells beside the combos
+# and starts, else only the combos and starts, which larger enumerations
+# keep while they stream their rows chunk by chunk.  Each plan is charged
+# its int64 cells, _PLAN_KEY_CELLS per point for the ints of its key and
+# _PLAN_HEADER_CELLS for the headers of its arrays, tuples and dict slot,
+# and least recently used plans go once the charges pass _PLAN_BUDGET, so
+# the cache retains at most about _PLAN_BUDGET x 8 bytes, 4 MB, whatever
+# the instances.
+_PLAN_CELLS = 65_536
+_PLAN_BUDGET = 524_288
+_PLAN_KEY_CELLS = 8
+_PLAN_HEADER_CELLS = 256
+
+
+# NumPy copies a broadcast operand into buffers when the inner dimension of
+# a ufunc call (here the rows of a chunk) is below about a third of its
+# buffer, 8192 elements by default; on chunks of a few hundred to a few
+# thousand rows those copies made the strict-interior mask about three
+# times slower (numpy 2.4).  The mask and its sums run with a buffer of
+# _UFUNC_BUFFER elements, which no elementwise result or integer sum
+# depends on, and the caller's buffer is set back after them.
+_UFUNC_BUFFER = 1024
 
 
 def _chunk_rows(cells_per_row: int) -> int:
@@ -256,8 +292,7 @@ def _rows_between(ks, offsets, combos, starts, first: int, last: int) -> np.ndar
     return idx
 
 
-@functools.lru_cache(maxsize=_PLAN_SLOTS)
-def _plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
+def _build_plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
     """The enumeration plan of size-s bases of points with ks candidates
     numbered from offsets: (combos, starts, rows), read-only, with rows the
     whole (total, s) array of :func:`_candidate_rows` when it fits in
@@ -275,6 +310,30 @@ def _plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
         if a is not None:
             a.flags.writeable = False
     return combos, starts, rows
+
+
+# (ks, offsets, s) -> (plan, charged cells), least recently used first.
+_PLANS: dict = {}
+
+
+def _plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
+    """The plan of :func:`_build_plan`, kept in _PLANS from its first call
+    on; a None plan is not kept.  A new plan evicts the least recently used
+    ones until the charges fit in _PLAN_BUDGET."""
+    key = (ks, offsets, s)
+    entry = _PLANS.pop(key, None)
+    if entry is None:
+        plan = _build_plan(ks, offsets, s)
+        if plan is None:
+            return None
+        charge = sum(a.size for a in plan if a is not None) + _PLAN_KEY_CELLS * len(ks) + _PLAN_HEADER_CELLS
+        entry = plan, charge
+        held = charge + sum(c for _, c in _PLANS.values())
+        while _PLANS and held > _PLAN_BUDGET:
+            held -= _PLANS.pop(next(iter(_PLANS)))[1]
+    # Inserted last: a dict keeps insertion order.
+    _PLANS[key] = entry
+    return entry[0]
 
 
 def _plan_of(ks: np.ndarray, offsets: np.ndarray, s: int):
@@ -341,7 +400,8 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     """
     kind = prep.measure.kind
     if kind == "seb2":
-        return _validate_seb2(idx, prep.fx[idx], prep.fy[idx])
+        # (rows, s) views of (s, rows) gathers: each column is contiguous.
+        return _validate_seb2(idx, prep.fx[idx.T].T, prep.fy[idx.T].T)
     keep = np.ones(len(idx), dtype=bool)
     # One coordinate array per basis slot (a column of idx).
     xs = prep.fx[idx.T]
@@ -377,7 +437,9 @@ def _validate(prep: _Prepared, idx: np.ndarray):
             # which pins radius and both center components at once.
             w2 = 2.0 * values
             shapes = [x_hi - w2, y_hi - w2, x_hi, y_hi]
-    return idx[keep], values[keep], np.column_stack(shapes)[keep]
+    # Row indices select faster than a mask, and columns before stacking.
+    rows = np.flatnonzero(keep)
+    return idx[rows], values[rows], np.column_stack([c[rows] for c in shapes])
 
 
 def _validate_seb2(idx, xs, ys):
@@ -387,8 +449,8 @@ def _validate_seb2(idx, xs, ys):
     if s == 1:
         return idx, np.zeros(len(idx)), np.column_stack([xs[:, 0], ys[:, 0], np.zeros(len(idx))])
     if s == 3:
-        keep = _strictly_acute(xs, ys)
-        idx, xs, ys = idx[keep], xs[keep], ys[keep]
+        rows = np.flatnonzero(_strictly_acute(xs, ys))
+        idx, xs, ys = idx[rows], xs[rows], ys[rows]
     # The canonical balls of measures._seb2_balls, which the oracle and
     # evaluate read too, for the whole chunk at once; values must match
     # theirs bitwise.
@@ -397,12 +459,14 @@ def _validate_seb2(idx, xs, ys):
 
 
 def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
-    """(rows, n, k_max) mask over the padded candidate grid: candidate
+    """(k_max, n, rows) mask over the padded candidate grid: candidate
     strictly inside the row's counting shape (never a NaN pad), by plain
     ``<`` and ``>``, so a seb2 disk of radius 0 holds nothing."""
     fx = prep.grid_x
     fy = prep.grid_y
-    cols = [c[:, None, None] for c in shapes.T]
+    # Contiguous columns: numpy buffers a strided operand too (see
+    # _UFUNC_BUFFER).
+    cols = list(np.ascontiguousarray(shapes.T))
     kind = prep.measure.kind
     if kind == "seb2":
         cx, cy, r = cols
@@ -421,7 +485,8 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
     Returns the mask of the rows with nonzero probability and their
     numerators, int64 while the denominator fits (a point's mass is at most
     its denominator, so a numerator is at most their product), Python ints
-    otherwise.
+    otherwise: products of int64 runs of points (``prep.runs``) multiplied
+    together, or of every mass when the weights are Python ints already.
 
     When the bases hold every point, the masses are the members' weights
     and no interior test is made: every weight is positive, so every row
@@ -429,19 +494,23 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
     jset = prep.jset
     if idx.shape[1] == jset.n:
         nonzero = np.ones(len(idx), dtype=bool)
-        masses = jset.nums[idx]
+        masses = jset.nums[idx.T]
     else:
-        # Masked weights, summed per point by adding the k_max columns.
-        terms = _strict_inside(prep, shapes) * jset._weight_grid
-        masses = terms[..., 0]
-        for j in range(1, terms.shape[2]):
-            masses = masses + terms[..., j]
-        masses[np.arange(len(idx))[:, None], jset.point_of[idx]] = jset.nums[idx]
-        nonzero = (masses > 0).all(axis=1)
-        masses = masses[nonzero]
+        buffer = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            masses = (_strict_inside(prep, shapes) * prep.grid_w).sum(axis=0)
+        finally:
+            np.setbufsize(buffer)
+        masses[jset.point_of[idx], np.arange(len(idx))[:, None]] = jset.nums[idx]
+        nonzero = (masses > 0).all(axis=0)
+        masses = masses.compress(nonzero, axis=1)
+    if prep.runs is not None:
+        return nonzero, functools.reduce(
+            np.multiply, [masses[a:b].prod(axis=0).astype(object) for a, b in prep.runs]
+        )
     if jset.denominator >= 2**63:
         masses = masses.astype(object)
-    return nonzero, masses.prod(axis=1)
+    return nonzero, masses.prod(axis=0)
 
 
 def _counted_bases(prep: _Prepared):
@@ -458,7 +527,8 @@ def _counted_bases(prep: _Prepared):
         idx, values, shapes = _validate(prep, idx)
         nonzero, nums = _numerators(prep, idx, shapes)
         total += sum(nums.tolist())
-        yield idx[nonzero], values[nonzero], shapes[nonzero], nums
+        rows = np.flatnonzero(nonzero)
+        yield idx[rows], values[rows], shapes[rows], nums
     if total != denom:
         raise ConservationError(
             f"basis probabilities sum to {Fraction(total, denom)} != 1; "

@@ -177,16 +177,19 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
     fits = {}
     for mname, table in tables.items():
         try:
-            fits[mname] = fit_sample_constant(table, nu=1.0)
+            fits[mname] = fit_sample_constant(table)
         except ValueError as exc:
-            fits[mname] = FitResult(math.nan, math.nan, 1.0, degenerate=True, note=str(exc))
+            fits[mname] = FitResult(math.nan, math.nan, _FIT_NU, degenerate=True, note=str(exc))
     return ExperimentResult(deviations, fits)
 
 
 _DELTA_GRID = tuple(np.linspace(0.05, 0.6, 12))
+# The nu of the fitted model unless one is given, also the nu of the
+# experiment's fits, degenerate ones included.
+_FIT_NU = 1.0
 
 
-def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = 1.0) -> FitResult:
+def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = _FIT_NU) -> FitResult:
     """Least-squares fit of C in delta = exp(-m eps^2 / C + nu), nu fixed.
 
     ``deviation_tables`` maps each m to its tau sup-norm deviations.  For

@@ -61,15 +61,22 @@ class Quantization1D:
         """Exact quantization with weights ``numerators / denominator``."""
         q = cls.__new__(cls)
         q._set_values(values)
-        ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
-        if len(ints) != len(q.values):
+        array = isinstance(numerators, np.ndarray)
+        nums = numerators if array else list(numerators)
+        if len(nums) != len(q.values):
             raise ValueError("one weight per value required")
-        if any(n <= 0 for n in ints):
+        if (nums <= 0).any() if array else any(n <= 0 for n in nums):
             raise ValueError("weights must be positive")
-        if sum(ints) != denominator:
+        # Positive int64 numerators sum without wrapping while len x max
+        # stays below 2**63.
+        if array and nums.dtype == np.int64 and int(nums.max()) * len(nums) < 2**63:
+            total = int(nums.sum())
+        else:
+            total = sum(nums.tolist() if array else nums)
+        if total != denominator:
             raise ValueError("exact weights must sum to exactly 1")
         # Each numerator lies in (0, denominator].
-        nums = np.array(ints, dtype=np.int64 if denominator < 2**63 else object)
+        nums = np.array(nums, dtype=np.int64 if denominator < 2**63 else object)
         nums.setflags(write=False)
         object.__setattr__(q, "numerators", nums)
         object.__setattr__(q, "denominator", denominator)
@@ -190,12 +197,19 @@ def simplify(q: Quantization1D, eps: float) -> Quantization1D:
 def max_deviation(a: Quantization1D, b: Quantization1D) -> float:
     """Sup-norm distance between the two induced step CDFs.
 
-    Evaluates both functions at (and just below) every breakpoint of either
-    input, which is where the supremum of a difference of step functions is
-    attained.  Mixing exact and sampled kinds is allowed; the comparison is
-    in floating point.
+    Between two breakpoints of one input its CDF is constant and the
+    other's is monotone, so the distance peaks at (or just below) a
+    breakpoint of that input, and both functions are evaluated there, at
+    the breakpoints of the shorter input.  The other's float cumulative
+    sums are nondecreasing but for the last, set to exactly 1.0, which may
+    lie below the one before it: its last breakpoint is evaluated too.
+    Each evaluation is one that a grid of both inputs' breakpoints makes, so
+    the maximum has the same bits.  Mixing exact and sampled kinds is
+    allowed; the comparison is in floating point.
     """
-    grid = np.union1d(a.values, b.values)
+    if len(b) < len(a):
+        a, b = b, a
+    grid = np.append(a.values, b.values[-1])
     ca = a._cum_float
     cb = b._cum_float
 

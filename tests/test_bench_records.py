@@ -36,6 +36,11 @@ def test_bench_record_has_parent_and_change_per_workload_and_metric(path):
                 worse = change if figures["better"] == "lower" else -change
                 assert figures["median_change"] == change, (workload, metric)
                 assert figures["past_bound"] == (worse > figures["bound"]), (workload, metric)
+            if "gain_clears_rule" in figures:
+                parent = figures["parent"]
+                gain = (parent["median"] - figures["change"]["median"]) * (1 if figures["better"] == "lower" else -1)
+                clears = 10 * figures["change_wins"] >= 9 * len(entry["seeds"]) and gain > parent["q3"] - parent["q1"]
+                assert figures["gain_clears_rule"] == clears, (workload, metric)
 
 
 def _bench_json():
@@ -117,3 +122,47 @@ def test_summarize_checks_each_median_change_against_its_bound():
         assert metrics["rate"]["median_change"] == pytest.approx(r - 1.0)
         assert (metrics["time"]["bound"], metrics["rate"]["bound"]) == (0.1, 0.2)
         assert (metrics["time"]["past_bound"], metrics["rate"]["past_bound"]) == (time_past, rate_past), (t, r)
+
+
+def test_summarize_says_whether_a_gain_clears_the_rule():
+    # A gain counts when the change wins at least 9 of every 10 pairs and
+    # its median beats the parent's by more than the parent's IQR.
+    bench_json = _bench_json()
+    spec = {
+        "workloads": [{"name": "w"}],
+        "end_to_end": [
+            {"name": "time", "unit": "s", "better": "lower", "bound": 0.1},
+            {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+        ],
+    }
+    seeds = range(1, 11)
+    # Parent times 1.0-1.9 s: median 1.45 s, inclusive quartiles 1.225 and 1.675 s (IQR 0.45 s).
+    parent_times = [1.0 + 0.1 * i for i in range(10)]
+
+    def records(times):
+        return {
+            ("w", seed): {"workload": "w", "seed": seed, "seconds": 12.0,
+                          "metrics": {"time": t, "rate": 1.0 / t}, "failures": []}
+            for seed, t in zip(seeds, times)
+        }
+
+    parent = records(parent_times)
+    cases = [
+        # Every pair won and the median 0.5 s lower: clears.
+        ([t - 0.5 for t in parent_times], True),
+        # Every pair won, but the median only 0.3 s lower, within the IQR.
+        ([t - 0.3 for t in parent_times], False),
+        # The median 0.6 s lower, but 8 of 10 pairs won.
+        ([t - 0.6 for t in parent_times[:8]] + [2.5, 2.6], False),
+        # 9 of 10 pairs won, the median 0.6 s lower: clears.
+        ([t - 0.6 for t in parent_times[:9]] + [2.6], True),
+    ]
+    for times, clears in cases:
+        metrics = bench_json.summarize(parent, records(times), spec)["w"]["metrics"]
+        assert metrics["time"]["gain_clears_rule"] is clears, times
+    # A slower change clears nothing, on either direction of metric.
+    metrics = bench_json.summarize(parent, records([t + 0.5 for t in parent_times]), spec)["w"]["metrics"]
+    assert not metrics["time"]["gain_clears_rule"] and not metrics["rate"]["gain_clears_rule"]
+    # A higher-is-better metric clears when it rises by more than its IQR.
+    metrics = bench_json.summarize(records([t + 0.5 for t in parent_times]), parent, spec)["w"]["metrics"]
+    assert metrics["rate"]["gain_clears_rule"] and metrics["time"]["gain_clears_rule"]

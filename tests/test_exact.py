@@ -974,6 +974,49 @@ def _former_numerators(prep, idx, shapes):
     return nonzero, masses.prod(axis=1)
 
 
+def _marked(points):
+    """The set of ``points`` marked as jittered, so the engines take its
+    coordinates as they are."""
+    return IndecisivePointSet(tuple(points), 2, jitter_applied=True)
+
+
+def _shared_projection_set():
+    """Five points of three candidates on a 3 x 3 grid, marked jittered:
+    candidates of different points coincide, so dwid basis ends share
+    their projections with other candidates."""
+    rng = np.random.default_rng(50)
+    weights = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    return _marked(IndecisivePoint(rng.integers(-1, 2, size=(3, 2)).astype(float), weights) for _ in range(5))
+
+
+def _zero_extent_marked_set():
+    """Four points of one to three candidates, all at one location and
+    marked jittered: every shape is empty."""
+    return _marked(IndecisivePoint([(1.0, -2.0)] * k, (Fraction(1, k),) * k) for k in (3, 1, 2, 3))
+
+
+def _wide_denominator_set():
+    """Six points whose denominators, about 2**21.2 each, multiply past
+    2**63 at the third point (but below 2**64), every one below 2**62."""
+    rng = np.random.default_rng(51)
+    points = []
+    for d in (2_359_297, 2_359_301, 2_359_309, 2_359_319, 2_359_327, 2_359_331):
+        cuts = [int(c) for c in rng.integers(1, d // 3, size=2)]
+        weights = tuple(Fraction(c, d) for c in (*cuts, d - sum(cuts)))
+        points.append(IndecisivePoint(rng.uniform(-1, 1, (3, 2)), weights))
+    return IndecisivePointSet(tuple(points), 2)
+
+
+def _object_weight_set():
+    """Five points, the third with a denominator of 3 * 2**62, so every
+    weight is a Python int."""
+    uset = random_indecisive(np.random.default_rng(52), 5, 3)
+    points = list(uset.points)
+    tiny = Fraction(1, 3 * 2**62)
+    points[2] = IndecisivePoint(points[2].locations, (Fraction(1, 3), tiny, Fraction(2, 3) - tiny))
+    return IndecisivePointSet(tuple(points), 2)
+
+
 _COUNTING_SETS = {
     "generic": lambda: random_indecisive(np.random.default_rng(41), 5, 3),
     "lattice": lambda: _lattice_indecisive(np.random.default_rng(41), 5, 3),
@@ -985,6 +1028,10 @@ _COUNTING_SETS = {
     "n=3-lattice": lambda: _lattice_indecisive(np.random.default_rng(44), 3, 3),
     "n=4-unequal-k": lambda: _unequal_k_indecisive(np.random.default_rng(45), (2, 3, 1, 3), lattice=False),
     "huge-denominator": _huge_denominator_set,
+    "shared-projections": _shared_projection_set,
+    "zero-extent": _zero_extent_marked_set,
+    "wide-denominators": _wide_denominator_set,
+    "object-weights": _object_weight_set,
 }
 
 
@@ -1022,8 +1069,15 @@ def test_validation_and_counting_match_former_code(monkeypatch, kind, rows):
     # Chunks of bases that hold every point, for every measure, exactly
     # when the set is no larger than the basis sizes.
     assert (full > 0) == (uset.n <= 4)
-    if kind == "huge-denominator":
-        assert exact_mod._Prepared(uset, MEASURES[0]).jset.nums.dtype == object
+    prep = exact_mod._Prepared(uset, MEASURES[0])
+    if kind in ("huge-denominator", "object-weights"):
+        assert prep.jset.nums.dtype == object and prep.runs is None
+    if kind == "wide-denominators":
+        # Runs of 2 points: any 3 denominators multiply past 2**63.
+        assert prep.jset.nums.dtype == np.int64 and prep.runs == [(0, 2), (2, 4), (4, 6)]
+    if kind in ("shared-projections", "zero-extent"):
+        fx = exact_mod._Prepared(uset, MEASURES[3]).fx
+        assert len(np.unique(fx)) < len(fx)
 
 
 def test_counting_matches_former_code_on_81_and_100_candidates():
@@ -1063,6 +1117,21 @@ def test_chunk_boundaries_leave_sip_field_unchanged(monkeypatch, rows):
             assert _sip_field_bytes(deterministic_sip(uset, m)) == w, (uset.n, m.kind)
 
 
+def test_exact_engine_leaves_the_callers_ufunc_buffer():
+    # The interior mask runs with a small ufunc buffer and sets the
+    # caller's back, whatever it was.
+    uset = random_indecisive(np.random.default_rng(53), 5, 3)
+    default = np.getbufsize()
+    try:
+        for size in (4096, 1 << 16):
+            np.setbufsize(size)
+            for m in MEASURES:
+                exact_distribution(uset, m)
+            assert np.getbufsize() == size
+    finally:
+        np.setbufsize(default)
+
+
 def test_exact_engine_memory_stays_flat_as_the_instance_grows():
     # Temporaries are bounded per chunk: 5.4x the potential bases must not
     # raise the traced peak by more than half.
@@ -1091,9 +1160,9 @@ def fresh_plans():
     """The exact module, with its plan cache emptied before and after."""
     import uqgeom.exact as exact_mod
 
-    exact_mod._plan.cache_clear()
+    exact_mod._PLANS.clear()
     yield exact_mod
-    exact_mod._plan.cache_clear()
+    exact_mod._PLANS.clear()
 
 
 def _engine_bits(uset):
@@ -1122,16 +1191,22 @@ def test_plans_leave_every_bit_unchanged(monkeypatch, fresh_plans):
         random_indecisive(rng, 5, 3),
         _lattice_indecisive(rng, 5, 3),
         _unequal_k_indecisive(rng, (3, 1, 4, 2), lattice=False),
-        random_indecisive(rng, 7, 4),
+        random_indecisive(rng, 6, 6),
     ]
+    built = []
+    build = exact_mod._build_plan
+    monkeypatch.setattr(exact_mod, "_build_plan", lambda *key: built.append(key) or build(*key))
     planned = [_engine_bits(u) for u in usets]
-    assert exact_mod._plan.cache_info().hits > 0
+    # Each plan was built once, though every measure of its set read it.
+    assert built and len(built) == len(set(built))
+    monkeypatch.setattr(exact_mod, "_build_plan", build)
     # Both kinds of plan were read: rows held whole, and combos only, whose
-    # rows streamed (the 4-point bases and the supports of the 7-point set).
+    # rows streamed (the 4-point bases and the supports of the 6-point set).
     assert _plan_of(exact_mod, (3,) * 5, 5)[2] is not None
-    assert _plan_of(exact_mod, (4,) * 7, 4)[2] is None and _plan_of(exact_mod, (4,) * 7, 7)[2] is None
+    assert _plan_of(exact_mod, (6,) * 6, 3)[2] is not None
+    assert _plan_of(exact_mod, (6,) * 6, 4)[2] is None and _plan_of(exact_mod, (6,) * 6, 6)[2] is None
     monkeypatch.setattr(exact_mod, "_PLAN_CELLS", 0)
-    exact_mod._plan.cache_clear()
+    exact_mod._PLANS.clear()
     assert [_engine_bits(u) for u in usets] == planned
     assert _plan_of(exact_mod, (3,) * 5, 5) is None
 
@@ -1150,9 +1225,9 @@ def test_held_rows_follow_the_offsets_given(monkeypatch, fresh_plans):
         assert exact_mod._plan((3, 2, 4), tuple(offsets.tolist()), 2)[2] is not None
         with monkeypatch.context() as m:
             m.setattr(exact_mod, "_PLAN_CELLS", 0)
-            exact_mod._plan.cache_clear()
+            exact_mod._PLANS.clear()
             streamed = np.concatenate(list(exact_mod._candidate_rows(ks, offsets, 2, 5)))
-        exact_mod._plan.cache_clear()
+        exact_mod._PLANS.clear()
         assert np.array_equal(held, streamed)
 
 
@@ -1167,7 +1242,7 @@ def test_plan_arrays_are_read_only(fresh_plans):
             array[0] = 0
 
 
-def test_plan_cache_retains_at_most_its_bound(fresh_plans):
+def test_plan_cache_retains_at_most_its_bound(monkeypatch, fresh_plans):
     import tracemalloc
 
     exact_mod = fresh_plans
@@ -1175,6 +1250,15 @@ def test_plan_cache_retains_at_most_its_bound(fresh_plans):
     shapes = set()
     while len(shapes) < 200:
         shapes.add(tuple(int(k) for k in rng.integers(1, 9, size=rng.integers(2, 8))))
+    cells = []
+    real = exact_mod._build_plan
+
+    def build(*key):
+        plan = real(*key)
+        cells.append(sum(a.size for a in plan or () if a is not None))
+        return plan
+
+    monkeypatch.setattr(exact_mod, "_build_plan", build)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1183,14 +1267,14 @@ def test_plan_cache_retains_at_most_its_bound(fresh_plans):
             for s in {1, 2, min(3, len(ks)), len(ks)}:
                 for _ in exact_mod._candidate_rows(k, np.cumsum(k) - k, s, 4096):
                     pass
+                assert sum(c for _, c in exact_mod._PLANS.values()) <= exact_mod._PLAN_BUDGET
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert exact_mod._plan.cache_info().currsize == exact_mod._PLAN_SLOTS
-    # The int64 cells of every slot, plus a few hundred bytes of array and
-    # tuple headers per plan.
-    bound = exact_mod._PLAN_SLOTS * (8 * exact_mod._PLAN_CELLS + 1024)
-    assert retained <= bound, (retained, bound)
+    # The plans built held more than the budget, so some were evicted.
+    assert sum(cells) > exact_mod._PLAN_BUDGET
+    # Every charge is at least the int64 cells, key ints and headers retained.
+    assert retained <= 8 * exact_mod._PLAN_BUDGET, (retained, 8 * exact_mod._PLAN_BUDGET)
 
 
 # --------------------------------------------------------------------------

@@ -433,6 +433,22 @@ def test_seb2_balls_listed_triples():
     _assert_balls_bitwise_equal(tri[:, :, 0], tri[:, :, 1])
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_seb2_balls_rows_with_equal_x_and_equal_points(m):
+    # The row sort breaks an x tie on y, and keeps equal points (signed
+    # zeros among them) in input order: rows with equal x and random y,
+    # and rows of points drawn from three, each in every order.
+    rng = np.random.default_rng(14 + m)
+    xs = rng.integers(-1, 2, size=(3000, m)).astype(float)
+    _assert_balls_bitwise_equal(xs, rng.normal(size=(3000, m)))
+    _assert_balls_bitwise_equal(xs * 1e-9 + 3.0, rng.normal(size=(3000, m)) * 1e-9)
+    few = np.array([(0.0, 1.0), (-0.0, 1.0), (0.5, -0.0)])
+    rows = few[np.array(list(itertools.product(range(3), repeat=m)))]
+    _assert_balls_bitwise_equal(rows[:, :, 0], rows[:, :, 1])
+    picks = few[rng.integers(0, 3, size=(3000, m))]
+    _assert_balls_bitwise_equal(picks[:, :, 0], picks[:, :, 1])
+
+
 def test_seb2_balls_triples_at_the_engine_acute_threshold():
     # Thales triples: A and B nearly antipodal on a circle through C, so
     # the angle at C is within a hair of 90 degrees, around the engine's

@@ -115,6 +115,70 @@ def test_max_deviation_mixed_kinds():
     assert max_deviation(a, b) == 0.0
 
 
+def _former_max_deviation(a, b):
+    """Reference: both CDFs at (and just below) every breakpoint of either
+    input, on their sorted union."""
+    grid = np.union1d(a.values, b.values)
+
+    def at(q, side):
+        idx = np.searchsorted(q.values, grid, side=side)
+        out = np.zeros(len(grid))
+        out[idx > 0] = q._cum_float[idx[idx > 0] - 1]
+        return out
+
+    return float(max(np.abs(at(a, "right") - at(b, "right")).max(), np.abs(at(a, "left") - at(b, "left")).max()))
+
+
+def _overshooting_exact():
+    """Exact weights 0.2, 0.4, 0.3, 0.1 - 2**-70 and 2**-70, whose float
+    cumulative sums reach 1.0000000000000002 before the last is set to 1.0."""
+    d = 2**70
+    nums = [d // 5, 2 * d // 5 + 1, 3 * d // 10, 0, 1]
+    nums[3] = d - sum(nums)
+    return Quantization1D.from_numerators(np.arange(5.0), nums, d)
+
+
+def _deviation_inputs(rng):
+    """Pairs of quantizations of every kind: ties, signed zeros, one point,
+    exact weights over big denominators, and the overshooting sums."""
+    def sampled(values):
+        return Quantization1D.from_samples(values)
+
+    def exact(values):
+        # Denominators below 2**63 and, scaled by 3**40, above it.
+        scale = 3**40 if rng.random() < 0.5 else 1
+        nums = [int(c) * scale for c in rng.integers(1, 10, size=len(values))]
+        nums[0] += 1
+        return Quantization1D.from_numerators(np.sort(values), nums, sum(nums))
+
+    draws = [
+        lambda n: rng.normal(size=n),
+        lambda n: rng.integers(-3, 4, size=n).astype(float),
+        lambda n: np.round(rng.normal(size=n), 1),
+        lambda n: rng.choice([-0.0, 0.0, 1.0], size=n),
+    ]
+    pairs = [(_overshooting_exact(), sampled([-1.0, 5.0])), (_overshooting_exact(), sampled([0.5]))]
+    for _ in range(400):
+        a, b = (rng.choice([sampled, exact])(draws[rng.integers(4)](int(rng.integers(1, 30)))) for _ in range(2))
+        pairs.append((a, b))
+    return pairs
+
+
+def test_max_deviation_matches_the_union_grid_bit_for_bit(rng):
+    pairs = _deviation_inputs(rng)
+    kinds = {(a.kind, b.kind) for a, b in pairs}
+    assert {a.numerators.dtype for a, _ in pairs if a.kind == "exact"} == {np.dtype(np.int64), np.dtype(object)}
+    assert kinds == {(x, y) for x in ("exact", "sampled") for y in ("exact", "sampled")}
+    assert any(min(len(a), len(b)) == 1 for a, b in pairs)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert max_deviation(x, y).hex() == _former_max_deviation(x, y).hex(), (x.values, y.values)
+    # The last breakpoint of the longer input counts: here the distance
+    # peaks just below it, where its float sums exceed 1.
+    a, b = pairs[0]
+    assert max_deviation(a, b) == 0.5000000000000002 > abs(0.5 - 1.0)
+
+
 def test_from_samples_sorts_with_uniform_weights():
     q = Quantization1D.from_samples(np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(q.values, [1.0, 2.0, 3.0])
@@ -145,6 +209,25 @@ def test_quantization_validation():
         Quantization1D([1.0, 2.0], [0.5, 0.5])
     with pytest.raises(TypeError):
         QuantizationKD([[1.0], [2.0]], [0.5, 0.5])
+
+
+def test_from_numerators_checks_int64_numerators_as_arrays():
+    # The checks and their messages are those of Python ints: an int64 sum
+    # that wraps to the denominator (4 * 2**62 + 4 = 2**64 + 4) is refused.
+    wrapping = np.array([2**62, 2**62, 2**62, 2**62 + 4], dtype=np.int64)
+    assert int(wrapping.sum()) == 4
+    with pytest.raises(ValueError, match="exact weights must sum to exactly 1"):
+        Quantization1D.from_numerators(np.arange(4.0), wrapping, 4)
+    with pytest.raises(ValueError, match="weights must be positive"):
+        Quantization1D.from_numerators(np.arange(3.0), np.array([2, 0, 1], dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="one weight per value required"):
+        Quantization1D.from_numerators(np.arange(3.0), np.array([2, 1], dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="exact weights must sum to exactly 1"):
+        Quantization1D.from_numerators(np.arange(2.0), np.array([2, 2], dtype=np.int64), 5)
+    # Numerators over a denominator of 2**63 or more become Python ints.
+    q = Quantization1D.from_numerators(np.arange(2.0), np.array([2**62, 2**62], dtype=np.int64), 2**63)
+    assert q.numerators.dtype == object and q.numerators.tolist() == [2**62, 2**62]
+    assert type(q.numerators[0]) is int and not q.numerators.flags.writeable
 
 
 def test_quantization_refuses_nan_values():

@@ -8,8 +8,11 @@ Each DIR holds the result records that ``python3 perfbench/run.py --workload W
 by workload and seed, so run both sides on the same seeds, alternating.  For
 every workload and every end-to-end metric that BENCHMARK.json declares, the
 output holds each side's median and quartiles, the number of pairs the
-change won, the relative change of the median (change / parent - 1), and
-whether that change is worse than the metric's bound.
+change won, the relative change of the median (change / parent - 1),
+whether that change is worse than the metric's bound, and whether it is a
+gain that clears the rule for claiming one: the change won at least 9 of
+every 10 pairs, and its median is better than the parent's by more than
+the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -49,15 +52,18 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
             after = [c["metrics"][key] for _, c in pairs]
             parent_spread, change_spread = _spread(before), _spread(after)
             median_change = change_spread["median"] / parent_spread["median"] - 1.0
+            wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+            gain = (parent_spread["median"] - change_spread["median"]) * (1 if lower else -1)
             metrics[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "parent": parent_spread,
                 "change": change_spread,
-                "change_wins": sum((a < b) if lower else (a > b) for b, a in zip(before, after)),
+                "change_wins": wins,
                 "median_change": median_change,
                 "bound": metric["bound"],
                 "past_bound": (median_change if lower else -median_change) > metric["bound"],
+                "gain_clears_rule": 10 * wins >= 9 * len(pairs) and gain > parent_spread["q3"] - parent_spread["q1"],
             }
         workloads[name] = {
             "seeds": seeds,
