@@ -156,7 +156,9 @@ def _frame_coords(measure: MeasureId, locs: np.ndarray) -> tuple[np.ndarray, np.
 def _int64_runs(denoms: list[int]) -> list[tuple[int, int]]:
     """[first, last) point ranges, consecutive and covering every point,
     each as long as its denominators multiply below 2**63, so the product of
-    a run's masses (each at most its point's denominator) is an int64."""
+    a run's masses (each at most its point's denominator) is an int64.  A
+    point whose own denominator reaches 2**63 is a run of its own (after an
+    empty one when it comes first), whose masses are Python ints already."""
     runs, first, prod = [], 0, 1
     for i, d in enumerate(denoms):
         if prod * d >= 2**63:
@@ -178,8 +180,8 @@ class _Prepared:
     padded with NaN coordinates, which are never strictly inside a shape,
     and zero weight.  Every basis and interior test is a sign test on these
     floats, no margin.  ``runs`` cuts the points into consecutive runs whose
-    denominators multiply below 2**63 when the set's denominator does not
-    (int64 weights only), else it is None.
+    denominators multiply below 2**63 when the set's denominator does not,
+    else it is None.
     """
 
     __slots__ = ("measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y", "grid_w", "runs", "group_tol", "beta")
@@ -198,7 +200,7 @@ class _Prepared:
         grids = jset._grid(self.fx, np.nan), jset._grid(self.fy, np.nan), jset._weight_grid
         self.grid_x, self.grid_y, self.grid_w = (np.ascontiguousarray(g.T)[:, :, None] for g in grids)
         self.runs = None
-        if jset.denominator >= 2**63 and jset.nums.dtype != object:
+        if jset.denominator >= 2**63:
             self.runs = _int64_runs(jset.denoms.tolist())
 
     def members(self) -> list[BasisMember]:
@@ -485,8 +487,8 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
     Returns the mask of the rows with nonzero probability and their
     numerators, int64 while the denominator fits (a point's mass is at most
     its denominator, so a numerator is at most their product), Python ints
-    otherwise: products of int64 runs of points (``prep.runs``) multiplied
-    together, or of every mass when the weights are Python ints already.
+    otherwise: the products of runs of points (``prep.runs``), each an int64
+    unless its weights are Python ints, multiplied together as Python ints.
 
     When the bases hold every point, the masses are the members' weights
     and no interior test is made: every weight is positive, so every row
@@ -504,13 +506,9 @@ def _numerators(prep: _Prepared, idx: np.ndarray, shapes: np.ndarray):
         masses[jset.point_of[idx], np.arange(len(idx))[:, None]] = jset.nums[idx]
         nonzero = (masses > 0).all(axis=0)
         masses = masses.compress(nonzero, axis=1)
-    if prep.runs is not None:
-        return nonzero, functools.reduce(
-            np.multiply, [masses[a:b].prod(axis=0).astype(object) for a, b in prep.runs]
-        )
-    if jset.denominator >= 2**63:
-        masses = masses.astype(object)
-    return nonzero, masses.prod(axis=0)
+    if prep.runs is None:
+        return nonzero, masses.prod(axis=0)
+    return nonzero, functools.reduce(np.multiply, [masses[a:b].prod(axis=0).astype(object) for a, b in prep.runs])
 
 
 def _counted_bases(prep: _Prepared):

@@ -264,20 +264,14 @@ def _seb2_balls(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     Pair radii square with ``np.float_power``, which calls libm ``pow`` as
     CPython's float ``**`` does; numpy's multiply and power do not match it
     on every value."""
-    # Compare-exchanges of neighbours on a strict (x, y) order, as
-    # ``np.lexsort((ys, xs))`` sorts: stable on ties, so equal points
-    # (0.0 and -0.0 among them) keep their order.
-    px, py = list(xs.T), list(ys.T)
-    for i in (0,) if len(px) == 2 else (0, 1, 0):
-        swap = (px[i + 1] < px[i]) | ((px[i + 1] == px[i]) & (py[i + 1] < py[i]))
-        px[i], px[i + 1] = np.where(swap, px[i + 1], px[i]), np.where(swap, px[i], px[i + 1])
-        py[i], py[i + 1] = np.where(swap, py[i + 1], py[i]), np.where(swap, py[i], py[i + 1])
-    if len(px) == 2:
-        return _diametral(px[0], py[0], px[1], py[1])
-    xs, ys = np.column_stack(px), np.column_stack(py)
+    order = np.lexsort((ys, xs))
+    xs = np.take_along_axis(xs, order, axis=1)
+    ys = np.take_along_axis(ys, order, axis=1)
+    if xs.shape[1] == 2:
+        return _diametral(xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1])
     out = np.empty((len(xs), 3))
-    ax, bx, cx = px
-    ay, by, cy = py
+    ax, bx, cx = xs.T
+    ay, by, cy = ys.T
     d0, d1, d2 = dots = _vertex_dots(xs, ys)
     ubx, uby, ucx, ucy = bx - ax, by - ay, cx - ax, cy - ay
     det = 2.0 * (ubx * ucy - uby * ucx)

@@ -61,22 +61,15 @@ class Quantization1D:
         """Exact quantization with weights ``numerators / denominator``."""
         q = cls.__new__(cls)
         q._set_values(values)
-        array = isinstance(numerators, np.ndarray)
-        nums = numerators if array else list(numerators)
-        if len(nums) != len(q.values):
+        ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
+        if len(ints) != len(q.values):
             raise ValueError("one weight per value required")
-        if (nums <= 0).any() if array else any(n <= 0 for n in nums):
+        if any(n <= 0 for n in ints):
             raise ValueError("weights must be positive")
-        # Positive int64 numerators sum without wrapping while len x max
-        # stays below 2**63.
-        if array and nums.dtype == np.int64 and int(nums.max()) * len(nums) < 2**63:
-            total = int(nums.sum())
-        else:
-            total = sum(nums.tolist() if array else nums)
-        if total != denominator:
+        if sum(ints) != denominator:
             raise ValueError("exact weights must sum to exactly 1")
         # Each numerator lies in (0, denominator].
-        nums = np.array(nums, dtype=np.int64 if denominator < 2**63 else object)
+        nums = np.array(ints, dtype=np.int64 if denominator < 2**63 else object)
         nums.setflags(write=False)
         object.__setattr__(q, "numerators", nums)
         object.__setattr__(q, "denominator", denominator)

@@ -1070,8 +1070,12 @@ def test_validation_and_counting_match_former_code(monkeypatch, kind, rows):
     # when the set is no larger than the basis sizes.
     assert (full > 0) == (uset.n <= 4)
     prep = exact_mod._Prepared(uset, MEASURES[0])
-    if kind in ("huge-denominator", "object-weights"):
-        assert prep.jset.nums.dtype == object and prep.runs is None
+    if kind == "huge-denominator":
+        # The first point's denominator reaches 2**63: an empty run, then
+        # a run of its own, whose masses are Python ints.
+        assert prep.jset.nums.dtype == object and prep.runs == [(0, 0), (0, 1), (1, 3)]
+    if kind == "object-weights":
+        assert prep.jset.nums.dtype == object and prep.runs == [(0, 2), (2, 3), (3, 5)]
     if kind == "wide-denominators":
         # Runs of 2 points: any 3 denominators multiply past 2**63.
         assert prep.jset.nums.dtype == np.int64 and prep.runs == [(0, 2), (2, 4), (4, 6)]

@@ -211,9 +211,10 @@ def test_quantization_validation():
         QuantizationKD([[1.0], [2.0]], [0.5, 0.5])
 
 
-def test_from_numerators_checks_int64_numerators_as_arrays():
-    # The checks and their messages are those of Python ints: an int64 sum
-    # that wraps to the denominator (4 * 2**62 + 4 = 2**64 + 4) is refused.
+def test_from_numerators_checks_int64_numerators_exactly():
+    # The checks and their messages are those of Python ints: numerators
+    # whose int64 sum wraps to the denominator (4 * 2**62 + 4 = 2**64 + 4)
+    # are refused.
     wrapping = np.array([2**62, 2**62, 2**62, 2**62 + 4], dtype=np.int64)
     assert int(wrapping.sum()) == 4
     with pytest.raises(ValueError, match="exact weights must sum to exactly 1"):
