@@ -27,6 +27,7 @@ from .model import (
     ResourceCapError,
     UniformDiskPoint,
     ValidationError,
+    _pairs,
 )
 from .montecarlo import trial_rng
 
@@ -260,5 +261,5 @@ def discretize_for_measure(
     for i, dist in enumerate(cset.points):
         sample = _lattice_sample(dist, max(eps_point, _EPS_POINT_FLOOR), size, i)
         weights = (Fraction(1),) if len(sample.points) == 1 else _exact_weights(sample.weights)
-        rows.append((sample.points, weights))
+        rows.append((sample.points, _pairs(weights)))
     return IndecisivePointSet._from_rows(rows, 2)

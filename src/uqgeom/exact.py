@@ -168,6 +168,11 @@ def _int64_runs(denoms: list[int]) -> list[tuple[int, int]]:
     return runs + [(first, len(denoms))]
 
 
+def _points_major(grid: np.ndarray) -> np.ndarray:
+    """An (n, k_max) candidate grid as a contiguous (k_max, n, 1) array."""
+    return np.ascontiguousarray(grid.T)[:, :, None]
+
+
 class _Prepared:
     """The exact engines' state of a set and a measure.
 
@@ -178,13 +183,12 @@ class _Prepared:
     them out points-major, as (k_max, n, 1) arrays, for the strict-interior
     test, with ``grid_w`` the weights: a point with fewer candidates is
     padded with NaN coordinates, which are never strictly inside a shape,
-    and zero weight.  Every basis and interior test is a sign test on these
-    floats, no margin.  ``runs`` cuts the points into consecutive runs whose
-    denominators multiply below 2**63 when the set's denominator does not,
-    else it is None.
+    and zero weight.  Each grid is built on its first read, so the oracle,
+    which makes no interior test, builds none.  Every basis and interior
+    test is a sign test on these floats, no margin.  ``runs`` cuts the
+    points into consecutive runs whose denominators multiply below 2**63
+    when the set's denominator does not, else it is None.
     """
-
-    __slots__ = ("measure", "jset", "_members", "fx", "fy", "grid_x", "grid_y", "grid_w", "runs", "group_tol", "beta")
 
     def __init__(self, uset: IndecisivePointSet, measure: MeasureId):
         _require_indecisive(uset)
@@ -197,11 +201,21 @@ class _Prepared:
         self.group_tol = tolerance(jset.locations, measure)
         self.beta = min(combinatorial_dimension(measure, 2), jset.n)
         self.fx, self.fy = _frame_coords(measure, jset.locations)
-        grids = jset._grid(self.fx, np.nan), jset._grid(self.fy, np.nan), jset._weight_grid
-        self.grid_x, self.grid_y, self.grid_w = (np.ascontiguousarray(g.T)[:, :, None] for g in grids)
         self.runs = None
         if jset.denominator >= 2**63:
             self.runs = _int64_runs(jset.denoms.tolist())
+
+    @functools.cached_property
+    def grid_x(self) -> np.ndarray:
+        return _points_major(self.jset._grid(self.fx, np.nan))
+
+    @functools.cached_property
+    def grid_y(self) -> np.ndarray:
+        return _points_major(self.jset._grid(self.fy, np.nan))
+
+    @functools.cached_property
+    def grid_w(self) -> np.ndarray:
+        return _points_major(self.jset._weight_grid)
 
     def members(self) -> list[BasisMember]:
         """The basis member of every global candidate, built on first use."""
@@ -367,8 +381,9 @@ def _index_chunks(prep: _Prepared):
     lexicographic order, cut into chunks of a number of rows fixed per
     basis size (see _CHUNK_CELLS)."""
     jset = prep.jset
+    mask_cells = jset.n * jset.k_max
     for s in range(1, prep.beta + 1):
-        rows = _chunk_rows(4 * s if s == jset.n else prep.grid_x.size)
+        rows = _chunk_rows(4 * s if s == jset.n else mask_cells)
         yield from _candidate_rows(jset.ks, jset.offsets, s, rows)
 
 
@@ -465,17 +480,17 @@ def _strict_inside(prep: _Prepared, shapes: np.ndarray) -> np.ndarray:
     strictly inside the row's counting shape (never a NaN pad), by plain
     ``<`` and ``>``, so a seb2 disk of radius 0 holds nothing."""
     fx = prep.grid_x
-    fy = prep.grid_y
     # Contiguous columns: numpy buffers a strided operand too (see
     # _UFUNC_BUFFER).
     cols = list(np.ascontiguousarray(shapes.T))
     kind = prep.measure.kind
-    if kind == "seb2":
-        cx, cy, r = cols
-        return (fx - cx) ** 2 + (fy - cy) ** 2 < r * r
     if kind == "dwid":
         lo, hi = cols
         return (fx > lo) & (fx < hi)
+    fy = prep.grid_y
+    if kind == "seb2":
+        cx, cy, r = cols
+        return (fx - cx) ** 2 + (fy - cy) ** 2 < r * r
     x0, y0, x1, y1 = cols
     return (fx > x0) & (fx < x1) & (fy > y0) & (fy < y1)
 
@@ -569,10 +584,10 @@ def _merge_equal(values: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _collapse(values: np.ndarray, nums: np.ndarray, total_denom: int, group_tol: float) -> Quantization1D:
-    """Merge equal breakpoints, then group the sorted ones whose consecutive
-    gaps are within the tolerance (single linkage); each group keeps its
-    smallest value and its numerators' sum over total_denom."""
-    values, nums = _merge_equal(values, nums)
+    """Group merged breakpoints (distinct and ascending, as
+    :func:`_merge_equal` returns them) whose consecutive gaps are within
+    the tolerance (single linkage); each group keeps its smallest value and
+    its numerators' sum over total_denom."""
     first = np.flatnonzero(np.concatenate([[True], ~(np.diff(values) <= group_tol)]))
     return Quantization1D.from_numerators(values[first], np.add.reduceat(nums, first), total_denom)
 
@@ -594,10 +609,8 @@ def exact_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDis
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
     chunks = [(values, nums) for _, values, _, nums in _counted_bases(prep)]
-    collapsed = _collapse(
-        np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]),
-        prep.jset.denominator, prep.group_tol,
-    )
+    merged = _merge_equal(*map(np.concatenate, zip(*chunks)))
+    collapsed = _collapse(*merged, prep.jset.denominator, prep.group_tol)
     return ExactDistribution(functools.partial(_basis_records, prep), collapsed, measure)
 
 
@@ -648,12 +661,17 @@ def brute_force_distribution(
     n = jset.n
     if measure.kind == "seb2":
         width, values_of = _seb2_support_values(prep)
-    else:
-        frames = prep.fx if measure.kind == "dwid" else np.column_stack([prep.fx, prep.fy])
-        width = n * n * 2 if measure.kind == "diameter" else n * 2
+    elif measure.kind == "diameter":
+        frames = np.column_stack([prep.fx, prep.fy])
+        width = n * n * 2
 
         def values_of(idx):
             return _frame_values(measure.kind, frames[idx])
+    else:
+        width = n * 2
+
+        def values_of(idx):
+            return _support_extent_values(prep, idx)
 
     # Supports are chunked as bases of every point are, 4 cells a row for
     # each of the ``width`` cells a support takes.
@@ -661,11 +679,28 @@ def brute_force_distribution(
         _merge_equal(values_of(idx), _numerators(prep, idx, None)[1])
         for idx in _candidate_rows(jset.ks, jset.offsets, n, _chunk_rows(4 * width))
     ]
-    values, nums = _merge_equal(np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks]))
+    # A lone chunk is merged already.
+    values, nums = chunks[0] if len(chunks) == 1 else _merge_equal(*map(np.concatenate, zip(*chunks)))
     if sum(nums.tolist()) != jset.denominator:
         raise ConservationError("support probabilities failed to sum to 1 (internal error)")
     collapsed = _collapse(values, nums, jset.denominator, prep.group_tol)
     return ExactDistribution(functools.partial(_value_records, values, nums, jset.denominator), collapsed, measure)
+
+
+def _support_extent_values(prep: _Prepared, idx: np.ndarray) -> np.ndarray:
+    """The extent-valued measure of each support, a row of ``idx``, from
+    its extents in frame coordinates folded over the support's points
+    column by column (one contiguous (rows,) column per point), as
+    :func:`_validate` folds a basis's.  A max or min over a support's axis
+    of points in place reduces a short strided axis per support, several
+    times slower; max and min are exact, so the values are those of
+    ``evaluate``'s formula (:func:`_extent_value`)."""
+    kind = prep.measure.kind
+    extents = []
+    for frame in (prep.fx,) if kind == "dwid" else (prep.fx, prep.fy):
+        cols = frame[idx.T]
+        extents.append(functools.reduce(np.maximum, cols) - functools.reduce(np.minimum, cols))
+    return _extent_value(kind, extents[0], extents[1] if len(extents) == 2 else None)
 
 
 def _value_records(values: np.ndarray, nums: np.ndarray, total_denom: int) -> tuple[BasisRecord, ...]:

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "as_points",
-    "bbox_diameter",
     "coordinate_scale",
     "coordinate_scales",
     "length_scale",
@@ -90,14 +89,6 @@ def unit_vector(v, what: str) -> np.ndarray:
     return u / norm
 
 
-def bbox_diameter(pts: np.ndarray) -> float:
-    """Diagonal length of the axis-aligned bounding box."""
-    if len(pts) == 0:
-        return 0.0
-    span = pts.max(axis=0) - pts.min(axis=0)
-    return float(math.hypot(*span))
-
-
 def coordinate_scales(stack: np.ndarray) -> list[float]:
     """Coordinate scale of each set in a (rows, m, d) stack with m >= 1: the
     bbox diagonal with a floor of the coordinate magnitude and of 1.
@@ -113,15 +104,28 @@ def coordinate_scales(stack: np.ndarray) -> list[float]:
     return np.maximum(np.maximum(diag, magnitude), 1.0).tolist()
 
 
+def _diagonal_and_scale(pts: np.ndarray) -> tuple[float, float]:
+    """The bounding-box diagonal of one set of m >= 1 points and its
+    coordinate scale, from one max and one min per axis, in Python floats:
+    max, min and abs are exact, so the scale has the bits of
+    :func:`coordinate_scales`, without its stack copy."""
+    hi, lo = pts.max(axis=0).tolist(), pts.min(axis=0).tolist()
+    diag = math.hypot(*(a - b for a, b in zip(hi, lo)))
+    return diag, max(diag, *map(abs, hi), *map(abs, lo), 1.0)
+
+
 def coordinate_scale(pts: np.ndarray) -> float:
     """:func:`coordinate_scales` of one set of m >= 1 points."""
-    return coordinate_scales(pts[None])[0]
+    return _diagonal_and_scale(pts)[1]
 
 
 def length_scale(pts: np.ndarray) -> float:
-    """Length scale of value comparisons, never 0 for m >= 1 points: the bbox
-    diameter, floored at the farthest the jitter moves one of them."""
-    return max(bbox_diameter(pts), len(pts) * _JITTER_UNIT * coordinate_scale(pts))
+    """Length scale of value comparisons, never 0 for m >= 1 points: the
+    diagonal of the bounding box, floored at the farthest the jitter moves
+    one of them, ``len(pts) * _JITTER_UNIT * coordinate_scale(pts)``; both
+    from one pass (:func:`_diagonal_and_scale`)."""
+    diag, scale = _diagonal_and_scale(pts)
+    return max(diag, len(pts) * _JITTER_UNIT * scale)
 
 
 class Ball:

@@ -199,19 +199,20 @@ def _extent_value(kind: str, ex, ey):
 def _frame_values(kind: str, f: np.ndarray) -> np.ndarray:
     """Value of each point set in a stack of frame coordinates, reduced
     over the last two axes (the last one for dwid); every measure but
-    seb2.  Diameter holds, per set, two n x n x d tensors (the differences
-    and their squares) and at most two n x n sums at once."""
+    seb2.  Diameter holds, per set, one contiguous n-plane per coordinate
+    and two n x n arrays (the squared differences of one coordinate and
+    their running sum)."""
     if kind == "dwid":
         return _extent_value(kind, f.max(axis=-1) - f.min(axis=-1), None)
     if kind == "diameter":
-        diff = f[..., :, None, :] - f[..., None, :, :]
-        sq = diff * diff
-        # Squares added by hand, left to right: the bits of sum(), which
-        # adds fewer than eight terms in order, without the cost of a
-        # reduction over a length-2 or 3 axis.
-        total = sq[..., 0]
-        for i in range(1, sq.shape[-1]):
-            total = total + sq[..., i]
+        # Differences along contiguous planes, not across a strided
+        # (..., n, n, d) tensor; the squares are added coordinate by
+        # coordinate, left to right: the bits of sum(), which adds fewer
+        # than eight terms in order.
+        for i, x in enumerate(np.ascontiguousarray(np.moveaxis(f, -1, 0))):
+            sq = x[..., :, None] - x[..., None, :]
+            sq *= sq
+            total = sq if i == 0 else np.add(total, sq, out=total)
         # sqrt rounds monotonically, so it commutes with the max.
         return np.sqrt(total.max(axis=(-2, -1)))
     ext = f.max(axis=-2) - f.min(axis=-2)

@@ -65,18 +65,42 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # Indecisive model
 
 
-def _integer_weights(weights: tuple[Fraction, ...], k: int) -> tuple[list[int], int]:
-    """One point's weights for its k candidates as integer numerators over
-    their common denominator, checked to lie in (0, 1] and sum to 1."""
-    if len(weights) != k:
-        raise ValidationError(f"{k} locations but {len(weights)} weights")
-    denom = math.lcm(*(x.denominator for x in weights))
-    nums = [x.numerator * (denom // x.denominator) for x in weights]
+def _integer_weights(pairs: list[tuple[int, int]], k: int) -> tuple[list[int], int]:
+    """One point's weights for its k candidates, given as reduced
+    (numerator, denominator) pairs, as integer numerators over their common
+    denominator, checked to lie in (0, 1] and sum to 1."""
+    if len(pairs) != k:
+        raise ValidationError(f"{k} locations but {len(pairs)} weights")
+    denom = math.lcm(*(d for _, d in pairs))
+    nums = [v * (denom // d) for v, d in pairs]
     if any(not (0 < v <= denom) for v in nums):
         raise ValidationError("weights must lie in (0, 1]")
     if sum(nums) != denom:
         raise ValidationError(f"weights sum to {Fraction(sum(nums), denom)}, expected exactly 1")
     return nums, denom
+
+
+def _pairs(weights: tuple[Fraction, ...]) -> list[tuple[int, int]]:
+    return [(x.numerator, x.denominator) for x in weights]
+
+
+def _stacked(located: list) -> np.ndarray | None:
+    """Every point's locations as one (N, d) float array from one
+    conversion, when each point's are a nonempty list (as JSON spells them)
+    of rows of one length d in {2, 3}, every coordinate finite.  None
+    otherwise, and the caller reads the points one by one (``as_points``),
+    which names the first faulty one, or takes what one array cannot: a
+    single location spelled as a flat list, points of differing dimensions,
+    and locations already held as arrays."""
+    if not all(type(rows) is list and rows for rows in located):
+        return None
+    try:
+        flat = np.array([row for rows in located for row in rows], dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if flat.ndim != 2 or flat.shape[1] not in (2, 3) or not np.isfinite(flat).all():
+        return None
+    return flat
 
 
 def _check_dimensions(dimension, dims: list[int]) -> None:
@@ -107,7 +131,7 @@ class IndecisivePoint:
         object.__setattr__(self, "locations", _freeze(locs))
         w = tuple(x if type(x) is Fraction else Fraction(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
-        _integer_weights(w, len(locs))
+        _integer_weights(_pairs(w), len(locs))
 
     @property
     def k(self) -> int:
@@ -127,38 +151,57 @@ class IndecisivePointSet:
     """
 
     def __init__(self, points, dimension: int, jitter_applied: bool = False):
-        self._fill(((p.locations, p.weights) for p in points), dimension, jitter_applied)
+        self._fill(((p.locations, _pairs(p.weights)) for p in points), dimension, jitter_applied)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _from_rows(cls, rows, dimension: int, jitter_applied: bool = False) -> IndecisivePointSet:
-        """The set of ``rows``, a (locations, Fraction weights) pair per
-        point, each checked as IndecisivePoint checks it (errors prefixed
-        ``points[i]:``)."""
+        """The set of ``rows``, a (locations, weights) pair per point with
+        the weights as reduced (numerator, denominator) pairs, each checked
+        as IndecisivePoint checks it (errors prefixed ``points[i]:``).
+        Iterating ``rows`` may raise a ValidationError for a point whose
+        weights could not be read; a fault of an earlier point is named
+        before it."""
         uset = object.__new__(cls)
         uset._fill(rows, dimension, jitter_applied)
         return uset
 
     def _fill(self, rows, dimension, jitter_applied) -> None:
-        blocks, nums, denoms = [], [], []
-        for i, (locations, weights) in enumerate(rows):
+        located, weighed, unread = [], [], None
+        try:
+            for locations, pairs in rows:
+                located.append(locations)
+                weighed.append(pairs)
+        except ValidationError as exc:
+            unread = exc
+        flat = _stacked(located)
+        ks, nums, denoms = [], [], []
+        for i, (locations, pairs) in enumerate(zip(located, weighed)):
             try:
-                blocks.append(as_points(locations))
-                row, denom = _integer_weights(weights, len(blocks[-1]))
+                if flat is None:
+                    located[i] = locations = as_points(locations)
+                row, denom = _integer_weights(pairs, len(locations))
             except (ValidationError, ValueError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"points[{i}]: {exc}") from None
+            ks.append(len(locations))
             nums += row
             denoms.append(denom)
+        if unread is not None:
+            raise unread
         if not isinstance(jitter_applied, bool):
             raise ValidationError("jitter_applied must be true or false")
-        _check_dimensions(dimension, [b.shape[1] for b in blocks])
-        ks = np.array([len(b) for b in blocks])
+        if flat is None:
+            _check_dimensions(dimension, [b.shape[1] for b in located])
+            flat = np.concatenate(located)
+        else:
+            _check_dimensions(dimension, [flat.shape[1]] * len(located))
+        ks = np.array(ks)
         # int64 holds the sum of a point's masses unless a denominator is huge.
         dtype = np.int64 if max(denoms) < 2**62 else object
         nums, denoms = np.array(nums, dtype=dtype), np.array(denoms, dtype=dtype)
-        self._adopt(dimension, jitter_applied, np.concatenate(blocks), ks, np.cumsum(ks) - ks, nums, denoms)
+        self._adopt(dimension, jitter_applied, flat, ks, np.cumsum(ks) - ks, nums, denoms)
 
     def _adopt(self, dimension, jitter_applied, locations, ks, offsets, nums, denoms) -> None:
         for a in (locations, ks, offsets, nums, denoms):
@@ -233,6 +276,18 @@ class IndecisivePointSet:
 # Continuous model
 
 
+def _symmetric(rows: list[list[float]]) -> bool:
+    """``np.allclose(m, m.T, rtol=_SYMMETRY_TOL, atol=_SYMMETRY_TOL)`` on
+    the rows of a square matrix, entry by entry on Python floats (the same
+    IEEE operations): a close to b when |a - b| <= atol + rtol * |b| with b
+    finite, or a == b, so equal infinities are close and NaN never is."""
+    return all(
+        a == b or (abs(a - b) <= _SYMMETRY_TOL + _SYMMETRY_TOL * abs(b) and math.isfinite(b))
+        for row, column in zip(rows, zip(*rows))
+        for a, b in zip(row, column)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPoint:
     mean: np.ndarray
@@ -246,7 +301,7 @@ class GaussianPoint:
         cov = np.asarray(self.cov, dtype=np.float64)
         if cov.shape != (len(mean), len(mean)):
             raise ValidationError(f"covariance shape {cov.shape} does not match mean of length {len(mean)}")
-        if not np.allclose(cov, cov.T, rtol=_SYMMETRY_TOL, atol=_SYMMETRY_TOL):
+        if not _symmetric(cov.tolist()):
             raise ValidationError("covariance must be symmetric")
         with np.errstate(over="ignore"):
             cov = 0.5 * (cov + cov.T)
@@ -465,14 +520,21 @@ def _weight_to_json(num: int, denom: int) -> str:
     return f"{num // g}/{denom // g}"
 
 
-def _parse_weight(text, where: str) -> Fraction:
+def _parse_weight(text, where: str) -> tuple[int, int]:
+    """The weight ``text`` as the reduced (numerator, denominator) of
+    ``Fraction(str(text))``."""
     try:
         # Plain "p/q" strings, as save_point_set writes them, skip the regex.
         if type(text) is str and text.isascii():
             num, slash, den = text.partition("/")
             if slash and num.isdigit() and den.isdigit():
-                return Fraction(int(num), int(den))
-        return Fraction(str(text))
+                p, q = int(num), int(den)
+                if q == 0:
+                    raise ZeroDivisionError
+                g = math.gcd(p, q)
+                return p // g, q // g
+        w = Fraction(str(text))
+        return w.numerator, w.denominator
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{where}: cannot parse weight {text!r}") from None
 
@@ -512,15 +574,15 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
     if model == "indecisive":
 
         def rows():
-            # Parsed point by point as the set is built, so the first
-            # faulty point is the one reported.
+            # Stops at the first point whose weights cannot be read; the
+            # set names a fault of an earlier point before it.
             for i, rp in enumerate(raw_points):
                 where = f"points[{i}]"
                 if "locations" not in rp or "weights" not in rp:
                     raise ValidationError(f"{where}: needs 'locations' and 'weights'")
                 if not isinstance(rp["weights"], list):
                     raise ValidationError(f"{where}: weights must be a list")
-                yield rp["locations"], tuple(_parse_weight(w, where) for w in rp["weights"])
+                yield rp["locations"], [_parse_weight(w, where) for w in rp["weights"]]
 
         return IndecisivePointSet._from_rows(rows(), d, doc.get("jitter_applied", False))
 

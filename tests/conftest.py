@@ -14,7 +14,6 @@ import pytest
 
 from uqgeom import IndecisivePoint, IndecisivePointSet, Quantization1D
 from uqgeom.sip import Raster
-from uqgeom.geometry import bbox_diameter
 from uqgeom.measures import evaluate
 
 _ND = NormalDist()
@@ -39,6 +38,13 @@ def exact_quantization(values, weights) -> Quantization1D:
     denom = math.lcm(*(w.denominator for w in exact))
     nums = [w.numerator * (denom // w.denominator) for w in exact]
     return Quantization1D.from_numerators(np.asarray(values, dtype=np.float64), nums, denom)
+
+
+def bbox_diameter(pts: np.ndarray) -> float:
+    """Diagonal length of the axis-aligned bounding box: the reference for
+    the diagonal that geometry.length_scale takes."""
+    span = pts.max(axis=0) - pts.min(axis=0)
+    return float(math.hypot(*span))
 
 
 def group_tolerance(uset: IndecisivePointSet, measure) -> float:

@@ -26,7 +26,7 @@ from uqgeom.geometry import coordinate_scale
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 from uqgeom.quantize import quantization_to_csv
 
-from conftest import enumerate_supports, exact_quantization, group_tolerance, random_indecisive
+from conftest import bbox_diameter, enumerate_supports, exact_quantization, group_tolerance, random_indecisive
 
 MEASURES = [
     MeasureId("seb2"),
@@ -519,7 +519,7 @@ def test_collapse_signed_zeros_and_tolerance_steps_match_dict():
         for v, num in zip(values, nums):
             agg[v] = agg.get(v, 0) + num
         total = sum(nums)
-        got = exact_mod._collapse(np.array(values), np.array(nums), total, tol)
+        got = exact_mod._collapse(*exact_mod._merge_equal(np.array(values), np.array(nums)), total, tol)
         _assert_same_quantization(got, _dict_collapse(agg, total, tol))
         assert quantization_to_csv(got) == _fraction_csv(_dict_collapse(agg, total, tol))
 
@@ -580,7 +580,6 @@ def _loop_oracle(uset, m):
     value -> numerator map, the common denominator and the group tolerance."""
     import itertools
 
-    from uqgeom.geometry import bbox_diameter
     from uqgeom.measures import value_scale
 
     jset = canonical_jitter(uset)
@@ -1095,6 +1094,52 @@ def test_counting_matches_former_code_on_81_and_100_candidates():
         assert prep.jset._weight_grid.shape == (2, 100)
         for idx in exact_mod._index_chunks(prep):
             _assert_chunks_match_former(prep, idx)
+
+
+def test_only_the_engine_builds_the_padded_grids(monkeypatch):
+    # The grids serve the strict-interior test and its masses alone; the
+    # oracle's supports hold every point, so it builds none of them, and a
+    # dwid engine never reads grid_y.
+    import uqgeom.exact as exact_mod
+
+    built = []
+    former = exact_mod._points_major
+    monkeypatch.setattr(exact_mod, "_points_major", lambda grid: built.append(grid.shape) or former(grid))
+    uset = random_indecisive(np.random.default_rng(47), 4, 3)
+    for m in MEASURES + [MeasureId("diameter")]:
+        brute_force_distribution(uset, m)
+    assert built == []
+    exact_distribution(uset, MEASURES[0])
+    assert built == [(4, 3)] * 3
+    exact_distribution(uset, MEASURES[3])
+    assert built == [(4, 3)] * 5
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_oracle_extents_by_columns_have_the_bits_of_the_support_stack(monkeypatch, rows):
+    # The former oracle reduced each support's (n, 2) frame in place
+    # (measures._frame_values); the column folds must give the same bits
+    # on jittered sets, and on sets marked jittered whose supports hold
+    # +0.0 and -0.0 together.
+    import uqgeom.exact as exact_mod
+    from uqgeom.measures import _frame_values
+
+    if rows is not None:
+        monkeypatch.setattr(exact_mod, "_CHUNK_CELLS", 0)
+        monkeypatch.setattr(exact_mod, "_MIN_CHUNK_ROWS", rows)
+    rng = np.random.default_rng(48)
+    sets = [_unequal_k_indecisive(rng, ks, lattice) for ks in ((3, 2, 3, 2), (1, 1, 1), (2,) * 6) for lattice in (False, True)]
+    for n in (1, 3, 6):
+        zeros = rng.choice([0.0, -0.0, 1.0, -2.0], size=(n, 3, 2), p=[0.4, 0.4, 0.1, 0.1])
+        sets.append(IndecisivePointSet(tuple(IndecisivePoint(z, ("1/3",) * 3) for z in zeros), 2, jitter_applied=True))
+    for uset in sets:
+        for m in LOOP_MEASURES[:-1]:
+            prep = exact_mod._Prepared(uset, m)
+            frames = prep.fx if m.kind == "dwid" else np.column_stack([prep.fx, prep.fy])
+            jset = prep.jset
+            for idx in exact_mod._candidate_rows(jset.ks, jset.offsets, jset.n, exact_mod._chunk_rows(4 * 2 * jset.n)):
+                got = exact_mod._support_extent_values(prep, idx)
+                assert got.tobytes() == _frame_values(m.kind, frames[idx]).tobytes(), m.kind
 
 
 _SIP_MEASURES = [MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("aabb_area")]

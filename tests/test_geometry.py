@@ -29,13 +29,14 @@ from uqgeom.geometry import (
     _circum3,
     _circumsphere_coords,
     _fixed_permutation,
-    bbox_diameter,
     coordinate_scale,
     coordinate_scales,
     welzl_ball,
 )
 from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
 from uqgeom.model import draw_supports
+
+from conftest import bbox_diameter
 
 
 def _trivial_ball(coords, boundary):

@@ -537,6 +537,44 @@ def test_evaluate_refuses_coordinates_too_large_for_the_solvers(kind):
     assert evaluate(MeasureId("aabb_perimeter"), [[0.0, 0.0], [1e200, 0.0]]) == 2e200
 
 
+def _former_diameters(f):
+    """Diameter of each set of a (..., n, d) stack as measures computed it
+    over the whole strided (..., n, n, d) difference tensor: the reference
+    for the differences along contiguous planes."""
+    diff = f[..., :, None, :] - f[..., None, :, :]
+    sq = diff * diff
+    total = sq[..., 0]
+    for i in range(1, sq.shape[-1]):
+        total = total + sq[..., i]
+    return np.sqrt(total.max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diameter_planes_have_the_bits_of_the_difference_tensor(d):
+    rng = np.random.default_rng(60 + d)
+    edge = _MAX_COORDINATE * rng.choice([-1.0, 1.0, 0.5, -0.25], size=(20, 4, d))
+    stacks = [
+        rng.normal(size=(81, 20, d)) * 10.0 ** rng.integers(-8, 9, size=(81, 1, 1)),
+        rng.normal(size=(729, 6, d)),  # the oracle's supports of 6 points
+        rng.normal(size=(40, 1, d)),  # one point per set
+        np.repeat(rng.normal(size=(30, 3, d)), 2, axis=1),  # every point twice
+        np.repeat(rng.normal(size=(10, 1, d)) * 1e5, 5, axis=1),  # all coincident
+        rng.integers(-3, 4, size=(50, 6, d)).astype(float),  # lattice ties
+        rng.choice([-0.0, 0.0, 1.0], size=(30, 4, d)),  # signed zeros
+        edge,  # coordinates at _check_input's bound
+        rng.uniform(-1, 1, size=(3, 2, 7, d)),  # a stack of stacks
+        rng.normal(size=(0, 5, d)),  # no sets
+    ]
+    diameter = MeasureId("diameter")
+    for stack in stacks:
+        want = _former_diameters(stack)
+        assert measures._frame_values("diameter", stack).tobytes() == want.tobytes()
+        assert evaluate(diameter, stack).tobytes() == want.tobytes()
+        sets = stack.reshape(-1, *stack.shape[-2:])
+        assert b"".join(np.float64(evaluate(diameter, pts)).tobytes() for pts in sets) == want.tobytes()
+    assert np.isfinite(_former_diameters(edge)).all()
+
+
 @pytest.mark.parametrize("noise", [0.0, 1e-11, 1e-3])
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e8])
 def test_seb2_balls_scaled_lattice(noise, scale):

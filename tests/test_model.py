@@ -22,6 +22,7 @@ from uqgeom import (
     sample_support,
     save_point_set,
 )
+from uqgeom.geometry import as_points
 from uqgeom.model import draw_supports
 from uqgeom.montecarlo import trial_rng
 
@@ -450,6 +451,65 @@ def test_gaussian_rejects_overflowing_covariance():
     assert np.isfinite(g.cov).all() and np.isfinite(g._chol).all()
 
 
+def _former_gaussian_error(mean, cov):
+    """Reference: the message of GaussianPoint's checks with np.allclose
+    deciding symmetry, or None when they accepted the point."""
+    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    if not np.isfinite(mean).all():
+        return "mean must be finite"
+    cov = np.asarray(cov, dtype=np.float64)
+    if cov.shape != (len(mean), len(mean)):
+        return f"covariance shape {cov.shape} does not match mean of length {len(mean)}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
+            return "covariance must be symmetric"
+        cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        return "covariance must be finite"
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return "covariance must be positive-definite"
+    return None
+
+
+def _near_symmetric_covariances():
+    rng = np.random.default_rng(39)
+    out = []
+    for d in (2, 3):
+        for _ in range(150):
+            a = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-20, 20)
+            cov = a @ a.T + np.eye(d) * rng.choice([0.0, 1e-3, 1.0])
+            i, j = rng.choice(d, size=2, replace=False)
+            # Off the diagonal by about the tolerance, either way round.
+            cov[i, j] += abs(cov[j, i]) * rng.choice([0.0, 5e-13, 1e-12, 2e-12, 1e-9]) + rng.choice([0.0, 5e-13, 1e-12, 3e-12])
+            out.append(cov)
+    for a, b in product([0.5, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e-300, 0.0], repeat=2):
+        out += [np.array([[2.0, a], [b, 2.0]]), np.array([[a, 0.0], [0.0, b]])]
+    out += [np.diag([1.0, 1e308]), 1.5e308 * np.eye(3), np.array([[1.0, 1e308], [-1e308, 1.0]])]
+    return out
+
+
+def test_gaussian_symmetry_decides_as_allclose_with_the_same_messages():
+    from uqgeom.geometry import _SYMMETRY_TOL
+    from uqgeom.model import _symmetric
+
+    assert _SYMMETRY_TOL == 1e-12
+    for cov in _near_symmetric_covariances():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = bool(np.allclose(cov, cov.T, rtol=_SYMMETRY_TOL, atol=_SYMMETRY_TOL))
+        assert _symmetric(cov.tolist()) is want, cov
+        expected = _former_gaussian_error(np.zeros(len(cov)), cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                GaussianPoint(np.zeros(len(cov)), cov)
+            except ValidationError as exc:
+                assert str(exc) == expected, cov
+            else:
+                assert expected is None, cov
+
+
 # --------------------------------------------------------------------------
 # Integer weight validation against the former Fraction checks
 
@@ -559,7 +619,7 @@ def test_jitter_runs_once_per_set(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Weight strings: the p/q fast path against Fraction(str)
+# Weight strings: the p/q fast path against Fraction(str)'s reduced pair
 
 
 def _fraction_or_error(text):
@@ -592,7 +652,8 @@ def test_parse_weight_matches_fraction(text):
         assert want is None, text
         assert str(exc) == f"points[0]: cannot parse weight {text!r}"
     else:
-        assert want is not None and type(got) is Fraction and got == want, text
+        assert want is not None and got == (want.numerator, want.denominator), text
+        assert type(got[0]) is int and type(got[1]) is int, text
 
 
 # --------------------------------------------------------------------------
@@ -696,6 +757,211 @@ def test_library_paths_never_build_the_points_view(tmp_path, monkeypatch):
     assert cli_mod.main(["exact", "--input", str(path), "--measure", "seb2", "--out", str(out)]) == 0
     assert len(loaded) == 1
     assert "points" not in vars(loaded[0]) and "points" not in vars(canonical_jitter(loaded[0]))
+
+
+# --------------------------------------------------------------------------
+# The loader against a per-point reference
+
+
+def _former_load(text):
+    """Reference: the indecisive loader as it read a set point by point.
+    Each point in turn is parsed (``Fraction(str(w))`` per weight),
+    converted (``as_points``) and weighed (the Fraction checks of
+    ``_former_weight_error``), so the first faulty point is the one named.
+    Returns ``_arrays`` of the set, or the message of the ValidationError."""
+    doc = json.loads(text, parse_float=str)
+    for i, rp in enumerate(doc["points"]):
+        if not isinstance(rp, dict):
+            return f"points[{i}]: must be an object"
+    blocks, nums, denoms = [], [], []
+    for i, rp in enumerate(doc["points"]):
+        where = f"points[{i}]"
+        if "locations" not in rp or "weights" not in rp:
+            return f"{where}: needs 'locations' and 'weights'"
+        if not isinstance(rp["weights"], list):
+            return f"{where}: weights must be a list"
+        weights = []
+        for w in rp["weights"]:
+            try:
+                weights.append(Fraction(str(w)))
+            except (ValueError, ZeroDivisionError):
+                return f"{where}: cannot parse weight {w!r}"
+        try:
+            block = as_points(rp["locations"])
+        except (ValueError, TypeError, OverflowError) as exc:
+            return f"{where}: {exc}"
+        error = _former_weight_error(len(block), weights)
+        if error is not None:
+            return f"{where}: {error}"
+        denom = math.lcm(*(w.denominator for w in weights))
+        blocks.append(block)
+        nums += [w.numerator * (denom // w.denominator) for w in weights]
+        denoms.append(denom)
+    jitter = doc.get("jitter_applied", False)
+    if not isinstance(jitter, bool):
+        return "jitter_applied must be true or false"
+    for i, block in enumerate(blocks):
+        if block.shape[1] != doc["dimension"]:
+            return f"points[{i}]: has dimension {block.shape[1]}, set has {doc['dimension']}"
+    locations = np.concatenate(blocks)
+    ks = [len(b) for b in blocks]
+    dtype = np.dtype(np.int64) if max(denoms) < 2**62 else np.dtype(object)
+    offsets = [sum(ks[:i]) for i in range(len(ks))]
+    return (doc["dimension"], jitter, locations.shape, locations.tobytes(), ks, offsets, dtype, nums, dtype, denoms)
+
+
+def _loaded(text):
+    try:
+        return _arrays(load_point_set(text))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _valid_documents():
+    """Documents of every weight spelling (p/q strings, decimal strings,
+    JSON integers and floats), 2-D and 3-D, with and without
+    ``jitter_applied``, with int64 and Python-int weights."""
+    rng = np.random.default_rng(391)
+    tiny = Fraction(1, 3 * 2**62)
+    docs = []
+    for t in range(48):
+        d = (2, 3)[t % 2]
+        points = []
+        for _ in range(int(rng.integers(1, 6))):
+            k = int(rng.integers(1, 5))
+            cuts = [int(c) for c in rng.integers(1, 9, size=k)]
+            weights = [Fraction(c, sum(cuts)) for c in cuts]
+            spelling = t // 2 % 4
+            if spelling == 0:
+                text = [f"{w.numerator * 3}/{w.denominator * 3}" for w in weights]
+            elif spelling == 1:
+                text = [str(w) for w in weights]
+                if k == 2:
+                    text = ["0.25", "0.75"]
+            elif spelling == 2:
+                text = [1] if k == 1 else ["1/4", 0.75] if k == 2 else [str(w) for w in weights]
+            else:
+                text = [f"{w.numerator}/{w.denominator}" for w in weights]
+                if k == 3:
+                    text = [f"{tiny.numerator}/{tiny.denominator}", "1/3", str(Fraction(2, 3) - tiny)]
+            locations = rng.integers(-3, 4, size=(k, d)).tolist() if t % 3 else rng.normal(size=(k, d)).tolist()
+            points.append({"locations": locations, "weights": text})
+        doc = {"dimension": d, "model": "indecisive", "points": points}
+        if t % 4 == 3:
+            doc["jitter_applied"] = bool(t % 8 == 3)
+        docs.append(json.dumps(doc))
+    # A single location as a flat list, and coordinates as strings.
+    docs.append(json.dumps({"dimension": 2, "model": "indecisive", "points": [
+        {"locations": [1.5, -2], "weights": ["1"]}, {"locations": [[0, 0], [1, 1]], "weights": ["1/2", "1/2"]}]}))
+    docs.append(json.dumps({"dimension": 2, "model": "indecisive", "points": [
+        {"locations": [["1.5", 2], [0, "-3e2"]], "weights": ["1/2", "1/2"]}]}))
+    return docs
+
+
+def test_loader_matches_the_per_point_reference_on_valid_documents(monkeypatch):
+    import uqgeom.model as model_mod
+
+    per_point = []
+    monkeypatch.setattr(model_mod, "as_points", lambda pts: per_point.append(pts) or as_points(pts))
+    dtypes = set()
+    for text in _valid_documents():
+        want = _former_load(text)
+        assert not isinstance(want, str), want
+        assert _loaded(text) == want
+        dtypes.add(want[6])
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # Only the document with a flat single location is read point by point
+    # (its JSON float arrives as a string); every other converts its
+    # coordinates in one array.
+    assert per_point == [["1.5", -2], [[0, 0], [1, 1]]]
+
+
+# Faults of one point, each replacing point i's (locations, weights) of two
+# candidates: (the key replaced, its JSON value).
+_POINT_FAULTS = [
+    ("point", 3),
+    ("point", None),
+    ("locations", None),
+    ("weights", None),
+    ("weights", "1/2"),
+    ("weights", ["1/2", "x"]),
+    ("weights", ["1/0", "1"]),
+    ("weights", [True, "1/2"]),
+    ("weights", ["1/2"]),
+    ("weights", ["0", "1"]),
+    ("weights", ["3/2", "-1/2"]),
+    ("weights", ["1/2", "1/3"]),
+    ("locations", [[0, 0], [1]]),
+    ("locations", [[0, 0], [1, 1, 1, 1]]),
+    ("locations", [[0, 0, 0, 0], [1, 1, 1, 1]]),
+    ("locations", [[0, 0], [1, "abc"]]),
+    ("locations", [[0, 0], [1, None]]),
+    ("locations", [[0, 0], [1, 10**400]]),
+    ("locations", [[[0, 0]], [[1, 1]]]),
+    ("locations", []),
+    ("locations", 5),
+    ("locations", "ab"),
+    ("locations", {"x": 1}),
+    ("locations", [[0, 0, 0], [1, 1, 1]]),
+    ("locations", [[0, 0], [1, 1], [2, 2]]),
+]
+_RAW_FAULTS = ['[[0, 0], [1, NaN]]', '[[0, 0], [1, Infinity]]', '[[0, 0], [1, 1e400]]']
+
+
+def _point(fault=None):
+    point = {"locations": [[0, 0], [1, 1]], "weights": ["1/3", "2/3"]}
+    if fault is None:
+        return json.dumps(point)
+    key, value = fault
+    if key == "point":
+        return json.dumps(value)
+    if value is None:
+        del point[key]
+        return json.dumps(point)
+    if isinstance(value, str) and value.startswith("[["):
+        return json.dumps(point).replace('[[0, 0], [1, 1]]', value)
+    point[key] = value
+    return json.dumps(point)
+
+
+def _document(points, extra=""):
+    return '{"dimension": 2, "model": "indecisive", "points": [' + ", ".join(points) + "]" + extra + "}"
+
+
+def test_loader_names_the_faulty_point_as_the_per_point_reference():
+    faults = _POINT_FAULTS + [("locations", raw) for raw in _RAW_FAULTS]
+    seen = set()
+    for fault in faults:
+        for i in range(3):
+            points = [_point(fault if j == i else None) for j in range(3)]
+            text = _document(points)
+            want = _former_load(text)
+            assert isinstance(want, str) and want.startswith(f"points[{i}]: "), (fault, want)
+            assert _loaded(text) == want, fault
+            seen.add(want.split(": ", 1)[1][:24])
+    assert len(seen) >= 15
+    # Set-level faults come after every point's own.
+    for extra in (', "jitter_applied": 1', ', "jitter_applied": "true"'):
+        text = _document([_point()] * 2, extra)
+        assert _loaded(text) == _former_load(text) == "jitter_applied must be true or false"
+        bad = _document([_point(), _point(("weights", ["x"]))], extra)
+        assert _loaded(bad) == _former_load(bad) == "points[1]: cannot parse weight 'x'"
+
+
+def test_loader_names_the_first_of_two_faulty_points():
+    faults = _POINT_FAULTS[2:] + [("locations", raw) for raw in _RAW_FAULTS]
+    rng = np.random.default_rng(392)
+    for _ in range(300):
+        a, b = (faults[int(t)] for t in rng.integers(0, len(faults), size=2))
+        i, j = sorted(int(t) for t in rng.choice(4, size=2, replace=False))
+        points = [_point(a if m == i else b if m == j else None) for m in range(4)]
+        text = _document(points)
+        want = _former_load(text)
+        assert isinstance(want, str), (a, b)
+        # A point of the wrong dimension is named only once every point is read.
+        solid = _POINT_FAULTS[-2]
+        assert want.startswith(f"points[{j if a == solid and b != solid else i}]: "), (a, b, want)
+        assert _loaded(text) == want, (a, b)
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import pytest
 import uqgeom
 from uqgeom import IndecisivePoint, IndecisivePointSet, MeasureId, canonical_jitter
 from uqgeom.exact import _Prepared
-from uqgeom.geometry import _JITTER_UNIT, bbox_diameter, coordinate_scale, length_scale
+from uqgeom.geometry import _JITTER_UNIT, coordinate_scale, coordinate_scales, length_scale
 from uqgeom.measures import tolerance
 
-from conftest import group_tolerance, random_indecisive
+from conftest import bbox_diameter, group_tolerance, random_indecisive
 
 _PACKAGE = Path(uqgeom.__file__).parent
 MEASURES = [MeasureId(k) for k in ("seb2", "seb1", "sebinf", "aabb_perimeter", "aabb_area")]
@@ -67,6 +67,19 @@ def test_tolerance_positive_on_zero_extent_and_one_candidate_sets(c, ks):
     assert length_scale(pts) == len(pts) * _JITTER_UNIT * coordinate_scale(pts) > 0
     for m in MEASURES + [None]:
         assert tolerance(pts, m) > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_length_scale_has_the_bits_of_the_diagonal_and_the_coordinate_scale(d):
+    # The former two passes, bbox_diameter and then the coordinate scale of
+    # the stack path, as the reference for the one max/min pass.
+    rng = np.random.default_rng(39 + d)
+    sets = [rng.uniform(-1, 1, size=(int(rng.integers(1, 9)), d)) * 10.0 ** rng.integers(-300, 300) for _ in range(200)]
+    sets += [c + rng.uniform(-1, 1, size=(5, d)) * 2.0**-40 * e for c in (0.0, 1.0, -3e6, 1e150) for e in (0.1, 1, 5, 50)]
+    sets += [np.zeros((3, d)), rng.choice([-0.0, 0.0, -1e-300, 3e-7, -2.5], size=(9, d)), np.full((1, d), -7.5)]
+    for pts in sets:
+        want = max(bbox_diameter(pts), len(pts) * _JITTER_UNIT * coordinate_scales(pts[None])[0])
+        assert length_scale(pts).hex() == want.hex()
 
 
 def test_engine_groups_at_the_comparison_tolerance():
