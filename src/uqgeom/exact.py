@@ -177,7 +177,7 @@ class _Prepared:
     """The exact engines' state of a set and a measure.
 
     ``jset`` is the jittered set, whose arrays number the candidates
-    globally in point order and hold their integer weights; ``members()[g]``
+    globally in point order and hold their integer weights; ``members[g]``
     is candidate g's basis member.  ``fx``/``fy`` hold the frame
     coordinates the validity test works in, and ``grid_x``/``grid_y`` lay
     them out points-major, as (k_max, n, 1) arrays, for the strict-interior
@@ -197,7 +197,6 @@ class _Prepared:
         _check_input(measure, uset.locations)
         self.measure = measure
         self.jset = jset = canonical_jitter(uset)
-        self._members = None
         self.group_tol = tolerance(jset.locations, measure)
         self.beta = min(combinatorial_dimension(measure, 2), jset.n)
         self.fx, self.fy = _frame_coords(measure, jset.locations)
@@ -217,16 +216,15 @@ class _Prepared:
     def grid_w(self) -> np.ndarray:
         return _points_major(self.jset._weight_grid)
 
+    @functools.cached_property
     def members(self) -> list[BasisMember]:
-        """The basis member of every global candidate, built on first use."""
-        if self._members is None:
-            locs = self.jset.locations.tolist()
-            self._members = [
-                BasisMember(i, j, tuple(locs[a + j]))
-                for i, (a, k) in enumerate(zip(self.jset.offsets.tolist(), self.jset.ks.tolist()))
-                for j in range(k)
-            ]
-        return self._members
+        """The basis member of every global candidate, built on first read."""
+        locs = self.jset.locations.tolist()
+        return [
+            BasisMember(i, j, tuple(locs[a + j]))
+            for i, (a, k) in enumerate(zip(self.jset.offsets.tolist(), self.jset.ks.tolist()))
+            for j in range(k)
+        ]
 
     def combo_count(self) -> int:
         """Potential bases of this set (:func:`combo_count`).  Kept only for
@@ -249,20 +247,24 @@ class _Prepared:
 _CHUNK_CELLS = 131_072
 _MIN_CHUNK_ROWS = 64
 
-# Enumeration plans.  The point combos of a basis size, where each combo's
-# candidate products start, and the rows of candidate indices depend on the
-# candidate counts ks alone (and the offsets, which the callers derive from
-# ks), so :func:`_plan` builds them once per (ks, offsets, s) and keeps
-# them, read-only, in one LRU cache bounded by the cells it holds.  They
-# pay off when one process solves many instances of the same shape.  A plan
-# holds its rows whole when they fit in _PLAN_CELLS cells beside the combos
-# and starts, else only the combos and starts, which larger enumerations
-# keep while they stream their rows chunk by chunk.  Each plan is charged
-# its int64 cells, _PLAN_KEY_CELLS per point for the ints of its key and
-# _PLAN_HEADER_CELLS for the headers of its arrays, tuples and dict slot,
-# and least recently used plans go once the charges pass _PLAN_BUDGET, so
-# the cache retains at most about _PLAN_BUDGET x 8 bytes, 4 MB, whatever
-# the instances.
+# Enumeration plans.  Potential bases of s points, and with s = n the
+# supports, are enumerated in one order: point combos in lexicographic
+# order, then candidates in ``itertools.product`` order, each point's
+# numbered from offsets = cumsum(ks) - ks as the jittered set numbers them.
+# The order depends on the candidate counts ks and the basis size s alone,
+# so :func:`_plan` builds its plan once per (ks, s) and keeps it, read-only,
+# in one LRU cache bounded by the cells it holds.  Plans pay off when one
+# process solves many instances of the same shape.  A plan carries the
+# combos, where each combo's candidate products start and the mixed-radix
+# strides of its candidate digits, which both the streamed rows
+# (:func:`_rows_between`) and the oracle's seb2 tables read.  It is kept
+# when its arrays fit in _PLAN_CELLS cells, and holds its rows whole when
+# they fit beside them; larger enumerations stream their rows chunk by
+# chunk.  Each kept plan is charged its int64 cells, _PLAN_KEY_CELLS per
+# point for the ints of its key and _PLAN_HEADER_CELLS for the headers of
+# its arrays, tuples and dict slot, and least recently used plans go once
+# the charges pass _PLAN_BUDGET, so the cache retains at most about
+# _PLAN_BUDGET x 8 bytes, 4 MB, whatever the instances.
 _PLAN_CELLS = 65_536
 _PLAN_BUDGET = 524_288
 _PLAN_KEY_CELLS = 8
@@ -284,65 +286,63 @@ def _chunk_rows(cells_per_row: int) -> int:
     return max(_MIN_CHUNK_ROWS, _CHUNK_CELLS // cells_per_row)
 
 
-def _combos(ks: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (C, s) point combos of size s in lexicographic order, and the
-    (C + 1,) first position of each combo's candidate product (last one:
-    the total)."""
-    combos = np.array(list(itertools.combinations(range(len(ks)), s)))
-    return combos, np.concatenate([[0], np.cumsum(ks[combos].prod(axis=1))])
-
-
-def _rows_between(ks, offsets, combos, starts, first: int, last: int) -> np.ndarray:
-    """Rows first..last-1 of the enumeration of combos and starts (see
-    :func:`_candidate_rows`)."""
+def _rows_between(plan, first: int, last: int) -> np.ndarray:
+    """Rows first..last-1 of the plan's enumeration (see :func:`_candidate_rows`)."""
+    ks, offsets, combos, starts, strides, _ = plan
     pos = np.arange(first, last)
     combo = np.searchsorted(starts, pos, side="right") - 1
     pts = combos[combo]
-    # Mixed-radix digits of the position within its combo's product.
-    local = pos - starts[combo]
-    idx = np.empty_like(pts)
-    for t in range(pts.shape[1] - 1, -1, -1):
-        k = ks[pts[:, t]]
-        idx[:, t] = offsets[pts[:, t]] + local % k
-        local //= k
+    # Mixed-radix digits of the position within its combo's product, worked
+    # in place: building held rows makes few (rows, s) temporaries.
+    idx = (pos - starts[combo])[:, None] // strides[combo]
+    idx %= ks[pts]
+    idx += offsets[pts]
     return idx
 
 
-def _build_plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
-    """The enumeration plan of size-s bases of points with ks candidates
-    numbered from offsets: (combos, starts, rows), read-only, with rows the
-    whole (total, s) array of :func:`_candidate_rows` when it fits in
-    _PLAN_CELLS cells beside the combos and starts, else None.  None when
-    not even those fit."""
-    if math.comb(len(ks), s) * (s + 1) + 1 > _PLAN_CELLS:
-        return None
+def _build_plan(ks: tuple[int, ...], s: int):
+    """The enumeration plan of size-s bases of points with ks candidates:
+    (ks, offsets, combos, starts, strides, rows), read-only.  combos are the
+    (C, s) point combos in lexicographic order, starts the (C + 1,) first
+    position of each combo's candidate product (last one: the total), and
+    strides the (C, s) place values of each combo's candidate digits, the
+    last point's varying fastest; rows are the whole (total, s) array of
+    :func:`_candidate_rows` when it fits in _PLAN_CELLS cells beside the
+    other arrays, else None."""
     k = np.array(ks)
-    combos, starts = _combos(k, s)
+    combos = np.array(list(itertools.combinations(range(len(ks)), s)))
+    # The product of each combo's counts from slot t on.
+    tails = np.cumprod(k[combos][:, ::-1], axis=1)[:, ::-1]
+    strides = np.ones_like(combos)
+    strides[:, :-1] = tails[:, 1:]
+    starts = np.concatenate([[0], np.cumsum(tails[:, 0])])
+    plan = (k, np.cumsum(k) - k, combos, starts, strides, None)
     total = int(starts[-1])
-    rows = None
-    if combos.size + starts.size + total * s <= _PLAN_CELLS:
-        rows = _rows_between(k, np.array(offsets), combos, starts, 0, total)
-    for a in (combos, starts, rows):
+    if sum(a.size for a in plan[:-1]) + total * s <= _PLAN_CELLS:
+        plan = (*plan[:-1], _rows_between(plan, 0, total))
+    for a in plan:
         if a is not None:
             a.flags.writeable = False
-    return combos, starts, rows
+    return plan
 
 
-# (ks, offsets, s) -> (plan, charged cells), least recently used first.
+# (ks, s) -> (plan, charged cells), least recently used first.
 _PLANS: dict = {}
 
 
-def _plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
+def _plan(ks: tuple[int, ...], s: int):
     """The plan of :func:`_build_plan`, kept in _PLANS from its first call
-    on; a None plan is not kept.  A new plan evicts the least recently used
-    ones until the charges fit in _PLAN_BUDGET."""
-    key = (ks, offsets, s)
+    on when its arrays fit in _PLAN_CELLS, else built for this call alone.
+    A new plan evicts the least recently used ones until the charges fit in
+    _PLAN_BUDGET."""
+    key = (ks, s)
     entry = _PLANS.pop(key, None)
     if entry is None:
-        plan = _build_plan(ks, offsets, s)
-        if plan is None:
-            return None
-        charge = sum(a.size for a in plan if a is not None) + _PLAN_KEY_CELLS * len(ks) + _PLAN_HEADER_CELLS
+        plan = _build_plan(ks, s)
+        cells = sum(a.size for a in plan if a is not None)
+        if cells > _PLAN_CELLS:
+            return plan
+        charge = cells + _PLAN_KEY_CELLS * len(ks) + _PLAN_HEADER_CELLS
         entry = plan, charge
         held = charge + sum(c for _, c in _PLANS.values())
         while _PLANS and held > _PLAN_BUDGET:
@@ -352,27 +352,17 @@ def _plan(ks: tuple[int, ...], offsets: tuple[int, ...], s: int):
     return entry[0]
 
 
-def _plan_of(ks: np.ndarray, offsets: np.ndarray, s: int):
-    """(combos, starts, rows or None) of (ks, offsets, s): the cached plan,
-    or the combos and starts built for this call when the plan holds none."""
-    plan = _plan(tuple(ks.tolist()), tuple(offsets.tolist()), s)
-    return plan if plan is not None else (*_combos(ks, s), None)
-
-
-def _candidate_rows(ks: np.ndarray, offsets: np.ndarray, s: int, rows: int):
-    """Every choice of one candidate from each of s distinct points, as
-    (rows, s) arrays of global candidate indices: point combos in
-    lexicographic order, then candidates in ``itertools.product`` order,
-    cut into chunks of at most ``rows`` rows.  With s = n these are all
-    supports.  ``offsets`` are the global indices of each point's first
-    candidate.  Chunks are read-only slices of the plan's rows when it
-    holds them, built chunk by chunk otherwise; the plan is keyed on the
-    offsets too, so both give the same rows."""
-    combos, starts, whole = _plan_of(ks, offsets, s)
+def _candidate_rows(plan, rows: int):
+    """Every choice of one candidate from each of s distinct points, in the
+    order of the plan of (ks, s), as (rows, s) arrays of global candidate
+    indices cut into chunks of at most ``rows`` rows.  With s = n these are
+    all supports.  Chunks are read-only slices of the plan's rows when it
+    holds them, decoded chunk by chunk otherwise."""
+    _, _, _, starts, _, whole = plan
     total = int(starts[-1])
     for first in range(0, total, rows):
         last = min(first + rows, total)
-        yield whole[first:last] if whole is not None else _rows_between(ks, offsets, combos, starts, first, last)
+        yield whole[first:last] if whole is not None else _rows_between(plan, first, last)
 
 
 def _index_chunks(prep: _Prepared):
@@ -381,10 +371,11 @@ def _index_chunks(prep: _Prepared):
     lexicographic order, cut into chunks of a number of rows fixed per
     basis size (see _CHUNK_CELLS)."""
     jset = prep.jset
+    ks = tuple(jset.ks.tolist())
     mask_cells = jset.n * jset.k_max
     for s in range(1, prep.beta + 1):
         rows = _chunk_rows(4 * s if s == jset.n else mask_cells)
-        yield from _candidate_rows(jset.ks, jset.offsets, s, rows)
+        yield from _candidate_rows(_plan(ks, s), rows)
 
 
 def _extrema(cols, op):
@@ -550,7 +541,7 @@ def _counted_bases(prep: _Prepared):
 
 
 def _basis_object(prep: _Prepared, row, value: float) -> Basis:
-    members = prep.members()
+    members = prep.members
     return Basis(prep.measure, tuple(members[g] for g in row), value)
 
 
@@ -677,7 +668,7 @@ def brute_force_distribution(
     # each of the ``width`` cells a support takes.
     chunks = [
         _merge_equal(values_of(idx), _numerators(prep, idx, None)[1])
-        for idx in _candidate_rows(jset.ks, jset.offsets, n, _chunk_rows(4 * width))
+        for idx in _candidate_rows(_plan(tuple(jset.ks.tolist()), n), _chunk_rows(4 * width))
     ]
     # A lone chunk is merged already.
     values, nums = chunks[0] if len(chunks) == 1 else _merge_equal(*map(np.concatenate, zip(*chunks)))
@@ -714,14 +705,16 @@ def _seb2_support_values(prep: _Prepared):
 
     The canonical ball radius of every candidate pair and strictly acute
     candidate triple (one candidate from each of 2 or 3 distinct points) is
-    computed once, in :func:`_candidate_rows` order; other triples get 0.
-    A support's value is the largest radius over its pairs and triples,
-    found at the mixed-radix position of its candidates in those tables."""
-    ks, offsets = prep.jset.ks, prep.jset.offsets
+    computed once, in the order of its plan (:func:`_plan`); other triples
+    get 0.  A support's value is the largest radius over its pairs and
+    triples, found in those tables at the position the plan's starts and
+    strides give its candidates' digits."""
+    ks, offsets = tuple(prep.jset.ks.tolist()), prep.jset.offsets
     tables = []
     for s in range(2, min(prep.jset.n, 3) + 1):
+        plan = _plan(ks, s)
         radii = []
-        for idx in _candidate_rows(ks, offsets, s, _chunk_rows(4 * s)):
+        for idx in _candidate_rows(plan, _chunk_rows(4 * s)):
             xs = prep.fx[idx]
             ys = prep.fy[idx]
             if s == 2:
@@ -731,10 +724,7 @@ def _seb2_support_values(prep: _Prepared):
             acute = _strictly_acute(xs, ys)
             r[acute] = _seb2_balls(xs[acute], ys[acute])[:, 2]
             radii.append(r)
-        combos, starts, _ = _plan_of(ks, offsets, s)
-        strides = np.ones_like(combos)
-        # Candidate digits of a combo vary in itertools.product order.
-        strides[:, :-1] = np.cumprod(ks[combos][:, :0:-1], axis=1)[:, ::-1]
+        _, _, combos, starts, strides, _ = plan
         tables.append((combos, starts[:-1], strides, np.concatenate(radii)))
 
     def values_of(idx):

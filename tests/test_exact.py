@@ -661,8 +661,8 @@ def test_oracle_chunk_boundaries_keep_bits(monkeypatch, rows):
     chunk_rows = []
     real_rows = exact_mod._candidate_rows
 
-    def recording_rows(ks, offsets, s, r):
-        for idx in real_rows(ks, offsets, s, r):
+    def recording_rows(plan, r):
+        for idx in real_rows(plan, r):
             chunk_rows.append(idx.shape)
             yield idx
 
@@ -1137,7 +1137,8 @@ def test_oracle_extents_by_columns_have_the_bits_of_the_support_stack(monkeypatc
             prep = exact_mod._Prepared(uset, m)
             frames = prep.fx if m.kind == "dwid" else np.column_stack([prep.fx, prep.fy])
             jset = prep.jset
-            for idx in exact_mod._candidate_rows(jset.ks, jset.offsets, jset.n, exact_mod._chunk_rows(4 * 2 * jset.n)):
+            plan = exact_mod._plan(tuple(jset.ks.tolist()), jset.n)
+            for idx in exact_mod._candidate_rows(plan, exact_mod._chunk_rows(4 * 2 * jset.n)):
                 got = exact_mod._support_extent_values(prep, idx)
                 assert got.tobytes() == _frame_values(m.kind, frames[idx]).tobytes(), m.kind
 
@@ -1251,42 +1252,58 @@ def test_plans_leave_every_bit_unchanged(monkeypatch, fresh_plans):
     monkeypatch.setattr(exact_mod, "_build_plan", build)
     # Both kinds of plan were read: rows held whole, and combos only, whose
     # rows streamed (the 4-point bases and the supports of the 6-point set).
-    assert _plan_of(exact_mod, (3,) * 5, 5)[2] is not None
-    assert _plan_of(exact_mod, (6,) * 6, 3)[2] is not None
-    assert _plan_of(exact_mod, (6,) * 6, 4)[2] is None and _plan_of(exact_mod, (6,) * 6, 6)[2] is None
+    assert exact_mod._plan((3,) * 5, 5)[-1] is not None
+    assert exact_mod._plan((6,) * 6, 3)[-1] is not None
+    assert exact_mod._plan((6,) * 6, 4)[-1] is None and exact_mod._plan((6,) * 6, 6)[-1] is None
     monkeypatch.setattr(exact_mod, "_PLAN_CELLS", 0)
     exact_mod._PLANS.clear()
     assert [_engine_bits(u) for u in usets] == planned
-    assert _plan_of(exact_mod, (3,) * 5, 5) is None
+    assert not exact_mod._PLANS
 
 
-def _plan_of(exact_mod, ks, s):
-    """The cached plan of size-s bases of points with ks candidates, numbered
-    as the engines number them."""
-    return exact_mod._plan(ks, tuple(np.cumsum(ks) - ks), s)
+def test_rows_held_streamed_and_encoded_follow_one_order(monkeypatch, fresh_plans):
+    import itertools
 
-
-def test_held_rows_follow_the_offsets_given(monkeypatch, fresh_plans):
     exact_mod = fresh_plans
-    ks = np.array([3, 2, 4])
-    for offsets in (np.cumsum(ks) - ks, np.array([5, 0, 9])):
-        held = np.concatenate(list(exact_mod._candidate_rows(ks, offsets, 2, 5)))
-        assert exact_mod._plan((3, 2, 4), tuple(offsets.tolist()), 2)[2] is not None
+    rng = np.random.default_rng(50)
+    ks = tuple(int(k) for k in rng.integers(1, 5, size=6))
+    ks = ks[:2] + (1,) + ks[3:]
+    assert len(set(ks)) > 2
+    offsets = np.cumsum(ks) - ks
+    for s in range(1, len(ks) + 1):
+        # Reference: point combos in lexicographic order, then candidates in
+        # itertools.product order, numbered from the offsets.
+        want = np.array([
+            [offsets[p] + c for p, c in zip(pts, cands)]
+            for pts in itertools.combinations(range(len(ks)), s)
+            for cands in itertools.product(*(range(ks[p]) for p in pts))
+        ])
+        plan = exact_mod._plan(ks, s)
+        assert plan[-1] is not None
+        held = np.concatenate(list(exact_mod._candidate_rows(plan, 5)))
         with monkeypatch.context() as m:
             m.setattr(exact_mod, "_PLAN_CELLS", 0)
             exact_mod._PLANS.clear()
-            streamed = np.concatenate(list(exact_mod._candidate_rows(ks, offsets, 2, 5)))
-        exact_mod._PLANS.clear()
-        assert np.array_equal(held, streamed)
+            streamed_plan = exact_mod._plan(ks, s)
+            assert streamed_plan[-1] is None and (ks, s) not in exact_mod._PLANS
+            streamed = np.concatenate(list(exact_mod._candidate_rows(streamed_plan, 5)))
+        assert np.array_equal(held, want) and np.array_equal(streamed, want), s
+        # Each row's position, encoded as the oracle's seb2 tables encode it
+        # from the plan's starts and strides, is the row's index.
+        _, _, combos, starts, strides, _ = plan
+        point_of = np.repeat(np.arange(len(ks)), ks)[want]
+        index = {c: i for i, c in enumerate(map(tuple, combos.tolist()))}
+        c = np.array([index[p] for p in map(tuple, point_of.tolist())])
+        pos = starts[c] + ((want - offsets[point_of]) * strides[c]).sum(axis=1)
+        assert np.array_equal(pos, np.arange(len(want))), s
 
 
 def test_plan_arrays_are_read_only(fresh_plans):
     exact_mod = fresh_plans
-    ks = np.array([3, 2, 4])
-    chunk = next(exact_mod._candidate_rows(ks, np.cumsum(ks) - ks, 2, 64))
+    chunk = next(exact_mod._candidate_rows(exact_mod._plan((3, 2, 4), 2), 64))
     with pytest.raises(ValueError, match="read-only"):
         chunk[0, 0] = 0
-    for array in _plan_of(exact_mod, (3, 2, 4), 2):
+    for array in exact_mod._plan((3, 2, 4), 2):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -1304,7 +1321,7 @@ def test_plan_cache_retains_at_most_its_bound(monkeypatch, fresh_plans):
 
     def build(*key):
         plan = real(*key)
-        cells.append(sum(a.size for a in plan or () if a is not None))
+        cells.append(sum(a.size for a in plan if a is not None))
         return plan
 
     monkeypatch.setattr(exact_mod, "_build_plan", build)
@@ -1312,9 +1329,8 @@ def test_plan_cache_retains_at_most_its_bound(monkeypatch, fresh_plans):
     try:
         before = tracemalloc.get_traced_memory()[0]
         for ks in sorted(shapes):
-            k = np.array(ks)
             for s in {1, 2, min(3, len(ks)), len(ks)}:
-                for _ in exact_mod._candidate_rows(k, np.cumsum(k) - k, s, 4096):
+                for _ in exact_mod._candidate_rows(exact_mod._plan(ks, s), 4096):
                     pass
                 assert sum(c for _, c in exact_mod._PLANS.values()) <= exact_mod._PLAN_BUDGET
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -1422,7 +1438,7 @@ def test_lazy_basis_members_match_eager_list():
         ]
         for m in MEASURES:
             prep = exact_mod._Prepared(uset, m)
-            assert prep._members is None
+            assert "members" not in vars(prep)
             want_records = [
                 Basis(m, tuple(eager[g] for g in row), value)
                 for idx, values, _, _ in exact_mod._counted_bases(prep)
@@ -1434,11 +1450,11 @@ def test_lazy_basis_members_match_eager_list():
                 want_bases += [
                     Basis(m, tuple(eager[g] for g in row), v) for row, v in zip(idx.tolist(), values.tolist())
                 ]
-            assert prep._members is None
+            assert "members" not in vars(prep)
             dist = exact_distribution(uset, m)
             assert [r.basis for r in dist.records] == want_records
             assert list(enumerate_potential_bases(uset, m)) == want_bases
-            assert prep.members() == eager and prep.members() is prep.members()
+            assert prep.members == eager and prep.members is prep.members
 
 
 def test_combo_count_matches_itertools_sum():
