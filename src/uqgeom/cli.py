@@ -18,51 +18,13 @@ import numpy as np
 from . import exact as exact_mod
 from . import harness, isolines, montecarlo, sip
 from .discretize import discretize_for_measure
-from .measures import MeasureId, NotLPTypeError, combinatorial_dimension
-from .model import IndecisivePointSet, ResourceCapError, ValidationError, load_point_set, save_point_set
+from .measures import MeasureId, NotLPTypeError
+from .model import ResourceCapError, ValidationError, load_point_set, save_point_set
 from .quantize import quantization_to_csv
-
-
-# Caps checked before anything is allocated (exit 3).  A randomized run
-# samples m supports of n points each, and m x n is bounded by over three
-# times the largest run the default flags make (the experiment:
-# 20 000 + 200 x 1360 supports of 50 points, 1.46e7 points).  Larger runs
-# call the library, which has no cap.
-_SAMPLE_CAP = 50_000_000
-# Cells of a --grid raster: 4096 x 4096 float64 values, 128 MB.
-_GRID_CELLS_CAP = 4096 * 4096
-# Potential bases of an exact run (exact, sip-exact): over three times the
-# largest count the CLI's own defaults make (seb2 on the default
-# discretization of 3 uniform disks, 322 + 322 + 323 candidates,
-# 3.38e7 potential bases).
-_BASIS_CAP = 120_000_000
 
 
 def _load(path: str):
     return load_point_set(Path(path).read_text())
-
-
-def _check_samples(m: int, n: int, flags: str = "--m, --eps or --delta") -> None:
-    """Refuse a run of m sampled supports of n points beyond _SAMPLE_CAP;
-    ``flags`` name what sets m."""
-    if m * n > _SAMPLE_CAP:
-        raise ResourceCapError(
-            f"the run samples {m} supports of {n} points, {m * n} points, exceeding the "
-            f"cap of {_SAMPLE_CAP}; rerun with fewer samples ({flags})"
-        )
-
-
-def _check_bases(uset, measure: MeasureId) -> None:
-    """Refuse an exact run of more than _BASIS_CAP potential bases, counted
-    from the candidate counts before anything is jittered or allocated (a
-    set the engine cannot take is left to its own refusal)."""
-    if isinstance(uset, IndecisivePointSet):
-        beta = min(combinatorial_dimension(measure, 2), uset.n)
-        count = exact_mod.combo_count(uset.ks.tolist(), beta)
-        if count > _BASIS_CAP:
-            raise ResourceCapError(
-                f"the exact engine would enumerate {count} potential bases, exceeding the cap of {_BASIS_CAP}"
-            )
 
 
 def _given(args, *names) -> dict:
@@ -84,12 +46,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError("grid must be W,H")
-    (w, h), _ = sip.check_window(grid=parts)
-    if w * h > _GRID_CELLS_CAP:
-        raise ResourceCapError(
-            f"--grid {w},{h} has {w * h} cells, exceeding the cap of {_GRID_CELLS_CAP}"
-        )
-    return w, h
+    return sip.check_window(grid=parts)[0]
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
@@ -117,7 +74,6 @@ def _write(path: str, text: str):
 def _cmd_quantize(args) -> int:
     uset = _load(args.input)
     budget = _budget(args)
-    _check_samples(budget.m, uset.n)
     q = montecarlo.build_quantization(
         uset, MeasureId.parse(args.measure), budget, args.seed, simplify_output=args.simplify
     )
@@ -128,9 +84,7 @@ def _cmd_quantize(args) -> int:
 def _cmd_kvariate(args) -> int:
     uset = _load(args.input)
     measures = [MeasureId.parse(t) for t in args.measures.split(";")]
-    budget = _budget(args)
-    _check_samples(budget.kvariate(len(measures)).m, uset.n)
-    q = montecarlo.build_kvariate_quantization(uset, measures, budget, args.seed)
+    q = montecarlo.build_kvariate_quantization(uset, measures, _budget(args), args.seed)
     lines = [",".join(f"v{i}" for i in range(q.arity)) + ",weight"]
     for row, w in zip(q.values, q.weights):
         lines.append(",".join(f"{v:.17g}" for v in row) + f",{w:.17g}")
@@ -142,9 +96,7 @@ def _cmd_kernel(args) -> int:
     uset = _load(args.input)
     direction = tuple(float(x) for x in args.direction.split(","))
     montecarlo.kernel_direction(direction, uset.dimension)
-    budget = _budget(args)
-    _check_samples(budget.m, uset.n)
-    kernels = montecarlo.build_eda_kernel(uset, args.alpha, budget, args.seed)
+    kernels = montecarlo.build_eda_kernel(uset, args.alpha, _budget(args), args.seed)
     _write(args.out, quantization_to_csv(montecarlo.query_eda_kernel(kernels, direction)))
     return 0
 
@@ -153,7 +105,6 @@ def _cmd_sip_random(args) -> int:
     flags = _sip_flags(args)
     uset = _load(args.input)
     budget = _budget(args)
-    _check_samples(budget.m, uset.n)
     field = montecarlo.build_random_sip(uset, MeasureId.parse(args.measure), budget, args.seed)
     return _emit_sip(field, flags, args)
 
@@ -161,9 +112,7 @@ def _cmd_sip_random(args) -> int:
 def _cmd_sip_exact(args) -> int:
     flags = _sip_flags(args)
     uset = _load(args.input)
-    measure = MeasureId.parse(args.measure)
-    _check_bases(uset, measure)
-    field = exact_mod.deterministic_sip(uset, measure)
+    field = exact_mod.deterministic_sip(uset, MeasureId.parse(args.measure))
     return _emit_sip(field, flags, args)
 
 
@@ -181,18 +130,14 @@ def _emit_sip(field: sip.SipField, flags, args) -> int:
 
 def _cmd_exact(args) -> int:
     uset = _load(args.input)
-    measure = MeasureId.parse(args.measure)
-    _check_bases(uset, measure)
-    dist = exact_mod.exact_distribution(uset, measure)
+    dist = exact_mod.exact_distribution(uset, MeasureId.parse(args.measure))
     _write(args.out, quantization_to_csv(dist.collapsed))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     uset = _load(args.input)
-    dist = exact_mod.brute_force_distribution(
-        uset, MeasureId.parse(args.measure), **_given(args, "cap")
-    )
+    dist = exact_mod.brute_force_distribution(uset, MeasureId.parse(args.measure))
     _write(args.out, quantization_to_csv(dist.collapsed))
     return 0
 
@@ -221,7 +166,6 @@ def _cmd_experiment(args) -> int:
         m_values=tuple(int(x) for x in args.m_values.split(",")),
         **_given(args, "eta", "tau", "seed"),
     )
-    _check_samples(config.eta + config.tau * sum(config.m_values), generator.n, "--eta, --tau or --m-values")
     result = harness.run_deviation_experiment(config)
     written = result.write_csv(args.out)
     for mname, fit in result.fits.items():
@@ -311,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force distribution over all supports")
     common(p, budget=False)
     p.add_argument("--measure", required=True)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("discretize", help="continuous set -> indecisive set")

@@ -136,6 +136,26 @@ def combo_count(ks, beta: int) -> int:
     return sum(e[1:])
 
 
+# Potential bases an exact run may enumerate: over three times the largest
+# count the CLI's own defaults make (seb2 on the default discretization of
+# 3 uniform disks, 322 + 322 + 323 candidates, 3.38e7 potential bases).
+_BASIS_CAP = 120_000_000
+# Supports the brute-force oracle may enumerate.
+_SUPPORT_CAP = 10**6
+
+
+def _check_bases(uset, measure: MeasureId) -> None:
+    """Refuse an exact run of more than _BASIS_CAP potential bases, counted
+    from the candidate counts before anything is jittered or allocated (a
+    set the engine cannot take is left to its own refusal)."""
+    if isinstance(uset, IndecisivePointSet):
+        count = combo_count(uset.ks.tolist(), min(combinatorial_dimension(measure, 2), uset.n))
+        if count > _BASIS_CAP:
+            raise ResourceCapError(
+                f"the exact engine would enumerate {count} potential bases, exceeding the cap of {_BASIS_CAP}"
+            )
+
+
 def _frame_coords(measure: MeasureId, locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame coordinates (fx, fy) of planar locations (N, 2), which the
     exact engine validates and counts in and the oracle values: the
@@ -556,6 +576,7 @@ def enumerate_potential_bases(uset: IndecisivePointSet, measure: MeasureId):
 
     Bases are yielded regardless of whether any support realizes them (a
     basis whose non-members all violate contributes zero probability)."""
+    _check_bases(uset, measure)
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
     for idx in _index_chunks(prep):
@@ -588,7 +609,9 @@ def exact_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDis
     basis counting; O((nk)^(beta+1)) time).
 
     Raises ConservationError if the counted mass does not sum to exactly 1,
-    which would indicate an unresolved degeneracy.
+    which would indicate an unresolved degeneracy, and ResourceCapError,
+    before anything is jittered, on a set of more than ``_BASIS_CAP``
+    potential bases (as every exact entry point does).
 
     The collapse works on the engine's arrays: ``collapsed`` holds integer
     numerators over the product of the point denominators, and builds its
@@ -597,6 +620,7 @@ def exact_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDis
     read and builds one :class:`BasisRecord` per nonzero basis, in the
     same order.
     """
+    _check_bases(uset, measure)
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
     chunks = [(values, nums) for _, values, _, nums in _counted_bases(prep)]
@@ -613,12 +637,7 @@ def _basis_records(prep: _Prepared) -> tuple[BasisRecord, ...]:
     )
 
 
-def brute_force_distribution(
-    uset: IndecisivePointSet,
-    measure: MeasureId,
-    *,
-    cap: int = 1_000_000,
-) -> ExactDistribution:
+def brute_force_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDistribution:
     """Oracle distribution by full enumeration of all k^n supports.
 
     Works for every measure including diameter.  The set is prepared as
@@ -628,9 +647,10 @@ def brute_force_distribution(
 
     Supports are enumerated as arrays of global candidate indices, in
     ``itertools.product`` order and in chunks of bounded size, so memory
-    stays flat up to the cap.  A support's probability numerator is the
-    product of its candidates' integer weights (:func:`_numerators` on
-    bases of every point).  Values come from the formulas
+    stays flat up to ``_SUPPORT_CAP`` supports (``ResourceCapError``
+    beyond).  A support's probability numerator is the product of its
+    candidates' integer weights (:func:`_numerators` on bases of every
+    point).  Values come from the formulas
     :func:`uqgeom.measures.evaluate` uses, applied to the gathered frame
     coordinates.  A seb2 value is the largest canonical ball radius over
     the support's candidate pairs and strictly acute triples: the smallest
@@ -642,11 +662,8 @@ def brute_force_distribution(
     """
     _require_indecisive(uset)
     count = uset.support_count()
-    if count > cap:
-        raise ResourceCapError(
-            f"instance has {count} supports, exceeding the cap of {cap}; "
-            f"rerun with a cap of at least {count}"
-        )
+    if count > _SUPPORT_CAP:
+        raise ResourceCapError(f"instance has {count} supports, exceeding the cap of {_SUPPORT_CAP}")
     prep = _Prepared(uset, measure)
     jset = prep.jset
     n = jset.n
@@ -753,6 +770,7 @@ def deterministic_sip(uset: IndecisivePointSet, measure: MeasureId) -> SipField:
     numerators over the product of the point denominators, from which
     :meth:`~uqgeom.sip.SipField.from_arrays` derives the float weights.  Its
     queries and :func:`~uqgeom.sip.rasterize_sip` read these arrays."""
+    _check_bases(uset, measure)
     kind = shape_kind(measure)
     prep = _Prepared(uset, measure)
     chunks = [(shapes, nums) for _, _, shapes, nums in _counted_bases(prep)]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import MeasureId
 from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet, ValidationError
-from .montecarlo import sampled_values, trial_rng
+from .montecarlo import _check_samples, sampled_values, trial_rng
 from .quantize import Quantization1D, max_deviation, quantization_to_csv
 
 # Unused here; perfbench/layers.py patches both names on this module by getattr.
@@ -147,6 +147,7 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
     against one eta-sample reference per measure; returns the deviation
     quantizations and the per-measure fitted constant."""
     gen = config.generator
+    _check_samples(config.eta + config.tau * sum(config.m_values), gen.n, "--eta, --tau or --m-values")
     if isinstance(gen, CylinderConfig):
         uset = cylinder_uncertain_set(gen, config.seed)
     else:

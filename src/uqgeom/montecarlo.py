@@ -78,6 +78,20 @@ _STREAM_CHUNK = 1024
 # (8192 cells), 15.8 us in stacks of 327 (this budget) and 14.6 us in
 # stacks of 655, for twice the memory again.
 _CHUNK_CELLS = 32_768
+# Points a randomized run may sample, m supports x n points: over three
+# times the largest run the CLI's default flags make (the experiment:
+# 20 000 + 200 x 1360 supports of 50 points, 1.46e7 points).
+_SAMPLE_CAP = 50_000_000
+
+
+def _check_samples(m: int, n: int, flags: str = "--m, --eps or --delta") -> None:
+    """Refuse a run of m sampled supports of n points beyond _SAMPLE_CAP,
+    before anything is drawn or allocated; ``flags`` name what sets m."""
+    if m * n > _SAMPLE_CAP:
+        raise ResourceCapError(
+            f"the run samples {m} supports of {n} points, {m * n} points, exceeding the "
+            f"cap of {_SAMPLE_CAP}; rerun with fewer samples ({flags})"
+        )
 
 
 def _words(value: int) -> list[int]:
@@ -229,6 +243,7 @@ def sampled_values(
     chunk.  So planar seb2 solves a whole support stack in one pivoting
     search (327 sets of 50 points at the budget), and diameter takes the
     same sets a few at a time (6 of 50 points)."""
+    _check_samples(count, uset.n)
     values = np.empty((count, len(measures)))
     rows = [_chunk_rows(uset, (measure,)) for measure in measures]
     done = 0
@@ -437,6 +452,7 @@ def build_eda_kernel(
     """An (eps, delta, alpha)-kernel: m sampled supports, each reduced to an
     (alpha/2)-kernel, in trial order.  ``alpha`` must lie in (0, 1); it is
     checked before any support is drawn."""
+    _check_samples(budget.m, uset.n)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     return tuple(
@@ -484,6 +500,7 @@ def build_random_sip(
     exact numerators: per chunk of stacked supports, one pivoting search
     for the disks (``measures._seb2_pivot``, so each radius has the bits of
     ``evaluate(seb2, support)``), or one min/max for rectangles."""
+    _check_samples(budget.m, uset.n)
     kind = shape_kind(measure)
     if uset.dimension != 2:
         raise ValidationError("randomized SIP supports d=2 only")

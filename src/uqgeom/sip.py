@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import _WEIGHT_SLACK
-from .model import ValidationError
+from .model import ResourceCapError, ValidationError
 
 __all__ = [
     "DISK",
@@ -262,17 +262,24 @@ class SipField:
         return np.minimum(out, 1.0)
 
 
+# Cells of a raster grid: 4096 x 4096 float64 values, 128 MB.
+_GRID_CELLS_CAP = 4096 * 4096
+
+
 def check_window(grid=None, bounds=None):
     """A raster window's (w, h) grid as ints and (x0, y0, x1, y1) bounds as
-    floats, each checked when given: the grid must be positive and the
-    bounds finite, well-ordered and of finite width and height
-    (``ValueError``).  The CLI checks its flags with it before it builds a
-    field, :func:`rasterize_sip` its window before any work, and a
-    :class:`Raster` its bounds."""
+    floats, each checked when given: the grid must be positive
+    (``ValueError``) and of at most ``_GRID_CELLS_CAP`` cells
+    (``ResourceCapError``), and the bounds finite, well-ordered and of
+    finite width and height (``ValueError``).  The CLI checks its flags
+    with it before it builds a field, :func:`rasterize_sip` its window
+    before any work, and a :class:`Raster` its bounds."""
     if grid is not None:
-        grid = int(grid[0]), int(grid[1])
-        if grid[0] <= 0 or grid[1] <= 0:
+        w, h = grid = int(grid[0]), int(grid[1])
+        if w <= 0 or h <= 0:
             raise ValueError("grid dimensions must be positive")
+        if w * h > _GRID_CELLS_CAP:
+            raise ResourceCapError(f"--grid {w},{h} has {w * h} cells, exceeding the cap of {_GRID_CELLS_CAP}")
     if bounds is not None:
         x0, y0, x1, y1 = bounds = tuple(float(v) for v in bounds)
         if not all(math.isfinite(v) for v in bounds):

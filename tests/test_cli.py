@@ -1,10 +1,12 @@
 import argparse
+import ast
 import contextlib
 import copy
 import hashlib
 import io
 import json
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -78,9 +80,10 @@ def test_exact_diameter_exit_code(indecisive_file, tmp_path):
     assert rc == 2
 
 
-def test_oracle_cap_exit_code(indecisive_file, tmp_path):
+def test_oracle_cap_exit_code(indecisive_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod.exact_mod, "_SUPPORT_CAP", 2)
     rc = main(["oracle", "--input", str(indecisive_file), "--measure", "seb2",
-               "--cap", "2", "--out", str(tmp_path / "x.csv")])
+               "--out", str(tmp_path / "x.csv")])
     assert rc == 3
 
 
@@ -248,13 +251,11 @@ def test_defaults_live_in_the_library():
         ("kernel", ["--alpha", "0.2", "--direction", "0.6,0.8", "--eps", "0.2", "--delta", "0.1"]),
         ("sip-random", ["--measure", "seb2", "--grid", "8,8", "--bounds=-1,-1,3,3", "--eps", "0.2",
                         "--delta", "0.1"]),
-        ("oracle", ["--measure", "seb2"]),
     ],
 )
 def test_omitted_flags_and_the_former_defaults_give_the_same_bytes(command, flags, indecisive_file, tmp_path):
-    former = ["--cap", "1000000"] if command == "oracle" else ["--nu", "1", "--constant-c", "0.5"]
     outputs = []
-    for extra in ([], former):
+    for extra in ([], ["--nu", "1", "--constant-c", "0.5"]):
         out = tmp_path / f"run-{len(extra)}"
         out.mkdir()
         assert main([command, "--input", str(indecisive_file), *flags, *extra, "--out", str(out / "out")]) == 0
@@ -1025,6 +1026,20 @@ def _refusing(monkeypatch, *names):
         monkeypatch.setattr(getattr(cli_mod, module), attr, fail)
 
 
+def test_the_cli_keeps_no_cap():
+    # Each cap lives in the library module whose entry points enforce it;
+    # the CLI only maps ResourceCapError to exit 3.
+    tree = ast.parse(Path(cli_mod.__file__).read_text())
+    names = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    names += [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    names += [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef, ast.alias))]
+    assert [name for name in names if name.endswith("_CAP")] == []
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "ResourceCapError"]
+    main_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [h.type for h in ast.walk(main_fn) if isinstance(h, ast.ExceptHandler)]
+    assert len(uses) == 1 and any(h is uses[0] for h in handlers)
+
+
 _SAMPLED_ARGV = {
     "quantize": ["--measure", "seb2"],
     "kvariate": ["--measures", "seb2;aabb-area"],
@@ -1037,8 +1052,8 @@ _SAMPLED_ARGV = {
 def test_sample_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch, capsys):
     # eps = 1e-7 asks for about 2e14 supports: once an allocation error
     # traceback (quantize, kvariate, sip-random), or hours of sampling.
-    _refusing(monkeypatch, "montecarlo.sampled_values", "montecarlo._support_stacks",
-              "harness.run_deviation_experiment")
+    _refusing(monkeypatch, "montecarlo.draw_supports", "montecarlo._support_stacks",
+              "harness.cylinder_uncertain_set")
     out = tmp_path / "out"
     if command == "experiment":
         argv = ["experiment", "--n", "3", "--tau", "10000000000", "--out", str(out)]
@@ -1064,7 +1079,7 @@ def test_sample_cap_counts_supports_times_points(command, indecisive_file, tmp_p
         base = [command, "--input", str(indecisive_file), *_SAMPLED_ARGV[command], "--eps", "0.2",
                 "--delta", "0.1", "--m", "12"]
     for cap, code in ((36, 0), (35, 3)):
-        monkeypatch.setattr(cli_mod, "_SAMPLE_CAP", cap)
+        monkeypatch.setattr(cli_mod.montecarlo, "_SAMPLE_CAP", cap)
         out = tmp_path / f"out-{cap}"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*base, "--out", str(out)]) == code
@@ -1164,8 +1179,7 @@ _EXACT_ARGV = {
 def test_basis_cap_exit_code(command, tmp_path, monkeypatch, capsys):
     # Three points of 500 candidates: 3 * 500 + 3 * 500**2 + 500**3 seb2
     # potential bases, once hours of enumeration.  Refused before the jitter.
-    _refusing(monkeypatch, "exact_mod.exact_distribution", "exact_mod.deterministic_sip",
-              "exact_mod.canonical_jitter", "sip.rasterize_sip")
+    _refusing(monkeypatch, "exact_mod.canonical_jitter", "sip.rasterize_sip")
     locs = [[i * 0.01, (i * 7 % 500) * 0.01] for i in range(500)]
     doc = {"dimension": 2, "model": "indecisive",
            "points": [{"locations": locs, "weights": ["1/500"] * 500} for _ in range(3)]}
@@ -1188,7 +1202,7 @@ def test_basis_cap_counts_potential_bases(command, measure, count, indecisive_fi
     argv = [command, "--input", str(indecisive_file), *_EXACT_ARGV[command]]
     argv[argv.index("seb2")] = measure
     for cap, code in ((count, 0), (count - 1, 3)):
-        monkeypatch.setattr(cli_mod, "_BASIS_CAP", cap)
+        monkeypatch.setattr(cli_mod.exact_mod, "_BASIS_CAP", cap)
         out = tmp_path / f"out-{cap}"
         assert main([*argv, "--out", str(out)]) == code
         assert out.exists() == (code == 0)
@@ -1331,12 +1345,9 @@ _INTEGERS = st.one_of(st.integers(-2, 10**22).map(str), _SPECIAL_NUMBERS)
 # Counts the caps let through stay small: a lattice of 64 candidates at most.
 _CANDIDATE_COUNTS = st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["65537", str(10**40)]),
                               _SPECIAL_NUMBERS)
-# The oracle's cap is replaced only by values that fail to parse or stay
-# small, so no fuzzed oracle run enumerates more than the base run does.
-_CAPS = st.sampled_from(["-1", "0", "1", "60", "", "x", "nan", "1e3", "4.5"])
 _FLAG_VALUES = {
     "--grid": _GRIDS, "--bounds": _BOUNDS, "--levels": _LEVELS, "--measure": _MEASURE_NAMES,
-    "--measures": _MEASURE_LISTS, "--m-values": _M_VALUES, "--direction": _DIRECTIONS, "--cap": _CAPS,
+    "--measures": _MEASURE_LISTS, "--m-values": _M_VALUES, "--direction": _DIRECTIONS,
     "--m": _INTEGERS, "--n": _INTEGERS, "--eta": _INTEGERS, "--tau": _INTEGERS, "--seed": _INTEGERS,
     "--points-per-point": _CANDIDATE_COUNTS,
 }
@@ -1351,7 +1362,7 @@ _ARGV_BASES = {
     "sip-random": ("indecisive", {"--measure": "seb2", **_BUDGET, **_SIP}),
     "sip-exact": ("indecisive", {"--measure": "aabb-perimeter", **_SIP}),
     "exact": ("indecisive", {"--measure": "seb2"}),
-    "oracle": ("indecisive", {"--measure": "sebinf", "--cap": "64"}),
+    "oracle": ("indecisive", {"--measure": "sebinf"}),
     "discretize": ("continuous", {"--measure": "aabb-perimeter", "--eps": "0.5", "--points-per-point": "4"}),
     "experiment": (None, {"--n": "3", "--eta": "8", "--tau": "2", "--m-values": "2,4",
                           "--measures": "diameter;seb2", "--sigma": "0.5"}),
@@ -1362,9 +1373,8 @@ _ARGV_BASES = {
 @st.composite
 def _fuzzed_argv(draw):
     """A subcommand's small valid run with one or two flags replaced by odd
-    values, or dropped, and at times a stray argument added.  The oracle's
-    base sets a small cap, and the test a small sample cap, so no replaced
-    flag makes a run large."""
+    values, or dropped, and at times a stray argument added.  The test sets
+    small support and sample caps, so no replaced flag makes a run large."""
     run = draw(st.sampled_from(sorted(_ARGV_BASES)))
     command = run.split()[0]
     source, flags = _ARGV_BASES[run]
@@ -1409,7 +1419,8 @@ def test_fuzzed_argv_exit_0_2_3_or_4(tmp_path_factory, argv_inputs, fuzzed):
     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
         # A numpy warning means an overflow or NaN went on into the output.
         warnings.simplefilter("error")
-        with contextlib.redirect_stdout(io.StringIO()), mock.patch.object(cli_mod, "_SAMPLE_CAP", 1024):
+        with contextlib.redirect_stdout(io.StringIO()), mock.patch.object(cli_mod.montecarlo, "_SAMPLE_CAP", 1024), \
+                mock.patch.object(cli_mod.exact_mod, "_SUPPORT_CAP", 64):
             code = _run_cli(argv)
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue()

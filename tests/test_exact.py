@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -255,13 +256,16 @@ def test_exact_refuses_diameter():
         list(enumerate_potential_bases(uset, MeasureId("diameter")))
 
 
-def test_brute_force_diameter_and_cap():
+def test_brute_force_diameter_and_cap(monkeypatch):
+    import uqgeom.exact as exact_mod
+
     uset = random_indecisive(np.random.default_rng(2), 2, 2)
     dist = brute_force_distribution(uset, MeasureId("diameter"))
     assert len(dist.collapsed) <= 4
     assert sum(dist.collapsed.weights) == 1
-    with pytest.raises(ResourceCapError, match="cap"):
-        brute_force_distribution(uset, MeasureId("diameter"), cap=3)
+    monkeypatch.setattr(exact_mod, "_SUPPORT_CAP", 3)
+    with pytest.raises(ResourceCapError, match="instance has 4 supports, exceeding the cap of 3"):
+        brute_force_distribution(uset, MeasureId("diameter"))
 
 
 def test_exact_cdf_matches_enumeration(rng):
@@ -709,11 +713,48 @@ def test_oracle_checks_cap_and_dimension_before_allocating(monkeypatch):
     u = (Fraction(1, 2), Fraction(1, 2))
     huge = IndecisivePointSet(tuple(IndecisivePoint([(i, 0.0), (i, 1.0)], u) for i in range(64)), 2)
     for m in (MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("diameter")):
-        with pytest.raises(ResourceCapError, match="rerun with a cap of at least 18446744073709551616"):
+        with pytest.raises(ResourceCapError, match="has 18446744073709551616 supports, exceeding the cap of 1000000$"):
             brute_force_distribution(huge, m)
     flat3 = IndecisivePointSet((IndecisivePoint([(0.0, 0.0, 1.0)], (Fraction(1),)),), 3)
     with pytest.raises(ValidationError, match="d=2"):
         brute_force_distribution(flat3, MeasureId("diameter"))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [exact_distribution, deterministic_sip, lambda uset, m: next(enumerate_potential_bases(uset, m))],
+    ids=["exact_distribution", "deterministic_sip", "enumerate_potential_bases"],
+)
+def test_exact_entry_points_refuse_past_the_basis_cap_before_the_jitter(entry, monkeypatch):
+    import tracemalloc
+
+    import uqgeom.exact as exact_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("jittered before the cap was checked")
+
+    # 8 points of 30 candidates: 240 + 28 * 900 + 56 * 27000 seb2 potential
+    # bases, whose enumeration takes several megabytes of chunks.
+    uset = random_indecisive(np.random.default_rng(3), 8, 30)
+    monkeypatch.setattr(exact_mod, "canonical_jitter", fail)
+    monkeypatch.setattr(exact_mod, "_BASIS_CAP", 1_537_439)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="enumerate 1537440 potential bases, exceeding the cap of 1537439$"):
+            entry(uset, MeasureId("seb2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_library_call_past_the_basis_cap_is_refused_at_once():
+    # 2.84e8 seb2 potential bases: once a call that ran on with no refusal.
+    uset = random_indecisive(np.random.default_rng(1), 200, 6)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="potential bases, exceeding the cap of 120000000$"):
+        exact_distribution(uset, MeasureId("seb2"))
+    assert time.perf_counter() - start < 1.0
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from uqgeom import (
     ExperimentConfig,
     MeasureId,
     PointMassPoint,
+    ResourceCapError,
     cylinder_uncertain_set,
     fit_sample_constant,
     run_deviation_experiment,
@@ -122,3 +124,29 @@ def test_experiment_config_validation():
             eta=100,
             tau=5,
         )
+
+
+def test_experiment_refuses_past_the_sample_cap_before_the_set_is_built(monkeypatch):
+    import uqgeom.harness as harness_mod
+    import uqgeom.montecarlo as mc
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before its cap was checked")
+
+    # The default experiment: 20 000 + 200 x (16 + 64 + 256 + 1024)
+    # supports of 50 points, minutes of sampling.
+    config = ExperimentConfig(CylinderConfig(), (MeasureId("diameter"),), (16, 64, 256, 1024))
+    monkeypatch.setattr(harness_mod, "cylinder_uncertain_set", fail)
+    monkeypatch.setattr(mc, "draw_supports", fail)
+    monkeypatch.setattr(mc, "_SAMPLE_CAP", 14_599_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=(
+            r"the run samples 292000 supports of 50 points, 14600000 points, exceeding the cap of 14599999; "
+            r"rerun with fewer samples \(--eta, --tau or --m-values\)$"
+        )):
+            run_deviation_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

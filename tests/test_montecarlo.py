@@ -14,6 +14,7 @@ from uqgeom import (
     IndecisivePointSet,
     MeasureId,
     PointMassPoint,
+    ResourceCapError,
     UniformDiskPoint,
     SampleBudget,
     ValidationError,
@@ -612,3 +613,31 @@ def test_eda_kernel_equals_per_trial_loop():
         want = [alpha_kernel(pts, 0.1) for pts in _per_trial_supports(uset, 4, 30)]
         assert len(kernel) == 30
         assert all(a.tobytes() == b.tobytes() for a, b in zip(kernel, want))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda uset, budget: sampled_values(uset, [MeasureId("seb2")], 0, budget.m),
+    lambda uset, budget: build_eda_kernel(uset, 0.2, budget, 0),
+    lambda uset, budget: build_random_sip(uset, MeasureId("seb2"), budget, 0),
+], ids=["sampled_values", "build_eda_kernel", "build_random_sip"])
+def test_sampled_entry_points_refuse_past_the_sample_cap_before_drawing(entry, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew before the cap was checked")
+
+    # A million supports of 50 points: the output arrays alone take 8 MB
+    # (sampled values) to 24 MB (disks).
+    uset = random_indecisive(np.random.default_rng(4), 50, 3)
+    budget = SampleBudget(0.2, 0.1, explicit_m=1_000_000)
+    monkeypatch.setattr(mc, "draw_supports", fail)
+    monkeypatch.setattr(mc, "_SAMPLE_CAP", 49_999_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=(
+            r"the run samples 1000000 supports of 50 points, 50000000 points, exceeding the cap of 49999999; "
+            r"rerun with fewer samples \(--m, --eps or --delta\)$"
+        )):
+            entry(uset, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -5,14 +5,15 @@ import math
 import os
 import pickle
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from uqgeom import (ContinuousUncertainSet, GaussianPoint, MeasureId, UniformDiskPoint, ValidationError,
-                    deterministic_sip, discretize_for_measure, rasterize_sip, write_pgm)
+from uqgeom import (ContinuousUncertainSet, GaussianPoint, MeasureId, ResourceCapError, UniformDiskPoint,
+                    ValidationError, deterministic_sip, discretize_for_measure, rasterize_sip, write_pgm)
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 import uqgeom.sip as sip_mod
@@ -834,3 +835,18 @@ def test_isolines_golden():
         segs = _segments_for_level(raster.values, xs, ys, level)
         digest.update(np.array(segs, dtype="<f8").tobytes() + b"|")
     assert digest.hexdigest() == "285ac763f7ec865da442279f1ca8955c3311c537c716320584e7959e0119b53c"
+
+
+def test_rasterize_sip_refuses_past_the_grid_cell_cap(monkeypatch):
+    # A 1000 x 1000 raster takes 8 MB; refused at a cap of 999 999 cells
+    # before any of it is allocated.
+    field = _field([(DiskShape(0.0, 0.0, 1.0), 1)])
+    monkeypatch.setattr(sip_mod, "_GRID_CELLS_CAP", 999_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="^--grid 1000,1000 has 1000000 cells, exceeding the cap of 999999$"):
+            rasterize_sip(field, (1000, 1000), (-1.0, -1.0, 1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

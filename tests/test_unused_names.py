@@ -39,6 +39,7 @@ ALLOWED = {
     "k": "IndecisivePoint.k, which perfbench/layers.py sums into its combo and candidate counts",
     "all_locations": "IndecisivePointSet.all_locations, which the perfbench workloads read",
     "shapes": "SipField.shapes, which perfbench/layers.py counts",
+    "combo_count": "_Prepared.combo_count, which perfbench/test_perfbench.py checks its own count against",
     # The per-shape view of a SIP field, which goes with SipField.shapes.
     "contains": "DiskShape.contains and RectShape.contains, the containment rule of that view",
 }
