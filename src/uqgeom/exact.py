@@ -548,6 +548,10 @@ def _counted_bases(prep: _Prepared):
     denom = prep.jset.denominator
     total = 0
     for idx in _index_chunks(prep):
+        # A single candidate's shape has no extent and strictly holds no
+        # candidate, so with two or more points its rows hold no mass.
+        if idx.shape[1] == 1 < prep.jset.n:
+            continue
         idx, values, shapes = _validate(prep, idx)
         nonzero, nums = _numerators(prep, idx, shapes)
         total += sum(nums.tolist())
@@ -575,14 +579,17 @@ def enumerate_potential_bases(uset: IndecisivePointSet, measure: MeasureId):
     pairwise-distinct point indices that are minimal for the measure.
 
     Bases are yielded regardless of whether any support realizes them (a
-    basis whose non-members all violate contributes zero probability)."""
+    basis whose non-members all violate contributes zero probability).  The
+    set and the measure are checked at the call, before the first basis is
+    asked for."""
     _check_bases(uset, measure)
     _require_lp_type(measure)
     prep = _Prepared(uset, measure)
-    for idx in _index_chunks(prep):
-        idx, values, _ = _validate(prep, idx)
-        for row, value in zip(idx.tolist(), values.tolist()):
-            yield _basis_object(prep, row, value)
+    return (
+        _basis_object(prep, row, value)
+        for idx, values, _ in map(functools.partial(_validate, prep), _index_chunks(prep))
+        for row, value in zip(idx.tolist(), values.tolist())
+    )
 
 
 def _merge_equal(values: np.ndarray, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -599,9 +606,11 @@ def _collapse(values: np.ndarray, nums: np.ndarray, total_denom: int, group_tol:
     """Group merged breakpoints (distinct and ascending, as
     :func:`_merge_equal` returns them) whose consecutive gaps are within
     the tolerance (single linkage); each group keeps its smallest value and
-    its numerators' sum over total_denom."""
+    its numerators' sum over total_denom.  The merge has ordered the
+    values, every numerator is positive and the engine's conservation test
+    has summed them to total_denom, so the arrays are stored unchecked."""
     first = np.flatnonzero(np.concatenate([[True], ~(np.diff(values) <= group_tol)]))
-    return Quantization1D.from_numerators(values[first], np.add.reduceat(nums, first), total_denom)
+    return Quantization1D._from_checked(values[first], np.add.reduceat(nums, first), total_denom)
 
 
 def exact_distribution(uset: IndecisivePointSet, measure: MeasureId) -> ExactDistribution:

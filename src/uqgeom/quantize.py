@@ -34,12 +34,12 @@ class Quantization1D:
 
     ``values`` is a read-only nondecreasing float array.  A sampled
     quantization, from :meth:`from_samples`, is its m sorted samples, each
-    of float weight 1/m (a read-only array).  An exact one, from
-    :meth:`from_numerators`, holds positive integer ``numerators`` over one
-    ``denominator``, summing to it exactly (int64 while the denominator
-    fits, Python ints otherwise); its ``weights`` are the Fractions they
-    make, built on first read.  ``kind`` is "exact" when there are
-    numerators and "sampled" otherwise.
+    of float weight 1/m (a read-only array).  An exact one, from the exact
+    engines or :meth:`from_numerators`, holds positive integer read-only
+    ``numerators`` over one ``denominator``, summing to it exactly (int64
+    while the denominator fits, Python ints otherwise); its ``weights``
+    are the Fractions they make, built on first read.  ``kind`` is "exact"
+    when there are numerators and "sampled" otherwise.
     """
 
     values: np.ndarray
@@ -49,8 +49,7 @@ class Quantization1D:
     @staticmethod
     def from_samples(samples) -> "Quantization1D":
         """Sampled quantization of ``samples``: sorted, each of weight 1/m."""
-        q = Quantization1D.__new__(Quantization1D)
-        q._set_values(np.sort(np.asarray(samples, dtype=np.float64)))
+        q = Quantization1D._from_checked(_checked_values(np.sort(np.asarray(samples, dtype=np.float64))))
         w = np.full(len(q.values), 1.0 / len(q.values))
         w.setflags(write=False)
         q.__dict__["weights"] = w
@@ -59,32 +58,31 @@ class Quantization1D:
     @classmethod
     def from_numerators(cls, values, numerators, denominator: int) -> "Quantization1D":
         """Exact quantization with weights ``numerators / denominator``."""
-        q = cls.__new__(cls)
-        q._set_values(values)
+        vals = _checked_values(values)
         ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
-        if len(ints) != len(q.values):
+        if len(ints) != len(vals):
             raise ValueError("one weight per value required")
-        if any(n <= 0 for n in ints):
+        if min(ints) <= 0:
             raise ValueError("weights must be positive")
         if sum(ints) != denominator:
             raise ValueError("exact weights must sum to exactly 1")
         # Each numerator lies in (0, denominator].
         nums = np.array(ints, dtype=np.int64 if denominator < 2**63 else object)
-        nums.setflags(write=False)
-        object.__setattr__(q, "numerators", nums)
-        object.__setattr__(q, "denominator", denominator)
-        return q
+        return cls._from_checked(vals, nums, denominator)
 
-    def _set_values(self, values) -> None:
-        vals = np.array(values, dtype=np.float64)
-        if vals.ndim != 1 or len(vals) == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if np.isnan(vals).any():
-            raise ValueError("values must not be NaN")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("values must be nondecreasing")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+    @classmethod
+    def _from_checked(cls, values, numerators=None, denominator=None) -> "Quantization1D":
+        """Arrays that hold what the class docstring says, stored as given
+        and made read-only, unchecked: both constructors end here after
+        their checks, and the exact engines call it directly."""
+        q = cls.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(q, "values", values)
+        if numerators is not None:
+            numerators.setflags(write=False)
+            object.__setattr__(q, "numerators", numerators)
+            object.__setattr__(q, "denominator", denominator)
+        return q
 
     @property
     def kind(self) -> str:
@@ -113,6 +111,19 @@ class Quantization1D:
     def _cum_exact(self) -> tuple:
         """Running exact weights (exact kind only)."""
         return tuple(Fraction(c, self.denominator) for c in itertools.accumulate(self.numerators.tolist()))
+
+
+def _checked_values(values) -> np.ndarray:
+    """``values`` as a new float64 array, refused unless 1-d, non-empty,
+    free of NaN and nondecreasing."""
+    vals = np.array(values, dtype=np.float64)
+    if vals.ndim != 1 or len(vals) == 0:
+        raise ValueError("values must be a non-empty 1-d array")
+    if np.isnan(vals).any():
+        raise ValueError("values must not be NaN")
+    if np.any(np.diff(vals) < 0):
+        raise ValueError("values must be nondecreasing")
+    return vals
 
 
 def eval_cdf(q: Quantization1D, v: float):

@@ -757,6 +757,25 @@ def test_a_library_call_past_the_basis_cap_is_refused_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_enumerate_potential_bases_refuses_at_the_call(monkeypatch):
+    import uqgeom.exact as exact_mod
+    from uqgeom import ContinuousUncertainSet, PointMassPoint
+
+    uset = random_indecisive(np.random.default_rng(3), 3, 4)
+    # No basis is asked for: each call is refused before it returns.
+    with pytest.raises(NotLPTypeError, match="diameter is not LP-type"):
+        enumerate_potential_bases(uset, MeasureId("diameter"))
+    cset = ContinuousUncertainSet((PointMassPoint((0.0, 0.0)), PointMassPoint((1.0, 0.0))), 2)
+    with pytest.raises(ValidationError, match="need an indecisive point set"):
+        enumerate_potential_bases(cset, MeasureId("seb2"))
+    # 3 x 4 single candidates and 3 x 16 pairs.
+    monkeypatch.setattr(exact_mod, "_BASIS_CAP", 59)
+    with pytest.raises(ResourceCapError, match="enumerate 60 potential bases, exceeding the cap of 59$"):
+        enumerate_potential_bases(uset, MeasureId("dwid", (1.0, 0.0)))
+    monkeypatch.setattr(exact_mod, "_BASIS_CAP", 60)
+    assert 12 < len(list(enumerate_potential_bases(uset, MeasureId("dwid", (1.0, 0.0))))) <= 60
+
+
 # --------------------------------------------------------------------------
 # seb2 oracle against an exact referee
 
@@ -1135,6 +1154,136 @@ def test_counting_matches_former_code_on_81_and_100_candidates():
         assert prep.jset._weight_grid.shape == (2, 100)
         for idx in exact_mod._index_chunks(prep):
             _assert_chunks_match_former(prep, idx)
+
+
+# --------------------------------------------------------------------------
+# Counting starts at pairs once a set has two or more points
+
+
+def _counted_every_size(prep):
+    """Reference: the counting loop over every basis size, single
+    candidates included, as (indices, values, shapes, numerators) chunks
+    of the nonzero bases, and the summed numerators."""
+    import uqgeom.exact as exact_mod
+
+    chunks, total = [], 0
+    for idx in exact_mod._index_chunks(prep):
+        idx, values, shapes = exact_mod._validate(prep, idx)
+        nonzero, nums = exact_mod._numerators(prep, idx, shapes)
+        total += sum(nums.tolist())
+        rows = np.flatnonzero(nonzero)
+        chunks.append((idx[rows], values[rows], shapes[rows], nums))
+    return chunks, total
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes() if g.dtype != object else g.tolist() == w.tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(_COUNTING_SETS))
+def test_counted_bases_equal_a_loop_over_every_basis_size(kind):
+    import uqgeom.exact as exact_mod
+
+    uset = _COUNTING_SETS[kind]()
+    for m in MEASURES:
+        prep = exact_mod._Prepared(uset, m)
+        want, total = _counted_every_size(prep)
+        if uset.n >= 2:
+            # The singles' chunks are the reference's only ones left out,
+            # and they hold no basis.
+            singles = [c for c in want if c[0].shape[1] == 1]
+            assert singles and all(len(c[0]) == 0 for c in singles)
+            want = [c for c in want if c[0].shape[1] > 1]
+        got = []
+        try:
+            got.extend(exact_mod._counted_bases(prep))
+            assert total == prep.jset.denominator
+        except ConservationError:
+            assert total != prep.jset.denominator
+        assert len(got) == len(want), (kind, m.kind)
+        for g, w in zip(got, want):
+            _assert_same_arrays(g, w)
+
+
+def _hard_input_sets():
+    """Indecisive sets of 2 to 5 points whose candidates are stacks of
+    tests/hard_inputs.py: a noisy lattice, sets 1e7 off the origin, and
+    sets of extent 1e-9."""
+    from hard_inputs import noisy_lattice_stack, offset_stack, tiny_extent_stack
+
+    rng = np.random.default_rng(53)
+    sets = []
+    for stack in (noisy_lattice_stack, offset_stack, tiny_extent_stack):
+        for n, k in ((2, 4), (3, 3), (5, 2)):
+            locs = stack(rng, k, n)
+            sets.append(IndecisivePointSet(
+                tuple(IndecisivePoint(locs[:, i], (Fraction(1, k),) * k) for i in range(n)), 2
+            ))
+    return sets
+
+
+def test_single_candidate_rows_hold_no_mass_once_a_set_has_two_points():
+    # The proof that counting may start at pairs, kept as a check: a single
+    # candidate's shape has no extent, so it strictly holds no candidate and
+    # every other point's mass in it is 0.  With one point, every single
+    # candidate is a basis that holds mass.
+    import uqgeom.exact as exact_mod
+
+    usets = [make() for make in _COUNTING_SETS.values()] + _hard_input_sets()
+    usets.append(IndecisivePointSet((IndecisivePoint([(0.0, 0.0), (1.0, 2.0)], (Fraction(1, 3), Fraction(2, 3))),), 2))
+    for uset in usets:
+        for m in MEASURES:
+            prep = exact_mod._Prepared(uset, m)
+            singles = 0
+            for idx in exact_mod._index_chunks(prep):
+                if idx.shape[1] != 1:
+                    continue
+                idx, _, shapes = exact_mod._validate(prep, idx)
+                singles += len(idx)
+                nonzero, _ = exact_mod._numerators(prep, idx, shapes)
+                inside = exact_mod._strict_inside(prep, shapes)
+                assert not inside.any()
+                assert nonzero.all() if uset.n == 1 else not nonzero.any()
+            assert singles == len(prep.jset.nums)
+
+
+@pytest.mark.parametrize("kind", sorted(_COUNTING_SETS))
+def test_collapsed_equals_from_numerators_of_the_same_arrays(kind, monkeypatch):
+    from uqgeom import Quantization1D
+
+    uset = _COUNTING_SETS[kind]()
+    real = Quantization1D._from_checked
+    handed = []
+
+    def recording(cls, values, numerators=None, denominator=None):
+        handed.append((values.copy(), numerators.copy(), denominator))
+        return real(values, numerators, denominator)
+
+    dtypes = set()
+    for engine in (exact_distribution, brute_force_distribution):
+        for m in MEASURES:
+            handed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Quantization1D, "_from_checked", classmethod(recording))
+                try:
+                    got = engine(uset, m).collapsed
+                except ConservationError:
+                    continue
+            ((values, nums, denom),) = handed
+            want = Quantization1D.from_numerators(values, nums, denom)
+            assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values.tolist()]
+            assert got.numerators.dtype == want.numerators.dtype
+            assert got.numerators.tolist() == want.numerators.tolist()
+            assert got.denominator == want.denominator
+            assert not got.values.flags.writeable and not got.numerators.flags.writeable
+            assert not want.values.flags.writeable and not want.numerators.flags.writeable
+            dtypes.add(got.numerators.dtype)
+    if kind in ("huge-denominator", "object-weights", "wide-denominators"):
+        assert dtypes == {np.dtype(object)}
+    else:
+        assert dtypes == {np.dtype(np.int64)}
 
 
 def test_only_the_engine_builds_the_padded_grids(monkeypatch):

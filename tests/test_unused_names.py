@@ -32,6 +32,7 @@ ALLOWED = {
     "eval_dominance": "the README's query of a k-variate quantization",
     "query_many": "SipField.query_many and Raster.query_many, the README's containment queries",
     "query_exact": "SipField.query_exact, the README's exact containment probability",
+    "from_numerators": "Quantization1D.from_numerators, the README's checked constructor for exact quantizations built outside the engines",
     # Names the benchmark patches, calls or reads until it reads a run record.
     "sample_support": "perfbench/layers.py wraps it on the harness and montecarlo modules",
     "enumerate_potential_bases": "perfbench/layers.py counts valid bases with it",
