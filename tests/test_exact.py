@@ -1190,12 +1190,11 @@ def test_counted_bases_equal_a_loop_over_every_basis_size(kind):
     for m in MEASURES:
         prep = exact_mod._Prepared(uset, m)
         want, total = _counted_every_size(prep)
-        if uset.n >= 2:
-            # The singles' chunks are the reference's only ones left out,
-            # and they hold no basis.
-            singles = [c for c in want if c[0].shape[1] == 1]
-            assert singles and all(len(c[0]) == 0 for c in singles)
-            want = [c for c in want if c[0].shape[1] > 1]
+        # Every set here has two or more points: the singles' chunks are
+        # the reference's only ones left out, and they hold no basis.
+        singles = [c for c in want if c[0].shape[1] == 1]
+        assert singles and all(len(c[0]) == 0 for c in singles)
+        want = [c for c in want if c[0].shape[1] > 1]
         got = []
         try:
             got.extend(exact_mod._counted_bases(prep))
