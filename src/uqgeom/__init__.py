@@ -79,6 +79,6 @@ from .quantize import (
     quantization_to_csv,
     simplify,
 )
-from .sip import DiskShape, Raster, RectShape, SipField, rasterize_sip, write_pgm
+from .sip import Raster, SipField, rasterize_sip, write_pgm
 
 __version__ = "0.1.0"

@@ -206,6 +206,8 @@ def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = _FI
     for m in ms:
         devs = np.sort(np.asarray(deviation_tables[m], dtype=np.float64))
         tau = len(devs)
+        if tau == 0:
+            raise ValueError(f"the deviation table of m = {m} is empty")
         for delta in _DELTA_GRID:
             idx = min(tau - 1, max(0, math.ceil((1.0 - delta) * tau) - 1))
             eps = float(devs[idx])

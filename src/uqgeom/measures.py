@@ -433,12 +433,11 @@ def evaluate(measure: MeasureId, pts) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class BasisMember:
-    """A basis element: index of the point it came from, the candidate index
-    when the point is indecisive (None for plain point lists), and its
-    location."""
+    """A basis element: index of the point it came from, index of its
+    candidate among that point's locations, and its location."""
 
     point: int
-    candidate: int | None
+    candidate: int
     location: tuple[float, ...]
 
 

@@ -10,7 +10,6 @@ read from 16-bit binary PGM with a JSON bounds sidecar.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ from .model import ResourceCapError, ValidationError
 __all__ = [
     "DISK",
     "RECT",
-    "DiskShape",
-    "RectShape",
     "Raster",
     "SipField",
     "check_window",
@@ -34,32 +31,6 @@ __all__ = [
     "shape_kind",
     "write_pgm",
 ]
-
-
-@dataclass(frozen=True)
-class DiskShape:
-    cx: float
-    cy: float
-    r: float
-
-    def contains(self, x, y):
-        # Multiplied, not ``** 2``: on a Python float that is libm pow, which
-        # may round apart from the array square that query_many and the
-        # raster take.
-        dx = x - self.cx
-        dy = y - self.cy
-        return dx * dx + dy * dy <= self.r * self.r
-
-
-@dataclass(frozen=True)
-class RectShape:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def contains(self, x, y):
-        return (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -146,10 +117,8 @@ class SipField:
     rectangles; float ``weights``; and exact integer ``numerators`` over one
     positive integer ``denominator`` when the maker has them (the exact
     engine), else both None; each exact weight is its numerator over the
-    denominator, rounded once.  The arrays are read-only.  ``shapes``, the
-    (DiskShape or RectShape, weight) pairs with Fraction weights where
-    numerators exist, is a read-only view built from the arrays on first
-    read; the queries and :func:`rasterize_sip` do not build it.
+    denominator, rounded once.  The arrays are read-only.  ``shapes`` is
+    ``params`` under the name the benchmark counts, not another view.
 
     Weights must be finite.  That is what makes the dense adds of the
     queries and of :func:`rasterize_sip` bit-safe: a point outside a shape
@@ -212,20 +181,15 @@ class SipField:
         object.__setattr__(field, "denominator", denominator)
         return field
 
-    @functools.cached_property
-    def shapes(self) -> tuple:
-        """The (DiskShape or RectShape, weight) pairs."""
-        if self.numerators is None:
-            weights = self.weights.tolist()
-        else:
-            weights = [Fraction(n, self.denominator) for n in self.numerators.tolist()]
-        shape = DiskShape if self.kind == DISK else RectShape
-        return tuple((shape(*p), w) for p, w in zip(self.params.tolist(), weights))
+    @property
+    def shapes(self) -> np.ndarray:
+        """``params``, under the name the benchmark counts."""
+        return self.params
 
     def _hits(self, part: slice, pts: np.ndarray) -> np.ndarray:
         """(shapes, points) containment of the shapes in ``part``: a disk
-        holds a point when ``dx * dx + dy * dy <= r * r`` (as
-        :meth:`DiskShape.contains`), a rectangle when the closed box does.
+        holds a point when ``dx * dx + dy * dy <= r * r``, a rectangle when
+        the closed box does: the one containment rule of a field.
         Overflow and ``inf - inf`` give inf and NaN, which contain nothing,
         as on Python floats."""
         p = self.params[part].T[:, :, None]

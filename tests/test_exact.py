@@ -285,21 +285,20 @@ def test_deterministic_sip_point_disks():
     )
     field = deterministic_sip(uset, MeasureId("seb2"))
     # n=1: every shape is a radius-0 disk at one (jittered) candidate.
-    assert all(s.r == 0.0 for s, _ in field.shapes)
-    for shape, w in field.shapes:
-        assert w == Fraction(1, 2)
-        assert field.query_exact((shape.cx, shape.cy)) == Fraction(1, 2)
+    assert (field.params[:, 2] == 0.0).all()
+    for (cx, cy, _), num in zip(field.params.tolist(), field.numerators.tolist()):
+        assert Fraction(num, field.denominator) == Fraction(1, 2)
+        assert field.query_exact((cx, cy)) == Fraction(1, 2)
     assert field.query_exact((0.5, 0.5)) == 0
 
 
 def test_deterministic_sip_total_and_interior(rng):
     uset = random_indecisive(rng, 3, 2)
     field = deterministic_sip(uset, MeasureId("seb2"))
-    total = sum((w for _, w in field.shapes), Fraction(0))
+    total = Fraction(sum(field.numerators.tolist()), field.denominator)
     assert total == 1
     # a point inside every shape queries to exactly 1
-    centers = np.array([(s.cx, s.cy) for s, _ in field.shapes])
-    radii = np.array([s.r for s, _ in field.shapes])
+    centers, radii = field.params[:, :2], field.params[:, 2]
     probe = centers.mean(axis=0)
     if np.all(np.linalg.norm(centers - probe, axis=1) < radii):
         assert field.query_exact(probe) == 1
@@ -361,11 +360,11 @@ def test_deterministic_sip_weights_are_nonzero_records_in_order(rng):
     for m in (MeasureId("seb2"), MeasureId("aabb_perimeter"), MeasureId("aabb_area")):
         field = deterministic_sip(uset, m)
         records = exact_distribution(uset, m).records
-        weights = [w for _, w in field.shapes]
+        weights = [Fraction(num, field.denominator) for num in field.numerators.tolist()]
         assert sum(weights, Fraction(0)) == 1
         assert weights == [r.probability for r in records]
         if m.kind == "seb2":
-            assert [s.r for s, _ in field.shapes] == [r.value for r in records]
+            assert field.params[:, 2].tolist() == [r.value for r in records]
 
 
 def test_huge_weight_denominators_match_oracle():

@@ -56,6 +56,12 @@ def test_fit_requires_two_m_values():
         fit_sample_constant({16: np.array([0.1, 0.2])})
 
 
+def test_fit_refuses_an_empty_deviation_table():
+    # devs[-1] of an empty table once raised IndexError.
+    with pytest.raises(ValueError, match="^the deviation table of m = 16 is empty$"):
+        fit_sample_constant({16: np.array([]), 64: np.array([0.1, 0.2])})
+
+
 def test_fit_degenerate_all_zero():
     fit = fit_sample_constant({16: np.zeros(10), 64: np.zeros(10)})
     assert fit.degenerate and math.isnan(fit.c)

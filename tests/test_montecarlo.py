@@ -36,7 +36,6 @@ from uqgeom.harness import CylinderConfig, cylinder_uncertain_set
 from uqgeom.measures import evaluate
 from uqgeom.model import draw_supports, sample_support
 from uqgeom.montecarlo import directional_width, sampled_values, trial_rng, verification_net
-from uqgeom.sip import RectShape
 
 from conftest import kvariate_oracle, random_indecisive
 
@@ -273,7 +272,7 @@ def test_random_sip_rect_backing(rng):
     field = build_random_sip(
         uset, MeasureId("aabb_perimeter"), SampleBudget(0.2, 0.2, explicit_m=64), seed=1
     )
-    assert len(field.shapes) == 64
+    assert field.params.shape == (64, 4)
     with pytest.raises(ValueError):
         build_random_sip(uset, MeasureId("dwid", (1, 0)), SampleBudget(0.2, 0.2), seed=0)
 
@@ -523,20 +522,18 @@ def test_random_sip_equals_per_trial_loop(monkeypatch, measure):
     uset = random_indecisive(np.random.default_rng(34), 6, 3)
     field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=20), seed=8)
     supports = _per_trial_supports(uset, 8, 20)
-    assert [w for _, w in field.shapes] == [1.0 / 20] * 20
+    assert field.weights.tolist() == [1.0 / 20] * 20
     if measure == "seb2":
         # Each trial's disk has the radius bits of its seb2 value and holds
         # the support within the solver's containment slack.
-        for (disk, _), pts in zip(field.shapes, supports):
-            assert disk.r.hex() == evaluate(MeasureId("seb2"), pts).hex()
-            reach = disk.r + _WELZL_REL * coordinate_scale(pts)
-            assert (((pts - (disk.cx, disk.cy)) ** 2).sum(axis=1) <= reach * reach).all()
+        for (cx, cy, r), pts in zip(field.params.tolist(), supports):
+            assert r.hex() == evaluate(MeasureId("seb2"), pts).hex()
+            reach = r + _WELZL_REL * coordinate_scale(pts)
+            assert (((pts - (cx, cy)) ** 2).sum(axis=1) <= reach * reach).all()
         return
-    want = []
-    for pts in supports:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        want.append(RectShape(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])))
-    assert [shape for shape, _ in field.shapes] == want
+    # Each trial's rectangle is its support's (x0, y0, x1, y1) bounding box.
+    want = [[*pts.min(axis=0).tolist(), *pts.max(axis=0).tolist()] for pts in supports]
+    assert field.params.tolist() == want
 
 
 def _sampler_sets():

@@ -1,11 +1,11 @@
 import contextlib
-import dataclasses
 import hashlib
 import math
 import os
 import pickle
 import tempfile
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 from unittest import mock
 
@@ -17,26 +17,43 @@ from uqgeom import (ContinuousUncertainSet, GaussianPoint, MeasureId, ResourceCa
 from uqgeom.isolines import DEFAULT_LEVELS, _segments_for_level, extract_isolines, isolines_svg
 from uqgeom.montecarlo import SampleBudget, build_random_sip
 import uqgeom.sip as sip_mod
-from uqgeom.sip import DISK, RECT, DiskShape, Raster, RectShape, SipField
+from uqgeom.sip import DISK, RECT, Raster, SipField
 
 from conftest import random_indecisive, read_pgm
 
 
-_SHAPE = {DISK: DiskShape, RECT: RectShape}
+# A shape as the parameter row of its family's field.
+_Disk = namedtuple("_Disk", "cx cy r")
+_Rect = namedtuple("_Rect", "x0 y0 x1 y1")
+_KIND = {_Disk: DISK, _Rect: RECT}
+
+
+def _contains(kind, p, x, y):
+    """Reference containment, one shape at a time: the disk or closed
+    rectangle of parameter row ``p`` at (x, y), floats or arrays.  A disk
+    holds a point when ``dx * dx + dy * dy <= r * r``, multiplied, not
+    ``** 2``: on a Python float that is libm pow, which may round apart
+    from the array square that the queries and the raster take."""
+    if kind == DISK:
+        cx, cy, r = p
+        dx, dy = x - cx, y - cy
+        return dx * dx + dy * dy <= r * r
+    x0, y0, x1, y1 = p
+    return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
 
 
 def _field(shapes, kind=None) -> SipField:
-    """The field of (DiskShape | RectShape, weight) pairs of one family
-    (``kind``, else the first shape's), with exact numerators of the
-    weights over the lcm of their denominators."""
+    """The field of (_Disk | _Rect, weight) pairs of one family (``kind``,
+    else the first shape's), with exact numerators of the weights over the
+    lcm of their denominators."""
     if kind is None:
-        kind = DISK if isinstance(shapes[0][0], DiskShape) else RECT
-    assert all(type(s) is _SHAPE[kind] for s, _ in shapes)
+        kind = _KIND[type(shapes[0][0])]
+    assert all(_KIND[type(s)] == kind for s, _ in shapes)
     exact = [Fraction(w) for _, w in shapes]
     denom = math.lcm(*(w.denominator for w in exact))
     return SipField.from_arrays(
         kind,
-        np.array([dataclasses.astuple(s) for s, _ in shapes]).reshape(-1, 3 if kind == DISK else 4),
+        np.array([tuple(s) for s, _ in shapes]).reshape(-1, 3 if kind == DISK else 4),
         [float(w) for _, w in shapes],
         [w.numerator * (denom // w.denominator) for w in exact],
         denom,
@@ -50,7 +67,7 @@ def _grid_points(raster):
 
 
 def test_rasterize_unit_disk_indicator():
-    field = _field([(DiskShape(0.0, 0.0, 1.0), 1.0)])
+    field = _field([(_Disk(0.0, 0.0, 1.0), 1.0)])
     out = rasterize_sip(field, (64, 64), (-2, -2, 2, 2))
     gx, gy = _grid_points(out)
     expect = ((gx**2 + gy**2) <= 1.0).astype(float)
@@ -58,14 +75,14 @@ def test_rasterize_unit_disk_indicator():
 
 
 def test_rasterize_two_disjoint_disks():
-    field = _field([(DiskShape(-1.0, 0.0, 0.5), 0.5), (DiskShape(1.0, 0.0, 0.5), 0.5)])
+    field = _field([(_Disk(-1.0, 0.0, 0.5), 0.5), (_Disk(1.0, 0.0, 0.5), 0.5)])
     out = rasterize_sip(field, (64, 64), (-2, -2, 2, 2))
     assert set(np.unique(out.values)) <= {0.0, 0.5}
     assert (out.values == 0.5).any()
 
 
 def test_rect_shape_containment():
-    field = _field([(RectShape(0.0, 0.0, 2.0, 1.0), 1.0)])
+    field = _field([(_Rect(0.0, 0.0, 2.0, 1.0), 1.0)])
     # Inside, on the closed boundary, outside.
     assert field.query_many([(1.0, 0.5), (2.0, 1.0), (2.1, 0.5)]).tolist() == [1.0, 1.0, 0.0]
 
@@ -77,7 +94,7 @@ def test_raster_query_lookup():
 
 
 def test_raster_refinement_stable_away_from_boundaries():
-    field = _field([(DiskShape(0.0, 0.0, 1.0), 1.0)])
+    field = _field([(_Disk(0.0, 0.0, 1.0), 1.0)])
     coarse = rasterize_sip(field, (32, 32), (-2, -2, 2, 2))
     fine = rasterize_sip(field, (128, 128), (-2, -2, 2, 2))
     probes = [(-1.5, -1.5), (0.0, 0.0), (0.5, 0.5), (1.8, 0.0)]
@@ -143,16 +160,17 @@ def test_isolines_default_levels_and_svg():
     assert svg.startswith("<svg") and svg.count("<g ") == len(DEFAULT_LEVELS)
 
 
-def _rasterize_full_grid(shapes, grid, bounds):
-    """Reference rasterizer: every shape tested at every cell center."""
+def _rasterize_full_grid(field, grid, bounds):
+    """Reference rasterizer: every shape of the field tested at every cell
+    center by :func:`_contains`, its weight added in shape order."""
     w, h = grid
     x0, y0, x1, y1 = (float(v) for v in bounds)
     xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
     ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
     values = np.zeros((h, w))
     gx, gy = np.meshgrid(xs, ys)
-    for shape, weight in shapes:
-        values[shape.contains(gx, gy)] += float(weight)
+    for p, weight in zip(field.params.tolist(), field.weights.tolist()):
+        values[_contains(field.kind, p, gx, gy)] += weight
     return np.minimum(values, 1.0)
 
 
@@ -199,8 +217,8 @@ def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
     for bit as the reference does, by the path its family and weights
     select; unequal-weight rectangles also with the run adds forced and
     with the slice adds forced."""
-    for kind, cls in _SHAPE.items():
-        family = [(s, w) for s, w in shapes if isinstance(s, cls)]
+    for cls, kind in _KIND.items():
+        family = [(s, w) for s, w in shapes if type(s) is cls]
         equal = [[(s, w) for s, _ in family] for w in (Fraction(1, 3), Fraction(1, 2187))]
         for variant in (family, *equal):
             field = _field(variant, kind)
@@ -208,7 +226,7 @@ def _assert_rasterizes_like_full_grid(shapes, grid, bounds):
             # The reference's dx * dx overflows, with numpy's warning, for a
             # disk centered far off the grid.
             with np.errstate(over="ignore"):
-                want = _rasterize_full_grid(variant, grid, bounds)
+                want = _rasterize_full_grid(field, grid, bounds)
             assert got.tobytes() == want.tobytes()
             assert path == _expected_path(kind, variant)
             if path == ("_rectangle_values", False):
@@ -229,17 +247,18 @@ def test_rasterize_random_shapes_bitwise_equal_full_grid():
         cx, cy = rng.uniform(-2.5, 3.5), rng.uniform(-2.0, 3.0)
         weight = rng.random() / 40
         if rng.random() < 0.5:
-            shapes.append((DiskShape(cx, cy, rng.uniform(0.0, 1.5)), weight))
+            shapes.append((_Disk(cx, cy, rng.uniform(0.0, 1.5)), weight))
         else:
             dx, dy = rng.uniform(0.0, 1.5, 2)
-            shapes.append((RectShape(cx, cy, cx + dx, cy + dy), weight))
+            shapes.append((_Rect(cx, cy, cx + dx, cy + dy), weight))
     # Rational weights, as the exact engine produces them.
-    shapes.append((DiskShape(0.5, 0.5, 0.7), Fraction(1, 3)))
-    shapes.append((RectShape(-3.0, -3.0, 5.0, 5.0), Fraction(2, 7)))
+    shapes.append((_Disk(0.5, 0.5, 0.7), Fraction(1, 3)))
+    shapes.append((_Rect(-3.0, -3.0, 5.0, 5.0), Fraction(2, 7)))
     _assert_rasterizes_like_full_grid(shapes, (37, 29), bounds)
     # Some cells are covered more than three times: at weight 1/3 their
     # running sum passes 1.0 before the cap.
-    assert _rasterize_full_grid([(s, 1 / 4096) for s, _ in shapes], (37, 29), bounds).max() > 3 / 4096
+    fields = [_field([(s, 1 / 4096) for s, _ in shapes if type(s) is cls], kind) for cls, kind in _KIND.items()]
+    assert sum(_rasterize_full_grid(f, (37, 29), bounds) for f in fields).max() > 3 / 4096
 
 
 def test_rasterize_rectangles_on_a_lattice_bitwise_equal_full_grid():
@@ -256,9 +275,9 @@ def test_rasterize_rectangles_on_a_lattice_bitwise_equal_full_grid():
     for _ in range(250):
         a, b = sorted(rng.choice(xs, 2))
         c, d = sorted(rng.choice(ys, 2))
-        shapes.append((RectShape(float(a), float(c), float(b), float(d)), Fraction(int(rng.integers(1, 60)), 997)))
-    shapes += [(RectShape(0.3, -0.05, 0.3, 0.95), Fraction(1, 9)), (RectShape(1.3, -0.05, 0.3, 0.95), Fraction(1, 5)),
-               (RectShape(-0.5, math.nan, 1.3, 0.95), Fraction(1, 5))]
+        shapes.append((_Rect(float(a), float(c), float(b), float(d)), Fraction(int(rng.integers(1, 60)), 997)))
+    shapes += [(_Rect(0.3, -0.05, 0.3, 0.95), Fraction(1, 9)), (_Rect(1.3, -0.05, 0.3, 0.95), Fraction(1, 5)),
+               (_Rect(-0.5, math.nan, 1.3, 0.95), Fraction(1, 5))]
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
 
 
@@ -270,30 +289,30 @@ def test_rasterize_edges_on_cell_centers_bitwise_equal_full_grid():
     xs, ys = xs.tolist(), ys.tolist()
     shapes = [
         # Rectangle edges exactly on cell centers.
-        (RectShape(xs[2], ys[1], xs[9], ys[7]), 0.25),
+        (_Rect(xs[2], ys[1], xs[9], ys[7]), 0.25),
         # Zero-width and zero-area rectangles, on and off the centers.
-        (RectShape(xs[4], ys[0], xs[4], ys[11]), 0.125),
-        (RectShape(xs[5], ys[5], xs[5], ys[5]), 0.125),
-        (RectShape(0.3, 0.1, 0.3, 0.6), 0.125),
+        (_Rect(xs[4], ys[0], xs[4], ys[11]), 0.125),
+        (_Rect(xs[5], ys[5], xs[5], ys[5]), 0.125),
+        (_Rect(0.3, 0.1, 0.3, 0.6), 0.125),
         # Reversed and NaN rectangles contain nothing.
-        (RectShape(0.6, 0.1, 0.2, 0.6), 0.5),
-        (RectShape(float("nan"), 0.1, 0.6, 0.6), 0.5),
+        (_Rect(0.6, 0.1, 0.2, 0.6), 0.5),
+        (_Rect(float("nan"), 0.1, 0.6, 0.6), 0.5),
         # r = 0 disks, on a cell center and off it.
-        (DiskShape(xs[3], ys[6], 0.0), 0.25),
-        (DiskShape(0.51, 0.33, 0.0), 0.25),
+        (_Disk(xs[3], ys[6], 0.0), 0.25),
+        (_Disk(0.51, 0.33, 0.0), 0.25),
         # Disk edges exactly on cell centers, along both axes.
-        (DiskShape(xs[8], ys[6], xs[13] - xs[8]), 0.0625),
-        (DiskShape(xs[8], ys[6], ys[10] - ys[6]), 0.0625),
+        (_Disk(xs[8], ys[6], xs[13] - xs[8]), 0.0625),
+        (_Disk(xs[8], ys[6], ys[10] - ys[6]), 0.0625),
         # NaN centers and radii hold nothing; radius -r holds what r does.
-        (DiskShape(math.nan, ys[6], 0.3), 0.25),
-        (DiskShape(xs[8], math.nan, 0.3), 0.25),
-        (DiskShape(xs[8], ys[6], math.nan), 0.25),
-        (DiskShape(xs[8], ys[6], xs[8] - xs[13]), 0.0625),
+        (_Disk(math.nan, ys[6], 0.3), 0.25),
+        (_Disk(xs[8], math.nan, 0.3), 0.25),
+        (_Disk(xs[8], ys[6], math.nan), 0.25),
+        (_Disk(xs[8], ys[6], xs[8] - xs[13]), 0.0625),
         # Infinite centers: nothing within a finite radius, every center
         # within an infinite one.
-        (DiskShape(math.inf, ys[6], 0.3), 0.25),
-        (DiskShape(xs[8], -math.inf, 0.3), 0.25),
-        (DiskShape(-math.inf, ys[6], math.inf), 0.0625),
+        (_Disk(math.inf, ys[6], 0.3), 0.25),
+        (_Disk(xs[8], -math.inf, 0.3), 0.25),
+        (_Disk(-math.inf, ys[6], math.inf), 0.0625),
     ]
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
 
@@ -331,17 +350,17 @@ def test_rasterize_disk_rounding_margin_bitwise_equal_full_grid():
     for _ in range(200):
         cx = rng.uniform(-3 * big, 3 * big)
         r = max(abs(big - cx) + rng.normal() * 4 * ulp, 0.0)
-        shapes.append((DiskShape(cx, rng.normal() * 0.1, r), 1 / 256))
+        shapes.append((_Disk(cx, rng.normal() * 0.1, r), 1 / 256))
     for cells_per_ulp in (1, 3):
         half = 8 * cells_per_ulp * ulp
         _assert_rasterizes_like_full_grid(shapes, (16, 3), (big - half, -1.0, big + half, 1.0))
     # Cells far narrower than the disk's ulp: every center at or left of 0
     # rounds into the unit disk at (1, 0), although 1 - 1 = 0 is mid-grid.
-    shapes = [(DiskShape(1.0, 0.0, 1.0), 0.5), (DiskShape(-1.0, 0.0, 1.0), 0.25)]
+    shapes = [(_Disk(1.0, 0.0, 1.0), 0.5), (_Disk(-1.0, 0.0, 1.0), 0.25)]
     _assert_rasterizes_like_full_grid(shapes, (32, 3), (-1e-20, -1e-20, 1e-20, 1e-20))
     # Radii whose square overflows to inf, one disk centered far off the
     # grid: every center passes, and the windows take no overflow warning.
-    shapes = [(DiskShape(0.2, -0.1, 1e300), 0.5), (DiskShape(1e300, 0.0, 1e300), 0.25)]
+    shapes = [(_Disk(0.2, -0.1, 1e300), 0.5), (_Disk(1e300, 0.0, 1e300), 0.25)]
     _assert_rasterizes_like_full_grid(shapes, (5, 4), (-1.0, -1.0, 1.0, 1.0))
 
 
@@ -366,28 +385,28 @@ def test_rasterize_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, kind, o
         if shape == 0:
             # A disk through cell centres: centred on one, radius to another.
             i2, j2 = int(rng.integers(h)), int(rng.integers(w))
-            shapes.append((DiskShape(xs[j], ys[i], math.hypot(xs[j2] - xs[j], ys[i2] - ys[i])), weight))
+            shapes.append((_Disk(xs[j], ys[i], math.hypot(xs[j2] - xs[j], ys[i2] - ys[i])), weight))
         elif shape == 1:
             # Zero-radius disks, on a cell centre and off it.
             cx = xs[j] if rng.random() < 0.5 else float(rng.uniform(-1.2, 1.5))
-            shapes.append((DiskShape(cx, ys[i], 0.0), weight))
+            shapes.append((_Disk(cx, ys[i], 0.0), weight))
         elif shape == 2:
             cx, cy = rng.uniform(-1.5, 1.8, 2)
-            shapes.append((DiskShape(float(cx), float(cy), float(rng.uniform(0.0, 0.8))), weight))
+            shapes.append((_Disk(float(cx), float(cy), float(rng.uniform(0.0, 0.8))), weight))
         else:
             cx, cy = rng.uniform(-1.5, 1.8, 2)
             dx, dy = rng.uniform(0.0, 0.9, 2)
-            shapes.append((RectShape(float(cx), float(cy), float(cx + dx), float(cy + dy)), weight))
+            shapes.append((_Rect(float(cx), float(cy), float(cx + dx), float(cy + dy)), weight))
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
-    field = SipField.from_arrays(kind, [dataclasses.astuple(s) for s, _ in shapes], [wt for _, wt in shapes])
+    field = SipField.from_arrays(kind, [tuple(s) for s, _ in shapes], [wt for _, wt in shapes])
     got = rasterize_sip(field, grid, bounds).values
-    assert got.tobytes() == _rasterize_full_grid(shapes, grid, bounds).tobytes()
+    assert got.tobytes() == _rasterize_full_grid(field, grid, bounds).tobytes()
     # Three shapes over one cell, added in shape order: 0.5 + 2**-54 rounds
     # to 0.5 twice, where the two small weights first would give 0.5 + 2**-53.
     # Zero-radius disks, or zero-size boxes, on the cell's center; boxes on
     # both sides of the rectangle cut (which disks do not read).
     i, j = 4, 7
-    point = DiskShape(xs[j], ys[i], 0.0) if kind == DISK else RectShape(xs[j], ys[i], xs[j], ys[i])
+    point = _Disk(xs[j], ys[i], 0.0) if kind == DISK else _Rect(xs[j], ys[i], xs[j], ys[i])
     shapes = [(point, 0.5), (point, 2.0**-54), (point, 2.0**-54)]
     for cut in (_RUN_ADDS, _SLICE_ADDS):
         got = _rasterize_rectangles_by_side(_field(shapes), grid, bounds, cut)[0]
@@ -538,19 +557,15 @@ def test_rasterize_empty_shape_list():
 
 def _eager_exact_shapes(uset, measure):
     """Reference: deterministic_sip's former per-basis construction, one
-    shape object and one Fraction per counted basis."""
+    parameter row and one Fraction per counted basis."""
     import uqgeom.exact as exact_mod
 
     prep = exact_mod._Prepared(uset, measure)
-    shapes = []
+    rows, weights = [], []
     for _, _, chunk, nums in exact_mod._counted_bases(prep):
-        for shape, num in zip(chunk.tolist(), nums.tolist()):
-            weight = Fraction(num, prep.jset.denominator)
-            if measure.kind == "seb2":
-                shapes.append((DiskShape(*shape), weight))
-            else:
-                shapes.append((RectShape(*shape), weight))
-    return tuple(shapes)
+        rows += chunk.tolist()
+        weights += [Fraction(num, prep.jset.denominator) for num in nums.tolist()]
+    return rows, weights
 
 
 def _in_order(floats) -> float:
@@ -573,18 +588,17 @@ def test_exact_sip_array_form_matches_per_basis_shapes(measure):
     m = MeasureId(measure)
     field = deterministic_sip(uset, m)
     raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).values
-    # Rasterizing reads the arrays only; the shapes are built on first read.
-    assert "shapes" not in vars(field)
-    assert field.shapes == _eager_exact_shapes(uset, m)
-    assert all(type(w) is Fraction for _, w in field.shapes)
-    assert raster.tobytes() == _rasterize_full_grid(field.shapes, _CUT_GRID, _CUT_BOUNDS).tobytes()
+    rows, weights = _eager_exact_shapes(uset, m)
+    assert field.params.tolist() == rows
+    assert [Fraction(num, field.denominator) for num in field.numerators.tolist()] == weights
+    assert raster.tobytes() == _rasterize_full_grid(field, _CUT_GRID, _CUT_BOUNDS).tobytes()
     probes = rng.uniform(-1.5, 1.5, size=(40, 2)).tolist()
-    probes += [[s.cx, s.cy] if m.kind == "seb2" else [s.x0, s.y1] for s, _ in field.shapes[:20]]
+    # Disk centers and rectangle corners (x0, y1).
+    probes += [[p[0], p[1]] if m.kind == "seb2" else [p[0], p[3]] for p in rows[:20]]
     for x, y in probes:
-        want = sum((w for s, w in field.shapes if s.contains(x, y)), Fraction(0))
-        assert field.query_exact((x, y)) == want
-        hits = (float(w) for s, w in field.shapes if s.contains(x, y))
-        assert field.query_many([(x, y)])[0] == min(1.0, _in_order(hits))
+        hit = [w for p, w in zip(rows, weights) if _contains(field.kind, p, x, y)]
+        assert field.query_exact((x, y)) == sum(hit, Fraction(0))
+        assert field.query_many([(x, y)])[0] == min(1.0, _in_order(float(w) for w in hit))
 
 
 @pytest.mark.parametrize("measure", ["aabb_perimeter", "aabb_area"])
@@ -599,7 +613,7 @@ def test_exact_sip_of_a_discretized_set_rasterizes_like_full_grid(measure):
     uset = discretize_for_measure(cset, MeasureId("aabb_perimeter"), 0.2, points_per_point=9)
     field = deterministic_sip(uset, MeasureId(measure))
     grid, bounds = (48, 40), (-3.0, -2.5, 3.0, 2.5)
-    want = _rasterize_full_grid(field.shapes, grid, bounds)
+    want = _rasterize_full_grid(field, grid, bounds)
     assert len(field.weights) > 4000 and want.max() > 0.9
     got, path = _rasterize_by_path(field, grid, bounds)
     assert got.tobytes() == want.tobytes() and path == ("_rectangle_values", False)
@@ -614,9 +628,8 @@ def test_random_sip_array_form_rasterizes_like_full_grid(measure):
     uset = random_indecisive(np.random.default_rng(29), 5, 3)
     field = build_random_sip(uset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=300), seed=3)
     raster = rasterize_sip(field, _CUT_GRID, _CUT_BOUNDS).values
-    assert "shapes" not in vars(field)
-    assert raster.tobytes() == _rasterize_full_grid(field.shapes, _CUT_GRID, _CUT_BOUNDS).tobytes()
-    assert all(w == 1 / 300 for _, w in field.shapes)
+    assert raster.tobytes() == _rasterize_full_grid(field, _CUT_GRID, _CUT_BOUNDS).tobytes()
+    assert (field.weights == 1 / 300).all()
     # Monte Carlo weights are floats, not exact probabilities.
     with pytest.raises(ValueError, match="exact"):
         field.query_exact((0.0, 0.0))
@@ -625,10 +638,11 @@ def test_random_sip_array_form_rasterizes_like_full_grid(measure):
 def test_shapes_view_and_exact_queries_from_arrays():
     disks = SipField.from_arrays(DISK, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.5)], [1 / 3, 0.25], [4, 3], 12)
     rects = SipField.from_arrays(RECT, [(0.5, -1.0, 2.0, 1.0), (-1.0, -1.0, 1.0, 0.5)], [1 / 3, 0.25], [4, 3], 12)
-    assert disks.shapes == ((DiskShape(0.0, 0.0, 1.0), Fraction(1, 3)), (DiskShape(1.0, 0.0, 0.5), Fraction(1, 4)))
-    assert rects.shapes == ((RectShape(0.5, -1.0, 2.0, 1.0), Fraction(1, 3)),
-                            (RectShape(-1.0, -1.0, 1.0, 0.5), Fraction(1, 4)))
+    assert disks.params.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.5]]
+    assert rects.params.tolist() == [[0.5, -1.0, 2.0, 1.0], [-1.0, -1.0, 1.0, 0.5]]
     for field in (disks, rects):
+        assert [Fraction(num, field.denominator) for num in field.numerators.tolist()] == [Fraction(1, 3),
+                                                                                         Fraction(1, 4)]
         assert field.weights.tolist() == [1 / 3, 0.25]
         assert field.query_exact((0.75, 0.0)) == Fraction(1, 3) + Fraction(1, 4)
         assert field.query_exact((3.0, 0.0)) == 0
@@ -637,8 +651,18 @@ def test_shapes_view_and_exact_queries_from_arrays():
     assert not hasattr(disks, "kinds")
 
 
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter", "aabb_area"])
+def test_shapes_is_params_under_the_name_the_benchmark_counts(measure):
+    # perfbench/layers.py counts a field's shapes as len(field.shapes).
+    uset = random_indecisive(np.random.default_rng(37), 4, 3)
+    m = MeasureId(measure)
+    for field in (deterministic_sip(uset, m), build_random_sip(uset, m, SampleBudget(0.2, 0.2, explicit_m=50), seed=2)):
+        assert field.shapes is field.params
+        assert len(field.shapes) == len(field.weights) > 0
+
+
 def test_rasterize_rejects_non_finite_bounds():
-    field = _field([(RectShape(0.0, 0.0, 1.0, 1.0), 1.0)])
+    field = _field([(_Rect(0.0, 0.0, 1.0, 1.0), 1.0)])
     with pytest.raises(ValueError):
         rasterize_sip(field, (4, 4), (-math.inf, 0.0, 1.0, 1.0))
 
@@ -655,8 +679,8 @@ def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bound
 
     for name in ("_disk_runs", *_PATHS):
         monkeypatch.setattr(sip_mod, name, fail)
-    for field in (_field([(DiskShape(0.5, 0.5, 0.3), 0.5), (DiskShape(0.2, 0.5, 0.3), 0.25)]),
-                  _field([(RectShape(0.0, 0.0, 1.0, 1.0), 0.5), (RectShape(0.2, 0.0, 1.0, 0.5), 0.25)])):
+    for field in (_field([(_Disk(0.5, 0.5, 0.3), 0.5), (_Disk(0.2, 0.5, 0.3), 0.25)]),
+                  _field([(_Rect(0.0, 0.0, 1.0, 1.0), 0.5), (_Rect(0.2, 0.0, 1.0, 0.5), 0.25)])):
         with pytest.raises(ValueError, match=message):
             rasterize_sip(field, grid, bounds)
 
@@ -706,17 +730,8 @@ def test_raster_query_many_equals_query():
 
 def _loop_hits(field, pts) -> list:
     """Reference containment, one shape at a time: each shape's (p,) mask."""
-    x, y = pts[:, 0], pts[:, 1]
-    hits = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in field.params.tolist():
-            if field.kind == DISK:
-                a, b, c = p
-                hits.append((x - a) * (x - a) + (y - b) * (y - b) <= c * c)
-            else:
-                a, b, c, d = p
-                hits.append((x >= a) & (x <= c) & (y >= b) & (y <= d))
-    return hits
+        return [_contains(field.kind, p, pts[:, 0], pts[:, 1]) for p in field.params.tolist()]
 
 
 def _loop_query_many(field, pts) -> np.ndarray:
@@ -776,8 +791,6 @@ def test_array_queries_match_the_per_shape_loop(monkeypatch, offset_cells):
                 want = sum((Fraction(n, field.denominator) for n, hit in zip(field.numerators.tolist(), hits)
                             if hit[i]), Fraction(0))
                 assert field.query_exact(pts[i]) == want
-            # The queries read the arrays; the shapes view is never built.
-            assert "shapes" not in vars(field)
 
 
 def _unit_disk_field():
@@ -840,7 +853,7 @@ def test_isolines_golden():
 def test_rasterize_sip_refuses_past_the_grid_cell_cap(monkeypatch):
     # A 1000 x 1000 raster takes 8 MB; refused at a cap of 999 999 cells
     # before any of it is allocated.
-    field = _field([(DiskShape(0.0, 0.0, 1.0), 1)])
+    field = _field([(_Disk(0.0, 0.0, 1.0), 1)])
     monkeypatch.setattr(sip_mod, "_GRID_CELLS_CAP", 999_999)
     tracemalloc.start()
     try:

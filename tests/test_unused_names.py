@@ -39,10 +39,8 @@ ALLOWED = {
     "records": "ExactDistribution.records, which perfbench/layers.py counts",
     "k": "IndecisivePoint.k, which perfbench/layers.py sums into its combo and candidate counts",
     "all_locations": "IndecisivePointSet.all_locations, which the perfbench workloads read",
-    "shapes": "SipField.shapes, which perfbench/layers.py counts",
+    "shapes": "SipField.shapes, the params array under the name perfbench/layers.py counts; it goes once the benchmark counts len(field.weights)",
     "combo_count": "_Prepared.combo_count, which perfbench/test_perfbench.py checks its own count against",
-    # The per-shape view of a SIP field, which goes with SipField.shapes.
-    "contains": "DiskShape.contains and RectShape.contains, the containment rule of that view",
 }
 
 
