@@ -53,7 +53,7 @@ def _field(shapes, kind=None) -> SipField:
     denom = math.lcm(*(w.denominator for w in exact))
     return SipField.from_arrays(
         kind,
-        np.array([tuple(s) for s, _ in shapes]).reshape(-1, 3 if kind == DISK else 4),
+        np.array([s for s, _ in shapes]).reshape(-1, 3 if kind == DISK else 4),
         [float(w) for _, w in shapes],
         [w.numerator * (denom // w.denominator) for w in exact],
         denom,
@@ -398,7 +398,7 @@ def test_rasterize_in_offset_chunks_bitwise_equal_full_grid(monkeypatch, kind, o
             dx, dy = rng.uniform(0.0, 0.9, 2)
             shapes.append((_Rect(float(cx), float(cy), float(cx + dx), float(cy + dy)), weight))
     _assert_rasterizes_like_full_grid(shapes, grid, bounds)
-    field = SipField.from_arrays(kind, [tuple(s) for s, _ in shapes], [wt for _, wt in shapes])
+    field = SipField.from_arrays(kind, [s for s, _ in shapes], [wt for _, wt in shapes])
     got = rasterize_sip(field, grid, bounds).values
     assert got.tobytes() == _rasterize_full_grid(field, grid, bounds).tobytes()
     # Three shapes over one cell, added in shape order: 0.5 + 2**-54 rounds
@@ -641,8 +641,7 @@ def test_shapes_view_and_exact_queries_from_arrays():
     assert disks.params.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.5]]
     assert rects.params.tolist() == [[0.5, -1.0, 2.0, 1.0], [-1.0, -1.0, 1.0, 0.5]]
     for field in (disks, rects):
-        assert [Fraction(num, field.denominator) for num in field.numerators.tolist()] == [Fraction(1, 3),
-                                                                                         Fraction(1, 4)]
+        assert [Fraction(num, field.denominator) for num in field.numerators.tolist()] == [Fraction(1, 3), Fraction(1, 4)]
         assert field.weights.tolist() == [1 / 3, 0.25]
         assert field.query_exact((0.75, 0.0)) == Fraction(1, 3) + Fraction(1, 4)
         assert field.query_exact((3.0, 0.0)) == 0
