@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -27,7 +26,6 @@ from .model import (
     ResourceCapError,
     UniformDiskPoint,
     ValidationError,
-    _pairs,
 )
 from .montecarlo import trial_rng
 
@@ -216,14 +214,16 @@ _POINTS_PER_POINT_CAP = 65_536
 _WEIGHT_DENOM = 2**53
 
 
-def _exact_weights(w: np.ndarray) -> tuple[Fraction, ...]:
+def _exact_weights(w: np.ndarray) -> list[tuple[int, int]]:
     """Round float masses to exact rationals with a common power-of-two
-    denominator summing to exactly one (deviation per weight <= 2^-53)."""
-    ints = [max(1, int(round(float(x) * _WEIGHT_DENOM))) for x in w]
-    ints[int(np.argmax(w))] += _WEIGHT_DENOM - sum(ints)
-    if ints[int(np.argmax(w))] <= 0:
+    denominator summing to exactly one (deviation per weight <= 2^-53), as
+    reduced (numerator, denominator) pairs."""
+    ints = np.maximum(1, np.round(w * _WEIGHT_DENOM)).astype(np.int64)
+    ints[np.argmax(w)] += _WEIGHT_DENOM - ints.sum()
+    if ints[np.argmax(w)] <= 0:
         raise ValidationError("weight normalization failed")
-    return tuple(Fraction(v, _WEIGHT_DENOM) for v in ints)
+    g = np.gcd(ints, _WEIGHT_DENOM)
+    return list(zip((ints // g).tolist(), (_WEIGHT_DENOM // g).tolist()))
 
 
 def discretize_for_measure(
@@ -260,6 +260,5 @@ def discretize_for_measure(
     rows = []
     for i, dist in enumerate(cset.points):
         sample = _lattice_sample(dist, max(eps_point, _EPS_POINT_FLOOR), size, i)
-        weights = (Fraction(1),) if len(sample.points) == 1 else _exact_weights(sample.weights)
-        rows.append((sample.points, _pairs(weights)))
+        rows.append((sample.points, _exact_weights(sample.weights)))
     return IndecisivePointSet._from_rows(rows, 2)

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import _JITTER_UNIT, _SYMMETRY_TOL, as_points, coordinate_scale
+from .quantize import _ratio_cells, _ratio_floats
 
 __all__ = [
     "ValidationError",
@@ -250,10 +251,9 @@ class IndecisivePointSet:
         """Tables for drawing a whole support at once: the cumulative
         weights padded with inf (n, k_max), the candidate locations
         (n, k_max, d), each point's k - 1, and the row indices."""
-        # Python's int / int is correctly rounded: float() of each weight.
-        weights = [v / d for v, d in zip(self.nums.tolist(), self.denoms[self.point_of].tolist())]
+        weights = _ratio_floats(self.nums, self.denoms[self.point_of])
         # accumulate adds each row left to right, as a cumsum per point does.
-        cum = np.cumsum(self._grid(np.array(weights), np.inf), axis=1)
+        cum = np.cumsum(self._grid(weights, np.inf), axis=1)
         last, rows = self.ks - 1, np.arange(self.n)
         cum[rows, last] = 1.0
         return cum, self._grid(self.locations, 0.0), last, rows
@@ -515,11 +515,6 @@ def _jitter(uset: IndecisivePointSet) -> IndecisivePointSet:
 # JSON interchange
 
 
-def _weight_to_json(num: int, denom: int) -> str:
-    g = math.gcd(num, denom)
-    return f"{num // g}/{denom // g}"
-
-
 def _parse_weight(text, where: str) -> tuple[int, int]:
     """The weight ``text`` as the reduced (numerator, denominator) of
     ``Fraction(str(text))``."""
@@ -619,16 +614,13 @@ def save_point_set(uset: IndecisivePointSet | ContinuousUncertainSet) -> str:
     """Serialize to the JSON interchange format (inverse of load_point_set)."""
     if isinstance(uset, IndecisivePointSet):
         locs = uset.locations.tolist()
-        nums = uset.nums.tolist()
+        cells = _ratio_cells(uset.nums, uset.denoms[uset.point_of])
         doc = {
             "dimension": uset.dimension,
             "model": "indecisive",
             "points": [
-                {
-                    "locations": locs[a : a + k],
-                    "weights": [_weight_to_json(v, d) for v in nums[a : a + k]],
-                }
-                for a, k, d in zip(uset.offsets.tolist(), uset.ks.tolist(), uset.denoms.tolist())
+                {"locations": locs[a : a + k], "weights": cells[a : a + k]}
+                for a, k in zip(uset.offsets.tolist(), uset.ks.tolist())
             ],
         }
         if uset.jitter_applied:
@@ -637,18 +629,10 @@ def save_point_set(uset: IndecisivePointSet | ContinuousUncertainSet) -> str:
         points = []
         for p in uset.points:
             if isinstance(p, GaussianPoint):
-                points.append(
-                    {
-                        "kind": "gaussian",
-                        "mean": [float(x) for x in p.mean],
-                        "cov": [[float(x) for x in row] for row in p.cov],
-                    }
-                )
+                points.append({"kind": "gaussian", "mean": p.mean.tolist(), "cov": p.cov.tolist()})
             elif isinstance(p, UniformDiskPoint):
-                points.append(
-                    {"kind": "uniform_disk", "center": [float(x) for x in p.center], "radius": p.radius}
-                )
+                points.append({"kind": "uniform_disk", "center": p.center.tolist(), "radius": p.radius})
             else:
-                points.append({"kind": "point_mass", "at": [float(x) for x in p.at]})
+                points.append({"kind": "point_mass", "at": p.at.tolist()})
         doc = {"dimension": uset.dimension, "model": "continuous", "points": points}
     return json.dumps(doc, indent=2)

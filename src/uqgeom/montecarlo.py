@@ -473,6 +473,8 @@ def query_eda_kernel(kernels: tuple[np.ndarray, ...], direction) -> Quantization
     width, weight 1/m.  With probability at least 1 - delta its CDF is
     within eps of the true width CDF, up to a relative alpha perturbation
     of the width axis."""
+    if not kernels:
+        raise ValueError("an EDA kernel query needs at least one kernel")
     u = kernel_direction(direction, kernels[0].shape[1])
     projections = [k @ u for k in kernels]
     return Quantization1D.from_samples([float(p.max() - p.min()) for p in projections])

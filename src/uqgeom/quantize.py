@@ -10,7 +10,6 @@ weights.  The k-variate form supports dominance queries.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +61,8 @@ class Quantization1D:
         ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
         if len(ints) != len(vals):
             raise ValueError("one weight per value required")
+        if not {type(n) for n in ints} <= {int}:
+            raise ValueError("the numerators of exact weights must be integers")
         if min(ints) <= 0:
             raise ValueError("weights must be positive")
         if sum(ints) != denominator:
@@ -99,9 +100,11 @@ class Quantization1D:
 
     @functools.cached_property
     def _cum_float(self) -> np.ndarray:
+        # The float CDF of max_deviation and simplify: running sums of the
+        # float weights.  An exact one sums rounded weights, unlike the CSV's
+        # cumulative column, which rounds each exact running sum.
         if self.kind == "exact":
-            # Python int / int is correctly rounded: float() of each weight.
-            cum = np.cumsum([n / self.denominator for n in self.numerators.tolist()])
+            cum = np.cumsum(_ratio_floats(self.numerators, self.denominator))
         else:
             cum = np.cumsum(self.weights)
         cum[-1] = 1.0
@@ -110,7 +113,7 @@ class Quantization1D:
     @functools.cached_property
     def _cum_exact(self) -> tuple:
         """Running exact weights (exact kind only)."""
-        return tuple(Fraction(c, self.denominator) for c in itertools.accumulate(self.numerators.tolist()))
+        return tuple(Fraction(c, self.denominator) for c in np.cumsum(self.numerators).tolist())
 
 
 def _checked_values(values) -> np.ndarray:
@@ -229,23 +232,47 @@ def max_deviation(a: Quantization1D, b: Quantization1D) -> float:
     return float(max(da.max(), db.max()))
 
 
+# Rows per formatting pass of quantization_to_csv.
+_CSV_ROWS = 512
+
+
+def _ratio_floats(nums, dens) -> np.ndarray:
+    """The float64 of each ratio ``nums / dens`` of integer arrays (or a
+    scalar ``dens``), rounded once to nearest: float() of its Fraction.
+    Int64 operands within (-2**53, 2**53) are exact float64s, and IEEE
+    division is correctly rounded; others divide as Python ints, whose
+    ``/`` is correctly rounded too and raises OverflowError past the
+    largest float."""
+    nums, dens = np.asarray(nums), np.asarray(dens)
+    fits = (a.dtype == np.int64 and (a.size == 0 or -(2**53) < a.min() <= a.max() < 2**53) for a in (nums, dens))
+    if not all(fits):
+        nums, dens = nums.astype(object), dens.astype(object)
+    return np.true_divide(nums, dens).astype(np.float64, copy=False)
+
+
+def _ratio_cells(nums, dens) -> list[str]:
+    """The reduced ``num/den`` text of each ratio ``nums / dens`` of integer
+    arrays (or a scalar ``dens``), the terms of its Fraction: in int64 when
+    they are int64, else in Python ints."""
+    g = np.gcd(nums, dens)
+    return list(map("%d/%d".__mod__, zip((nums // g).tolist(), (dens // g).tolist())))
+
+
 def quantization_to_csv(q: Quantization1D) -> str:
     """CSV rows value,weight,cumulative (17 significant digits); exact
-    quantizations append the rational weight as a num/den column."""
-    lines = []
-    if q.kind == "exact":
-        lines.append("value,weight,cumulative,weight_exact")
-        # Python int / int is correctly rounded, so each float cell equals
-        # float() of its exact weight or running sum.
-        denom = q.denominator
-        cum = 0
-        for v, num in zip(q.values.tolist(), q.numerators.tolist()):
-            cum += num
-            g = math.gcd(num, denom)
-            lines.append(f"{v:.17g},{num / denom:.17g},{cum / denom:.17g},{num // g}/{denom // g}")
-    else:
-        lines.append("value,weight,cumulative")
-        cum = q._cum_float
-        for v, w, c in zip(q.values, q.weights, cum):
-            lines.append(f"{v:.17g},{float(w):.17g},{c:.17g}")
-    return "\n".join(lines) + "\n"
+    quantizations append the rational weight as a num/den column, and their
+    float cells are the :func:`_ratio_floats` of each weight and exact
+    running sum.  Rows are formatted ``_CSV_ROWS`` at a time, so the writer
+    holds little beyond its output."""
+    exact = q.kind == "exact"
+    cums = np.cumsum(q.numerators) if exact else q._cum_float
+    parts, fmt = ["value,weight,cumulative" + ",weight_exact" * exact], "%.17g,%.17g,%.17g" + ",%s" * exact
+    for lo in range(0, len(q), _CSV_ROWS):
+        part = slice(lo, lo + _CSV_ROWS)
+        if exact:
+            n, d = q.numerators[part], q.denominator
+            columns = [_ratio_floats(n, d).tolist(), _ratio_floats(cums[part], d).tolist(), _ratio_cells(n, d)]
+        else:
+            columns = [q.weights[part].tolist(), cums[part].tolist()]
+        parts.append("\n".join(map(fmt.__mod__, zip(q.values[part].tolist(), *columns))))
+    return "\n".join([*parts, ""])

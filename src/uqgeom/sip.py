@@ -20,6 +20,7 @@ import numpy as np
 
 from .geometry import _WEIGHT_SLACK
 from .model import ResourceCapError, ValidationError
+from .quantize import _ratio_floats
 
 __all__ = [
     "DISK",
@@ -136,9 +137,9 @@ class SipField:
     def from_arrays(cls, kind, params, weights, numerators=None, denominator=None) -> "SipField":
         """The field of m shapes of one family in its array form (see the
         class).  With exact weights, ``weights`` may be None: each float
-        weight is then ``num / denominator``, Python's correctly rounded
-        int division, so float() of its Fraction; given weights must equal
-        it.  Numerators must be ints (bools are refused)."""
+        weight is then the :func:`~uqgeom.quantize._ratio_floats` of its
+        numerator over the denominator; given weights must equal it.
+        Numerators must be ints (bools are refused)."""
         if type(kind) is not int or kind not in (DISK, RECT):
             raise ValueError("a SIP field's kind must be DISK or RECT")
         if (numerators is None) != (denominator is None):
@@ -149,15 +150,13 @@ class SipField:
             numerators = np.array(numerators)
             if numerators.ndim != 1:
                 raise ValueError("need one numerator per shape")
-            nums = numerators.tolist()
-            if not {type(n) for n in nums} <= {int}:
+            if not {type(n) for n in numerators.tolist()} <= {int}:
                 raise ValueError("the numerators of exact weights must be integers")
             try:
-                exact = np.array([n / denominator for n in nums], dtype=np.float64)
+                exact = _ratio_floats(numerators, denominator)
             except OverflowError:
                 raise ValueError("shape weights must be finite") from None
-            if weights is None:
-                weights = exact
+            weights = exact if weights is None else weights
         # Copies in the canonical float64 dtype: np.array keeps an equal dtype
         # instance of its input (one unpickled, say), slow in np.add.at.
         params = np.asarray(params, dtype=np.float64).astype(np.float64)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from uqgeom import (
     exact_distribution,
     lattice_eps_sample,
     max_deviation,
+    save_point_set,
 )
 from uqgeom.discretize import SLAB_DIRECTIONS_AABB, _lattice_sample
 
@@ -146,6 +149,31 @@ def test_discretize_point_masses_exact():
     assert isinstance(out, IndecisivePointSet)
     assert all(p.k == 1 for p in out.points)
     assert all(p.weights == (1,) for p in out.points)
+
+
+@pytest.mark.parametrize(
+    "measure, ppp, digest",
+    [
+        ("seb2", 16, "6898f091e7231de3838c39d46586de2932cf419bcdd75db8f4d400f6cb4c8fb2"),
+        ("aabb-perimeter", 25, "20c06f41915b16ca58137483242af45820bf0d11842b728681b88e8bed3c5997"),
+    ],
+)
+def test_saved_discretized_set_keeps_its_bytes(measure, ppp, digest):
+    # Weights over 2**53 per point, written as reduced num/den cells.
+    cset = ContinuousUncertainSet(
+        (
+            GaussianPoint((0.0, 0.0), np.array([[0.3, 0.1], [0.1, 0.2]])),
+            UniformDiskPoint((1.0, 0.5), 0.4),
+            PointMassPoint((0.5, 1.0)),
+        ),
+        2,
+    )
+    uset = discretize_for_measure(cset, MeasureId.parse(measure), 0.2, points_per_point=ppp)
+    text = save_point_set(uset)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    cells = [w for p in json.loads(text)["points"] for w in p["weights"]]
+    nums, dens = uset.nums.tolist(), uset.denoms[uset.point_of].tolist()
+    assert cells == [f"{n // math.gcd(n, d)}/{d // math.gcd(n, d)}" for n, d in zip(nums, dens)]
 
 
 def test_discretize_rejects_unsupported():

@@ -198,6 +198,12 @@ def test_eda_kernel_rejects_direction_of_other_dimension(rng):
         query_eda_kernel(ek, (0.0, 0.0))
 
 
+def test_eda_kernel_query_refuses_no_kernels():
+    # An empty tuple once raised IndexError from kernels[0].
+    with pytest.raises(ValueError, match="at least one kernel"):
+        query_eda_kernel((), (1.0, 0.0))
+
+
 def test_eda_kernel_direction_symmetry(rng):
     ek = build_eda_kernel(_gaussian_set(rng), 0.1, SampleBudget(0.1, 0.1, explicit_m=60), seed=2)
     a = query_eda_kernel(ek, (0.3, 0.7))

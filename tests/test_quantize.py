@@ -1,20 +1,29 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from uqgeom import (
+    ContinuousUncertainSet,
+    GaussianPoint,
+    MeasureId,
+    PointMassPoint,
     Quantization1D,
     QuantizationKD,
+    UniformDiskPoint,
+    discretize_for_measure,
     eval_cdf,
     eval_dominance,
+    exact_distribution,
     max_deviation,
     quantization_to_csv,
     simplify,
 )
+from uqgeom.quantize import _CSV_ROWS, _ratio_cells, _ratio_floats
 
-from conftest import exact_quantization
+from conftest import exact_quantization, random_indecisive
 
 
 def test_eval_cdf_uniform_breakpoints():
@@ -231,6 +240,28 @@ def test_from_numerators_checks_int64_numerators_exactly():
     assert type(q.numerators[0]) is int and not q.numerators.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "values, numerators, denominator",
+    [
+        ([0.0, 1.0], [1.5, 0.5], 2),
+        ([0.0, 1.0], np.array([1.5, 0.5]), 2),
+        ([0.0, 1.0], [1.0, 1.0], 2),
+        ([0.0, 1.0], [Fraction(1), 1], 2),
+        ([0.0], [True], 1),
+        ([0.0, 1.0], np.array([True, True]), 2),
+    ],
+)
+def test_from_numerators_refuses_numerators_that_are_not_integers(values, numerators, denominator):
+    # [1.5, 0.5] once passed every check and was stored as int64 [1, 0].
+    with pytest.raises(ValueError, match="numerators of exact weights must be integers"):
+        Quantization1D.from_numerators(values, numerators, denominator)
+
+
+def test_from_numerators_takes_numpy_integer_arrays():
+    for ints in (np.array([1, 1], dtype=np.int32), np.array([1, 1], dtype=np.uint64)):
+        assert Quantization1D.from_numerators([0.0, 1.0], ints, 2).numerators.tolist() == [1, 1]
+
+
 def test_quantization_refuses_nan_values():
     # The order check is false on NaN: from_samples([1, nan, 0.5]) once built
     # [0.5, 1.0, nan], whose CDF read 2/3 at 10.
@@ -291,3 +322,107 @@ def test_csv_cumulative_is_rounded_running_fraction():
     for w, line in zip(weights, quantization_to_csv(q).splitlines()[1:]):
         running += w
         assert line.split(",")[2] == f"{float(running):.17g}"
+
+
+def _former_quantization_to_csv(q):
+    """Reference: the writer as it was, one row at a time in Python ints."""
+    lines = []
+    if q.kind == "exact":
+        lines.append("value,weight,cumulative,weight_exact")
+        denom = q.denominator
+        cum = 0
+        for v, num in zip(q.values.tolist(), q.numerators.tolist()):
+            cum += num
+            g = math.gcd(num, denom)
+            lines.append(f"{v:.17g},{num / denom:.17g},{cum / denom:.17g},{num // g}/{denom // g}")
+    else:
+        lines.append("value,weight,cumulative")
+        for v, w, c in zip(q.values, q.weights, q._cum_float):
+            lines.append(f"{v:.17g},{float(w):.17g},{c:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_VALUES = [-1.7976931348623157e308, -1e300, -1.0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.1,
+                1.0, 1e300, 1.7976931348623157e308]
+
+
+def _csv_quantizations():
+    """Exact quantizations over denominators on both sides of 2**53 and
+    2**63, with repeated and distinct numerators, of one row and of more
+    than one formatting pass, and sampled ones of m = 1, 3, 500 and more,
+    over signed zeros, subnormal and huge values."""
+    rng, draw = np.random.default_rng(45), random.Random(45)
+    out = []
+    for denom in (2**53 - 1, 2**53, 2**63 - 1, 2**63, 3**61, 2**106, 6, 2**40 * 3**10):
+        for n in (n for n in (1, 2, len(_EDGE_VALUES), 60, 3 * _CSV_ROWS + 1) if 4 * n <= denom):
+            values = _EDGE_VALUES if n == len(_EDGE_VALUES) else np.sort(rng.normal(size=n))
+            repeated = [denom // (2 * n)] * (n - 1)
+            distinct = [draw.randrange(1, denom // (2 * n) + 1) for _ in range(n - 1)]
+            for nums in (repeated, distinct):
+                out.append(Quantization1D.from_numerators(values, nums + [denom - sum(nums)], denom))
+    for m in (1, 3, 500, 3 * _CSV_ROWS + 1):
+        out.append(Quantization1D.from_samples(rng.normal(size=m)))
+        out.append(Quantization1D.from_samples(rng.choice(_EDGE_VALUES, size=m)))
+    return out
+
+
+def test_csv_writer_bytes_match_the_former_writer():
+    qs = _csv_quantizations()
+    dtypes = {q.numerators.dtype for q in qs if q.kind == "exact"}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert {len(q) for q in qs} >= {1, 3, 500, len(_EDGE_VALUES)}
+    assert any(q.kind == "exact" and len(set(q.numerators.tolist())) < len(q) - 1 for q in qs)
+    for q in qs:
+        assert quantization_to_csv(q) == _former_quantization_to_csv(q), (q.values, q.numerators, q.denominator)
+
+
+def test_csv_writer_bytes_match_on_engine_distributions(rng):
+    # Exact distributions as the engine makes them: int64 numerators on
+    # random sets, Python ints on discretized ones (denominators of 2**53
+    # per point), several with more rows than one formatting pass.
+    sets = [random_indecisive(rng, n, k) for n, k in ((3, 2), (5, 3), (7, 4))]
+    cset = ContinuousUncertainSet(
+        (GaussianPoint((0.0, 0.0), np.eye(2) * 0.2), UniformDiskPoint((1.0, 0.5), 0.4), PointMassPoint((0.5, 1.0))), 2
+    )
+    sets += [discretize_for_measure(cset, MeasureId("seb2"), 0.2, points_per_point=16)]
+    qs = [exact_distribution(uset, MeasureId.parse(m)).collapsed for uset in sets for m in ("seb2", "aabb-perimeter")]
+    assert {q.numerators.dtype for q in qs} == {np.dtype(np.int64), np.dtype(object)}
+    assert max(len(q) for q in qs) > 2 * _CSV_ROWS
+    for q in qs:
+        assert quantization_to_csv(q) == _former_quantization_to_csv(q)
+
+
+def _ratio_cases():
+    """(numerators, denominators) as int64 and object arrays on both sides
+    of 2**53 and 2**63, with scalar and per-entry denominators."""
+    near = [1, 2, 3, 7, 2**52 - 1, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1]
+    big = [2**63, 2**64 + 3, 3**61, 2**106 - 1, 2**159 + 7]
+    rng = np.random.default_rng(7)
+    cases = []
+    for den in near + big:
+        nums = [1, 2, 3, den // 3, den - 1, den, -5, 0]
+        cases.append((np.array(nums, dtype=object), den))
+        if den < 2**63:
+            cases.append((np.array(nums, dtype=np.int64), np.int64(den)))
+    # Numerators above 2**53 over a small denominator: weights above 1.
+    cases.append((np.array([2**53 + 1, 2**60 + 3, 2**63 - 1, -(2**63) + 1], dtype=np.int64), 3))
+    cases.append((np.array([2**53 + 1, 2**60 + 3, 2**63 + 1, 2**200 + 1], dtype=object), 3))
+    # Per-entry denominators, as each candidate's point denominator.
+    for top in (2**20, 2**52, 2**53, 2**62, 2**63 - 1):
+        dens = rng.integers(1, top, size=50, dtype=np.int64, endpoint=True)
+        nums = np.array([int(rng.integers(0, int(d), endpoint=True)) for d in dens], dtype=np.int64)
+        cases.append((nums, dens))
+        cases.append((nums.astype(object), dens.astype(object) * 2**70))
+    return cases
+
+
+def test_ratio_helpers_match_fractions():
+    for nums, dens in _ratio_cases():
+        pairs = list(zip(nums.tolist(), np.broadcast_to(dens, nums.shape).tolist()))
+        floats = _ratio_floats(nums, dens)
+        assert floats.dtype == np.float64 and floats.shape == (len(pairs),)
+        assert [x.hex() for x in floats.tolist()] == [float(Fraction(n, d)).hex() for n, d in pairs]
+        cells = _ratio_cells(nums, dens)
+        assert cells == [f"{Fraction(n, d).numerator}/{Fraction(n, d).denominator}" for n, d in pairs]
+    with pytest.raises(OverflowError):
+        _ratio_floats(np.array([10**400], dtype=object), 3)
