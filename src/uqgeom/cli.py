@@ -128,10 +128,16 @@ def _emit_sip(field: sip.SipField, flags, args) -> int:
     return 0
 
 
-def _cmd_distribution(args) -> int:
-    """``exact`` and ``oracle``: the engine's collapsed distribution as CSV."""
-    engine = exact_mod.exact_distribution if args.command == "exact" else exact_mod.brute_force_distribution
-    dist = engine(_load(args.input), MeasureId.parse(args.measure))
+def _cmd_exact(args) -> int:
+    uset = _load(args.input)
+    dist = exact_mod.exact_distribution(uset, MeasureId.parse(args.measure))
+    _write(args.out, quantization_to_csv(dist.collapsed))
+    return 0
+
+
+def _cmd_oracle(args) -> int:
+    uset = _load(args.input)
+    dist = exact_mod.brute_force_distribution(uset, MeasureId.parse(args.measure))
     _write(args.out, quantization_to_csv(dist.collapsed))
     return 0
 
@@ -241,12 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
                        + ",".join(map(str, isolines.DEFAULT_LEVELS)))
         p.set_defaults(func=fn)
 
-    for name, summary in (("exact", "deterministic exact distribution"),
-                          ("oracle", "brute-force distribution over all supports")):
-        p = sub.add_parser(name, help=summary)
-        common(p, budget=False)
-        p.add_argument("--measure", required=True)
-        p.set_defaults(func=_cmd_distribution)
+    p = sub.add_parser("exact", help="deterministic exact distribution")
+    common(p, budget=False)
+    p.add_argument("--measure", required=True)
+    p.set_defaults(func=_cmd_exact)
+
+    p = sub.add_parser("oracle", help="brute-force distribution over all supports")
+    common(p, budget=False)
+    p.add_argument("--measure", required=True)
+    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("discretize", help="continuous set -> indecisive set")
     common(p, budget=False)

@@ -28,6 +28,7 @@ from .model import (
     ValidationError,
 )
 from .montecarlo import trial_rng
+from .quantize import _ratio_terms
 
 # Unused here; perfbench/layers.py patches this name on this module by getattr.
 from .geometry import welzl_ball  # noqa: F401
@@ -222,8 +223,7 @@ def _exact_weights(w: np.ndarray) -> list[tuple[int, int]]:
     ints[np.argmax(w)] += _WEIGHT_DENOM - ints.sum()
     if ints[np.argmax(w)] <= 0:
         raise ValidationError("weight normalization failed")
-    g = np.gcd(ints, _WEIGHT_DENOM)
-    return list(zip((ints // g).tolist(), (_WEIGHT_DENOM // g).tolist()))
+    return list(zip(*_ratio_terms(ints, _WEIGHT_DENOM)))
 
 
 def discretize_for_measure(

@@ -629,10 +629,18 @@ def save_point_set(uset: IndecisivePointSet | ContinuousUncertainSet) -> str:
         points = []
         for p in uset.points:
             if isinstance(p, GaussianPoint):
-                points.append({"kind": "gaussian", "mean": p.mean.tolist(), "cov": p.cov.tolist()})
+                points.append(
+                    {
+                        "kind": "gaussian",
+                        "mean": [float(x) for x in p.mean],
+                        "cov": [[float(x) for x in row] for row in p.cov],
+                    }
+                )
             elif isinstance(p, UniformDiskPoint):
-                points.append({"kind": "uniform_disk", "center": p.center.tolist(), "radius": p.radius})
+                points.append(
+                    {"kind": "uniform_disk", "center": [float(x) for x in p.center], "radius": p.radius}
+                )
             else:
-                points.append({"kind": "point_mass", "at": p.at.tolist()})
+                points.append({"kind": "point_mass", "at": [float(x) for x in p.at]})
         doc = {"dimension": uset.dimension, "model": "continuous", "points": points}
     return json.dumps(doc, indent=2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,8 +62,10 @@ class Quantization1D:
         ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
         if len(ints) != len(vals):
             raise ValueError("one weight per value required")
-        if not {type(n) for n in ints} <= {int}:
+        # Numpy integer scalars count as ints; floats and bools are refused.
+        if not all(isinstance(n, numbers.Integral) and type(n) is not bool for n in ints):
             raise ValueError("the numerators of exact weights must be integers")
+        ints = list(map(int, ints))
         if min(ints) <= 0:
             raise ValueError("weights must be positive")
         if sum(ints) != denominator:
@@ -238,24 +241,22 @@ _CSV_ROWS = 512
 
 def _ratio_floats(nums, dens) -> np.ndarray:
     """The float64 of each ratio ``nums / dens`` of integer arrays (or a
-    scalar ``dens``), rounded once to nearest: float() of its Fraction.
-    Int64 operands within (-2**53, 2**53) are exact float64s, and IEEE
-    division is correctly rounded; others divide as Python ints, whose
-    ``/`` is correctly rounded too and raises OverflowError past the
-    largest float."""
-    nums, dens = np.asarray(nums), np.asarray(dens)
-    fits = (a.dtype == np.int64 and (a.size == 0 or -(2**53) < a.min() <= a.max() < 2**53) for a in (nums, dens))
-    if not all(fits):
-        nums, dens = nums.astype(object), dens.astype(object)
-    return np.true_divide(nums, dens).astype(np.float64, copy=False)
+    scalar ``dens``), float() of its Fraction: each is a Python int / int,
+    which is correctly rounded and raises OverflowError past the largest
+    float."""
+    return np.true_divide(np.asarray(nums).astype(object), np.asarray(dens).astype(object)).astype(np.float64)
+
+
+def _ratio_terms(nums, dens) -> tuple[list[int], list[int]]:
+    """The reduced numerators and denominators of the ratios ``nums / dens``
+    of integer arrays (or a scalar ``dens``): the terms of their Fractions."""
+    g = np.gcd(nums, dens)
+    return (nums // g).tolist(), (dens // g).tolist()
 
 
 def _ratio_cells(nums, dens) -> list[str]:
-    """The reduced ``num/den`` text of each ratio ``nums / dens`` of integer
-    arrays (or a scalar ``dens``), the terms of its Fraction: in int64 when
-    they are int64, else in Python ints."""
-    g = np.gcd(nums, dens)
-    return list(map("%d/%d".__mod__, zip((nums // g).tolist(), (dens // g).tolist())))
+    """The ``num/den`` text of each reduced ratio ``nums / dens``."""
+    return list(map("%d/%d".__mod__, zip(*_ratio_terms(nums, dens))))
 
 
 def quantization_to_csv(q: Quantization1D) -> str:

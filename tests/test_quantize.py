@@ -258,8 +258,12 @@ def test_from_numerators_refuses_numerators_that_are_not_integers(values, numera
 
 
 def test_from_numerators_takes_numpy_integer_arrays():
-    for ints in (np.array([1, 1], dtype=np.int32), np.array([1, 1], dtype=np.uint64)):
-        assert Quantization1D.from_numerators([0.0, 1.0], ints, 2).numerators.tolist() == [1, 1]
+    for ints in (np.array([1, 1], dtype=np.int32), np.array([1, 1], dtype=np.uint64), [np.int64(1), np.int64(1)]):
+        q = Quantization1D.from_numerators([0.0, 1.0], ints, 2)
+        assert q.numerators.tolist() == [1, 1] and q.numerators.dtype == np.int64
+    # Python ints that one numpy array would hold only as floats.
+    q = Quantization1D.from_numerators([0.0, 1.0], [2**63, 5], 2**63 + 5)
+    assert q.numerators.tolist() == [2**63, 5] and q.numerators.dtype == object
 
 
 def test_quantization_refuses_nan_values():
