@@ -128,16 +128,12 @@ def _emit_sip(field: sip.SipField, flags, args) -> int:
     return 0
 
 
-def _cmd_exact(args) -> int:
+def _cmd_distribution(args) -> int:
+    """``exact`` and ``oracle``: the command's engine, read from the exact
+    module when it runs, so a patched engine is the one called."""
     uset = _load(args.input)
-    dist = exact_mod.exact_distribution(uset, MeasureId.parse(args.measure))
-    _write(args.out, quantization_to_csv(dist.collapsed))
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    uset = _load(args.input)
-    dist = exact_mod.brute_force_distribution(uset, MeasureId.parse(args.measure))
+    engine = {"exact": exact_mod.exact_distribution, "oracle": exact_mod.brute_force_distribution}[args.command]
+    dist = engine(uset, MeasureId.parse(args.measure))
     _write(args.out, quantization_to_csv(dist.collapsed))
     return 0
 
@@ -247,15 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
                        + ",".join(map(str, isolines.DEFAULT_LEVELS)))
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("exact", help="deterministic exact distribution")
-    common(p, budget=False)
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("oracle", help="brute-force distribution over all supports")
-    common(p, budget=False)
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_oracle)
+    for name, text in (("exact", "deterministic exact distribution"),
+                       ("oracle", "brute-force distribution over all supports")):
+        p = sub.add_parser(name, help=text)
+        common(p, budget=False)
+        p.add_argument("--measure", required=True)
+        p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("discretize", help="continuous set -> indecisive set")
     common(p, budget=False)

@@ -36,10 +36,11 @@ class Quantization1D:
     quantization, from :meth:`from_samples`, is its m sorted samples, each
     of float weight 1/m (a read-only array).  An exact one, from the exact
     engines or :meth:`from_numerators`, holds positive integer read-only
-    ``numerators`` over one ``denominator``, summing to it exactly (int64
-    while the denominator fits, Python ints otherwise); its ``weights``
-    are the Fractions they make, built on first read.  ``kind`` is "exact"
-    when there are numerators and "sampled" otherwise.
+    ``numerators`` over one ``denominator``, summing to it exactly (stored
+    as :func:`_exact_numerators` says); its ``weights`` are the Fractions
+    they make, built on first read, and both its CDFs read one running sum
+    of them.  ``kind`` is "exact" when there are numerators and "sampled"
+    otherwise.
     """
 
     values: np.ndarray
@@ -59,19 +60,14 @@ class Quantization1D:
     def from_numerators(cls, values, numerators, denominator: int) -> "Quantization1D":
         """Exact quantization with weights ``numerators / denominator``."""
         vals = _checked_values(values)
-        ints = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
-        if len(ints) != len(vals):
+        nums, denominator = _exact_numerators(numerators, denominator)
+        if len(nums) != len(vals):
             raise ValueError("one weight per value required")
-        # Numpy integer scalars count as ints; floats and bools are refused.
-        if not all(isinstance(n, numbers.Integral) and type(n) is not bool for n in ints):
-            raise ValueError("the numerators of exact weights must be integers")
-        ints = list(map(int, ints))
-        if min(ints) <= 0:
+        if nums.min() <= 0:
             raise ValueError("weights must be positive")
-        if sum(ints) != denominator:
+        # Summed in Python ints: an int64 sum may wrap to the denominator.
+        if sum(nums.tolist()) != denominator:
             raise ValueError("exact weights must sum to exactly 1")
-        # Each numerator lies in (0, denominator].
-        nums = np.array(ints, dtype=np.int64 if denominator < 2**63 else object)
         return cls._from_checked(vals, nums, denominator)
 
     @classmethod
@@ -102,21 +98,20 @@ class Quantization1D:
         return len(self.values)
 
     @functools.cached_property
-    def _cum_float(self) -> np.ndarray:
-        # The float CDF of max_deviation and simplify: running sums of the
-        # float weights.  An exact one sums rounded weights, unlike the CSV's
-        # cumulative column, which rounds each exact running sum.
-        if self.kind == "exact":
-            cum = np.cumsum(_ratio_floats(self.numerators, self.denominator))
-        else:
-            cum = np.cumsum(self.weights)
-        cum[-1] = 1.0
-        return cum
+    def _cum_nums(self) -> np.ndarray:
+        """Running sums of the numerators (exact kind only)."""
+        return np.cumsum(self.numerators)
 
     @functools.cached_property
-    def _cum_exact(self) -> tuple:
-        """Running exact weights (exact kind only)."""
-        return tuple(Fraction(c, self.denominator) for c in np.cumsum(self.numerators).tolist())
+    def _cum_float(self) -> np.ndarray:
+        """The float CDF at each breakpoint, the CSV's cumulative column:
+        each exact running sum rounded once (nondecreasing, ending at 1.0),
+        or the running sums of sampled weights, the last set to 1.0."""
+        if self.kind == "exact":
+            return _ratio_floats(self._cum_nums, self.denominator)
+        cum = np.cumsum(self.weights)
+        cum[-1] = 1.0
+        return cum
 
 
 def _checked_values(values) -> np.ndarray:
@@ -140,7 +135,7 @@ def eval_cdf(q: Quantization1D, v: float):
     # No breakpoint is <= NaN, though searchsorted sorts NaN after them all.
     idx = 0 if v != v else int(np.searchsorted(q.values, v, side="right"))
     if q.kind == "exact":
-        return Fraction(0) if idx == 0 else q._cum_exact[idx - 1]
+        return Fraction(0) if idx == 0 else Fraction(int(q._cum_nums[idx - 1]), q.denominator)
     return 0.0 if idx == 0 else float(q._cum_float[idx - 1])
 
 
@@ -210,28 +205,26 @@ def max_deviation(a: Quantization1D, b: Quantization1D) -> float:
     Between two breakpoints of one input its CDF is constant and the
     other's is monotone, so the distance peaks at (or just below) a
     breakpoint of that input, and both functions are evaluated there, at
-    the breakpoints of the shorter input.  The other's float cumulative
-    sums are nondecreasing but for the last, set to exactly 1.0, which may
-    lie below the one before it: its last breakpoint is evaluated too.
-    Each evaluation is one that a grid of both inputs' breakpoints makes, so
-    the maximum has the same bits.  Mixing exact and sampled kinds is
-    allowed; the comparison is in floating point.
+    the breakpoints of the shorter input.  A sampled float CDF's sums of
+    1/m could pass 1 before its last, set to exactly 1.0, so the last
+    breakpoint of the longer input is evaluated too.  Each evaluation is
+    one that a grid of both inputs' breakpoints makes, so the maximum has
+    the same bits.  Mixing exact and sampled kinds is allowed; the
+    comparison is in floating point.
     """
     if len(b) < len(a):
         a, b = b, a
     grid = np.append(a.values, b.values[-1])
-    ca = a._cum_float
-    cb = b._cum_float
 
-    def at(q, cum, side):
+    def at(q, side):
         idx = np.searchsorted(q.values, grid, side=side)
         out = np.zeros(len(grid))
         nz = idx > 0
-        out[nz] = cum[idx[nz] - 1]
+        out[nz] = q._cum_float[idx[nz] - 1]
         return out
 
-    da = np.abs(at(a, ca, "right") - at(b, cb, "right"))
-    db = np.abs(at(a, ca, "left") - at(b, cb, "left"))
+    da = np.abs(at(a, "right") - at(b, "right"))
+    db = np.abs(at(a, "left") - at(b, "left"))
     return float(max(da.max(), db.max()))
 
 
@@ -245,6 +238,27 @@ def _ratio_floats(nums, dens) -> np.ndarray:
     which is correctly rounded and raises OverflowError past the largest
     float."""
     return np.true_divide(np.asarray(nums).astype(object), np.asarray(dens).astype(object)).astype(np.float64)
+
+
+def _exact_numerators(numerators, denominator) -> tuple[np.ndarray, int]:
+    """Exact weights as both exact constructors store them: a positive
+    integer denominator and 1-d integral numerators, bools refused
+    (ValueError), as a Python int and a new int64 array while the
+    denominator and every entry lie below 2**63, as the exact engine's
+    runs do, or an array of Python ints otherwise."""
+    if not isinstance(denominator, numbers.Integral) or isinstance(denominator, bool) or denominator <= 0:
+        raise ValueError("the denominator of exact weights must be a positive integer")
+    nums = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
+    if nums.ndim != 1:
+        raise ValueError("the numerators of exact weights must be 1-d")
+    # Checked once per type: the exact engine's fields hold thousands of ints.
+    types = set(map(type, nums.tolist())) if nums.dtype == object else {nums.dtype.type}
+    if not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
+        raise ValueError("the numerators of exact weights must be integers")
+    if nums.dtype == object and types - {int}:
+        nums = np.array(list(map(int, nums.tolist())), dtype=object)
+    fits = denominator < 2**63 and -(2**63) <= nums.min(initial=0) and nums.max(initial=0) < 2**63
+    return nums.astype(np.int64 if fits else object), int(denominator)
 
 
 def _ratio_terms(nums, dens) -> tuple[list[int], list[int]]:
@@ -266,14 +280,13 @@ def quantization_to_csv(q: Quantization1D) -> str:
     running sum.  Rows are formatted ``_CSV_ROWS`` at a time, so the writer
     holds little beyond its output."""
     exact = q.kind == "exact"
-    cums = np.cumsum(q.numerators) if exact else q._cum_float
     parts, fmt = ["value,weight,cumulative" + ",weight_exact" * exact], "%.17g,%.17g,%.17g" + ",%s" * exact
     for lo in range(0, len(q), _CSV_ROWS):
         part = slice(lo, lo + _CSV_ROWS)
         if exact:
             n, d = q.numerators[part], q.denominator
-            columns = [_ratio_floats(n, d).tolist(), _ratio_floats(cums[part], d).tolist(), _ratio_cells(n, d)]
+            columns = [_ratio_floats(n, d).tolist(), q._cum_float[part].tolist(), _ratio_cells(n, d)]
         else:
-            columns = [q.weights[part].tolist(), cums[part].tolist()]
+            columns = [q.weights[part].tolist(), q._cum_float[part].tolist()]
         parts.append("\n".join(map(fmt.__mod__, zip(q.values[part].tolist(), *columns))))
     return "\n".join([*parts, ""])

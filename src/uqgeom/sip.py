@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import _WEIGHT_SLACK
 from .model import ResourceCapError, ValidationError
-from .quantize import _ratio_floats
+from .quantize import _exact_numerators, _ratio_floats
 
 __all__ = [
     "DISK",
@@ -139,19 +139,14 @@ class SipField:
         class).  With exact weights, ``weights`` may be None: each float
         weight is then the :func:`~uqgeom.quantize._ratio_floats` of its
         numerator over the denominator; given weights must equal it.
-        Numerators must be ints (bools are refused)."""
+        Exact weights are checked and stored as
+        :func:`~uqgeom.quantize._exact_numerators` says."""
         if type(kind) is not int or kind not in (DISK, RECT):
             raise ValueError("a SIP field's kind must be DISK or RECT")
         if (numerators is None) != (denominator is None):
             raise ValueError("exact weights need both the numerators and their denominator")
         if numerators is not None:
-            if type(denominator) is not int or denominator <= 0:
-                raise ValueError("the denominator of exact weights must be a positive integer")
-            numerators = np.array(numerators)
-            if numerators.ndim != 1:
-                raise ValueError("need one numerator per shape")
-            if not {type(n) for n in numerators.tolist()} <= {int}:
-                raise ValueError("the numerators of exact weights must be integers")
+            numerators, denominator = _exact_numerators(numerators, denominator)
             try:
                 exact = _ratio_floats(numerators, denominator)
             except OverflowError:
@@ -166,11 +161,9 @@ class SipField:
             raise ValueError(f"need one weight and one ({width},) parameter row per shape")
         if not np.isfinite(weights).all():
             raise ValueError("shape weights must be finite")
-        if numerators is not None:
-            if numerators.shape != (m,):
-                raise ValueError("need one numerator per shape")
-            if not (weights == exact).all():
-                raise ValueError("each exact shape weight must be its numerator over the denominator")
+        # One numerator per weight: (weights == exact) would broadcast one.
+        if numerators is not None and not np.array_equal(weights, exact):
+            raise ValueError("each exact shape weight must be its numerator over the denominator")
         field = cls.__new__(cls)
         for name, value in (("params", params), ("weights", weights), ("numerators", numerators)):
             if value is not None:

@@ -1278,6 +1278,11 @@ def test_collapsed_equals_from_numerators_of_the_same_arrays(kind, monkeypatch):
             assert not got.values.flags.writeable and not got.numerators.flags.writeable
             assert not want.values.flags.writeable and not want.numerators.flags.writeable
             dtypes.add(got.numerators.dtype)
+            # The float CDF is each exact running sum rounded once, and it is
+            # the CSV's cumulative column bit for bit.
+            rounded = [float(Fraction(c, denom)).hex() for c in np.cumsum(nums.astype(object)).tolist()]
+            column = [float(line.split(",")[2]).hex() for line in quantization_to_csv(got).splitlines()[1:]]
+            assert [c.hex() for c in got._cum_float.tolist()] == rounded == column
     if kind in ("huge-denominator", "object-weights", "wide-denominators"):
         assert dtypes == {np.dtype(object)}
     else:

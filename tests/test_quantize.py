@@ -22,6 +22,7 @@ from uqgeom import (
     simplify,
 )
 from uqgeom.quantize import _CSV_ROWS, _ratio_cells, _ratio_floats
+from uqgeom.sip import DISK, SipField
 
 from conftest import exact_quantization, random_indecisive
 
@@ -139,8 +140,9 @@ def _former_max_deviation(a, b):
 
 
 def _overshooting_exact():
-    """Exact weights 0.2, 0.4, 0.3, 0.1 - 2**-70 and 2**-70, whose float
-    cumulative sums reach 1.0000000000000002 before the last is set to 1.0."""
+    """Exact weights 0.2, 0.4, 0.3, 0.1 - 2**-70 and 2**-70, whose rounded
+    weights sum to 1.0000000000000002 before the last; each running sum
+    rounded once is at most 1.0."""
     d = 2**70
     nums = [d // 5, 2 * d // 5 + 1, 3 * d // 10, 0, 1]
     nums[3] = d - sum(nums)
@@ -182,10 +184,12 @@ def test_max_deviation_matches_the_union_grid_bit_for_bit(rng):
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
             assert max_deviation(x, y).hex() == _former_max_deviation(x, y).hex(), (x.values, y.values)
-    # The last breakpoint of the longer input counts: here the distance
-    # peaks just below it, where its float sums exceed 1.
-    a, b = pairs[0]
-    assert max_deviation(a, b) == 0.5000000000000002 > abs(0.5 - 1.0)
+    # The grid holds the last breakpoint of the longer input, 4.0 here; just
+    # below it the exact float CDF reads 1 - 2**-70 rounded, 1.0, not the
+    # 1.0000000000000002 that summing the rounded weights gave.
+    exact, sampled = pairs[0]
+    assert exact.values[-1] not in sampled.values and exact._cum_float[-2] == 1.0
+    assert max_deviation(exact, sampled) == 0.5
 
 
 def test_from_samples_sorts_with_uniform_weights():
@@ -264,6 +268,71 @@ def test_from_numerators_takes_numpy_integer_arrays():
     # Python ints that one numpy array would hold only as floats.
     q = Quantization1D.from_numerators([0.0, 1.0], [2**63, 5], 2**63 + 5)
     assert q.numerators.tolist() == [2**63, 5] and q.numerators.dtype == object
+
+
+# (id, numerators, denominator, accepted) of one table for both exact
+# constructors.
+_EXACT_WEIGHT_INPUTS = [
+    ("ints", [1, 2], 3, True),
+    ("int64 denominator", [1, 2], np.int64(3), True),
+    ("int64 list", [np.int64(1), np.int64(2)], 3, True),
+    ("int32 array", np.array([1, 2], dtype=np.int32), 3, True),
+    ("uint64 array", np.array([1, 2], dtype=np.uint64), 3, True),
+    ("below 2**63", [2**62, 5], 2**62 + 5, True),
+    ("2**63", [2**63, 5], 2**63 + 5, True),
+    ("uint64 2**63", np.array([2**63, 5], dtype=np.uint64), 2**63 + 5, True),
+    ("2**64", [2**64, 5], 2**64 + 5, True),
+    ("int64 over 2**63", np.array([2**62, 2**62], dtype=np.int64), 2**63, True),
+    ("bools", [True, True], 2, False),
+    ("bool array", np.array([True, True]), 2, False),
+    ("whole floats", [1.0, 2.0], 3, False),
+    ("float array", np.array([1.5, 1.5]), 3, False),
+    ("Fraction", [Fraction(1), 2], 3, False),
+    ("2-D list", [[1], [2]], 3, False),
+    ("2-D array", np.array([[1, 2]]), 3, False),
+    ("float denominator", [1, 2], 3.0, False),
+    ("float64 denominator", [1, 2], np.float64(3.0), False),
+    ("bool denominator", [1], True, False),
+    ("numpy bool denominator", [1], np.bool_(True), False),
+    ("zero denominator", [1], 0, False),
+]
+
+
+@pytest.mark.parametrize(
+    "numerators, denominator, accepted", [row[1:] for row in _EXACT_WEIGHT_INPUTS],
+    ids=[row[0] for row in _EXACT_WEIGHT_INPUTS],
+)
+def test_both_exact_constructors_give_one_verdict(numerators, denominator, accepted):
+    # SipField.from_arrays once refused [2**63, 5] (numpy made it float64),
+    # and from_numerators once took a 1.0 denominator, whose weights,
+    # eval_cdf and CSV then raised TypeError.
+    verdicts = []
+    for build in (
+        lambda: Quantization1D.from_numerators(np.arange(2.0)[: len(numerators)], numerators, denominator),
+        lambda: SipField.from_arrays(DISK, np.zeros((len(numerators), 3)), None, numerators, denominator),
+    ):
+        try:
+            made = build()
+        except ValueError as exc:
+            verdicts.append(str(exc))
+        else:
+            assert type(made.denominator) is int and made.denominator == denominator
+            assert made.numerators.tolist() == [int(n) for n in numerators]
+            assert all(type(n) is int for n in made.numerators.tolist())
+            fits = made.denominator < 2**63 and max(made.numerators.tolist()) < 2**63
+            assert made.numerators.dtype == (np.int64 if fits else object)
+            assert not made.numerators.flags.writeable
+            verdicts.append((made.numerators.dtype, made.numerators.tolist()))
+    assert verdicts[0] == verdicts[1]
+    assert isinstance(verdicts[0], str) != accepted
+
+
+def test_exact_quantization_reads_one_running_sum():
+    q = exact_quantization([0.0, 1.0, 2.0], (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)))
+    assert q._cum_nums.tolist() == [2, 3, 6]
+    assert [eval_cdf(q, v) for v in (-1.0, 0.0, 1.5, 2.0)] == [0, Fraction(1, 3), Fraction(1, 2), 1]
+    assert type(eval_cdf(q, 1.0)) is Fraction
+    assert q._cum_float.tolist() == [1 / 3, 0.5, 1.0]
 
 
 def test_quantization_refuses_nan_values():
@@ -377,7 +446,12 @@ def test_csv_writer_bytes_match_the_former_writer():
     assert {len(q) for q in qs} >= {1, 3, 500, len(_EDGE_VALUES)}
     assert any(q.kind == "exact" and len(set(q.numerators.tolist())) < len(q) - 1 for q in qs)
     for q in qs:
-        assert quantization_to_csv(q) == _former_quantization_to_csv(q), (q.values, q.numerators, q.denominator)
+        text = quantization_to_csv(q)
+        assert text == _former_quantization_to_csv(q), (q.values, q.numerators, q.denominator)
+        # The float CDF is the cumulative column, bit for bit: for an exact
+        # quantization, each running sum rounded once, as the former writer.
+        column = [float(line.split(",")[2]) for line in text.splitlines()[1:]]
+        assert [c.hex() for c in q._cum_float.tolist()] == [c.hex() for c in column]
 
 
 def test_csv_writer_bytes_match_on_engine_distributions(rng):

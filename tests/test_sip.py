@@ -507,6 +507,9 @@ def test_sipfield_refuses_weights_that_are_not_numerator_over_denominator():
     # 2/3 at the origin.
     with pytest.raises(ValueError, match="numerator over the denominator"):
         SipField.from_arrays(DISK, [(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)], [0.5, 0.5], [1, 1], 3)
+    # So are two weights of one numerator, which == would broadcast.
+    with pytest.raises(ValueError, match="numerator over the denominator"):
+        SipField.from_arrays(DISK, [(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)], [0.5, 0.5], [1], 2)
     # A weight one ulp off the rounded quotient is refused too.
     with pytest.raises(ValueError, match="numerator over the denominator"):
         SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [math.nextafter(1 / 3, 1.0)], [1], 3)
