@@ -306,13 +306,35 @@ def _pivot_round_cap(n: int) -> int:
     return 4 * n + 8
 
 
-# The six subsets of a basis (b0, b1, b2) and the pivot f (column 3) that
-# contain f: three pairs, then three triples, so that on equal radii a
-# pair wins.
-_PAIRS = np.array([[0, 3], [1, 3], [2, 3]])
-_TRIPLES = np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3]])
-# Each subset as a basis of three indices into (b0, b1, b2, f).
-_SUBSETS = np.concatenate([_PAIRS[:, [0, 1, 1]], _TRIPLES])
+# The candidate subsets of a round, each a subset of the members (the basis,
+# then the pivot f as the last member) that contains f: pairs, then triples,
+# so that on equal radii a pair wins; and each subset as a basis of three
+# indices into the members.  A general basis (b0, b1, b2) has six.  A pair
+# basis (i, j, j) has three, (i, f), (j, f) and (i, j, f): the other three of
+# the six are bitwise copies that come after their originals ((j, f), and
+# (i, j, f), again, and (j, j, f), whose fallback is (j, f)), so the first
+# smallest holding ball is the same.
+_GENERAL_ROUND = (
+    np.array([[0, 3], [1, 3], [2, 3]]),
+    np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    np.array([[0, 3, 3], [1, 3, 3], [2, 3, 3], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+)
+_PAIR_ROUND = (np.array([[0, 2], [1, 2]]), np.array([[0, 1, 2]]), np.array([[0, 2, 2], [1, 2, 2], [0, 1, 2]]))
+
+
+def _farthest(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, ball: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the point of each of the stack's ``rows`` farthest from the
+    centre of its ``ball``, and its squared distance, the sum of the squared
+    offsets formed in place."""
+    d2 = xs[rows]
+    d2 -= ball[:, :1]
+    d2 *= d2
+    dy = ys[rows]
+    dy -= ball[:, 1:2]
+    dy *= dy
+    d2 += dy
+    f = d2.argmax(axis=1)
+    return f, d2[np.arange(len(f)), f]
 
 
 def _seb2_pivot(sets: np.ndarray) -> np.ndarray:
@@ -336,47 +358,62 @@ def _seb2_pivot(sets: np.ndarray) -> np.ndarray:
     bits of the exact engine's ball of the same basis.  A row still moving
     after :func:`_pivot_round_cap` rounds is refused.
 
-    Memory, per row of a stack of n-point sets: a round holds at most eight
-    arrays of n floats at once, this round's x, y, offsets from the ball,
-    their two squares and the squared distances, with the last round's
-    squared distances.  Besides five of those, the row's state (basis,
-    ball, disk, slack) and its candidate balls hold under 256 floats: the
-    basis and f (four members), the three pairs and three triples that
-    :func:`_seb2_balls` solves with their sorted copies, and the six
-    balls' offsets to the four members with their squares (24 floats
-    each)."""
+    Round one solves one ball per moving row: from the radius-0 ball of the
+    first point every candidate is the pair (0, f) or the triple (0, 0, f),
+    whose fallback is that pair, so the row moves to basis (0, f, f) and the
+    pair's disk.  A later round in which every moving row holds a pair
+    basis (i, j, j) solves three candidates per row, (i, f), (j, f) and
+    (i, j, f); any other round solves all six subsets (``_PAIR_ROUND``,
+    ``_GENERAL_ROUND``).  Either way the search picks the ball and basis
+    that six would.
+
+    Memory, per row of a stack of n-point sets: a round holds two arrays
+    of n floats at once, the squared offsets from the ball along x and y,
+    the first of which becomes the squared distances.  Besides those, the
+    row's state (basis, ball, disk, slack) and its candidate balls hold
+    under 256 floats: the basis and f (four members), the three pairs and
+    three triples that :func:`_seb2_balls` solves with their sorted copies,
+    and the six balls' offsets to the four members with their squares (24
+    floats each)."""
     rows, n, _ = sets.shape
     slack = _WELZL_REL * np.asarray(coordinate_scales(sets))
     disks = np.empty((rows, 3))
     active = np.arange(rows)
     xs, ys = sets[..., 0], sets[..., 1]
-    basis = np.zeros((rows, 3), dtype=np.intp)
     ball = np.zeros((rows, 3))
     ball[:, 0], ball[:, 1] = xs[:, 0], ys[:, 0]
-    for _ in range(_pivot_round_cap(n)):
-        x, y = xs[active], ys[active]
-        dx, dy = x - ball[:, :1], y - ball[:, 1:2]
-        d2 = dx * dx + dy * dy
-        f = d2.argmax(axis=1)
+    for k in range(_pivot_round_cap(n)):
+        f, far = _farthest(xs, ys, active, ball)
         reach = ball[:, 2] + slack
-        out = d2[np.arange(len(f)), f] > reach * reach
+        out = far > reach * reach
         disks[active[~out]] = ball[~out]
         if not out.any():
             return disks
-        active, basis, slack = active[out], basis[out], slack[out]
-        members = np.column_stack([basis, f[out]])
-        kept = np.flatnonzero(out)[:, None]
-        mx, my = x[kept, members], y[kept, members]
-        pairs = _seb2_balls(mx[:, _PAIRS].reshape(-1, 2), my[:, _PAIRS].reshape(-1, 2))
-        triples = _seb2_balls(mx[:, _TRIPLES].reshape(-1, 3), my[:, _TRIPLES].reshape(-1, 3))
-        balls = np.concatenate([pairs.reshape(-1, 3, 3), triples.reshape(-1, 3, 3)], axis=1)
+        active, slack, f = active[out], slack[out], f[out]
+        if k == 0:
+            basis = np.column_stack([np.zeros_like(f), f, f])
+            ball = _seb2_balls(np.column_stack([xs[active, 0], xs[active, f]]),
+                               np.column_stack([ys[active, 0], ys[active, f]]))
+            continue
+        basis = basis[out]
+        if (basis[:, 1] == basis[:, 2]).all():
+            pairs, triples, subsets = _PAIR_ROUND
+            members = np.column_stack([basis[:, :2], f])
+        else:
+            pairs, triples, subsets = _GENERAL_ROUND
+            members = np.column_stack([basis, f])
+        mx, my = xs[active[:, None], members], ys[active[:, None], members]
+        balls = np.concatenate([
+            _seb2_balls(mx[:, pairs].reshape(-1, 2), my[:, pairs].reshape(-1, 2)).reshape(len(mx), -1, 3),
+            _seb2_balls(mx[:, triples].reshape(-1, 3), my[:, triples].reshape(-1, 3)).reshape(len(mx), -1, 3),
+        ], axis=1)
         ex = mx[:, None, :] - balls[..., :1]
         ey = my[:, None, :] - balls[..., 1:2]
         reach = balls[..., 2] + slack[:, None]
         holds = (ex * ex + ey * ey <= (reach * reach)[..., None]).all(axis=2)
         pick = np.where(holds, balls[..., 2], np.inf).argmin(axis=1)
         kept = np.arange(len(pick))
-        basis = members[kept[:, None], _SUBSETS[pick]]
+        basis = members[kept[:, None], subsets[pick]]
         ball = balls[kept, pick]
     raise ResourceCapError(
         f"seb2 pivot search still moving after {_pivot_round_cap(n)} rounds on a set of {n} points"

@@ -6,8 +6,12 @@ as an empirical distribution: every 1-D answer, the width query of an
 (eps, delta, alpha)-kernel included, is a sampled ``Quantization1D``.
 With m = ceil(C (1/eps^2)(nu + ln(1/delta)))
 samples the result is an eps-accurate answer with probability at least
-1 - delta; the default constant C = 0.5 is an empirical fit (see
-``uqgeom.harness.run_deviation_experiment``) and can be overridden.
+1 - delta.  For a univariate quantization (nu = 1) the default constant
+C = 0.5 is proven: the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's
+constant needs m >= ln(2/delta) / (2 eps^2), and 0.5 (1 + ln(1/delta)) >=
+0.5 ln(2/delta).  The k-variate, kernel and SIP defaults rest on the same
+C = 0.5 as an empirical fit (see ``uqgeom.harness.run_deviation_experiment``).
+C can be overridden.
 
 Per-trial random streams are derived from the master seed by a counter-based
 split, so trials can be evaluated in any order (or concurrently) with

@@ -1,7 +1,8 @@
 """Every committed BENCH_*.json shows parent and change figures for each
 workload and end-to-end metric that BENCHMARK.json declares; a record that
 carries a metric's relative median change and bound check (older ones do
-not) agrees with its medians."""
+not) agrees with its medians, and its claim rule with its A/A control when
+it has one."""
 
 import json
 from pathlib import Path
@@ -21,10 +22,15 @@ def test_some_bench_record_is_committed():
 def test_bench_record_has_parent_and_change_per_workload_and_metric(path):
     doc = json.loads(path.read_text())
     workloads = doc["workloads"]
+    aa_control = doc.get("aa_control")
     for workload in (w["name"] for w in SPEC["workloads"]):
         assert workload in workloads, workload
         entry = workloads[workload]
         assert len(entry["seeds"]) >= 2, workload
+        if aa_control is not None:
+            block = aa_control[workload]
+            assert len(block["seeds"]) >= 2 and set(block["failed"]) == {"parent", "change"}, workload
+            assert isinstance(block["correct"], bool), workload
         for metric in (m["name"] for m in SPEC["end_to_end"]):
             figures = entry["metrics"][metric]
             for side in ("parent", "change"):
@@ -40,6 +46,10 @@ def test_bench_record_has_parent_and_change_per_workload_and_metric(path):
                 parent = figures["parent"]
                 gain = (parent["median"] - figures["change"]["median"]) * (1 if figures["better"] == "lower" else -1)
                 clears = 10 * figures["change_wins"] >= 9 * len(entry["seeds"]) and gain > parent["q3"] - parent["q1"]
+                if aa_control is not None:
+                    change = figures["change"]["median"] / parent["median"] - 1.0
+                    size = -change if figures["better"] == "lower" else change
+                    clears = clears and size > abs(aa_control[workload]["median_change"][metric])
                 assert figures["gain_clears_rule"] == clears, (workload, metric)
 
 
@@ -166,3 +176,57 @@ def test_summarize_says_whether_a_gain_clears_the_rule():
     # A higher-is-better metric clears when it rises by more than its IQR.
     metrics = bench_json.summarize(records([t + 0.5 for t in parent_times]), parent, spec)["w"]["metrics"]
     assert metrics["rate"]["gain_clears_rule"] and metrics["time"]["gain_clears_rule"]
+
+
+def test_control_block_reads_each_workload_and_metric():
+    bench_json = _bench_json()
+    parent = _records([1, 2, 3], lambda base, seed: base + seed, lambda seed: 0)
+    change = _records([1, 2, 3], lambda base, seed: 1.25 * (base + seed), lambda seed: 0)
+    name = SPEC["workloads"][0]["name"]
+    change[name, 2]["failures"] = [["a/key", "ConservationError"]]
+    block = bench_json.control(parent, change, SPEC, {"a/key": "ConservationError"})
+    assert list(block) == [w["name"] for w in SPEC["workloads"]]
+    for entry in block.values():
+        assert entry["seeds"] == [1, 2, 3] and entry["correct"] is True
+        assert list(entry["median_change"]) == [m["name"] for m in SPEC["end_to_end"]]
+        assert all(v == pytest.approx(0.25) for v in entry["median_change"].values())
+    assert block[name]["failed"] == {"parent": 0, "change": 1}
+    # A failure the ledger does not expect, by key and kind, is not correct.
+    for ledger in ({}, {"a/key": "mismatch"}):
+        assert bench_json.control(parent, change, SPEC, ledger)[name]["correct"] is False
+
+
+def test_a_gain_within_the_aa_control_does_not_clear_the_rule():
+    bench_json = _bench_json()
+    spec = {
+        "workloads": [{"name": "w"}],
+        "end_to_end": [
+            {"name": "time", "unit": "s", "better": "lower", "bound": 0.1},
+            {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+        ],
+    }
+    seeds = range(1, 11)
+
+    def records(times):
+        return {
+            ("w", seed): {"workload": "w", "seed": seed, "seconds": 12.0,
+                          "metrics": {"time": t, "rate": 1.0 / t}, "failures": []}
+            for seed, t in zip(seeds, times)
+        }
+
+    # Parent times 1.0-1.9 s (median 1.45 s, IQR 0.45 s); the change is
+    # 0.5 s faster on every pair, a relative gain of 0.5 / 1.45 = 34.5 %,
+    # which clears the 9-of-10 and IQR rule.
+    parent_times = [1.0 + 0.1 * i for i in range(10)]
+    parent, change = records(parent_times), records([t - 0.5 for t in parent_times])
+    assert bench_json.summarize(parent, change, spec)["w"]["metrics"]["time"]["gain_clears_rule"]
+    # An A/A control whose two names read 40 % apart: the gain is within it,
+    # in either direction of the control's change.
+    for factor in (1.4, 0.6):
+        aa = bench_json.control(parent, records([factor * t for t in parent_times]), spec, {})
+        assert aa["w"]["median_change"]["time"] == pytest.approx(factor - 1.0)
+        metrics = bench_json.summarize(parent, change, spec, aa)["w"]["metrics"]
+        assert not metrics["time"]["gain_clears_rule"], factor
+    # A control of 10 % leaves it clear.
+    aa = bench_json.control(parent, records([1.1 * t for t in parent_times]), spec, {})
+    assert bench_json.summarize(parent, change, spec, aa)["w"]["metrics"]["time"]["gain_clears_rule"]

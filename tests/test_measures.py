@@ -17,7 +17,7 @@ from uqgeom import measures
 from uqgeom.geometry import _CIRCUM_DET_REL, _UNDERFLOW_GUARD, _WELZL_REL, coordinate_scales, welzl_ball
 from uqgeom.measures import _MAX_COORDINATE, _seb2_balls
 
-from hard_inputs import noisy_lattice_stack, seb2_interval
+from hard_inputs import noisy_lattice_stack, offset_stack, seb2_interval, tiny_extent_stack
 
 
 def test_measure_id_parsing():
@@ -757,6 +757,80 @@ def test_seb2_pivot_refuses_a_set_past_its_round_cap(monkeypatch):
     stack = np.random.default_rng(5).uniform(-1, 1, size=(20, 30, 2))
     with pytest.raises(ResourceCapError):
         evaluate(seb2, stack)
+
+
+# The pivot search as it solved all six subsets of basis and pivot in every
+# round, kept as the reference that the search of fewer subsets must match
+# bit for bit.
+_REF_PAIRS = np.array([[0, 3], [1, 3], [2, 3]])
+_REF_TRIPLES = np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3]])
+_REF_SUBSETS = np.concatenate([_REF_PAIRS[:, [0, 1, 1]], _REF_TRIPLES])
+
+
+def _six_subset_pivot(sets):
+    rows, n, _ = sets.shape
+    slack = _WELZL_REL * np.asarray(coordinate_scales(sets))
+    disks = np.empty((rows, 3))
+    active = np.arange(rows)
+    xs, ys = sets[..., 0], sets[..., 1]
+    basis = np.zeros((rows, 3), dtype=np.intp)
+    ball = np.zeros((rows, 3))
+    ball[:, 0], ball[:, 1] = xs[:, 0], ys[:, 0]
+    for _ in range(measures._pivot_round_cap(n)):
+        x, y = xs[active], ys[active]
+        dx, dy = x - ball[:, :1], y - ball[:, 1:2]
+        d2 = dx * dx + dy * dy
+        f = d2.argmax(axis=1)
+        reach = ball[:, 2] + slack
+        out = d2[np.arange(len(f)), f] > reach * reach
+        disks[active[~out]] = ball[~out]
+        if not out.any():
+            return disks
+        active, basis, slack = active[out], basis[out], slack[out]
+        members = np.column_stack([basis, f[out]])
+        kept = np.flatnonzero(out)[:, None]
+        mx, my = x[kept, members], y[kept, members]
+        pairs = _seb2_balls(mx[:, _REF_PAIRS].reshape(-1, 2), my[:, _REF_PAIRS].reshape(-1, 2))
+        triples = _seb2_balls(mx[:, _REF_TRIPLES].reshape(-1, 3), my[:, _REF_TRIPLES].reshape(-1, 3))
+        balls = np.concatenate([pairs.reshape(-1, 3, 3), triples.reshape(-1, 3, 3)], axis=1)
+        ex = mx[:, None, :] - balls[..., :1]
+        ey = my[:, None, :] - balls[..., 1:2]
+        reach = balls[..., 2] + slack[:, None]
+        holds = (ex * ex + ey * ey <= (reach * reach)[..., None]).all(axis=2)
+        pick = np.where(holds, balls[..., 2], np.inf).argmin(axis=1)
+        kept = np.arange(len(pick))
+        basis = members[kept[:, None], _REF_SUBSETS[pick]]
+        ball = balls[kept, pick]
+    raise ResourceCapError("still moving")
+
+
+def _pivot_stacks(rng):
+    for n in (1, 2, 3, 4, 7, 50):
+        yield rng.uniform(-1, 1, size=(200, n, 2))
+    for n in (4, 20, 50):
+        yield noisy_lattice_stack(rng, 100, n)
+        yield offset_stack(rng, 100, n)
+        yield tiny_extent_stack(rng, 100, n)
+        yield rng.integers(-2, 3, size=(100, n, 2)).astype(np.float64)  # repeated points
+    # Integer points on the circle x² + y² = 25, with its centre: repeated
+    # and cocircular.
+    circle = np.array([[3, 4], [4, 3], [5, 0], [0, 5], [-3, 4], [-4, 3], [-5, 0], [0, -5],
+                       [3, -4], [4, -3], [-3, -4], [-4, -3], [0, 0]], dtype=np.float64)
+    for n in (3, 6, 12):
+        yield circle[rng.integers(0, len(circle), size=(100, n))]
+    # Every row stops in round one, then only some rows do.
+    coincident = np.repeat(rng.integers(-3, 4, size=(60, 1, 2)), 5, axis=1).astype(np.float64)
+    yield coincident
+    mixed = rng.uniform(-1, 1, size=(60, 5, 2))
+    mixed[::2] = coincident[::2]
+    yield mixed
+    yield np.empty((0, 5, 2))
+
+
+def test_seb2_pivot_matches_the_six_subset_search_bit_for_bit():
+    for sets in _pivot_stacks(np.random.default_rng(48)):
+        want = _six_subset_pivot(sets)
+        assert measures._seb2_pivot(sets).tobytes() == want.tobytes(), sets.shape
 
 
 @pytest.mark.parametrize("kind", ["seb2", "seb1", "sebinf", "aabb_perimeter", "aabb_area", "dwid", "diameter"])
