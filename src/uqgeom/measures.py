@@ -311,8 +311,8 @@ def _pivot_round_cap(n: int) -> int:
 # so that on equal radii a pair wins; and each subset as a basis of three
 # indices into the members.  A general basis (b0, b1, b2) has six.  A pair
 # basis (i, j, j) has three, (i, f), (j, f) and (i, j, f): the other three of
-# the six are bitwise copies that come after their originals ((j, f), and
-# (i, j, f), again, and (j, j, f), whose fallback is (j, f)), so the first
+# the six are bitwise copies that come after their originals, (j, f) and
+# (i, j, f) again and (j, j, f), whose fallback is (j, f), so the first
 # smallest holding ball is the same.
 _GENERAL_ROUND = (
     np.array([[0, 3], [1, 3], [2, 3]]),

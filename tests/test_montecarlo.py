@@ -59,7 +59,6 @@ def test_budget_formula_matches_paper_fit():
         SampleBudget(0.1, 1.5)
 
 
-
 def test_univariate_budget_meets_the_dkw_massart_bound():
     # P(sup |F_m - F| > eps) <= 2 exp(-2 m eps^2) (Massart's constant), so
     # m >= ln(2/delta) / (2 eps^2) samples give an eps-quantization with
@@ -68,7 +67,9 @@ def test_univariate_budget_meets_the_dkw_massart_bound():
         for eps in np.geomspace(0.001, 0.3, 25):
             for delta in np.geomspace(1e-6, 0.5, 25):
                 eps, delta = float(eps), float(delta)
-                assert SampleBudget(eps, delta, nu=1.0, constant_c=c).m >= math.log(2 / delta) / (2 * eps**2), (c, eps, delta)
+                bound = math.log(2 / delta) / (2 * eps**2)
+                assert SampleBudget(eps, delta, nu=1.0, constant_c=c).m >= bound, (c, eps, delta)
+
 
 def test_point_mass_single_step():
     cset = ContinuousUncertainSet(

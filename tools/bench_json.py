@@ -1,7 +1,7 @@
 """Summarize benchmark runs of a parent and a change into one BENCH_*.json.
 
     python3 tools/bench_json.py --parent DIR --change DIR --out BENCH_<n>.json --note TEXT \
-        [--control-parent DIR --control-change DIR]
+        [--control DIR DIR]
 
 Each DIR holds the result records that ``python3 perfbench/run.py --workload W
 --seed S --seconds 12 --trace 0`` writes to ``.perfbench_run/results/`` (one
@@ -122,17 +122,15 @@ def main() -> None:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--note", default="", help="what was compared, on what machine")
-    parser.add_argument("--control-parent", type=Path, help="an A/A control's results from the parent's directory name")
-    parser.add_argument("--control-change", type=Path, help="the same control's results from the change's name")
+    parser.add_argument("--control", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="an A/A control's results from the parent's and the change's directory names")
     args = parser.parse_args()
-    if (args.control_parent is None) != (args.control_change is None):
-        parser.error("an A/A control takes both --control-parent and --control-change")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent, change = _records(args.parent), _records(args.change)
     aa_control = None
-    if args.control_parent is not None:
+    if args.control is not None:
         ledger = json.loads((ROOT / "perfbench" / "references.json").read_text())["ledger"]
-        aa_control = control(_records(args.control_parent), _records(args.control_change), spec, ledger)
+        aa_control = control(*map(_records, args.control), spec, ledger)
     # The load average is one run's; the rest describes the machine.
     env = {k: v for k, v in next(iter(change.values()))["env"].items() if k != "loadavg"}
     doc = {
