@@ -349,17 +349,18 @@ def build_kvariate_quantization(
 @functools.lru_cache(maxsize=64)
 def _direction_net(count: int, dim: int) -> np.ndarray:
     """``count`` unit directions spread over a half circle (d = 2) or a
-    hemisphere; built once per (count, dim) and returned read-only."""
+    hemisphere; built once per (count, dim) and returned read-only, in
+    Fortran order, so that ``pts @ net.T`` reads a C-contiguous operand."""
     if dim == 2:
         theta = np.pi * np.arange(count) / count
-        net = np.column_stack([np.cos(theta), np.sin(theta)])
+        net = np.stack([np.cos(theta), np.sin(theta)]).T
     else:
         # Fibonacci hemisphere; widths are symmetric under u -> -u.
         i = np.arange(count) + 0.5
         z = i / count
         phi = i * math.pi * (3.0 - math.sqrt(5.0))
         s = np.sqrt(1.0 - z * z)
-        net = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+        net = np.stack([s * np.cos(phi), s * np.sin(phi), z]).T
     net.setflags(write=False)
     return net
 
@@ -376,8 +377,11 @@ def directional_width(pts: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 
 def _extreme_indices(pts: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Sorted distinct indices of the extremes, by a mask: ``np.unique`` imports ``numpy.ma``."""
     proj = pts @ directions.T
-    return np.unique(np.concatenate([proj.argmax(axis=0), proj.argmin(axis=0)]))
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[proj.argmax(axis=0)] = mask[proj.argmin(axis=0)] = True
+    return np.flatnonzero(mask)
 
 
 def _normalized_frame(pts: np.ndarray) -> np.ndarray:

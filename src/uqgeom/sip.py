@@ -440,15 +440,21 @@ def _walk(pos, step, go):
 _SLICE_ADD_BLOCKS = 512
 
 
+def _edges(size, lo, hi):
+    """The sorted distinct edges of windows in [0, size], 0 and size among them,
+    by a count per edge: ``np.unique`` would import all of ``numpy.ma``."""
+    return np.flatnonzero(np.bincount(np.concatenate([[0, size], lo, hi])))
+
+
 def _rectangle_values(w, h, weights, i0, i1, j0, j1):
     """The raster of rectangles alone, added in shape order on the grid
-    compressed at the distinct window edges, each block then repeated over
-    its rows and columns.  A rectangle covers one run of block columns on
-    each of its block rows, and the runs are added by :func:`_add_runs`;
-    where the rectangles cover more than _SLICE_ADD_BLOCKS blocks each on
-    the mean, one slice add per rectangle is faster."""
-    rows = np.unique(np.concatenate([[0, h], i0, i1]))
-    cols = np.unique(np.concatenate([[0, w], j0, j1]))
+    compressed at the distinct window edges (:func:`_edges`), each block
+    then repeated over its rows and columns.  A rectangle covers one run of
+    block columns on each of its block rows, and the runs are added by
+    :func:`_add_runs`; where the rectangles cover more than
+    _SLICE_ADD_BLOCKS blocks each on the mean, one slice add per rectangle
+    is faster."""
+    rows, cols = _edges(h, i0, i1), _edges(w, j0, j1)
     r0, r1 = np.searchsorted(rows, i0), np.searchsorted(rows, i1)
     c0, c1 = np.searchsorted(cols, j0), np.searchsorted(cols, j1)
     blocks = np.zeros((len(rows) - 1, len(cols) - 1))

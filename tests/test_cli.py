@@ -5,6 +5,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1424,3 +1427,47 @@ def test_fuzzed_argv_exit_0_2_3_or_4(tmp_path_factory, argv_inputs, fuzzed):
             code = _run_cli(argv)
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err.getvalue()
+
+
+# The script the numpy.ma guard runs in a fresh interpreter: each argv of
+# the JSON list on its own through cli.main, then the first command after
+# which numpy.ma was loaded (null if none).
+_NO_MA_SCRIPT = """
+import json, sys
+from uqgeom.cli import main
+first = None
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    if first is None and "numpy.ma" in sys.modules:
+        first = argv
+print(json.dumps(first))
+"""
+
+
+def test_no_cli_path_imports_numpy_ma(indecisive_file, continuous_file, tmp_path):
+    """No command loads ``numpy.ma``, a large import (about 11 ms and
+    1.5 MB of peak memory on a 2-core box) that ``np.unique`` makes on its
+    first call."""
+    ind, cont = str(indecisive_file), str(continuous_file)
+    budget = ["--eps", "0.2", "--delta", "0.1", "--m", "30", "--seed", "5"]
+    window = ["--grid", "24,16", "--bounds=-0.5,-0.5,2.5,2"]
+    argvs = [
+        ["quantize", "--input", ind, "--measure", "seb2", *budget],
+        ["kvariate", "--input", ind, "--measures", "aabb-perimeter;dwid:1,0", *budget],
+        ["kernel", "--input", ind, "--alpha", "0.1", "--direction", "0.6,0.8", *budget],
+        ["experiment", "--n", "5", "--sigma", "0.5", "--measures", "diameter;seb2", "--m-values", "4,8",
+         "--eta", "16", "--tau", "4", "--seed", "3"],
+        ["exact", "--input", ind, "--measure", "aabb-perimeter"],
+        ["oracle", "--input", ind, "--measure", "seb2"],
+        ["discretize", "--input", cont, "--measure", "aabb-perimeter", "--eps", "0.3", "--points-per-point", "9"],
+        ["sip-exact", "--input", ind, "--measure", "seb2", *window, "--isolines", str(tmp_path / "e.svg")],
+        ["sip-exact", "--input", ind, "--measure", "aabb-perimeter", *window],
+        ["sip-random", "--input", ind, "--measure", "seb2", *budget, *window],
+    ]
+    for i, argv in enumerate(argvs):
+        argv.extend(["--out", str(tmp_path / f"out-{i}")])
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT, json.dumps(argvs)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) is None

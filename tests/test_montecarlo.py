@@ -38,6 +38,7 @@ from uqgeom.model import draw_supports, sample_support
 from uqgeom.montecarlo import directional_width, sampled_values, trial_rng, verification_net
 
 from conftest import kvariate_oracle, random_indecisive
+from hard_inputs import noisy_lattice_stack, offset_stack
 
 
 def verify_alpha_kernel(pts: np.ndarray, kernel: np.ndarray, alpha: float) -> bool:
@@ -181,6 +182,62 @@ def test_alpha_kernel_3d():
     pts = rng.standard_normal((80, 3))
     k = alpha_kernel(pts, 0.2)
     assert verify_alpha_kernel(pts, k, 0.2)
+
+
+def _former_extreme_indices(pts, directions):
+    """``_extreme_indices`` as it was: ``np.unique`` over the extremes."""
+    proj = pts @ directions.T
+    return np.unique(np.concatenate([proj.argmax(axis=0), proj.argmin(axis=0)]))
+
+
+def _row_major_nets(fortran):
+    """``_direction_net`` as it was: the same directions, row-major."""
+    def net(count, dim):
+        out = np.ascontiguousarray(fortran(count, dim))
+        out.setflags(write=False)
+        return out
+    return net
+
+
+def _benchmark_indecisive(rng, n, k):
+    """An indecisive set drawn as the benchmark's ``sampled`` workload draws
+    its own: k uniform locations in [-1, 1]² per point, integer cuts in
+    [1, 11] as weights."""
+    points = []
+    for _ in range(n):
+        locs = rng.uniform(-1.0, 1.0, size=(k, 2))
+        cuts = [int(c) for c in rng.integers(1, 12, size=k)]
+        points.append(IndecisivePoint(locs, tuple(Fraction(c, sum(cuts)) for c in cuts)))
+    return IndecisivePointSet(tuple(points), 2)
+
+
+def test_alpha_kernels_keep_the_bits_of_unique_extremes_over_row_major_nets(monkeypatch):
+    """Extremes by a mask over Fortran-order nets give every kernel the
+    shape and bytes of ``np.unique`` over row-major nets: uniform sets in
+    2-D and 3-D, collinear, coincident and repeated points, noisy lattices
+    and sets at 1e7, and one (eps, delta, alpha)-kernel of the benchmark's
+    indecisive set."""
+    rng = np.random.default_rng(49)
+    sets = [rng.uniform(-1.0, 1.0, size=(n, d)) for d in (2, 3) for n in (3, 4, 5, 9, 17, 33, 60)]
+    sets += [np.outer(np.linspace(-1.0, 2.0, 25), [0.6, 0.8]), np.outer(np.linspace(0.0, 1.0, 12), [1.0, -2.0, 0.5]),
+             np.full((10, 2), 0.3), np.full((7, 3), -1.5),
+             np.repeat(rng.normal(size=(6, 2)), 4, axis=0), np.repeat(rng.normal(size=(5, 3)), 3, axis=0)]
+    sets += [*noisy_lattice_stack(rng, 4, 30), *offset_stack(rng, 4, 30)]
+    uset = _benchmark_indecisive(np.random.default_rng([3, 1, 0]), 50, 4)
+
+    def kernels():
+        single = [alpha_kernel(pts, alpha) for pts in sets for alpha in (0.05, 0.2, 0.9)]
+        return single + list(build_eda_kernel(uset, 0.1, SampleBudget(0.1, 0.05, explicit_m=20), seed=1000))
+
+    got = kernels()
+    assert verification_net(2).flags.f_contiguous and verification_net(3).flags.f_contiguous
+    monkeypatch.setattr(mc, "_direction_net", _row_major_nets(mc._direction_net))
+    monkeypatch.setattr(mc, "_extreme_indices", _former_extreme_indices)
+    assert verification_net(2).flags.c_contiguous
+    want = kernels()
+    assert len(got) == len(want) == len(sets) * 3 + 20
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

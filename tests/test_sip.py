@@ -604,6 +604,21 @@ def test_exact_sip_array_form_matches_per_basis_shapes(measure):
         assert field.query_many([(x, y)])[0] == min(1.0, _in_order(float(w) for w in hit))
 
 
+def test_window_edges_are_the_unique_edges():
+    """The compressed grid's edges, counted per edge, are ``np.unique``'s:
+    no windows, full-grid windows, one-cell grids and random windows."""
+    rng = np.random.default_rng(49)
+    for size in (1, 2, 7, 48, 256):
+        for count in (0, 1, 3, 40, 500):
+            lo = rng.integers(0, size + 1, size=count)
+            hi = rng.integers(lo, size + 1)
+            full = np.zeros(count, dtype=lo.dtype), np.full(count, size)
+            for edges in ((lo, hi), full, (hi, lo), (lo[:count // 2], hi[count // 2:])):
+                got = sip_mod._edges(size, *edges)
+                want = np.unique(np.concatenate([[0, size], *edges]))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("measure", ["aabb_perimeter", "aabb_area"])
 def test_exact_sip_of_a_discretized_set_rasterizes_like_full_grid(measure):
     # The sip-pipeline's traffic: Gaussians and a uniform disk on the
