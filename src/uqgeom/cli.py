@@ -46,7 +46,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError("grid must be W,H")
-    return sip.check_window(grid=parts)[0]
+    return sip.check_window(grid=[int(x) for x in parts])[0]
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:

@@ -150,13 +150,17 @@ def _fixed_permutation(n: int) -> list[int]:
     return cached
 
 
-# Boundary balls of 3 and 4 points in 3-D, one straight-line function per
-# size.  Each tries the pairs in lexicographic order (the first strictly
-# smallest diametral ball holding the other points wins), then the triples'
-# circumcircles the same way, then, for four points, the circumsphere, and
-# falls back to the farthest pair's diametral ball.  The balls' bits are
-# part of the output, so the float operations and their order are fixed;
-# ``** 2`` calls libm ``pow``, which a product does not match.
+# Boundary balls of 3 and 4 points in 3-D: the pairs in lexicographic order
+# (the first strictly smallest diametral ball holding the other points
+# wins), then the triples' circumcircles so, then, for four points, the
+# circumsphere, else the farthest pair's diametral ball.  Their bits are
+# output, so the float operations and their order are fixed (``** 2`` is
+# libm ``pow``, which a product does not match).  Welzl on 20-point cylinder
+# supports builds ~6 three-point balls a support, straight-line as a loop
+# cost 9-14 % a call, and ~1 four-point ball, whose loops over the rows
+# (subset, then the points left out) of these tables add 1 us to its 10 us.
+_PAIRS4 = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+_TRIPLES4 = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 2, 3, 0))
 
 
 def _ball3_3(p0, p1, p2):
@@ -196,111 +200,38 @@ def _ball3_3(p0, p1, p2):
 
 
 def _ball3_4(p0, p1, p2, p3):
-    x0, y0, z0 = p0
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    x3, y3, z3 = p3
+    pts = (p0, p1, p2, p3)
     best = None
-    cx = 0.5 * (x0 + x1)
-    cy = 0.5 * (y0 + y1)
-    cz = 0.5 * (z0 + z1)
-    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
-    lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-    if not (
-        (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
-        or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
-    ):
-        best, bx, by, bz = r2, cx, cy, cz
-    cx = 0.5 * (x0 + x2)
-    cy = 0.5 * (y0 + y2)
-    cz = 0.5 * (z0 + z2)
-    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not (
-            (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
-            or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
-        ):
-            best, bx, by, bz = r2, cx, cy, cz
-    cx = 0.5 * (x0 + x3)
-    cy = 0.5 * (y0 + y3)
-    cz = 0.5 * (z0 + z3)
-    r2 = (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not (
-            (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
-            or (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
-        ):
-            best, bx, by, bz = r2, cx, cy, cz
-    cx = 0.5 * (x1 + x2)
-    cy = 0.5 * (y1 + y2)
-    cz = 0.5 * (z1 + z2)
-    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not (
-            (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
-            or (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > lim
-        ):
-            best, bx, by, bz = r2, cx, cy, cz
-    cx = 0.5 * (x1 + x3)
-    cy = 0.5 * (y1 + y3)
-    cz = 0.5 * (z1 + z3)
-    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not (
-            (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
-            or (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > lim
-        ):
-            best, bx, by, bz = r2, cx, cy, cz
-    cx = 0.5 * (x2 + x3)
-    cy = 0.5 * (y2 + y3)
-    cz = 0.5 * (z2 + z3)
-    r2 = (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2
-    if best is None or not r2 >= best:
-        lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
-        if not (
-            (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > lim
-            or (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > lim
-        ):
-            best, bx, by, bz = r2, cx, cy, cz
+    for i, j, k, l in _PAIRS4:
+        (xi, yi, zi), (xj, yj, zj) = pts[i], pts[j]
+        cx = 0.5 * (xi + xj)
+        cy = 0.5 * (yi + yj)
+        cz = 0.5 * (zi + zj)
+        r2 = (xi - cx) ** 2 + (yi - cy) ** 2 + (zi - cz) ** 2
+        if best is None or not r2 >= best:
+            lim = r2 * (1 + 1e-10) + 1e-12 * (r2 + 1e-300) + 1e-300
+            (xk, yk, zk), (xl, yl, zl) = pts[k], pts[l]
+            if not (
+                (xk - cx) ** 2 + (yk - cy) ** 2 + (zk - cz) ** 2 > lim
+                or (xl - cx) ** 2 + (yl - cy) ** 2 + (zl - cz) ** 2 > lim
+            ):
+                best, bx, by, bz = r2, cx, cy, cz
     if best is None:
-        sol = _circum3(p0, p1, p2)
-        if sol is not None:
-            (cx, cy, cz), r2 = sol
-            if (best is None or not r2 >= best) and not (
-                (x3 - cx) ** 2 + (y3 - cy) ** 2 + (z3 - cz) ** 2 > r2 * (1 + 1e-10)
-            ):
-                best, bx, by, bz = r2, cx, cy, cz
-        sol = _circum3(p0, p1, p3)
-        if sol is not None:
-            (cx, cy, cz), r2 = sol
-            if (best is None or not r2 >= best) and not (
-                (x2 - cx) ** 2 + (y2 - cy) ** 2 + (z2 - cz) ** 2 > r2 * (1 + 1e-10)
-            ):
-                best, bx, by, bz = r2, cx, cy, cz
-        sol = _circum3(p0, p2, p3)
-        if sol is not None:
-            (cx, cy, cz), r2 = sol
-            if (best is None or not r2 >= best) and not (
-                (x1 - cx) ** 2 + (y1 - cy) ** 2 + (z1 - cz) ** 2 > r2 * (1 + 1e-10)
-            ):
-                best, bx, by, bz = r2, cx, cy, cz
-        sol = _circum3(p1, p2, p3)
-        if sol is not None:
-            (cx, cy, cz), r2 = sol
-            if (best is None or not r2 >= best) and not (
-                (x0 - cx) ** 2 + (y0 - cy) ** 2 + (z0 - cz) ** 2 > r2 * (1 + 1e-10)
-            ):
-                best, bx, by, bz = r2, cx, cy, cz
+        for i, j, k, l in _TRIPLES4:
+            sol = _circum3(pts[i], pts[j], pts[k])
+            if sol is not None:
+                (cx, cy, cz), r2 = sol
+                xl, yl, zl = pts[l]
+                if (best is None or not r2 >= best) and not (
+                    (xl - cx) ** 2 + (yl - cy) ** 2 + (zl - cz) ** 2 > r2 * (1 + 1e-10)
+                ):
+                    best, bx, by, bz = r2, cx, cy, cz
     if best is None:
         sol = _circumsphere_coords(p0, p1, p2, p3)
         if sol is not None:
             (bx, by, bz), best = sol
     if best is None:
-        return _farthest_pair_ball((p0, p1, p2, p3))
+        return _farthest_pair_ball(pts)
     return (bx, by, bz, math.sqrt(best))
 
 

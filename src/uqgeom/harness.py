@@ -74,7 +74,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "measures", tuple(self.measures))
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        m_values = tuple(self.m_values)
+        for v in (*m_values, self.eta, self.tau):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"m_values, eta and tau must be integers, got {v!r}")
+        object.__setattr__(self, "m_values", tuple(map(int, m_values)))
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValueError("m_values must be positive")
         # A repeated entry would be sampled again and merged into one table.

@@ -285,8 +285,9 @@ class SampleBudget:
         if not (0.0 < self.constant_c < math.inf):
             raise ValueError("constant_c must be finite and positive")
         if self.explicit_m is not None:
-            if self.explicit_m < 1:
-                raise ValueError("explicit_m must be at least 1")
+            explicit = self.explicit_m
+            if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)) or explicit < 1:
+                raise ValueError(f"explicit_m must be a positive integer, got {explicit!r}")
         elif not math.isfinite(self._raw_m()):
             raise ValueError(
                 "the sample count C (nu + ln(1/delta)) / epsilon^2 is not finite at "

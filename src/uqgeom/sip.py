@@ -224,13 +224,15 @@ _GRID_CELLS_CAP = 4096 * 4096
 
 def check_window(grid=None, bounds=None):
     """A raster window's (w, h) grid as ints and (x0, y0, x1, y1) bounds as
-    floats, each checked when given: the grid must be positive
+    floats, each checked when given: the grid must be two positive integers
     (``ValueError``) and of at most ``_GRID_CELLS_CAP`` cells
     (``ResourceCapError``), and the bounds finite, well-ordered and of
     finite width and height (``ValueError``).  The CLI checks its flags
     with it before it builds a field, :func:`rasterize_sip` its window
     before any work, and a :class:`Raster` its bounds."""
     if grid is not None:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in grid):
+            raise ValueError(f"grid dimensions must be integers, got {tuple(grid)!r}")
         w, h = grid = int(grid[0]), int(grid[1])
         if w <= 0 or h <= 0:
             raise ValueError("grid dimensions must be positive")

@@ -54,10 +54,15 @@ def test_budget_formula_matches_paper_fit():
     assert SampleBudget(0.1, 0.05, nu=1.0).m == 200
     assert SampleBudget(0.1, 0.05, nu=2.0).m == 250
     assert SampleBudget(0.1, 0.05, explicit_m=77).m == 77
+    assert SampleBudget(0.1, 0.05, explicit_m=np.int64(77)).m == 77
     with pytest.raises(ValueError):
         SampleBudget(0.0, 0.05)
     with pytest.raises(ValueError):
         SampleBudget(0.1, 1.5)
+    # 2.5 was once built and raised a numpy TypeError mid-run.
+    for explicit_m in (2.5, 2.0, np.float64(3.0), True, "3"):
+        with pytest.raises(ValueError, match="explicit_m must be a positive integer"):
+            SampleBudget(0.1, 0.1, explicit_m=explicit_m)
 
 
 def test_univariate_budget_meets_the_dkw_massart_bound():

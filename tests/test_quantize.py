@@ -244,65 +244,46 @@ def test_from_numerators_checks_int64_numerators_exactly():
     assert type(q.numerators[0]) is int and not q.numerators.flags.writeable
 
 
-@pytest.mark.parametrize(
-    "values, numerators, denominator",
-    [
-        ([0.0, 1.0], [1.5, 0.5], 2),
-        ([0.0, 1.0], np.array([1.5, 0.5]), 2),
-        ([0.0, 1.0], [1.0, 1.0], 2),
-        ([0.0, 1.0], [Fraction(1), 1], 2),
-        ([0.0], [True], 1),
-        ([0.0, 1.0], np.array([True, True]), 2),
-    ],
-)
-def test_from_numerators_refuses_numerators_that_are_not_integers(values, numerators, denominator):
-    # [1.5, 0.5] once passed every check and was stored as int64 [1, 0].
-    with pytest.raises(ValueError, match="numerators of exact weights must be integers"):
-        Quantization1D.from_numerators(values, numerators, denominator)
-
-
-def test_from_numerators_takes_numpy_integer_arrays():
-    for ints in (np.array([1, 1], dtype=np.int32), np.array([1, 1], dtype=np.uint64), [np.int64(1), np.int64(1)]):
-        q = Quantization1D.from_numerators([0.0, 1.0], ints, 2)
-        assert q.numerators.tolist() == [1, 1] and q.numerators.dtype == np.int64
-    # Python ints that one numpy array would hold only as floats.
-    q = Quantization1D.from_numerators([0.0, 1.0], [2**63, 5], 2**63 + 5)
-    assert q.numerators.tolist() == [2**63, 5] and q.numerators.dtype == object
-
-
-# (id, numerators, denominator, accepted) of one table for both exact
-# constructors.
+_NOT_INTEGERS = "the numerators of exact weights must be integers"
+_NOT_1D = "the numerators of exact weights must be 1-d"
+_BAD_DENOMINATOR = "the denominator of exact weights must be a positive integer"
+# (id, numerators, denominator, refusal) of one table for both exact
+# constructors: refusal is None for a row both accept, else the message
+# both refuse it with.
 _EXACT_WEIGHT_INPUTS = [
-    ("ints", [1, 2], 3, True),
-    ("int64 denominator", [1, 2], np.int64(3), True),
-    ("int64 list", [np.int64(1), np.int64(2)], 3, True),
-    ("int32 array", np.array([1, 2], dtype=np.int32), 3, True),
-    ("uint64 array", np.array([1, 2], dtype=np.uint64), 3, True),
-    ("below 2**63", [2**62, 5], 2**62 + 5, True),
-    ("2**63", [2**63, 5], 2**63 + 5, True),
-    ("uint64 2**63", np.array([2**63, 5], dtype=np.uint64), 2**63 + 5, True),
-    ("2**64", [2**64, 5], 2**64 + 5, True),
-    ("int64 over 2**63", np.array([2**62, 2**62], dtype=np.int64), 2**63, True),
-    ("bools", [True, True], 2, False),
-    ("bool array", np.array([True, True]), 2, False),
-    ("whole floats", [1.0, 2.0], 3, False),
-    ("float array", np.array([1.5, 1.5]), 3, False),
-    ("Fraction", [Fraction(1), 2], 3, False),
-    ("2-D list", [[1], [2]], 3, False),
-    ("2-D array", np.array([[1, 2]]), 3, False),
-    ("float denominator", [1, 2], 3.0, False),
-    ("float64 denominator", [1, 2], np.float64(3.0), False),
-    ("bool denominator", [1], True, False),
-    ("numpy bool denominator", [1], np.bool_(True), False),
-    ("zero denominator", [1], 0, False),
+    ("ints", [1, 2], 3, None),
+    ("int64 denominator", [1, 2], np.int64(3), None),
+    ("int64 list", [np.int64(1), np.int64(2)], 3, None),
+    ("int32 array", np.array([1, 2], dtype=np.int32), 3, None),
+    ("uint64 array", np.array([1, 2], dtype=np.uint64), 3, None),
+    ("below 2**63", [2**62, 5], 2**62 + 5, None),
+    ("2**63", [2**63, 5], 2**63 + 5, None),
+    ("uint64 2**63", np.array([2**63, 5], dtype=np.uint64), 2**63 + 5, None),
+    ("2**64", [2**64, 5], 2**64 + 5, None),
+    ("int64 over 2**63", np.array([2**62, 2**62], dtype=np.int64), 2**63, None),
+    ("bools", [True, True], 2, _NOT_INTEGERS),
+    ("bool array", np.array([True, True]), 2, _NOT_INTEGERS),
+    ("whole floats", [1.0, 2.0], 3, _NOT_INTEGERS),
+    ("float array", np.array([1.5, 1.5]), 3, _NOT_INTEGERS),
+    # Once passed every check of from_numerators and was stored as int64 [1, 0].
+    ("halves", [1.5, 0.5], 2, _NOT_INTEGERS),
+    ("Fraction", [Fraction(1), 2], 3, _NOT_INTEGERS),
+    ("2-D list", [[1], [2]], 3, _NOT_1D),
+    ("2-D array", np.array([[1, 2]]), 3, _NOT_1D),
+    ("float denominator", [1, 2], 3.0, _BAD_DENOMINATOR),
+    ("float64 denominator", [1, 2], np.float64(3.0), _BAD_DENOMINATOR),
+    ("bool denominator", [1], True, _BAD_DENOMINATOR),
+    ("numpy bool denominator", [1], np.bool_(True), _BAD_DENOMINATOR),
+    ("zero denominator", [1], 0, _BAD_DENOMINATOR),
+    ("negative denominator", [1], -1, _BAD_DENOMINATOR),
 ]
 
 
 @pytest.mark.parametrize(
-    "numerators, denominator, accepted", [row[1:] for row in _EXACT_WEIGHT_INPUTS],
+    "numerators, denominator, refusal", [row[1:] for row in _EXACT_WEIGHT_INPUTS],
     ids=[row[0] for row in _EXACT_WEIGHT_INPUTS],
 )
-def test_both_exact_constructors_give_one_verdict(numerators, denominator, accepted):
+def test_both_exact_constructors_give_one_verdict(numerators, denominator, refusal):
     # SipField.from_arrays once refused [2**63, 5] (numpy made it float64),
     # and from_numerators once took a 1.0 denominator, whose weights,
     # eval_cdf and CSV then raised TypeError.
@@ -324,7 +305,10 @@ def test_both_exact_constructors_give_one_verdict(numerators, denominator, accep
             assert not made.numerators.flags.writeable
             verdicts.append((made.numerators.dtype, made.numerators.tolist()))
     assert verdicts[0] == verdicts[1]
-    assert isinstance(verdicts[0], str) != accepted
+    if refusal is None:
+        assert not isinstance(verdicts[0], str)
+    else:
+        assert verdicts[0] == refusal
 
 
 def test_exact_quantization_reads_one_running_sum():
