@@ -28,7 +28,7 @@ from .model import (
     ValidationError,
 )
 from .montecarlo import trial_rng
-from .quantize import _ratio_terms
+from .quantize import _integer, _ratio_terms
 
 # Unused here; perfbench/layers.py patches this name on this module by getattr.
 from .geometry import welzl_ball  # noqa: F401
@@ -135,7 +135,7 @@ def lattice_eps_sample(dist, family: RangeFamily, eps: float, *, index: int = 0)
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    return _lattice_sample(dist, eps, default_sample_size(family, eps), index)
+    return _lattice_sample(dist, eps, default_sample_size(family, eps), _integer(index, "index", 0))
 
 
 def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
@@ -240,8 +240,8 @@ def discretize_for_measure(
     Per-point sample accuracy targets are eps/n for the bounding-box
     perimeter and eps/(2 n^2) for the smallest enclosing disk; the accuracy
     sets the Gaussians' truncation.  Each lattice has about a desk-scale
-    preset count of cells per measure; pass ``points_per_point`` (at least
-    1) to override it.
+    preset count of cells per measure; pass ``points_per_point`` (an
+    integer of at least 1) to override it.
     """
     if cset.dimension != 2:
         raise ValidationError("discretization supports d=2 only")
@@ -250,9 +250,8 @@ def discretize_for_measure(
     eps_point = eps / cset.n if measure.kind == "aabb_perimeter" else eps / (2.0 * cset.n**2)
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
-    size = _DEFAULT_PIPELINE_SIZES[measure.kind] if points_per_point is None else points_per_point
-    if size < 1:
-        raise ValidationError(f"--points-per-point must be at least 1, got {size}")
+    preset = _DEFAULT_PIPELINE_SIZES[measure.kind]
+    size = preset if points_per_point is None else _integer(points_per_point, "--points-per-point", 1)
     if size > _POINTS_PER_POINT_CAP:
         raise ResourceCapError(
             f"--points-per-point {size} exceeds the cap of {_POINTS_PER_POINT_CAP} candidates per point"

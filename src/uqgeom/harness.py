@@ -19,7 +19,7 @@ import numpy as np
 from .measures import MeasureId
 from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet, ValidationError
 from .montecarlo import _check_samples, sampled_values, trial_rng
-from .quantize import Quantization1D, max_deviation, quantization_to_csv
+from .quantize import Quantization1D, _integer, max_deviation, quantization_to_csv
 
 # Unused here; perfbench/layers.py patches both names on this module by getattr.
 from .measures import evaluate  # noqa: F401
@@ -52,8 +52,7 @@ class CylinderConfig:
     sigma: float = 2.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"cylinder: n must be at least 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "cylinder: n", 1))
         if not (math.isfinite(self.length) and math.isfinite(self.radius)):
             raise ValidationError("cylinder: length and radius must be finite")
         # The covariance is sigma ** 2 times the identity.
@@ -74,13 +73,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "measures", tuple(self.measures))
-        m_values = tuple(self.m_values)
-        for v in (*m_values, self.eta, self.tau):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"m_values, eta and tau must be integers, got {v!r}")
-        object.__setattr__(self, "m_values", tuple(map(int, m_values)))
-        if not self.m_values or any(m < 1 for m in self.m_values):
-            raise ValueError("m_values must be positive")
+        object.__setattr__(self, "m_values", tuple(_integer(m, "m", 1) for m in self.m_values))
+        for name, least in (("eta", 1), ("tau", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        if not self.m_values:
+            raise ValueError("m_values must not be empty")
         # A repeated entry would be sampled again and merged into one table.
         names = [str(m) for m in self.measures]
         for label, items in (("measure {}", names), ("m={}", self.m_values)):
@@ -88,8 +85,6 @@ class ExperimentConfig:
                 raise ValueError(label.format(repeated[0]) + " is listed twice")
         if self.eta < 2 * max(self.m_values):
             raise ValueError("eta must dominate the largest m (reference acts as ground truth)")
-        if self.tau < 1:
-            raise ValueError("tau must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def fit_sample_constant(deviation_tables: dict[int, np.ndarray], nu: float = _FI
     empirical (1 - delta) quantile of the deviations; the fit is linear in
     log space: ln delta = nu - (m eps^2) / C.
     """
-    ms = sorted(deviation_tables)
+    ms = sorted(_integer(m, "m", 1) for m in deviation_tables)
     if len(ms) < 2:
         raise ValueError("need deviation tables for at least 2 distinct m values")
     xs = []

@@ -39,7 +39,7 @@ from .model import (
     ValidationError,
     draw_supports,
 )
-from .quantize import Quantization1D, QuantizationKD, simplify
+from .quantize import Quantization1D, QuantizationKD, _integer, simplify
 from .sip import DISK, SipField, shape_kind
 
 # Unused here; perfbench/layers.py patches these names on this module by getattr.
@@ -63,7 +63,9 @@ __all__ = [
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent, reproducible stream for one master seed and one spawn
     key: ``trial_rng(seed, t)`` is trial t's stream, and a longer key such
-    as ``(tag, t)`` names trial t of a separately tagged family of draws."""
+    as ``(tag, t)`` names trial t of a separately tagged family of draws.
+    The seed and every key are integers of at least 0 (:func:`_integer`)."""
+    seed, key = _integer(seed, "seed", 0), tuple(_integer(k, "spawn key", 0) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -154,15 +156,13 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 def _stream_states(seed: int, tag: tuple[int, ...], start: int, stop: int):
     """Yield, in chunks of at most ``_STREAM_CHUNK`` trials, the (rows, 4)
     states ``SeedSequence(entropy=seed, spawn_key=(*tag, t))
-    .generate_state(4, np.uint64)`` of trials t = start, ..., stop - 1."""
-    # One real SeedSequence, so that invalid seeds and tags raise as
-    # trial_rng's would.
-    np.random.SeedSequence(entropy=seed, spawn_key=tag)
+    .generate_state(4, np.uint64)`` of trials t = start, ..., stop - 1;
+    the seed and tag are checked as :func:`trial_rng` checks them."""
     # With a spawn key the seed words are padded to the pool size.
-    prefix = _words(seed)
+    prefix = _words(_integer(seed, "seed", 0))
     prefix += [0] * (4 - len(prefix))
     for key in tag:
-        prefix += _words(key)
+        prefix += _words(_integer(key, "spawn key", 0))
     while start < stop:
         # A chunk holds counters of one word count.
         width = len(_words(start))
@@ -285,9 +285,7 @@ class SampleBudget:
         if not (0.0 < self.constant_c < math.inf):
             raise ValueError("constant_c must be finite and positive")
         if self.explicit_m is not None:
-            explicit = self.explicit_m
-            if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)) or explicit < 1:
-                raise ValueError(f"explicit_m must be a positive integer, got {explicit!r}")
+            object.__setattr__(self, "explicit_m", _integer(self.explicit_m, "explicit_m", 1))
         elif not math.isfinite(self._raw_m()):
             raise ValueError(
                 "the sample count C (nu + ln(1/delta)) / epsilon^2 is not finite at "

@@ -240,14 +240,23 @@ def _ratio_floats(nums, dens) -> np.ndarray:
     return np.true_divide(np.asarray(nums).astype(object), np.asarray(dens).astype(object)).astype(np.float64)
 
 
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as a Python int: every count, size and seed the library
+    takes passes this one rule.  Bools (Python and numpy), values that are
+    not ``numbers.Integral`` (whole floats and strings too) and values
+    below ``least`` are refused with a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def _exact_numerators(numerators, denominator) -> tuple[np.ndarray, int]:
-    """Exact weights as both exact constructors store them: a positive
-    integer denominator and 1-d integral numerators, bools refused
-    (ValueError), as a Python int and a new int64 array while the
+    """Exact weights as both exact constructors store them: a denominator
+    by :func:`_integer` (at least 1) and 1-d integral numerators, bools
+    refused (ValueError), as a Python int and a new int64 array while the
     denominator and every entry lie below 2**63, as the exact engine's
     runs do, or an array of Python ints otherwise."""
-    if not isinstance(denominator, numbers.Integral) or isinstance(denominator, bool) or denominator <= 0:
-        raise ValueError("the denominator of exact weights must be a positive integer")
+    denominator = _integer(denominator, "the denominator of exact weights", 1)
     nums = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
     if nums.ndim != 1:
         raise ValueError("the numerators of exact weights must be 1-d")
@@ -258,7 +267,7 @@ def _exact_numerators(numerators, denominator) -> tuple[np.ndarray, int]:
     if nums.dtype == object and types - {int}:
         nums = np.array(list(map(int, nums.tolist())), dtype=object)
     fits = denominator < 2**63 and -(2**63) <= nums.min(initial=0) and nums.max(initial=0) < 2**63
-    return nums.astype(np.int64 if fits else object), int(denominator)
+    return nums.astype(np.int64 if fits else object), denominator
 
 
 def _ratio_terms(nums, dens) -> tuple[list[int], list[int]]:

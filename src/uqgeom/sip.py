@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import _WEIGHT_SLACK
 from .model import ResourceCapError, ValidationError
-from .quantize import _exact_numerators, _ratio_floats
+from .quantize import _exact_numerators, _integer, _ratio_floats
 
 __all__ = [
     "DISK",
@@ -224,18 +224,14 @@ _GRID_CELLS_CAP = 4096 * 4096
 
 def check_window(grid=None, bounds=None):
     """A raster window's (w, h) grid as ints and (x0, y0, x1, y1) bounds as
-    floats, each checked when given: the grid must be two positive integers
-    (``ValueError``) and of at most ``_GRID_CELLS_CAP`` cells
+    floats, each checked when given: the grid must be two integers of at
+    least 1 (``quantize._integer``) and of at most ``_GRID_CELLS_CAP`` cells
     (``ResourceCapError``), and the bounds finite, well-ordered and of
     finite width and height (``ValueError``).  The CLI checks its flags
     with it before it builds a field, :func:`rasterize_sip` its window
     before any work, and a :class:`Raster` its bounds."""
     if grid is not None:
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in grid):
-            raise ValueError(f"grid dimensions must be integers, got {tuple(grid)!r}")
-        w, h = grid = int(grid[0]), int(grid[1])
-        if w <= 0 or h <= 0:
-            raise ValueError("grid dimensions must be positive")
+        w, h = grid = _integer(grid[0], "grid width", 1), _integer(grid[1], "grid height", 1)
         if w * h > _GRID_CELLS_CAP:
             raise ResourceCapError(f"--grid {w},{h} has {w * h} cells, exceeding the cap of {_GRID_CELLS_CAP}")
     if bounds is not None:

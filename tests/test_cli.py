@@ -318,7 +318,7 @@ def test_discretize_points_per_point_below_one_exit_code(count, continuous_file,
                "--eps", "0.3", "--points-per-point", count, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: --points-per-point must be at least 1, got {count}\n"
+    assert err == f"error: --points-per-point must be an integer of at least 1, got {count}\n"
     assert not out.exists()
 
 
@@ -438,6 +438,17 @@ def test_fit_table_name_without_m_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "foo.csv" in err and "_m<m>" in err
 
 
+def test_fit_refuses_a_table_for_m_zero(tmp_path, capsys):
+    # Once exited 0 with a fitted C that counted m = 0.
+    tables = [tmp_path / "deviation_seb2_m0.csv", tmp_path / "deviation_seb2_m16.csv"]
+    for table in tables:
+        table.write_text("value,weight\n0.1,0.5\n0.2,0.5\n")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--tables", *map(str, tables), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: m must be an integer of at least 1, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -480,8 +491,8 @@ def test_malformed_fit_table_exit_code(text, message, tmp_path, capsys):
         (["--sigma", "1e160"], "sigma must be positive with a finite square, got 1e+160"),
         (["--sigma", "1.3407807929942597e154"], "sigma must be positive with a finite square"),
         (["--sigma", "-2"], "sigma must be positive with a finite square, got -2.0"),
-        (["--n", "0"], "n must be at least 1, got 0"),
-        (["--n", "-3"], "n must be at least 1, got -3"),
+        (["--n", "0"], "n must be an integer of at least 1, got 0"),
+        (["--n", "-3"], "n must be an integer of at least 1, got -3"),
     ],
 )
 def test_bad_cylinder_exit_code(flags, message, tmp_path, capsys):
@@ -1116,8 +1127,8 @@ def test_grid_cell_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("command", ["sip-exact", "sip-random"])
 @pytest.mark.parametrize("window, message", [
-    (["--grid", "0,128", "--bounds=-1,-1,3,3"], "grid dimensions must be positive"),
-    (["--grid", "8,-5", "--bounds=-1,-1,3,3"], "grid dimensions must be positive"),
+    (["--grid", "0,128", "--bounds=-1,-1,3,3"], "grid width must be an integer of at least 1, got 0"),
+    (["--grid", "8,-5", "--bounds=-1,-1,3,3"], "grid height must be an integer of at least 1, got -5"),
     (["--grid", "8,8", "--bounds=1,1,0,0"], "bounds must be well-ordered"),
     (["--grid", "8,8", "--bounds=-1,2,3,2"], "bounds must be well-ordered"),
     (["--grid", "8,8", "--bounds=nan,-1,3,3"], "bounds must be finite"),

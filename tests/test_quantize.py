@@ -246,7 +246,12 @@ def test_from_numerators_checks_int64_numerators_exactly():
 
 _NOT_INTEGERS = "the numerators of exact weights must be integers"
 _NOT_1D = "the numerators of exact weights must be 1-d"
-_BAD_DENOMINATOR = "the denominator of exact weights must be a positive integer"
+
+
+def _bad_denominator(value):
+    return f"the denominator of exact weights must be an integer of at least 1, got {value!r}"
+
+
 # (id, numerators, denominator, refusal) of one table for both exact
 # constructors: refusal is None for a row both accept, else the message
 # both refuse it with.
@@ -270,12 +275,12 @@ _EXACT_WEIGHT_INPUTS = [
     ("Fraction", [Fraction(1), 2], 3, _NOT_INTEGERS),
     ("2-D list", [[1], [2]], 3, _NOT_1D),
     ("2-D array", np.array([[1, 2]]), 3, _NOT_1D),
-    ("float denominator", [1, 2], 3.0, _BAD_DENOMINATOR),
-    ("float64 denominator", [1, 2], np.float64(3.0), _BAD_DENOMINATOR),
-    ("bool denominator", [1], True, _BAD_DENOMINATOR),
-    ("numpy bool denominator", [1], np.bool_(True), _BAD_DENOMINATOR),
-    ("zero denominator", [1], 0, _BAD_DENOMINATOR),
-    ("negative denominator", [1], -1, _BAD_DENOMINATOR),
+    ("float denominator", [1, 2], 3.0, _bad_denominator(3.0)),
+    ("float64 denominator", [1, 2], np.float64(3.0), _bad_denominator(np.float64(3.0))),
+    ("bool denominator", [1], True, _bad_denominator(True)),
+    ("numpy bool denominator", [1], np.bool_(True), _bad_denominator(np.bool_(True))),
+    ("zero denominator", [1], 0, _bad_denominator(0)),
+    ("negative denominator", [1], -1, _bad_denominator(-1)),
 ]
 
 

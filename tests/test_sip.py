@@ -485,12 +485,13 @@ def test_sipfield_refuses_another_kind_or_row_width(kind, params, message):
 
 
 @pytest.mark.parametrize("numerators, denominator", [
-    ([5], None), (None, 1), ([1], -1),
-], ids=["no denominator", "no numerators", "negative"])
+    ([5], None), (None, 1),
+], ids=["no denominator", "no numerators"])
 def test_sipfield_refuses_exact_weights_without_a_positive_integer_denominator(numerators, denominator):
     # Fraction(5, None) is 5: a field with numerators and no denominator
-    # once answered query_exact with the bare numerator sum.
-    with pytest.raises(ValueError, match="numerators and their denominator|positive integer"):
+    # once answered query_exact with the bare numerator sum.  A bad
+    # denominator is a row of tests/test_quantize.py's verdict table.
+    with pytest.raises(ValueError, match="numerators and their denominator"):
         SipField.from_arrays(DISK, [(0.0, 0.0, 1.0)], [1.0], numerators, denominator)
 
 
@@ -677,15 +678,11 @@ def test_rasterize_rejects_non_finite_bounds():
 
 
 @pytest.mark.parametrize("grid, bounds, message", [
-    ((0, 4), (0.0, 0.0, 1.0, 1.0), "grid dimensions must be positive"),
+    ((0, 4), (0.0, 0.0, 1.0, 1.0), "grid width must be an integer of at least 1, got 0"),
     ((4, 4), (1.0, 1.0, 0.0, 0.0), "bounds must be well-ordered"),
     ((4, 4), (0.0, 0.0, 1.0, math.nan), "bounds must be finite"),
     ((4, 4), (-1e308, -1e308, 1e308, 1e308), "bounds must have a finite width and height"),
-    # (2.9, 2) was once rasterized on a 2 x 2 grid and (True, 2) on a 1 x 2 one.
-    ((2.9, 2), (0.0, 0.0, 1.0, 1.0), "grid dimensions must be integers"),
-    ((4, 4.0), (0.0, 0.0, 1.0, 1.0), "grid dimensions must be integers"),
-    ((True, 2), (0.0, 0.0, 1.0, 1.0), "grid dimensions must be integers"),
-], ids=["grid", "reversed", "nan", "overflowing-width", "float grid", "whole-float grid", "bool grid"])
+], ids=["grid", "reversed", "nan", "overflowing-width"])
 def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bounds, message):
     def fail(*args, **kwargs):
         raise AssertionError("the field was rasterized before its window was checked")
