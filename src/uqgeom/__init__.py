@@ -24,7 +24,6 @@ from .exact import (
 )
 from .discretize import (
     LatticeSample,
-    RangeFamily,
     discretize_for_measure,
     lattice_eps_sample,
 )

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="point-set JSON (overrides the cylinder generator)")
     for flag, kind in (("--n", int), ("--length", float), ("--radius", float), ("--sigma", float)):
         p.add_argument(flag, type=kind, help="cylinder generator setting (not with --input)")
-    p.add_argument("--measures", default="dwid:0.96592582628906831,0,0.25881904510252074;diameter;seb2")
+    p.add_argument("--measures", default=f"{MeasureId('dwid', harness.cylinder_axis_direction())};diameter;seb2")
     p.add_argument("--m-values", dest="m_values", default="16,64,256,1024")
     p.add_argument("--eta", type=int)
     p.add_argument("--tau", type=int)

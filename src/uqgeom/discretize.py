@@ -4,8 +4,8 @@ Replaces each continuous uncertain point by a weighted finite candidate set
 (a lattice sample of its distribution) so the deterministic engine can run
 on the result.  The pipeline sizes each lattice by a per-measure preset;
 :func:`lattice_eps_sample` sizes one instead by the VC dimension of the
-range family it must respect, intersections of slabs along fixed directions
-(four for the bounding-box perimeter).
+ranges of the bounding-box perimeter, intersections of slabs along the four
+:data:`SLAB_DIRECTIONS_AABB`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import _EPS_POINT_FLOOR, _WEIGHT_SLACK, disk_rect_area, unit_vector
+from .geometry import _EPS_POINT_FLOOR, _WEIGHT_SLACK, disk_rect_area
 from .measures import MeasureId
 from .model import (
     ContinuousUncertainSet,
@@ -34,7 +34,6 @@ from .quantize import _integer, _ratio_terms
 from .geometry import welzl_ball  # noqa: F401
 
 __all__ = [
-    "RangeFamily",
     "LatticeSample",
     "lattice_eps_sample",
     "discretize_for_measure",
@@ -46,32 +45,6 @@ SLAB_DIRECTIONS_AABB = ((1.0, 0.0), (_SQ2, _SQ2), (0.0, 1.0), (-_SQ2, _SQ2))
 
 # Lattice origin offsets are derived per point index from this fixed seed.
 _OFFSET_SEED = 0x7A771CE
-
-
-@dataclass(frozen=True)
-class RangeFamily:
-    """Query ranges an epsilon-sample must respect: intersections of slabs
-    along fixed directions, the only kind (``slabs``)."""
-
-    kind: str
-    directions: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind != "slabs":
-            raise ValueError(f"unknown range family {self.kind!r}")
-        if not self.directions:
-            raise ValueError("slab family needs directions")
-        dirs = []
-        for d in self.directions:
-            u = unit_vector(d, "slab directions")
-            dirs.append((float(u[0]), float(u[1])))
-        if len({(round(a, 12), round(b, 12)) for a, b in dirs}) != len(dirs):
-            raise ValueError("slab directions must be distinct")
-        object.__setattr__(self, "directions", tuple(dirs))
-
-    @property
-    def vc_dimension(self) -> int:
-        return 2 * len(self.directions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +78,6 @@ class LatticeSample:
 # Lattice epsilon-samples
 
 
-def _offset_for_index(index: int) -> np.ndarray:
-    return trial_rng(_OFFSET_SEED, index).random(2)
-
-
 def _axis_lattice(lo: float, hi: float, count: int, offset: float):
     """1-d lattice of about ``count`` cells covering [lo, hi] with a
     fractional origin shift; returns centers and cell bounds clipped to the
@@ -123,37 +92,38 @@ def _axis_lattice(lo: float, hi: float, count: int, offset: float):
     return centers[keep], lows[keep], highs[keep]
 
 
-def default_sample_size(family: RangeFamily, eps: float) -> int:
-    nu = family.vc_dimension
-    return max(4, math.ceil((nu / eps**2) * math.log(max(math.e, nu / eps))))
-
-
-def lattice_eps_sample(dist, family: RangeFamily, eps: float, *, index: int = 0) -> LatticeSample:
-    """Lattice-based epsilon-sample of one distribution for a range family,
-    sized to Theta((nu/eps^2) ln(nu/eps)) cells by the family's VC
-    dimension nu (:func:`default_sample_size`); see :func:`_lattice_sample`.
+def lattice_eps_sample(dist, eps: float, *, index: int = 0) -> LatticeSample:
+    """Lattice-based epsilon-sample of one planar distribution for the
+    ranges of the bounding-box perimeter: intersections of slabs along the
+    four :data:`SLAB_DIRECTIONS_AABB`, a family of VC dimension nu = 8.  It
+    has Theta((nu/eps^2) ln(nu/eps)) cells; see :func:`_lattice_sample`.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    return _lattice_sample(dist, eps, default_sample_size(family, eps), _integer(index, "index", 0))
+    nu = 2 * len(SLAB_DIRECTIONS_AABB)
+    size = max(4, math.ceil((nu / eps**2) * math.log(max(math.e, nu / eps))))
+    return _lattice_sample(dist, eps, size, _integer(index, "index", 0))
 
 
 def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
-    """Lattice sample of about ``size`` cells of one distribution.
+    """Lattice sample of about ``size`` cells of one planar distribution.
 
     The distribution is truncated to a region holding all but eps/4 of its
     mass, overlaid with a scaled lattice whose origin is shifted per
     ``index``, and each lattice point is weighted by the exact mass of its
     cell (error-function products for Gaussians, exact disk/cell overlap
-    areas for uniform disks).  A point mass is its own one-point sample.
+    areas for uniform disks); cells of no mass are dropped.  A point mass
+    is its own one-point sample.
     """
+    if not isinstance(dist, (PointMassPoint, GaussianPoint, UniformDiskPoint)):
+        raise ValueError(f"unsupported distribution kind {type(dist).__name__}")
+    if dist.dimension != 2:
+        raise ValueError("lattice sampling supports planar distributions only")
     if isinstance(dist, PointMassPoint):
         return LatticeSample(dist.at.reshape(1, 2), np.array([1.0]))
-    offset = _offset_for_index(index)
+    offset = trial_rng(_OFFSET_SEED, index).random(2)
 
     if isinstance(dist, GaussianPoint):
-        if dist.dimension != 2:
-            raise ValueError("lattice sampling supports planar Gaussians only")
         evals, evecs = np.linalg.eigh(dist.cov)
         sigmas = np.sqrt(np.maximum(evals, 0.0))
         # Box at +-z standard deviations per principal axis, excluded mass
@@ -166,18 +136,11 @@ def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
         cy, ly, hy = _axis_lattice(-z, z, per_axis, offset[1])
         mx = np.array([nd.cdf(b) - nd.cdf(a) for a, b in zip(lx, hx)])
         my = np.array([nd.cdf(b) - nd.cdf(a) for a, b in zip(ly, hy)])
-        wgrid = np.outer(mx, my)
         gx, gy = np.meshgrid(cx, cy, indexing="ij")
         local = np.column_stack([gx.ravel() * sigmas[0], gy.ravel() * sigmas[1]])
         pts = dist.mean + local @ evecs.T
-        w = wgrid.ravel()
-        keep = w > 0
-        w = w[keep]
-        pts = pts[keep]
-        w = w / w.sum()
-        return LatticeSample(pts, w)
-
-    if isinstance(dist, UniformDiskPoint):
+        w = np.outer(mx, my).ravel()
+    else:
         r = dist.radius
         area_total = math.pi * r * r
         # Cell areas are taken against the disk's area, which must be finite.
@@ -186,20 +149,11 @@ def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
         per_axis = max(2, math.ceil(math.sqrt(size * 4.0 / math.pi)))
         cx, lx, hx = _axis_lattice(-r, r, per_axis, offset[0])
         cy, ly, hy = _axis_lattice(-r, r, per_axis, offset[1])
-        pts = []
-        w = []
-        for i in range(len(cx)):
-            for j in range(len(cy)):
-                a = disk_rect_area((0.0, 0.0), r, lx[i], hx[i], ly[j], hy[j])
-                if a > 0.0:
-                    pts.append((cx[i], cy[j]))
-                    w.append(a / area_total)
-        pts = np.asarray(pts) + dist.center
-        w = np.asarray(w)
-        w = w / w.sum()
-        return LatticeSample(pts, w)
-
-    raise ValueError(f"unsupported distribution kind {type(dist).__name__}")
+        gx, gy = np.meshgrid(cx, cy, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()]) + dist.center
+        w = np.array([disk_rect_area(r, a, b, c, d) / area_total for a, b in zip(lx, hx) for c, d in zip(ly, hy)])
+    keep = w > 0
+    return LatticeSample(pts[keep], w[keep] / w[keep].sum())
 
 
 # --------------------------------------------------------------------------

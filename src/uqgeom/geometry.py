@@ -405,37 +405,31 @@ def _disk_corner_area(x: float, y: float, r: float) -> float:
         t = max(-r, min(r, t))
         return 0.5 * (t * math.sqrt(max(0.0, r * r - t * t)) + r * r * math.asin(t / r)) + 0.25 * math.pi * r * r
 
-    # Split the x-range at +-sqrt(r^2 - y^2), where the chord height crosses y.
-    if y >= 0.0:
-        xc = math.sqrt(max(0.0, r * r - y * y))
-        # For |u| <= xc the column is clipped at y; outside it the full chord
-        # (from -h to h) lies below y.
-        lo = -xc
-        hi = min(x, xc)
-        area = 0.0
-        # Region u < -xc: full chord.
+    # Split the x-range at +-xc = +-sqrt(r^2 - y^2), where the chord height
+    # h(u) crosses |y|.  For y >= 0 the full chord (from -h to h) lies below y
+    # outside |u| <= xc; for y < 0 only columns with h(u) > |y| contribute.
+    # Each sign keeps its own lo: max(-xc, -r) above the axis changes the
+    # last bit of some subnormal areas, and -xc below it turns an empty
+    # corner into NaN once r * r overflows.
+    full = y >= 0.0
+    xc = math.sqrt(max(0.0, r * r - y * y))
+    lo = -xc if full else max(-xc, -r)
+    hi = min(x, xc)
+    area = 0.0
+    if full:
         area += 2.0 * (seg(min(x, lo)) - seg(-r))
-        if hi > lo:
-            # Columns clipped at y: height = y + h(u).
-            area += y * (hi - lo) + (seg(hi) - seg(lo))
-        if x > xc:
-            area += 2.0 * (seg(x) - seg(xc))
-        return area
-    else:
-        xc = math.sqrt(max(0.0, r * r - y * y))
-        lo = max(-xc, -r)
-        hi = min(x, xc)
-        if hi <= lo:
-            return 0.0
-        # Only columns with h(u) > |y| contribute: height = y + h(u).
-        return y * (hi - lo) + (seg(hi) - seg(lo))
+    if hi > lo:
+        # Columns clipped at y: height = y + h(u).
+        area += y * (hi - lo) + (seg(hi) - seg(lo))
+    if full and x > xc:
+        area += 2.0 * (seg(x) - seg(xc))
+    return area
 
 
-def disk_rect_area(center, r: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """Area of disk(center, r) intersected with [x0, x1] x [y0, y1]."""
-    cx, cy = float(center[0]), float(center[1])
-    a = _disk_corner_area(x1 - cx, y1 - cy, r)
-    b = _disk_corner_area(x0 - cx, y1 - cy, r)
-    c = _disk_corner_area(x1 - cx, y0 - cy, r)
-    d = _disk_corner_area(x0 - cx, y0 - cy, r)
+def disk_rect_area(r: float, x0: float, x1: float, y0: float, y1: float) -> float:
+    """Area of disk(0, r) intersected with [x0, x1] x [y0, y1]."""
+    a = _disk_corner_area(x1, y1, r)
+    b = _disk_corner_area(x0, y1, r)
+    c = _disk_corner_area(x1, y0, r)
+    d = _disk_corner_area(x0, y0, r)
     return max(0.0, a - b - c + d)

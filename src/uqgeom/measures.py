@@ -41,6 +41,7 @@ from .geometry import (
     welzl_ball,
 )
 from .model import ResourceCapError, ValidationError
+from .quantize import _integer
 
 __all__ = [
     "MeasureId",
@@ -114,6 +115,7 @@ class MeasureId:
 
 def combinatorial_dimension(measure: MeasureId, dimension: int = 2) -> int:
     """Maximum basis size for the measure in the given ambient dimension."""
+    dimension = _integer(dimension, "dimension", 1)
     if measure.kind == "dwid":
         return 2
     if measure.kind in ("seb2", "seb1", "sebinf"):

@@ -247,6 +247,7 @@ def sampled_values(
     chunk.  So planar seb2 solves a whole support stack in one pivoting
     search (327 sets of 50 points at the budget), and diameter takes the
     same sets a few at a time (6 of 50 points)."""
+    count = _integer(count, "count", 0)
     _check_samples(count, uset.n)
     values = np.empty((count, len(measures)))
     rows = [_chunk_rows(uset, (measure,)) for measure in measures]

@@ -216,10 +216,9 @@ def test_criterion_08_sip_cross_validation():
 
 
 def test_criterion_09_gaussian_eps_sample():
-    fam = uq.RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     g = uq.GaussianPoint((0.0, 0.0), np.eye(2))
     eps = 0.05
-    sample = uq.lattice_eps_sample(g, fam, eps)
+    sample = uq.lattice_eps_sample(g, eps)
     projs = [sample.points @ np.array(d) for d in SLAB_DIRECTIONS_AABB]
     rng = np.random.default_rng(0xC9_0009)
     worst = 0.0

@@ -11,7 +11,6 @@ from uqgeom import (
     IndecisivePointSet,
     MeasureId,
     PointMassPoint,
-    RangeFamily,
     SampleBudget,
     UniformDiskPoint,
     ValidationError,
@@ -46,15 +45,13 @@ def lens_area(c1, r1, c2, r2) -> float:
 
 
 def test_lattice_point_mass():
-    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
-    s = lattice_eps_sample(PointMassPoint((1.0, 2.0)), fam, 0.1)
+    s = lattice_eps_sample(PointMassPoint((1.0, 2.0)), 0.1)
     assert len(s.points) == 1 and s.weights[0] == 1.0
 
 
 def test_lattice_weights_sum_and_positive(rng):
-    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     g = GaussianPoint((0.3, -0.5), [[0.5, 0.1], [0.1, 0.3]])
-    s = lattice_eps_sample(g, fam, 0.1)
+    s = lattice_eps_sample(g, 0.1)
     assert abs(float(s.weights.sum()) - 1.0) <= 1e-12
     assert np.all(s.weights > 0)
     assert len(s.points) >= 4
@@ -63,10 +60,9 @@ def test_lattice_weights_sum_and_positive(rng):
 def test_lattice_gaussian_slab_discrepancy(rng):
     """Reduced version of the Gaussian epsilon-sample gate (eps = 0.1, 200
     ranges); the full eps = 0.05, 1000-range version is in acceptance."""
-    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     g = GaussianPoint((0.0, 0.0), np.eye(2))
     eps = 0.1
-    s = lattice_eps_sample(g, fam, eps)
+    s = lattice_eps_sample(g, eps)
     projs = [s.points @ np.array(d) for d in SLAB_DIRECTIONS_AABB]
     worst = 0.0
     for _ in range(200):
@@ -99,7 +95,6 @@ def test_lattice_uniform_disk_balls_discrepancy(rng):
 
 
 def test_lattice_monotone_in_eps(rng):
-    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     g = GaussianPoint((0.0, 0.0), np.eye(2))
     ranges = []
     for _ in range(60):
@@ -111,7 +106,7 @@ def test_lattice_monotone_in_eps(rng):
         ranges.append(slabs)
 
     def worst_for(eps):
-        s = lattice_eps_sample(g, fam, eps)
+        s = lattice_eps_sample(g, eps)
         projs = [s.points @ np.array(d) for d in SLAB_DIRECTIONS_AABB]
         worst = 0.0
         for slabs in ranges:
@@ -125,20 +120,23 @@ def test_lattice_monotone_in_eps(rng):
 
 
 def test_lattice_origin_shift_varies_by_index():
-    fam = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
     g = GaussianPoint((0.0, 0.0), np.eye(2))
-    a = lattice_eps_sample(g, fam, 0.2, index=0)
-    b = lattice_eps_sample(g, fam, 0.2, index=1)
+    a = lattice_eps_sample(g, 0.2, index=0)
+    b = lattice_eps_sample(g, 0.2, index=1)
     assert not np.array_equal(a.points, b.points)
 
 
-def test_range_family_validation():
-    with pytest.raises(ValueError):
-        RangeFamily("slabs")
-    for kind in ("balls", "wedges_seb2"):
-        with pytest.raises(ValueError, match="unknown range family"):
-            RangeFamily(kind)
-    assert RangeFamily("slabs", SLAB_DIRECTIONS_AABB).vc_dimension == 8
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        (PointMassPoint((0.0, 0.0, 0.0)), "lattice sampling supports planar distributions only"),
+        (GaussianPoint((0.0, 0.0, 0.0), np.eye(3)), "lattice sampling supports planar distributions only"),
+        ((0.0, 0.0), "unsupported distribution kind tuple"),
+    ],
+)
+def test_lattice_refuses_what_it_cannot_sample(dist, message):
+    with pytest.raises(ValueError, match=message):
+        lattice_eps_sample(dist, 0.2)
 
 
 def test_discretize_point_masses_exact():

@@ -13,6 +13,9 @@ A second set of references, further down, is the one-loop-per-level Welzl
 and the generic pair/triple subset search (``_PAIRS``/``_TRIPLES`` tables,
 ``_dist2``/``_midpoint`` helpers, generator sums in the circumsphere) as they
 were before the boundary balls were written out per dimension and size.
+
+Last, ``_disk_corner_area`` of the disk lattices against its former two
+branches, one per sign of the corner's y.
 """
 
 import itertools
@@ -585,3 +588,63 @@ def test_circumsphere_matches_generator_sums():
                 float(x).hex() for x in (*want[0], want[1])
             ]
     assert 100 < refused < 3000
+
+
+def _ref_disk_corner_area(x: float, y: float, r: float) -> float:
+    """Area of {p in disk(0, r) : p.x <= x and p.y <= y}.
+
+    Building block for disk/rectangle intersection via inclusion-exclusion.
+    """
+    x = max(-r, min(r, x))
+    y = max(-r, min(r, y))
+
+    def seg(t: float) -> float:
+        # Integral of sqrt(r^2 - u^2) du from -r to t.
+        t = max(-r, min(r, t))
+        return 0.5 * (t * math.sqrt(max(0.0, r * r - t * t)) + r * r * math.asin(t / r)) + 0.25 * math.pi * r * r
+
+    # Split the x-range at +-sqrt(r^2 - y^2), where the chord height crosses y.
+    if y >= 0.0:
+        xc = math.sqrt(max(0.0, r * r - y * y))
+        # For |u| <= xc the column is clipped at y; outside it the full chord
+        # (from -h to h) lies below y.
+        lo = -xc
+        hi = min(x, xc)
+        area = 0.0
+        # Region u < -xc: full chord.
+        area += 2.0 * (seg(min(x, lo)) - seg(-r))
+        if hi > lo:
+            # Columns clipped at y: height = y + h(u).
+            area += y * (hi - lo) + (seg(hi) - seg(lo))
+        if x > xc:
+            area += 2.0 * (seg(x) - seg(xc))
+        return area
+    else:
+        xc = math.sqrt(max(0.0, r * r - y * y))
+        lo = max(-xc, -r)
+        hi = min(x, xc)
+        if hi <= lo:
+            return 0.0
+        # Only columns with h(u) > |y| contribute: height = y + h(u).
+        return y * (hi - lo) + (seg(hi) - seg(lo))
+
+
+def test_disk_corner_area_matches_its_two_branch_reference():
+    """The corner area as one body against its former y >= 0 and y < 0
+    branches (the reference above), bit for bit: a seeded sweep over radii
+    from subnormal to 1e300, and corners at signed zeros, +-r, beyond +-r
+    and subnormal offsets.  1.6781481651270445e-162 is a radius whose
+    sqrt(r * r) exceeds r, where the two branches' lo must stay apart."""
+    radii = [5e-324, 1e-320, 2.2e-308, 1.6781481651270445e-162, 1e-160, 3e-158, 0.01, 0.8, 1.0, 5.0]
+    radii += [7e153, 1e154, 1e300]
+    rng = np.random.default_rng(395)
+    cases = []
+    for r in radii:
+        near = r * (1.0 - 2.0**-53)
+        edges = (0.0, -0.0, r, -r, 2.0 * r, -2.0 * r, 0.5 * r, -0.5 * r, near, -near, 5e-324, -5e-324)
+        cases += [(x, y, r) for x in (*edges, math.inf, -math.inf) for y in (*edges, math.inf, -math.inf)]
+    for r in radii + np.maximum(10.0 ** rng.uniform(-323.0, 300.0, 400), 5e-324).tolist():
+        cases += [(x, y, r) for x, y in rng.uniform(-1.5 * r, 1.5 * r, (100, 2)).tolist()]
+    for x, y, r in cases:
+        got, want = geometry._disk_corner_area(x, y, r), _ref_disk_corner_area(x, y, r)
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (x, y, r)

@@ -24,7 +24,6 @@ from uqgeom import (
     GaussianPoint,
     MeasureId,
     Quantization1D,
-    RangeFamily,
     ResourceCapError,
     SampleBudget,
     SipField,
@@ -41,7 +40,7 @@ from uqgeom import (
     save_point_set,
     trial_rng,
 )
-from uqgeom.discretize import SLAB_DIRECTIONS_AABB
+from uqgeom.measures import combinatorial_dimension
 from uqgeom.montecarlo import sampled_values
 from uqgeom.sip import DISK
 
@@ -102,7 +101,6 @@ def _values(array):
     return (), np.asarray(array).tobytes()
 
 
-_FAMILY = RangeFamily("slabs", SLAB_DIRECTIONS_AABB)
 _WINDOW = (0.0, 0.0, 1.0, 1.0)
 
 
@@ -136,8 +134,10 @@ _SITES = {
         0, None, False, lambda v: _values(cylinder_uncertain_set(CylinderConfig(n=2), v).points[1].mean)
     ),
     "lattice index": (
-        0, None, False, lambda v: _values(lattice_eps_sample(_CSET.points[0], _FAMILY, 0.5, index=v).points)
+        0, None, False, lambda v: _values(lattice_eps_sample(_CSET.points[0], 0.5, index=v).points)
     ),
+    "combinatorial_dimension dimension": (1, "stored", False, lambda v: ((combinatorial_dimension(_SEB2, v),), ())),
+    "sampled_values count": (0, "cap", False, lambda v: _values(sampled_values(_USET, [_SEB2], 0, v))),
     "sampled_values seed": (0, None, False, lambda v: _values(sampled_values(_USET, [_SEB2], v, 4))),
     "sampled_values tag": (0, None, False, lambda v: _values(sampled_values(_USET, [_SEB2], 0, 4, (2, v)))),
     "build_quantization seed": (

@@ -25,7 +25,6 @@ _PACKAGE = Path(uqgeom.__file__).parent
 ALLOWED = {
     # Public API that the acceptance criteria call.
     "distributions_match": "criterion 01 compares the exact engine with the oracle through it",
-    "cylinder_axis_direction": "criterion 05 builds its dwid direction from it",
     "lattice_eps_sample": "criterion 09 samples a Gaussian through it",
     # Public API that the README documents.
     "eval_cdf": "the README's CDF query of a 1-D quantization",
