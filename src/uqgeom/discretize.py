@@ -10,13 +10,14 @@ ranges of the bounding-box perimeter, intersections of slabs along the four
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import _EPS_POINT_FLOOR, _WEIGHT_SLACK, disk_rect_area
+from .geometry import _EPS_POINT_FLOOR, _WEIGHT_SLACK, _disk_corner_area
 from .measures import MeasureId
 from .model import (
     ContinuousUncertainSet,
@@ -96,13 +97,19 @@ def lattice_eps_sample(dist, eps: float, *, index: int = 0) -> LatticeSample:
     """Lattice-based epsilon-sample of one planar distribution for the
     ranges of the bounding-box perimeter: intersections of slabs along the
     four :data:`SLAB_DIRECTIONS_AABB`, a family of VC dimension nu = 8.  It
-    has Theta((nu/eps^2) ln(nu/eps)) cells; see :func:`_lattice_sample`.
+    has Theta((nu/eps^2) ln(nu/eps)) cells, refused with ResourceCapError
+    above the pipeline's cap; see :func:`_lattice_sample`.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     nu = 2 * len(SLAB_DIRECTIONS_AABB)
-    size = max(4, math.ceil((nu / eps**2) * math.log(max(math.e, nu / eps))))
-    return _lattice_sample(dist, eps, size, _integer(index, "index", 0))
+    square = eps**2  # 0.0 once eps is below about 1e-162
+    cells = (nu / square) * math.log(max(math.e, nu / eps)) if square else math.inf
+    if cells > _POINTS_PER_POINT_CAP:
+        raise ResourceCapError(
+            f"eps = {eps!r} needs more than the cap of {_POINTS_PER_POINT_CAP} lattice cells; pass a larger eps"
+        )
+    return _lattice_sample(dist, eps, max(4, math.ceil(cells)), _integer(index, "index", 0))
 
 
 def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
@@ -151,7 +158,14 @@ def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
         cy, ly, hy = _axis_lattice(-r, r, per_axis, offset[1])
         gx, gy = np.meshgrid(cx, cy, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()]) + dist.center
-        w = np.array([disk_rect_area(r, a, b, c, d) / area_total for a, b in zip(lx, hx) for c, d in zip(ly, hy)])
+        # Each cell's area by inclusion-exclusion over its four corners, each
+        # distinct corner computed once.
+        corner = functools.cache(lambda x, y: _disk_corner_area(x, y, r))
+        w = np.array([
+            max(0.0, corner(x1, y1) - corner(x0, y1) - corner(x1, y0) + corner(x0, y0)) / area_total
+            for x0, x1 in zip(lx.tolist(), hx.tolist())
+            for y0, y1 in zip(ly.tolist(), hy.tolist())
+        ])
     keep = w > 0
     return LatticeSample(pts[keep], w[keep] / w[keep].sum())
 

@@ -271,24 +271,21 @@ _MIN_CHUNK_ROWS = 64
 # supports, are enumerated in one order: point combos in lexicographic
 # order, then candidates in ``itertools.product`` order, each point's
 # numbered from offsets = cumsum(ks) - ks as the jittered set numbers them.
-# The order depends on the candidate counts ks and the basis size s alone,
-# so :func:`_plan` builds its plan once per (ks, s) and keeps it, read-only,
-# in one LRU cache bounded by the cells it holds.  Plans pay off when one
-# process solves many instances of the same shape.  A plan carries the
-# combos, where each combo's candidate products start and the mixed-radix
-# strides of its candidate digits, which both the streamed rows
-# (:func:`_rows_between`) and the oracle's seb2 tables read.  It is kept
-# when its arrays fit in _PLAN_CELLS cells, and holds its rows whole when
-# they fit beside them; larger enumerations stream their rows chunk by
-# chunk.  Each kept plan is charged its int64 cells, _PLAN_KEY_CELLS per
-# point for the ints of its key and _PLAN_HEADER_CELLS for the headers of
-# its arrays, tuples and dict slot, and least recently used plans go once
-# the charges pass _PLAN_BUDGET, so the cache retains at most about
-# _PLAN_BUDGET x 8 bytes, 4 MB, whatever the instances.
+# The order depends on (ks, s) alone, so one plan serves every instance of
+# that shape: the combos, where each combo's candidate products start and
+# the mixed-radix strides of its candidate digits (read by the streamed
+# rows of :func:`_rows_between` and by the oracle's seb2 tables), and the
+# rows whole when all of it fits in _PLAN_CELLS cells.  :func:`_plan` keeps
+# exactly the plans that hold their rows, at most _PLANS_KEPT, least
+# recently used out: at most about 8 MiB whatever the instances.  The
+# benchmark's solve lists reuse at most 14 (12 / 14 / 10 on
+# exact-many-points / oracle-lattice / sip-pipeline, each built once, none
+# streaming), hence 16.  A plan whose rows stream is built per call, which
+# is cheap beside its enumeration (best of 7, a 2-core Xeon): about 0.02 ms
+# for 5 points x 12 candidates and 2 ms for 21 x 2 at s = 4 (53 908 cells),
+# each serving more than 16 000 rows, the latter 95 760.
 _PLAN_CELLS = 65_536
-_PLAN_BUDGET = 524_288
-_PLAN_KEY_CELLS = 8
-_PLAN_HEADER_CELLS = 256
+_PLANS_KEPT = 16
 
 
 # NumPy copies a broadcast operand into buffers when the inner dimension of
@@ -346,30 +343,25 @@ def _build_plan(ks: tuple[int, ...], s: int):
     return plan
 
 
-# (ks, s) -> (plan, charged cells), least recently used first.
+# (ks, s) -> plan holding its rows, least recently used first.
 _PLANS: dict = {}
 
 
 def _plan(ks: tuple[int, ...], s: int):
     """The plan of :func:`_build_plan`, kept in _PLANS from its first call
-    on when its arrays fit in _PLAN_CELLS, else built for this call alone.
-    A new plan evicts the least recently used ones until the charges fit in
-    _PLAN_BUDGET."""
+    on when it holds its rows, else built for this call alone; a new kept
+    plan evicts the least recently used one past _PLANS_KEPT."""
     key = (ks, s)
-    entry = _PLANS.pop(key, None)
-    if entry is None:
+    plan = _PLANS.pop(key, None)
+    if plan is None:
         plan = _build_plan(ks, s)
-        cells = sum(a.size for a in plan if a is not None)
-        if cells > _PLAN_CELLS:
+        if plan[-1] is None:
             return plan
-        charge = cells + _PLAN_KEY_CELLS * len(ks) + _PLAN_HEADER_CELLS
-        entry = plan, charge
-        held = charge + sum(c for _, c in _PLANS.values())
-        while _PLANS and held > _PLAN_BUDGET:
-            held -= _PLANS.pop(next(iter(_PLANS)))[1]
+        if len(_PLANS) >= _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
     # Inserted last: a dict keeps insertion order.
-    _PLANS[key] = entry
-    return entry[0]
+    _PLANS[key] = plan
+    return plan
 
 
 def _candidate_rows(plan, rows: int):

@@ -10,6 +10,7 @@ bit-reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -23,7 +24,6 @@ __all__ = [
     "unit_vector",
     "Ball",
     "welzl_ball",
-    "disk_rect_area",
 ]
 
 # --------------------------------------------------------------------------
@@ -138,16 +138,11 @@ class Ball:
         self.radius = radius
 
 
-_PERMUTATION_CACHE: dict[int, list[int]] = {}
-
-
+@functools.cache
 def _fixed_permutation(n: int) -> list[int]:
-    cached = _PERMUTATION_CACHE.get(n)
-    if cached is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=_WELZL_PERMUTATION_SEED))
-        cached = [int(i) for i in rng.permutation(n)]
-        _PERMUTATION_CACHE[n] = cached
-    return cached
+    """The fixed scan order of n points; callers copy it before changing it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=_WELZL_PERMUTATION_SEED))
+    return [int(i) for i in rng.permutation(n)]
 
 
 # Boundary balls of 3 and 4 points in 3-D: the pairs in lexicographic order
@@ -395,7 +390,7 @@ def _scan3(coords, order, count, boundary, ball, slack, dup2):
 def _disk_corner_area(x: float, y: float, r: float) -> float:
     """Area of {p in disk(0, r) : p.x <= x and p.y <= y}.
 
-    Building block for disk/rectangle intersection via inclusion-exclusion.
+    Building block of the disk lattices' cell masses by inclusion-exclusion.
     """
     x = max(-r, min(r, x))
     y = max(-r, min(r, y))
@@ -424,12 +419,3 @@ def _disk_corner_area(x: float, y: float, r: float) -> float:
     if full and x > xc:
         area += 2.0 * (seg(x) - seg(xc))
     return area
-
-
-def disk_rect_area(r: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """Area of disk(0, r) intersected with [x0, x1] x [y0, y1]."""
-    a = _disk_corner_area(x1, y1, r)
-    b = _disk_corner_area(x0, y1, r)
-    c = _disk_corner_area(x1, y0, r)
-    d = _disk_corner_area(x0, y0, r)
-    return max(0.0, a - b - c + d)

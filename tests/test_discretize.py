@@ -11,6 +11,7 @@ from uqgeom import (
     IndecisivePointSet,
     MeasureId,
     PointMassPoint,
+    ResourceCapError,
     SampleBudget,
     UniformDiskPoint,
     ValidationError,
@@ -21,7 +22,10 @@ from uqgeom import (
     max_deviation,
     save_point_set,
 )
+import uqgeom.discretize as discretize
 from uqgeom.discretize import SLAB_DIRECTIONS_AABB, _lattice_sample
+from uqgeom.geometry import _disk_corner_area
+from uqgeom.montecarlo import trial_rng
 
 from conftest import gaussian_slab_mass
 
@@ -137,6 +141,47 @@ def test_lattice_origin_shift_varies_by_index():
 def test_lattice_refuses_what_it_cannot_sample(dist, message):
     with pytest.raises(ValueError, match=message):
         lattice_eps_sample(dist, 0.2)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-100, 0.003, 0.001, 5e-324])
+def test_lattice_eps_sample_refuses_a_lattice_past_the_cap(monkeypatch, eps):
+    def build(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(discretize, "_lattice_sample", build)
+    with pytest.raises(ResourceCapError, match=rf"eps = {eps!r} needs more than the cap of 65536 lattice cells"):
+        lattice_eps_sample(GaussianPoint((0.0, 0.0), np.eye(2)), eps)
+
+
+def _former_disk_weights(disk, size, index):
+    """The uniform-disk lattice's weights as formed cell by cell, each
+    cell's area from its own four corner areas."""
+    r = disk.radius
+    offset = trial_rng(discretize._OFFSET_SEED, index).random(2)
+    per_axis = max(2, math.ceil(math.sqrt(size * 4.0 / math.pi)))
+    _, lx, hx = discretize._axis_lattice(-r, r, per_axis, offset[0])
+    _, ly, hy = discretize._axis_lattice(-r, r, per_axis, offset[1])
+
+    def disk_rect_area(x0, x1, y0, y1):
+        a = _disk_corner_area(x1, y1, r)
+        b = _disk_corner_area(x0, y1, r)
+        c = _disk_corner_area(x1, y0, r)
+        d = _disk_corner_area(x0, y0, r)
+        return max(0.0, a - b - c + d)
+
+    w = np.array([disk_rect_area(a, b, c, d) / (math.pi * r * r) for a, b in zip(lx, hx) for c, d in zip(ly, hy)])
+    keep = w > 0
+    return w[keep] / w[keep].sum()
+
+
+def test_disk_lattice_weights_match_the_per_cell_corner_areas():
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        disk = UniformDiskPoint(rng.normal(size=2), float(10 ** rng.uniform(-3, 2)))
+        size, index = int(rng.integers(4, 1025)), int(rng.integers(0, 10**6))
+        got = _lattice_sample(disk, 0.1, size, index).weights
+        want = _former_disk_weights(disk, size, index)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], (disk.radius, size, index)
 
 
 def test_discretize_point_masses_exact():

@@ -1438,10 +1438,20 @@ def test_plans_leave_every_bit_unchanged(monkeypatch, fresh_plans):
     ]
     built = []
     build = exact_mod._build_plan
-    monkeypatch.setattr(exact_mod, "_build_plan", lambda *key: built.append(key) or build(*key))
+
+    def counted(*key):
+        plan = build(*key)
+        built.append((key, plan[-1] is not None))
+        return plan
+
+    monkeypatch.setattr(exact_mod, "_build_plan", counted)
     planned = [_engine_bits(u) for u in usets]
-    # Each plan was built once, though every measure of its set read it.
-    assert built and len(built) == len(set(built))
+    # Each plan that holds its rows was built once, though every measure of
+    # its set read it; plans whose rows stream were built per call.
+    held = [key for key, rows in built if rows]
+    assert held and len(held) == len(set(held))
+    streamed = [key for key, rows in built if not rows]
+    assert streamed.count(((6,) * 6, 4)) > 1 and streamed.count(((6,) * 6, 6)) > 1
     monkeypatch.setattr(exact_mod, "_build_plan", build)
     # Both kinds of plan were read: rows held whole, and combos only, whose
     # rows streamed (the 4-point bases and the supports of the 6-point set).
@@ -1509,12 +1519,13 @@ def test_plan_cache_retains_at_most_its_bound(monkeypatch, fresh_plans):
     shapes = set()
     while len(shapes) < 200:
         shapes.add(tuple(int(k) for k in rng.integers(1, 9, size=rng.integers(2, 8))))
-    cells = []
+    kept = []
     real = exact_mod._build_plan
 
     def build(*key):
         plan = real(*key)
-        cells.append(sum(a.size for a in plan if a is not None))
+        if plan[-1] is not None:
+            kept.append(key)
         return plan
 
     monkeypatch.setattr(exact_mod, "_build_plan", build)
@@ -1525,14 +1536,37 @@ def test_plan_cache_retains_at_most_its_bound(monkeypatch, fresh_plans):
             for s in {1, 2, min(3, len(ks)), len(ks)}:
                 for _ in exact_mod._candidate_rows(exact_mod._plan(ks, s), 4096):
                     pass
-                assert sum(c for _, c in exact_mod._PLANS.values()) <= exact_mod._PLAN_BUDGET
+                assert len(exact_mod._PLANS) <= exact_mod._PLANS_KEPT
+                assert all(plan[-1] is not None for plan in exact_mod._PLANS.values())
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # The plans built held more than the budget, so some were evicted.
-    assert sum(cells) > exact_mod._PLAN_BUDGET
-    # Every charge is at least the int64 cells, key ints and headers retained.
-    assert retained <= 8 * exact_mod._PLAN_BUDGET, (retained, 8 * exact_mod._PLAN_BUDGET)
+    # More plans held their rows than the cache keeps, so some were evicted.
+    assert len(set(kept)) > exact_mod._PLANS_KEPT
+    # Each kept plan is at most _PLAN_CELLS int64 cells, plus 4 KiB for its
+    # key, its tuples, its array headers and its dict slot.
+    bound = exact_mod._PLANS_KEPT * (8 * exact_mod._PLAN_CELLS + 4096)
+    assert retained <= bound, (retained, bound)
+
+
+def test_plan_cache_keeps_every_shape_a_benchmark_workload_reuses(monkeypatch, fresh_plans):
+    exact_mod = fresh_plans
+    built = []
+    real = exact_mod._build_plan
+    monkeypatch.setattr(exact_mod, "_build_plan", lambda *key: built.append(key) or real(*key))
+    # The shapes of the oracle-lattice sets (3 candidates, 4-6 points; bases
+    # of at most 4 points and the supports), then of the exact-many-points
+    # sets (4 candidates; at most 4, 3, 3 and 2 points a basis).
+    oracle = [((3,) * n, s) for n in (4, 5, 6) for s in sorted({*range(1, min(4, n) + 1), n})]
+    exact = [((4,) * n, s) for n, beta in ((7, 4), (11, 3), (10, 3), (24, 2)) for s in range(1, beta + 1)]
+    for shapes, count in ((oracle, 14), (exact, 12)):
+        exact_mod._PLANS.clear()
+        built.clear()
+        assert len(shapes) == count
+        for _ in range(2):
+            for ks, s in shapes:
+                assert exact_mod._plan(ks, s)[-1] is not None
+        assert sorted(built) == sorted(shapes)
 
 
 # --------------------------------------------------------------------------
