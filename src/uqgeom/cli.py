@@ -64,7 +64,7 @@ def _sip_flags(args):
         return grid, bounds, isolines.DEFAULT_LEVELS
     if not args.isolines:
         raise ValidationError("--levels needs --isolines")
-    return grid, bounds, isolines.check_levels(args.levels.split(","))
+    return grid, bounds, isolines.check_levels([float(x) for x in args.levels.split(",")])
 
 
 def _write(path: str, text: str):

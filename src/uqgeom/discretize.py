@@ -29,7 +29,7 @@ from .model import (
     ValidationError,
 )
 from .montecarlo import trial_rng
-from .quantize import _integer, _ratio_terms
+from .quantize import _integer, _ratio_terms, _real
 
 # Unused here; perfbench/layers.py patches this name on this module by getattr.
 from .geometry import welzl_ball  # noqa: F401
@@ -93,15 +93,14 @@ def _axis_lattice(lo: float, hi: float, count: int, offset: float):
     return centers[keep], lows[keep], highs[keep]
 
 
-def lattice_eps_sample(dist, eps: float, *, index: int = 0) -> LatticeSample:
+def lattice_eps_sample(dist, eps: float) -> LatticeSample:
     """Lattice-based epsilon-sample of one planar distribution for the
     ranges of the bounding-box perimeter: intersections of slabs along the
     four :data:`SLAB_DIRECTIONS_AABB`, a family of VC dimension nu = 8.  It
     has Theta((nu/eps^2) ln(nu/eps)) cells, refused with ResourceCapError
     above the pipeline's cap; see :func:`_lattice_sample`.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    eps = _real(eps, "eps", "(0, 1)")
     nu = 2 * len(SLAB_DIRECTIONS_AABB)
     square = eps**2  # 0.0 once eps is below about 1e-162
     cells = (nu / square) * math.log(max(math.e, nu / eps)) if square else math.inf
@@ -109,7 +108,7 @@ def lattice_eps_sample(dist, eps: float, *, index: int = 0) -> LatticeSample:
         raise ResourceCapError(
             f"eps = {eps!r} needs more than the cap of {_POINTS_PER_POINT_CAP} lattice cells; pass a larger eps"
         )
-    return _lattice_sample(dist, eps, max(4, math.ceil(cells)), _integer(index, "index", 0))
+    return _lattice_sample(dist, eps, max(4, math.ceil(cells)), 0)
 
 
 def _lattice_sample(dist, eps: float, size: int, index: int) -> LatticeSample:
@@ -215,9 +214,8 @@ def discretize_for_measure(
         raise ValidationError("discretization supports d=2 only")
     if measure.kind not in _DEFAULT_PIPELINE_SIZES:
         raise ValidationError(f"unsupported measure for discretization: {measure.kind}")
+    eps = _real(eps, "eps", "(0, 1)")
     eps_point = eps / cset.n if measure.kind == "aabb_perimeter" else eps / (2.0 * cset.n**2)
-    if not (0.0 < eps < 1.0):
-        raise ValidationError("eps must lie in (0, 1)")
     preset = _DEFAULT_PIPELINE_SIZES[measure.kind]
     size = preset if points_per_point is None else _integer(points_per_point, "--points-per-point", 1)
     if size > _POINTS_PER_POINT_CAP:

@@ -55,7 +55,7 @@ from .measures import (
     tolerance,
 )
 from .model import IndecisivePointSet, ResourceCapError, ValidationError, canonical_jitter
-from .quantize import Quantization1D
+from .quantize import Quantization1D, _real
 from .sip import SipField, shape_kind
 
 __all__ = [
@@ -789,9 +789,8 @@ def distributions_match(
     given tolerance (single linkage) and require exactly equal rational
     weights per cluster.  Weights are compared as integer numerators over
     the lcm of the two denominators: a's count up, b's down, and each
-    cluster must balance to 0.  A NaN, infinite or negative ``tol`` is refused."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    cluster must balance to 0.  ``tol`` is a real number in [0, inf)."""
+    tol = _real(tol, "tolerance", "[0, inf)")
     qa, qb = a.collapsed, b.collapsed
     denom = math.lcm(qa.denominator, qb.denominator)
     sa, sb = denom // qa.denominator, -(denom // qb.denominator)

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .quantize import _real
+
 __all__ = [
     "as_points",
     "coordinate_scale",
@@ -71,14 +73,13 @@ _TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def unit_vector(v, what: str) -> np.ndarray:
-    """``v`` divided by its Euclidean norm; a non-finite or zero ``v`` is
-    refused with a ValueError naming it ``what``.  Only when the sum of
-    squares of the norm overflows or falls below the normal floats (where
-    it keeps few digits) is ``v`` first divided by its largest magnitude,
-    so every other vector is divided as a plain norm divides it."""
-    u = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(u).all():
-        raise ValueError(f"{what} must be finite")
+    """``v`` divided by its Euclidean norm; each entry is a real number
+    (``quantize._real``), and a zero ``v`` is refused with a ValueError
+    naming it ``what``.  Only when the sum of squares of the norm overflows
+    or falls below the normal floats (where it keeps few digits) is ``v``
+    first divided by its largest magnitude, so every other vector is
+    divided as a plain norm divides it."""
+    u = np.array([_real(x, f"{what} entry", "(-inf, inf)") for x in v])
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(u))
         if (norm < _TINY_NORM or norm == math.inf) and u.any():

@@ -19,7 +19,7 @@ import numpy as np
 from .measures import MeasureId
 from .model import ContinuousUncertainSet, GaussianPoint, IndecisivePointSet, ValidationError
 from .montecarlo import _check_samples, sampled_values, trial_rng
-from .quantize import Quantization1D, _integer, max_deviation, quantization_to_csv
+from .quantize import Quantization1D, _integer, _real, max_deviation, quantization_to_csv
 
 # Unused here; perfbench/layers.py patches both names on this module by getattr.
 from .measures import evaluate  # noqa: F401
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-# The largest sigma whose square ``sigma ** 2`` is finite, about 1.34e154;
-# above it libm ``pow`` overflows and CPython raises OverflowError.
+# The largest sigma whose square ``sigma ** 2``, the covariance's scale, is
+# finite, about 1.34e154; above it libm ``pow`` overflows (OverflowError).
 _MAX_SIGMA = math.sqrt(sys.float_info.max)
 
 
@@ -53,13 +53,9 @@ class CylinderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "cylinder: n", 1))
-        if not (math.isfinite(self.length) and math.isfinite(self.radius)):
-            raise ValidationError("cylinder: length and radius must be finite")
-        # The covariance is sigma ** 2 times the identity.
-        if not (0.0 < self.sigma <= _MAX_SIGMA):
-            raise ValidationError(
-                f"cylinder: sigma must be positive with a finite square, got {self.sigma!r}"
-            )
+        reals = (("length", "(-inf, inf)"), ("radius", "(-inf, inf)"), ("sigma", f"(0, {_MAX_SIGMA!r}]"))
+        for name, interval in reals:
+            object.__setattr__(self, name, _real(getattr(self, name), f"cylinder: {name}", interval))
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,9 @@ def cylinder_uncertain_set(cfg: CylinderConfig, seed: int) -> ContinuousUncertai
     return ContinuousUncertainSet(tuple(points), 3)
 
 
-def cylinder_axis_direction(angle_degrees: float = 75.0) -> tuple[float, float, float]:
-    """Unit direction making the given angle with the cylinder (z) axis."""
-    a = math.radians(angle_degrees)
-    return (math.sin(a), 0.0, math.cos(a))
+def cylinder_axis_direction() -> tuple[float, float, float]:
+    """Unit direction making a 75-degree angle with the cylinder (z) axis."""
+    return (math.sin(math.radians(75.0)), 0.0, math.cos(math.radians(75.0)))
 
 
 def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -159,7 +154,6 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
 
     deviations: dict[tuple[str, int], Quantization1D] = {}
-    tables: dict[str, dict[int, np.ndarray]] = {str(m): {} for m in measures}
 
     for m_index, m in enumerate(config.m_values):
         all_devs = np.empty((config.tau, len(measures)))
@@ -172,12 +166,11 @@ def run_deviation_experiment(config: ExperimentConfig) -> ExperimentResult:
         for c, measure in enumerate(measures):
             devs = all_devs[:, c]
             deviations[(str(measure), m)] = Quantization1D.from_samples(devs)
-            tables[str(measure)][m] = np.sort(devs)
 
     fits = {}
-    for mname, table in tables.items():
+    for mname in map(str, measures):
         try:
-            fits[mname] = fit_sample_constant(table)
+            fits[mname] = fit_sample_constant({m: deviations[(mname, m)].values for m in config.m_values})
         except ValueError as exc:
             fits[mname] = FitResult(math.nan, math.nan, _FIT_NU, degenerate=True, note=str(exc))
     return ExperimentResult(deviations, fits)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quantize import _real
 from .sip import Raster
 
 __all__ = ["check_levels", "extract_isolines", "isolines_svg", "DEFAULT_LEVELS"]
@@ -107,13 +108,10 @@ def _chain(segments) -> list[np.ndarray]:
 
 
 def check_levels(levels) -> tuple[float, ...]:
-    """Levels as floats, each strictly inside (0, 1) (``ValueError``): the
-    CLI's ``--levels`` before it builds a field, and each extraction's."""
-    levels = tuple(float(v) for v in levels)
-    for level in levels:
-        if not (0.0 < level < 1.0):
-            raise ValueError(f"isoline level {level} outside (0, 1)")
-    return levels
+    """Levels as floats, each a real number strictly inside (0, 1)
+    (``quantize._real``): the CLI's ``--levels`` before it builds a field,
+    and each extraction's."""
+    return tuple(_real(v, "isoline level", "(0, 1)") for v in levels)
 
 
 def extract_isolines(raster: Raster, levels=DEFAULT_LEVELS) -> dict[float, list[np.ndarray]]:

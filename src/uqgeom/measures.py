@@ -127,16 +127,12 @@ def combinatorial_dimension(measure: MeasureId, dimension: int = 2) -> int:
     raise AssertionError(measure.kind)
 
 
-def value_scale(measure: MeasureId | None, scale: float) -> float:
-    """A length scale converted into the units of the measure's value
-    (squared for area)."""
-    return scale * scale if measure is not None and measure.kind in _AREA_VALUED else scale
-
-
-def tolerance(pts: np.ndarray, measure: MeasureId | None = None) -> float:
-    """The comparison tolerance of measure values on m >= 1 points, always
-    positive: 1e-9 times the value scale of their length scale."""
-    return _COMPARE_REL * value_scale(measure, length_scale(pts))
+def tolerance(pts: np.ndarray, measure: MeasureId) -> float:
+    """The comparison tolerance of the measure's values on m >= 1 points,
+    always positive: 1e-9 times their length scale in the units of the
+    value (squared for area)."""
+    scale = length_scale(pts)
+    return _COMPARE_REL * (scale * scale if measure.kind in _AREA_VALUED else scale)
 
 
 # --------------------------------------------------------------------------

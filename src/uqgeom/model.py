@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import _JITTER_UNIT, _SYMMETRY_TOL, as_points, coordinate_scale
-from .quantize import _ratio_cells, _ratio_floats
+from .quantize import _ratio_cells, _ratio_floats, _real
 
 __all__ = [
     "ValidationError",
@@ -162,9 +162,9 @@ class IndecisivePointSet:
         """The set of ``rows``, a (locations, weights) pair per point with
         the weights as reduced (numerator, denominator) pairs, each checked
         as IndecisivePoint checks it (errors prefixed ``points[i]:``).
-        Iterating ``rows`` may raise a ValidationError for a point whose
-        weights could not be read; a fault of an earlier point is named
-        before it."""
+        Iterating ``rows`` may raise a ValidationError for a point that
+        could not be read; a fault of an earlier point is named before
+        it."""
         uset = object.__new__(cls)
         uset._fill(rows, dimension, jitter_applied)
         return uset
@@ -331,10 +331,8 @@ class UniformDiskPoint:
             raise ValidationError("uniform_disk supports d=2 only")
         if not np.isfinite(center).all():
             raise ValidationError("center must be finite")
-        if not (0.0 < self.radius < math.inf):
-            raise ValidationError(f"radius must lie in (0, inf), got {self.radius!r}")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", _real(self.radius, "radius", "(0, inf)"))
 
     @property
     def dimension(self) -> int:
@@ -534,6 +532,19 @@ def _parse_weight(text, where: str) -> tuple[int, int]:
         raise ValidationError(f"{where}: cannot parse weight {text!r}") from None
 
 
+def _numbers(rp: dict, name: str, prefix: str = ""):
+    """The field ``name`` of a JSON point, a number or nested lists of
+    them, refused with a ValidationError if any is true or false, which
+    numpy and float() would read as 1.0 or 0.0."""
+    layer = [rp[name]]
+    while layer:
+        types = set(map(type, layer))
+        if bool in types:
+            raise ValidationError(f"{prefix}{name} must hold numbers, not true or false")
+        layer = [x for v in layer if type(v) is list for x in v] if list in types else []
+    return rp[name]
+
+
 def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
     """Parse the JSON interchange format.
 
@@ -569,15 +580,16 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
     if model == "indecisive":
 
         def rows():
-            # Stops at the first point whose weights cannot be read; the
-            # set names a fault of an earlier point before it.
+            # Stops at the first point whose weights cannot be read or
+            # whose locations hold true or false; the set names a fault of
+            # an earlier point before it.
             for i, rp in enumerate(raw_points):
                 where = f"points[{i}]"
                 if "locations" not in rp or "weights" not in rp:
                     raise ValidationError(f"{where}: needs 'locations' and 'weights'")
                 if not isinstance(rp["weights"], list):
                     raise ValidationError(f"{where}: weights must be a list")
-                yield rp["locations"], [_parse_weight(w, where) for w in rp["weights"]]
+                yield _numbers(rp, "locations", f"{where}: "), [_parse_weight(w, where) for w in rp["weights"]]
 
         return IndecisivePointSet._from_rows(rows(), d, doc.get("jitter_applied", False))
 
@@ -588,16 +600,11 @@ def load_point_set(document) -> IndecisivePointSet | ContinuousUncertainSet:
             kind = rp.get("kind")
             try:
                 if kind == "gaussian":
-                    point = GaussianPoint(
-                        np.asarray(rp["mean"], dtype=np.float64),
-                        np.asarray(rp["cov"], dtype=np.float64),
-                    )
+                    point = GaussianPoint(_numbers(rp, "mean"), _numbers(rp, "cov"))
                 elif kind == "uniform_disk":
-                    point = UniformDiskPoint(
-                        np.asarray(rp["center"], dtype=np.float64), float(rp["radius"])
-                    )
+                    point = UniformDiskPoint(_numbers(rp, "center"), float(_numbers(rp, "radius")))
                 elif kind == "point_mass":
-                    point = PointMassPoint(np.asarray(rp["at"], dtype=np.float64))
+                    point = PointMassPoint(_numbers(rp, "at"))
                 else:
                     raise ValidationError(f"unknown kind {kind!r}")
             except KeyError as exc:

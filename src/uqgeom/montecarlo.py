@@ -39,7 +39,7 @@ from .model import (
     ValidationError,
     draw_supports,
 )
-from .quantize import Quantization1D, QuantizationKD, _integer, simplify
+from .quantize import Quantization1D, QuantizationKD, _integer, _real, simplify
 from .sip import DISK, SipField, shape_kind
 
 # Unused here; perfbench/layers.py patches these names on this module by getattr.
@@ -277,14 +277,9 @@ class SampleBudget:
     explicit_m: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if not (1.0 <= self.nu < math.inf):
-            raise ValueError("nu must be finite and at least 1")
-        if not (0.0 < self.constant_c < math.inf):
-            raise ValueError("constant_c must be finite and positive")
+        reals = (("epsilon", "(0, 1)"), ("delta", "(0, 1)"), ("nu", "[1, inf)"), ("constant_c", "(0, inf)"))
+        for name, interval in reals:
+            object.__setattr__(self, name, _real(getattr(self, name), name, interval))
         if self.explicit_m is not None:
             object.__setattr__(self, "explicit_m", _integer(self.explicit_m, "explicit_m", 1))
         elif not math.isfinite(self._raw_m()):
@@ -307,7 +302,7 @@ class SampleBudget:
 
     def kvariate(self, k: int) -> SampleBudget:
         """The budget of a k-variate quantization: nu = k."""
-        return replace(self, nu=float(k))
+        return replace(self, nu=k)
 
 
 def build_quantization(
@@ -425,8 +420,7 @@ def alpha_kernel(points, alpha: float) -> np.ndarray:
     every returned kernel actually satisfies the width bound there.
     """
     pts = as_points(points)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _real(alpha, "alpha", "(0, 1)")
     n, d = pts.shape
     if n <= 2:
         return pts.copy()
@@ -461,8 +455,7 @@ def build_eda_kernel(
     (alpha/2)-kernel, in trial order.  ``alpha`` must lie in (0, 1); it is
     checked before any support is drawn."""
     _check_samples(budget.m, uset.n)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _real(alpha, "alpha", "(0, 1)")
     return tuple(
         alpha_kernel(pts, alpha / 2.0) for stack in _support_stacks(uset, seed, budget.m) for pts in stack
     )

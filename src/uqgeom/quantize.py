@@ -185,9 +185,7 @@ def simplify(q: Quantization1D, eps: float) -> Quantization1D:
     Inputs already within the size budget are returned unchanged; the
     operation is idempotent at fixed eps.
     """
-    if not (0 < eps <= 1):
-        raise ValueError("eps must lie in (0, 1]")
-    m_out = math.ceil(2.0 / eps)
+    m_out = math.ceil(2.0 / _real(eps, "eps", "(0, 1]"))
     if len(q) <= m_out:
         return q
     cum = q._cum_float
@@ -248,6 +246,24 @@ def _integer(value, what: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str, interval: str) -> float:
+    """``value`` as a Python float: every scalar real the library takes
+    passes this one rule.  ``interval`` is spelled as in the message, such
+    as ``(0, 1]`` or ``[1, inf)``; an infinite end is open.  Bools (Python
+    and numpy), non-``numbers.Real`` values (strings, None, Decimal), NaN,
+    ±inf, ints or Fractions too large for a float and values outside the
+    interval are refused with a ValueError naming ``what``."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.nan
+    inside = (lo < x or (x == lo and interval[0] == "[")) and (x < hi or (x == hi and interval[-1] == "]"))
+    if not (math.isfinite(x) and inside):
+        raise ValueError(f"{what} must be a real number in {interval}, got {value!r}")
+    return x
 
 
 def _exact_numerators(numerators, denominator) -> tuple[np.ndarray, int]:

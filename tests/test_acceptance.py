@@ -134,7 +134,7 @@ def test_criterion_05_deviation_experiment():
     config = uq.ExperimentConfig(
         generator=uq.CylinderConfig(n=20, length=10.0, radius=1.0, sigma=2.0),
         measures=(
-            MeasureId("dwid", cylinder_axis_direction(75.0)),
+            MeasureId("dwid", cylinder_axis_direction()),
             MeasureId("diameter"),
             MeasureId("seb2"),
         ),

@@ -326,8 +326,8 @@ def test_discretize_points_per_point_below_one_exit_code(count, continuous_file,
     "flags, message",
     [
         (["--eps", "1e-300"], "epsilon^2 is not finite at epsilon=1e-300"),
-        (["--constant-c", "inf"], "constant_c must be finite and positive"),
-        (["--nu", "nan"], "nu must be finite and at least 1"),
+        (["--constant-c", "inf"], "constant_c must be a real number in (0, inf), got inf"),
+        (["--nu", "nan"], "nu must be a real number in [1, inf), got nan"),
     ],
     ids=["eps squared underflows", "infinite constant", "nan nu"],
 )
@@ -488,9 +488,9 @@ def test_malformed_fit_table_exit_code(text, message, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--sigma", "1e160"], "sigma must be positive with a finite square, got 1e+160"),
-        (["--sigma", "1.3407807929942597e154"], "sigma must be positive with a finite square"),
-        (["--sigma", "-2"], "sigma must be positive with a finite square, got -2.0"),
+        (["--sigma", "1e160"], "sigma must be a real number in (0, 1.3407807929942596e+154], got 1e+160"),
+        (["--sigma", "1.3407807929942597e154"], "sigma must be a real number in (0, 1.3407807929942596e+154]"),
+        (["--sigma", "-2"], "sigma must be a real number in (0, 1.3407807929942596e+154], got -2.0"),
         (["--n", "0"], "n must be an integer of at least 1, got 0"),
         (["--n", "-3"], "n must be an integer of at least 1, got -3"),
     ],
@@ -985,11 +985,13 @@ def _mutated_continuous_documents(draw):
     [
         ('"mean": [0, 0]', '"mean": [NaN, 0]', "points[0]: mean must be finite"),
         ('"center": [1, 0]', '"center": [1, -Infinity]', "points[1]: center must be finite"),
-        ('"radius": 0.5', '"radius": 1e400', "points[1]: radius must lie in (0, inf), got inf"),
-        ('"radius": 0.5', '"radius": NaN', "points[1]: radius must lie in (0, inf), got nan"),
+        ('"radius": 0.5', '"radius": 1e400', "points[1]: radius must be a real number in (0, inf), got inf"),
+        ('"radius": 0.5', '"radius": NaN', "points[1]: radius must be a real number in (0, inf), got nan"),
         ('"at": [0, 1]', '"at": [Infinity, 0]', "points[2]: at must be finite"),
+        ('"mean": [0, 0]', '"mean": [true, 0]', "points[0]: mean must hold numbers, not true or false"),
+        ('"radius": 0.5', '"radius": true', "points[1]: radius must hold numbers, not true or false"),
     ],
-    ids=["nan mean", "infinite center", "huge radius", "nan radius", "infinite point mass"],
+    ids=["nan mean", "infinite center", "huge radius", "nan radius", "infinite point mass", "true mean", "true radius"],
 )
 def test_non_finite_continuous_parameters_refused_at_load(command, field, text, message, tmp_path, monkeypatch,
                                                           capsys):
@@ -1131,8 +1133,8 @@ def test_grid_cell_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch
     (["--grid", "8,-5", "--bounds=-1,-1,3,3"], "grid height must be an integer of at least 1, got -5"),
     (["--grid", "8,8", "--bounds=1,1,0,0"], "bounds must be well-ordered"),
     (["--grid", "8,8", "--bounds=-1,2,3,2"], "bounds must be well-ordered"),
-    (["--grid", "8,8", "--bounds=nan,-1,3,3"], "bounds must be finite"),
-    (["--grid", "8,8", "--bounds=-1,-1,3,inf"], "bounds must be finite"),
+    (["--grid", "8,8", "--bounds=nan,-1,3,3"], "each bound must be a real number in (-inf, inf), got nan"),
+    (["--grid", "8,8", "--bounds=-1,-1,3,inf"], "each bound must be a real number in (-inf, inf), got inf"),
     (["--grid", "8,8", "--bounds=-1e308,-1e308,1e308,1e308"], "bounds must have a finite width and height"),
 ], ids=["zero-width", "negative-height", "reversed", "flat", "nan", "inf", "overflowing-width"])
 def test_raster_window_refused_before_the_field_is_built(command, window, message, indecisive_file, tmp_path,
@@ -1149,8 +1151,8 @@ def test_raster_window_refused_before_the_field_is_built(command, window, messag
 
 @pytest.mark.parametrize("command", ["sip-exact", "sip-random"])
 @pytest.mark.parametrize("levels, isolines, message", [
-    ("0.5,1.5", True, "isoline level 1.5 outside (0, 1)"),
-    ("nan", True, "isoline level nan outside (0, 1)"),
+    ("0.5,1.5", True, "isoline level must be a real number in (0, 1), got 1.5"),
+    ("nan", True, "isoline level must be a real number in (0, 1), got nan"),
     ("junk", True, "could not convert string to float: 'junk'"),
     ("", True, "could not convert string to float: ''"),
     ("0.5", False, "--levels needs --isolines"),
@@ -1280,7 +1282,7 @@ def test_directions_whose_norm_overflows_or_underflows(command, huge, plain, ind
 
 @pytest.mark.parametrize("direction, message", [
     ("1,0,0", "direction has dimension 3, the kernel has dimension 2"),
-    ("inf,0", "direction must be finite"),
+    ("inf,0", "direction entry must be a real number in (-inf, inf), got inf"),
     ("0,0", "direction must be nonzero"),
     ("1,x", "could not convert string to float: 'x'"),
 ], ids=["another dimension", "not finite", "zero", "not a number"])
@@ -1308,16 +1310,16 @@ def test_kernel_checks_its_alpha_before_drawing_supports(alpha, indecisive_file,
             "--eps", "0.2", "--delta", "0.1", "--m", "5", "--out", str(out)]
     with mock.patch.object(cli_mod.montecarlo, "draw_supports", wraps=cli_mod.montecarlo.draw_supports) as spy:
         assert main(argv) == 2
-    assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
+    assert capsys.readouterr().err == f"error: alpha must be a real number in (0, 1), got {float(alpha)!r}\n"
     assert not spy.called
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
     (["kernel", "--alpha", "0.2", "--direction", "inf,0", "--eps", "0.2", "--delta", "0.1", "--m", "8"],
-     "direction must be finite"),
+     "direction entry must be a real number in (-inf, inf), got inf"),
     (["quantize", "--measure", "dwid:inf,1", "--eps", "0.2", "--delta", "0.1", "--m", "8"],
-     "dwid direction must be finite"),
+     "dwid direction entry must be a real number in (-inf, inf), got inf"),
 ])
 def test_non_finite_direction_exit_code(argv, message, indecisive_file, tmp_path, capsys):
     # kernel once wrote NaN widths with exit 0.

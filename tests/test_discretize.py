@@ -125,8 +125,8 @@ def test_lattice_monotone_in_eps(rng):
 
 def test_lattice_origin_shift_varies_by_index():
     g = GaussianPoint((0.0, 0.0), np.eye(2))
-    a = lattice_eps_sample(g, 0.2, index=0)
-    b = lattice_eps_sample(g, 0.2, index=1)
+    a = _lattice_sample(g, 0.2, 738, 0)
+    b = _lattice_sample(g, 0.2, 738, 1)
     assert not np.array_equal(a.points, b.points)
 
 

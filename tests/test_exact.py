@@ -583,8 +583,6 @@ def _loop_oracle(uset, m):
     value -> numerator map, the common denominator and the group tolerance."""
     import itertools
 
-    from uqgeom.measures import value_scale
-
     jset = canonical_jitter(uset)
     n = jset.n
     kind = m.kind
@@ -592,7 +590,8 @@ def _loop_oracle(uset, m):
     denoms = [math.lcm(*(w.denominator for w in p.weights)) for p in jset.points]
     wints = [[int(w * d) for w in p.weights] for p, d in zip(jset.points, denoms)]
     total_denom = math.prod(denoms)
-    group_tol = 1e-9 * value_scale(m, bbox_diameter(jset.all_locations()))
+    diagonal = bbox_diameter(jset.all_locations())
+    group_tol = 1e-9 * (diagonal * diagonal if kind == "aabb_area" else diagonal)
     if kind == "dwid":
         u0, u1 = m.direction
         projs = [arr[:, 0] * u0 + arr[:, 1] * u1 for arr in pts_arrays]

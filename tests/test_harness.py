@@ -32,7 +32,8 @@ def test_cylinder_generator_geometry():
 
 
 def test_cylinder_axis_direction():
-    u = cylinder_axis_direction(75.0)
+    u = cylinder_axis_direction()
+    assert [x.hex() for x in u] == ["0x1.ee8dd4748bf15p-1", "0x0.0p+0", "0x1.0907dc1930690p-2"]
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
     assert abs(math.degrees(math.acos(u[2])) - 75.0) < 1e-9
 

@@ -35,7 +35,6 @@ from uqgeom import (
     cylinder_uncertain_set,
     discretize_for_measure,
     fit_sample_constant,
-    lattice_eps_sample,
     rasterize_sip,
     save_point_set,
     trial_rng,
@@ -132,9 +131,6 @@ _SITES = {
     "trial_rng key": (0, "stored", False, lambda v: ((), trial_rng(7, 1, v).bit_generator.state)),
     "cylinder seed": (
         0, None, False, lambda v: _values(cylinder_uncertain_set(CylinderConfig(n=2), v).points[1].mean)
-    ),
-    "lattice index": (
-        0, None, False, lambda v: _values(lattice_eps_sample(_CSET.points[0], 0.5, index=v).points)
     ),
     "combinatorial_dimension dimension": (1, "stored", False, lambda v: ((combinatorial_dimension(_SEB2, v),), ())),
     "sampled_values count": (0, "cap", False, lambda v: _values(sampled_values(_USET, [_SEB2], 0, v))),

@@ -432,10 +432,10 @@ def test_continuous_points_refuse_non_finite_parameters(bad):
         UniformDiskPoint((0.0, bad), 1.0)
     with pytest.raises(ValidationError, match="^at must be finite$"):
         PointMassPoint((bad, 1.0))
-    with pytest.raises(ValidationError, match=r"^radius must lie in \(0, inf\), got "):
+    with pytest.raises(ValueError, match=r"^radius must be a real number in \(0, inf\), got "):
         UniformDiskPoint((0.0, 0.0), bad)
     for radius in (0.0, -1.0):
-        with pytest.raises(ValidationError, match=r"^radius must lie in \(0, inf\), got "):
+        with pytest.raises(ValueError, match=r"^radius must be a real number in \(0, inf\), got "):
             UniformDiskPoint((0.0, 0.0), radius)
 
 
@@ -962,6 +962,26 @@ def test_loader_names_the_first_of_two_faulty_points():
         solid = _POINT_FAULTS[-2]
         assert want.startswith(f"points[{j if a == solid and b != solid else i}]: "), (a, b, want)
         assert _loaded(text) == want, (a, b)
+
+
+@pytest.mark.parametrize("model, point, message", [
+    ("indecisive", {"locations": [[0, 0], [True, 1]], "weights": ["1/2", "1/2"]}, "locations"),
+    ("indecisive", {"locations": [False, 1], "weights": ["1"]}, "locations"),
+    ("continuous", {"kind": "gaussian", "mean": [True, 0], "cov": [[1, 0], [0, 1]]}, "mean"),
+    ("continuous", {"kind": "gaussian", "mean": [0, 0], "cov": [[1, False], [0, 1]]}, "cov"),
+    ("continuous", {"kind": "uniform_disk", "center": [0, True], "radius": 1}, "center"),
+    ("continuous", {"kind": "uniform_disk", "center": [0, 0], "radius": True}, "radius"),
+    ("continuous", {"kind": "point_mass", "at": [True, 0]}, "at"),
+], ids=["location", "flat location", "mean", "cov", "center", "radius", "at"])
+def test_loader_refuses_true_and_false_as_numbers(model, point, message):
+    # numpy and float() read a JSON true as 1.0 and false as 0.0: each of
+    # these once loaded, a true radius as a disk of radius 1.
+    first = {"kind": "point_mass", "at": [0, 0]}
+    if model == "indecisive":
+        first = {"locations": [[0, 0]], "weights": ["1"]}
+    text = json.dumps({"dimension": 2, "model": model, "points": [first, point]})
+    with pytest.raises(ValidationError, match=f"^points\\[1\\]: {message} must hold numbers, not true or false$"):
+        load_point_set(text)
 
 
 # --------------------------------------------------------------------------

@@ -680,7 +680,7 @@ def test_rasterize_rejects_non_finite_bounds():
 @pytest.mark.parametrize("grid, bounds, message", [
     ((0, 4), (0.0, 0.0, 1.0, 1.0), "grid width must be an integer of at least 1, got 0"),
     ((4, 4), (1.0, 1.0, 0.0, 0.0), "bounds must be well-ordered"),
-    ((4, 4), (0.0, 0.0, 1.0, math.nan), "bounds must be finite"),
+    ((4, 4), (0.0, 0.0, 1.0, math.nan), r"each bound must be a real number in \(-inf, inf\), got nan"),
     ((4, 4), (-1e308, -1e308, 1e308, 1e308), "bounds must have a finite width and height"),
 ], ids=["grid", "reversed", "nan", "overflowing-width"])
 def test_rasterize_refuses_a_bad_window_before_any_work(monkeypatch, grid, bounds, message):

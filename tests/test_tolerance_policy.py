@@ -48,7 +48,6 @@ def test_tolerance_is_the_reference_formula_on_generic_sets():
         assert length_scale(pts) == bbox_diameter(pts)
         for m in MEASURES:
             assert tolerance(pts, m).hex() == group_tolerance(uset, m).hex(), str(m)
-        assert tolerance(pts) == tolerance(pts, MEASURES[0])
 
 
 def _coincident_set(c, ks) -> IndecisivePointSet:
@@ -65,7 +64,7 @@ def test_tolerance_positive_on_zero_extent_and_one_candidate_sets(c, ks):
     assert bbox_diameter(pts) == 0.0
     # The floor is the farthest the canonical jitter moves a candidate.
     assert length_scale(pts) == len(pts) * _JITTER_UNIT * coordinate_scale(pts) > 0
-    for m in MEASURES + [None]:
+    for m in MEASURES:
         assert tolerance(pts, m) > 0
 
 
