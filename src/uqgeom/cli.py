@@ -43,17 +43,11 @@ def _budget(args) -> montecarlo.SampleBudget:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("grid must be W,H")
-    return sip.check_window(grid=[int(x) for x in parts])[0]
+    return sip.check_window(grid=[int(x) for x in text.split(",")])[0]
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise ValidationError("bounds must be x0,y0,x1,y1")
-    return sip.check_window(bounds=parts)[1]
+    return sip.check_window(bounds=[float(x) for x in text.split(",")])[1]
 
 
 def _sip_flags(args):

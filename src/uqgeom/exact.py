@@ -420,7 +420,8 @@ def _validate(prep: _Prepared, idx: np.ndarray):
     """
     kind = prep.measure.kind
     if kind == "seb2":
-        # (rows, s) views of (s, rows) gathers: each column is contiguous.
+        # (rows, s) views of (s, rows) gathers.  A gather follows its
+        # index's F order, so each view is C-ordered: its columns are strided.
         return _validate_seb2(idx, prep.fx[idx.T].T, prep.fy[idx.T].T)
     keep = np.ones(len(idx), dtype=bool)
     # One coordinate array per basis slot (a column of idx).

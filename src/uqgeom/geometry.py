@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .quantize import _real
+from .quantize import _real, _sequence
 
 __all__ = [
     "as_points",
@@ -73,13 +73,14 @@ _TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def unit_vector(v, what: str) -> np.ndarray:
-    """``v`` divided by its Euclidean norm; each entry is a real number
+    """``v`` divided by its Euclidean norm; ``v`` is a sequence
+    (``quantize._sequence``), each entry a real number
     (``quantize._real``), and a zero ``v`` is refused with a ValueError
     naming it ``what``.  Only when the sum of squares of the norm overflows
     or falls below the normal floats (where it keeps few digits) is ``v``
     first divided by its largest magnitude, so every other vector is
     divided as a plain norm divides it."""
-    u = np.array([_real(x, f"{what} entry", "(-inf, inf)") for x in v])
+    u = np.array([_real(x, f"{what} entry", "(-inf, inf)") for x in _sequence(v, what)])
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(u))
         if (norm < _TINY_NORM or norm == math.inf) and u.any():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantize import _real
+from .quantize import _real, _sequence
 from .sip import Raster
 
 __all__ = ["check_levels", "extract_isolines", "isolines_svg", "DEFAULT_LEVELS"]
@@ -108,10 +108,10 @@ def _chain(segments) -> list[np.ndarray]:
 
 
 def check_levels(levels) -> tuple[float, ...]:
-    """Levels as floats, each a real number strictly inside (0, 1)
-    (``quantize._real``): the CLI's ``--levels`` before it builds a field,
-    and each extraction's."""
-    return tuple(_real(v, "isoline level", "(0, 1)") for v in levels)
+    """Levels, a sequence (``quantize._sequence``), as floats, each a real
+    number strictly inside (0, 1) (``quantize._real``): the CLI's
+    ``--levels`` before it builds a field, and each extraction's."""
+    return tuple(_real(v, "isoline level", "(0, 1)") for v in _sequence(levels, "isoline levels"))
 
 
 def extract_isolines(raster: Raster, levels=DEFAULT_LEVELS) -> dict[float, list[np.ndarray]]:
@@ -140,7 +140,7 @@ def isolines_svg(contours: dict[float, list[np.ndarray]], bounds) -> str:
         for poly in contours[level]:
             if len(poly) < 2:
                 continue
-            pts = " ".join(f"{p[0]:.8g},{(y0 + y1 - p[1]):.8g}" for p in poly)
+            pts = " ".join(f"{x:.8g},{(y0 + y1 - y):.8g}" for x, y in poly.tolist())
             lines.append(f'<polyline points="{pts}"/>')
         lines.append("</g>")
     lines.append("</svg>")

@@ -340,15 +340,19 @@ class UniformDiskPoint:
 
     def _place(self, uv: np.ndarray) -> np.ndarray:
         """Locations (rows, 2) from the two uniforms of each draw, (2, rows):
-        ``uv[0]`` sets the radius and ``uv[1]`` the angle.  Scalar ``math``
-        per draw, so the bits do not depend on numpy's vector kernels."""
+        ``uv[0]`` sets the radius and ``uv[1]`` the angle.  The square root,
+        products and sums run over arrays, which IEEE rounds as one draw at
+        a time; the cosine and sine stay libm's ``math.cos`` and
+        ``math.sin`` per draw, so the bits do not depend on numpy's vector
+        kernels."""
         cx, cy = self.center.tolist()
-        out = []
-        for u, v in zip(*uv.tolist()):
-            theta = 2.0 * math.pi * v
-            r = self.radius * math.sqrt(u)
-            out.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
-        return np.array(out).reshape(-1, 2)
+        u, v = uv
+        theta = (2.0 * math.pi * v).tolist()
+        r = self.radius * np.sqrt(u)
+        out = np.empty((len(theta), 2))
+        out[:, 0] = cx + r * np.fromiter(map(math.cos, theta), float, len(theta))
+        out[:, 1] = cy + r * np.fromiter(map(math.sin, theta), float, len(theta))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,9 +428,9 @@ def sample_support(uset: IndecisivePointSet | ContinuousUncertainSet, rng: np.ra
 def draw_supports(
     uset: IndecisivePointSet | ContinuousUncertainSet, rngs
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One support per generator in ``rngs``: the (rows, n, d) locations,
-    and for an indecisive set the (rows, n) chosen candidate indices (None
-    for a continuous set).
+    """One support per numpy ``Generator`` in ``rngs``: the (rows, n, d)
+    locations, and for an indecisive set the (rows, n) chosen candidate
+    indices (None for a continuous set).
 
     Each generator is consumed exactly as by one draw per point in point
     order: an indecisive support takes ``rng.random(n)``, a run of
@@ -440,8 +444,8 @@ def draw_supports(
     if isinstance(uset, IndecisivePointSet):
         cum, locations, last, points = uset._sampling_plan
         u = np.empty((rows, uset.n))
-        for t, rng in enumerate(rngs):
-            rng.random(out=u[t])
+        for ut, rng in zip(u, rngs):
+            rng.random(out=ut)
         # Candidates below each draw, counted one candidate column at a
         # time: the counts of a sum over a (rows, n, k) comparison, without
         # numpy's reduction over its short last axis.
@@ -452,9 +456,12 @@ def draw_supports(
         return locations[points, j], j
     draws, gaussians, others = uset._sampling_plan
     z = np.empty((rows, uset.n, uset.dimension))
+    # Each draw's stream method and its target across the rows, looked up
+    # once, so a row pays for its draws and an integer index each.
+    targets = [(getattr(np.random.Generator, call), z[(slice(None), *index)]) for call, index in draws]
     for t, rng in enumerate(rngs):
-        for call, index in draws:
-            getattr(rng, call)(out=z[(t, *index)])
+        for fill, target in targets:
+            fill(rng, out=target[t])
     locs = np.empty_like(z)
     for start, stop, means, chols in gaussians:
         locs[:, start:stop] = means + np.matmul(chols, z[:, start:stop, :, None])[..., 0]

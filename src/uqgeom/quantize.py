@@ -266,6 +266,23 @@ def _real(value, what: str, interval: str) -> float:
     return x
 
 
+def _sequence(values, what: str, length: int | None = None) -> list:
+    """The entries of ``values`` as a list: every sequence of reals or
+    counts the library reads entry by entry (a direction, isoline levels, a
+    raster grid or window) passes this one rule.  A value that cannot be
+    iterated, such as a scalar, and, when ``length`` is given, one of
+    another length are refused with a ValueError naming ``what``, not the
+    TypeError or IndexError of reading it."""
+    try:
+        entries = list(iter(values))
+    except TypeError:
+        entries = None
+    if entries is None or (length is not None and len(entries) != length):
+        shape = "" if length is None else f" of {length} entries"
+        raise ValueError(f"{what} must be a sequence{shape}, got {values!r}")
+    return entries
+
+
 def _exact_numerators(numerators, denominator) -> tuple[np.ndarray, int]:
     """Exact weights as both exact constructors store them: a denominator
     by :func:`_integer` (at least 1) and 1-d integral numerators, bools

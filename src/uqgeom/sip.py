@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import _WEIGHT_SLACK
 from .model import ResourceCapError, ValidationError
-from .quantize import _exact_numerators, _integer, _ratio_floats, _real
+from .quantize import _exact_numerators, _integer, _ratio_floats, _real, _sequence
 
 __all__ = [
     "DISK",
@@ -224,18 +224,22 @@ _GRID_CELLS_CAP = 4096 * 4096
 
 def check_window(grid=None, bounds=None):
     """A raster window's (w, h) grid as ints and (x0, y0, x1, y1) bounds as
-    floats, each checked when given: the grid must be two integers of at
-    least 1 (``quantize._integer``) and of at most ``_GRID_CELLS_CAP`` cells
-    (``ResourceCapError``), and the bounds real numbers (``quantize._real``),
-    well-ordered and of finite width and height (``ValueError``).  The CLI
-    checks its flags with it before it builds a field, :func:`rasterize_sip`
-    its window before any work, and a :class:`Raster` its bounds."""
+    floats, each checked when given: the grid must be a sequence
+    (``quantize._sequence``) of two integers of at least 1
+    (``quantize._integer``) and of at most ``_GRID_CELLS_CAP`` cells
+    (``ResourceCapError``), and the bounds a sequence of four real numbers
+    (``quantize._real``), well-ordered and of finite width and height
+    (``ValueError``).  The CLI checks its flags with it before it builds a
+    field, :func:`rasterize_sip` its window before any work, and a
+    :class:`Raster` its bounds."""
     if grid is not None:
-        w, h = grid = _integer(grid[0], "grid width", 1), _integer(grid[1], "grid height", 1)
+        w, h = _sequence(grid, "grid", 2)
+        w, h = grid = _integer(w, "grid width", 1), _integer(h, "grid height", 1)
         if w * h > _GRID_CELLS_CAP:
             raise ResourceCapError(f"--grid {w},{h} has {w * h} cells, exceeding the cap of {_GRID_CELLS_CAP}")
     if bounds is not None:
-        x0, y0, x1, y1 = bounds = tuple(_real(v, "each bound", "(-inf, inf)") for v in bounds)
+        bounds = tuple(_real(v, "each bound", "(-inf, inf)") for v in _sequence(bounds, "bounds", 4))
+        x0, y0, x1, y1 = bounds
         if not (x1 > x0 and y1 > y0):
             raise ValueError("bounds must be well-ordered")
         if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):

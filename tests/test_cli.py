@@ -162,15 +162,27 @@ def test_main_parses_each_call_on_its_own(indecisive_file, tmp_path):
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
+# A continuous set of a non-isotropic Gaussian, a uniform disk and a point
+# mass: every kind of continuous draw.
+_CONTINUOUS_KINDS = {
+    "dimension": 2, "model": "continuous",
+    "points": [{"kind": "gaussian", "mean": [0.2, -0.1], "cov": [[0.5, 0.15], [0.15, 0.2]]},
+               {"kind": "uniform_disk", "center": [1.0, 0.5], "radius": 0.4},
+               {"kind": "point_mass", "at": [0.5, 1.0]}],
+}
+
+
 def test_sip_random_seeded_identical(indecisive_file, tmp_path):
-    args = ["sip-random", "--input", str(indecisive_file), "--measure", "seb2",
-            "--eps", "0.2", "--delta", "0.1", "--nu", "3", "--seed", "9",
-            "--grid", "16,16", "--bounds=-1,-1,3,3"]
-    a = tmp_path / "a.pgm"
-    b = tmp_path / "b.pgm"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    kinds = tmp_path / "kinds.json"
+    kinds.write_text(json.dumps(_CONTINUOUS_KINDS))
+    for path in (indecisive_file, kinds):
+        args = ["sip-random", "--input", str(path), "--measure", "seb2",
+                "--eps", "0.2", "--delta", "0.1", "--nu", "3", "--seed", "9",
+                "--grid", "16,16", "--bounds=-1,-1,3,3"]
+        for run in "ab":
+            assert main(args + ["--out", str(tmp_path / f"{run}.pgm"), "--isolines", str(tmp_path / f"{run}.svg")]) == 0
+        for name in ("pgm", "pgm.json", "svg"):
+            assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes(), (path.name, name)
 
 
 def test_sip_random_rejects_3d_input(tmp_path, capsys):
@@ -523,12 +535,18 @@ def test_unreadable_or_unwritable_file_exit_code(case, indecisive_file, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["10", "10,10,10", ""])
-def test_malformed_grid_exit_code(grid, indecisive_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "grid, message",
+    [("10", "grid must be a sequence of 2 entries, got [10]"),
+     ("10,10,10", "grid must be a sequence of 2 entries, got [10, 10, 10]"),
+     ("", "invalid literal for int() with base 10: ''")],
+    ids=["10", "10,10,10", ""],
+)
+def test_malformed_grid_exit_code(grid, message, indecisive_file, tmp_path, capsys):
     rc = main(["sip-exact", "--input", str(indecisive_file), "--measure", "seb2",
                "--grid", grid, "--bounds=-1,-1,3,3", "--out", str(tmp_path / "f.pgm")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: grid must be W,H\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1136,7 +1154,8 @@ def test_grid_cell_cap_exit_code(command, indecisive_file, tmp_path, monkeypatch
     (["--grid", "8,8", "--bounds=nan,-1,3,3"], "each bound must be a real number in (-inf, inf), got nan"),
     (["--grid", "8,8", "--bounds=-1,-1,3,inf"], "each bound must be a real number in (-inf, inf), got inf"),
     (["--grid", "8,8", "--bounds=-1e308,-1e308,1e308,1e308"], "bounds must have a finite width and height"),
-], ids=["zero-width", "negative-height", "reversed", "flat", "nan", "inf", "overflowing-width"])
+    (["--grid", "8,8", "--bounds=-1,-1,3"], "bounds must be a sequence of 4 entries, got [-1.0, -1.0, 3.0]"),
+], ids=["zero-width", "negative-height", "reversed", "flat", "nan", "inf", "overflowing-width", "three-bounds"])
 def test_raster_window_refused_before_the_field_is_built(command, window, message, indecisive_file, tmp_path,
                                                          monkeypatch, capsys):
     _refusing(monkeypatch, "sip.rasterize_sip", "exact_mod.deterministic_sip", "montecarlo.build_random_sip")

@@ -7,9 +7,12 @@ discretized or rasterized, or succeed with the result of the call with
 ``int(value)``, storing a Python int.  The values accepted are a numpy
 integer, zero where the least value is 0, and 2**63 and 2**64, which go
 only to constructors that store them and to sites whose cap refuses
-them.  None goes only where it is not the default."""
+them.  None goes only where it is not the default.  A raster grid given
+as a scalar, or of other than two entries, is refused by the one sequence
+rule, ``quantize._sequence``."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from uqgeom import (
 )
 from uqgeom.measures import combinatorial_dimension
 from uqgeom.montecarlo import sampled_values
-from uqgeom.sip import DISK
+from uqgeom.sip import DISK, check_window
 
 from conftest import random_indecisive
 
@@ -182,3 +185,12 @@ def test_one_integer_rule_at_every_count_size_and_seed(site, name, monkeypatch):
         monkeypatch.setattr(module, attr, _not_reached)
     with pytest.raises(ResourceCapError if name in _BIG else ValueError):
         call(value)
+
+
+@pytest.mark.parametrize("grid", [5, np.int64(5), (5,), (5, 5, 5)], ids=["5", "np.int64", "one entry", "three entries"])
+@pytest.mark.parametrize("call", [lambda g: check_window(grid=g), lambda g: rasterize_sip(_FIELD, g, _WINDOW)],
+                         ids=["check_window", "rasterize_sip"])
+def test_a_grid_that_is_not_a_pair(grid, call, monkeypatch):
+    monkeypatch.setattr(sip_mod, "_disk_runs", _not_reached)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'grid must be a sequence of 2 entries, got {grid!r}')}$"):
+        call(grid)

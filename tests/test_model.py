@@ -285,6 +285,37 @@ def test_uniform_disk_sampling_inside():
     assert abs((r**2).mean() - 0.125) < 0.01
 
 
+def _former_place(point, uv):
+    """The scalar per-draw loop that placed a disk's draws before the array
+    placement: every operation on Python floats, one draw at a time."""
+    cx, cy = point.center.tolist()
+    out = []
+    for u, v in zip(*uv.tolist()):
+        theta = 2.0 * math.pi * v
+        r = point.radius * math.sqrt(u)
+        out.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
+    return np.array(out).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [((0.0, 0.0), 1.0), ((-0.0, -0.0), 0.7), ((0.3, -1.7), 2.5), ((3e15, -7e12), 0.25), ((0.5, -0.5), 1e200),
+     ((1.7e308, 0.0), 1.7e308)],
+)
+def test_disk_placement_matches_the_scalar_loop(center, radius):
+    point = UniformDiskPoint(center, radius)
+    edges = np.array(list(product((0.0, 5e-324, 1.0 - 2.0**-53), (0.0, 0.25, 0.5, 1.0 - 2.0**-53)))).T
+    uv = np.concatenate([edges, np.random.default_rng(55).random((2, 500))], axis=1)
+    # draw_supports passes a (2, rows) view of its (rows, n, 2) buffer.
+    buffer = np.zeros((uv.shape[1], 3, 2))
+    buffer[:, 1] = uv.T
+    with np.errstate(over="ignore"):
+        want = _former_place(point, uv)
+        for given in (uv, buffer[:, 1, :2].T, uv[:, :0]):
+            got = point._place(given)
+            assert got.shape == (given.shape[1], 2) and got.tobytes() == want[: given.shape[1]].tobytes()
+
+
 def _ref_sample_support(uset, rng):
     """The per-point sampler that the one-draw sampling plans replaced: one
     stream call per point, in point order."""

@@ -1,7 +1,8 @@
 """One real-number rule, ``quantize._real``, at every scalar real the
 library takes: each site gets every hostile value of ``_HOSTILE``, each
 finite end of its interval, an int inside it where there is one, and
-``np.float32(0.5)`` and ``Fraction(1, 2)``.
+``np.float32(0.5)`` and ``Fraction(1, 2)``.  Each sequence of reals,
+given a scalar, is refused by the one sequence rule, ``quantize._sequence``.
 
 A call must either refuse the value at the call, with the one ValueError
 ``<what> must be a real number in <interval>, got <value!r>``, before
@@ -42,7 +43,7 @@ from uqgeom import (
 from uqgeom.harness import _MAX_SIGMA
 from uqgeom.isolines import check_levels
 from uqgeom.montecarlo import alpha_kernel, kernel_direction
-from uqgeom.sip import DISK, Raster
+from uqgeom.sip import DISK, Raster, check_window
 
 from conftest import random_indecisive
 
@@ -185,4 +186,24 @@ def test_one_real_rule_at_every_scalar_real(site, name, monkeypatch):
         monkeypatch.setattr(module, attr, _not_reached)
     message = f"{what} must be a real number in {interval}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+# Each sequence of reals given the scalar 0.5 -> (what, its length or None, call).
+_SEQUENCE_SITES = {
+    "check_levels": ("isoline levels", None, check_levels),
+    "check_window bounds": ("bounds", 4, lambda v: check_window(bounds=v)),
+    "rasterize_sip bounds": ("bounds", 4, lambda v: rasterize_sip(_FIELD, (3, 2), v)),
+    "Raster bounds": ("bounds", 4, lambda v: Raster(np.zeros((2, 2)), v)),
+    "dwid direction": ("dwid direction", None, lambda v: MeasureId("dwid", v)),
+    "kernel_direction": ("direction", None, lambda v: kernel_direction(v, 2)),
+}
+
+
+@pytest.mark.parametrize("site", _SEQUENCE_SITES)
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.array(0.5)], ids=["0.5", "np.float64", "0-d array"])
+def test_a_scalar_where_a_sequence_of_reals_is_expected(site, value):
+    what, length, call = _SEQUENCE_SITES[site]
+    entries = "" if length is None else f" of {length} entries"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be a sequence{entries}, got {value!r}')}$"):
         call(value)

@@ -160,6 +160,39 @@ def test_isolines_default_levels_and_svg():
     assert svg.startswith("<svg") and svg.count("<g ") == len(DEFAULT_LEVELS)
 
 
+def _former_isolines_svg(contours, bounds):
+    """The SVG writer that formatted each vertex from numpy scalars, the
+    reference for the one that formats Python floats."""
+    x0, y0, x1, y1 = (float(v) for v in bounds)
+    w, h = x1 - x0, y1 - y0
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0:g} {y0:g} {w:g} {h:g}">']
+    for level in sorted(contours):
+        lines.append(f'<g data-level="{level:g}" fill="none" stroke="black" stroke-width="{max(w, h) / 400.0:g}">')
+        for poly in contours[level]:
+            if len(poly) >= 2:
+                pts = " ".join(f"{p[0]:.8g},{(y0 + y1 - p[1]):.8g}" for p in poly)
+                lines.append(f'<polyline points="{pts}"/>')
+        lines.append("</g>")
+    return "\n".join(lines + ["</svg>"]) + "\n"
+
+
+@pytest.mark.parametrize("measure", ["seb2", "aabb_perimeter"])
+def test_isolines_svg_matches_the_numpy_scalar_formatting(measure):
+    rng = np.random.default_rng(55)
+    cset = ContinuousUncertainSet(
+        (GaussianPoint(rng.normal(size=2), [[0.5, 0.15], [0.15, 0.2]]), UniformDiskPoint(rng.normal(size=2), 0.4),
+         GaussianPoint(rng.normal(size=2), np.eye(2) * 0.1)),
+        2,
+    )
+    field = build_random_sip(cset, MeasureId(measure), SampleBudget(0.2, 0.2, explicit_m=200), seed=7)
+    for bounds in ((-1.0, -1.0, 2.0, 2.0), (-3.1, -2.7, 3.3, 2.9)):
+        raster = rasterize_sip(field, (48, 32), bounds)
+        contours = extract_isolines(raster, (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95))
+        assert sum(map(len, contours.values())) > 0
+        svg = isolines_svg(contours, raster.bounds)
+        assert svg == _former_isolines_svg(contours, raster.bounds)
+
+
 def _rasterize_full_grid(field, grid, bounds):
     """Reference rasterizer: every shape of the field tested at every cell
     center by :func:`_contains`, its weight added in shape order."""
